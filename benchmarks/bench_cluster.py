@@ -159,7 +159,6 @@ def collect_bit_identical(cluster_values=None) -> dict:
             max_batch=8 * SCALING_PAIRS,
             max_pending=8192,
             max_pending_per_tenant=8192,
-            batch_window_ms=0.0,
         )
         async with Server(backend="r4csa-lut", config=config) as server:
             responses = await asyncio.gather(*(

@@ -122,7 +122,7 @@ def collect_pool() -> dict:
     """The sharded serving self-test on both backends (2 pool workers).
 
     Heavier than the CI smoke traffic on purpose: with only a handful of
-    multiplications the wall time is all batching windows and IPC, and
+    multiplications the wall time is all scheduling and IPC, and
     the ratio would measure overhead, not arithmetic.
     """
     workers = 2

@@ -179,7 +179,6 @@ def collect_executor_scaling() -> dict:
     requests = _scaling_traffic()
     config = ServerConfig(
         max_batch=8 * SCALING_PAIRS,
-        batch_window_ms=0.0,
         max_pending=8192,
         max_pending_per_tenant=8192,
     )

@@ -5,7 +5,7 @@ Demonstrates the Workload Graph API and the async serving layer:
 
 1. a dependency-aware workload graph (batch-inversion product tree) and
    what its structure buys on a multi-macro chip,
-2. an async server with per-tenant clients, deadline-aware batching and
+2. an async server with per-tenant clients, self-clocked batching and
    admission control,
 3. graph submission end to end — build graph, submit, await the product,
 4. the server's metrics: throughput, latency percentiles, batching and
@@ -48,7 +48,7 @@ async def serve() -> None:
     # ------------------------------------------------------------------ #
     # 2. An async server; clients are tenant-scoped handles.
     # ------------------------------------------------------------------ #
-    config = ServerConfig(max_batch=32, batch_window_ms=1.0)
+    config = ServerConfig(max_batch=32)
     async with Server(backend="r4csa-lut", curve="bn254", config=config) as server:
         modulus = server.engine.default_modulus
         assert modulus is not None

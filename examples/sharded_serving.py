@@ -35,7 +35,7 @@ PAIRS_PER_REQUEST = 8
 
 
 async def main() -> None:
-    config = ServerConfig(max_batch=64, batch_window_ms=0.5)
+    config = ServerConfig(max_batch=64)
     async with Server(
         backend="montgomery", config=config, workers=WORKERS
     ) as server:

@@ -156,7 +156,6 @@ def reproduce_serving_throughput(
     graph_every: int = 8,
     graph_leaves: int = 16,
     max_batch: int = 64,
-    batch_window_ms: float = 1.0,
     seed: int = 2024,
     workers: int = 0,
 ) -> ServingThroughputResult:
@@ -178,7 +177,6 @@ def reproduce_serving_throughput(
         graph_every=int(graph_every),
         graph_leaves=int(graph_leaves),
         max_batch=int(max_batch),
-        batch_window_ms=float(batch_window_ms),
         seed=int(seed),
         workers=int(workers),
     )

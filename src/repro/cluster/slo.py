@@ -5,10 +5,11 @@ A request does not carry raw scheduling knobs over the wire; it names an
 the serving layer already has:
 
 * the class's :attr:`SloClass.deadline_ms` becomes the request deadline,
-  which the worker's :class:`~repro.service.server.Server` feeds into
-  deadline-aware batching (never linger past the tightest deadline) and
-  expiry (a request that waited too long fails with
-  :class:`~repro.errors.DeadlineError` instead of burning a core late);
+  which the worker's :class:`~repro.service.server.Server` enforces at
+  dispatch: a request that waited too long fails with
+  :class:`~repro.errors.DeadlineError` instead of burning a core late
+  (the server's batching holds no request back on a timer, so queueing
+  behind busy execution is the only wait);
 * the class's :attr:`SloClass.priority` becomes the request priority in
   the worker's per-tenant queues (higher dispatches first among ready
   jobs).

@@ -8,7 +8,7 @@ the node's :class:`~repro.service.server.Server` (inline executor by
 default; ``pool_workers > 0`` puts a process pool under it) with the
 tenant, priority and deadline the router resolved from the request's SLO
 class, so the fleet's SLO policy rides the serving layer's existing
-admission control and deadline-aware batching.
+admission control and deadline expiry.
 
 Failures are answers, not silences: an exception from the server becomes
 an ``error`` frame carrying the exception class name and a ``retryable``
@@ -64,8 +64,6 @@ class WorkerConfig:
     max_pending: int = 4096
     #: Per-dispatch batch cap of this node's server.
     max_batch: int = 64
-    #: Batching window of this node's server, milliseconds.
-    batch_window_ms: float = 1.0
     #: Frame size limit (must match the router's).
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
     #: Highest wire protocol version this node advertises in its join
@@ -155,7 +153,6 @@ class WorkerNode:
             config=ServerConfig(
                 max_pending=self.config.max_pending,
                 max_batch=self.config.max_batch,
-                batch_window_ms=self.config.batch_window_ms,
             ),
             workers=self.config.pool_workers or None,
         )

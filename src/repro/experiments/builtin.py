@@ -269,7 +269,6 @@ register_experiment(
             "graph_every": 8,
             "graph_leaves": 16,
             "max_batch": 64,
-            "batch_window_ms": 1.0,
             "seed": 2024,
             "workers": 0,
         },
@@ -280,8 +279,7 @@ register_experiment(
             "graph_leaves": 8,
         },
         sweep_axes=(
-            "backend", "tenants", "requests", "max_batch",
-            "batch_window_ms", "workers",
+            "backend", "tenants", "requests", "max_batch", "workers",
         ),
         # Headline figures are wall-clock measurements of this machine:
         # serving a cached timing as freshly measured would mislead.

@@ -56,18 +56,6 @@ class Executor(abc.ABC):
     async def close(self) -> None:
         """Tear down execution resources (idempotent)."""
 
-    def backlog(self) -> int:
-        """Dispatched-but-unfinished jobs buffered inside the executor.
-
-        The server adds this to its own queue depth when enforcing
-        ``max_pending``: an inline executor finishes each batch before
-        the dispatcher forms the next (backlog 0), while a pool buffers
-        work in worker queues — without this, admission control would
-        stop bounding in-flight work the moment batches leave the
-        server's queue.
-        """
-        return 0
-
     def execute_pairs_sync(
         self, pairs: Sequence[Tuple[int, int]], modulus: int
     ) -> "BatchResult":

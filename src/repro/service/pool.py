@@ -14,20 +14,27 @@ least-loaded live shard instead: affinity when it is cheap, parallelism
 when it matters.
 
 **Worker lifecycle.**  A monitor task watches worker liveness.  When a
-process dies, its slot is restarted with a fresh queue and every job that
-was outstanding on it is re-dispatched to another live shard (jobs are
-pure functions of their payload, so a retry is idempotent; results are
-deduplicated by job id in case the dead worker had already answered).  A
-job that outlives :attr:`PoolConfig.max_retries` crashes fails with
+process dies, every reply it wrote before dying is read and honoured,
+its slot is restarted with a fresh queue and pipe, and every job still
+outstanding on it is re-dispatched to another live shard (jobs are pure
+functions of their payload, so a retry is idempotent; results are also
+deduplicated by job id).  A job that outlives
+:attr:`PoolConfig.max_retries` crashes fails with
 :class:`~repro.errors.WorkerCrashError`.  :meth:`PoolExecutor.close`
 drains outstanding work, sends each worker a shutdown sentinel, joins the
 processes and fails any stragglers' futures cleanly.
 
 **Wire format.**  Requests are ``(kind, job_id, modulus, payload)``
-tuples; replies are ``(shard, job_id, (status, payload), elapsed,
-stats)`` where ``stats`` piggybacks the worker engine's multiplication
-and context-cache counters, giving the parent a merged cross-process
-cache view without a stats round-trip.
+tuples on a per-shard ``multiprocessing`` queue, whose feeder thread
+keeps a large put from blocking the event loop.  Each worker answers on
+its own one-way pipe with ``(shard, generation, job_id, (status,
+payload), elapsed, stats)``; the parent reads the pipes on the event loop
+itself (``loop.add_reader``, so a selector loop: asyncio's default on
+POSIX), and a reply costs no thread hop.  ``stats``
+piggybacks the worker engine's multiplication and context-cache counters,
+giving the parent a merged cross-process cache view without a stats
+round-trip.  The worker holds its pipe's only write end, so its death
+reads as end-of-file.
 """
 
 from __future__ import annotations
@@ -37,9 +44,9 @@ import hashlib
 import itertools
 import multiprocessing
 import pickle
-import threading
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection
 from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 from repro.engine import CacheStats, EngineSpec
@@ -53,9 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.workloads.graph import WorkloadGraph
 
 __all__ = ["PoolConfig", "PoolExecutor", "shard_for"]
-
-#: Reply-queue sentinel that stops the parent's reader thread.
-_STOP_READER = ("__stop__",)
 
 
 def shard_for(modulus: int, workers: int) -> int:
@@ -76,8 +80,8 @@ class PoolConfig:
     """Tunables of the sharded worker pool."""
 
     #: ``multiprocessing`` start method.  ``"spawn"`` is the default: it
-    #: is safe to combine with the parent's event loop and reader thread
-    #: (``"fork"`` can inherit a locked queue and deadlock a child).
+    #: is safe to combine with the parent's event loop and queue feeder
+    #: threads (``"fork"`` can inherit a locked queue and deadlock a child).
     start_method: str = "spawn"
     #: Outstanding jobs on the home shard before a new job spills to the
     #: least-loaded shard instead (affinity vs. skew trade-off).
@@ -115,12 +119,12 @@ def _worker_main(
     generation: int,
     spec_data: Dict[str, object],
     requests,
-    replies,
+    replies: Connection,
 ) -> None:
     """One worker process: build the engine, serve jobs until the sentinel.
 
     Runs in the child.  Job failures are *answered*, not fatal: the
-    exception travels back on the reply queue (re-wrapped when it does not
+    exception travels back on the reply pipe (re-wrapped when it does not
     pickle) and the worker keeps serving.  ``generation`` identifies which
     incarnation of the shard slot this process is, so the parent can tell
     a live worker's stats report from a dead predecessor's late one.
@@ -158,7 +162,7 @@ def _worker_main(
             except Exception:
                 error = ServiceError(f"{type(error).__name__}: {error}")
             outcome = ("error", error)
-        replies.put(
+        replies.send(
             (
                 shard,
                 generation,
@@ -186,13 +190,15 @@ class _PendingJob:
 
 @dataclass
 class _Shard:
-    """One worker slot: the live process, its queue, its in-flight ids."""
+    """One worker slot: the process, its queue and pipe, its in-flight ids."""
 
     index: int
     #: Which incarnation of this slot the process is (bumped on restart).
     generation: int
     process: multiprocessing.process.BaseProcess
     requests: object  # multiprocessing queue (ctx-specific type)
+    #: Read end of the worker's reply pipe, watched by the event loop.
+    replies: Connection
     pending_ids: Set[int] = field(default_factory=set)
     #: Death already handled (counters folded, jobs re-dispatched); set
     #: only when the slot is *not* replaced, so the monitor fires once.
@@ -243,8 +249,6 @@ class PoolExecutor(Executor):
         self._shards: List[_Shard] = []
         self._pending: Dict[int, _PendingJob] = {}
         self._job_ids = itertools.count()
-        self._replies = None
-        self._reader: Optional[threading.Thread] = None
         self._monitor: Optional[asyncio.Task] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._closing = False
@@ -258,39 +262,40 @@ class PoolExecutor(Executor):
         return self._started
 
     async def start(self) -> None:
-        """Spawn the workers, the reply reader and the liveness monitor."""
+        """Spawn the workers and the liveness monitor."""
         if self._started:
             return
         self._loop = asyncio.get_running_loop()
         self._closing = False
         self.metrics.start()
-        self._replies = self._ctx.Queue()
         self._shards = [self._spawn_shard(index) for index in range(self.workers)]
-        self._reader = threading.Thread(
-            target=self._read_replies, name="pool-replies", daemon=True
-        )
-        self._reader.start()
         self._monitor = self._loop.create_task(self._monitor_loop())
         self._started = True
 
     def _spawn_shard(self, index: int, generation: int = 0) -> _Shard:
+        assert self._loop is not None
         requests = self._ctx.Queue()
+        replies, reply_end = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_worker_main,
             args=(
-                index, generation, self.spec.as_dict(), requests,
-                self._replies,
+                index, generation, self.spec.as_dict(), requests, reply_end,
             ),
             name=f"repro-pool-{index}",
             daemon=True,
         )
         process.start()
-        return _Shard(
+        # The worker now holds the only write end: its death reads as EOF.
+        reply_end.close()
+        shard = _Shard(
             index=index,
             generation=generation,
             process=process,
             requests=requests,
+            replies=replies,
         )
+        self._loop.add_reader(replies.fileno(), self._read_replies, shard)
+        return shard
 
     async def close(self) -> None:
         """Drain outstanding work, stop the workers, fail any stragglers."""
@@ -329,20 +334,13 @@ class PoolExecutor(Executor):
                 except Exception:  # pragma: no cover - queue already broken
                     pass
         # Joins can wait on a worker finishing an abandoned batch; do the
-        # waiting in a thread so the event loop stays responsive.
+        # waiting in a thread so the event loop stays responsive and keeps
+        # reading the pipes (a worker blocks sending into a full one).
         await asyncio.get_running_loop().run_in_executor(
             None, self._join_workers
         )
-        if self._replies is not None:
-            self._replies.put(_STOP_READER)
-        if self._reader is not None:
-            self._reader.join(timeout=2.0)
-            self._reader = None
-        if self._replies is not None:
-            self._replies.close()
-            self._replies.join_thread()
-            self._replies = None
         for shard in self._shards:
+            self._unwatch(shard)
             try:
                 shard.requests.close()
                 shard.requests.join_thread()
@@ -439,27 +437,34 @@ class PoolExecutor(Executor):
     # ------------------------------------------------------------------ #
     # replies and failures
     # ------------------------------------------------------------------ #
-    def _read_replies(self) -> None:
-        """Reader thread: move worker replies onto the event loop."""
-        assert self._replies is not None and self._loop is not None
+    def _read_replies(self, shard: _Shard) -> None:
+        """Read every reply waiting in ``shard``'s pipe.
+
+        The loop's reader callback, and the crash handler's drain.  All
+        replies that arrived together resolve in the same loop pass, so
+        the requests their callers send next queue up together and share
+        a batch.  End-of-file means the worker is gone: the pipe is then
+        closed, and the monitor handles the death.
+        """
         while True:
             try:
-                item = self._replies.get()
-            except (EOFError, OSError):  # pragma: no cover - queue torn down
+                item = shard.replies.recv()
+            except (EOFError, OSError):
+                self._unwatch(shard)
                 return
-            if item == _STOP_READER:
+            self._on_reply(item)
+            if not shard.replies.poll():
                 return
-            try:
-                self._loop.call_soon_threadsafe(self._on_reply, item)
-            except RuntimeError:  # pragma: no cover - loop already closed
-                return
+
+    def _unwatch(self, shard: _Shard) -> None:
+        """Stop reading ``shard``'s pipe and close it (idempotent)."""
+        if not shard.replies.closed:
+            assert self._loop is not None
+            self._loop.remove_reader(shard.replies.fileno())
+            shard.replies.close()
 
     def _on_reply(self, item) -> None:
         shard_index, generation, job_id, (status, payload), elapsed, stats = item
-        if shard_index >= len(self._shards):
-            # The callback raced close(): the shards are gone and every
-            # still-pending job was already failed there.
-            return
         shard_metrics = self.metrics.shards[shard_index]
         if generation == self._shards[shard_index].generation:
             shard_metrics.record_report(
@@ -467,14 +472,13 @@ class PoolExecutor(Executor):
                 multiplications=int(stats.get("multiplications", 0)),
                 cache=dict(stats.get("cache", {})),
             )
-        # A dead predecessor's late report is dropped: its counters were
-        # already folded into the shard's retired totals on restart, and
-        # re-recording them would double-count against the replacement
-        # worker's.  (The carried *result* below is still honoured.)
+        # Only the slot's current worker reports counters: a predecessor's
+        # were folded into the retired totals when it died, and recording
+        # them again would double-count.  (A carried result is honoured.)
         job = self._pending.pop(job_id, None)
         if job is None:
-            # A re-dispatched job answered twice (the "dead" worker had
-            # already replied): the first answer won, drop the duplicate.
+            # Already settled (forgotten at close, or answered twice): the
+            # first outcome stands; drop this one.
             return
         for shard in self._shards:
             shard.pending_ids.discard(job_id)
@@ -497,6 +501,11 @@ class PoolExecutor(Executor):
 
     def _handle_crash(self, index: int) -> None:
         shard = self._shards[index]
+        # Replies the worker wrote before it died are answers, not orphans:
+        # read them all (their counters too) before re-dispatching the rest.
+        if not shard.replies.closed and shard.replies.poll():
+            self._read_replies(shard)
+        self._unwatch(shard)
         self.metrics.shards[index].record_restart()
         orphan_ids = sorted(shard.pending_ids)
         shard.pending_ids.clear()
@@ -506,9 +515,8 @@ class PoolExecutor(Executor):
             )
         else:
             # No replacement: mark the slot handled so the monitor does
-            # not count the same death again, and bump the generation so
-            # a late reply from the dead process cannot re-record folded
-            # counters.
+            # not count the same death again, and retire its generation
+            # as a restart would.
             shard.crashed = True
             shard.generation += 1
         exitcode = shard.process.exitcode
@@ -550,10 +558,6 @@ class PoolExecutor(Executor):
     @property
     def outstanding(self) -> int:
         """Jobs dispatched to workers but not yet answered."""
-        return len(self._pending)
-
-    def backlog(self) -> int:
-        """Unfinished jobs buffered in the pool (admission accounting)."""
         return len(self._pending)
 
     def shard_depths(self) -> List[int]:

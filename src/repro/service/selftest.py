@@ -32,7 +32,6 @@ async def self_test(
     graph_every: int = 8,
     graph_leaves: int = 16,
     max_batch: int = 64,
-    batch_window_ms: float = 1.0,
     seed: int = 2024,
     workers: int = 0,
 ) -> Dict[str, object]:
@@ -43,7 +42,7 @@ async def self_test(
     (:class:`~repro.service.pool.PoolExecutor`) — same products, verified
     the same way, with the pool's per-shard rollup in the summary.
     """
-    config = ServerConfig(max_batch=max_batch, batch_window_ms=batch_window_ms)
+    config = ServerConfig(max_batch=max_batch)
     async with Server(
         backend=backend, curve=curve, config=config, workers=workers or None
     ) as server:

@@ -9,11 +9,13 @@
 * **admission control / backpressure** — global and per-tenant pending
   caps reject new work with :class:`AdmissionError` instead of letting the
   queue grow without bound;
-* **deadline-aware batching** — the dispatcher lingers up to the batch
-  window to coalesce small requests into one
-  :meth:`~repro.engine.Engine.multiply_batch` call per modulus, but never
-  lingers past the tightest deadline in the batch, and expires jobs whose
-  deadline passed while queued;
+* **self-clocked batching** — the dispatcher never waits on a timer: each
+  time it runs it takes everything queued (up to ``max_batch`` pairs) and
+  dispatches it at once, one :meth:`~repro.engine.Engine.multiply_batch`
+  call per modulus.  Requests that arrive while a batch executes queue up
+  and form the next batch, so batches grow with load and a lone request
+  on an idle server waits for nothing.  Jobs whose deadline passed while
+  queued expire instead of executing;
 * **per-tenant fairness** — the collector drains tenant queues round-robin
   so one chatty tenant cannot starve the rest;
 * **metrics** — latency percentiles, throughput, batch sizes, per-tenant
@@ -58,8 +60,6 @@ class ServerConfig:
     #: Operand pairs coalesced into one ``multiply_batch`` call at most
     #: (a single request larger than this still runs, alone).
     max_batch: int = 64
-    #: How long the dispatcher lingers for more work before flushing (ms).
-    batch_window_ms: float = 1.0
     #: Global admission limit: queued requests beyond this are rejected.
     max_pending: int = 1024
     #: Per-tenant admission limit (fairness at the door).
@@ -74,10 +74,6 @@ class ServerConfig:
             )
         if self.max_pending < 1 or self.max_pending_per_tenant < 1:
             raise ConfigurationError("pending limits must be positive")
-        if self.batch_window_ms < 0:
-            raise ConfigurationError(
-                f"batch_window_ms must be >= 0, got {self.batch_window_ms}"
-            )
 
 
 @dataclass(frozen=True)
@@ -465,7 +461,6 @@ class Server:
 
     async def _dispatch_loop(self) -> None:
         assert self._wakeup is not None
-        loop = asyncio.get_running_loop()
         while True:
             job = self._take_ready()
             if job is None:
@@ -474,33 +469,21 @@ class Server:
                 self._wakeup.clear()
                 await self._wakeup.wait()
                 continue
+            # Self-clocked: take what is queued now, up to the cap, and
+            # go.  Work that arrives while this batch executes forms the
+            # next one.
             batch = [job]
             weight = job.pairs
-            # Linger up to the batch window for more work, but never past
-            # the tightest deadline already in the batch.
-            flush_at = loop.time() + self.config.batch_window_ms / 1e3
-            if job.deadline is not None:
-                flush_at = min(flush_at, job.deadline)
             while weight < self.config.max_batch:
                 more = self._take_ready()
-                if more is not None:
-                    if weight + more.pairs > self.config.max_batch:
-                        # Honour the cap: the job waits for the next batch.
-                        self._push_front(more)
-                        break
-                    batch.append(more)
-                    weight += more.pairs
-                    if more.deadline is not None:
-                        flush_at = min(flush_at, more.deadline)
-                    continue
-                remaining = flush_at - loop.time()
-                if remaining <= 0 or self._stopping:
+                if more is None:
                     break
-                self._wakeup.clear()
-                try:
-                    await asyncio.wait_for(self._wakeup.wait(), remaining)
-                except asyncio.TimeoutError:
+                if weight + more.pairs > self.config.max_batch:
+                    # Honour the cap: the job waits for the next batch.
+                    self._push_front(more)
                     break
+                batch.append(more)
+                weight += more.pairs
             self._execute(batch)
 
     def _execute(self, batch: List[_Job]) -> None:

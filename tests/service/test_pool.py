@@ -151,7 +151,7 @@ class TestPoolBehaviour:
                 config=PoolConfig(spill_threshold=1),
             )
             modulus = (1 << 127) - 1
-            config = ServerConfig(max_batch=8, batch_window_ms=0.0)
+            config = ServerConfig(max_batch=8)
             async with Server(
                 backend="r4csa-lut", modulus=modulus, config=config,
                 executor=pool,
@@ -176,8 +176,9 @@ class TestPoolBehaviour:
 
         Inline, execution blocks the dispatcher, so ``max_pending`` caps
         in-flight work by construction; with a pool the dispatcher hands
-        batches off immediately, and without backlog accounting a flood
-        would buffer without bound in the worker queues.
+        batches off immediately, and unless the server counted the
+        requests it is executing, a flood would buffer without bound in
+        the worker queues.
         """
 
         async def scenario():
@@ -186,7 +187,7 @@ class TestPoolBehaviour:
             modulus = (1 << 127) - 1
             pairs = [(i + 2, i + 3) for i in range(200)]
             config = ServerConfig(
-                max_batch=len(pairs), batch_window_ms=0.0, max_pending=4
+                max_batch=len(pairs), max_pending=4
             )
             async with Server(
                 backend="r4csa-lut", modulus=modulus, config=config,
@@ -196,7 +197,7 @@ class TestPoolBehaviour:
                     asyncio.ensure_future(server.multiply_batch(pairs))
                     for _ in range(4)
                 ]
-                while server.executor.backlog() < 4:
+                while server.executor.outstanding < 4:
                     await asyncio.sleep(0.002)
                 assert server.pending == 0  # all handed to the pool...
                 with pytest.raises(AdmissionError):  # ...and still counted

@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import os
 import signal
+import time
 
 import pytest
 
@@ -51,7 +52,7 @@ class TestWorkerCrash:
                 workers=2,
                 config=PoolConfig(spill_threshold=10 ** 9),
             )
-            config = ServerConfig(max_batch=4096, batch_window_ms=0.0)
+            config = ServerConfig(max_batch=4096)
             async with Server(
                 backend="r4csa-lut", modulus=SLOW_MODULUS, config=config,
                 executor=pool,
@@ -93,7 +94,7 @@ class TestWorkerCrash:
                     restart_workers=True,
                 ),
             )
-            config = ServerConfig(max_batch=4096, batch_window_ms=0.0)
+            config = ServerConfig(max_batch=4096)
             async with Server(
                 backend="r4csa-lut", modulus=SLOW_MODULUS, config=config,
                 executor=pool,
@@ -108,6 +109,53 @@ class TestWorkerCrash:
             await pool.close()
             assert rollup["failed_jobs"] == 1
             assert rollup["worker_restarts"] == 1
+
+        run(scenario())
+
+    def test_reply_written_before_death_resolves_once(self):
+        """A reply left in a dead worker's pipe is an answer, not an orphan.
+
+        The crash handler reads the pipe dry before it re-dispatches, so
+        the job resolves from that reply, once, with no retry.
+        """
+
+        async def scenario():
+            pool = PoolExecutor(
+                spec=EngineSpec(backend="montgomery"),
+                workers=2,
+                config=PoolConfig(spill_threshold=10 ** 9),
+            )
+            await pool.start()
+            try:
+                home = pool.home_shard(997)
+                shard = pool._shards[home]
+                task = asyncio.ensure_future(pool.execute_pairs([(3, 5)], 997))
+                await asyncio.sleep(0)  # dispatched; the reply is not read yet
+                assert shard.depth == 1
+                # Block the loop (so it cannot read the pipe) until the
+                # reply is in it, then kill the worker and handle the
+                # death as the monitor's next tick would.
+                deadline = time.monotonic() + 30.0
+                while not shard.replies.poll():
+                    assert time.monotonic() < deadline, "no reply in time"
+                    time.sleep(0.001)
+                os.kill(shard.process.pid, signal.SIGKILL)
+                shard.process.join(timeout=5.0)
+                assert not shard.process.is_alive()
+                pool._handle_crash(home)
+                result, served_by = await task
+                assert result.values == (15,)
+                assert served_by == home
+                rollup = pool.metrics.rollup()
+                assert rollup["retried_jobs"] == 0
+                assert rollup["failed_jobs"] == 0
+                assert rollup["worker_restarts"] == 1
+                assert rollup["jobs"] == 1
+                # The drained reply's engine counters were kept, then folded.
+                assert rollup["multiplications"] == 1
+                assert pool.outstanding == 0
+            finally:
+                await pool.close()
 
         run(scenario())
 
@@ -127,7 +175,7 @@ class TestWorkerCrash:
                     spill_threshold=10 ** 9, restart_workers=False
                 ),
             )
-            config = ServerConfig(max_batch=4096, batch_window_ms=0.0)
+            config = ServerConfig(max_batch=4096)
             async with Server(
                 backend="r4csa-lut", modulus=SLOW_MODULUS, config=config,
                 executor=pool,
@@ -151,7 +199,7 @@ class TestWorkerCrash:
         """``stop(drain=True)`` resolves every admitted request."""
 
         async def scenario():
-            config = ServerConfig(max_batch=64, batch_window_ms=0.0)
+            config = ServerConfig(max_batch=64)
             server = Server(
                 backend="r4csa-lut", modulus=SLOW_MODULUS, config=config,
                 workers=2,
@@ -175,7 +223,7 @@ class TestWorkerCrash:
 
     def test_stop_without_drain_fails_inflight_pool_batches(self):
         async def scenario():
-            config = ServerConfig(max_batch=4096, batch_window_ms=0.0)
+            config = ServerConfig(max_batch=4096)
             server = Server(
                 backend="r4csa-lut", modulus=SLOW_MODULUS, config=config,
                 workers=1,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import statistics
 
 import pytest
 
@@ -46,8 +47,7 @@ class TestLifecycle:
 
     def test_stop_without_drain_fails_pending(self):
         async def scenario():
-            config = ServerConfig(batch_window_ms=50.0, max_batch=1024)
-            server = Server(backend="schoolbook", modulus=997, config=config)
+            server = Server(backend="schoolbook", modulus=997)
             await server.start()
             task = asyncio.ensure_future(server.multiply(3, 4))
             await asyncio.sleep(0)  # enqueue before stopping
@@ -110,7 +110,7 @@ class TestRequests:
     def test_concurrent_requests_coalesce_into_batches(self, rng):
         async def scenario():
             modulus = 65521
-            config = ServerConfig(max_batch=64, batch_window_ms=20.0)
+            config = ServerConfig(max_batch=64)
             async with Server(
                 backend="barrett", modulus=modulus, config=config
             ) as server:
@@ -129,12 +129,29 @@ class TestRequests:
 
         run(scenario())
 
+    @pytest.mark.parametrize("workers", [None, 2], ids=["inline", "pool"])
+    def test_lone_requests_dispatch_without_waiting(self, workers):
+        """Batching is self-clocked: an idle server holds no request back."""
+
+        async def scenario():
+            async with Server(
+                backend="montgomery", modulus=997, workers=workers
+            ) as server:
+                waits = []
+                for index in range(20):
+                    response = await server.multiply(index + 2, 3)
+                    assert response.value == (index + 2) * 3 % 997
+                    waits.append(response.queue_ms)
+                return statistics.median(waits)
+
+        assert run(scenario()) < 0.5
+
 
 class TestBatchCap:
     def test_coalescing_honours_max_batch(self, rng):
         async def scenario():
             modulus = 65521
-            config = ServerConfig(max_batch=8, batch_window_ms=20.0)
+            config = ServerConfig(max_batch=8)
             async with Server(
                 backend="barrett", modulus=modulus, config=config
             ) as server:
@@ -243,10 +260,7 @@ class TestOperandValidation:
     def test_bad_operands_fail_only_the_submitting_caller(self, rng):
         async def scenario():
             modulus = 65521
-            config = ServerConfig(batch_window_ms=20.0)
-            async with Server(
-                backend="barrett", modulus=modulus, config=config
-            ) as server:
+            async with Server(backend="barrett", modulus=modulus) as server:
                 good = server.multiply(3, 5, tenant="good")
                 bad = server.multiply(modulus, 2, tenant="bad")  # a >= p
                 results = await asyncio.gather(
@@ -262,10 +276,7 @@ class TestOperandValidation:
     def test_explicit_default_modulus_coalesces_with_none(self, rng):
         async def scenario():
             modulus = 997
-            config = ServerConfig(batch_window_ms=20.0)
-            async with Server(
-                backend="schoolbook", modulus=modulus, config=config
-            ) as server:
+            async with Server(backend="schoolbook", modulus=modulus) as server:
                 first, second = await asyncio.gather(
                     server.multiply(3, 5),                      # modulus=None
                     server.multiply(7, 11, modulus=modulus),    # explicit
@@ -292,7 +303,7 @@ class TestPriority:
     def test_higher_priority_jobs_dispatch_first_within_a_tenant(self):
         async def scenario():
             order = []
-            config = ServerConfig(batch_window_ms=0.0, max_batch=1)
+            config = ServerConfig(max_batch=1)
             async with Server(
                 backend="schoolbook", modulus=997, config=config
             ) as server:
@@ -313,10 +324,7 @@ class TestPriority:
 class TestFairness:
     def test_round_robin_across_tenant_queues(self):
         async def scenario():
-            config = ServerConfig(batch_window_ms=20.0)
-            async with Server(
-                backend="schoolbook", modulus=997, config=config
-            ) as server:
+            async with Server(backend="schoolbook", modulus=997) as server:
                 tenants = ("a", "b", "c")
                 responses = await asyncio.gather(*(
                     server.multiply(i + 1, 2, tenant=tenants[i % 3])
