@@ -20,8 +20,8 @@ Three claims of the ``repro.cluster`` subsystem, emitted as
    generator replays a seeded diurnal/bursty multi-tenant mix while one
    worker is SIGKILLed mid-run; every request must still complete
    (``lost == 0``) with every product verified (``mismatches == 0``).
-   This leg runs the default engine spec — the ``compiled`` backend —
-   so recovery is exercised on the kernels production shards actually
+   This leg runs the default engine spec — the ``schoolbook`` backend
+   — so recovery is exercised on the kernel production shards actually
    run.
 
 Run as a pytest benchmark (``pytest benchmarks/bench_cluster.py``) or
@@ -49,9 +49,9 @@ REQUIRED_SPEEDUP = 1.5
 #: Saturating traffic: requests x pairs of 254/255/256-bit
 #: multiplications (heavy enough that compute, not sockets, dominates).
 #: The scaling race therefore pins the r4csa-lut backend explicitly: under
-#: the default ``compiled`` spec per-batch compute drops to microseconds,
+#: the default ``schoolbook`` spec per-batch compute drops to microseconds,
 #: sockets dominate, and node-count scaling is no longer the thing being
-#: measured (the compiled fleet tier lives in ``bench_compiled.py``).
+#: measured.
 SCALING_REQUESTS = 64
 SCALING_PAIRS = 12
 #: Seed of the kill-recovery trace.

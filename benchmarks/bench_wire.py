@@ -22,7 +22,7 @@ Two claims of the ``repro.cluster`` binary codec, emitted as
    * the single encode and decode legs, reported for transparency.
 
 2. **End-to-end fleet throughput** — the same saturating wire-heavy
-   traffic (large batches, default ``compiled`` backend, so framing
+   traffic (large batches, default ``schoolbook`` backend, so framing
    rather than arithmetic dominates) runs against a 2-node local fleet
    once per wire version.  Products must be bit-identical across wires
    (asserted unconditionally); on a multi-core runner (>= 2 CPUs, e.g.
@@ -64,7 +64,7 @@ REQUIRED_WIRE_PATH_SPEEDUP = 3.5
 #: Minimum v2-over-v1 fleet throughput on a multi-core runner.
 REQUIRED_FLEET_SPEEDUP = 2.0
 #: Wire-heavy fleet traffic: big batches on the (microsecond-fast)
-#: default compiled backend, so the codec is what the race measures.
+#: default schoolbook backend, so the codec is what the race measures.
 FLEET_REQUESTS = 32
 FLEET_PAIRS = 512
 #: Timing repetitions (best-of, to shed scheduler noise).
@@ -285,7 +285,7 @@ def collect_fleet() -> dict:
     return {
         "workload": (
             f"{FLEET_REQUESTS} requests x {FLEET_PAIRS} pairs, "
-            "2 moduli, compiled backend, 2 nodes"
+            "2 moduli, schoolbook backend, 2 nodes"
         ),
         "requests": FLEET_REQUESTS,
         "multiplications": multiplications,

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.analysis.tables import render_table
+from repro.engine import EngineSpec
 
 __all__ = ["ServingThroughputResult", "reproduce_serving_throughput"]
 
@@ -148,7 +149,7 @@ class ServingThroughputResult:
 
 
 def reproduce_serving_throughput(
-    backend: str = "r4csa-lut",
+    backend: str = EngineSpec.backend,
     curve: str = "bn254",
     tenants: int = 4,
     requests: int = 32,

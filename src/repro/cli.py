@@ -43,7 +43,7 @@ from repro.analysis.report import build_report
 from repro.analysis.tables import render_table
 from repro.core.complexity import COMPLEXITY_MODELS
 from repro.ecc.curves_data import CURVE_SPECS
-from repro.engine import Engine, available_backends, get_backend
+from repro.engine import Engine, EngineSpec, available_backends, get_backend
 from repro.errors import ReproError
 from repro.experiments import Runner, available_experiments, get_experiment
 from repro.modsram.area import AreaModel
@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--backend",
-        default="r4csa-lut",
+        default=EngineSpec.backend,
         help="engine backend serving the traffic",
     )
     serve.add_argument(
@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument(
         "--backend",
-        default="r4csa-lut",
+        default=EngineSpec.backend,
         help="engine backend (see 'repro backends' for the list)",
     )
     submit.add_argument(
@@ -395,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="listen port (0 = ephemeral; the bound port is printed)",
     )
     cluster_router.add_argument(
-        "--backend", default="compiled",
+        "--backend", default=EngineSpec.backend,
         help="engine backend every joining worker builds",
     )
     cluster_router.add_argument(
@@ -951,7 +951,6 @@ def _command_cluster_router(arguments: argparse.Namespace) -> int:
     import asyncio
 
     from repro.cluster import Router, RouterConfig
-    from repro.engine import EngineSpec
 
     if arguments.backend not in available_backends():
         print(f"unknown backend {arguments.backend!r}; available: "
@@ -1059,13 +1058,11 @@ def _command_cluster_loadtest(arguments: argparse.Namespace) -> int:
 def _command_backends(arguments: argparse.Namespace) -> int:
     infos = [get_backend(name).info for name in available_backends()]
     if arguments.json:
-        from repro.compiled.cache import kernel_cache_stats
         from repro.engine import global_cache_stats
 
         payload = {
             "backends": [info.as_dict() for info in infos],
             "context_cache": global_cache_stats().as_dict(),
-            "compiled_kernel_cache": kernel_cache_stats(),
         }
         print(json.dumps(payload, indent=2))
         return 0
@@ -1079,26 +1076,18 @@ def _command_backends(arguments: argparse.Namespace) -> int:
         tier = info.fidelity or "-"
         if info.macros is not None:
             tier += f" x{info.macros}"
-        codegen = "-"
-        if info.codegen is not None:
-            codegen = str(info.codegen.get("strategy", "?"))
-            if info.codegen.get("numpy_requested") and info.codegen.get(
-                "numpy_available"
-            ):
-                codegen += "+numpy"
         rows.append(
             (
                 info.name,
                 info.kind,
                 tier,
-                codegen,
                 "yes" if info.has_cycle_model else "no",
                 "direct" if info.direct_form else "montgomery",
                 bitwidths,
             )
         )
     print(render_table(
-        ("backend", "kind", "tier", "codegen", "cycle model", "result form",
+        ("backend", "kind", "tier", "cycle model", "result form",
          "native bitwidths"),
         rows,
         title="Engine backends",

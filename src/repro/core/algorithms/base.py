@@ -137,14 +137,7 @@ class ModularMultiplier(abc.ABC):
     # ------------------------------------------------------------------ #
     @abc.abstractmethod
     def _multiply(self, a: int, b: int, modulus: int) -> int:
-        """Algorithm body; operands are already validated.
-
-        Subclasses may additionally define an optional
-        ``_multiply_batch(pairs, modulus) -> Sequence[int]`` hook with the
-        same precondition; :meth:`repro.engine.Engine.multiply_batch`
-        prefers it over the per-element loop when present (the
-        ``compiled`` backend's flattened kernel path).
-        """
+        """Algorithm body; operands are already validated."""
 
     # ------------------------------------------------------------------ #
     # helpers

@@ -70,9 +70,6 @@ class BackendInfo:
     fidelity: Optional[str] = None
     #: Macro count of chip-level backends (``None`` for single-macro ones).
     macros: Optional[int] = None
-    #: Code-generation metadata of compiled backends (emission strategy,
-    #: feature-flag state); ``None`` for backends that do not generate code.
-    codegen: Optional[Dict[str, object]] = None
 
     def as_dict(self) -> Dict[str, object]:
         """Metadata as a plain dictionary (for ``--json`` output)."""
@@ -89,7 +86,6 @@ class BackendInfo:
             ),
             "fidelity": self.fidelity,
             "macros": self.macros,
-            "codegen": None if self.codegen is None else dict(self.codegen),
         }
 
 
@@ -335,7 +331,6 @@ def _build_default_backends() -> None:
     import repro.baselines  # noqa: F401
     import repro.modsram.multiplier  # noqa: F401
     from repro.baselines.base import available_designs
-    from repro.compiled.multiplier import CompiledBackend
     from repro.hdl.multiplier import ModSRAMHdlBackend
 
     # Backends needing a richer adapter than the plain MultiplierBackend.
@@ -344,7 +339,6 @@ def _build_default_backends() -> None:
         "modsram-fast": ModSRAMFastBackend,
         "modsram-chip": ModSRAMChipBackend,
         "modsram-hdl": ModSRAMHdlBackend,
-        "compiled": CompiledBackend,
     }
     for name in available_multipliers():
         if name in _REGISTRY:

@@ -373,11 +373,6 @@ class Engine:
         validation and result-object overhead of :meth:`multiply`.  The
         per-modulus precomputation therefore does not grow with the batch
         size (see ``tests/engine/test_engine.py``).
-
-        Multipliers that define a ``_multiply_batch(pairs, modulus)`` hook
-        (the ``compiled`` backend's flattened kernel loop) get the whole
-        validated batch in one call instead of a Python-level loop of
-        ``_multiply`` dispatches.
         """
         context, hit = self._lookup(modulus)
         p = context.modulus
@@ -394,12 +389,8 @@ class Engine:
 
         multiplier = context.multiplier
         before = multiplier.stats.as_dict()
-        batch_hook = getattr(multiplier, "_multiply_batch", None)
-        if batch_hook is not None:
-            values = tuple(batch_hook(work, p))
-        else:
-            raw = multiplier._multiply
-            values = tuple(raw(a, b, p) for a, b in work)
+        raw = multiplier._multiply
+        values = tuple(raw(a, b, p) for a, b in work)
         multiplier.stats.multiplications += len(work)
 
         delta = MultiplierStats()

@@ -38,11 +38,13 @@ class EngineSpec:
     is of course independent — that is the point.
     """
 
-    #: Backend registry name (``"compiled"``, ``"r4csa-lut"``,
-    #: ``"montgomery"``, ...).  The default is the codegen backend: a
-    #: spec is what ships to pool shards and cluster worker nodes, and
-    #: those want the fastest bit-identical kernel unless told otherwise.
-    backend: str = "compiled"
+    #: Backend registry name (``"schoolbook"``, ``"r4csa-lut"``,
+    #: ``"montgomery"``, ...).  This is the one serving default: pool
+    #: shards, fleet workers, ``Server``, the self-test and the ``serve``,
+    #: ``submit`` and ``cluster router`` verbs all take it from here.
+    #: ``schoolbook`` is Python's C-level ``a * b % p``, the fastest
+    #: bit-identical kernel; the paper's algorithms stay opt-in by name.
+    backend: str = "schoolbook"
     #: Named curve whose base field becomes the default modulus.
     curve: Optional[str] = None
     #: Explicit default modulus (overrides ``curve``'s base field).

@@ -33,6 +33,7 @@ from repro.analysis.serving import (
 from repro.analysis.table1 import TableOneResult, reproduce_tables
 from repro.analysis.table3 import Table3Result, reproduce_table3
 from repro.core.complexity import PAPER_FIGURE1_BITWIDTHS
+from repro.engine import EngineSpec
 from repro.experiments.registry import ExperimentDefinition, register_experiment
 from repro.modsram.config import PAPER_CONFIG
 from repro.zkp.opcount import PAPER_FIGURE7_BITWIDTH, PAPER_FIGURE7_VECTOR_SIZE
@@ -261,7 +262,7 @@ register_experiment(
         serialize=ServingThroughputResult.to_dict,
         deserialize=ServingThroughputResult.from_dict,
         defaults={
-            "backend": "r4csa-lut",
+            "backend": EngineSpec.backend,
             "curve": "bn254",
             "tenants": 4,
             "requests": 32,

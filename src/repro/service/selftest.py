@@ -15,6 +15,7 @@ import asyncio
 import random
 from typing import Dict, List, Optional
 
+from repro.engine import EngineSpec
 from repro.errors import ServiceError
 from repro.service.client import Client
 from repro.service.server import Server, ServerConfig
@@ -24,7 +25,7 @@ __all__ = ["run_self_test", "self_test"]
 
 
 async def self_test(
-    backend: str = "r4csa-lut",
+    backend: str = EngineSpec.backend,
     curve: str = "bn254",
     tenants: int = 4,
     requests: int = 32,

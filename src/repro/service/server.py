@@ -38,7 +38,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.engine import Engine
+from repro.engine import Engine, EngineSpec
 from repro.errors import (
     AdmissionError,
     ConfigurationError,
@@ -143,7 +143,7 @@ class Server:
     def __init__(
         self,
         engine: Optional[Engine] = None,
-        backend: str = "r4csa-lut",
+        backend: str = EngineSpec.backend,
         curve: Optional[str] = None,
         modulus: Optional[int] = None,
         config: Optional[ServerConfig] = None,

@@ -17,6 +17,7 @@ import os
 import pytest
 
 from repro.cluster import run_loadtest
+from repro.engine import EngineSpec
 
 pytestmark = pytest.mark.slow
 
@@ -61,14 +62,14 @@ class TestReportShape:
         assert report["workers"] == 1
         assert report["kill_worker"] is False
 
-    def test_workers_run_the_default_compiled_backend(self, report):
+    def test_workers_run_the_default_spec_backend(self, report):
         # The spec default flows through the welcome frame to every node.
         per_node = report["cluster"]["per_node"]
         assert per_node, "rollup lists no nodes"
         for node in per_node.values():
             heartbeat = node.get("heartbeat") or {}
             if "backend" in heartbeat:
-                assert heartbeat["backend"] == "compiled"
+                assert heartbeat["backend"] == EngineSpec().backend
 
 
 class TestCliOutput:

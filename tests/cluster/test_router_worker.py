@@ -67,8 +67,8 @@ class TestEndToEnd:
                     assert response.values == expected
                     assert response.node == node.name
                     assert response.batched_pairs == 32
-                    # The default EngineSpec ships the codegen backend to workers.
-                    assert response.backend == "compiled"
+                    # The default EngineSpec ships its backend to workers.
+                    assert response.backend == EngineSpec().backend
 
         run(scenario())
 
@@ -336,7 +336,7 @@ class TestDrainAndStats:
                     assert stats["completed"] == 1
                     assert stats["live_nodes"] == 1
                     assert stats["replication"] == 2
-                    assert stats["spec"]["backend"] == "compiled"
+                    assert stats["spec"]["backend"] == EngineSpec().backend
                     node_stats = stats["per_node"][node.name]
                     assert node_stats["dispatched"] == 1
                     assert node_stats["state"] == "live"
@@ -358,7 +358,7 @@ class TestDrainAndStats:
                         ) >= 1
                     )
                     snapshot = router.metrics.node(node.name).heartbeat
-                    assert snapshot["backend"] == "compiled"
+                    assert snapshot["backend"] == EngineSpec().backend
 
         run(scenario())
 

@@ -3,9 +3,7 @@
 The serving layers warm shared multipliers from worker threads, so a
 per-modulus precomputation racing itself must build exactly once and
 leave the instance consistent.  These tests pin that contract for the
-two multipliers with real per-modulus state: the paper's R4CSA-LUT
-(overflow-table build under the instance lock) and the compiled backend
-(kernel build under the process-wide cache lock).
+paper's R4CSA-LUT, whose overflow table is built under the instance lock.
 """
 
 from __future__ import annotations
@@ -13,11 +11,7 @@ from __future__ import annotations
 import random
 import threading
 
-import pytest
-
 import repro.core.algorithms.r4csa_lut as r4csa_module
-from repro.compiled import CompiledMultiplier, clear_kernel_cache
-from repro.compiled import cache as compiled_cache
 from repro.core.algorithms.r4csa_lut import R4CSALutMultiplier
 from repro.ecc.curves_data import CURVE_SPECS
 
@@ -96,26 +90,3 @@ class TestR4CSAPrepare:
         assert not errors
         assert set(results) == {a * b % BN254_P}
 
-
-class TestCompiledPrepare:
-    @pytest.fixture(autouse=True)
-    def _fresh_cache(self):
-        clear_kernel_cache()
-        yield
-        clear_kernel_cache()
-
-    def test_concurrent_prepare_compiles_exactly_once(self):
-        multipliers = [CompiledMultiplier() for _ in range(THREADS)]
-        iterator = iter(multipliers)
-        lock = threading.Lock()
-
-        def prepare_one():
-            with lock:
-                multiplier = next(iterator)
-            multiplier.prepare(BN254_P)
-
-        errors = _race(prepare_one)
-        assert not errors
-        assert compiled_cache.kernel_cache_stats()["builds"] == 1
-        kernels = {m.kernel_for(BN254_P) for m in multipliers}
-        assert len(kernels) == 1

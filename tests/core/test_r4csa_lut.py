@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -166,3 +168,69 @@ class TestTraceAndInvariants:
         assert context.radix4_lut[+2] == (2 * 77) % 65521
         assert len(context.overflow_lut) == OVERFLOW_LUT_ENTRIES
         assert context.register_width == 17
+
+
+#: One RNG seed for the whole fuzz sweep — failures name their case.
+FUZZ_SEED = 0xD1FF
+
+#: Bit widths the randomized sweep covers (16 to 256 bits).
+FUZZ_WIDTHS = (16, 24, 31, 32, 48, 61, 64, 96, 128, 192, 224, 254, 255, 256)
+
+#: Random operand pairs per modulus, on top of the 0/1/p-1 products.
+FUZZ_PAIRS = 24
+
+
+def _random_odd_modulus(rng: random.Random, bits: int) -> int:
+    return (1 << (bits - 1)) | rng.getrandbits(bits - 1) | 1
+
+
+def _adversarial_moduli() -> list:
+    """Mersenne-adjacent and near-power-of-two moduli, odd and even."""
+    moduli = []
+    for k in (17, 31, 61, 89, 127, 255):
+        moduli.extend([(1 << k) - 1, (1 << k) - 3, (1 << k) + 1])
+    for k in (16, 32, 64, 128, 256):
+        moduli.extend([(1 << k) - 1, (1 << k) + 1, (1 << k) - 2])
+    for k in (20, 40, 80):  # even moduli: no Montgomery constants
+        moduli.append((1 << k) - 4)
+    return sorted({m for m in moduli if m > 2})
+
+
+def _assert_matches_oracle(modulus: int, rng: random.Random) -> None:
+    degenerate = [0, 1, modulus - 1]
+    pairs = [(a, b) for a in degenerate for b in degenerate]
+    pairs.extend(
+        (rng.randrange(modulus), rng.randrange(modulus))
+        for _ in range(FUZZ_PAIRS)
+    )
+    multiplier = R4CSALutMultiplier()
+    multiplier.prepare(modulus)
+    products = [multiplier._multiply(a, b, modulus) for a, b in pairs]
+    assert products == [a * b % modulus for a, b in pairs], (
+        f"r4csa-lut deviates at p={modulus:#x}"
+    )
+
+
+@pytest.mark.slow
+class TestSeededFuzz:
+    """Seeded differential fuzzing against the big-int oracle.
+
+    The moduli are the ones most likely to break a reduction scheme:
+    random odd moduli at every width from 16 to 256 bits; Mersenne-adjacent
+    moduli (``2**k - 1`` and close neighbours), where ``p`` hugs the top
+    of its bit width; near-power-of-two moduli (``2**k ± small``),
+    including even ones; and the degenerate operands 0, 1 and ``p - 1``.
+    Every case is seeded, so a failure reproduces exactly.
+    """
+
+    @pytest.mark.parametrize("bits", FUZZ_WIDTHS)
+    def test_random_moduli_at_width(self, bits):
+        rng = random.Random(FUZZ_SEED ^ bits)
+        for _ in range(3):
+            _assert_matches_oracle(_random_odd_modulus(rng, bits), rng)
+
+    @pytest.mark.parametrize(
+        "modulus", _adversarial_moduli(), ids=lambda m: f"{m.bit_length()}b"
+    )
+    def test_adversarial_moduli(self, modulus):
+        _assert_matches_oracle(modulus, random.Random(FUZZ_SEED ^ modulus))

@@ -85,8 +85,6 @@ class TestSiteStructure:
             "reference/service.md",
             "reference/workloads.md",
             "reference/cluster.md",
-            "compiled.md",
-            "reference/compiled.md",
             "dse.md",
             "reference/dse.md",
         ):
@@ -161,7 +159,6 @@ class TestDocCoverage:
         "repro.service",
         "repro.workloads",
         "repro.cluster",
-        "repro.compiled",
         "repro.dse",
     )
 

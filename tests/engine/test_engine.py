@@ -114,6 +114,32 @@ class TestBatch:
         assert list(batch) == loop
         assert batch.count == 32
 
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_every_backend_batches_like_its_per_call_path(self, backend):
+        # One batch loop serves every backend: it validates once and then
+        # calls the multiplier's algorithm body directly.  Products,
+        # operation counters and modeled cycles must match per-call use.
+        modulus = 997
+        rng = random.Random(f"batch:{backend}")
+        pairs = [(rng.randrange(modulus), rng.randrange(modulus)) for _ in range(8)]
+        pairs += [(0, modulus - 1), (1, modulus - 1), (modulus - 1, modulus - 1)]
+        batch_engine = Engine(backend=backend, modulus=modulus)
+        loop_engine = Engine(backend=backend, modulus=modulus)
+
+        batch = batch_engine.multiply_batch(pairs)
+        loop = [loop_engine.multiply(a, b) for a, b in pairs]
+
+        assert list(batch) == [int(result) for result in loop]
+        assert list(batch) == [(a * b) % modulus for a, b in pairs]
+        assert batch.stats.multiplications == len(pairs)
+        assert (
+            batch_engine.stats().operations.as_dict()
+            == loop_engine.stats().operations.as_dict()
+        )
+        per_call = loop[0].modeled_cycles
+        expected_cycles = None if per_call is None else per_call * len(pairs)
+        assert batch.modeled_cycles == expected_cycles
+
     @pytest.mark.parametrize("backend", ("montgomery", "barrett"))
     def test_precomputation_does_not_grow_with_batch_size(self, backend, rng):
         engine = Engine(backend=backend, curve="bn254")

@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import inspect
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
+from repro.cli import build_parser
 from repro.engine import Engine, EngineSpec, MultiplierBackend
 from repro.errors import ConfigurationError
+
+SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
+    "src",
+)
 
 
 class TestEngineSpec:
@@ -65,3 +75,57 @@ class TestEngineSpecDerivation:
         engine = Engine(backend=MultiplierBackend("montgomery"))
         with pytest.raises(ConfigurationError, match="unregistered instance"):
             engine.spec()
+
+
+class TestServingDefault:
+    def test_default_backend_is_schoolbook(self):
+        assert EngineSpec().backend == "schoolbook"
+        assert EngineSpec().build().info.name == "schoolbook"
+
+    def test_serving_entry_points_take_the_spec_default(self):
+        from repro.analysis.serving import reproduce_serving_throughput
+        from repro.experiments import get_experiment
+        from repro.service import Server
+        from repro.service.selftest import self_test
+
+        default = EngineSpec().backend
+        assert Server().engine.info.name == default
+        for entry in (self_test, reproduce_serving_throughput):
+            assert inspect.signature(entry).parameters["backend"].default == (
+                default
+            )
+        experiment = get_experiment("serving-throughput")
+        assert experiment.defaults["backend"] == default
+        parser = build_parser()
+        for argv in (["serve"], ["submit"], ["cluster", "router"]):
+            assert parser.parse_args(argv).backend == default
+        # The arithmetic verbs report the paper's modeled cycles instead.
+        assert parser.parse_args(["batch"]).backend == "r4csa-lut"
+
+    def test_default_engine_imports_only_the_standard_library(self):
+        """Every shard, node and engine process builds this spec.
+
+        A third-party import on that path (a numpy probe, say) costs each
+        of those processes its resident memory, so building the default
+        engine and running one batch must load nothing but the standard
+        library and ``repro``.
+        """
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "from repro.engine import EngineSpec\n"
+            "EngineSpec().build().multiply_batch([(3, 5)], 97)\n"
+            "print(' '.join(set(sys.modules) - before))\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        loaded = {name.partition(".")[0] for name in completed.stdout.split()}
+        assert "repro" in loaded
+        foreign = sorted(loaded - set(sys.stdlib_module_names) - {"repro"})
+        assert not foreign, f"default engine imported {foreign}"

@@ -1,10 +1,11 @@
 """Seeded differential fuzzing: event-driven RTL vs every modeled tier.
 
 The HDL tier's value rests entirely on agreeing with the rest of the
-stack, so this harness (mirroring ``tests/compiled/test_fuzz_parity.py``)
-races four evaluators — the event-driven simulator over the elaborated
-RTL, the cycle-accurate tier, the analytical model and Python's big-int
-oracle — across the geometries most likely to break the datapath:
+stack, so this harness (mirroring the seeded fuzz in
+``tests/core/test_r4csa_lut.py``) races four evaluators — the
+event-driven simulator over the elaborated RTL, the cycle-accurate tier,
+the analytical model and Python's big-int oracle — across the geometries
+most likely to break the datapath:
 
 * random odd moduli at widths from 16 to 256 bits (the big widths are
   sampled sparsely: one RTL multiply at 256 bits costs ~0.15 s);

@@ -237,37 +237,6 @@ SCHEMAS = {
             "non_empty": Value(True),
         },
     },
-    "BENCH_compiled.json": {
-        "benchmark": Value("compiled"),
-        "kernel": {
-            "modulus_bits": int,
-            "pairs": int,
-            "compiled_seconds": NUMBER,
-            "r4csa_seconds": NUMBER,
-            "compiled_mul_per_second": NUMBER,
-            "r4csa_mul_per_second": NUMBER,
-            "speedup": NUMBER,
-            "required_speedup": NUMBER,
-            "products_identical": Value(True),
-            "r4csa_sample_pairs": int,
-        },
-        "pool": {
-            "backends": dict,
-            "workers": int,
-            "cpu_count": int,
-            "speedup": NUMBER,
-        },
-        "fleet": {
-            "nodes": int,
-            "backends": dict,
-            "speedup": NUMBER,
-            "products_identical": Value(True),
-        },
-        "numpy": {
-            "requested": bool,
-            "available": bool,
-        },
-    },
 }
 
 

@@ -43,7 +43,6 @@ API_MODULES = (
     "repro.service",
     "repro.workloads",
     "repro.cluster",
-    "repro.compiled",
     "repro.hdl",
     "repro.dse",
 )
