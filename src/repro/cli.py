@@ -15,8 +15,7 @@ ModSRAM model and the Table 3 PIM baselines — is reachable from the shell::
     python -m repro.cli submit   [--workload batch|product-tree] [--json]
     python -m repro.cli cluster router   [--port P] [--replication R]
     python -m repro.cli cluster worker   --port P [--name N] [--pool-workers W]
-    python -m repro.cli cluster loadtest [--workers N] [--kill-worker]
-                                         [--wire {1,2}] [--json]
+    python -m repro.cli cluster loadtest [--workers N] [--kill-worker] [--json]
     python -m repro.cli backends [--json]           # backend capability matrix
     python -m repro.cli cycles   [--bitwidth N]     # cycle model + comparison
     python -m repro.cli area     [--rows R] [--bitwidth N] [--technology NM]
@@ -416,11 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--rate-per-tenant", type=float, default=None,
         help="token-bucket rate per tenant in pairs/second (default: unlimited)",
     )
-    cluster_router.add_argument(
-        "--wire", type=int, choices=(1, 2), default=2,
-        help="highest wire protocol version the router negotiates "
-             "(2 = binary codec, 1 = JSON only)",
-    )
 
     cluster_worker = cluster_commands.add_parser(
         "worker",
@@ -438,11 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_worker.add_argument(
         "--pool-workers", type=int, default=0,
         help="process-pool shards under this node's server (0 = inline)",
-    )
-    cluster_worker.add_argument(
-        "--wire", type=int, choices=(1, 2), default=2,
-        help="highest wire protocol version this node advertises "
-             "(2 = binary codec, 1 = JSON only)",
     )
 
     cluster_loadtest = cluster_commands.add_parser(
@@ -470,11 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cluster_loadtest.add_argument(
         "--quick", action="store_true", help="shrink the trace for CI smoke"
-    )
-    cluster_loadtest.add_argument(
-        "--wire", type=int, choices=(1, 2), default=2,
-        help="wire protocol version of the whole fleet path "
-             "(2 = binary codec, 1 = JSON only)",
     )
     cluster_loadtest.add_argument(
         "--json", action="store_true",
@@ -966,7 +950,6 @@ def _command_cluster_router(arguments: argparse.Namespace) -> int:
         port=arguments.port,
         replication=arguments.replication,
         rate_per_tenant=arguments.rate_per_tenant,
-        wire=arguments.wire,
     )
 
     async def run():
@@ -999,7 +982,6 @@ def _command_cluster_worker(arguments: argparse.Namespace) -> int:
             arguments.port,
             name=arguments.name,
             pool_workers=arguments.pool_workers,
-            wire=arguments.wire,
         )
     except KeyboardInterrupt:
         pass
@@ -1022,7 +1004,6 @@ def _command_cluster_loadtest(arguments: argparse.Namespace) -> int:
             seed=arguments.seed,
             kill_worker=arguments.kill_worker,
             quick=arguments.quick,
-            wire=arguments.wire,
         )
     )
     healthy = report["lost"] == 0 and report["mismatches"] == 0
@@ -1034,8 +1015,7 @@ def _command_cluster_loadtest(arguments: argparse.Namespace) -> int:
         return 0 if healthy else 1
     cluster = report["cluster"]
     latency = report["latency"]
-    print(f"fleet             : {report['workers']} workers, "
-          f"wire v{report.get('wire', 1)}"
+    print(f"fleet             : {report['workers']} workers"
           + (f" (killed pid {report['killed_pid']} mid-run)"
              if report["kill_worker"] else ""))
     print(f"trace             : {report['events']} requests, "

@@ -12,11 +12,10 @@ throughput amplifier, never an arithmetic variable.
 
 The moving parts, bottom-up:
 
-* :mod:`repro.cluster.protocol` — two negotiated codecs behind one
-  :class:`Codec` seam: length-prefixed JSON frames (wire v1) and the
-  struct-packed binary format (wire v2) that carries operands/products
-  as fixed-width little-endian blobs, both with structured error
-  answers for malformed/oversized/unknown frames;
+* :mod:`repro.cluster.protocol` — the one struct-packed binary framing
+  every connection speaks from its first byte: JSON meta plus
+  operands/products as fixed-width little-endian blobs, with structured
+  error answers for malformed/oversized/unknown frames;
 * :mod:`repro.cluster.ring` — consistent-hash placement of moduli so
   membership churn re-homes ~1/N of the key space, with replication for
   hot moduli (:class:`HashRing`);
@@ -49,18 +48,11 @@ from repro.cluster.metrics import ClusterMetrics, NodeMetrics
 from repro.cluster.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     MESSAGE_TYPES,
-    WIRE_VERSIONS,
-    BinaryCodec,
     CoalescingSender,
-    Codec,
     Connection,
-    JsonCodec,
     PackedInts,
-    decode_frame,
     decode_frame_v2,
-    encode_frame,
     encode_frame_v2,
-    negotiate_wire,
 )
 from repro.cluster.ratelimit import TenantRateLimiter, TokenBucket
 from repro.cluster.ring import HashRing, stable_hash
@@ -69,15 +61,12 @@ from repro.cluster.slo import DEFAULT_SLO_CLASSES, SloCatalog, SloClass
 from repro.cluster.worker import WorkerConfig, WorkerNode, run_worker
 
 __all__ = [
-    "BinaryCodec",
     "CoalescingSender",
     "ClusterClient",
     "ClusterMetrics",
     "ClusterResponse",
-    "Codec",
     "Connection",
     "HashRing",
-    "JsonCodec",
     "LocalFleet",
     "NodeMetrics",
     "PackedInts",
@@ -92,11 +81,8 @@ __all__ = [
     "WorkerConfig",
     "WorkerNode",
     "build_trace",
-    "decode_frame",
     "decode_frame_v2",
-    "encode_frame",
     "encode_frame_v2",
-    "negotiate_wire",
     "replay",
     "run_loadtest",
     "run_worker",

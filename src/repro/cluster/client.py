@@ -29,7 +29,6 @@ from repro.cluster.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     Connection,
     PackedInts,
-    negotiate_wire,
 )
 from repro.errors import (
     AdmissionError,
@@ -111,8 +110,11 @@ class ClusterClient:
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         wire: int = 2,
     ) -> None:
-        if wire not in (1, 2):
-            raise ConfigurationError(f"wire must be 1 or 2, got {wire}")
+        # ``wire`` has one legal value.  It stays only because
+        # ``perfbench/serving.py`` passes ``wire=2`` and records
+        # :attr:`wire`.
+        if wire != 2:
+            raise ConfigurationError(f"wire must be 2, got {wire}")
         self.host = host
         self.port = port
         self.tenant = tenant
@@ -120,9 +122,7 @@ class ClusterClient:
         #: (``None`` = the router catalog's loosest tier).
         self.slo = slo
         self.max_frame_bytes = max_frame_bytes
-        #: Highest wire protocol version this client advertises in its
-        #: hello; :attr:`wire` holds the router's negotiated answer once
-        #: :meth:`connect` returns.
+        #: The wire format version (always 2).
         self.wire = wire
         self._connection: Optional[Connection] = None
         self._reader: Optional[asyncio.Task] = None
@@ -142,9 +142,7 @@ class ClusterClient:
         self._connection = Connection(
             reader, writer, max_frame_bytes=self.max_frame_bytes
         )
-        await self._connection.send(
-            {"type": "hello", "tenant": self.tenant, "wire": self.wire}
-        )
+        await self._connection.send({"type": "hello", "tenant": self.tenant})
         welcome = await self._connection.receive()
         if welcome is None or welcome["type"] != "welcome":
             got = None if welcome is None else welcome["type"]
@@ -152,10 +150,6 @@ class ClusterClient:
                 f"router answered hello with {got!r}, expected 'welcome'"
             )
         self.slo_classes = dict(welcome.get("slo_classes") or {})  # type: ignore[arg-type]
-        # Switch codecs at the agreed stream position: the router upgrades
-        # its end immediately after writing this welcome.
-        self.wire = negotiate_wire(welcome.get("wire"), self.wire)
-        self._connection.upgrade(self.wire)
         self._reader = asyncio.get_running_loop().create_task(
             self._read_loop()
         )
@@ -302,7 +296,7 @@ class ClusterClient:
             if message is None:
                 break
             if message["type"] == "results":
-                # Coalesced multi-result frame (wire v2): resolve each
+                # Coalesced multi-result frame: resolve each
                 # bundled answer exactly as if it arrived alone.
                 for entry in message.get("results") or ():
                     if isinstance(entry, dict):

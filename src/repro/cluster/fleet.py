@@ -35,13 +35,13 @@ __all__ = ["LocalFleet", "run_loadtest"]
 
 
 def _fleet_worker_main(
-    host: str, port: int, name: str, pool_workers: int, wire: int = 2
+    host: str, port: int, name: str, pool_workers: int
 ) -> None:
     """Entry point of one spawned worker process (module-level so the
     spawn context can pickle it)."""
     from repro.cluster.worker import run_worker
 
-    run_worker(host, port, name=name, pool_workers=pool_workers, wire=wire)
+    run_worker(host, port, name=name, pool_workers=pool_workers)
 
 
 class LocalFleet:
@@ -62,21 +62,15 @@ class LocalFleet:
         router_config: Optional[RouterConfig] = None,
         slo_catalog: Optional[SloCatalog] = None,
         pool_workers: int = 0,
-        wire: int = 2,
     ) -> None:
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if wire not in (1, 2):
-            raise ConfigurationError(f"wire must be 1 or 2, got {wire}")
         self.spec = spec or EngineSpec()
         self.router = Router(
             self.spec, config=router_config, slo_catalog=slo_catalog
         )
         self.workers = workers
         self.pool_workers = pool_workers
-        #: Wire version the spawned workers advertise (the router's own
-        #: cap lives in ``router_config.wire``).
-        self.wire = wire
         self._context = multiprocessing.get_context("spawn")
         self._processes: List[multiprocessing.process.BaseProcess] = []
         self._next_worker = 0
@@ -119,9 +113,7 @@ class LocalFleet:
     # ------------------------------------------------------------------ #
     # membership control
     # ------------------------------------------------------------------ #
-    def spawn_worker(
-        self, name: Optional[str] = None, wire: Optional[int] = None
-    ) -> str:
+    def spawn_worker(self, name: Optional[str] = None) -> str:
         """Start one more worker process; returns its node name."""
         index = self._next_worker
         self._next_worker += 1
@@ -133,7 +125,6 @@ class LocalFleet:
                 self.router.port,
                 node_name,
                 self.pool_workers,
-                self.wire if wire is None else wire,
             ),
             daemon=True,
             name=node_name,
@@ -212,7 +203,6 @@ async def run_loadtest(
     profiles: Optional[Sequence[TenantProfile]] = None,
     router_config: Optional[RouterConfig] = None,
     quick: bool = False,
-    wire: int = 2,
 ) -> Dict[str, object]:
     """One full cluster load test: fleet up, trace in, verdict out.
 
@@ -220,14 +210,8 @@ async def run_loadtest(
     a healthy fleet still reports ``lost == 0`` and ``mismatches == 0``
     because every orphaned job re-dispatches to a survivor and recomputes
     bit-identically.  ``quick=True`` shrinks the trace for smoke tests
-    (the CI cluster smoke runs exactly this).  ``wire=1`` pins the whole
-    path — router cap, worker joins and loadgen clients — to the JSON
-    codec; ``wire=2`` (default) negotiates the binary codec end to end.
+    (the CI cluster smoke runs exactly this).
     """
-    if wire not in (1, 2):
-        raise ConfigurationError(f"wire must be 1 or 2, got {wire}")
-    if router_config is None:
-        router_config = RouterConfig(wire=wire)
     if quick:
         duration_s = min(duration_s, 1.0)
         rate = min(rate, 15.0)
@@ -246,7 +230,7 @@ async def run_loadtest(
     trace = build_trace(profiles, duration_s=duration_s, seed=seed)
     started = time.monotonic()
     async with LocalFleet(
-        spec=spec, workers=workers, router_config=router_config, wire=wire
+        spec=spec, workers=workers, router_config=router_config
     ) as fleet:
         kill_task: Optional[asyncio.Task] = None
         killed_pid: Optional[int] = None
@@ -267,7 +251,6 @@ async def run_loadtest(
             fleet.port,
             trace,
             time_scale=time_scale,
-            wire=wire,
         )
         if kill_task is not None:
             await kill_task

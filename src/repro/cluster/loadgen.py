@@ -183,7 +183,6 @@ async def replay(
     trace: Sequence[TraceEvent],
     time_scale: float = 1.0,
     verify: bool = True,
-    wire: int = 2,
 ) -> Dict[str, object]:
     """Fire a trace at a router and report what came back.
 
@@ -192,9 +191,6 @@ async def replay(
     is an honest count of silently dropped requests, the number the
     node-kill acceptance criterion is judged by.  ``time_scale`` < 1
     compresses trace time (a 10 s trace replays in 1 s at 0.1).
-    ``wire`` is the highest protocol version the clients advertise (the
-    router may still negotiate down; see
-    :func:`repro.cluster.protocol.negotiate_wire`).
     """
     if time_scale <= 0:
         raise ConfigurationError(
@@ -235,7 +231,7 @@ async def replay(
     try:
         for tenant in tenants:
             clients[tenant] = await ClusterClient(
-                host, port, tenant=tenant, wire=wire
+                host, port, tenant=tenant
             ).connect()
         loop = asyncio.get_running_loop()
         started = loop.time()
@@ -274,7 +270,6 @@ async def replay(
         "lost": outcome.sent - answered,
         "mismatches": outcome.mismatches,
         "verified": verify,
-        "wire": wire,
         "latency": outcome.latency.as_dict(),
         "per_tenant_completed": dict(sorted(outcome.per_tenant.items())),
         "cluster": stats,

@@ -37,9 +37,6 @@ class NodeMetrics:
     node: str
     #: ``"live"``, ``"draining"`` or ``"dead"``.
     state: str = "live"
-    #: Negotiated wire protocol version of the node's connection
-    #: (1 = JSON, 2 = binary; see :mod:`repro.cluster.protocol`).
-    wire: int = 1
     #: Jobs placed on this node (including re-dispatches *to* it).
     dispatched: int = 0
     #: Jobs this node answered successfully.
@@ -78,7 +75,6 @@ class NodeMetrics:
         return {
             "node": self.node,
             "state": self.state,
-            "wire": self.wire,
             "dispatched": self.dispatched,
             "completed": self.completed,
             "failed": self.failed,
@@ -116,8 +112,6 @@ class ClusterMetrics:
     slo_latency: Dict[str, LatencyStats] = field(default_factory=dict)
     #: Completions per tenant (the fairness view).
     per_tenant_completed: Dict[str, int] = field(default_factory=dict)
-    #: Client connections per negotiated wire version.
-    wire_clients: Dict[int, int] = field(default_factory=dict)
     #: Outbound frame accounting shared by every CoalescingSender the
     #: router owns: ``messages`` queued, ``frames`` written, and how
     #: many of those frames were coalesced multi-message bundles.
@@ -185,10 +179,6 @@ class ClusterMetrics:
             "per_tenant_completed": dict(
                 sorted(self.per_tenant_completed.items())
             ),
-            "wire_clients": {
-                str(version): count
-                for version, count in sorted(self.wire_clients.items())
-            },
             "wire_frames": dict(self.wire_frames),
             "per_node": {
                 name: metrics.as_dict()

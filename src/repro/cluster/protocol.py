@@ -1,43 +1,29 @@
-"""The cluster wire protocol: framed messages over two negotiated codecs.
+"""The cluster wire protocol: one binary framing for every message.
 
 Every message between a :class:`~repro.cluster.router.Router`, its
 :class:`~repro.cluster.worker.WorkerNode` s and its
-:class:`~repro.cluster.client.ClusterClient` s is one *frame*.  Two
-codecs share one message vocabulary and one robustness contract:
+:class:`~repro.cluster.client.ClusterClient` s is one *frame*, from the
+first byte of every connection: a struct-packed header (magic, version,
+type code, flags, payload length) followed by a small JSON *meta*
+section and zero or more *blobs* of fixed-width little-endian integers
+(``int.to_bytes``, one width field per batch).  JSON (not pickle) for
+the meta is deliberate: a router port is a network surface, and JSON
+deserialization cannot execute code.  Operand pairs and product lists
+travel as blobs instead of JSON decimal ints, so a 4096-pair 254-bit
+batch never round-trips through a Python string; decoding slices one
+:class:`memoryview`, encoding hands ``writer.writelines`` a list of
+buffers.  Anything the packer cannot express rides in the meta as
+plain JSON, whose integers are arbitrary-precision — the wire never
+rounds.  Decoded blobs surface as lazy :class:`PackedInts` sequences:
+the bytes stay packed until somebody *computes* on them, so the router
+forwards a batch hop-to-hop without ever materializing its operands as
+Python ints (re-encoding a :class:`PackedInts` is a zero-copy buffer
+append), and the 8k big-int conversions of a 4k-pair batch happen
+exactly once — on the worker that multiplies them.
 
-* **wire v1 (JSON)** — a 4-byte big-endian payload length followed by
-  that many bytes of UTF-8 JSON carrying a single object with a
-  ``"type"`` key.  JSON (not pickle) is deliberate: a router port is a
-  network surface, and JSON deserialization cannot execute code.
-  Python's JSON integers are arbitrary-precision, so operands, products
-  and moduli travel exactly — the wire never rounds.
-* **wire v2 (binary)** — a struct-packed header (magic, version, type
-  code, flags, payload length) followed by a small JSON *meta* section
-  and zero or more *blobs* of fixed-width little-endian integers
-  (``int.to_bytes``, one width field per batch).  Operand pairs and
-  product lists travel as blobs instead of JSON decimal ints, so a
-  4096-pair 254-bit batch never round-trips through a Python string;
-  decoding slices one :class:`memoryview`, encoding hands
-  ``writer.writelines`` a list of buffers.  v2 carries exactly the same
-  message dicts as v1 — :class:`BinaryCodec` is a lossless transport,
-  not a different protocol.  Decoded blobs surface as lazy
-  :class:`PackedInts` sequences: the bytes stay packed until somebody
-  *computes* on them, so the router forwards a batch hop-to-hop without
-  ever materializing its operands as Python ints (re-encoding a
-  :class:`PackedInts` is a zero-copy buffer append), and the 8k big-int
-  conversions of a 4k-pair batch happen exactly once — on the worker
-  that multiplies them.
-
-Connections *start* in v1: the opening ``hello``/``join`` advertises
-``"wire": 2`` and the router's ``welcome`` answers with the version it
-chose (the minimum of what both sides support), after which both ends
-:meth:`Connection.upgrade` in lockstep.  A peer that advertises nothing
-gets v1 — the JSON codec remains fully supported, and every frame it
-ever spoke still parses byte-for-byte.
-
-Robustness is part of the contract (and of the test suite) for *both*
-codecs: a malformed frame — oversized, not valid JSON, bad magic,
-unknown version, an internally truncated binary payload — raises
+Robustness is part of the contract (and of the test suite): a malformed
+frame — oversized, bad magic, unknown version, meta that is not valid
+JSON, an internally truncated payload — raises
 :class:`~repro.errors.ProtocolError` *after the stream has been
 resynchronized* (the offending payload is consumed), so the receiving
 side can answer with a structured ``{"type": "error"}`` response and
@@ -48,10 +34,10 @@ The message vocabulary (all types in :data:`MESSAGE_TYPES`):
 ========== ============ ====================================================
 type       direction    meaning
 ========== ============ ====================================================
-hello      client→router introduce a client connection (``wire`` advertised)
-join       worker→router register a worker node (``wire`` advertised)
+hello      client→router introduce a client connection
+join       worker→router register a worker node
 welcome    router→both  accept; carries the fleet's ``EngineSpec`` for
-                        workers and the negotiated ``wire`` version
+                        workers
 heartbeat  worker→router liveness + the node's metrics snapshot
 job        router→worker one placed job (pairs or graph) with SLO context
 jobs       router→worker a coalesced frame of several ``job`` messages
@@ -68,10 +54,7 @@ shutdown   router→worker the router is closing
 Coalesced ``jobs``/``results`` frames are how the router's pipelined
 dispatch amortizes per-frame syscall and framing overhead: any number of
 messages bound for the same peer inside one flush window travel as one
-frame (see :class:`CoalescingSender`).  They are only emitted on v2
-connections; v1 peers receive the classic one-message frames (batched
-into a single ``writelines`` call, which changes syscall counts but not
-the byte stream).
+frame (see :class:`CoalescingSender`).
 """
 
 from __future__ import annotations
@@ -87,18 +70,11 @@ from repro.errors import ProtocolError
 __all__ = [
     "DEFAULT_MAX_FRAME_BYTES",
     "MESSAGE_TYPES",
-    "WIRE_VERSIONS",
-    "BinaryCodec",
     "CoalescingSender",
-    "Codec",
     "Connection",
-    "JsonCodec",
     "PackedInts",
-    "decode_frame",
     "decode_frame_v2",
-    "encode_frame",
     "encode_frame_v2",
-    "negotiate_wire",
 ]
 
 #: Frames above this are rejected (consumed and answered with an error):
@@ -106,33 +82,7 @@ __all__ = [
 #: that a hostile length prefix cannot balloon router memory.
 DEFAULT_MAX_FRAME_BYTES = 8 * 1024 * 1024
 
-#: Length prefix size of a v1 frame (unsigned big-endian).
-_PREFIX_BYTES = 4
-
-#: Wire protocol versions this build speaks, lowest first.
-WIRE_VERSIONS = (1, 2)
-
-#: Every message type either side may legitimately send.
-MESSAGE_TYPES = frozenset(
-    {
-        "hello",
-        "join",
-        "welcome",
-        "heartbeat",
-        "job",
-        "jobs",
-        "result",
-        "results",
-        "error",
-        "submit",
-        "stats",
-        "leave",
-        "bye",
-        "shutdown",
-    }
-)
-
-#: Stable v2 type codes (one byte on the wire).  Append-only: codes are
+#: Stable type codes (one byte on the wire).  Append-only: codes are
 #: part of the wire contract, never renumber.
 _TYPE_CODES: Dict[str, int] = {
     "hello": 1,
@@ -152,11 +102,14 @@ _TYPE_CODES: Dict[str, int] = {
 }
 _TYPE_NAMES: Dict[int, str] = {code: name for name, code in _TYPE_CODES.items()}
 
-#: v2 frame header: magic, version, type code, flags, payload length.
+#: Every message type either side may legitimately send.
+MESSAGE_TYPES = frozenset(_TYPE_CODES)
+
+#: Frame header: magic, version, type code, flags, payload length.
 _V2_MAGIC = b"RW"
 _V2_HEADER = struct.Struct("<2sBBHI")
 _V2_HEADER_BYTES = _V2_HEADER.size
-#: One blob header inside a v2 payload: kind, width (bytes/int), count.
+#: One blob header inside a payload: kind, width (bytes/int), count.
 _V2_BLOB = struct.Struct("<BHI")
 #: Blob kinds: a flat list of ints, or an interleaved [a, b] pair list.
 _BLOB_INTS = 0
@@ -170,80 +123,13 @@ _INT_KEYS = frozenset({"values"})
 _BIN_KEY = "$bin"
 
 
-def negotiate_wire(advertised: object, supported_max: int = 2) -> int:
-    """The wire version both peers run: min(peer, ours), floored at v1.
-
-    ``advertised`` is whatever the peer's ``hello``/``join`` carried
-    under ``"wire"`` — a missing, malformed or unknown value degrades to
-    v1, never to an error: an old peer must keep working unmodified.
-    """
-    try:
-        peer = int(advertised)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        return 1
-    if peer < 1:
-        return 1
-    return min(peer, supported_max, max(WIRE_VERSIONS))
-
-
 # ---------------------------------------------------------------------- #
-# v1: length-prefixed JSON
-# ---------------------------------------------------------------------- #
-def _jsonify_packed(value: object) -> object:
-    """``json.dumps`` fallback: materialize a lazy :class:`PackedInts`.
-
-    Needed on mixed-wire hops — a payload decoded from a v2 frame may be
-    re-encoded toward a v1 peer, and only then does it pay the
-    materialization cost.
-    """
-    if isinstance(value, PackedInts):
-        return value.tolist()
-    raise TypeError(
-        f"object of type {type(value).__name__} is not JSON serializable"
-    )
-
-
-def encode_frame(message: Dict[str, object]) -> bytes:
-    """One message as its v1 on-the-wire bytes (prefix + JSON payload)."""
-    payload = json.dumps(
-        message, separators=(",", ":"), default=_jsonify_packed
-    ).encode("utf-8")
-    if len(payload) > 0xFFFFFFFF:  # pragma: no cover - 4 GiB frame
-        raise ProtocolError(f"frame of {len(payload)} bytes cannot be prefixed")
-    return len(payload).to_bytes(_PREFIX_BYTES, "big") + payload
-
-
-def decode_frame(payload: bytes) -> Dict[str, object]:
-    """Parse one v1 frame payload; :class:`ProtocolError` when malformed.
-
-    Three failure modes, each with its own message so the structured
-    error response tells the sender what to fix: not JSON at all, JSON
-    but not an object, an object without a known ``"type"``.
-    """
-    try:
-        message = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise ProtocolError(f"frame is not valid JSON: {error}") from error
-    if not isinstance(message, dict):
-        raise ProtocolError(
-            f"frame must be a JSON object, got {type(message).__name__}"
-        )
-    kind = message.get("type")
-    if kind not in MESSAGE_TYPES:
-        raise ProtocolError(
-            f"unknown message type {kind!r}; expected one of "
-            f"{sorted(MESSAGE_TYPES)}"
-        )
-    return message
-
-
-# ---------------------------------------------------------------------- #
-# v2: struct header + JSON meta + fixed-width integer blobs
+# frames: struct header + JSON meta + fixed-width integer blobs
 # ---------------------------------------------------------------------- #
 class PackedInts(Sequence):
-    """A v2 operand blob decoded *lazily*: bytes until somebody computes.
+    """An operand blob decoded *lazily*: bytes until somebody computes.
 
-    Decoding a binary frame leaves bulk integer arrays in this form —
+    Decoding a frame leaves bulk integer arrays in this form —
     width, count and the packed little-endian bytes — instead of eagerly
     creating thousands of Python ints.  The sequence protocol (``len``,
     iteration, indexing, ``==`` against plain lists) materializes the
@@ -284,7 +170,8 @@ class PackedInts(Sequence):
         """Materialize (and cache) the Python-int view of the blob.
 
         Pairs come back as ``[[a, b], ...]`` — exactly what JSON would
-        have decoded — so the two codecs are observably identical.
+        have decoded — so a blob and a batch that fell back to JSON meta
+        are observably identical.
         """
         if self._items is None:
             flat = self._flat()
@@ -567,66 +454,15 @@ async def _discard(reader: asyncio.StreamReader, length: int) -> None:
         remaining -= len(chunk)
 
 
-# ---------------------------------------------------------------------- #
-# the codec seam
-# ---------------------------------------------------------------------- #
-class Codec:
-    """One wire codec: frame encoding plus the resynchronizing read.
+class Connection:
+    """One framed, message-oriented connection over asyncio streams.
 
-    Both implementations share the robustness contract: a malformed
-    frame is consumed (the stream stays aligned on the next frame
-    boundary) before :class:`ProtocolError` is raised, and a clean or
-    mid-frame EOF returns ``None`` — the peer is gone, there is nobody
-    to answer.
-    """
-
-    #: Wire version this codec implements.
-    version: int = 0
-
-    def encode(self, message: Dict[str, object]) -> List[bytes]:
-        """One message as a list of buffers for ``writer.writelines``."""
-        raise NotImplementedError
-
-    async def receive(
-        self, reader: asyncio.StreamReader, max_frame_bytes: int
-    ) -> Optional[Dict[str, object]]:
-        """Read one message; ``None`` on EOF; resync then raise on junk."""
-        raise NotImplementedError
-
-
-class JsonCodec(Codec):
-    """Wire v1: length-prefixed JSON frames (the negotiation fallback)."""
-
-    version = 1
-
-    def encode(self, message: Dict[str, object]) -> List[bytes]:
-        """One v1 frame as a single buffer."""
-        return [encode_frame(message)]
-
-    async def receive(
-        self, reader: asyncio.StreamReader, max_frame_bytes: int
-    ) -> Optional[Dict[str, object]]:
-        """Read one v1 message (see the class and module contract)."""
-        try:
-            prefix = await reader.readexactly(_PREFIX_BYTES)
-        except (asyncio.IncompleteReadError, ConnectionError):
-            return None
-        length = int.from_bytes(prefix, "big")
-        if length > max_frame_bytes:
-            await _discard(reader, length)
-            raise ProtocolError(
-                f"frame of {length} bytes exceeds the "
-                f"{max_frame_bytes}-byte limit"
-            )
-        try:
-            payload = await reader.readexactly(length)
-        except (asyncio.IncompleteReadError, ConnectionError):
-            return None
-        return decode_frame(payload)
-
-
-class BinaryCodec(Codec):
-    """Wire v2: struct header + JSON meta + fixed-width integer blobs.
+    Wraps a ``(StreamReader, StreamWriter)`` pair with a send lock (any
+    number of tasks may :meth:`send` concurrently) and the
+    resynchronizing receive path: when a frame is malformed,
+    :meth:`receive` consumes exactly that frame's bytes before raising,
+    so the caller can answer with an error frame and call
+    :meth:`receive` again.
 
     The resynchronization contract, leg by leg (each is a regression
     test in ``tests/cluster/test_protocol_v2.py``):
@@ -635,7 +471,7 @@ class BinaryCodec(Codec):
       the header's bytes are consumed, then :class:`ProtocolError`.  A
       peer writing aligned garbage of header size keeps the connection
       serving; true mid-stream corruption is unrecoverable framing loss
-      either way (as it is for a corrupted v1 length prefix).
+      either way.
     * **unknown version** — magic is ours, so the length field is
       trusted: the whole payload is consumed, then the error.
     * **oversized length** — the payload is discarded in bounded chunks
@@ -646,89 +482,16 @@ class BinaryCodec(Codec):
       ``None``.
     """
 
-    version = 2
-
-    def encode(self, message: Dict[str, object]) -> List[bytes]:
-        """One v2 frame as its buffer list (header, meta, blobs)."""
-        return encode_frame_v2(message)
-
-    async def receive(
-        self, reader: asyncio.StreamReader, max_frame_bytes: int
-    ) -> Optional[Dict[str, object]]:
-        """Read one v2 message (see the class contract for resync)."""
-        try:
-            header = await reader.readexactly(_V2_HEADER_BYTES)
-        except (asyncio.IncompleteReadError, ConnectionError):
-            return None
-        magic, version, code, _flags, length = _V2_HEADER.unpack(header)
-        if magic != _V2_MAGIC:
-            raise ProtocolError(
-                f"bad frame magic {magic!r} (expected {_V2_MAGIC!r})"
-            )
-        if version != self.version:
-            await _discard(reader, length)
-            raise ProtocolError(
-                f"unknown wire version {version} (this codec speaks "
-                f"{self.version})"
-            )
-        if length > max_frame_bytes:
-            await _discard(reader, length)
-            raise ProtocolError(
-                f"frame of {length} bytes exceeds the "
-                f"{max_frame_bytes}-byte limit"
-            )
-        try:
-            payload = await reader.readexactly(length)
-        except (asyncio.IncompleteReadError, ConnectionError):
-            return None
-        if code not in _TYPE_NAMES:
-            raise ProtocolError(f"unknown binary message type code {code}")
-        return decode_frame_v2(payload, code)
-
-
-class Connection:
-    """One framed, message-oriented connection over asyncio streams.
-
-    Wraps a ``(StreamReader, StreamWriter)`` pair with a negotiable
-    :class:`Codec` (v1 JSON until :meth:`upgrade`), a send lock (any
-    number of tasks may :meth:`send` concurrently) and the
-    resynchronizing receive path: when a frame is malformed,
-    :meth:`receive` consumes exactly that frame's bytes before raising,
-    so the caller can answer with an error frame and call
-    :meth:`receive` again.
-    """
-
     def __init__(
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        codec: Optional[Codec] = None,
     ) -> None:
         self.reader = reader
         self.writer = writer
         self.max_frame_bytes = max_frame_bytes
-        self.codec: Codec = codec or JsonCodec()
         self._send_lock = asyncio.Lock()
-
-    @property
-    def wire(self) -> int:
-        """The wire version currently framing this connection."""
-        return self.codec.version
-
-    def upgrade(self, wire: int) -> None:
-        """Switch codecs after negotiation (v1 -> v2 is the only move).
-
-        Both ends call this at the same stream position — the router
-        right after writing ``welcome``, the peer right after reading
-        it — so every byte before the switch is v1 and every byte after
-        is v2.  Upgrading to the current version is a no-op.
-        """
-        if wire == self.codec.version:
-            return
-        if wire not in WIRE_VERSIONS:
-            raise ProtocolError(f"cannot upgrade to unknown wire version {wire}")
-        self.codec = BinaryCodec() if wire == 2 else JsonCodec()
 
     @property
     def peer(self) -> str:
@@ -740,7 +503,7 @@ class Connection:
 
     async def send(self, message: Dict[str, object]) -> None:
         """Write one frame (serialized under the connection's lock)."""
-        buffers = self.codec.encode(message)
+        buffers = encode_frame_v2(message)
         async with self._send_lock:
             self.writer.writelines(buffers)
             await self.writer.drain()
@@ -756,15 +519,42 @@ class Connection:
             await self.writer.drain()
 
     async def receive(self) -> Optional[Dict[str, object]]:
-        """Read one message via the active codec; ``None`` on EOF.
+        """Read one message; ``None`` on EOF.
 
         Malformed frames are *skipped* — their bytes are consumed so the
         stream stays aligned on the next frame boundary — then reported
-        as :class:`ProtocolError`.  A truncated frame (EOF mid-payload)
-        is a closed connection, not a protocol error: the peer died,
-        there is nobody to answer.
+        as :class:`ProtocolError` (see the class contract).  A truncated
+        frame (EOF mid-payload) is a closed connection, not a protocol
+        error: the peer died, there is nobody to answer.
         """
-        return await self.codec.receive(self.reader, self.max_frame_bytes)
+        reader = self.reader
+        try:
+            header = await reader.readexactly(_V2_HEADER_BYTES)
+        except (asyncio.IncompleteReadError, ConnectionError):
+            return None
+        magic, version, code, _flags, length = _V2_HEADER.unpack(header)
+        if magic != _V2_MAGIC:
+            raise ProtocolError(
+                f"bad frame magic {magic!r} (expected {_V2_MAGIC!r})"
+            )
+        if version != 2:
+            await _discard(reader, length)
+            raise ProtocolError(
+                f"unknown wire version {version} (this build speaks 2)"
+            )
+        if length > self.max_frame_bytes:
+            await _discard(reader, length)
+            raise ProtocolError(
+                f"frame of {length} bytes exceeds the "
+                f"{self.max_frame_bytes}-byte limit"
+            )
+        try:
+            payload = await reader.readexactly(length)
+        except (asyncio.IncompleteReadError, ConnectionError):
+            return None
+        if code not in _TYPE_NAMES:
+            raise ProtocolError(f"unknown binary message type code {code}")
+        return decode_frame_v2(payload, code)
 
     async def close(self) -> None:
         """Close the underlying transport (idempotent, best-effort)."""
@@ -775,7 +565,7 @@ class Connection:
             pass
 
     def __repr__(self) -> str:
-        return f"Connection(peer={self.peer!r}, wire={self.wire})"
+        return f"Connection(peer={self.peer!r})"
 
 
 #: Message types a :class:`CoalescingSender` may bundle, mapped to the
@@ -796,11 +586,6 @@ class CoalescingSender:
     message immediately (no added latency); a busy one amortizes header,
     syscall and event-loop costs across ever larger bundles exactly when
     that amortization pays.
-
-    On a v1 connection nothing is bundled (v1 peers know only the
-    classic frames); the flush still encodes the whole window and lands
-    it in one ``writelines`` call, so v1 keeps the syscall amortization
-    without any change to its byte stream.
 
     A send failure marks the sender broken, drops the outbox and awaits
     ``on_error`` once — the router hangs node-loss handling (orphan
@@ -848,23 +633,22 @@ class CoalescingSender:
         self, window: List[Dict[str, object]]
     ) -> List[bytes]:
         """Encode one flush window, bundling runs of coalescible types."""
-        codec = self.connection.codec
         buffers: List[bytes] = []
 
         def emit(run: List[Dict[str, object]]) -> None:
             plural = _COALESCIBLE.get(str(run[0].get("type")))
-            if len(run) > 1 and plural is not None and codec.version >= 2:
+            if len(run) > 1 and plural is not None:
                 bundle = {"type": plural, plural: run}
-                frame = codec.encode(bundle)
+                frame = encode_frame_v2(bundle)
                 if sum(len(b) for b in frame) <= self.connection.max_frame_bytes:
                     buffers.extend(frame)
                     self.stats["frames"] += 1
                     self.stats["coalesced_frames"] += 1
                     return
-                # A bundle past the frame limit falls back to classic
-                # frames (each was accepted individually before v2).
+                # A bundle past the frame limit falls back to one frame
+                # per message (each fits on its own).
             for message in run:
-                buffers.extend(codec.encode(message))
+                buffers.extend(encode_frame_v2(message))
                 self.stats["frames"] += 1
 
         run: List[Dict[str, object]] = []
@@ -921,6 +705,6 @@ class CoalescingSender:
 
     def __repr__(self) -> str:
         return (
-            f"CoalescingSender(wire={self.connection.wire}, "
-            f"queued={len(self._outbox)}, broken={self._broken})"
+            f"CoalescingSender(queued={len(self._outbox)}, "
+            f"broken={self._broken})"
         )

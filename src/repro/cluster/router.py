@@ -30,9 +30,10 @@ with :class:`~repro.errors.WorkerCrashError`.  A worker announcing
 ``leave`` drains gracefully: no new placements, in-flight jobs finish,
 then the router answers ``bye``.
 
-**Protocol robustness.**  Malformed, oversized and unknown-type frames
-are answered with a structured ``error`` response and counted; the
-connection state survives (see :mod:`repro.cluster.protocol`).
+**Protocol robustness.**  Malformed, oversized and unknown-type frames,
+and submits whose fields have the wrong shape, are answered with a
+structured ``error`` response and counted; the connection state
+survives (see :mod:`repro.cluster.protocol`).
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from repro.cluster.protocol import (
     CoalescingSender,
     Connection,
     PackedInts,
-    negotiate_wire,
 )
 from repro.cluster.ratelimit import TenantRateLimiter
 from repro.cluster.ring import HashRing
@@ -95,17 +95,8 @@ class RouterConfig:
     rate_per_tenant: Optional[float] = None
     #: Bucket capacity (defaults to twice the rate).
     burst_per_tenant: Optional[float] = None
-    #: Highest wire protocol version the router negotiates (2 = the
-    #: binary codec; 1 pins the whole fleet to the JSON codec).  Every
-    #: connection still *starts* in v1 and only upgrades when the peer
-    #: advertises v2 too — see :func:`repro.cluster.protocol.negotiate_wire`.
-    wire: int = 2
 
     def __post_init__(self) -> None:
-        if self.wire not in (1, 2):
-            raise ConfigurationError(
-                f"wire must be 1 or 2, got {self.wire}"
-            )
         if self.replication < 1:
             raise ConfigurationError(
                 f"replication must be >= 1, got {self.replication}"
@@ -128,10 +119,8 @@ class _WorkerSession:
 
     name: str
     connection: Connection
-    #: Pipelined outbound path (jobs coalesce into ``jobs`` frames on v2).
+    #: Pipelined outbound path (jobs coalesce into ``jobs`` frames).
     sender: CoalescingSender
-    #: Negotiated wire version of this node's connection.
-    wire: int = 1
     #: Job ids currently placed on this node.
     pending: Set[int] = field(default_factory=set)
     #: ``live`` -> ``draining`` (leave announced) -> ``dead``/``left``.
@@ -153,7 +142,7 @@ class _ClusterJob:
     priority: int
     client: Connection
     #: Pipelined answer path of the submitting client's connection
-    #: (results coalesce into ``results`` frames on v2).
+    #: (results coalesce into ``results`` frames).
     client_sender: CoalescingSender
     client_id: object
     submitted_at: float
@@ -297,23 +286,13 @@ class Router:
                     return
                 kind = message["type"]
                 if kind == "hello":
-                    wire = negotiate_wire(
-                        message.get("wire"), self.config.wire
-                    )
                     await connection.send(
                         {
                             "type": "welcome",
                             "role": "client",
-                            "wire": wire,
                             "slo_classes": self.slo_catalog.as_dict(),
                             "nodes": self.live_nodes,
                         }
-                    )
-                    # Same stream position as the client's upgrade: every
-                    # byte after the welcome frame is the chosen codec.
-                    connection.upgrade(wire)
-                    self.metrics.wire_clients[wire] = (
-                        self.metrics.wire_clients.get(wire, 0) + 1
                     )
                     await self._serve_client(connection)
                     return
@@ -414,7 +393,7 @@ class Router:
         if kind == "pairs":
             pairs = message.get("pairs")
             if isinstance(pairs, PackedInts):
-                # A lazily decoded v2 blob: its shape was validated on
+                # A lazily decoded blob: its shape was validated on
                 # decode, so accept it unmaterialized — the router only
                 # needs its length, and forwarding it is zero-copy.
                 if not pairs.is_pairs or not len(pairs):
@@ -446,6 +425,27 @@ class Router:
                 )
             payload = graph
             weight = len(graph["nodes"])  # type: ignore[arg-type]
+        # The scheduling fields are checked here too, before any token is
+        # charged: a bad value must be answered, not crash the handler.
+        deadline_ms = message.get("deadline_ms")
+        if deadline_ms is not None and (
+            isinstance(deadline_ms, bool)
+            or not isinstance(deadline_ms, (int, float))
+        ):
+            raise ProtocolError(
+                f"submit deadline_ms must be a number or null, "
+                f"got {deadline_ms!r}"
+            )
+        priority = message.get("priority", 0)
+        if isinstance(priority, bool) or not isinstance(priority, int):
+            raise ProtocolError(
+                f"submit priority must be an integer, got {priority!r}"
+            )
+        slo = message.get("slo")
+        if slo is not None and not isinstance(slo, str):
+            raise ProtocolError(
+                f"submit slo must be a string or null, got {slo!r}"
+            )
         return {
             "kind": kind,
             "modulus": modulus,
@@ -533,11 +533,11 @@ class Router:
         without waiting for the socket, so the submit path keeps
         decoding the next request while earlier jobs are still being
         written — and jobs queued behind one in-flight write coalesce
-        into a single multi-job frame on v2 connections.  A socket that
-        dies under the queue surfaces through the sender's error hook as
-        a node loss, which re-dispatches everything pending on the node
-        through the existing orphan machinery — the failure path that
-        used to live here, minus the blocking.
+        into a single multi-job frame.  A socket that dies under the
+        queue surfaces through the sender's error hook as a node loss,
+        which re-dispatches everything pending on the node through the
+        existing orphan machinery — the failure path that used to live
+        here, minus the blocking.
         """
         exclude = set(exclude or ())
         candidates = self._candidates(job, exclude)
@@ -597,7 +597,6 @@ class Router:
                 ProtocolError(f"node name {name!r} is already joined"),
             )
             return
-        wire = negotiate_wire(join.get("wire"), self.config.wire)
         session = _WorkerSession(
             name=name,
             connection=connection,
@@ -608,29 +607,24 @@ class Router:
                 ),
                 stats=self.metrics.wire_frames,
             ),
-            wire=wire,
         )
-        # Welcome (still v1) and the codec switch happen *before* the
-        # node is registered for placement, so no job frame can be
-        # queued on the connection while the two ends disagree on the
-        # framing.
+        # The welcome goes out *before* the node is registered for
+        # placement, so it is the first frame the worker reads: no job
+        # frame can be queued ahead of it.
         await connection.send(
             {
                 "type": "welcome",
                 "role": "worker",
                 "node": name,
-                "wire": wire,
                 "engine_spec": self.spec.as_dict(),
                 "heartbeat_interval_s": self.config.heartbeat_interval_s,
                 "slo_classes": self.slo_catalog.as_dict(),
             }
         )
-        connection.upgrade(wire)
         self._workers[name] = session
         self._ring.add(name)
         node_metrics = self.metrics.node(name)
         node_metrics.state = "live"
-        node_metrics.wire = wire
         node_metrics.record_heartbeat({})
         try:
             while True:
@@ -692,9 +686,8 @@ class Router:
         response["slo"] = job.slo
         response["router_latency_ms"] = latency_s * 1e3
         # Pipelined fan-back: answers queued while one write is in
-        # flight coalesce into a single multi-result frame on v2
-        # connections.  A dead client breaks the sender silently — the
-        # work still counted.
+        # flight coalesce into a single multi-result frame.  A dead
+        # client breaks the sender silently — the work still counted.
         job.client_sender.enqueue(response)
         await self._maybe_finish_drain(session)
 
@@ -831,13 +824,6 @@ class Router:
             for name, session in self._workers.items()
         }
 
-    def wire_versions(self) -> Dict[str, int]:
-        """Negotiated wire version per connected worker node."""
-        return {
-            name: session.wire
-            for name, session in sorted(self._workers.items())
-        }
-
     def describe(self) -> Dict[str, object]:
         """The cluster rollup ``stats`` frames answer with."""
         return {
@@ -848,8 +834,6 @@ class Router:
             "slo_classes": self.slo_catalog.as_dict(),
             "rate_limiter": self.limiter.describe(),
             "ring_nodes": self._ring.nodes,
-            "wire_max": self.config.wire,
-            "wire_workers": self.wire_versions(),
         }
 
     def __repr__(self) -> str:

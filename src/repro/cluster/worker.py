@@ -35,7 +35,6 @@ from repro.cluster.protocol import (
     CoalescingSender,
     Connection,
     PackedInts,
-    negotiate_wire,
 )
 from repro.engine import EngineSpec
 from repro.errors import (
@@ -66,18 +65,12 @@ class WorkerConfig:
     max_batch: int = 64
     #: Frame size limit (must match the router's).
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
-    #: Highest wire protocol version this node advertises in its join
-    #: (2 = binary codec; 1 pins the node to the JSON codec).  The
-    #: router's welcome answers with the negotiated version.
-    wire: int = 2
 
     def __post_init__(self) -> None:
         if self.pool_workers < 0:
             raise ConfigurationError(
                 f"pool_workers must be >= 0, got {self.pool_workers}"
             )
-        if self.wire not in (1, 2):
-            raise ConfigurationError(f"wire must be 1 or 2, got {self.wire}")
 
 
 class WorkerNode:
@@ -103,8 +96,6 @@ class WorkerNode:
         self.name = self.config.name or f"worker-{os.getpid()}"
         self.server: Optional[Server] = None
         self._connection: Optional[Connection] = None
-        #: Negotiated wire version (valid after :meth:`start`).
-        self.wire: int = 1
         self._sender: Optional[CoalescingSender] = None
         self._heartbeat_interval_s = 1.0
         self._heartbeat_task: Optional[asyncio.Task] = None
@@ -124,9 +115,7 @@ class WorkerNode:
         self._connection = Connection(
             reader, writer, max_frame_bytes=self.config.max_frame_bytes
         )
-        await self._connection.send(
-            {"type": "join", "node": self.name, "wire": self.config.wire}
-        )
+        await self._connection.send({"type": "join", "node": self.name})
         welcome = await self._connection.receive()
         if welcome is not None and welcome["type"] == "error":
             raise ProtocolError(
@@ -141,12 +130,6 @@ class WorkerNode:
         self._heartbeat_interval_s = float(
             welcome.get("heartbeat_interval_s", 1.0)  # type: ignore[arg-type]
         )
-        # The router's welcome names the negotiated version; switch codecs
-        # *before* reading any further frame — the router upgrades its end
-        # right after writing the welcome, so this is the one deterministic
-        # stream position both sides agree on.
-        self.wire = negotiate_wire(welcome.get("wire"), self.config.wire)
-        self._connection.upgrade(self.wire)
         self._sender = CoalescingSender(self._connection)
         self.server = Server(
             engine=spec.build(),
@@ -232,7 +215,7 @@ class WorkerNode:
             if kind == "job":
                 self._spawn_job(message)
             elif kind == "jobs":
-                # Coalesced multi-job frame (wire v2): each entry is a
+                # Coalesced multi-job frame: each entry is a
                 # complete job message; fan them out exactly as if they
                 # had arrived one frame apiece.
                 for entry in message.get("jobs") or ():
@@ -315,7 +298,7 @@ class WorkerNode:
             "queue_ms": response.queue_ms,
         }
         # Results ride the coalescing sender so answers completing within
-        # one flush window travel as a single multi-result frame (v2).
+        # one flush window travel as a single multi-result frame.
         if self._sender is not None and not self._sender.broken:
             self._sender.enqueue(result)
         else:
@@ -352,7 +335,6 @@ def run_worker(
     port: int,
     name: Optional[str] = None,
     pool_workers: int = 0,
-    wire: int = 2,
 ) -> None:
     """Run one worker node to completion (the sync CLI/subprocess entry).
 
@@ -364,7 +346,7 @@ def run_worker(
         node = WorkerNode(
             host,
             port,
-            WorkerConfig(name=name, pool_workers=pool_workers, wire=wire),
+            WorkerConfig(name=name, pool_workers=pool_workers),
         )
         await node.start()
         try:

@@ -1,9 +1,9 @@
-"""Wire-protocol robustness: framing, malformed frames, resync.
+"""Wire-protocol robustness: connections, malformed frames, resync.
 
-The contract under test (an ISSUE satellite): a malformed, oversized or
-unknown-type frame is answered with a *structured error response* and
-the connection stays usable — no dropped state, no desynchronized
-stream.
+The contract under test: a malformed, oversized or unknown-type frame —
+or a submit whose fields have the wrong shape — is answered with a
+*structured error response* and the connection stays usable — no
+dropped state, no desynchronized stream.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ import json
 
 import pytest
 
-from repro.cluster import Connection, Router, decode_frame, encode_frame
-from repro.cluster.protocol import MESSAGE_TYPES, _PREFIX_BYTES
+from repro.cluster import Connection, Router, WorkerNode
+from repro.cluster.protocol import _TYPE_CODES, _V2_HEADER, _V2_MAGIC
 from repro.cluster.router import RouterConfig
 from repro.engine import EngineSpec
 from repro.errors import ProtocolError
@@ -24,42 +24,14 @@ def run(coroutine):
     return asyncio.run(coroutine)
 
 
-class TestFraming:
-    def test_roundtrip(self):
-        message = {"type": "submit", "id": 7, "pairs": [[1, 2]], "modulus": 97}
-        assert decode_frame(encode_frame(message)[_PREFIX_BYTES:]) == message
+def raw_frame(code: int, payload: bytes) -> bytes:
+    """A frame with a valid header around an arbitrary payload."""
+    return _V2_HEADER.pack(_V2_MAGIC, 2, code, 0, len(payload)) + payload
 
-    def test_big_integers_travel_exactly(self):
-        operand = (1 << 255) - 19
-        frame = encode_frame({"type": "result", "values": [operand]})
-        assert decode_frame(frame[_PREFIX_BYTES:])["values"] == [operand]
 
-    def test_prefix_is_payload_length(self):
-        frame = encode_frame({"type": "bye"})
-        length = int.from_bytes(frame[:_PREFIX_BYTES], "big")
-        assert length == len(frame) - _PREFIX_BYTES
-
-    def test_not_json_raises(self):
-        with pytest.raises(ProtocolError, match="not valid JSON"):
-            decode_frame(b"\xff\xfe garbage")
-
-    def test_non_object_raises(self):
-        with pytest.raises(ProtocolError, match="must be a JSON object"):
-            decode_frame(json.dumps([1, 2, 3]).encode())
-
-    def test_unknown_type_raises(self):
-        with pytest.raises(ProtocolError, match="unknown message type"):
-            decode_frame(json.dumps({"type": "exploit"}).encode())
-
-    def test_missing_type_raises(self):
-        with pytest.raises(ProtocolError, match="unknown message type"):
-            decode_frame(json.dumps({"id": 1}).encode())
-
-    def test_every_protocol_type_decodes(self):
-        for kind in MESSAGE_TYPES:
-            assert decode_frame(
-                json.dumps({"type": kind}).encode()
-            )["type"] == kind
+def meta_payload(meta_bytes: bytes) -> bytes:
+    """A payload carrying ``meta_bytes`` as its (unchecked) meta."""
+    return len(meta_bytes).to_bytes(4, "little") + meta_bytes
 
 
 class TestConnection:
@@ -138,9 +110,12 @@ class TestRouterAnswersBadFrames:
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", router.port
                 )
-                # Raw garbage, properly length-prefixed.
-                payload = b"this is not json"
-                writer.write(len(payload).to_bytes(4, "big") + payload)
+                # Garbage meta inside a valid header.
+                writer.write(
+                    raw_frame(
+                        _TYPE_CODES["hello"], meta_payload(b"this is not json")
+                    )
+                )
                 await writer.drain()
                 connection = Connection(reader, writer)
                 answer = await connection.receive()
@@ -163,8 +138,8 @@ class TestRouterAnswersBadFrames:
                     "127.0.0.1", router.port
                 )
                 connection = Connection(reader, writer)
-                payload = json.dumps({"type": "exploit"}).encode()
-                writer.write(len(payload).to_bytes(4, "big") + payload)
+                meta = json.dumps({"type": "exploit"}).encode()
+                writer.write(raw_frame(_TYPE_CODES["hello"], meta_payload(meta)))
                 await writer.drain()
                 first = await connection.receive()
                 # 'result' is a known type but not a legal opener.
@@ -175,6 +150,7 @@ class TestRouterAnswersBadFrames:
 
         first, second, count = run(scenario())
         assert first["error"] == "ProtocolError"
+        assert "unknown message type" in first["message"]
         assert second["error"] == "ProtocolError"
         assert "hello" in second["message"]
         assert count == 2
@@ -206,3 +182,109 @@ class TestRouterAnswersBadFrames:
         assert answer["error"] == "ProtocolError"
         assert stats["type"] == "result"
         assert stats["stats"]["protocol_errors"] == 1
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("deadline_ms", "soon"),
+            ("priority", "high"),
+            ("slo", ["gold"]),
+            ("deadline_ms", True),
+            ("priority", 1.5),
+            ("priority", None),
+            ("slo", 7),
+        ],
+        ids=[
+            "deadline_ms",
+            "priority",
+            "slo",
+            "deadline_ms-bool",
+            "priority-float",
+            "priority-null",
+            "slo-number",
+        ],
+    )
+    def test_malformed_submit_field_is_answered_not_fatal(self, field, value):
+        async def scenario():
+            async with Router(EngineSpec()) as router:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", router.port
+                )
+                connection = Connection(reader, writer)
+                await connection.send({"type": "hello"})
+                welcome = await connection.receive()
+                assert welcome["type"] == "welcome"
+                await connection.send(
+                    {
+                        "type": "submit",
+                        "id": 5,
+                        "kind": "pairs",
+                        "modulus": 97,
+                        "pairs": [[2, 3]],
+                        field: value,
+                    }
+                )
+                answer = await asyncio.wait_for(connection.receive(), 5)
+                # The session survives: stats still answered.
+                await connection.send({"type": "stats", "id": 6})
+                stats = await asyncio.wait_for(connection.receive(), 5)
+                await connection.close()
+                return answer, stats
+
+        answer, stats = run(scenario())
+        assert answer["type"] == "error"
+        assert answer["error"] == "ProtocolError"
+        assert answer["id"] == 5
+        assert field in answer["message"]
+        assert stats["type"] == "result" and stats["id"] == 6
+        assert stats["stats"]["protocol_errors"] == 1
+        assert stats["stats"]["submitted"] == 0
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("deadline_ms", 60_000),
+            ("deadline_ms", 60_000.5),
+            ("deadline_ms", None),
+            ("priority", 3),
+            ("slo", None),
+        ],
+        ids=[
+            "deadline_ms-int",
+            "deadline_ms-float",
+            "deadline_ms-null",
+            "priority-int",
+            "slo-null",
+        ],
+    )
+    def test_well_formed_submit_field_is_served(self, field, value):
+        # The control for the shape checks above: every legal shape of
+        # the same fields still reaches a node and comes back a product.
+        async def scenario():
+            async with Router(EngineSpec()) as router:
+                async with WorkerNode("127.0.0.1", router.port):
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", router.port
+                    )
+                    connection = Connection(reader, writer)
+                    await connection.send({"type": "hello"})
+                    welcome = await connection.receive()
+                    assert welcome["type"] == "welcome"
+                    await connection.send(
+                        {
+                            "type": "submit",
+                            "id": 5,
+                            "kind": "pairs",
+                            "modulus": 97,
+                            "pairs": [[2, 3]],
+                            field: value,
+                        }
+                    )
+                    answer = await asyncio.wait_for(connection.receive(), 5)
+                    await connection.close()
+                    return answer, router.metrics.protocol_errors
+
+        answer, errors = run(scenario())
+        assert answer["type"] == "result" and answer["id"] == 5
+        assert answer["values"] == [6]
+        assert errors == 0

@@ -1,12 +1,12 @@
-"""Wire v2 (binary codec): framing, lazy blobs, resync, coalescing.
+"""The wire format: framing, lazy blobs, resync, coalescing.
 
-The contract under test (an ISSUE satellite): the binary decoder
-*resynchronizes* on every malformed-frame shape — bad magic, unknown
-version, oversized length prefix, internally truncated payload — by
-consuming the offending bytes and raising
-:class:`~repro.errors.ProtocolError`, so the connection keeps serving;
-and the v2 codec is a lossless transport for exactly the messages v1
-carries (anything unpackable rides as JSON meta, byte-exact).
+The contract under test: :meth:`Connection.receive` *resynchronizes* on
+every malformed-frame shape — bad magic, unknown version, oversized
+length prefix, internally truncated payload — by consuming the offending
+bytes and raising :class:`~repro.errors.ProtocolError`, so the
+connection keeps serving; every connection speaks this framing from its
+first byte; and the framing is a lossless transport for every message
+(anything unpackable rides as JSON meta, byte-exact).
 """
 
 from __future__ import annotations
@@ -17,22 +17,21 @@ import json
 import pytest
 
 from repro.cluster import (
+    ClusterClient,
     Connection,
     PackedInts,
     Router,
-    decode_frame,
-    encode_frame,
-    negotiate_wire,
+    WorkerConfig,
+    WorkerNode,
 )
 from repro.cluster.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
+    MESSAGE_TYPES,
     _TYPE_CODES,
     _V2_BLOB,
     _V2_HEADER,
     _V2_MAGIC,
-    BinaryCodec,
     CoalescingSender,
-    JsonCodec,
     decode_frame_v2,
     encode_frame_v2,
 )
@@ -70,40 +69,6 @@ def feed(*chunks: bytes) -> asyncio.StreamReader:
         reader.feed_data(chunk)
     reader.feed_eof()
     return reader
-
-
-class TestNegotiation:
-    def test_min_of_both_sides(self):
-        assert negotiate_wire(2) == 2
-        assert negotiate_wire(1) == 1
-        assert negotiate_wire(2, supported_max=1) == 1
-
-    def test_future_peer_capped_at_ours(self):
-        assert negotiate_wire(99) == 2
-
-    def test_numeric_strings_accepted(self):
-        assert negotiate_wire("2") == 2
-
-    def test_missing_or_malformed_degrades_to_v1(self):
-        assert negotiate_wire(None) == 1
-        assert negotiate_wire("binary") == 1
-        assert negotiate_wire([2]) == 1
-        assert negotiate_wire(0) == 1
-        assert negotiate_wire(-3) == 1
-
-    def test_upgrade_switches_codec_and_rejects_unknown(self):
-        async def scenario():
-            connection = Connection(asyncio.StreamReader(), None)
-            assert connection.wire == 1
-            connection.upgrade(1)  # no-op
-            assert isinstance(connection.codec, JsonCodec)
-            connection.upgrade(2)
-            assert connection.wire == 2
-            assert isinstance(connection.codec, BinaryCodec)
-            with pytest.raises(ProtocolError, match="unknown wire version"):
-                connection.upgrade(3)
-
-        run(scenario())
 
 
 class TestV2Framing:
@@ -175,6 +140,10 @@ class TestV2Framing:
         decoded = decode_stream(frame_bytes({"type": "submit", "pairs": []}))
         assert decoded["pairs"] == []
         assert isinstance(decoded["pairs"], list)
+
+    def test_every_protocol_type_roundtrips(self):
+        for kind in MESSAGE_TYPES:
+            assert decode_stream(frame_bytes({"type": kind})) == {"type": kind}
 
     def test_unknown_type_refuses_to_encode(self):
         with pytest.raises(ProtocolError, match="unknown message type"):
@@ -248,17 +217,6 @@ class TestPackedInts:
         assert (kind, width, count) == (packed.kind, packed.width, 4)
         assert blob[_V2_BLOB.size :] == packed.data
 
-    def test_v1_reencode_materializes_to_plain_json(self):
-        # Mixed-wire hop: a payload decoded from a v2 frame re-encoded
-        # toward a v1 peer must serialize as the lists JSON always had.
-        decoded = decode_stream(
-            frame_bytes({"type": "submit", "modulus": 97, "pairs": [[3, 4]]})
-        )
-        v1_frame = encode_frame(decoded)
-        restored = decode_frame(v1_frame[4:])
-        assert restored["pairs"] == [[3, 4]]
-        assert isinstance(restored["pairs"], list)
-
 
 class TestV2PayloadErrors:
     """Malformed payloads raise eagerly at decode, never at first use."""
@@ -284,6 +242,10 @@ class TestV2PayloadErrors:
     def test_meta_unknown_type(self):
         with pytest.raises(ProtocolError, match="unknown message type"):
             decode_frame_v2(v2_payload({"type": "exploit"}))
+
+    def test_meta_missing_type(self):
+        with pytest.raises(ProtocolError, match="unknown message type"):
+            decode_frame_v2(v2_payload({"id": 1}))
 
     def test_header_and_meta_type_must_agree(self):
         frame = frame_bytes({"type": "stats", "id": 1})
@@ -328,12 +290,11 @@ class TestBinaryResync:
     GOOD = frame_bytes({"type": "stats", "id": 42})
 
     async def _drain(self, chunks, max_frame_bytes=DEFAULT_MAX_FRAME_BYTES):
-        reader = feed(*chunks)
-        codec = BinaryCodec()
+        connection = Connection(feed(*chunks), None, max_frame_bytes)
         events = []
         while True:
             try:
-                message = await codec.receive(reader, max_frame_bytes)
+                message = await connection.receive()
             except ProtocolError as error:
                 events.append(("error", str(error)))
                 continue
@@ -410,28 +371,85 @@ class TestBinaryResync:
 
 
 class TestRouterSpeaksV2:
-    def test_hello_negotiates_v2_and_session_serves(self):
+    async def _exchange(self, router, *chunks):
+        """Write raw bytes to a fresh router connection; read one frame."""
+        reader, writer = await asyncio.open_connection("127.0.0.1", router.port)
+        writer.writelines(chunks)
+        await writer.drain()
+        header = await asyncio.wait_for(reader.readexactly(_V2_HEADER.size), 5)
+        magic, _version, code, _flags, length = _V2_HEADER.unpack(header)
+        assert magic == _V2_MAGIC
+        answer = decode_frame_v2(await reader.readexactly(length), code)
+        return answer, Connection(reader, writer)
+
+    def test_raw_hello_as_the_first_frame_gets_a_welcome(self):
         async def scenario():
             async with Router(EngineSpec()) as router:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", router.port
+                welcome, connection = await self._exchange(
+                    router, frame_bytes({"type": "hello"})
                 )
-                connection = Connection(reader, writer)
-                await connection.send({"type": "hello", "wire": 2})
-                welcome = await connection.receive()
                 assert welcome["type"] == "welcome"
-                assert welcome["wire"] == 2
-                connection.upgrade(2)
-                # The session now frames in v2 both ways.
                 await connection.send({"type": "stats", "id": 5})
                 stats = await connection.receive()
                 assert stats["type"] == "result" and stats["id"] == 5
                 await connection.close()
-                return router.metrics.wire_clients
 
-        assert run(scenario()).get(2) == 1
+        run(scenario())
 
-    def test_v1_peer_stays_v1(self):
+    def test_raw_join_as_the_first_frame_gets_a_worker_welcome(self):
+        async def scenario():
+            async with Router(EngineSpec()) as router:
+                welcome, connection = await self._exchange(
+                    router, frame_bytes({"type": "join", "node": "n7"})
+                )
+                nodes = router.live_nodes
+                await connection.close()
+                return welcome, nodes
+
+        welcome, nodes = run(scenario())
+        assert welcome["type"] == "welcome" and welcome["role"] == "worker"
+        assert welcome["node"] == "n7"
+        assert welcome["engine_spec"] == EngineSpec().as_dict()
+        assert "wire" not in welcome
+        assert nodes == ["n7"]
+
+    def test_unknown_version_as_the_first_frame_is_answered(self):
+        async def scenario():
+            async with Router(EngineSpec()) as router:
+                junk = b"\xab" * 21
+                header = _V2_HEADER.pack(_V2_MAGIC, 3, 1, 0, len(junk))
+                answer, connection = await self._exchange(
+                    router, header, junk, frame_bytes({"type": "hello"})
+                )
+                # The version-3 frame was discarded whole: the hello
+                # behind it opens the session.
+                welcome = await asyncio.wait_for(connection.receive(), 5)
+                await connection.close()
+                return answer, welcome
+
+        answer, welcome = run(scenario())
+        assert answer["type"] == "error"
+        assert answer["error"] == "ProtocolError"
+        assert "unknown wire version" in answer["message"]
+        assert welcome["type"] == "welcome"
+
+    def test_length_prefixed_json_hello_is_answered_with_bad_magic(self):
+        async def scenario():
+            async with Router(EngineSpec()) as router:
+                payload = json.dumps({"type": "hello"}).encode()
+                answer, connection = await self._exchange(
+                    router, len(payload).to_bytes(4, "big"), payload
+                )
+                await connection.close()
+                return answer, router.metrics.protocol_errors
+
+        answer, errors = run(scenario())
+        assert answer["type"] == "error"
+        assert answer["error"] == "ProtocolError"
+        assert "bad frame magic" in answer["message"]
+        assert errors >= 1
+
+    def test_bad_magic_on_an_established_session_is_answered(self):
         async def scenario():
             async with Router(EngineSpec()) as router:
                 reader, writer = await asyncio.open_connection(
@@ -440,26 +458,7 @@ class TestRouterSpeaksV2:
                 connection = Connection(reader, writer)
                 await connection.send({"type": "hello"})
                 welcome = await connection.receive()
-                assert welcome["wire"] == 1
-                await connection.send({"type": "stats", "id": 1})
-                stats = await connection.receive()
-                assert stats["type"] == "result"
-                await connection.close()
-                return router.metrics.wire_clients
-
-        assert run(scenario()).get(1) == 1
-
-    def test_bad_magic_on_an_upgraded_session_is_answered(self):
-        async def scenario():
-            async with Router(EngineSpec()) as router:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", router.port
-                )
-                connection = Connection(reader, writer)
-                await connection.send({"type": "hello", "wire": 2})
-                welcome = await connection.receive()
-                assert welcome["wire"] == 2
-                connection.upgrade(2)
+                assert welcome["type"] == "welcome"
                 # Exactly one header's worth of garbage: the router must
                 # answer a structured error and keep serving this session.
                 writer.write(b"XX" + b"\x00" * (_V2_HEADER.size - 2))
@@ -477,11 +476,74 @@ class TestRouterSpeaksV2:
         assert run(scenario()) == 1
 
 
+class TestPeersOpenWithABinaryFrame:
+    """Client and worker write a binary frame as their first bytes, and
+    their opening message names no wire version."""
+
+    async def _first_frame(self, dial, welcome):
+        """Run ``dial(port)`` against a stand-in router; return the raw
+        header fields and the message of the first frame it receives.
+
+        The stand-in answers that frame with ``welcome`` and then reads
+        until the peer hangs up.
+        """
+        seen = {}
+
+        async def handler(reader, writer):
+            header = _V2_HEADER.unpack(
+                await reader.readexactly(_V2_HEADER.size)
+            )
+            payload = await reader.readexactly(header[-1])
+            seen["header"] = header
+            seen["message"] = decode_frame_v2(payload, header[2])
+            connection = Connection(reader, writer)
+            await connection.send(welcome)
+            while await connection.receive() is not None:
+                pass
+            await connection.close()
+
+        server = await asyncio.start_server(handler, "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        await asyncio.wait_for(dial(port), 5)
+        server.close()
+        await server.wait_closed()
+        return seen["header"], seen["message"]
+
+    def test_client_opens_with_a_binary_hello(self):
+        async def dial(port):
+            client = ClusterClient("127.0.0.1", port, tenant="acme")
+            await client.connect()
+            await client.close()
+
+        welcome = {"type": "welcome", "role": "client", "slo_classes": {}}
+        header, message = run(self._first_frame(dial, welcome))
+        magic, version, code, _flags, _length = header
+        assert (magic, version, code) == (_V2_MAGIC, 2, _TYPE_CODES["hello"])
+        assert message == {"type": "hello", "tenant": "acme"}
+
+    def test_worker_opens_with_a_binary_join(self):
+        async def dial(port):
+            node = WorkerNode("127.0.0.1", port, WorkerConfig(name="n7"))
+            await node.start()
+            await node.stop()
+
+        welcome = {
+            "type": "welcome",
+            "role": "worker",
+            "node": "n7",
+            "engine_spec": EngineSpec().as_dict(),
+            "heartbeat_interval_s": 60.0,
+        }
+        header, message = run(self._first_frame(dial, welcome))
+        magic, version, code, _flags, _length = header
+        assert (magic, version, code) == (_V2_MAGIC, 2, _TYPE_CODES["join"])
+        assert message == {"type": "join", "node": "n7"}
+
+
 class _BrokenConnection:
     """A connection whose socket always fails (for sender error paths)."""
 
     def __init__(self) -> None:
-        self.codec = JsonCodec()
         self.max_frame_bytes = DEFAULT_MAX_FRAME_BYTES
 
     async def send_encoded(self, buffers):
@@ -489,7 +551,7 @@ class _BrokenConnection:
 
 
 class TestCoalescingSender:
-    def _serve(self, wire):
+    def _serve(self):
         """A (sender, received, finish) triple over a real socket pair."""
 
         async def scenario(body):
@@ -498,7 +560,6 @@ class TestCoalescingSender:
 
             async def handler(reader, writer):
                 connection = Connection(reader, writer)
-                connection.upgrade(wire)
                 while True:
                     message = await connection.receive()
                     if message is None:
@@ -510,7 +571,6 @@ class TestCoalescingSender:
             port = server.sockets[0].getsockname()[1]
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
             connection = Connection(reader, writer)
-            connection.upgrade(wire)
             sender = CoalescingSender(connection)
             await body(sender)
             await sender.drain()
@@ -529,20 +589,11 @@ class TestCoalescingSender:
             for index in range(5):
                 sender.enqueue({"type": "result", "id": index, "values": [index]})
 
-        received, stats = run(self._serve(wire=2)(body))
+        received, stats = run(self._serve()(body))
         assert [m["type"] for m in received] == ["results"]
         bundle = received[0]["results"]
         assert [entry["id"] for entry in bundle] == [0, 1, 2, 3, 4]
         assert stats == {"messages": 5, "frames": 1, "coalesced_frames": 1}
-
-    def test_v1_never_bundles(self):
-        async def body(sender):
-            for index in range(4):
-                sender.enqueue({"type": "result", "id": index})
-
-        received, stats = run(self._serve(wire=1)(body))
-        assert [m["type"] for m in received] == ["result"] * 4
-        assert stats == {"messages": 4, "frames": 4, "coalesced_frames": 0}
 
     def test_non_coalescible_types_break_the_run(self):
         async def body(sender):
@@ -551,7 +602,7 @@ class TestCoalescingSender:
             sender.enqueue({"type": "heartbeat", "node": "n0"})
             sender.enqueue({"type": "result", "id": 2})
 
-        received, stats = run(self._serve(wire=2)(body))
+        received, stats = run(self._serve()(body))
         assert [m["type"] for m in received] == ["results", "heartbeat", "result"]
         assert stats == {"messages": 4, "frames": 3, "coalesced_frames": 1}
 
@@ -561,7 +612,6 @@ class TestCoalescingSender:
 
             async def handler(reader, writer):
                 connection = Connection(reader, writer)
-                connection.upgrade(2)
                 while True:
                     message = await connection.receive()
                     if message is None:
@@ -572,7 +622,6 @@ class TestCoalescingSender:
             port = server.sockets[0].getsockname()[1]
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
             connection = Connection(reader, writer)
-            connection.upgrade(2)
             sender = CoalescingSender(connection, max_coalesce=2)
             for index in range(5):
                 sender.enqueue({"type": "job", "id": index})

@@ -137,43 +137,6 @@ SCHEMAS = {
         "bit_identical": {"products_identical": Value(True)},
         "kill_recovery": LOADTEST_REPORT,
     },
-    "BENCH_wire.json": {
-        "benchmark": Value("wire"),
-        "codec": {
-            "pairs": int,
-            "bit_width": int,
-            "frame_bytes": {"v1": int, "v2": int},
-            "v1": {"encode_ms": NUMBER, "decode_ms": NUMBER, "total_ms": NUMBER},
-            "v2": {"encode_ms": NUMBER, "decode_ms": NUMBER, "total_ms": NUMBER},
-            "one_hop_speedup": NUMBER,
-            "dispatch_path": {
-                "v1_ms": NUMBER,
-                "v2_ms": NUMBER,
-                "speedup": NUMBER,
-            },
-            "wire_path": {
-                "v1_ms": NUMBER,
-                "v2_ms": NUMBER,
-                "speedup": NUMBER,
-            },
-        },
-        "fleet": {
-            "requests": int,
-            "multiplications": int,
-            "cpu_count": int,
-            "points": [
-                {
-                    "wire": int,
-                    "seconds": NUMBER,
-                    "requests_per_second": NUMBER,
-                    "mul_per_second": NUMBER,
-                    "wire_frames": dict,
-                }
-            ],
-            "speedup": NUMBER,
-            "products_identical_across_wires": Value(True),
-        },
-    },
     "BENCH_hdl.json": {
         "benchmark": Value("hdl"),
         "agreement": {
