@@ -1,15 +1,14 @@
-"""Application-level benchmarks: ECC point operations, ECDSA and the ZKP mapping.
+"""Application-level benchmarks: ECC point-operation scheduling and ECDSA.
 
 Beyond the paper's own exhibits, these measure the workloads the paper
-motivates ModSRAM with (digital signatures, ZKP kernels) running on the
-library, and the system-level projections built from the calibrated models.
+motivates ModSRAM with (point operations, digital signatures) running on
+the library.
 """
 
 from __future__ import annotations
 
 from repro.ecc import Ecdsa, get_curve
-from repro.modsram import ModSRAMSystem, PAPER_CONFIG, PointOperationScheduler
-from repro.zkp import map_zkp_kernels, ntt_workload
+from repro.modsram import PAPER_CONFIG, PointOperationScheduler
 
 
 def test_point_operation_scheduling(benchmark):
@@ -41,25 +40,3 @@ def test_ecdsa_sign_verify(benchmark):
 
     assert benchmark.pedantic(run, rounds=3, iterations=1)
 
-
-def test_zkp_kernel_mapping(benchmark):
-    """Mapping the Figure 7 kernels onto a 16-macro pool."""
-    mapping = benchmark(map_zkp_kernels, 2**15, 256, 16)
-    assert mapping.ntt.latency_ms < mapping.msm.latency_ms
-    assert mapping.msm.avoided_register_writes > 1e8
-    print()
-    for row in mapping.as_rows():
-        print("  ", row)
-
-
-def test_ntt_lut_reuse_projection(benchmark):
-    """Twiddle-aware LUT reuse shortens the NTT projection measurably."""
-    system = ModSRAMSystem(1, PAPER_CONFIG)
-
-    def run():
-        reuse = system.project(ntt_workload(2**12, 256))
-        return reuse
-
-    projection = benchmark(run)
-    refill_fraction = projection.lut_refill_cycles / projection.total_cycles_per_macro
-    assert refill_fraction < 0.01

@@ -2,8 +2,8 @@
 
 The paper evaluates one macro; every workload-scale question the roadmap
 cares about (full ECDSA signing, large NTTs, MSM batches) needs *many*
-macros.  This exhibit dispatches a workload's multiplication stream
-(:mod:`repro.ecc.streams`, :mod:`repro.zkp.streams`) across chips of
+macros.  This exhibit dispatches a workload's lazy job stream (the
+``*_jobs`` functions of :mod:`repro.workloads.builders`) across chips of
 increasing macro count with the LUT-reuse-aware scheduler
 (:mod:`repro.modsram.chip`) and reports, per macro count: makespan,
 latency, throughput, LUT-reuse rate, speedup over one macro and parallel
@@ -24,6 +24,12 @@ from repro.analysis.tables import render_table
 from repro.errors import ConfigurationError
 from repro.modsram.chip import ChipScheduler, MultiplicationJob
 from repro.modsram.config import ModSRAMConfig
+from repro.workloads.builders import (
+    ecdsa_sign_jobs,
+    msm_jobs,
+    ntt_jobs,
+    scalar_multiplication_jobs,
+)
 
 __all__ = [
     "ChipScalingPoint",
@@ -32,29 +38,26 @@ __all__ = [
     "CHIP_WORKLOADS",
 ]
 
-#: Workload stream generators by name; each maps the experiment parameters
-#: to an iterable of MultiplicationJobs.
+#: Workloads by name; each maps the experiment parameters to a lazy
+#: stream of MultiplicationJobs.
 CHIP_WORKLOADS: Tuple[str, ...] = ("ecdsa-sign", "scalar-mult", "ntt", "msm")
 
 
-def _workload_stream(
+def _workload_jobs(
     workload: str,
     scalar_bits: int,
     signatures: int,
     vector_size: int,
     msm_points: int,
 ) -> Iterable[MultiplicationJob]:
-    from repro.ecc.streams import ecdsa_sign_stream, scalar_multiplication_stream
-    from repro.zkp.streams import msm_stream, ntt_stream
-
     if workload == "ecdsa-sign":
-        return ecdsa_sign_stream(scalar_bits, signatures=signatures)
+        return ecdsa_sign_jobs(scalar_bits, signatures=signatures)
     if workload == "scalar-mult":
-        return scalar_multiplication_stream(scalar_bits)
+        return scalar_multiplication_jobs(scalar_bits)
     if workload == "ntt":
-        return ntt_stream(vector_size)
+        return ntt_jobs(vector_size)
     if workload == "msm":
-        return msm_stream(msm_points, scalar_bits=scalar_bits)
+        return msm_jobs(msm_points, scalar_bits=scalar_bits)
     raise ConfigurationError(
         f"unknown workload {workload!r}; available: {list(CHIP_WORKLOADS)}"
     )
@@ -181,9 +184,9 @@ def reproduce_chip_scaling(
 ) -> ChipScalingResult:
     """Scale one workload across chips of increasing macro count.
 
-    The multiplication stream is regenerated per macro count (streams are
-    one-shot iterables) and dispatched by the LUT-reuse-aware chip
-    scheduler on the paper's macro configuration at ``bitwidth``.
+    The job stream is regenerated per macro count (it is a one-shot
+    generator) and dispatched by the LUT-reuse-aware chip scheduler on the
+    paper's macro configuration at ``bitwidth``.
     """
     if not macro_counts:
         raise ConfigurationError("macro_counts must not be empty")
@@ -198,7 +201,7 @@ def reproduce_chip_scaling(
     def run_at(macros: int):
         scheduler = ChipScheduler(int(macros), config)
         return scheduler.schedule(
-            _workload_stream(
+            _workload_jobs(
                 workload, scalar_bits, signatures, vector_size, msm_points
             ),
             operation=workload,

@@ -105,7 +105,7 @@ class ClusterMetrics:
     protocol_errors: int = 0
     #: Job re-dispatches after a node loss.
     redispatches: int = 0
-    #: Jobs that exhausted their retries after repeated node losses.
+    #: Worker nodes declared lost (dead connection or missed heartbeats).
     lost_nodes: int = 0
     started_at: Optional[float] = None
     #: Router-observed latency per SLO class name.

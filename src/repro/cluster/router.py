@@ -219,6 +219,7 @@ class Router:
                 pass
             self._monitor = None
         for job in list(self._jobs.values()):
+            self.metrics.failed += 1
             await self._answer_error(
                 job,
                 ServiceError("router closed before the job completed"),
@@ -545,6 +546,7 @@ class Router:
             candidates = self._candidates(job, set())
         if not candidates:
             self._jobs.pop(job.job_id, None)
+            self.metrics.failed += 1
             await self._answer_error(
                 job,
                 WorkerCrashError("no live cluster nodes to place on"),

@@ -1,7 +1,8 @@
 """Evaluation of one design point: schedule, energy, area, verification.
 
 One :class:`~repro.dse.spec.DesignPoint` becomes one
-:class:`DsePointResult`: a deterministic workload stream is scheduled
+:class:`DsePointResult`: a deterministic job stream (the ``*_jobs``
+functions of :mod:`repro.workloads.builders`) is scheduled
 across the point's macros with the geometry-aware analytical cost algebra
 (:class:`~repro.modsram.chip.ChipScheduler`), the closed-form energy and
 area models price the design, and — when the point asks for ``cycle`` or
@@ -27,6 +28,12 @@ from repro.modsram.area import AreaModel
 from repro.modsram.chip import ChipSchedule, ChipScheduler, MultiplicationJob
 from repro.modsram.fidelity import build_simulator
 from repro.dse.spec import DesignPoint
+from repro.workloads.builders import (
+    ecdsa_sign_jobs,
+    msm_jobs,
+    ntt_jobs,
+    scalar_multiplication_jobs,
+)
 
 __all__ = ["DsePointResult", "evaluate_design_point"]
 
@@ -45,35 +52,29 @@ def _round_robin(*streams: Iterable[MultiplicationJob]) -> Iterator[Multiplicati
         iterators = still_live
 
 
-def _fresh_stream(point: DesignPoint) -> Iterable[MultiplicationJob]:
-    from repro.ecc.streams import (
-        ecdsa_sign_stream,
-        scalar_multiplication_stream,
-    )
-    from repro.zkp.streams import msm_stream, ntt_stream
-
+def _fresh_jobs(point: DesignPoint) -> Iterable[MultiplicationJob]:
     bits = point.bitwidth
     if point.workload == "ecdsa-sign":
-        return ecdsa_sign_stream(bits, signatures=1)
+        return ecdsa_sign_jobs(bits, signatures=1)
     if point.workload == "scalar-mult":
-        return scalar_multiplication_stream(bits)
+        return scalar_multiplication_jobs(bits)
     if point.workload == "ntt":
-        return ntt_stream(256)
+        return ntt_jobs(256)
     if point.workload == "msm":
-        return msm_stream(max(4, point.workload_ops // 8), scalar_bits=bits)
+        return msm_jobs(max(4, point.workload_ops // 8), scalar_bits=bits)
     return _round_robin(
-        ecdsa_sign_stream(bits, signatures=1),
-        ntt_stream(256),
-        msm_stream(max(4, point.workload_ops // 16), scalar_bits=bits),
+        ecdsa_sign_jobs(bits, signatures=1),
+        ntt_jobs(256),
+        msm_jobs(max(4, point.workload_ops // 16), scalar_bits=bits),
     )
 
 
 def _workload_jobs(point: DesignPoint) -> List[MultiplicationJob]:
-    """Exactly ``workload_ops`` jobs, restarting the stream as needed."""
+    """Exactly ``workload_ops`` jobs, restarting the workload as needed."""
     jobs: List[MultiplicationJob] = []
     while len(jobs) < point.workload_ops:
         before = len(jobs)
-        for job in _fresh_stream(point):
+        for job in _fresh_jobs(point):
             jobs.append(job)
             if len(jobs) >= point.workload_ops:
                 break

@@ -56,7 +56,6 @@ from repro.modsram.scheduler import (
     PointOperationScheduler,
     ScheduledMultiplication,
 )
-from repro.modsram.system import ModSRAMSystem, SystemProjection, Workload
 from repro.modsram.trace import CycleEvent, ExecutionTrace, Phase
 from repro.modsram.tracesink import NULL_SINK, NullTraceSink, TraceSink
 from repro.modsram.verification import (
@@ -101,7 +100,6 @@ __all__ = [
     "ModSRAMConfig",
     "ModSRAMFastMultiplier",
     "ModSRAMMultiplier",
-    "ModSRAMSystem",
     "MultiplicationJob",
     "MultiplicationResult",
     "NULL_SINK",
@@ -115,11 +113,9 @@ __all__ = [
     "PointOperationSchedule",
     "PointOperationScheduler",
     "ScheduledMultiplication",
-    "SystemProjection",
     "TraceSink",
     "VerificationCase",
     "VerificationReport",
-    "Workload",
     "build_simulator",
     "run_kernel",
 ]

@@ -406,11 +406,12 @@ class _PlacementState:
 class ChipScheduler:
     """Schedules abstract multiplication streams onto an N-macro chip.
 
-    Uses the analytical cost algebra: every job costs the configuration's
-    main-loop cycles plus (when the resident LUT does not match) the
-    radix-4 refill — the same constants as the single-macro
-    :class:`~repro.modsram.scheduler.PointOperationScheduler`, generalised
-    to a pool of macros.
+    Uses the analytical cost algebra
+    (:class:`~repro.modsram.analytical.AnalyticalCostModel`): every job
+    costs the main-loop cycles plus, when the resident LUT does not match,
+    the radix-4 refill — the single-macro
+    :class:`~repro.modsram.scheduler.PointOperationScheduler`'s charges,
+    generalised to a pool of macros.
     """
 
     def __init__(

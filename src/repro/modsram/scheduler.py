@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import MemoryMapError
+from repro.modsram.analytical import AnalyticalCostModel
 from repro.modsram.config import ModSRAMConfig, PAPER_CONFIG
 from repro.modsram.memory_map import MemoryMap
 
@@ -135,15 +136,17 @@ class PointOperationSchedule:
 
 
 class PointOperationScheduler:
-    """Places the multiplications of a point operation onto one macro."""
+    """Places the multiplications of a point operation onto one macro.
 
-    #: Cycles to fill the radix-4 LUT for a new multiplicand (five row writes
-    #: plus the near-memory computation of 2B, -B, -2B — see the accelerator).
-    RADIX4_PRECOMPUTE_CYCLES = 5 + 6
+    Cycles come from the analytical cost algebra: every multiplication
+    pays the main loop, and one with a new multiplicand also pays the
+    radix-4 LUT refill.
+    """
 
     def __init__(self, config: Optional[ModSRAMConfig] = None) -> None:
         self.config = config or PAPER_CONFIG
         self.memory_map = MemoryMap(self.config)
+        self.cost_model = AnalyticalCostModel(self.config)
 
     # ------------------------------------------------------------------ #
     # scheduling
@@ -181,6 +184,8 @@ class PointOperationScheduler:
         for name in preloaded:
             assign(name)
 
+        iteration_cycles = self.cost_model.iteration_cycles()
+        refill_cycles = self.cost_model.radix4_refill_cycles()
         scheduled: List[ScheduledMultiplication] = []
         resident_multiplicand: Optional[str] = None
         for index, (product, multiplier, multiplicand) in enumerate(sequence):
@@ -188,7 +193,7 @@ class PointOperationScheduler:
             multiplicand_row = assign(multiplicand)
             product_row = assign(product)
             reused = multiplicand == resident_multiplicand
-            precompute = 0 if reused else self.RADIX4_PRECOMPUTE_CYCLES
+            precompute = 0 if reused else refill_cycles
             scheduled.append(
                 ScheduledMultiplication(
                     index=index,
@@ -199,7 +204,7 @@ class PointOperationScheduler:
                     multiplicand_row=multiplicand_row,
                     product_row=product_row,
                     lut_reused=reused,
-                    iteration_cycles=self.config.expected_iteration_cycles,
+                    iteration_cycles=iteration_cycles,
                     precompute_cycles=precompute,
                 )
             )

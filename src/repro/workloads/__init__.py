@@ -13,24 +13,29 @@ multiplication streams cannot express::
     graph = ntt_graph(1024)
     graph.depth            # 10 topological levels (the NTT stages)
     graph.width            # 512 independent butterflies per level
-    graph.to_jobs()        # the legacy flat stream, for linear dispatch
+    graph.to_jobs()        # the flat job stream, for linear dispatch
 
-The graph constructors in :mod:`repro.workloads.builders` are the
-canonical dependency-aware form of the flat streams in ``ecc/streams.py``
-and ``zkp/streams.py`` (independent O(1)-memory generators whose emission
-order is parity-tested against the builders); operand-carrying graphs are
-executed level-batched through the Engine by
+:mod:`repro.workloads.builders` describes each ECC / ZKP workload once
+and derives two views from that description: the ``*_graph`` builders
+and the lazy ``*_jobs`` functions, which yield ``graph.to_jobs()``'s
+sequence in O(1) memory without building the graph (what the
+``chip-scaling`` experiment and the DSE schedule).  Operand-carrying
+graphs are executed level-batched through the Engine by
 :func:`repro.workloads.execute.execute_graph` or on a multi-macro chip by
 :meth:`repro.modsram.chip.Chip.run_graph`.
 """
 
 from repro.workloads.builders import (
     ecdsa_sign_graph,
+    ecdsa_sign_jobs,
     msm_graph,
+    msm_jobs,
     ntt_graph,
+    ntt_jobs,
     point_operation_graph,
     product_tree_graph,
     scalar_multiplication_graph,
+    scalar_multiplication_jobs,
 )
 from repro.workloads.execute import GraphExecution, execute_graph
 from repro.workloads.graph import MulNode, Ref, WorkloadGraph
@@ -41,10 +46,14 @@ __all__ = [
     "Ref",
     "WorkloadGraph",
     "ecdsa_sign_graph",
+    "ecdsa_sign_jobs",
     "execute_graph",
     "msm_graph",
+    "msm_jobs",
     "ntt_graph",
+    "ntt_jobs",
     "point_operation_graph",
     "product_tree_graph",
     "scalar_multiplication_graph",
+    "scalar_multiplication_jobs",
 ]

@@ -1,125 +1,313 @@
-"""Graph constructors for the ECC / ZKP workloads the paper motivates.
+"""The ECC / ZKP workloads the paper motivates, each described once.
 
-These builders are the canonical, dependency-aware form of the flat-stream
-generators in ``ecc/streams.py`` and ``zkp/streams.py``: the node
-*emission order* is byte-identical to the streams — so ``graph.to_jobs()``
-reproduces each stream exactly — while every node additionally carries the
-dependency edges the streams cannot express.  The streams remain
-independent O(1)-memory generators (huge workloads schedule without
-materialising a graph); the equivalence is pinned both ways by
-``tests/workloads/test_builders.py``, so edit the two sides together.
+Scalar multiplication, ECDSA signing, the NTT and the bucket-method MSM
+are each one private generator of *records*.  A record is either one
+point operation (a Jacobian doubling or mixed addition of
+:mod:`repro.modsram.scheduler`, its multiplicands scoped to the operation
+instance, plus the exit nodes of the operations it chains off) or one
+single multiplication (an NTT butterfly, an inversion step) with its
+dependencies.  Two views read the same records:
 
-The dependency model follows the point-operation formulas of
-:mod:`repro.modsram.scheduler`: within an operation, a multiplication
-depends on the in-operation nodes producing its operands (including
-derived values like ``h = u2 - x1``, whose addition/subtraction chains are
-folded into the edges); across operations, the nodes consuming the running
-point depend on the previous operation's exit nodes.  That is conservative
-— it never under-synchronises — yet still exposes the intra-request
-parallelism that matters: independent multiplications inside one doubling,
-the ECDSA nonce inversion running concurrently with ``k·G``, whole NTT
-stages of independent butterflies, and MSM bucket chains that only meet at
-the window reduction.
+* ``*_graph()`` builds the dependency-aware :class:`WorkloadGraph`,
+  expanding each point operation through a dependency template computed
+  once per sequence;
+* ``*_jobs()`` lazily yields the flat :class:`MultiplicationJob` stream
+  in the same order (exactly ``graph.to_jobs()``) without building the
+  graph, so a ``2^16``-point NTT schedules in O(1) memory.
+
+The dependency model follows the point-operation formulas: within an
+operation, a multiplication depends on the in-operation nodes producing
+its operands (including derived values like ``h = u2 - x1``, whose
+addition/subtraction chains are folded into the edges); across
+operations, the nodes consuming the running point depend on the previous
+operation's exit nodes.  That is conservative — it never
+under-synchronises — yet still exposes the intra-request parallelism that
+matters: independent multiplications inside one doubling, the ECDSA nonce
+inversion running concurrently with ``k·G``, whole NTT stages of
+independent butterflies, and MSM bucket chains that only meet at the
+window reduction.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import OperandRangeError
+from repro.modsram.chip import MultiplicationJob
 from repro.modsram.scheduler import DOUBLING_SEQUENCE, MIXED_ADDITION_SEQUENCE
 from repro.workloads.graph import Operand, Ref, WorkloadGraph
 
 __all__ = [
     "point_operation_graph",
     "scalar_multiplication_graph",
+    "scalar_multiplication_jobs",
     "ecdsa_sign_graph",
+    "ecdsa_sign_jobs",
     "ntt_graph",
+    "ntt_jobs",
     "msm_graph",
+    "msm_jobs",
     "product_tree_graph",
 ]
 
-#: Operand names that are per-ladder state: nodes consuming them depend on
-#: the previous point operation (they are the running point's coordinates).
-_RUNNING_POINT = frozenset({"x1", "y1", "z1"})
-
 #: Operand names that are constants or affine base-point inputs: consuming
-#: them creates no cross-operation dependency.
+#: them creates no cross-operation dependency.  Any other operand the
+#: operation does not produce itself is running-point state (``x1``,
+#: ``y1``, ``z1``), so its consumer inherits the entry dependencies.
 _CONSTANT_INPUTS = frozenset({"x2", "y2", "three", "modulus"})
 
-#: Derived (addition/subtraction) values of the doubling formula, mapped to
-#: the multiplication products they are computed from: ``m = 3·xx`` and
-#: ``x3 = mm - 2s`` (so ``s_minus_x3`` needs both ``mm`` and ``s``).
-_DOUBLING_DERIVED: Mapping[str, Tuple[str, ...]] = {
-    "m": ("xx",),
-    "s_minus_x3": ("mm", "s"),
-}
-
-#: Derived values of the mixed addition: ``h = u2 - x1``, ``r = s2 - y1``
-#: and ``x3 = rr - hhh - 2v`` (behind ``v_minus_x3``).
-_MIXED_DERIVED: Mapping[str, Tuple[str, ...]] = {
-    "h": ("u2",),
-    "r": ("s2",),
-    "v_minus_x3": ("v", "rr", "hhh"),
-}
-
-_DERIVED_BY_SEQUENCE = {
-    id(DOUBLING_SEQUENCE): _DOUBLING_DERIVED,
-    id(MIXED_ADDITION_SEQUENCE): _MIXED_DERIVED,
+#: Derived (addition/subtraction) values of each point formula, mapped to
+#: the multiplication products they are computed from.  Doubling:
+#: ``m = 3·xx`` and ``x3 = mm - 2s`` (so ``s_minus_x3`` needs both ``mm``
+#: and ``s``).  Mixed addition: ``h = u2 - x1``, ``r = s2 - y1`` and
+#: ``x3 = rr - hhh - 2v`` (behind ``v_minus_x3``).
+_DERIVED: Mapping[Tuple[Tuple[str, ...], ...], Mapping[str, Tuple[str, ...]]] = {
+    DOUBLING_SEQUENCE: {"m": ("xx",), "s_minus_x3": ("mm", "s")},
+    MIXED_ADDITION_SEQUENCE: {
+        "h": ("u2",),
+        "r": ("s2",),
+        "v_minus_x3": ("v", "rr", "hhh"),
+    },
 }
 
 
-def _append_point_operation(
-    graph: WorkloadGraph,
-    sequence: Sequence[Tuple[str, str, str]],
-    scope: str,
-    tag: Optional[str] = None,
-    entry_deps: Sequence[int] = (),
-    derived: Optional[Mapping[str, Tuple[str, ...]]] = None,
-    field_name: str = "",
-    priority: int = 0,
-) -> List[int]:
-    """Append one point operation's multiplications; return its exit nodes.
+class _Template(NamedTuple):
+    """One point operation's dependencies, relative to its first node."""
 
-    ``scope`` prefixes every multiplicand key (LUT names are per operation
-    instance, exactly like the legacy streams); ``entry_deps`` are the
-    previous operation's exits, inherited by every node that consumes the
-    running point.  Exit nodes are those no later node of the *same*
-    operation depends on — the next ladder step chains off them.
-    """
-    if derived is None:
-        derived = _DERIVED_BY_SEQUENCE.get(id(sequence), {})
-    if tag is None:
-        tag = scope
+    #: Per multiplication: the ``.multiplicand`` suffix of its key, the
+    #: offsets of the in-operation nodes it depends on, and whether it
+    #: inherits the operation's entry dependencies.
+    nodes: Tuple[Tuple[str, Tuple[int, ...], bool], ...]
+    #: Offsets of the nodes no later node of the operation depends on;
+    #: the next operation on the running point chains off them.
+    exits: Tuple[int, ...]
+
+    def after(self, start: int) -> Tuple[int, Tuple[int, ...]]:
+        """The index after an instance whose first node is ``start``, and
+        that instance's exit nodes."""
+        return (
+            start + len(self.nodes),
+            tuple(start + offset for offset in self.exits),
+        )
+
+
+def _template(sequence: Sequence[Tuple[str, str, str]]) -> _Template:
+    """Each multiplication's in-operation producers (through the derived
+    values of known formulas) and the operation's exit nodes."""
+    derived = _DERIVED.get(tuple(map(tuple, sequence)), {})
     producer: Dict[str, int] = {}
-    added: List[int] = []
-    used_in_op: set = set()
-    for product, multiplier, multiplicand in sequence:
-        deps: set = set()
+    nodes: List[Tuple[str, Tuple[int, ...], bool]] = []
+    used: set = set()
+    for offset, (product, multiplier, multiplicand) in enumerate(sequence):
+        inner: set = set()
+        inherits = False
         for operand in (multiplier, multiplicand):
             if operand in producer:
-                deps.add(producer[operand])
+                inner.add(producer[operand])
                 continue
-            sources = [
+            sources = {
                 producer[source]
                 for source in derived.get(operand, ())
                 if source in producer
-            ]
+            }
             if sources:
-                deps.update(sources)
-            elif operand in _RUNNING_POINT or operand not in _CONSTANT_INPUTS:
-                deps.update(entry_deps)
-        index = graph.add(
-            multiplicand=f"{scope}.{multiplicand}",
-            deps=deps,
-            tag=tag,
-            field_name=field_name,
-            priority=priority,
+                inner |= sources
+            elif operand not in _CONSTANT_INPUTS:
+                inherits = True
+        used |= inner
+        producer[product] = offset
+        nodes.append((f".{multiplicand}", tuple(sorted(inner)), inherits))
+    exits = tuple(offset for offset in range(len(nodes)) if offset not in used)
+    return _Template(tuple(nodes), exits)
+
+
+_DOUBLING = _template(DOUBLING_SEQUENCE)
+_MIXED_ADDITION = _template(MIXED_ADDITION_SEQUENCE)
+
+
+#: One step of a workload generator, ``(key, tag, deps, template)``.  With
+#: a template the record is one point operation: it expands into the
+#: template's multiplications, keyed ``key`` + suffix, and ``deps`` are its
+#: entry dependencies.  Without one (``None``) it is a single
+#: multiplication keyed ``key`` that depends on ``deps``.  Dependencies are
+#: node indices, which each generator counts as it yields.  Records are
+#: plain tuples: building a NamedTuple instead adds ~0.35 µs per job to
+#: the jobs view (2-vCPU VM, Python 3.11).
+_Record = Tuple[str, str, Tuple[int, ...], Optional[_Template]]
+
+
+def _jobs(records: Iterable[_Record]) -> Iterator[MultiplicationJob]:
+    """The flat view: every record's multiplications in order, no edges."""
+    for key, tag, _, template in records:
+        if template is None:
+            yield MultiplicationJob(key, tag)
+        else:
+            for suffix, _, _ in template.nodes:
+                yield MultiplicationJob(key + suffix, tag)
+
+
+def _graph(
+    name: str, records: Iterable[_Record], field_name: str
+) -> WorkloadGraph:
+    """The dependency view: every record's nodes with their edges."""
+    graph = WorkloadGraph(name=name)
+    for key, tag, deps, template in records:
+        if template is None:
+            graph.add(key, deps=deps, tag=tag, field_name=field_name)
+            continue
+        start = len(graph)
+        for suffix, inner, inherits in template.nodes:
+            graph.add(
+                key + suffix,
+                deps=(deps if inherits else ())
+                + tuple(start + offset for offset in inner),
+                tag=tag,
+                field_name=field_name,
+            )
+    return graph
+
+
+def _require_positive(name: str, value: int) -> None:
+    if value <= 0:
+        raise OperandRangeError(f"{name} must be positive, got {value}")
+
+
+def _ladder_steps(
+    scalar_bits: int, additions: int
+) -> Iterator[Tuple[_Template, str]]:
+    """A double-and-add ladder's point operations, in order.
+
+    ``scalar_bits`` doublings with a mixed addition after every second
+    doubling until ``additions`` are placed, stragglers at the end.
+    """
+    emitted = 0
+    for step in range(scalar_bits):
+        yield _DOUBLING, f"dbl[{step}]"
+        if emitted < additions and step % 2 == 1:
+            yield _MIXED_ADDITION, f"add[{emitted}]"
+            emitted += 1
+    for straggler in range(emitted, additions):
+        yield _MIXED_ADDITION, f"add[{straggler}]"
+
+
+def _ladder(
+    scalar_bits: int, additions: int = -1, scope: str = "", start: int = 0
+) -> Iterator[_Record]:
+    """A double-and-add ladder whose first node is ``start``.
+
+    ``additions`` defaults to half the bit length, the expected Hamming
+    weight of a random scalar.  Returns the index after its last node and
+    the final operation's exits.
+    """
+    _require_positive("scalar_bits", scalar_bits)
+    if additions < 0:
+        additions = scalar_bits // 2
+    index, exits = start, ()
+    for template, name in _ladder_steps(scalar_bits, additions):
+        yield scope + name, name, exits, template
+        index, exits = template.after(index)
+    return index, exits
+
+
+def _ecdsa_sign(scalar_bits: int, signatures: int) -> Iterator[_Record]:
+    _require_positive("signatures", signatures)
+    index = 0
+    for signature in range(signatures):
+        prefix = f"sig[{signature}]"
+        index, ladder_exits = yield from _ladder(
+            scalar_bits, scope=f"{prefix}.", start=index
         )
-        used_in_op.update(deps)
-        producer[product] = index
-        added.append(index)
-    return [index for index in added if index not in used_in_op]
+        # Fermat inversion of the nonce: a serial square-and-multiply chain
+        # over the scalar field, independent of the ladder above.  Every
+        # squaring squares a fresh value; the multiplies all reuse k.
+        chain: Tuple[int, ...] = ()
+        for step in range(scalar_bits):
+            yield f"{prefix}.inv.sq[{step}]", "inversion", chain, None
+            chain, index = (index,), index + 1
+            if step % 2 == 1:
+                yield f"{prefix}.inv.k", "inversion", chain, None
+                chain, index = (index,), index + 1
+        # r·d needs r (the ladder's x-coordinate); k⁻¹·(z + r·d) joins the
+        # inversion chain with it.
+        yield f"{prefix}.d", "s-computation", ladder_exits, None
+        yield f"{prefix}.kinv", "s-computation", (index,) + chain, None
+        index += 2
+
+
+def _ntt(size: int, tag: str) -> Iterator[_Record]:
+    if size < 2 or size & (size - 1):
+        raise OperandRangeError(
+            f"NTT size must be a power of two >= 2, got {size}"
+        )
+    half = size // 2
+    # Stage 0 has one twiddle and reads only inputs: no dependencies.
+    key, stage_tag = f"{tag}.w[0][0]", f"{tag}:s0"
+    for _ in range(half):
+        yield key, stage_tag, (), None
+    for stage in range(1, size.bit_length() - 1):
+        twiddles = 1 << stage
+        group = half >> stage  # butterflies sharing one twiddle
+        stage_tag = f"{tag}:s{stage}"
+        # Node (stage, twiddle, block) is stage·half + twiddle·group +
+        # block.  Block b reads the two positions that blocks 2b and
+        # 2b + 1 of twiddle (twiddle mod twiddles/2) wrote one stage
+        # earlier, where groups were twice as long.
+        for twiddle in range(twiddles):
+            key = f"{tag}.w[{stage}][{twiddle}]"
+            first = (stage - 1) * half + (twiddle % (twiddles >> 1)) * 2 * group
+            for dep in range(first, first + 2 * group, 2):
+                yield key, stage_tag, (dep, dep + 1), None
+
+
+def _msm(
+    points: int, window_bits: int, scalar_bits: int, tag: str
+) -> Iterator[_Record]:
+    from repro.zkp.msm import default_window_bits
+
+    _require_positive("points", points)
+    _require_positive("scalar_bits", scalar_bits)
+    c = window_bits or default_window_bits(points)
+    _require_positive("window size", c)
+    windows = -(-scalar_bits // c)
+    buckets = (1 << c) - 1
+    index = 0
+    reduce_tail: List[Tuple[int, ...]] = []
+    for window in range(windows):
+        bucket_tail: List[Tuple[int, ...]] = [()] * buckets
+        for point in range(points):
+            bucket = point % buckets  # deterministic stand-in assignment
+            scope = f"{tag}.w{window}.bucket[{point}]"
+            yield scope, scope, bucket_tail[bucket], _MIXED_ADDITION
+            index, bucket_tail[bucket] = _MIXED_ADDITION.after(index)
+        # Running-sum reduction: two Jacobian additions per bucket slot,
+        # walking the buckets from the top down.  The mixed sequence is the
+        # conservative stand-in for a full Jacobian-Jacobian addition.
+        exits: Tuple[int, ...] = ()
+        for slot in range(2 * buckets):
+            bucket = buckets - 1 - slot // 2
+            scope = f"{tag}.w{window}.reduce[{slot}]"
+            yield scope, scope, exits + bucket_tail[bucket], _MIXED_ADDITION
+            index, exits = _MIXED_ADDITION.after(index)
+        reduce_tail.append(exits)
+    carry: Tuple[int, ...] = ()
+    for window in range(windows):
+        for doubling in range(c):
+            scope = f"{tag}.horner[{window}][{doubling}]"
+            yield scope, scope, carry, _DOUBLING
+            index, carry = _DOUBLING.after(index)
+        scope = f"{tag}.horner-add[{window}]"
+        yield scope, scope, carry + reduce_tail[window], _MIXED_ADDITION
+        index, carry = _MIXED_ADDITION.after(index)
 
 
 def point_operation_graph(
@@ -127,67 +315,13 @@ def point_operation_graph(
     tag: str = "point-op",
     field_name: str = "",
 ) -> WorkloadGraph:
-    """One point operation (doubling / mixed addition) as a graph."""
-    graph = WorkloadGraph(name=tag)
-    _append_point_operation(graph, sequence, scope=tag, field_name=field_name)
-    return graph
+    """One point operation (doubling / mixed addition) as a graph.
 
-
-def _append_scalar_multiplication(
-    graph: WorkloadGraph,
-    scalar_bits: int,
-    additions: int = -1,
-    scope: str = "",
-    field_name: str = "",
-    priority: int = 0,
-) -> List[int]:
-    """Append a double-and-add ladder; return the final operation's exits.
-
-    Emission order matches the legacy stream: ``scalar_bits`` doublings
-    with a mixed addition after every second doubling until ``additions``
-    (default: half the bit length) are placed, stragglers at the end.
+    Multiplicand keys are scoped to ``tag``, because the live values of
+    one operation are unrelated to those of the next: ``yy`` of ``dbl[3]``
+    and ``yy`` of ``dbl[4]`` must not look like a shared LUT.
     """
-    if scalar_bits <= 0:
-        raise OperandRangeError(
-            f"scalar_bits must be positive, got {scalar_bits}"
-        )
-    if additions < 0:
-        additions = scalar_bits // 2
-    emitted = 0
-    exits: List[int] = []
-    for index in range(scalar_bits):
-        exits = _append_point_operation(
-            graph,
-            DOUBLING_SEQUENCE,
-            scope=f"{scope}dbl[{index}]",
-            tag=f"dbl[{index}]",
-            entry_deps=exits,
-            field_name=field_name,
-            priority=priority,
-        )
-        if emitted < additions and index % 2 == 1:
-            exits = _append_point_operation(
-                graph,
-                MIXED_ADDITION_SEQUENCE,
-                scope=f"{scope}add[{emitted}]",
-                tag=f"add[{emitted}]",
-                entry_deps=exits,
-                field_name=field_name,
-                priority=priority,
-            )
-            emitted += 1
-    while emitted < additions:
-        exits = _append_point_operation(
-            graph,
-            MIXED_ADDITION_SEQUENCE,
-            scope=f"{scope}add[{emitted}]",
-            tag=f"add[{emitted}]",
-            entry_deps=exits,
-            field_name=field_name,
-            priority=priority,
-        )
-        emitted += 1
-    return exits
+    return _graph(tag, [(tag, tag, (), _template(sequence))], field_name)
 
 
 def scalar_multiplication_graph(
@@ -201,11 +335,21 @@ def scalar_multiplication_graph(
     parallel within a step: the independent multiplications of one
     doubling or addition land in the same topological level.
     """
-    graph = WorkloadGraph(name=f"scalar-mult[{scalar_bits}]")
-    _append_scalar_multiplication(
-        graph, scalar_bits, additions, field_name=field_name
+    return _graph(
+        f"scalar-mult[{scalar_bits}]", _ladder(scalar_bits, additions), field_name
     )
-    return graph
+
+
+def scalar_multiplication_jobs(
+    scalar_bits: int = 256, additions: int = -1
+) -> Iterator[MultiplicationJob]:
+    """Double-and-add scalar multiplication as a lazy job stream.
+
+    ``scalar_bits`` doublings interleaved with ``additions`` mixed
+    additions (default: half the bit length), in the order of
+    :func:`scalar_multiplication_graph`.
+    """
+    return _jobs(_ladder(scalar_bits, additions))
 
 
 def ecdsa_sign_graph(
@@ -222,54 +366,23 @@ def ecdsa_sign_graph(
     Signatures are mutually independent, so batched signing is
     embarrassingly wide.
     """
-    if signatures <= 0:
-        raise OperandRangeError(
-            f"signatures must be positive, got {signatures}"
-        )
-    if scalar_bits <= 0:
-        raise OperandRangeError(
-            f"scalar_bits must be positive, got {scalar_bits}"
-        )
-    graph = WorkloadGraph(name=f"ecdsa-sign[{signatures}x{scalar_bits}]")
-    for signature in range(signatures):
-        prefix = f"sig[{signature}]"
-        ladder_exits = _append_scalar_multiplication(
-            graph, scalar_bits, scope=f"{prefix}.", field_name=field_name
-        )
-        # Fermat inversion of the nonce: a serial square-and-multiply chain
-        # over the scalar field, independent of the ladder above.
-        chain: List[int] = []
-        for index in range(scalar_bits):
-            square = graph.add(
-                multiplicand=f"{prefix}.inv.sq[{index}]",
-                deps=chain,
-                tag="inversion",
-                field_name=field_name,
-            )
-            chain = [square]
-            if index % 2 == 1:
-                multiply = graph.add(
-                    multiplicand=f"{prefix}.inv.k",
-                    deps=chain,
-                    tag="inversion",
-                    field_name=field_name,
-                )
-                chain = [multiply]
-        # r·d needs r (the ladder's x-coordinate); k⁻¹·(z + r·d) joins the
-        # inversion chain with it.
-        r_times_d = graph.add(
-            multiplicand=f"{prefix}.d",
-            deps=ladder_exits,
-            tag="s-computation",
-            field_name=field_name,
-        )
-        graph.add(
-            multiplicand=f"{prefix}.kinv",
-            deps=[r_times_d] + chain,
-            tag="s-computation",
-            field_name=field_name,
-        )
-    return graph
+    return _graph(
+        f"ecdsa-sign[{signatures}x{scalar_bits}]",
+        _ecdsa_sign(scalar_bits, signatures),
+        field_name,
+    )
+
+
+def ecdsa_sign_jobs(
+    scalar_bits: int = 256, signatures: int = 1
+) -> Iterator[MultiplicationJob]:
+    """One or more ECDSA signing operations as a lazy job stream.
+
+    Per signature: the ``k·G`` ladder, ``scalar_bits`` squarings plus half
+    as many multiplies inverting the nonce, and the two products forming
+    ``s``, in the order of :func:`ecdsa_sign_graph`.
+    """
+    return _jobs(_ecdsa_sign(scalar_bits, signatures))
 
 
 def ntt_graph(size: int, tag: str = "ntt", field_name: str = "") -> WorkloadGraph:
@@ -282,36 +395,18 @@ def ntt_graph(size: int, tag: str = "ntt", field_name: str = "") -> WorkloadGrap
     ``size / 2``).  Emission stays twiddle-major within a stage — the
     ordering under which the paper's LUT-reuse argument applies.
     """
-    if size < 2 or size & (size - 1):
-        raise OperandRangeError(
-            f"NTT size must be a power of two >= 2, got {size}"
-        )
-    graph = WorkloadGraph(name=f"{tag}[{size}]")
-    stages = size.bit_length() - 1
-    owner: List[Optional[int]] = [None] * size
-    for stage in range(stages):
-        twiddles = 1 << stage
-        group = size // (2 * twiddles)  # butterflies sharing one twiddle
-        span = 2 * twiddles  # butterfly block length at this stage
-        key_tag = f"{tag}:s{stage}"
-        for twiddle in range(twiddles):
-            key = f"{tag}.w[{stage}][{twiddle}]"
-            for block in range(group):
-                upper = block * span + twiddle
-                lower = upper + twiddles
-                deps = {
-                    dep
-                    for dep in (owner[upper], owner[lower])
-                    if dep is not None
-                }
-                index = graph.add(
-                    multiplicand=key,
-                    deps=deps,
-                    tag=key_tag,
-                    field_name=field_name,
-                )
-                owner[upper] = owner[lower] = index
-    return graph
+    return _graph(f"{tag}[{size}]", _ntt(size, tag), field_name)
+
+
+def ntt_jobs(size: int, tag: str = "ntt") -> Iterator[MultiplicationJob]:
+    """A ``size``-point iterative NTT as a lazy job stream.
+
+    Stage ``s`` uses ``2**s`` distinct twiddle factors, and the butterflies
+    of one twiddle are consecutive (twiddle-major order), so a macro
+    holding that twiddle's radix-4 LUT serves the whole group without a
+    refill.  Memory stays O(1) at any size.
+    """
+    return _jobs(_ntt(size, tag))
 
 
 def msm_graph(
@@ -330,64 +425,25 @@ def msm_graph(
     through a sequential Horner chain of doublings.  Windows are
     independent until the Horner fold joins them.
     """
-    from repro.zkp.msm import default_window_bits
+    return _graph(
+        f"{tag}[{points}]", _msm(points, window_bits, scalar_bits, tag), field_name
+    )
 
-    if points <= 0:
-        raise OperandRangeError(f"points must be positive, got {points}")
-    if scalar_bits <= 0:
-        raise OperandRangeError(
-            f"scalar_bits must be positive, got {scalar_bits}"
-        )
-    c = window_bits or default_window_bits(points)
-    if c < 1:
-        raise OperandRangeError(f"window size must be positive, got {c}")
-    windows = -(-scalar_bits // c)
-    buckets = (1 << c) - 1
 
-    graph = WorkloadGraph(name=f"{tag}[{points}]")
-    reduce_tail: List[List[int]] = []
-    for window in range(windows):
-        bucket_tail: List[List[int]] = [[] for _ in range(buckets)]
-        for point in range(points):
-            bucket = point % buckets  # deterministic stand-in assignment
-            bucket_tail[bucket] = _append_point_operation(
-                graph,
-                MIXED_ADDITION_SEQUENCE,
-                scope=f"{tag}.w{window}.bucket[{point}]",
-                entry_deps=bucket_tail[bucket],
-                field_name=field_name,
-            )
-        # Running-sum reduction: two Jacobian additions per bucket slot,
-        # walking the buckets from the top down.
-        exits: List[int] = []
-        for slot in range(2 * buckets):
-            bucket = buckets - 1 - slot // 2
-            exits = _append_point_operation(
-                graph,
-                MIXED_ADDITION_SEQUENCE,
-                scope=f"{tag}.w{window}.reduce[{slot}]",
-                entry_deps=exits + bucket_tail[bucket],
-                field_name=field_name,
-            )
-        reduce_tail.append(exits)
-    carry: List[int] = []
-    for window in range(windows):
-        for doubling in range(c):
-            carry = _append_point_operation(
-                graph,
-                DOUBLING_SEQUENCE,
-                scope=f"{tag}.horner[{window}][{doubling}]",
-                entry_deps=carry,
-                field_name=field_name,
-            )
-        carry = _append_point_operation(
-            graph,
-            MIXED_ADDITION_SEQUENCE,
-            scope=f"{tag}.horner-add[{window}]",
-            entry_deps=carry + reduce_tail[window],
-            field_name=field_name,
-        )
-    return graph
+def msm_jobs(
+    points: int,
+    window_bits: int = 0,
+    scalar_bits: int = 256,
+    tag: str = "msm",
+) -> Iterator[MultiplicationJob]:
+    """A ``points``-element bucket-method MSM as a lazy job stream.
+
+    For each of the ``ceil(scalar_bits / c)`` windows (``c`` defaults to
+    :func:`repro.zkp.msm.default_window_bits`), one mixed addition per
+    point and two per bucket, then ``c`` doublings and one addition per
+    window, in the order of :func:`msm_graph`.
+    """
+    return _jobs(_msm(points, window_bits, scalar_bits, tag))
 
 
 def product_tree_graph(

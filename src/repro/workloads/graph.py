@@ -4,8 +4,8 @@ One :class:`WorkloadGraph` is one *request*: a DAG whose nodes are modular
 multiplications and whose edges are data (or conservative control)
 dependencies.  Nodes are appended in a valid topological order — every
 dependency must name an already-added node — so the graph is acyclic by
-construction and its insertion order doubles as the legacy flat stream
-order (:meth:`WorkloadGraph.to_jobs`).
+construction and its insertion order doubles as the flat job order
+(:meth:`WorkloadGraph.to_jobs`).
 
 Two views matter to schedulers:
 
@@ -54,6 +54,20 @@ class Ref(NamedTuple):
 
 #: An operand of a multiplication node: a concrete value or a :class:`Ref`.
 Operand = Union[int, Ref]
+
+
+def _is_int(value: object) -> bool:
+    """Whether a decoded JSON value is an integer (``bool`` is not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _invalid_field(
+    position: int, node: Dict[str, object], field: str, expected: str
+) -> ConfigurationError:
+    return ConfigurationError(
+        f"graph node {position} field {field!r} must be {expected}, "
+        f"got {node.get(field)!r}"
+    )
 
 
 @dataclass(frozen=True)
@@ -227,10 +241,12 @@ class WorkloadGraph:
     # views
     # ------------------------------------------------------------------ #
     def to_jobs(self) -> Iterator[MultiplicationJob]:
-        """The legacy flat stream: jobs in insertion order, no dependencies.
+        """The flat view: jobs in insertion order, no dependencies.
 
-        This is what the pre-graph stream generators emitted; the
-        stream-based chip scheduler and parity tests consume it.
+        :meth:`repro.modsram.chip.ChipScheduler.schedule` consumes it.  For
+        the builder workloads, the lazy ``*_jobs`` functions of
+        :mod:`repro.workloads.builders` yield the same jobs without
+        building the graph first.
         """
         for node in self._nodes:
             yield node.job()
@@ -304,22 +320,48 @@ class WorkloadGraph:
         Round-trips exactly: node order, dependencies, operands and
         LUT-reuse metadata all survive, so a graph executed on a remote
         cluster node yields bit-identical products to local execution.
+        The payload is client input, so nothing is coerced: a malformed
+        node raises :class:`ConfigurationError` naming its index and field.
         """
-        def decode(value: object) -> Optional[Operand]:
-            if isinstance(value, dict):
-                return Ref(int(value["ref"]))
-            return None if value is None else int(value)
-
+        nodes = payload.get("nodes")
+        if not isinstance(nodes, list):
+            raise ConfigurationError(
+                f"graph payload needs a list of nodes, got {nodes!r}"
+            )
         graph = cls(name=str(payload.get("name", "workload")))
-        for node in payload["nodes"]:  # type: ignore[index]
+        for position, node in enumerate(nodes):
+            if not isinstance(node, dict):
+                raise ConfigurationError(
+                    f"graph node {position} must be an object, got {node!r}"
+                )
+            multiplicand = node.get("multiplicand")
+            if not isinstance(multiplicand, str):
+                raise _invalid_field(position, node, "multiplicand", "a string")
+            deps = node.get("deps", ())
+            if not isinstance(deps, (list, tuple)) or not all(map(_is_int, deps)):
+                raise _invalid_field(position, node, "deps", "a list of integers")
+            priority = node.get("priority", 0)
+            if not _is_int(priority):
+                raise _invalid_field(position, node, "priority", "an integer")
+            operands: List[Optional[Operand]] = []
+            for field in ("a", "b"):
+                value = node.get(field)
+                if isinstance(value, dict) and _is_int(value.get("ref")):
+                    operands.append(Ref(value["ref"]))
+                elif value is None or _is_int(value):
+                    operands.append(value)
+                else:
+                    raise _invalid_field(
+                        position, node, field, 'null, an integer or {"ref": <int>}'
+                    )
             graph.add(
-                multiplicand=str(node["multiplicand"]),
-                deps=tuple(int(dep) for dep in node.get("deps", ())),
+                multiplicand=multiplicand,
+                deps=deps,
                 tag=str(node.get("tag", "")),
                 field_name=str(node.get("field_name", "")),
-                priority=int(node.get("priority", 0)),
-                a=decode(node.get("a")),
-                b=decode(node.get("b")),
+                priority=priority,
+                a=operands[0],
+                b=operands[1],
             )
         return graph
 

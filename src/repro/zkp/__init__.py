@@ -1,12 +1,5 @@
 """Zero-knowledge-proof kernels: NTT, MSM and their operation-count models."""
 
-from repro.zkp.mapping import (
-    KernelMapping,
-    map_zkp_kernels,
-    msm_workload,
-    ntt_distinct_twiddle_multiplications,
-    ntt_workload,
-)
 from repro.zkp.msm import (
     MsmStatistics,
     default_window_bits,
@@ -26,7 +19,6 @@ from repro.zkp.opcount import (
 )
 
 __all__ = [
-    "KernelMapping",
     "MsmStatistics",
     "NttContext",
     "OperationCounts",
@@ -36,14 +28,10 @@ __all__ = [
     "bit_reverse_indices",
     "default_window_bits",
     "find_root_of_unity",
-    "map_zkp_kernels",
     "msm_engine",
     "msm_naive",
     "msm_operation_counts",
     "msm_pippenger",
     "msm_point_additions",
-    "msm_workload",
-    "ntt_distinct_twiddle_multiplications",
     "ntt_operation_counts",
-    "ntt_workload",
 ]

@@ -15,6 +15,7 @@ import pytest
 
 from repro.cluster import (
     ClusterClient,
+    Connection,
     Router,
     RouterConfig,
     SloCatalog,
@@ -28,6 +29,7 @@ from repro.errors import (
     ConfigurationError,
     OperandRangeError,
     ProtocolError,
+    ServiceError,
     WorkerCrashError,
 )
 from repro.workloads import product_tree_graph
@@ -271,6 +273,86 @@ class TestValidationAndErrors:
                 async with ClusterClient("127.0.0.1", router.port) as client:
                     with pytest.raises(WorkerCrashError, match="no live"):
                         await client.multiply_batch([(2, 3)], modulus=MODULUS)
+                # The ledger balances: admitted = completed + failed.
+                stats = router.describe()
+                assert (stats["submitted"], stats["failed"]) == (1, 1)
+                assert (stats["completed"], stats["inflight"]) == (0, 0)
+
+        run(scenario())
+
+    def test_router_close_counts_inflight_jobs_failed(self):
+        async def scenario():
+            router = await Router(EngineSpec()).start()
+            # A joined node that never answers keeps the job in flight.
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", router.port
+            )
+            silent = Connection(reader, writer)
+            await silent.send({"type": "join", "node": "silent"})
+            assert (await silent.receive())["type"] == "welcome"
+            async with ClusterClient("127.0.0.1", router.port) as client:
+                pending = asyncio.ensure_future(
+                    client.multiply_batch([(2, 3)], modulus=MODULUS)
+                )
+                await _wait_for(lambda: router.pending_by_node().get("silent"))
+                await router.close()
+                with pytest.raises(ServiceError):
+                    await asyncio.wait_for(pending, 5)
+            await silent.close()
+            assert (router.metrics.submitted, router.metrics.failed) == (1, 1)
+
+        run(scenario())
+
+    @pytest.mark.parametrize(
+        "nodes",
+        [
+            [{"deps": [], "a": 2, "b": 3}],
+            [{"multiplicand": "x", "deps": ["a"], "a": 2, "b": 3}],
+            [1, 2],
+            [{"multiplicand": "x", "a": {"ref": "zero"}, "b": 3}],
+            [{"multiplicand": "x", "a": 2.9, "b": 3}],
+            [{"multiplicand": "x", "a": "5", "b": 3}],
+            [{"multiplicand": "x", "a": True, "b": 3}],
+        ],
+        ids=[
+            "missing-multiplicand",
+            "string-dep",
+            "non-object-nodes",
+            "string-ref",
+            "float-operand",
+            "string-operand",
+            "bool-operand",
+        ],
+    )
+    def test_malformed_graph_is_answered_with_configuration_error(self, nodes):
+        class HandWritten:
+            """A client-built graph payload, sent as-is."""
+
+            def to_payload(self):
+                return {"name": "bad", "nodes": nodes}
+
+        async def scenario():
+            async with Router(EngineSpec()) as router:
+                async with WorkerNode("127.0.0.1", router.port):
+                    async with ClusterClient(
+                        "127.0.0.1", router.port
+                    ) as client:
+                        with pytest.raises(ConfigurationError, match="node 0"):
+                            await asyncio.wait_for(
+                                client.submit_graph(
+                                    HandWritten(), modulus=MODULUS
+                                ),
+                                3,
+                            )
+                        await _wait_for(
+                            lambda: router.describe()["inflight"] == 0
+                        )
+                        # The node still serves well-formed graphs.
+                        graph = product_tree_graph([2, 3, 5])
+                        response = await client.submit_graph(
+                            graph, modulus=MODULUS
+                        )
+                        assert response.values == (30,)
 
         run(scenario())
 

@@ -18,8 +18,34 @@ QUICK_PARAMS = {
     "msm_points": 8,
 }
 
+#: (jobs, makespan cycles at 1/2/4 macros) of each workload at 32-bit
+#: scalars, a 128-point NTT and an 8-point MSM, recorded from the
+#: hand-written job streams the experiment dispatched before the workload
+#: builders became their only description.
+PINNED_MAKESPANS = {
+    "ecdsa-sign": (482, (374644, 187366, 93995)),
+    "scalar-mult": (432, (335744, 167916, 83958)),
+    "ntt": (448, (345013, 172853, 86597)),
+    "msm": (2896, (2247808, 1124564, 562645)),
+}
+
 
 class TestReproduceChipScaling:
+    @pytest.mark.parametrize("workload", sorted(PINNED_MAKESPANS))
+    def test_pinned_makespans(self, workload):
+        result = reproduce_chip_scaling(
+            workload=workload,
+            macro_counts=(1, 2, 4),
+            scalar_bits=32,
+            vector_size=128,
+            msm_points=8,
+        )
+        jobs, makespans = PINNED_MAKESPANS[workload]
+        assert [point.jobs for point in result.points] == [jobs] * 3
+        assert (
+            tuple(point.makespan_cycles for point in result.points) == makespans
+        )
+
     def test_speedup_normalised_to_one_macro(self):
         result = reproduce_chip_scaling(
             workload="ntt", macro_counts=(1, 4), vector_size=256

@@ -1,14 +1,9 @@
-"""Tests for the multi-macro chip model, its scheduler and workload streams."""
+"""Tests for the multi-macro chip model, its scheduler and workload jobs."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.ecc.streams import (
-    ecdsa_sign_stream,
-    point_operation_jobs,
-    scalar_multiplication_stream,
-)
 from repro.errors import ConfigurationError, OperandRangeError
 from repro.modsram import (
     AnalyticalCostModel,
@@ -20,7 +15,13 @@ from repro.modsram import (
     PAPER_CONFIG,
 )
 from repro.modsram.scheduler import DOUBLING_SEQUENCE, MIXED_ADDITION_SEQUENCE
-from repro.zkp.streams import msm_stream, ntt_stream
+from repro.workloads import (
+    ecdsa_sign_jobs,
+    msm_jobs,
+    ntt_jobs,
+    point_operation_graph,
+    scalar_multiplication_jobs,
+)
 
 
 def jobs(*keys: str):
@@ -56,7 +57,7 @@ class TestChipScheduler:
         assert schedule.per_macro_jobs == (8, 8)
 
     def test_more_macros_reduce_makespan(self):
-        stream = list(scalar_multiplication_stream(64))
+        stream = list(scalar_multiplication_jobs(64))
         single = ChipScheduler(1, PAPER_CONFIG).schedule(stream)
         quad = ChipScheduler(4, PAPER_CONFIG).schedule(stream)
         assert quad.jobs == single.jobs
@@ -156,47 +157,49 @@ class TestChipExecution:
         assert chip_energy > 0
 
 
-class TestEccStreams:
-    def test_point_operation_jobs_scope_multiplicands(self):
-        doubling = list(point_operation_jobs(DOUBLING_SEQUENCE, "dbl[0]"))
+class TestEccJobs:
+    def test_point_operation_scopes_multiplicands(self):
+        doubling = list(point_operation_graph(DOUBLING_SEQUENCE, "dbl[0]").to_jobs())
         assert len(doubling) == len(DOUBLING_SEQUENCE)
         assert all(job.multiplicand.startswith("dbl[0].") for job in doubling)
 
-    def test_scalar_multiplication_stream_counts(self):
-        stream = list(scalar_multiplication_stream(64))
+    def test_scalar_multiplication_jobs_counts(self):
+        stream = list(scalar_multiplication_jobs(64))
         expected = 64 * len(DOUBLING_SEQUENCE) + 32 * len(MIXED_ADDITION_SEQUENCE)
         assert len(stream) == expected
 
-    def test_ecdsa_sign_stream_extends_the_scalar_multiplication(self):
+    def test_ecdsa_sign_jobs_extend_the_scalar_multiplication(self):
         bits = 32
-        sign = list(ecdsa_sign_stream(bits))
-        scalar_mult = list(scalar_multiplication_stream(bits))
+        sign = list(ecdsa_sign_jobs(bits))
+        scalar_mult = list(scalar_multiplication_jobs(bits))
         # Inversion: bits squarings + bits // 2 multiplies; plus two products.
         assert len(sign) == len(scalar_mult) + bits + bits // 2 + 2
 
     def test_multiple_signatures_do_not_share_luts(self):
-        two = list(ecdsa_sign_stream(16, signatures=2))
-        one = list(ecdsa_sign_stream(16, signatures=1))
+        two = list(ecdsa_sign_jobs(16, signatures=2))
+        one = list(ecdsa_sign_jobs(16, signatures=1))
         assert len(two) == 2 * len(one)
         assert len({job.multiplicand for job in two}) == 2 * len(
             {job.multiplicand for job in one}
         )
 
-    def test_stream_validation(self):
-        with pytest.raises(OperandRangeError):
-            list(scalar_multiplication_stream(0))
-        with pytest.raises(OperandRangeError):
-            list(ecdsa_sign_stream(64, signatures=0))
+    def test_jobs_validation(self):
+        with pytest.raises(OperandRangeError, match="scalar_bits must be positive"):
+            list(scalar_multiplication_jobs(0))
+        with pytest.raises(OperandRangeError, match="signatures must be positive"):
+            list(ecdsa_sign_jobs(64, signatures=0))
+        with pytest.raises(OperandRangeError, match="scalar_bits must be positive"):
+            list(ecdsa_sign_jobs(0))
 
 
-class TestZkpStreams:
-    def test_ntt_stream_job_count(self):
+class TestZkpJobs:
+    def test_ntt_jobs_count(self):
         size = 256
-        stream = list(ntt_stream(size))
+        stream = list(ntt_jobs(size))
         assert len(stream) == (size // 2) * 8  # n/2 * log2(n)
 
     def test_ntt_twiddle_groups_are_consecutive(self):
-        stream = list(ntt_stream(64))
+        stream = list(ntt_jobs(64))
         seen = []
         for job in stream:
             if not seen or seen[-1] != job.multiplicand:
@@ -205,19 +208,19 @@ class TestZkpStreams:
         assert len(seen) == len(set(seen))
 
     def test_ntt_reuse_dominates_on_one_macro(self):
-        schedule = ChipScheduler(1, PAPER_CONFIG).schedule(ntt_stream(256))
+        schedule = ChipScheduler(1, PAPER_CONFIG).schedule(ntt_jobs(256))
         # Distinct twiddles: 2^0 + ... + 2^7 = 255 refills for 1024 jobs.
         assert schedule.lut_refills == 255
         assert schedule.lut_reuse_rate > 0.7
 
-    def test_ntt_stream_validation(self):
-        with pytest.raises(OperandRangeError):
-            list(ntt_stream(3))
-        with pytest.raises(OperandRangeError):
-            list(ntt_stream(0))
+    def test_ntt_jobs_validation(self):
+        with pytest.raises(OperandRangeError, match="power of two"):
+            list(ntt_jobs(3))
+        with pytest.raises(OperandRangeError, match="power of two"):
+            list(ntt_jobs(0))
 
-    def test_msm_stream_structure(self):
-        stream = list(msm_stream(8, window_bits=2, scalar_bits=8))
+    def test_msm_jobs_structure(self):
+        stream = list(msm_jobs(8, window_bits=2, scalar_bits=8))
         assert stream  # non-empty
         windows = 4  # ceil(8 / 2)
         buckets = 3  # 2^2 - 1
@@ -228,8 +231,10 @@ class TestZkpStreams:
         )
         assert len(stream) == expected
 
-    def test_msm_stream_validation(self):
-        with pytest.raises(OperandRangeError):
-            list(msm_stream(0))
-        with pytest.raises(OperandRangeError):
-            list(msm_stream(8, scalar_bits=0))
+    def test_msm_jobs_validation(self):
+        with pytest.raises(OperandRangeError, match="points must be positive"):
+            list(msm_jobs(0))
+        with pytest.raises(OperandRangeError, match="scalar_bits must be positive"):
+            list(msm_jobs(8, scalar_bits=0))
+        with pytest.raises(OperandRangeError, match="window size must be positive"):
+            list(msm_jobs(8, window_bits=-1))

@@ -125,15 +125,6 @@ class TestAnalyticalExactness:
             subtractions=report.finalize_cycles - 2
         ) == report.total_cycles
 
-    def test_radix4_refill_matches_the_point_scheduler_constant(self):
-        from repro.modsram import PointOperationScheduler
-
-        model = AnalyticalCostModel(PAPER_CONFIG)
-        assert (
-            model.radix4_refill_cycles()
-            == PointOperationScheduler.RADIX4_PRECOMPUTE_CYCLES
-        )
-
 
 class TestAccessStatsParity:
     """Closed-form and register-file access profiles match the real array."""

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import MemoryMapError
 from repro.modsram import (
+    AnalyticalCostModel,
     EquivalenceChecker,
     ModSRAMConfig,
     PAPER_CONFIG,
@@ -45,7 +46,9 @@ class TestPointOperationScheduler:
         reused = [entry.lut_reused for entry in schedule.multiplications]
         assert reused == [False, True, True, False]
         assert schedule.lut_reuse_rate == pytest.approx(0.5)
-        assert schedule.precompute_cycles == 2 * PointOperationScheduler.RADIX4_PRECOMPUTE_CYCLES
+        assert schedule.precompute_cycles == (
+            2 * AnalyticalCostModel(PAPER_CONFIG).radix4_refill_cycles()
+        )
 
     def test_every_value_gets_a_unique_row(self, scheduler):
         schedule = scheduler.schedule_mixed_addition()
@@ -91,10 +94,8 @@ class TestPointOperationScheduler:
             [False] * len(DOUBLING_SEQUENCE)
         )
         assert schedule.lut_reuse_rate == 0.0
-        assert schedule.precompute_cycles == (
-            len(DOUBLING_SEQUENCE)
-            * PointOperationScheduler.RADIX4_PRECOMPUTE_CYCLES
-        )
+        refill = AnalyticalCostModel(PAPER_CONFIG).radix4_refill_cycles()
+        assert schedule.precompute_cycles == len(DOUBLING_SEQUENCE) * refill
 
     def test_doubling_operands_fit_the_array(self, scheduler):
         schedule = scheduler.schedule_doubling()

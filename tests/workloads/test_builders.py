@@ -1,55 +1,102 @@
-"""Tests for the workload graph builders and their stream parity."""
+"""Tests for the workload builders: pinned outputs and graph structure."""
 
 from __future__ import annotations
 
+import hashlib
+import tracemalloc
+
 import pytest
 
-from repro.ecc.streams import (
-    ecdsa_sign_stream,
-    point_operation_jobs,
-    scalar_multiplication_stream,
-)
 from repro.errors import OperandRangeError
 from repro.modsram.scheduler import DOUBLING_SEQUENCE, MIXED_ADDITION_SEQUENCE
 from repro.workloads import (
     ecdsa_sign_graph,
+    ecdsa_sign_jobs,
     msm_graph,
+    msm_jobs,
     ntt_graph,
+    ntt_jobs,
     point_operation_graph,
     product_tree_graph,
     scalar_multiplication_graph,
+    scalar_multiplication_jobs,
 )
-from repro.zkp.streams import msm_stream, ntt_stream
 
 
-class TestStreamParity:
-    """graph.to_jobs() must reproduce the legacy streams exactly."""
+def _digest(lines) -> str:
+    digest = hashlib.sha256()
+    for line in lines:
+        digest.update(line.encode())
+    return digest.hexdigest()[:16]
 
-    def test_point_operation(self):
-        graph = point_operation_graph(DOUBLING_SEQUENCE, tag="dbl[0]")
-        assert list(graph.to_jobs()) == list(
-            point_operation_jobs(DOUBLING_SEQUENCE, "dbl[0]")
-        )
 
-    def test_scalar_multiplication(self):
-        graph = scalar_multiplication_graph(48)
-        assert list(graph.to_jobs()) == list(scalar_multiplication_stream(48))
+def jobs_digest(jobs):
+    """(job count, digest of every job's multiplicand and tag)."""
+    jobs = list(jobs)
+    return len(jobs), _digest(f"{job.multiplicand}|{job.tag}\n" for job in jobs)
 
-    def test_ecdsa_sign(self):
-        graph = ecdsa_sign_graph(32, signatures=2)
-        assert list(graph.to_jobs()) == list(
-            ecdsa_sign_stream(32, signatures=2)
-        )
 
-    def test_ntt(self):
-        graph = ntt_graph(128)
-        assert list(graph.to_jobs()) == list(ntt_stream(128))
+def graph_digest(graph) -> str:
+    """Digest of every node's multiplicand, tag and dependency list."""
+    return _digest(
+        f"{node.multiplicand}|{node.tag}|{','.join(map(str, node.deps))}\n"
+        for node in graph.nodes
+    )
 
-    def test_msm(self):
-        graph = msm_graph(8, window_bits=2, scalar_bits=8)
-        assert list(graph.to_jobs()) == list(
-            msm_stream(8, window_bits=2, scalar_bits=8)
-        )
+
+#: (jobs view, graph view, job count, jobs digest, graph digest).  The
+#: values were recorded when each workload still had a separate
+#: hand-written job stream next to its graph builder, so both views keep
+#: that exact order and those dependency lists.
+PINS = {
+    "scalar-mult": (
+        lambda: scalar_multiplication_jobs(48),
+        lambda: scalar_multiplication_graph(48),
+        648, "2111ab6ab282bffd", "6c48d00d674a4936",
+    ),
+    "ecdsa-sign": (
+        lambda: ecdsa_sign_jobs(32, signatures=2),
+        lambda: ecdsa_sign_graph(32, signatures=2),
+        964, "b118f3666e94a521", "debadf7892f7aaac",
+    ),
+    "ntt": (
+        lambda: ntt_jobs(128),
+        lambda: ntt_graph(128),
+        448, "e237787d5ec7a3c0", "f7144f968682c8b4",
+    ),
+    "msm": (
+        lambda: msm_jobs(8, window_bits=2, scalar_bits=8),
+        lambda: msm_graph(8, window_bits=2, scalar_bits=8),
+        724, "8c092a8384d13d8e", "909d7c37bf558bf6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+class TestPinnedOutputs:
+    def test_jobs(self, name):
+        jobs, _, count, digest, _ = PINS[name]
+        assert jobs_digest(jobs()) == (count, digest)
+
+    def test_graph(self, name):
+        _, graph, count, digest, edges = PINS[name]
+        built = graph()
+        assert len(built) == count
+        assert graph_digest(built) == edges
+        assert jobs_digest(built.to_jobs()) == (count, digest)
+
+
+@pytest.mark.slow
+def test_ntt_jobs_stream_in_constant_memory():
+    """Consuming a 2^16-point NTT's 524,288 jobs never builds the graph."""
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in ntt_jobs(2**16))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 2**15 * 16
+    assert peak < 8 * 2**20
 
 
 class TestPointOperationStructure:

@@ -122,3 +122,41 @@ class TestViews:
         assert data["width"] == 2
         assert data["lut_groups"] == 4
         assert data["executable"] is False
+
+
+#: Client-written payload nodes ``from_payload`` must reject, with the
+#: field its error names.  Each reached a fleet worker as an uncaught
+#: exception (no answer), or as a silently coerced operand.
+MALFORMED_NODES = {
+    "missing multiplicand": ({"deps": [], "a": 2, "b": 3}, "multiplicand"),
+    "string dep": ({"multiplicand": "x", "deps": ["a"]}, "deps"),
+    "non-object node": (1, "must be an object"),
+    "string ref": ({"multiplicand": "x", "a": {"ref": "zero"}, "b": 3}, "'a'"),
+    "float operand": ({"multiplicand": "x", "a": 2.9, "b": 3}, "'a'"),
+    "string operand": ({"multiplicand": "x", "a": 2, "b": "5"}, "'b'"),
+    "bool operand": ({"multiplicand": "x", "a": True, "b": 3}, "'a'"),
+    "string priority": ({"multiplicand": "x", "priority": "high"}, "priority"),
+}
+
+
+class TestPayload:
+    def test_round_trip(self):
+        graph = WorkloadGraph("g")
+        a = graph.add("a", a=3, b=5, tag="t", field_name="f", priority=2)
+        graph.add("b", deps=[a], a=Ref(a), b=None)
+        rebuilt = WorkloadGraph.from_payload(graph.to_payload())
+        assert rebuilt.name == "g"
+        assert rebuilt.nodes == graph.nodes
+
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_NODES))
+    def test_malformed_node_names_its_index_and_field(self, shape):
+        node, field = MALFORMED_NODES[shape]
+        good = {"multiplicand": "ok", "a": 2, "b": 3}
+        with pytest.raises(ConfigurationError, match="graph node 1") as error:
+            WorkloadGraph.from_payload({"nodes": [good, node]})
+        assert field in str(error.value)
+
+    @pytest.mark.parametrize("nodes", [None, "abc", {"0": {}}])
+    def test_nodes_must_be_a_list(self, nodes):
+        with pytest.raises(ConfigurationError, match="list of nodes"):
+            WorkloadGraph.from_payload({"nodes": nodes})
