@@ -38,7 +38,7 @@ returning bit-identical products —
 * ``Engine(backend="modsram")`` — **cycle** tier: word-line-accurate SRAM
   simulation (767 main-loop cycles at 256 bits on the paper schedule);
 * ``Engine(backend="modsram-fast")`` — **analytical** tier: the same exact
-  cycle reports from closed-form schedule algebra at ~100x the speed (this
+  cycle reports from closed-form schedule algebra at ~3x the speed (this
   is the tier for full workloads: ECDSA signing, NTTs, MSM batches);
 * ``ModSRAMFastBackend(fidelity="functional")`` — **functional** tier:
   products and operation counts only, no cycle model at all.

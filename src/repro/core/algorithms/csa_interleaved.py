@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.bitvec import CarrySaveValue
 from repro.core.algorithms.base import ModularMultiplier, register_multiplier
+from repro.core.carry_save import xor3_maj
 from repro.core.luts import build_overflow_lut
 
 __all__ = ["CsaInterleavedMultiplier"]
@@ -43,31 +43,40 @@ class CsaInterleavedMultiplier(ModularMultiplier):
         overflow_lut = build_overflow_lut(modulus, register_width, entry_count=16)
         self.stats.precomputations += 1
 
-        accumulator = CarrySaveValue.zero(register_width)
-        pending = 0
+        mask = (1 << register_width) - 1
+        sum_word = carry_word = pending = 0
         for bit_index in range(bitwidth - 1, -1, -1):
-            self.stats.iterations += 1
-
             # Doubling: shift both words left by one.
-            accumulator, sum_overflow, carry_overflow = accumulator.shifted_left(1)
-            self.stats.shifts += 2
+            sum_word <<= 1
+            carry_word <<= 1
+            shifted_out = (sum_word >> register_width) + (carry_word >> register_width)
 
-            # Add the multiplicand when the multiplier bit is set.
+            # Add the multiplicand when the multiplier bit is set; MAJ is
+            # written back shifted left by one and its top bit escapes.
             addend = b if (a >> bit_index) & 1 else 0
-            accumulator, escaped = accumulator.add(addend)
-            self.stats.carry_save_additions += 1
+            sum_word, carry_word = xor3_maj(addend, sum_word & mask, carry_word & mask)
+            carry_word <<= 1
 
             # Fold overflow bits back in via the LUT.  The pending bit
             # escaped after the previous iteration's second CSA and has
             # aged by one shift position, hence weight 2.
             overflow_index = (
-                sum_overflow + carry_overflow + escaped + 2 * pending
+                shifted_out + (carry_word >> register_width) + 2 * pending
             )
-            self.stats.lut_lookups += 1
-            accumulator, pending = accumulator.add(overflow_lut[overflow_index])
-            self.stats.carry_save_additions += 1
+            sum_word, carry_word = xor3_maj(
+                overflow_lut[overflow_index], sum_word, carry_word & mask
+            )
+            carry_word <<= 1
+            pending = carry_word >> register_width
+            carry_word &= mask
 
-        total = accumulator.resolve() + (pending << register_width)
+        # Per iteration: two shifts, one look-up, two carry-save additions.
+        self.stats.iterations += bitwidth
+        self.stats.shifts += 2 * bitwidth
+        self.stats.lut_lookups += bitwidth
+        self.stats.carry_save_additions += 2 * bitwidth
+
+        total = sum_word + carry_word + (pending << register_width)
         self.stats.full_additions += 1
         while total >= modulus:
             total -= modulus

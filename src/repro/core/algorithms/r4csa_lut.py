@@ -33,9 +33,9 @@ import threading
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.bitvec import CarrySaveValue
 from repro.core.algorithms.base import ModularMultiplier, register_multiplier
 from repro.core.booth import booth_digits_radix4
+from repro.core.carry_save import xor3_maj
 from repro.core.luts import OverflowLut, Radix4Lut, build_overflow_lut, build_radix4_lut
 from repro.errors import OperandRangeError
 
@@ -214,52 +214,62 @@ class R4CSALutMultiplier(ModularMultiplier):
         congruent to ``A * B`` modulo ``p``.
         """
         width = context.register_width
+        mask = (1 << width) - 1
+        radix4_lut = context.radix4_lut.entries
+        overflow_lut = context.overflow_lut.entries
+        trace = None
         if self.record_trace:
-            self.last_trace = []
+            trace = self.last_trace = []
 
         digits = booth_digits_radix4(
             multiplier, context.bitwidth, full_range=self.full_range
         )
-        accumulator = CarrySaveValue.zero(width)
-        pending = 0
+        sum_word = carry_word = pending = 0
 
         for index, digit in enumerate(digits):
-            self.stats.iterations += 1
-
             # -- shift left by two (multiply the accumulator by four) ----- #
-            accumulator, sum_overflow, carry_overflow = accumulator.shifted_left(2)
-            self.stats.shifts += 2
+            sum_word <<= 2
+            carry_word <<= 2
+            shifted_out = (sum_word >> width) + (carry_word >> width)
 
             # -- first carry-save addition: the Booth-digit addend -------- #
-            addend = context.radix4_lut[digit]
-            self.stats.lut_lookups += 1
-            accumulator, escaped = accumulator.add(addend)
-            self.stats.carry_save_additions += 1
+            # MAJ is written back shifted left by one; the bit that leaves
+            # the register escapes into the overflow index.
+            sum_word, carry_word = xor3_maj(
+                radix4_lut[digit], sum_word & mask, carry_word & mask
+            )
+            carry_word <<= 1
 
             # -- fold every escaped bit back in through LUT-overflow ------ #
             # The pending bit escaped *after* the previous iteration's second
             # CSA; the two intervening shift positions give it weight 4.
-            overflow_index = (
-                sum_overflow + carry_overflow + escaped + 4 * pending
+            overflow_index = shifted_out + (carry_word >> width) + 4 * pending
+            sum_word, carry_word = xor3_maj(
+                overflow_lut[overflow_index], sum_word, carry_word & mask
             )
-            addend = context.overflow_lut[overflow_index]
-            self.stats.lut_lookups += 1
-            accumulator, pending = accumulator.add(addend)
-            self.stats.carry_save_additions += 1
+            carry_word <<= 1
+            pending = carry_word >> width
+            carry_word &= mask
 
-            if self.record_trace:
-                self.last_trace.append(
+            if trace is not None:
+                trace.append(
                     IterationSnapshot(
                         iteration=index,
                         digit=digit,
                         overflow_index=overflow_index,
-                        sum_word=accumulator.sum_word.value,
-                        carry_word=accumulator.carry_word.value,
+                        sum_word=sum_word,
+                        carry_word=carry_word,
                         pending_overflow=pending,
                     )
                 )
 
-        return accumulator.sum_word.value, accumulator.carry_word.value, pending
+        # Per iteration: two shifts, two look-ups, two carry-save additions.
+        stats = self.stats
+        stats.iterations += len(digits)
+        stats.shifts += 2 * len(digits)
+        stats.lut_lookups += 2 * len(digits)
+        stats.carry_save_additions += 2 * len(digits)
+        return sum_word, carry_word, pending
 
     def _finalize(
         self, sum_word: int, carry_word: int, pending: int, context: R4CSALutContext

@@ -49,7 +49,9 @@ class ModSRAMConfig:
         paper's ``n/2`` iteration count is used, which requires the
         multiplier's top bit to be clear (BN254-style moduli).
     timing / energy / sense:
-        Sub-models; defaults are the calibrated 65 nm values.
+        Sub-models; defaults are the calibrated 65 nm values.  ``sense``
+        needs at least three sense amplifiers per bitline, one per
+        activated row.
     """
 
     bitwidth: int = 256
@@ -85,6 +87,12 @@ class ModSRAMConfig:
                 f"the logic-SA scheme activates 3 rows per access but a "
                 f"{self.cell.name} cell only tolerates "
                 f"{self.cell.max_simultaneous_reads}"
+            )
+        if self.sense.sense_amps_per_bitline < 3:
+            raise ConfigurationError(
+                f"the logic-SA scheme activates 3 rows per access but "
+                f"{self.sense.sense_amps_per_bitline} sense amplifier(s) per "
+                f"bitline only count up to {self.sense.sense_amps_per_bitline}"
             )
         if self.technology_nm <= 0:
             raise ConfigurationError(

@@ -2,12 +2,12 @@
 
 :class:`FunctionalModSRAM` runs the exact algorithm body of the
 cycle-accurate model (:mod:`repro.modsram.kernel`) on a plain register file:
-rows are Python integers, the three-row logic-SA access is two bitwise
-expressions (XOR3 and MAJ), and nothing per-cycle is materialised.  The
-product is therefore bit-identical to the cycle tier by construction, while
-a 256-bit multiplication costs tens of microseconds instead of hundreds of
-milliseconds — this is the tier the full-workload studies (ECDSA signing,
-NTT/MSM batches, chip scale-out) run on.
+rows are Python integers, the three-row logic-SA access is one
+:func:`~repro.core.carry_save.xor3_maj`, and nothing per-cycle is
+materialised.  The product is therefore bit-identical to the cycle tier by
+construction, while no array, decoder, controller or trace is modelled —
+this is the tier the full-workload studies (ECDSA signing, NTT/MSM batches,
+chip scale-out) run on.
 
 What it reports: the product, the LUT-reuse flag and *operation counts*
 (word-line writes/reads, logic-SA accesses, near-memory cycles) accumulated
@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.carry_save import xor3_maj
 from repro.instrumentation import OperationCounter
 from repro.modsram.config import ModSRAMConfig
 from repro.modsram.controller import ControllerState
@@ -57,8 +58,8 @@ class FunctionalResult:
 class FastHost(KernelHost):
     """Kernel host backed by a plain register file instead of an SRAM array.
 
-    Rows live in a list of integers; the logic-SA access is computed
-    bitwise.  Access statistics accumulate into the same
+    Rows live in a list of integers; the logic-SA access is one word-level
+    XOR3/MAJ.  Access statistics accumulate into the same
     :class:`ArrayStats` shape the behavioural array produces, so energy
     models and reports can consume either tier interchangeably.
     """
@@ -123,10 +124,9 @@ class FastHost(KernelHost):
         overflow_index: Optional[int] = None,
     ) -> Tuple[int, int]:
         data = self._rows
-        r0, r1, r2 = data[rows[0]], data[rows[1]], data[rows[2]]
         self.stats.record_read(3, compute=True)
         self.counter.increment("imc_access")
-        return r0 ^ r1 ^ r2, (r0 & r1) | (r0 & r2) | (r1 & r2)
+        return xor3_maj(data[rows[0]], data[rows[1]], data[rows[2]])
 
 
 class FunctionalModSRAM:

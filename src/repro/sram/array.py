@@ -12,6 +12,10 @@ read through the same narrow interface the hardware has (full-row writes via
 the write port, single- or multi-row reads via the read port), every access
 is counted, and illegal access patterns (activating more rows than the cell
 can tolerate, mixing a 6T cell with multi-row reads) are detected.
+
+An access returns the activated rows' words.  The logic-SA resolves a
+noiseless access on those words; the per-column counts (each bitline's
+discharge level) are derived only when its per-column path asks for them.
 """
 
 from __future__ import annotations
@@ -34,24 +38,33 @@ class BitlineReadout:
     ----------
     activated_rows:
         The row indices whose read word lines were raised.
-    column_counts:
-        For every column, the number of activated cells storing a one
-        (0..3).  This is the digital abstraction of the read-bitline
-        discharge level that the sense-amplifier module resolves.
+    words:
+        The word stored in each activated row, in activation order.
     columns:
         Width of the access in bits.
     """
 
     activated_rows: Tuple[int, ...]
-    column_counts: Tuple[int, ...]
+    words: Tuple[int, ...]
     columns: int
+
+    @property
+    def column_counts(self) -> Tuple[int, ...]:
+        """Per column, the number of activated cells storing a one.
+
+        The digital view of each read-bitline discharge level, derived on call.
+        """
+        words = self.words
+        return tuple(
+            sum((word >> column) & 1 for word in words)
+            for column in range(self.columns)
+        )
 
     def wired_or(self) -> int:
         """Columns with at least one conducting cell (a plain multi-row OR)."""
         value = 0
-        for index, count in enumerate(self.column_counts):
-            if count:
-                value |= 1 << index
+        for word in self.words:
+            value |= word
         return value
 
     def exact_value(self) -> int:
@@ -61,7 +74,7 @@ class BitlineReadout:
                 "exact_value() is only defined for single-row reads; "
                 f"{len(self.activated_rows)} rows were activated"
             )
-        return self.wired_or()
+        return self.words[0]
 
 
 class SramArray:
@@ -142,10 +155,10 @@ class SramArray:
     def activate_rows(self, rows: Sequence[int]) -> BitlineReadout:
         """Activate one or more read word lines simultaneously.
 
-        Returns the per-column conducting-cell counts (the digital view of
-        the bitline discharge levels).  Raises :class:`ReadDisturbError` if
-        the access pattern is unsafe for the configured cell and the array
-        is in strict mode.
+        Returns the activated rows' words, from which the bitline discharge
+        levels follow (:attr:`BitlineReadout.column_counts`).  Raises
+        :class:`ReadDisturbError` if the access pattern is unsafe for the
+        configured cell and the array is in strict mode.
         """
         if not rows:
             raise SramAccessError("at least one row must be activated")
@@ -163,14 +176,11 @@ class SramArray:
                     f"exceeds the safe limit of {self.cell.max_simultaneous_reads}"
                 )
 
-        words = [self._data[row] for row in unique]
-        counts = tuple(
-            sum((word >> column) & 1 for word in words)
-            for column in range(self.cols)
-        )
         self.stats.record_read(len(unique), compute=len(unique) > 1)
         return BitlineReadout(
-            activated_rows=unique, column_counts=counts, columns=self.cols
+            activated_rows=unique,
+            words=tuple(self._data[row] for row in unique),
+            columns=self.cols,
         )
 
     # ------------------------------------------------------------------ #

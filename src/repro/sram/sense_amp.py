@@ -14,15 +14,22 @@ functions a carry-save adder needs fall out combinationally:
 This module models the latch sense amplifier (including offset and optional
 noise, so sensing-margin ablations are possible) and the per-column logic-SA
 block, and exposes a whole-row evaluation used by the accelerator.
+
+With no noise, at most three activated rows and at least as many sense
+amplifiers as rows, every column's level is recovered exactly (the offset
+stays below half a step), so that evaluation is one word-level
+:func:`~repro.core.carry_save.xor3_maj`.  Any other access, noisy sensing
+and too few sense amplifiers included, runs each column's comparators.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
+from repro.core.carry_save import xor3_maj
 from repro.errors import ConfigurationError, SenseMarginError
 from repro.sram.array import BitlineReadout
 
@@ -131,7 +138,6 @@ class LogicSenseAmpResult:
 
     xor3: int
     maj: int
-    thermometer_levels: Tuple[int, ...]
 
     def as_tuple(self) -> Tuple[int, int]:
         """The two carry-save outputs ``(xor3, maj)``."""
@@ -141,9 +147,9 @@ class LogicSenseAmpResult:
 class LogicSenseAmpModule:
     """One logic-SA block per column: three SAs plus decode logic.
 
-    ``evaluate`` maps a :class:`BitlineReadout` (per-column conducting-cell
-    counts) to the row-wide XOR3 and MAJ words, modelling each column's
-    three sense-amplifier comparisons explicitly.
+    ``evaluate`` maps a :class:`BitlineReadout` to the row-wide XOR3 and MAJ
+    words: on the activated words directly when sensing is ideal, otherwise
+    by modelling each column's sense-amplifier comparisons explicitly.
     """
 
     def __init__(
@@ -190,25 +196,30 @@ class LogicSenseAmpModule:
     # whole-row behaviour
     # ------------------------------------------------------------------ #
     def evaluate(self, readout: BitlineReadout) -> LogicSenseAmpResult:
-        """Resolve a multi-row access into XOR3/MAJ words."""
+        """Resolve a multi-row access into XOR3/MAJ words.
+
+        Ideal sensing is resolved on whole words (see the module docstring).
+        """
         if readout.columns != self.columns:
             raise ConfigurationError(
                 f"readout width {readout.columns} does not match the "
                 f"{self.columns}-column sense-amplifier bank"
             )
         self.accesses += 1
+        words = readout.words
+        parameters = self.parameters
+        if not parameters.noise_sigma_v and len(words) <= min(
+            3, parameters.sense_amps_per_bitline
+        ):
+            a, b, c = words + (0,) * (3 - len(words))
+            return LogicSenseAmpResult(*xor3_maj(a, b, c))
         xor3_word = 0
         maj_word = 0
-        levels: List[int] = []
         for column, count in enumerate(readout.column_counts):
-            level = self.column_level(count)
-            levels.append(level)
-            xor3_bit, maj_bit = self.decode(level)
+            xor3_bit, maj_bit = self.decode(self.column_level(count))
             xor3_word |= xor3_bit << column
             maj_word |= maj_bit << column
-        return LogicSenseAmpResult(
-            xor3=xor3_word, maj=maj_word, thermometer_levels=tuple(levels)
-        )
+        return LogicSenseAmpResult(xor3=xor3_word, maj=maj_word)
 
     # ------------------------------------------------------------------ #
     # robustness analysis helpers

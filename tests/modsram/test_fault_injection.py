@@ -87,3 +87,21 @@ class TestReadDisturbFaults:
         """Mis-configuring the macro with a 6T cell is caught before any access."""
         with pytest.raises(ConfigurationError):
             ModSRAMConfig(cell=SixTransistorCell)
+
+    @pytest.mark.parametrize("sense_amps", [1, 2])
+    def test_configuration_layer_blocks_too_few_sense_amps(self, sense_amps):
+        """Fewer sense amplifiers than activated rows would corrupt products.
+
+        With one or two per bitline a column holding three ones reads back
+        as a lower level, so the cycle tier would return wrong products
+        without raising; the macro configuration refuses it instead.
+        """
+        sense = SenseAmpParameters(sense_amps_per_bitline=sense_amps)
+        with pytest.raises(ConfigurationError, match="sense amplifier"):
+            ModSRAMConfig(sense=sense)
+
+    def test_more_sense_amps_than_activated_rows_still_multiply(self):
+        sense = SenseAmpParameters(sense_amps_per_bitline=4)
+        config = dataclasses.replace(ModSRAMConfig().with_bitwidth(16), sense=sense)
+        result = ModSRAMAccelerator(config).multiply(1234, 5678, 65521)
+        assert result.product == (1234 * 5678) % 65521

@@ -106,16 +106,35 @@ class TestLogicSenseAmpModule:
         assert result.as_tuple() == (result.xor3, result.maj)
         assert module.accesses == 1
 
-    @given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
-    @settings(max_examples=60, deadline=None)
-    def test_evaluate_property(self, a, b, c):
-        module = LogicSenseAmpModule(columns=8)
+    @given(
+        st.lists(st.integers(0, 255), min_size=1, max_size=3),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_evaluate_property(self, words, sense_amps):
+        """``evaluate`` equals the per-column comparators on every access.
+
+        With as many sense amplifiers as activated rows that is the bitwise
+        XOR3/MAJ of the rows; with fewer, each column saturates at the
+        number of sense amplifiers.
+        """
+        parameters = SenseAmpParameters(sense_amps_per_bitline=sense_amps)
+        module = LogicSenseAmpModule(columns=8, parameters=parameters)
         array = SramArray(rows=3, cols=8)
-        for row, word in enumerate((a, b, c)):
+        for row, word in enumerate(words):
             array.write_row(row, word)
-        result = module.evaluate(array.activate_rows([0, 1, 2]))
-        assert result.xor3 == a ^ b ^ c
-        assert result.maj == (a & b) | (a & c) | (b & c)
+        readout = array.activate_rows(list(range(len(words))))
+        result = module.evaluate(readout)
+        xor3_word = maj_word = 0
+        for column, count in enumerate(readout.column_counts):
+            xor3_bit, maj_bit = module.decode(module.column_level(count))
+            xor3_word |= xor3_bit << column
+            maj_word |= maj_bit << column
+        assert (result.xor3, result.maj) == (xor3_word, maj_word)
+        if sense_amps >= len(words):
+            a, b, c = words + [0] * (3 - len(words))
+            assert result.xor3 == a ^ b ^ c
+            assert result.maj == (a & b) | (a & c) | (b & c)
 
     def test_width_mismatch_rejected(self, module):
         array = SramArray(rows=3, cols=16)
