@@ -2,10 +2,11 @@
 
 ``r4csa-lut``, ``csa-interleaved``, the functional tier's register file and
 the logic-SA's ideal-sensing path all call :func:`xor3_maj`.  The register
-invariants below are the ones the carry-save algorithms rely on: an
-addition into ``WIDTH``-bit sum/carry registers keeps the value exact up to
-one escaped bit, and a shift by two spills at most two bits per register,
-which bounds every overflow index the algorithms look up.
+invariant below is the one the carry-save algorithms rely on: an addition
+into ``WIDTH``-bit sum/carry registers keeps the value exact up to one
+escaped bit.  The shifts by two that spill into the overflow index are
+written inline in the algorithms; ``tests/core/test_r4csa_lut.py`` bounds
+that index and ``tests/core/test_word_level_pins.py`` pins the traces.
 """
 
 from __future__ import annotations
@@ -31,12 +32,6 @@ def _add(sum_word: int, carry_word: int, addend: int):
     new_sum, major = xor3_maj(addend, sum_word, carry_word)
     major <<= 1
     return new_sum, major & MASK, major >> WIDTH
-
-
-def _shift_left(register: int, amount: int):
-    """Shift a register left: ``(kept, overflow field)``."""
-    shifted = register << amount
-    return shifted & MASK, shifted >> WIDTH
 
 
 class TestTruthTables:
@@ -69,16 +64,3 @@ class TestAdd:
     @given(word, word, word)
     def test_escape_is_a_single_bit(self, s, c, addend):
         assert _add(s, c, addend)[2] in (0, 1)
-
-
-class TestShift:
-    @given(word, word, st.integers(0, 3))
-    def test_shift_preserves_value_with_overflow(self, s, c, amount):
-        s_kept, s_overflow = _shift_left(s, amount)
-        c_kept, c_overflow = _shift_left(c, amount)
-        assert s_kept + c_kept + ((s_overflow + c_overflow) << WIDTH) == (
-            (s + c) << amount
-        )
-
-    def test_shift_by_two_overflow_fields_are_two_bits(self):
-        assert _shift_left(MASK, 2) == (MASK - 0b11, 0b11)
