@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for the paper's design choices.
 
 The paper's contribution is the *combination* of radix-4 encoding, carry-save
 accumulation with an overflow LUT, and the in-SRAM logic-SA execution.  These

@@ -4,9 +4,10 @@ Two claims of the layered simulation core, measured and emitted as
 ``BENCH_chip_scaling.json``:
 
 1. **Fidelity-tier speedup** — the functional tier runs a *full ECDSA
-   signing operation* (one ``k·G`` scalar multiplication over P-256 through
-   the shared R4CSA-LUT kernel) at least 10x faster than the cycle-accurate
-   tier.  The functional sign is measured end to end; the cycle tier's
+   signing operation* (one ``k·G`` scalar multiplication over P-256, every
+   field multiplication through the R4CSA-LUT recurrence as one word-level
+   loop) at least 10x faster than the cycle-accurate tier, which runs the
+   same recurrence one kernel step per clock cycle on the SRAM substrate.  The functional sign is measured end to end; the cycle tier's
    full-sign time is derived from its measured per-multiplication cost times
    the sign's exact multiplication count (legitimate because the ModSRAM
    schedule is data-independent — asserted by

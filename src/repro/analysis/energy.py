@@ -7,8 +7,8 @@ the calibrated 65 nm energy model and reports the per-multiplication energy
 with its mechanism breakdown (precharge, word lines, sensing, write-back,
 near-memory registers), plus how the figure scales with operand width.
 
-Because the paper publishes no reference value, EXPERIMENTS.md lists this as
-a beyond-the-paper analysis; the constants live in
+Because the paper publishes no reference value, the exhibit table in
+README.md lists this as a beyond-the-paper analysis; the constants live in
 :class:`repro.sram.energy.EnergyModel` and are user-recalibratable.
 
 Registered as experiment ``energy`` in :mod:`repro.experiments`.

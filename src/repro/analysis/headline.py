@@ -1,7 +1,8 @@
 """The paper's §5.3 headline claims, paper value vs reproduced value.
 
-Collected in one place so EXPERIMENTS.md and the headline benchmark can
-print a single paper-versus-measured scorecard:
+Collected in one place so the ``headline`` experiment (see the exhibit
+table in README.md) and the headline benchmark print a single
+paper-versus-measured scorecard:
 
 * 767 cycles per 256-bit modular multiplication (3n − 1, O(n) scaling),
 * results produced in direct (non-Montgomery) form,

@@ -10,7 +10,7 @@ negligible at ECC bitwidths.
 The cycle model here is a two-parameter fit (``5 n + 185``) through the
 published scaled point, structured as ``n`` bit-parallel Montgomery
 iterations of five array operations each plus a fixed transform/reduction
-overhead; DESIGN.md records it as a fit, not a derivation.
+overhead.  It is a fit, not a derivation.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ Each iteration therefore consists of two carry-save additions (one against
 LUT-radix4, one against LUT-overflow) and two shifts; no carry ever
 propagates until the single full addition after the final iteration.
 
-Implementation notes (see DESIGN.md §1 for the full discussion):
+Implementation notes:
 
 * The paper's pseudocode overwrites ``sum`` before computing ``carry``; the
   hardware dataflow of Figure 3 produces XOR3 and MAJ from the same three
@@ -295,9 +295,9 @@ class R4CSALutMultiplier(ModularMultiplier):
         """The paper's cycle count: ``3n - 1`` array cycles at ``n`` bits.
 
         Six array accesses per iteration over ``n/2`` iterations, with the
-        last carry write-back elided (see DESIGN.md §4).  This is the
-        analytic counterpart of the measured count produced by the
-        cycle-accurate :class:`repro.modsram.ModSRAMAccelerator`.
+        last carry write-back elided (see :mod:`repro.modsram.controller`).
+        This is the analytic counterpart of the measured count produced by
+        the cycle-accurate :class:`repro.modsram.ModSRAMAccelerator`.
         """
         if bitwidth <= 0:
             raise OperandRangeError(f"bitwidth must be positive, got {bitwidth}")

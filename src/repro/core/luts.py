@@ -142,7 +142,8 @@ def build_overflow_lut(
         Number of LUT rows to generate.  The paper's Table 2 lists 8 rows
         (a 3-bit overflow field); the reproduction generates 16 by default
         where needed so that every overflow index that can transiently occur
-        is covered (see DESIGN.md).
+        is covered (see the module docstring of
+        :mod:`repro.core.algorithms.r4csa_lut`).
     """
     _validate_modulus(modulus)
     if register_width <= 0:

@@ -1,13 +1,15 @@
 """ModSRAM: the 8T SRAM PIM accelerator co-designed with R4CSA-LUT.
 
-The package is a *layered simulation core*: one R4CSA-LUT algorithm body
-(:mod:`repro.modsram.kernel`) executed at three fidelity tiers —
+The package is a *layered simulation core*: the R4CSA-LUT algorithm at
+three fidelity tiers —
 ``functional`` (:class:`FunctionalModSRAM`: product + operation counts),
 ``analytical`` (:class:`AnalyticalModSRAM`: exact closed-form cycle/energy
 reports) and ``cycle`` (:class:`ModSRAMAccelerator`: the word-line-accurate
 SRAM model with pluggable :class:`TraceSink` collection) — selected via
-:func:`build_simulator`.  On top of the analytical tier,
-:class:`Chip` scales the macro out to an N-macro chip whose scheduler
+:func:`build_simulator`.  The cycle tier runs the per-step body of
+:mod:`repro.modsram.kernel`; the two fast tiers run the same recurrence as
+one word-level loop (:meth:`FastHost.multiply`).  On top of the analytical
+tier, :class:`Chip` scales the macro out to an N-macro chip whose scheduler
 dispatches multiplication streams with LUT-reuse-aware placement.  The
 surrounding modules provide the memory map, the near-memory datapath, the
 controller FSM, the area model behind Figure 5 and the multiplier adapters

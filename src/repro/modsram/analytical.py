@@ -3,15 +3,17 @@
 :class:`AnalyticalCostModel` captures the ModSRAM schedule as algebra — the
 per-phase cycle counts the controller FSM would measure, and the array
 access profile the energy model consumes — without simulating a single word
-line.  :class:`AnalyticalModSRAM` combines that algebra with the shared
-kernel running on the fast register-file host
-(:class:`~repro.modsram.functional.FastHost`), so it returns the same
+line.  :class:`AnalyticalModSRAM` combines that algebra with the kernel's
+recurrence run as one word-level loop
+(:meth:`~repro.modsram.functional.FastHost.multiply`, shared with the
+functional tier), so it returns the same
 :class:`~repro.modsram.report.MultiplicationResult` shape as the
 cycle-accurate tier with *exactly* matching cycle reports (asserted field by
-field in ``tests/modsram/test_fidelity.py``) at functional-tier speed.  The
-only quantities taken from the kernel run rather than closed form are the
-data-dependent ones: LUT reuse, pathological extra overflow folds and the
-final conditional-subtraction count.
+field in ``tests/modsram/test_fidelity.py``; the loop's counts are pinned in
+``tests/modsram/test_fast_tier_pins.py``) at functional-tier speed.  The
+only quantities taken from the loop rather than closed form are the
+data-dependent ones: LUT reuse, extra overflow folds and the final
+conditional-subtraction count.
 
 Geometry — array shape, banking, radix, LUT sizing — is a first-class
 constructor parameter (:class:`~repro.modsram.geometry.MacroGeometry`); the
@@ -27,18 +29,13 @@ from repro.errors import ConfigurationError
 from repro.modsram.config import ModSRAMConfig
 from repro.modsram.functional import FastHost
 from repro.modsram.geometry import MacroGeometry, _default_geometry
-from repro.modsram.kernel import run_kernel
+from repro.modsram.kernel import OPERAND_LOAD_WRITES
 from repro.modsram.report import CycleReport, MultiplicationResult
 from repro.modsram.trace import ExecutionTrace
 from repro.sram.energy import EnergyBreakdown
 from repro.sram.stats import ArrayStats
 
 __all__ = ["AnalyticalCostModel", "AnalyticalModSRAM"]
-
-#: Row writes issued while loading operands (multiplicand, modulus, sum,
-#: carry clears, multiplier); the multiplier read-back costs one more cycle.
-_OPERAND_LOAD_WRITES = 5
-
 
 class AnalyticalCostModel:
     """Closed-form per-phase cycle and access algebra of one macro.
@@ -77,7 +74,7 @@ class AnalyticalCostModel:
     # ------------------------------------------------------------------ #
     def load_cycles(self) -> int:
         """Operand loading: five row writes (banked) plus the multiplier read."""
-        return self.geometry.write_burst_cycles(_OPERAND_LOAD_WRITES) + 1
+        return self.geometry.write_burst_cycles(OPERAND_LOAD_WRITES) + 1
 
     def lut_fill_cycles(self, reused: bool = False) -> int:
         """Full LUT precomputation for a fresh (multiplicand, modulus) pair.
@@ -103,9 +100,9 @@ class AnalyticalCostModel:
     def iteration_cycles(self, extra_folds: int = 0) -> int:
         """Main loop: six cycles per iteration, last carry write-back elided.
 
-        Each pathological extra overflow fold costs three more cycles (two
-        write-backs plus one additional logic-SA access).  The recurrence
-        is serial, so banking does not shorten it.
+        Each extra overflow fold costs three more cycles (two write-backs
+        plus one additional logic-SA access).  The recurrence is serial, so
+        banking does not shorten it.
         """
         return 6 * self.iterations - 1 + 3 * extra_folds
 
@@ -166,7 +163,7 @@ class AnalyticalCostModel:
             else self.geometry.radix_rows + self._overflow_rows
         )
         row_writes = (
-            _OPERAND_LOAD_WRITES
+            OPERAND_LOAD_WRITES
             + lut_writes
             + 4 * iterations
             - 1
@@ -229,8 +226,7 @@ class AnalyticalModSRAM:
 
     def multiply(self, a: int, b: int, modulus: int) -> MultiplicationResult:
         """Compute ``a * b mod modulus``; cycles come from the cost model."""
-        outcome = run_kernel(self.host, a, b, modulus)
-        self.host.counter.increment("modmul")
+        outcome = self.host.multiply(a, b, modulus)
         report = self.cost_model.report(
             reused=outcome.lut_reused,
             extra_folds=outcome.extra_overflow_folds,

@@ -6,8 +6,7 @@ transfers.  In the paper it is a small synthesized Verilog block; here it is
 a state machine that owns the cycle counter, enforces the legal phase order
 and produces the per-phase cycle accounting the evaluation reports.
 
-The schedule it enforces for the main loop is the six-access pattern
-described in DESIGN.md §4:
+The schedule it enforces for the main loop is this six-access pattern:
 
     IMC-radix4 → writeback-sum → writeback-carry →
     IMC-overflow → writeback-sum → writeback-carry

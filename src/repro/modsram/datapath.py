@@ -178,7 +178,7 @@ class NearMemoryDatapath:
         The index is the sum of the bits shifted out during the previous
         write-back, the first CSA's carry-out, and the previous iteration's
         second-CSA carry-out weighted by the two shift positions it has aged
-        (see DESIGN.md §1).
+        (see the module docstring of :mod:`repro.core.algorithms.r4csa_lut`).
         """
         if csa_carry_out not in (0, 1):
             raise ControllerError(

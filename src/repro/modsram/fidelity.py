@@ -1,7 +1,11 @@
 """Fidelity-tier selection for the layered simulation core.
 
-One algorithm body (:mod:`repro.modsram.kernel`), three interchangeable
-execution tiers:
+One algorithm (:mod:`repro.modsram.kernel`), interchangeable execution
+tiers.  The per-step kernel body drives the cycle tier; the functional and
+analytical tiers run the same recurrence as one word-level loop
+(:meth:`~repro.modsram.functional.FastHost.multiply`), pinned to the
+per-step body by ``tests/modsram/test_fast_tier_pins.py`` and checked
+against the cycle tier in ``tests/modsram/test_fidelity.py``.
 
 ``functional``
     Product + operation counts only; no SRAM substrate, no cycle model.
@@ -11,7 +15,7 @@ execution tiers:
     (:class:`~repro.modsram.analytical.AnalyticalModSRAM`)
 ``cycle``
     The word-line-accurate model with the controller FSM, the logic-SA
-    sense amplifiers and opt-in trace sinks.
+    sense amplifiers and opt-in trace sinks, one kernel step per cycle.
     (:class:`~repro.modsram.accelerator.ModSRAMAccelerator`)
 ``hdl``
     Event-driven co-simulation of the elaborated RTL: the same schedule as

@@ -1,22 +1,22 @@
-"""The R4CSA-LUT algorithm body, shared by every fidelity tier.
+"""The R4CSA-LUT algorithm body, one step per clock cycle.
 
-The layered simulation core runs *one* algorithm — load operands, fill the
+:func:`run_kernel` runs the algorithm — load operands, fill the
 radix-4/overflow LUTs, iterate Booth digit + overflow-fold carry-save
-additions, finalise — against interchangeable execution hosts:
+additions, finalise — as the sequence of word-line writes, reads,
+logic-SA accesses and near-memory cycles the controller schedules, each
+one a call on a :class:`KernelHost`.  It drives the **cycle** tier
+(:class:`~repro.modsram.accelerator.ModSRAMAccelerator`), whose SRAM
+substrate, controller FSM, trace sinks and noisy logic-SA need every step.
 
-* the **cycle** tier (:class:`~repro.modsram.accelerator.ModSRAMAccelerator`)
-  executes every step on the simulated SRAM substrate: word-line writes,
-  three-row logic-SA accesses, the controller FSM, the decoders;
-* the **functional** tier (:mod:`repro.modsram.functional`) executes the
-  same steps on a plain register file with bitwise XOR3/MAJ, producing the
-  identical product and operation counts at a fraction of the cost;
-* the **analytical** tier (:mod:`repro.modsram.analytical`) reuses the
-  functional host and derives exact cycle/energy reports from closed-form
-  schedule algebra instead of per-cycle simulation.
-
-Because the tiers share this body, product parity across fidelity levels is
-structural rather than coincidental (``tests/modsram/test_fidelity.py``
-checks it on randomised 254/256-bit operands anyway).
+The fast tiers (:mod:`repro.modsram.functional`,
+:mod:`repro.modsram.analytical`) run the same recurrence as one word-level
+loop, :meth:`~repro.modsram.functional.FastHost.multiply`, and charge the
+same statistics once per multiplication.  That parity is not structural,
+so tests pin it: ``tests/modsram/test_fast_tier_pins.py`` holds digests
+recorded from this body, and ``tests/modsram/test_fidelity.py`` checks the
+fast tiers against the cycle tier on random operand sequences.  The
+operand checks, LUT residency, LUT fill and outcome record below are shared
+by both paths.
 """
 
 from __future__ import annotations
@@ -25,9 +25,15 @@ import abc
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.core.luts import RADIX4_DIGIT_ORDER, build_overflow_lut, build_radix4_lut
+from repro.core.luts import (
+    RADIX4_DIGIT_ORDER,
+    OverflowLut,
+    Radix4Lut,
+    build_overflow_lut,
+    build_radix4_lut,
+)
 from repro.errors import ControllerError, OperandRangeError
-from repro.modsram.config import ModSRAMConfig
+from repro.modsram.config import OVERFLOW_LUT_ROWS, ModSRAMConfig
 from repro.modsram.controller import ControllerState
 from repro.modsram.memory_map import MemoryMap
 from repro.modsram.trace import Phase
@@ -37,13 +43,15 @@ __all__ = [
     "KernelOutcome",
     "LutResidency",
     "NMC_COUNTER_OF_KIND",
+    "OPERAND_LOAD_WRITES",
+    "fill_luts",
     "run_kernel",
     "validate_operands",
 ]
 
 #: Counter name charged for each near-memory cycle ``kind`` the kernel
-#: passes to :meth:`KernelHost.nmc_cycle`; shared by every host so the
-#: tiers' operation counts cannot drift apart.
+#: passes to :meth:`KernelHost.nmc_cycle`; the fast tiers charge the same
+#: names, so the tiers' operation counts cannot drift apart.
 NMC_COUNTER_OF_KIND = {
     "lut_compute": "nmc_compute",
     "full_add": "nmc_full_add",
@@ -86,12 +94,13 @@ class KernelOutcome:
 
 
 class KernelHost(abc.ABC):
-    """Execution substrate the algorithm body runs against.
+    """Execution substrate the per-step algorithm body runs against.
 
     A host provides storage rows, the near-memory datapath registers and the
-    per-step accounting of its fidelity tier.  Every method maps to exactly
-    one clock cycle in the cycle-accurate schedule; cheaper tiers may charge
-    it to a counter or ignore it entirely.
+    per-step accounting.  Every method maps to exactly one clock cycle in
+    the cycle-accurate schedule.  The cycle tier is the host; the fast tiers
+    run the word-level loop of :class:`~repro.modsram.functional.FastHost`
+    instead.
     """
 
     config: ModSRAMConfig
@@ -101,7 +110,7 @@ class KernelHost(abc.ABC):
 
     @abc.abstractmethod
     def transition(self, state: ControllerState) -> None:
-        """Move the controller FSM (a no-op for tiers without one)."""
+        """Move the controller FSM."""
 
     @abc.abstractmethod
     def begin_iteration(self, iteration: int) -> None:
@@ -186,6 +195,28 @@ def validate_operands(config: ModSRAMConfig, a: int, b: int, modulus: int) -> No
             )
 
 
+#: Row writes issued while loading operands: A, B, p and the two
+#: accumulator clears.  The multiplier read-back costs one more cycle.
+OPERAND_LOAD_WRITES = 5
+
+
+def fill_luts(
+    config: ModSRAMConfig, multiplicand: int, modulus: int
+) -> Tuple[Radix4Lut, OverflowLut, int]:
+    """Both LUTs for one (multiplicand, modulus) pair and their compute cycles.
+
+    Each non-trivial entry costs two near-memory cycles, one per modular
+    add/subtract; writing the entries to their word lines is charged
+    separately, one cycle per row.
+    """
+    radix4 = build_radix4_lut(multiplicand, modulus)
+    overflow = build_overflow_lut(
+        modulus, config.register_width, entry_count=OVERFLOW_LUT_ROWS
+    )
+    compute_cycles = radix4.computed_entry_count() * 2 + (len(overflow) - 1) * 2
+    return radix4, overflow, compute_cycles
+
+
 def _load_operands(host: KernelHost, a: int, b: int, modulus: int) -> None:
     """Write A, B, p to their word lines and latch the multiplier."""
     host.transition(ControllerState.LOAD)
@@ -216,14 +247,7 @@ def _precompute_luts(host: KernelHost, b: int, modulus: int) -> bool:
         return True
 
     mm = host.memory_map
-    radix4 = build_radix4_lut(b, modulus)
-    overflow = build_overflow_lut(
-        modulus, host.config.register_width, entry_count=len(mm.overflow_rows)
-    )
-    # Near-memory computation of the non-trivial entries is charged one
-    # cycle per modular add/subtract (see DESIGN.md §4); the writes are
-    # one cycle per word line like any other write.
-    compute_cycles = radix4.computed_entry_count() * 2 + (len(overflow) - 1) * 2
+    radix4, overflow, compute_cycles = fill_luts(host.config, b, modulus)
     for _ in range(compute_cycles):
         host.nmc_cycle(Phase.PRECOMPUTE, "nmc LUT computation", kind="lut_compute")
 
@@ -357,8 +381,12 @@ def _run_iterations(host: KernelHost) -> Tuple[int, int, int, int]:
             remaining -= fold
             if remaining == 0:
                 break
-            # Pathological overflow (never observed for real operands,
-            # see DESIGN.md): write the partial result back and fold again.
+            # The index exceeds the last overflow row: write the partial
+            # result back and fold again.  This happens when the modulus
+            # fills the macro's width, at small widths as well as large:
+            # about 1 product in 2,000 at 16 bits and 1 in 200 at 64 bits
+            # for random such moduli (tests/modsram/test_fidelity.py::
+            # TestExtraOverflowFolds pins a 12- and a 16-bit case).
             extra_folds += 1
             _writeback(
                 host, new_sum, mm.sum_row, "sum", 0, iteration, "sum (extra fold)"
@@ -429,7 +457,7 @@ def _finalize(
 
 
 def run_kernel(host: KernelHost, a: int, b: int, modulus: int) -> KernelOutcome:
-    """Execute one modular multiplication on a host (any fidelity tier)."""
+    """Execute one modular multiplication on a host, one step per cycle."""
     validate_operands(host.config, a, b, modulus)
     _load_operands(host, a, b, modulus)
     reused = _precompute_luts(host, b, modulus)

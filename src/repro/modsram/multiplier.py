@@ -9,9 +9,9 @@ adapters are registered, one per deployment shape:
     The cycle-accurate tier (word-line-level SRAM simulation).
 ``modsram-fast``
     The analytical tier by default — identical products and exact cycle
-    reports from the shared kernel on a register file, orders of magnitude
-    faster; construct with ``fidelity="functional"`` to drop the cycle
-    reports entirely.
+    reports from the kernel's recurrence run as one word-level loop, about
+    30x faster than ``modsram`` at 256 bits; construct with
+    ``fidelity="functional"`` to drop the cycle reports entirely.
 ``modsram-chip``
     An N-macro chip of analytical macros with LUT-reuse-aware dispatch
     (:class:`~repro.modsram.chip.Chip`).
@@ -129,8 +129,8 @@ class ModSRAMMultiplier(ModularMultiplier):
 class ModSRAMFastMultiplier(ModSRAMMultiplier):
     """The analytical (or functional) tier behind the multiplier interface.
 
-    Identical products to ``modsram`` — both run the shared kernel — with
-    the SRAM substrate replaced by a register file.  The default
+    Identical products to ``modsram`` — the same recurrence, run as one
+    word-level loop instead of on the SRAM substrate.  The default
     ``fidelity="analytical"`` keeps exact per-multiplication
     :class:`CycleReport`\\ s; ``fidelity="functional"`` drops the cycle
     model entirely (``cycles()`` returns ``None``) for pure throughput.
@@ -138,8 +138,8 @@ class ModSRAMFastMultiplier(ModSRAMMultiplier):
 
     name = "modsram-fast"
     description = (
-        "Analytical-tier ModSRAM model: the shared R4CSA-LUT kernel on a "
-        "register file with closed-form cycle reports (no SRAM substrate)."
+        "Analytical-tier ModSRAM model: the R4CSA-LUT kernel as one "
+        "word-level loop with closed-form cycle reports (no SRAM substrate)."
     )
     direct_form = True
 

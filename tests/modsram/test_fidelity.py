@@ -29,6 +29,14 @@ def tiers(config: ModSRAMConfig):
     )
 
 
+def assert_fast_tier_counts_match(cycle, analytical, functional):
+    """Cumulative access, datapath and operation counts equal the cycle tier's."""
+    for host in (analytical.host, functional.host):
+        assert host.stats.as_dict() == cycle.array.stats.as_dict()
+        assert host.datapath.stats.as_dict() == cycle.datapath.stats.as_dict()
+        assert host.counter.as_dict() == cycle.counter.as_dict()
+
+
 class TestProductParity:
     """All three tiers return identical products (acceptance criterion)."""
 
@@ -71,6 +79,79 @@ class TestProductParity:
                 simulator.multiply(0x8000, 1, 0xFFF1)  # paper-mode top bit
             with pytest.raises(OperandRangeError):
                 simulator.multiply(1, 1, 97)  # modulus far below the macro
+
+
+class TestFastTierParityProperty:
+    """The fast tiers' word-level loop agrees with the cycle tier's kernel.
+
+    Products, cycle reports, access statistics, datapath activity and
+    operation counts, over random operand sequences whose multiplicands
+    repeat (so the LUTs are reused) in both range modes.
+    """
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_fast_tiers_match_the_cycle_tier(self, data):
+        bits = data.draw(st.integers(4, 32), label="bits")
+        full_range = data.draw(st.booleans(), label="full_range")
+        config = ModSRAMConfig(extend_for_full_range=full_range).with_bitwidth(bits)
+        modulus = data.draw(
+            st.integers(max(3, 1 << (bits - 3)), (1 << bits) - 1), label="modulus"
+        )
+        limit = modulus
+        if not full_range:
+            limit = min(modulus, 1 << (2 * config.iterations - 1))
+        multiplicands = data.draw(
+            st.lists(st.integers(0, modulus - 1), min_size=1, max_size=3),
+            label="multiplicands",
+        )
+        calls = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, limit - 1), st.sampled_from(multiplicands)),
+                min_size=1,
+                max_size=6,
+            ),
+            label="calls",
+        )
+        cycle, analytical, functional = tiers(config)
+        for a, b in calls:
+            measured = cycle.multiply(a, b, modulus)
+            modelled = analytical.multiply(a, b, modulus)
+            counted = functional.multiply(a, b, modulus)
+            assert measured.product == a * b % modulus
+            assert modelled.product == counted.product == measured.product
+            assert modelled.report == measured.report
+            assert counted.lut_reused == measured.report.lut_reused
+            assert counted.extra_overflow_folds == measured.report.extra_overflow_folds
+        assert_fast_tier_counts_match(cycle, analytical, functional)
+
+
+class TestExtraOverflowFolds:
+    """A macro whose modulus fills its width can need a second overflow fold.
+
+    When the overflow index exceeds the overflow LUT's last row, the kernel
+    writes the partial result back and folds again: one more logic-SA
+    access and two more write-backs, three cycles.  Every tier takes the
+    same path.
+    """
+
+    @pytest.mark.parametrize(
+        "bits,a,b,modulus,iteration_cycles",
+        [(12, 565, 187, 3585, 38), (16, 9490, 58192, 59009, 50)],
+    )
+    def test_every_tier_folds_once_more(self, bits, a, b, modulus, iteration_cycles):
+        config = ModSRAMConfig(extend_for_full_range=False).with_bitwidth(bits)
+        assert iteration_cycles == 6 * config.iterations - 1 + 3
+        cycle, analytical, functional = tiers(config)
+        counted = functional.multiply(a, b, modulus)
+        assert counted.product == a * b % modulus
+        assert counted.extra_overflow_folds == 1
+        for simulator in (cycle, analytical, build_simulator("hdl", config)):
+            result = simulator.multiply(a, b, modulus)
+            assert result.product == a * b % modulus
+            assert result.report.extra_overflow_folds == 1
+            assert result.report.iteration_cycles == iteration_cycles
+        assert_fast_tier_counts_match(cycle, analytical, functional)
 
 
 class TestAnalyticalExactness:
