@@ -3,14 +3,15 @@
 Two claims of the layered simulation core, measured and emitted as
 ``BENCH_chip_scaling.json``:
 
-1. **Fidelity-tier speedup** — the functional tier runs a *full ECDSA
-   signing operation* (one ``k·G`` scalar multiplication over P-256, every
-   field multiplication through the R4CSA-LUT recurrence as one word-level
-   loop) at least 10x faster than the cycle-accurate tier, which runs the
-   same recurrence one kernel step per clock cycle on the SRAM substrate.  The functional sign is measured end to end; the cycle tier's
-   full-sign time is derived from its measured per-multiplication cost times
-   the sign's exact multiplication count (legitimate because the ModSRAM
-   schedule is data-independent — asserted by
+1. **Fidelity-tier speedup** — the analytical tier (``modsram-fast``) runs
+   a *full ECDSA signing operation* (one ``k·G`` scalar multiplication over
+   P-256, every field multiplication through the R4CSA-LUT recurrence as
+   one word-level loop) at least 10x faster than the cycle-accurate tier,
+   which runs the same recurrence one kernel step per clock cycle on the
+   SRAM substrate.  The analytical sign is measured end to end; the cycle
+   tier's full-sign time is derived from its measured per-multiplication
+   cost times the sign's exact multiplication count (legitimate because
+   the ModSRAM schedule is data-independent — asserted by
    ``tests/modsram/test_accelerator.py``).  Set ``BENCH_FULL=1`` to run the
    true cycle-accurate sign end to end as well (~10 minutes).
 
@@ -31,7 +32,7 @@ import time
 from repro.analysis.chip_scaling import reproduce_chip_scaling
 from repro.ecc.ecdsa import Ecdsa
 from repro.engine import Engine, ModSRAMFastBackend
-from repro.modsram import FunctionalModSRAM, ModSRAMAccelerator, ModSRAMConfig
+from repro.modsram import AnalyticalModSRAM, ModSRAMAccelerator, ModSRAMConfig
 
 #: Required fidelity-tier advantage on a full ECDSA sign (acceptance floor).
 REQUIRED_SPEEDUP = 10.0
@@ -72,43 +73,42 @@ def _measure_cycle_tier_per_multiply() -> float:
     return (time.perf_counter() - start) / CYCLE_TIER_SAMPLES
 
 
-def _measure_functional_per_multiply() -> float:
-    functional = FunctionalModSRAM(ModSRAMConfig())
+def _measure_analytical_per_multiply() -> float:
+    analytical = AnalyticalModSRAM(ModSRAMConfig())
     a, b = P256_P // 3, P256_P // 5
-    functional.multiply(a, b, P256_P)
+    analytical.multiply(a, b, P256_P)
     rounds = 20
     start = time.perf_counter()
     for offset in range(rounds):
-        functional.multiply(a - offset, b, P256_P)
+        analytical.multiply(a - offset, b, P256_P)
     return (time.perf_counter() - start) / rounds
 
 
 def collect_fidelity_speedup() -> dict:
     """The fidelity-tier section of the benchmark payload."""
-    functional_engine = Engine(
-        backend=ModSRAMFastBackend(fidelity="functional"), curve="p256"
+    analytical_sign = _measure_sign(
+        Engine(backend=ModSRAMFastBackend(), curve="p256")
     )
-    functional_sign = _measure_sign(functional_engine)
     cycle_per_multiply = _measure_cycle_tier_per_multiply()
-    functional_per_multiply = _measure_functional_per_multiply()
+    analytical_per_multiply = _measure_analytical_per_multiply()
 
-    cycle_sign_seconds = cycle_per_multiply * functional_sign["multiplications"]
+    cycle_sign_seconds = cycle_per_multiply * analytical_sign["multiplications"]
     cycle_sign_measured = False
     if os.environ.get("BENCH_FULL"):
         cycle_engine = Engine(backend="modsram", curve="p256")
         cycle_sign_seconds = _measure_sign(cycle_engine)["seconds"]
         cycle_sign_measured = True
 
-    speedup = cycle_sign_seconds / functional_sign["seconds"]
+    speedup = cycle_sign_seconds / analytical_sign["seconds"]
     return {
         "workload": "full ECDSA sign (P-256, deterministic nonce)",
-        "sign_multiplications": functional_sign["multiplications"],
-        "functional_sign_seconds": functional_sign["seconds"],
+        "sign_multiplications": analytical_sign["multiplications"],
+        "analytical_sign_seconds": analytical_sign["seconds"],
         "cycle_sign_seconds": cycle_sign_seconds,
         "cycle_sign_measured_end_to_end": cycle_sign_measured,
         "cycle_per_multiply_seconds": cycle_per_multiply,
-        "functional_per_multiply_seconds": functional_per_multiply,
-        "per_multiply_speedup": cycle_per_multiply / functional_per_multiply,
+        "analytical_per_multiply_seconds": analytical_per_multiply,
+        "per_multiply_speedup": cycle_per_multiply / analytical_per_multiply,
         "full_sign_speedup": speedup,
         "required_speedup": REQUIRED_SPEEDUP,
     }
@@ -146,19 +146,19 @@ def run_benchmark() -> dict:
     return payload
 
 
-def test_functional_tier_signs_at_least_10x_faster():
-    """Acceptance: functional full ECDSA sign >= 10x the cycle tier."""
+def test_analytical_tier_signs_at_least_10x_faster():
+    """Acceptance: analytical full ECDSA sign >= 10x the cycle tier."""
     payload = run_benchmark()
     fidelity = payload["fidelity"]
     print(
         f"\nfull P-256 sign ({fidelity['sign_multiplications']} muls): "
-        f"functional {fidelity['functional_sign_seconds']:.2f} s, "
+        f"analytical {fidelity['analytical_sign_seconds']:.2f} s, "
         f"cycle tier {fidelity['cycle_sign_seconds']:.1f} s "
         f"({'measured' if fidelity['cycle_sign_measured_end_to_end'] else 'derived'}) "
         f"=> {fidelity['full_sign_speedup']:.0f}x"
     )
     assert fidelity["full_sign_speedup"] >= REQUIRED_SPEEDUP, (
-        "functional tier must sign >= 10x faster than the cycle tier, got "
+        "analytical tier must sign >= 10x faster than the cycle tier, got "
         f"{fidelity['full_sign_speedup']:.1f}x"
     )
 

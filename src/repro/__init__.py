@@ -2,7 +2,7 @@
 
 A Python reproduction of "ModSRAM: Algorithm-Hardware Co-Design for Large
 Number Modular Multiplication in SRAM" (DAC 2024): the R4CSA-LUT algorithm
-family, a functional + cycle-level model of the ModSRAM 8T-SRAM PIM
+family, analytical, cycle-level and RTL models of the ModSRAM 8T-SRAM PIM
 accelerator, the prior-work PIM baselines it is compared against, and the
 ECC / ZKP application substrates that motivate it.
 
@@ -33,7 +33,7 @@ Fidelity tiers and the chip backend
 -----------------------------------
 The hardware model is a *layered simulation core* (:mod:`repro.modsram`):
 the R4CSA-LUT algorithm at three fidelity tiers, all returning
-bit-identical products —
+bit-identical products and cycle reports —
 
 * ``Engine(backend="modsram")`` — **cycle** tier: word-line-accurate SRAM
   simulation, one kernel step per clock cycle (767 main-loop cycles at
@@ -43,9 +43,9 @@ bit-identical products —
   from closed-form schedule algebra, about 30x faster than the cycle tier
   (~0.2 ms versus ~5 ms per 256-bit multiply on a 2-vCPU VM).  This is
   the tier for full workloads: ECDSA signing, NTTs, MSM batches;
-* ``ModSRAMFastBackend(fidelity="functional")`` — **functional** tier:
-  the same word-level loop reporting products and operation counts only,
-  no cycle model at all.
+* ``Engine(backend="modsram-hdl")`` — **hdl** tier: the elaborated macro
+  RTL on an event-driven simulator, cycle counts measured from the
+  netlist (:mod:`repro.hdl`).
 
 ``Engine(backend="modsram-chip")`` scales out to an N-macro chip whose
 scheduler dispatches the multiplication stream with LUT-reuse-aware

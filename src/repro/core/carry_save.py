@@ -3,8 +3,8 @@
 The ModSRAM logic-SA resolves both outputs for every column of three
 activated word lines in one access, so one bitwise operation on whole words
 models a noiseless access.  This is the one definition: the carry-save
-algorithms, the fast tiers' word-level loop and the logic-SA's ideal-sensing
-path call it.
+algorithms, the analytical tier's word-level loop and the logic-SA's
+ideal-sensing path call it.
 """
 
 from __future__ import annotations

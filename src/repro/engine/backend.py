@@ -66,7 +66,7 @@ class BackendInfo:
     #: Bitwidths the original design natively supports (``None`` = any).
     supported_bitwidths: Optional[Tuple[int, ...]] = None
     #: Simulation fidelity tier of accelerator backends (``"cycle"``,
-    #: ``"analytical"``, ``"functional"``; ``None`` for non-tiered backends).
+    #: ``"analytical"``, ``"hdl"``; ``None`` for non-tiered backends).
     fidelity: Optional[str] = None
     #: Macro count of chip-level backends (``None`` for single-macro ones).
     macros: Optional[int] = None
@@ -219,28 +219,19 @@ class ModSRAMBackend(MultiplierBackend):
 
 
 class ModSRAMFastBackend(MultiplierBackend):
-    """The fast fidelity tiers (``modsram-fast``) behind the backend interface.
+    """The analytical tier (``modsram-fast``) behind the backend interface.
 
-    Products are kernel-identical to ``modsram``; the default
-    ``fidelity="analytical"`` keeps the exact cycle model while
-    ``fidelity="functional"`` trades it away for raw throughput (the
-    backend then reports ``has_cycle_model=False``).
+    Products and cycle reports are identical to ``modsram``; the
+    recurrence runs as one word-level loop instead of on the SRAM
+    substrate, about 30x faster at 256 bits.
     """
 
-    def __init__(
-        self, config: Optional[object] = None, fidelity: str = "analytical"
-    ) -> None:
+    def __init__(self, config: Optional[object] = None) -> None:
         import repro.modsram.multiplier  # noqa: F401 - registers the adapters
-        from repro.modsram.fidelity import Fidelity
 
-        tier = Fidelity.coerce(fidelity)
-        kwargs: Dict[str, Any] = {"fidelity": tier}
-        if config is not None:
-            kwargs["config"] = config
+        kwargs = {"config": config} if config is not None else {}
         super().__init__(
-            "modsram-fast",
-            kind="accelerator",
-            info_fidelity=tier.value,
+            "modsram-fast", kind="accelerator", info_fidelity="analytical",
             **kwargs,
         )
 

@@ -1,6 +1,6 @@
 """RTL elaboration + event-driven co-simulation for the ModSRAM macro.
 
-The fourth fidelity tier: the R4CSA-LUT schedule of
+The third fidelity tier: the R4CSA-LUT schedule of
 :mod:`repro.modsram.kernel` elaborated into a structural hardware IR
 (:mod:`repro.hdl.ir` / :mod:`repro.hdl.elaborate`), emitted as
 synthesizable Verilog-2001 (:mod:`repro.hdl.verilog`) and executed by a

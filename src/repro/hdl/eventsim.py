@@ -9,7 +9,7 @@ the elaborated macro runs in milliseconds, not minutes.
 
 On top of the simulator sit the co-simulation harness
 (:class:`HdlMacroSim`, the start/done handshake protocol of the macro) and
-:class:`HdlModSRAM`, the fourth fidelity tier: it drives the elaborated RTL
+:class:`HdlModSRAM`, the third fidelity tier: it drives the elaborated RTL
 testbench-style and reports the *measured* per-phase cycle counts in the
 same :class:`~repro.modsram.report.CycleReport` shape as the other tiers —
 which the tests then assert equal to

@@ -10,57 +10,33 @@ identical to every other tier.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.core.algorithms.base import register_multiplier
 from repro.engine.backend import MultiplierBackend
-from repro.errors import ConfigurationError
 from repro.hdl.eventsim import HdlModSRAM
-from repro.modsram.accelerator import ModSRAMAccelerator
 from repro.modsram.config import ModSRAMConfig
-from repro.modsram.multiplier import ModSRAMMultiplier, _config_for
+from repro.modsram.multiplier import ModSRAMMultiplier
 
 __all__ = ["ModSRAMHdlMultiplier", "ModSRAMHdlBackend"]
 
 
 @register_multiplier
 class ModSRAMHdlMultiplier(ModSRAMMultiplier):
-    """Runs every multiplication through the RTL event simulator."""
+    """Runs every multiplication through the RTL event simulator.
+
+    Provisioning a width elaborates the macro RTL and compiles it for
+    event-driven execution.
+    """
 
     name = "modsram-hdl"
     description = (
         "HDL co-simulation tier: the elaborated ModSRAM RTL executed by the "
         "event-driven simulator, cycle counts measured from the netlist."
     )
-    direct_form = True
 
-    def __init__(self, config: Optional[ModSRAMConfig] = None) -> None:
-        super().__init__(config)
-        self._macros: Dict[int, HdlModSRAM] = {}
-
-    def macro_for(self, modulus: int) -> HdlModSRAM:
-        """Return (and cache) an elaborated macro sized for ``modulus``."""
-        config = _config_for(self._config, modulus)
-        key = config.bitwidth
-        if key not in self._macros:
-            self._macros[key] = HdlModSRAM(config)
-        return self._macros[key]
-
-    def accelerator_for(self, modulus: int) -> ModSRAMAccelerator:
-        raise ConfigurationError(
-            "the HDL tier has no cycle-level SRAM accelerator; use macro_for()"
-        )
-
-    def prepare(self, modulus: int) -> None:
-        """Elaborate and compile the macro for ``modulus`` eagerly."""
-        self.macro_for(modulus)
-
-    def _multiply(self, a: int, b: int, modulus: int) -> int:
-        macro = self.macro_for(modulus)
-        result = macro.multiply(a, b, modulus)
-        self.reports.append(result.report)
-        self._account(result.report)
-        return result.product
+    def _new_simulator(self, config: ModSRAMConfig) -> HdlModSRAM:
+        return HdlModSRAM(config)
 
 
 class ModSRAMHdlBackend(MultiplierBackend):

@@ -1,20 +1,21 @@
 """ModSRAM: the 8T SRAM PIM accelerator co-designed with R4CSA-LUT.
 
 The package is a *layered simulation core*: the R4CSA-LUT algorithm at
-three fidelity tiers —
-``functional`` (:class:`FunctionalModSRAM`: product + operation counts),
+two fidelity tiers —
 ``analytical`` (:class:`AnalyticalModSRAM`: exact closed-form cycle/energy
 reports) and ``cycle`` (:class:`ModSRAMAccelerator`: the word-line-accurate
-SRAM model with pluggable :class:`TraceSink` collection) — selected via
-:func:`build_simulator`.  The cycle tier runs the per-step body of
-:mod:`repro.modsram.kernel`; the two fast tiers run the same recurrence as
-one word-level loop (:meth:`FastHost.multiply`).  On top of the analytical
-tier, :class:`Chip` scales the macro out to an N-macro chip whose scheduler
-dispatches multiplication streams with LUT-reuse-aware placement.  The
-surrounding modules provide the memory map, the near-memory datapath, the
-controller FSM, the area model behind Figure 5 and the multiplier adapters
-(``modsram``, ``modsram-fast``, ``modsram-chip``) that plug the tiers into
-any code written against the generic multiplier interface.
+SRAM model with pluggable :class:`TraceSink` collection).
+:func:`build_simulator` selects a tier by name, the RTL event simulator of
+:mod:`repro.hdl` (``hdl``) included.  The cycle tier runs the per-step
+body of :mod:`repro.modsram.kernel`; the analytical tier runs the same
+recurrence as one word-level loop (:meth:`FastHost.multiply`).  On top of
+the analytical tier, :class:`Chip` scales the macro out to an N-macro chip
+whose scheduler dispatches multiplication streams with LUT-reuse-aware
+placement.  The surrounding modules provide the memory map, the
+near-memory datapath, the controller FSM, the area model behind Figure 5
+and the multiplier adapters (``modsram``, ``modsram-fast``,
+``modsram-chip``) that plug the tiers into any code written against the
+generic multiplier interface.
 """
 
 from repro.modsram.accelerator import (
@@ -22,7 +23,11 @@ from repro.modsram.accelerator import (
     ModSRAMAccelerator,
     MultiplicationResult,
 )
-from repro.modsram.analytical import AnalyticalCostModel, AnalyticalModSRAM
+from repro.modsram.analytical import (
+    AnalyticalCostModel,
+    AnalyticalModSRAM,
+    FastHost,
+)
 from repro.modsram.area import (
     PAPER_AREA_MM2,
     PAPER_AREA_OVERHEAD_PERCENT,
@@ -45,7 +50,6 @@ from repro.modsram.geometry import SUPPORTED_RADICES, MacroGeometry
 from repro.modsram.controller import Controller, ControllerState, CycleBudget
 from repro.modsram.datapath import DatapathStats, NearMemoryDatapath
 from repro.modsram.fidelity import Fidelity, build_simulator
-from repro.modsram.functional import FastHost, FunctionalModSRAM, FunctionalResult
 from repro.modsram.kernel import KernelHost, KernelOutcome, LutResidency, run_kernel
 from repro.modsram.memory_map import MemoryMap, MemoryUtilization
 from repro.modsram.multiplier import (
@@ -90,8 +94,6 @@ __all__ = [
     "ExecutionTrace",
     "FastHost",
     "Fidelity",
-    "FunctionalModSRAM",
-    "FunctionalResult",
     "KernelHost",
     "KernelOutcome",
     "LutResidency",

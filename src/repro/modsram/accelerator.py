@@ -15,9 +15,9 @@ paper's schedule).
 Trace collection is a pluggable :class:`~repro.modsram.tracesink.TraceSink`:
 the default run allocates no per-cycle events at all; pass ``trace=True``
 (or an explicit ``trace_sink``) to collect the full Figure 3-style
-walk-through.  The cheaper **functional** and **analytical** tiers live in
-:mod:`repro.modsram.functional` and :mod:`repro.modsram.analytical` and run
-the same kernel without the SRAM substrate.
+walk-through.  The cheaper **analytical** tier lives in
+:mod:`repro.modsram.analytical` and runs the same recurrence without the
+SRAM substrate.
 """
 
 from __future__ import annotations

@@ -1,41 +1,57 @@
-"""Analytical fidelity tier: closed-form cycle/energy accounting.
+"""Analytical fidelity tier: whole-word recurrence, closed-form cycles.
 
-:class:`AnalyticalCostModel` captures the ModSRAM schedule as algebra — the
-per-phase cycle counts the controller FSM would measure, and the array
-access profile the energy model consumes — without simulating a single word
-line.  :class:`AnalyticalModSRAM` combines that algebra with the kernel's
-recurrence run as one word-level loop
-(:meth:`~repro.modsram.functional.FastHost.multiply`, shared with the
-functional tier), so it returns the same
-:class:`~repro.modsram.report.MultiplicationResult` shape as the
-cycle-accurate tier with *exactly* matching cycle reports (asserted field by
-field in ``tests/modsram/test_fidelity.py``; the loop's counts are pinned in
-``tests/modsram/test_fast_tier_pins.py``) at functional-tier speed.  The
-only quantities taken from the loop rather than closed form are the
-data-dependent ones: LUT reuse, extra overflow folds and the final
-conditional-subtraction count.
+:class:`AnalyticalModSRAM` runs the cycle-accurate model's algorithm as one
+word-level loop (:meth:`FastHost.multiply`) and takes its cycle and energy
+reports from :class:`AnalyticalCostModel`, the ModSRAM schedule as algebra:
+the per-phase cycle counts the controller FSM would measure and the array
+access profile the energy model consumes, without simulating a single word
+line.  The reports match the cycle-accurate tier's *exactly* (asserted field
+by field in ``tests/modsram/test_fidelity.py``; the loop's counts are pinned
+in ``tests/modsram/test_fast_tier_pins.py``).  Only the data-dependent
+quantities come from the loop: LUT reuse, extra overflow folds and the final
+conditional-subtraction count.  This is the tier the full-workload studies
+(ECDSA signing, NTT/MSM batches, chip scale-out) run on.
 
 Geometry — array shape, banking, radix, LUT sizing — is a first-class
 constructor parameter (:class:`~repro.modsram.geometry.MacroGeometry`); the
 default geometry reproduces the paper's constants bit for bit, and the
-design-space exploration layer (:mod:`repro.dse`) sweeps it.
+design-space exploration layer (:mod:`repro.dse`) sweeps it.  The cost model
+prices every geometry; :class:`AnalyticalModSRAM` runs only the paper's
+macro.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from repro.core.booth import RADIX4_ENCODER_TABLE
+from repro.core.carry_save import xor3_maj
 from repro.errors import ConfigurationError
+from repro.instrumentation import OperationCounter
 from repro.modsram.config import ModSRAMConfig
-from repro.modsram.functional import FastHost
+from repro.modsram.datapath import NearMemoryDatapath
 from repro.modsram.geometry import MacroGeometry, _default_geometry
-from repro.modsram.kernel import OPERAND_LOAD_WRITES
+from repro.modsram.kernel import (
+    NMC_COUNTER_OF_KIND,
+    OPERAND_LOAD_WRITES,
+    KernelOutcome,
+    LutResidency,
+    fill_luts,
+    validate_operands,
+)
 from repro.modsram.report import CycleReport, MultiplicationResult
 from repro.modsram.trace import ExecutionTrace
 from repro.sram.energy import EnergyBreakdown
 from repro.sram.stats import ArrayStats
 
-__all__ = ["AnalyticalCostModel", "AnalyticalModSRAM"]
+__all__ = ["AnalyticalCostModel", "AnalyticalModSRAM", "FastHost"]
+
+#: Radix-4 Booth digit of each multiplier window ``a_{2i+1} a_{2i} a_{2i-1}``.
+_BOOTH_DIGIT_OF_WINDOW = tuple(
+    RADIX4_ENCODER_TABLE[(window >> 2, (window >> 1) & 1, window & 1)]
+    for window in range(8)
+)
+
 
 class AnalyticalCostModel:
     """Closed-form per-phase cycle and access algebra of one macro.
@@ -193,12 +209,171 @@ class AnalyticalCostModel:
         )
 
 
+class FastHost:
+    """One analytical-tier macro: the kernel's recurrence on whole words.
+
+    The redundant sum and carry registers are ``(n+1)``-bit local words,
+    each logic-SA access is one :func:`~repro.core.carry_save.xor3_maj`
+    against a resident LUT entry, and no array, decoder, controller or
+    trace is modelled.  The resident LUTs are the entries of the last fill,
+    held while :attr:`lut_residency` names their pair.  Each multiplication
+    charges the access statistics (the cost model's
+    :meth:`~AnalyticalCostModel.array_stats`), operation counts and
+    near-memory register activity the cycle tier collects step by step,
+    once, from its counts of LUT fills, overflow folds and conditional
+    subtractions.  The datapath's activity counters are kept; its
+    registers are not.
+    """
+
+    def __init__(self, cost_model: AnalyticalCostModel) -> None:
+        self.cost_model = cost_model
+        self.config = cost_model.config
+        self.datapath = NearMemoryDatapath(self.config)
+        self.lut_residency = LutResidency()
+        self.stats = ArrayStats()
+        self.counter = OperationCounter("modsram-analytical")
+        #: Resident radix-4 entries, indexed by Booth window.
+        self._radix4_by_window: Tuple[int, ...] = ()
+        #: Resident overflow entries, indexed by overflow value.
+        self._overflow: Tuple[int, ...] = ()
+
+    def multiply(self, a: int, b: int, modulus: int) -> KernelOutcome:
+        """Compute ``a * b mod modulus`` as the cycle tier's kernel would."""
+        config = self.config
+        validate_operands(config, a, b, modulus)
+        reused = self.lut_residency.matches(b, modulus)
+        lut_compute_cycles = 0
+        if not reused:
+            radix4, overflow, lut_compute_cycles = fill_luts(config, b, modulus)
+            self._radix4_by_window = tuple(
+                radix4[digit] for digit in _BOOTH_DIGIT_OF_WINDOW
+            )
+            self._overflow = overflow.entries
+            self.lut_residency.retain(b, modulus)
+
+        width = config.register_width
+        mask = (1 << width) - 1
+        radix4_by_window = self._radix4_by_window
+        overflow_lut = self._overflow
+        last_row = len(overflow_lut) - 1
+        # Bit ``j`` of ``windows`` is ``a_{j-1}``, so the window of the digit
+        # at bit ``2i`` is ``(windows >> 2i) & 7`` with ``a_{-1} = 0``.
+        windows = a << 1
+        sum_word = carry_word = pending = extra_folds = 0
+        for base in range(2 * config.iterations - 2, -1, -2):
+            # Previous write-back, pre-shifted by two: the bits leaving the
+            # registers join the overflow index, and so does the bit that
+            # escaped the previous folds, with weight 4.
+            sum_word <<= 2
+            carry_word <<= 2
+            shifted_out = (sum_word >> width) + (carry_word >> width)
+            sum_word &= mask
+            carry_word &= mask
+
+            # First section: add the Booth-digit entry.  MAJ is written
+            # back shifted left by one; its escaped bit joins the index.
+            sum_word, carry_word = xor3_maj(
+                radix4_by_window[(windows >> base) & 7], sum_word, carry_word
+            )
+            carry_word <<= 1
+            remaining = shifted_out + (carry_word >> width) + 4 * pending
+            carry_word &= mask
+
+            # Second section: fold the overflow back in, at most the last
+            # overflow row's worth per logic-SA access.  At most one fold
+            # lets a bit escape (tests/modsram/test_fidelity.py::
+            # TestExtraOverflowFolds), so ``pending`` stays a bit.
+            pending = 0
+            while True:
+                fold = remaining if remaining < last_row else last_row
+                sum_word, carry_word = xor3_maj(
+                    overflow_lut[fold], sum_word, carry_word
+                )
+                carry_word <<= 1
+                pending += carry_word >> width
+                carry_word &= mask
+                remaining -= fold
+                if not remaining:
+                    break
+                extra_folds += 1
+
+        total = sum_word + carry_word + (pending << width)
+        subtractions = 0
+        while total >= modulus:
+            total -= modulus
+            subtractions += 1
+
+        self._charge(reused, lut_compute_cycles, extra_folds, subtractions)
+        return KernelOutcome(
+            product=total,
+            lut_reused=reused,
+            extra_overflow_folds=extra_folds,
+            finalize_subtractions=subtractions,
+        )
+
+    def _charge(
+        self,
+        reused: bool,
+        lut_compute_cycles: int,
+        extra_folds: int,
+        subtractions: int,
+    ) -> None:
+        """Charge one multiplication's accesses, operations and registers.
+
+        The access profile is the cost model's closed form.  The other
+        counts are those of :func:`~repro.modsram.kernel.run_kernel`: two
+        logic-SA accesses per iteration plus one per extra fold; four
+        sum/carry write-backs per iteration plus two per extra fold, less
+        the elided last carry write-back; one plain read each to latch the
+        multiplier and to finalise.
+        """
+        config = self.config
+        iterations = config.iterations
+        profile = self.cost_model.array_stats(reused, extra_folds)
+        self.stats.accumulate(profile)
+        accesses = profile.compute_reads
+        writebacks = 4 * iterations - 1 + 2 * extra_folds
+
+        # Only non-zero counts: adding zero would create the key.
+        counter = self.counter
+        counter.add("memory_write", profile.row_writes)
+        counter.add("memory_read", 2)
+        counter.add("imc_access", accesses)
+        if lut_compute_cycles:
+            counter.add(NMC_COUNTER_OF_KIND["lut_compute"], lut_compute_cycles)
+        counter.add(NMC_COUNTER_OF_KIND["full_add"], 1)
+        if subtractions:
+            counter.add(NMC_COUNTER_OF_KIND["subtract"], subtractions)
+        counter.add("modmul", 1)
+
+        # Register writes, in NearMemoryDatapath's widths: the load latches
+        # the multiplier (n bits), the MSB extensions (2), the overflow
+        # field (3) and the pending bit (1); each access latches XOR3 and
+        # MAJ (n+1 each); each write-back updates the MSB extensions; each
+        # iteration but the last latches the overflow field and the pending
+        # bit.
+        shifted_iterations = iterations - 1
+        datapath = self.datapath.stats
+        datapath.register_writes += (
+            4 + 2 * accesses + writebacks + 2 * shifted_iterations
+        )
+        datapath.register_bits_written += (
+            config.bitwidth + 6
+            + 2 * config.register_width * accesses
+            + 2 * writebacks
+            + 4 * shifted_iterations
+        )
+        datapath.booth_encodings += iterations
+        datapath.overflow_updates += 1 + shifted_iterations
+
+
 class AnalyticalModSRAM:
     """Kernel-exact products with closed-form cycle and energy reports.
 
-    The executable kernel implements the radix-4 single-digit recurrence,
-    so only radix-4 geometries can run here; other radices are closed-form
-    only (:class:`AnalyticalCostModel` directly).
+    The word-level loop implements the paper's macro — radix-4 Booth
+    digits, one bank, an 8-row overflow LUT — so a ``geometry`` that
+    changes any of those is rejected; such geometries are closed-form only
+    (:class:`AnalyticalCostModel` directly).
     """
 
     def __init__(
@@ -208,21 +383,11 @@ class AnalyticalModSRAM:
     ) -> None:
         base = config or ModSRAMConfig()
         if geometry is not None:
-            if geometry.radix != 4:
-                raise ConfigurationError(
-                    f"the executable kernel is radix-4; geometry field "
-                    f"'radix' = {geometry.radix} is closed-form only "
-                    f"(use AnalyticalCostModel)"
-                )
+            geometry.check_executable()
             base = geometry.apply_to(base)
         self.config = base
         self.cost_model = AnalyticalCostModel(self.config, geometry)
-        self.host = FastHost(self.config)
-
-    @property
-    def lut_residency(self):
-        """Resident-LUT state (shared semantics with the cycle tier)."""
-        return self.host.lut_residency
+        self.host = FastHost(self.cost_model)
 
     def multiply(self, a: int, b: int, modulus: int) -> MultiplicationResult:
         """Compute ``a * b mod modulus``; cycles come from the cost model."""
@@ -243,10 +408,6 @@ class AnalyticalModSRAM:
     ) -> List[MultiplicationResult]:
         """Multiply a batch of operand pairs, reusing LUTs where possible."""
         return [self.multiply(a, b, modulus) for a, b in pairs]
-
-    def expected_iteration_cycles(self) -> int:
-        """The analytic main-loop cycle count for this configuration."""
-        return self.cost_model.iteration_cycles()
 
     def energy_report(self) -> EnergyBreakdown:
         """Energy implied by every access performed so far (cumulative)."""

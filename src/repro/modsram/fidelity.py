@@ -1,17 +1,15 @@
 """Fidelity-tier selection for the layered simulation core.
 
 One algorithm (:mod:`repro.modsram.kernel`), interchangeable execution
-tiers.  The per-step kernel body drives the cycle tier; the functional and
-analytical tiers run the same recurrence as one word-level loop
-(:meth:`~repro.modsram.functional.FastHost.multiply`), pinned to the
+tiers.  The per-step kernel body drives the cycle tier; the analytical tier
+runs the same recurrence as one word-level loop
+(:meth:`~repro.modsram.analytical.FastHost.multiply`), pinned to the
 per-step body by ``tests/modsram/test_fast_tier_pins.py`` and checked
 against the cycle tier in ``tests/modsram/test_fidelity.py``.
 
-``functional``
-    Product + operation counts only; no SRAM substrate, no cycle model.
-    (:class:`~repro.modsram.functional.FunctionalModSRAM`)
 ``analytical``
-    Product + exact closed-form cycle/energy reports; no per-cycle events.
+    Product + exact closed-form cycle/energy reports; no SRAM substrate,
+    no per-cycle events.
     (:class:`~repro.modsram.analytical.AnalyticalModSRAM`)
 ``cycle``
     The word-line-accurate model with the controller FSM, the logic-SA
@@ -24,9 +22,9 @@ against the cycle tier in ``tests/modsram/test_fidelity.py``.
     (:class:`~repro.hdl.eventsim.HdlModSRAM`)
 
 All three expose ``multiply(a, b, modulus)`` / ``multiply_many`` returning
-objects with a ``.product``; the analytical and cycle tiers additionally
-return a ``.report`` (:class:`~repro.modsram.report.CycleReport`) that the
-tests require to match field by field.
+a :class:`~repro.modsram.report.MultiplicationResult`: a ``.product`` and a
+``.report`` (:class:`~repro.modsram.report.CycleReport`) that the tests
+require to match field by field.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from repro.errors import ConfigurationError
 from repro.modsram.accelerator import ModSRAMAccelerator
 from repro.modsram.analytical import AnalyticalModSRAM
 from repro.modsram.config import ModSRAMConfig
-from repro.modsram.functional import FunctionalModSRAM
 
 __all__ = ["Fidelity", "build_simulator"]
 
@@ -46,7 +43,6 @@ __all__ = ["Fidelity", "build_simulator"]
 class Fidelity(str, Enum):
     """How much of the hardware one simulation run resolves."""
 
-    FUNCTIONAL = "functional"
     ANALYTICAL = "analytical"
     CYCLE = "cycle"
     HDL = "hdl"
@@ -77,16 +73,6 @@ def build_simulator(
         from repro.hdl.eventsim import HdlModSRAM
 
         return HdlModSRAM(config)
-    builders = {
-        Fidelity.FUNCTIONAL: FunctionalModSRAM,
-        Fidelity.ANALYTICAL: AnalyticalModSRAM,
-        Fidelity.CYCLE: ModSRAMAccelerator,
-    }
-    try:
-        builder = builders[tier]
-    except KeyError:
-        raise ConfigurationError(
-            f"no simulator registered for fidelity {tier.value!r}; valid "
-            f"tiers are {sorted(member.value for member in Fidelity)}"
-        ) from None
-    return builder(config)
+    if tier is Fidelity.ANALYTICAL:
+        return AnalyticalModSRAM(config)
+    return ModSRAMAccelerator(config)

@@ -11,9 +11,10 @@ The default geometry reproduces the paper's constants exactly: with
 ``MacroGeometry()`` every cycle count the cost model emits is identical to
 the pre-refactor closed forms (767 main-loop cycles at the paper point).
 
-Only the *closed-form* tier understands every geometry; the executable
-tiers (cycle / hdl / functional kernel) implement the radix-4 single-bank
-design and reject anything else.
+Only the *closed-form* cost model understands every geometry; the
+executable tiers (analytical, cycle, hdl) implement the paper's radix-4,
+single-bank macro with an 8-row overflow LUT and reject anything else
+(:meth:`MacroGeometry.check_executable`).
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ __all__ = ["MacroGeometry", "SUPPORTED_RADICES"]
 #: Booth recodings the closed-form algebra models (one digit per loop
 #: iteration; the executable kernel implements radix 4 only).
 SUPPORTED_RADICES = (2, 4, 8, 16)
+
+#: The geometry fields the executable tiers fix, and their only values.
+_EXECUTABLE_FIELDS = dict(radix=4, banks=1, overflow_rows=OVERFLOW_LUT_ROWS)
 
 
 @dataclass(frozen=True)
@@ -154,6 +158,22 @@ class MacroGeometry:
         if extend_for_full_range and bitwidth % digits == 0:
             return base + 1
         return base
+
+    def check_executable(self) -> None:
+        """Raise unless the executable tiers can run this geometry.
+
+        They implement the paper's macro: radix-4 Booth digits, one bank
+        and an 8-row overflow LUT.  The error names the first field that
+        differs.
+        """
+        for name, executable in _EXECUTABLE_FIELDS.items():
+            value = getattr(self, name)
+            if value != executable:
+                raise ConfigurationError(
+                    f"the executable tiers need geometry field {name!r} = "
+                    f"{executable}, got {value}; other values are "
+                    f"closed-form only"
+                )
 
     def write_burst_cycles(self, row_writes: int) -> int:
         """Cycles to issue ``row_writes`` independent row writes.

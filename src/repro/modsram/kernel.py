@@ -8,13 +8,13 @@ one a call on a :class:`KernelHost`.  It drives the **cycle** tier
 (:class:`~repro.modsram.accelerator.ModSRAMAccelerator`), whose SRAM
 substrate, controller FSM, trace sinks and noisy logic-SA need every step.
 
-The fast tiers (:mod:`repro.modsram.functional`,
-:mod:`repro.modsram.analytical`) run the same recurrence as one word-level
-loop, :meth:`~repro.modsram.functional.FastHost.multiply`, and charge the
-same statistics once per multiplication.  That parity is not structural,
-so tests pin it: ``tests/modsram/test_fast_tier_pins.py`` holds digests
+The analytical tier (:mod:`repro.modsram.analytical`) runs the same
+recurrence as one word-level loop,
+:meth:`~repro.modsram.analytical.FastHost.multiply`, and charges the same
+statistics once per multiplication.  That parity is not structural, so
+tests pin it: ``tests/modsram/test_fast_tier_pins.py`` holds digests
 recorded from this body, and ``tests/modsram/test_fidelity.py`` checks the
-fast tiers against the cycle tier on random operand sequences.  The
+analytical tier against the cycle tier on random operand sequences.  The
 operand checks, LUT residency, LUT fill and outcome record below are shared
 by both paths.
 """
@@ -50,8 +50,8 @@ __all__ = [
 ]
 
 #: Counter name charged for each near-memory cycle ``kind`` the kernel
-#: passes to :meth:`KernelHost.nmc_cycle`; the fast tiers charge the same
-#: names, so the tiers' operation counts cannot drift apart.
+#: passes to :meth:`KernelHost.nmc_cycle`; the analytical tier charges the
+#: same names, so the tiers' operation counts cannot drift apart.
 NMC_COUNTER_OF_KIND = {
     "lut_compute": "nmc_compute",
     "full_add": "nmc_full_add",
@@ -98,9 +98,9 @@ class KernelHost(abc.ABC):
 
     A host provides storage rows, the near-memory datapath registers and the
     per-step accounting.  Every method maps to exactly one clock cycle in
-    the cycle-accurate schedule.  The cycle tier is the host; the fast tiers
-    run the word-level loop of :class:`~repro.modsram.functional.FastHost`
-    instead.
+    the cycle-accurate schedule.  The cycle tier is the host; the
+    analytical tier runs the word-level loop of
+    :class:`~repro.modsram.analytical.FastHost` instead.
     """
 
     config: ModSRAMConfig
@@ -412,14 +412,10 @@ def _run_iterations(host: KernelHost) -> Tuple[int, int, int, int]:
                 host, new_carry, mm.carry_row, "carry", 2, iteration, "carry<<2"
             )
             host.datapath.set_shift_overflow(sum_overflow + carry_overflow)
-            host.datapath.set_pending_carry_out(min(pending_bits, 1))
-            if pending_bits > 1:
-                # More than one escaped bit can only happen on an extra
-                # fold; keep correctness by folding the surplus into the
-                # shift-overflow field (weight 4 after the shift).
-                host.datapath.set_shift_overflow(
-                    sum_overflow + carry_overflow + 4 * (pending_bits - 1)
-                )
+            # At most one fold per iteration lets a bit escape (tests/
+            # modsram/test_fidelity.py::TestExtraOverflowFolds), so this
+            # is a bit; the 1-bit latch raises ControllerError otherwise.
+            host.datapath.set_pending_carry_out(pending_bits)
 
     return final_sum, final_carry, pending_weight_bits, extra_folds
 

@@ -2,19 +2,23 @@
 
 This lets the ECC field layer, the ZKP kernels and the algorithm test suite
 treat the simulated hardware exactly like any software algorithm: the same
-interface, the same operand preconditions, the same oracle checks.  Three
-adapters are registered, one per deployment shape:
+interface, the same operand preconditions, the same oracle checks.  One
+adapter, :class:`ModSRAMMultiplier`, caches a simulator per operand width
+and accounts its cycle reports; each registered tier supplies only how to
+build its simulator:
 
 ``modsram``
     The cycle-accurate tier (word-line-level SRAM simulation).
 ``modsram-fast``
-    The analytical tier by default — identical products and exact cycle
-    reports from the kernel's recurrence run as one word-level loop, about
-    30x faster than ``modsram`` at 256 bits; construct with
-    ``fidelity="functional"`` to drop the cycle reports entirely.
+    The analytical tier — identical products and exact cycle reports from
+    the kernel's recurrence run as one word-level loop, about 30x faster
+    than ``modsram`` at 256 bits.
 ``modsram-chip``
     An N-macro chip of analytical macros with LUT-reuse-aware dispatch
     (:class:`~repro.modsram.chip.Chip`).
+``modsram-hdl``
+    The elaborated RTL on the event simulator
+    (:mod:`repro.hdl.multiplier`).
 
 Each adapter accumulates cycle statistics across calls, which is how the
 application-level examples estimate end-to-end latency on ModSRAM.
@@ -22,7 +26,7 @@ application-level examples estimate end-to-end latency on ModSRAM.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from repro.core.algorithms.base import ModularMultiplier, register_multiplier
 from repro.errors import ConfigurationError
@@ -30,25 +34,19 @@ from repro.modsram.analytical import AnalyticalModSRAM
 from repro.modsram.accelerator import ModSRAMAccelerator
 from repro.modsram.chip import Chip, ChipSchedule
 from repro.modsram.config import ModSRAMConfig
-from repro.modsram.fidelity import Fidelity
-from repro.modsram.functional import FunctionalModSRAM
 from repro.modsram.report import CycleReport
 
 __all__ = ["ModSRAMMultiplier", "ModSRAMFastMultiplier", "ModSRAMChipMultiplier"]
 
 
-def _config_for(
-    explicit: Optional[ModSRAMConfig], modulus: int
-) -> ModSRAMConfig:
-    """The macro configuration serving ``modulus`` (explicit wins)."""
-    if explicit is not None:
-        return explicit
-    return ModSRAMConfig().with_bitwidth(max(modulus.bit_length(), 4))
-
-
 @register_multiplier
 class ModSRAMMultiplier(ModularMultiplier):
-    """Runs every multiplication through the cycle-level ModSRAM model."""
+    """Runs every multiplication through the cycle-level ModSRAM model.
+
+    Subclasses run another tier by overriding :meth:`_new_simulator`;
+    anything it returns must offer ``multiply(a, b, modulus)`` returning a
+    result with ``.product`` and ``.report``.
+    """
 
     name = "modsram"
     description = (
@@ -60,46 +58,50 @@ class ModSRAMMultiplier(ModularMultiplier):
     def __init__(self, config: Optional[ModSRAMConfig] = None) -> None:
         super().__init__()
         self._config = config
-        self._accelerators: Dict[int, ModSRAMAccelerator] = {}
+        self._simulators: Dict[int, object] = {}
         self.reports: List[CycleReport] = []
 
     # ------------------------------------------------------------------ #
-    # accelerator management
+    # simulator management
     # ------------------------------------------------------------------ #
-    def accelerator_for(self, modulus: int) -> ModSRAMAccelerator:
-        """Return (and cache) a macro sized for ``modulus``.
+    def _new_simulator(self, config: ModSRAMConfig) -> object:
+        """Build this tier's simulator for one macro configuration."""
+        return ModSRAMAccelerator(config)
+
+    def simulator_for(self, modulus: int):
+        """Return (and cache) a simulator sized for ``modulus``.
 
         When the adapter was constructed with an explicit configuration that
-        configuration is always used; otherwise a macro is instantiated per
+        configuration is always used; otherwise a simulator is built per
         modulus bitwidth, mirroring how a real deployment would provision
         one macro per field.
         """
-        config = _config_for(self._config, modulus)
+        config = self._config
+        if config is None:
+            bitwidth = max(modulus.bit_length(), 4)
+            config = ModSRAMConfig().with_bitwidth(bitwidth)
         key = config.bitwidth
-        if key not in self._accelerators:
-            self._accelerators[key] = ModSRAMAccelerator(config)
-        return self._accelerators[key]
+        if key not in self._simulators:
+            self._simulators[key] = self._new_simulator(config)
+        return self._simulators[key]
 
     def prepare(self, modulus: int) -> None:
-        """Provision the simulated macro for ``modulus`` eagerly."""
-        self.accelerator_for(modulus)
+        """Provision the simulator for ``modulus`` eagerly."""
+        self.simulator_for(modulus)
 
     # ------------------------------------------------------------------ #
     # ModularMultiplier interface
     # ------------------------------------------------------------------ #
     def _multiply(self, a: int, b: int, modulus: int) -> int:
-        accelerator = self.accelerator_for(modulus)
-        result = accelerator.multiply(a, b, modulus)
-        self.reports.append(result.report)
-        self._account(result.report)
-        return result.product
-
-    def _account(self, report: CycleReport) -> None:
+        result = self.simulator_for(modulus).multiply(a, b, modulus)
+        report = result.report
+        self.reports.append(report)
         self.stats.iterations += report.iterations
         self.stats.lut_lookups += 2 * report.iterations
         self.stats.carry_save_additions += 2 * report.iterations
         if not report.lut_reused:
             self.stats.precomputations += 1
+        return result.product
 
     def cycles(self, bitwidth: int) -> Optional[int]:
         """Main-loop cycles of a macro sized for ``bitwidth`` operands."""
@@ -127,13 +129,11 @@ class ModSRAMMultiplier(ModularMultiplier):
 
 @register_multiplier
 class ModSRAMFastMultiplier(ModSRAMMultiplier):
-    """The analytical (or functional) tier behind the multiplier interface.
+    """The analytical tier behind the multiplier interface.
 
-    Identical products to ``modsram`` — the same recurrence, run as one
-    word-level loop instead of on the SRAM substrate.  The default
-    ``fidelity="analytical"`` keeps exact per-multiplication
-    :class:`CycleReport`\\ s; ``fidelity="functional"`` drops the cycle
-    model entirely (``cycles()`` returns ``None``) for pure throughput.
+    Identical products and :class:`CycleReport`\\ s to ``modsram`` — the
+    same recurrence, run as one word-level loop instead of on the SRAM
+    substrate.
     """
 
     name = "modsram-fast"
@@ -141,64 +141,9 @@ class ModSRAMFastMultiplier(ModSRAMMultiplier):
         "Analytical-tier ModSRAM model: the R4CSA-LUT kernel as one "
         "word-level loop with closed-form cycle reports (no SRAM substrate)."
     )
-    direct_form = True
 
-    def __init__(
-        self,
-        config: Optional[ModSRAMConfig] = None,
-        fidelity: Union[str, Fidelity] = Fidelity.ANALYTICAL,
-    ) -> None:
-        super().__init__(config)
-        tier = Fidelity.coerce(fidelity)
-        if tier is Fidelity.CYCLE:
-            raise ConfigurationError(
-                "fidelity='cycle' is the 'modsram' multiplier; 'modsram-fast' "
-                "offers the analytical and functional tiers"
-            )
-        self.fidelity = tier
-        self._simulators: Dict[int, object] = {}
-
-    def simulator_for(
-        self, modulus: int
-    ) -> Union[AnalyticalModSRAM, FunctionalModSRAM]:
-        """Return (and cache) a tier simulator sized for ``modulus``."""
-        config = _config_for(self._config, modulus)
-        key = config.bitwidth
-        if key not in self._simulators:
-            tier_cls = (
-                AnalyticalModSRAM
-                if self.fidelity is Fidelity.ANALYTICAL
-                else FunctionalModSRAM
-            )
-            self._simulators[key] = tier_cls(config)
-        return self._simulators[key]
-
-    def accelerator_for(self, modulus: int) -> ModSRAMAccelerator:
-        raise ConfigurationError(
-            "the fast tiers have no SRAM accelerator; use simulator_for()"
-        )
-
-    def prepare(self, modulus: int) -> None:
-        self.simulator_for(modulus)
-
-    def _multiply(self, a: int, b: int, modulus: int) -> int:
-        simulator = self.simulator_for(modulus)
-        result = simulator.multiply(a, b, modulus)
-        if self.fidelity is Fidelity.ANALYTICAL:
-            self.reports.append(result.report)
-            self._account(result.report)
-        else:
-            self.stats.iterations += simulator.config.iterations
-            self.stats.lut_lookups += 2 * simulator.config.iterations
-            self.stats.carry_save_additions += 2 * simulator.config.iterations
-            if not result.lut_reused:
-                self.stats.precomputations += 1
-        return result.product
-
-    def cycles(self, bitwidth: int) -> Optional[int]:
-        if self.fidelity is Fidelity.FUNCTIONAL:
-            return None
-        return super().cycles(bitwidth)
+    def _new_simulator(self, config: ModSRAMConfig) -> AnalyticalModSRAM:
+        return AnalyticalModSRAM(config)
 
 
 @register_multiplier
@@ -216,7 +161,6 @@ class ModSRAMChipMultiplier(ModSRAMMultiplier):
         "N-macro ModSRAM chip: analytical macros with LUT-reuse-aware "
         "chip-level dispatch."
     )
-    direct_form = True
 
     def __init__(
         self, config: Optional[ModSRAMConfig] = None, macros: int = 4
@@ -225,30 +169,9 @@ class ModSRAMChipMultiplier(ModSRAMMultiplier):
         if macros <= 0:
             raise ConfigurationError(f"macros must be positive, got {macros}")
         self.macros = macros
-        self._chips: Dict[int, Chip] = {}
 
-    def chip_for(self, modulus: int) -> Chip:
-        """Return (and cache) a chip sized for ``modulus``."""
-        config = _config_for(self._config, modulus)
-        key = config.bitwidth
-        if key not in self._chips:
-            self._chips[key] = Chip(self.macros, config)
-        return self._chips[key]
-
-    def accelerator_for(self, modulus: int) -> ModSRAMAccelerator:
-        raise ConfigurationError(
-            "the chip tier has no single SRAM accelerator; use chip_for()"
-        )
-
-    def prepare(self, modulus: int) -> None:
-        self.chip_for(modulus)
-
-    def _multiply(self, a: int, b: int, modulus: int) -> int:
-        chip = self.chip_for(modulus)
-        result = chip.multiply(a, b, modulus)
-        self.reports.append(result.report)
-        self._account(result.report)
-        return result.product
+    def _new_simulator(self, config: ModSRAMConfig) -> Chip:
+        return Chip(self.macros, config)
 
     def activity(self, bitwidth: Optional[int] = None) -> ChipSchedule:
         """Chip-level schedule summary for one provisioned bitwidth.
@@ -256,13 +179,13 @@ class ModSRAMChipMultiplier(ModSRAMMultiplier):
         With a single provisioned chip (the common case) ``bitwidth`` may
         be omitted.
         """
-        if not self._chips:
+        if not self._simulators:
             raise ConfigurationError("no chip provisioned yet; multiply first")
         if bitwidth is None:
-            if len(self._chips) > 1:
+            if len(self._simulators) > 1:
                 raise ConfigurationError(
-                    f"several chips provisioned ({sorted(self._chips)}); "
+                    f"several chips provisioned ({sorted(self._simulators)}); "
                     "name the bitwidth"
                 )
-            bitwidth = next(iter(self._chips))
-        return self._chips[bitwidth].activity()
+            bitwidth = next(iter(self._simulators))
+        return self._simulators[bitwidth].activity()

@@ -6,14 +6,13 @@ cycle), how many of those are multi-row compute accesses versus plain reads,
 and how many write-backs occur.  The energy model consumes these directly.
 
 :class:`ArrayStats` is the *shared accounting currency* of the layered
-simulation core: the behavioural array fills one in while simulating, the
-functional tier fills one in from its register-file host, and the
-analytical tier synthesises one in closed form — so the energy model and
-the reports never need to know which fidelity tier produced the numbers.
-The algebra helpers (:meth:`merged_with`, :meth:`snapshot` /
-:meth:`delta_since`) support multi-macro aggregation (``Chip.stats()``) and
-per-multiplication attribution (``FunctionalResult.stats``) without
-coupling callers to the array.
+simulation core: the behavioural array fills one in while simulating and
+the analytical tier synthesises one in closed form — so the energy model
+and the reports never need to know which fidelity tier produced the
+numbers.  The algebra helpers (:meth:`accumulate`, :meth:`merged_with`,
+:meth:`snapshot` / :meth:`delta_since`) support per-multiplication charging
+(``FastHost``), multi-macro aggregation (``Chip.stats()``) and
+per-operation attribution without coupling callers to the array.
 """
 
 from __future__ import annotations
@@ -65,11 +64,15 @@ class ArrayStats:
     # ------------------------------------------------------------------ #
     # algebra (multi-macro aggregation, per-operation attribution)
     # ------------------------------------------------------------------ #
+    def accumulate(self, other: "ArrayStats") -> None:
+        """Add another profile's counters to these, in place."""
+        for name in self.__dataclass_fields__:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
     def merged_with(self, other: "ArrayStats") -> "ArrayStats":
         """A new stats object with element-wise summed counters."""
-        merged = ArrayStats()
-        for name in self.__dataclass_fields__:
-            setattr(merged, name, getattr(self, name) + getattr(other, name))
+        merged = self.snapshot()
+        merged.accumulate(other)
         return merged
 
     def snapshot(self) -> "ArrayStats":

@@ -1,12 +1,13 @@
 """The one carry-save adder definition: XOR3/MAJ on whole words.
 
-``r4csa-lut``, ``csa-interleaved``, the fast tiers' word-level loop and the
-logic-SA's ideal-sensing path all call :func:`xor3_maj`.  The register
-invariant below is the one the carry-save algorithms rely on: an addition
-into ``WIDTH``-bit sum/carry registers keeps the value exact up to one
-escaped bit.  The shifts by two that spill into the overflow index are
-written inline in the algorithms; ``tests/core/test_r4csa_lut.py`` bounds
-that index and ``tests/core/test_word_level_pins.py`` pins the traces.
+``r4csa-lut``, ``csa-interleaved``, the analytical tier's word-level loop
+and the logic-SA's ideal-sensing path all call :func:`xor3_maj`.  The
+register invariant below is the one the carry-save algorithms rely on: an
+addition into ``WIDTH``-bit sum/carry registers keeps the value exact up
+to one escaped bit.  The shifts by two that spill into the overflow index
+are written inline in the algorithms; ``tests/core/test_r4csa_lut.py``
+bounds that index and ``tests/core/test_word_level_pins.py`` pins the
+traces.
 """
 
 from __future__ import annotations

@@ -103,6 +103,19 @@ class TestValidationNamesTheKey:
         with pytest.raises(ConfigurationError, match="'fidelity'"):
             DesignPoint(radix=8, fidelity="cycle")
 
+    @pytest.mark.parametrize("overflow_rows", (4, 16))
+    @pytest.mark.parametrize("fidelity", ("cycle", "hdl"))
+    def test_fidelity_needs_the_paper_overflow_lut(self, fidelity, overflow_rows):
+        """The probe races tiers that fold through exactly 8 overflow rows."""
+        with pytest.raises(
+            ConfigurationError, match="'fidelity'.*'overflow_rows'"
+        ):
+            DesignPoint(
+                bitwidth=16, rows=64, fidelity=fidelity,
+                overflow_rows=overflow_rows,
+            )
+        assert DesignPoint(bitwidth=16, rows=64, overflow_rows=overflow_rows)
+
     def test_expansion_cap_is_enforced(self):
         spec = SweepSpec(axes={"workload_ops": list(range(1, 102))})
         with pytest.raises(ConfigurationError, match="101 points"):

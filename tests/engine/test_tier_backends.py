@@ -7,7 +7,6 @@ import pytest
 from repro.engine import (
     Engine,
     ModSRAMChipBackend,
-    ModSRAMFastBackend,
     available_backends,
     get_backend,
 )
@@ -40,18 +39,6 @@ class TestRegistry:
         info = get_backend("montgomery").info
         assert info.fidelity is None and info.macros is None
 
-    def test_functional_fidelity_drops_the_cycle_model(self):
-        backend = ModSRAMFastBackend(fidelity="functional")
-        assert backend.info.has_cycle_model is False
-        assert backend.modeled_cycles(256) is None
-
-    def test_fidelity_enum_is_normalised_in_the_metadata(self):
-        from repro.modsram import Fidelity
-
-        backend = ModSRAMFastBackend(fidelity=Fidelity.FUNCTIONAL)
-        assert backend.info.fidelity == "functional"
-        assert backend.info.as_dict()["fidelity"] == "functional"
-
     def test_chip_backend_macro_config(self):
         backend = ModSRAMChipBackend(macros=8)
         assert backend.info.macros == 8
@@ -60,8 +47,6 @@ class TestRegistry:
         assert context.multiplier.macros == 8
 
     def test_invalid_tier_configurations_are_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ModSRAMFastBackend(fidelity="cycle")
         with pytest.raises(ConfigurationError):
             ModSRAMChipBackend(macros=0)
 

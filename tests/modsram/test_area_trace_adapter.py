@@ -6,12 +6,15 @@ import pytest
 
 from repro.core import available_multipliers, create_multiplier
 from repro.errors import ConfigurationError
+from repro.hdl.multiplier import ModSRAMHdlMultiplier
 from repro.modsram import (
     AreaModel,
     AreaParameters,
     CycleEvent,
     ExecutionTrace,
+    ModSRAMChipMultiplier,
     ModSRAMConfig,
+    ModSRAMFastMultiplier,
     ModSRAMMultiplier,
     PAPER_AREA_MM2,
     PAPER_AREA_OVERHEAD_PERCENT,
@@ -128,6 +131,15 @@ class TestExecutionTrace:
         assert not Phase.IMC_RADIX4.is_writeback()
 
 
+#: The four tier adapters; each supplies only how to build its simulator.
+ADAPTERS = (
+    ModSRAMMultiplier,
+    ModSRAMFastMultiplier,
+    ModSRAMChipMultiplier,
+    ModSRAMHdlMultiplier,
+)
+
+
 class TestModSRAMMultiplierAdapter:
     def test_registered_in_the_registry(self):
         assert "modsram" in available_multipliers()
@@ -151,17 +163,21 @@ class TestModSRAMMultiplierAdapter:
         )
         assert multiplier.lut_reuse_rate() == pytest.approx(0.5)
 
-    def test_macro_is_provisioned_per_bitwidth(self):
-        multiplier = ModSRAMMultiplier()
+    @pytest.mark.parametrize("adapter", ADAPTERS, ids=lambda cls: cls.name)
+    def test_macro_is_provisioned_per_bitwidth(self, adapter):
+        multiplier = adapter()
         multiplier.multiply(3, 7, 65521)
         multiplier.multiply(3, 7, (1 << 24) - 3)
-        assert set(multiplier._accelerators) == {16, 24}
+        assert set(multiplier._simulators) == {16, 24}
+        assert multiplier.simulator_for(65521).config.bitwidth == 16
 
-    def test_explicit_configuration_is_respected(self):
+    @pytest.mark.parametrize("adapter", ADAPTERS, ids=lambda cls: cls.name)
+    def test_explicit_configuration_is_respected(self, adapter):
         config = ModSRAMConfig(extend_for_full_range=False).with_bitwidth(16)
-        multiplier = ModSRAMMultiplier(config)
-        multiplier.multiply(3, 7, 65521)
-        assert multiplier.accelerator_for(65521).config is config
+        multiplier = adapter(config)
+        assert multiplier.multiply(3, 7, 65521) == 21
+        assert multiplier.simulator_for(65521).config is config
+        assert multiplier.reports[0].iterations == config.iterations
 
     def test_cycles_matches_schedule(self):
         multiplier = ModSRAMMultiplier()

@@ -5,40 +5,37 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.carry_save import xor3_maj
 from repro.errors import ConfigurationError, OperandRangeError
 from repro.modsram import (
     AnalyticalCostModel,
     AnalyticalModSRAM,
     Fidelity,
-    FunctionalModSRAM,
     ModSRAMAccelerator,
     ModSRAMConfig,
     PAPER_CONFIG,
     build_simulator,
 )
+from repro.modsram.config import OVERFLOW_LUT_ROWS
 
 BN254_P = 0x30644E72E131A029B85045B68181585D97816A916871CA8D3C208C16D87CFD47
 SECP256K1_P = 2**256 - 2**32 - 977
 
 
 def tiers(config: ModSRAMConfig):
-    return (
-        ModSRAMAccelerator(config),
-        AnalyticalModSRAM(config),
-        FunctionalModSRAM(config),
-    )
+    return ModSRAMAccelerator(config), AnalyticalModSRAM(config)
 
 
-def assert_fast_tier_counts_match(cycle, analytical, functional):
+def assert_fast_tier_counts_match(cycle, analytical):
     """Cumulative access, datapath and operation counts equal the cycle tier's."""
-    for host in (analytical.host, functional.host):
-        assert host.stats.as_dict() == cycle.array.stats.as_dict()
-        assert host.datapath.stats.as_dict() == cycle.datapath.stats.as_dict()
-        assert host.counter.as_dict() == cycle.counter.as_dict()
+    host = analytical.host
+    assert host.stats.as_dict() == cycle.array.stats.as_dict()
+    assert host.datapath.stats.as_dict() == cycle.datapath.stats.as_dict()
+    assert host.counter.as_dict() == cycle.counter.as_dict()
 
 
 class TestProductParity:
-    """All three tiers return identical products (acceptance criterion)."""
+    """The cycle and analytical tiers return identical products."""
 
     @pytest.mark.parametrize(
         "modulus,config",
@@ -49,13 +46,12 @@ class TestProductParity:
         ids=["bn254-paper", "secp256k1-full-range"],
     )
     def test_randomised_parity_at_paper_widths(self, modulus, config, rng):
-        cycle, analytical, functional = tiers(config)
+        cycle, analytical = tiers(config)
         for _ in range(2):
             a, b = rng.randrange(modulus), rng.randrange(modulus)
             expected = (a * b) % modulus
             assert cycle.multiply(a, b, modulus).product == expected
             assert analytical.multiply(a, b, modulus).product == expected
-            assert functional.multiply(a, b, modulus).product == expected
 
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
@@ -64,25 +60,24 @@ class TestProductParity:
         a = data.draw(st.integers(0, modulus - 1))
         b = data.draw(st.integers(0, modulus - 1))
         config = ModSRAMConfig().with_bitwidth(16)
-        cycle, analytical, functional = tiers(config)
+        cycle, analytical = tiers(config)
         expected = (a * b) % modulus
         assert cycle.multiply(a, b, modulus).product == expected
         assert analytical.multiply(a, b, modulus).product == expected
-        assert functional.multiply(a, b, modulus).product == expected
 
     def test_fast_tiers_enforce_the_same_preconditions(self):
         config = ModSRAMConfig(extend_for_full_range=False).with_bitwidth(16)
-        for simulator in (AnalyticalModSRAM(config), FunctionalModSRAM(config)):
-            with pytest.raises(OperandRangeError):
-                simulator.multiply(65521, 1, 65521)  # unreduced operand
-            with pytest.raises(OperandRangeError):
-                simulator.multiply(0x8000, 1, 0xFFF1)  # paper-mode top bit
-            with pytest.raises(OperandRangeError):
-                simulator.multiply(1, 1, 97)  # modulus far below the macro
+        simulator = AnalyticalModSRAM(config)
+        with pytest.raises(OperandRangeError):
+            simulator.multiply(65521, 1, 65521)  # unreduced operand
+        with pytest.raises(OperandRangeError):
+            simulator.multiply(0x8000, 1, 0xFFF1)  # paper-mode top bit
+        with pytest.raises(OperandRangeError):
+            simulator.multiply(1, 1, 97)  # modulus far below the macro
 
 
 class TestFastTierParityProperty:
-    """The fast tiers' word-level loop agrees with the cycle tier's kernel.
+    """The analytical tier's word-level loop agrees with the cycle kernel.
 
     Products, cycle reports, access statistics, datapath activity and
     operation counts, over random operand sequences whose multiplicands
@@ -113,17 +108,14 @@ class TestFastTierParityProperty:
             ),
             label="calls",
         )
-        cycle, analytical, functional = tiers(config)
+        cycle, analytical = tiers(config)
         for a, b in calls:
             measured = cycle.multiply(a, b, modulus)
             modelled = analytical.multiply(a, b, modulus)
-            counted = functional.multiply(a, b, modulus)
             assert measured.product == a * b % modulus
-            assert modelled.product == counted.product == measured.product
+            assert modelled.product == measured.product
             assert modelled.report == measured.report
-            assert counted.lut_reused == measured.report.lut_reused
-            assert counted.extra_overflow_folds == measured.report.extra_overflow_folds
-        assert_fast_tier_counts_match(cycle, analytical, functional)
+        assert_fast_tier_counts_match(cycle, analytical)
 
 
 class TestExtraOverflowFolds:
@@ -142,16 +134,42 @@ class TestExtraOverflowFolds:
     def test_every_tier_folds_once_more(self, bits, a, b, modulus, iteration_cycles):
         config = ModSRAMConfig(extend_for_full_range=False).with_bitwidth(bits)
         assert iteration_cycles == 6 * config.iterations - 1 + 3
-        cycle, analytical, functional = tiers(config)
-        counted = functional.multiply(a, b, modulus)
-        assert counted.product == a * b % modulus
-        assert counted.extra_overflow_folds == 1
+        cycle, analytical = tiers(config)
         for simulator in (cycle, analytical, build_simulator("hdl", config)):
             result = simulator.multiply(a, b, modulus)
             assert result.product == a * b % modulus
             assert result.report.extra_overflow_folds == 1
             assert result.report.iteration_cycles == iteration_cycles
-        assert_fast_tier_counts_match(cycle, analytical, functional)
+        assert_fast_tier_counts_match(cycle, analytical)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_fold_that_escapes_is_not_followed_by_one_that_does(self, data):
+        """At most one fold per iteration lets a bit escape.
+
+        Every LUT entry is below the modulus, so its bit ``n`` is clear and
+        MAJ's bit ``n`` is ``sum_n & carry_n``.  When that bit escapes,
+        XOR3's bit ``n`` is ``1 ^ 1 ^ 0 = 0``: the new sum has bit ``n``
+        clear, so the next fold's MAJ bit ``n`` is 0 and nothing escapes.
+        The pending carry-out is therefore one bit, the overflow index is at
+        most 3 + 3 + 1 + 4 = 11 and one extra fold covers it.
+        """
+        n = data.draw(st.integers(3, 64), label="n")
+        top = 1 << n
+        entry, following, sum_low, carry_low = (
+            data.draw(st.integers(0, top - 1), label=label)
+            for label in ("entry", "following entry", "sum", "carry")
+        )
+        # MAJ's bit n escapes exactly when the sum and carry both have it.
+        new_sum, maj = xor3_maj(entry, sum_low | top, carry_low | top)
+        assert maj & top
+        assert not new_sum & top
+        new_carry = (maj << 1) & (2 * top - 1)
+        _, next_maj = xor3_maj(following, new_sum, new_carry)
+        assert not next_maj & top
+        # A fold takes at most the last overflow row's value, so two folds
+        # cover the largest index.
+        assert 3 + 3 + 1 + 4 <= 2 * (OVERFLOW_LUT_ROWS - 1)
 
 
 class TestAnalyticalExactness:
@@ -208,16 +226,7 @@ class TestAnalyticalExactness:
 
 
 class TestAccessStatsParity:
-    """Closed-form and register-file access profiles match the real array."""
-
-    def test_functional_stats_match_the_simulated_array(self, rng):
-        config = ModSRAMConfig().with_bitwidth(16)
-        cycle = ModSRAMAccelerator(config)
-        functional = FunctionalModSRAM(config)
-        for pair in ((11, 13), (500, 13), (65520, 65519)):
-            cycle.multiply(*pair, 65521)
-            functional.multiply(*pair, 65521)
-        assert functional.stats.as_dict() == cycle.array.stats.as_dict()
+    """Closed-form access profiles match the real array."""
 
     def test_analytical_closed_form_matches_measured_stats(self, rng):
         config = ModSRAMConfig().with_bitwidth(16)
@@ -245,58 +254,18 @@ class TestAccessStatsParity:
         assert modelled.write_pj == pytest.approx(measured.write_pj)
 
 
-class TestFunctionalOperations:
-    def test_operation_counts_reflect_the_schedule(self):
-        config = ModSRAMConfig().with_bitwidth(16)
-        functional = FunctionalModSRAM(config)
-        result = functional.multiply(11, 13, 65521)
-        iterations = config.iterations
-        assert result.operations["imc_access"] == 2 * iterations
-        assert result.operations["modmul"] == 1
-        assert result.operations["memory_write"] > 0
-
-    def test_per_multiplication_stats_delta_feeds_the_energy_model(self):
-        config = ModSRAMConfig().with_bitwidth(16)
-        functional = FunctionalModSRAM(config)
-        first = functional.multiply(11, 13, 65521)
-        second = functional.multiply(12, 13, 65521)
-        # The per-multiplication profile stands alone (not cumulative) ...
-        assert first.stats.row_writes > second.stats.row_writes  # LUT reuse
-        assert (
-            first.stats.merged_with(second.stats).as_dict()
-            == functional.stats.as_dict()
-        )
-        # ... and prices one multiplication directly.
-        assert config.energy.from_stats(second.stats).total_pj > 0
-
-    def test_counts_are_per_multiplication_deltas(self):
-        config = ModSRAMConfig().with_bitwidth(16)
-        functional = FunctionalModSRAM(config)
-        first = functional.multiply(11, 13, 65521)
-        second = functional.multiply(12, 13, 65521)
-        assert second.lut_reused
-        assert second.operations["imc_access"] == first.operations["imc_access"]
-        assert "memory_write" in first.operations
-        # Reuse skips the 13 LUT row writes.
-        assert (
-            first.operations["memory_write"]
-            - second.operations["memory_write"]
-            == 13
-        )
-
-
 class TestFidelitySelection:
     def test_build_simulator_types(self):
         assert isinstance(build_simulator("cycle"), ModSRAMAccelerator)
         assert isinstance(build_simulator("analytical"), AnalyticalModSRAM)
-        assert isinstance(build_simulator("functional"), FunctionalModSRAM)
         assert isinstance(
-            build_simulator(Fidelity.FUNCTIONAL), FunctionalModSRAM
+            build_simulator(Fidelity.ANALYTICAL), AnalyticalModSRAM
         )
 
     def test_unknown_fidelity_is_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown fidelity"):
-            build_simulator("rtl")
+        for fidelity in ("rtl", "functional"):
+            with pytest.raises(ConfigurationError, match="unknown fidelity"):
+                build_simulator(fidelity)
 
     def test_unknown_fidelity_error_names_the_valid_tiers(self):
         with pytest.raises(ConfigurationError) as excinfo:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.modsram.analytical import AnalyticalCostModel, AnalyticalModSRAM
+from repro.modsram.chip import Chip
 from repro.modsram.config import PAPER_CONFIG, ModSRAMConfig
 from repro.modsram.geometry import SUPPORTED_RADICES, MacroGeometry
 
@@ -122,6 +123,21 @@ class TestHigherRadixAlgebra:
             AnalyticalModSRAM(
                 PAPER_CONFIG, MacroGeometry(rows=64, columns=256, radix=8)
             )
+
+    @pytest.mark.parametrize(
+        "field,value", [("banks", 2), ("overflow_rows", 4), ("overflow_rows", 16)]
+    )
+    def test_executable_tiers_reject_geometry_their_loop_cannot_run(
+        self, field, value
+    ):
+        config = ModSRAMConfig().with_bitwidth(16)
+        geometry = MacroGeometry(rows=64, columns=16, **{field: value})
+        with pytest.raises(ConfigurationError, match=f"'{field}'"):
+            AnalyticalModSRAM(config, geometry)
+        with pytest.raises(ConfigurationError, match=f"'{field}'"):
+            Chip(2, config, geometry)
+        # The closed form still prices it.
+        assert AnalyticalCostModel(config, geometry).total_cycles() > 0
 
     def test_cost_model_rejects_narrow_geometry(self):
         with pytest.raises(ConfigurationError, match="'columns'"):

@@ -108,7 +108,7 @@ SCHEMAS = {
         "benchmark": Value("chip_scaling"),
         "fidelity": {
             "sign_multiplications": int,
-            "functional_sign_seconds": NUMBER,
+            "analytical_sign_seconds": NUMBER,
             "cycle_sign_seconds": NUMBER,
             "per_multiply_speedup": NUMBER,
             "full_sign_speedup": NUMBER,
