@@ -3,10 +3,11 @@
 The values were recorded while the analytical tier still ran the shared
 per-step kernel (:func:`repro.modsram.kernel.run_kernel`) on a
 register-file host.  Running the same recurrence as one word-level loop
-must not move any of them: products, cycle reports, cumulative operation
-counts, array and datapath statistics, energy reports, LUT residency, the
-chip's graph schedules, a full ECDSA sign on ``modsram-fast`` and the
-errors raised for invalid input.
+must not move any of them: products, LUT reuse, extra overflow folds,
+finalisation subtractions, cycle reports, per-multiplication and
+cumulative operation counts, array and datapath statistics, energy
+reports, LUT residency, the chip's graph schedules, a full ECDSA sign on
+``modsram-fast`` and the errors raised for invalid input.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro.engine import Engine, ModSRAMFastBackend
 from repro.modsram import (
     AnalyticalModSRAM,
     Chip,
+    FastHost,
     ModSRAMConfig,
     PAPER_CONFIG,
 )
@@ -104,8 +106,46 @@ def _run(simulator, calls, line_of):
     return lines
 
 
+class _PerMultiplication:
+    """A fast host whose ``multiply`` returns that call's own charges."""
+
+    def __init__(self, host: FastHost) -> None:
+        self.host = host
+
+    def multiply(self, a: int, b: int, modulus: int):
+        host = self.host
+        counts, stats = host.counter.as_dict(), host.stats.snapshot()
+        outcome = host.multiply(a, b, modulus)
+        after = host.counter.as_dict()
+        operations = {
+            name: after[name] - counts.get(name, 0)
+            for name in after
+            if after[name] != counts.get(name, 0)
+        }
+        return (
+            outcome.product, outcome.lut_reused,
+            outcome.extra_overflow_folds, outcome.finalize_subtractions,
+            operations, host.stats.delta_since(stats).as_dict(),
+        )
+
+
 def _analytical_line(result):
     return result.product, result.report.as_dict()
+
+
+def host_digest(config: ModSRAMConfig, calls) -> str:
+    """Per-call outcomes and charges plus the cumulative state of one host.
+
+    Each line holds one multiplication's own operation counts and access
+    profile, not the running totals the analytical digest reads.
+    """
+    host = AnalyticalModSRAM(config).host
+    lines = _run(_PerMultiplication(host), calls, lambda line: line)
+    lines.append(host.counter.as_dict())
+    lines.append(host.stats.as_dict())
+    lines.append(host.datapath.stats.as_dict())
+    lines.append((host.lut_residency.multiplicand, host.lut_residency.modulus))
+    return _digest(lines)
 
 
 def analytical_digest(config: ModSRAMConfig, calls) -> str:
@@ -145,6 +185,33 @@ def _chip_case(bits: int, full_range: bool):
     return _config(bits, full_range), modulus, leaves
 
 
+#: Recorded on the since-deleted functional tier, which wrapped the same
+#: :class:`FastHost` and returned these per-multiplication charges.
+PINS_HOST = {
+    (4, True): "03e42b22f077d66f",
+    (4, False): "88110354d32b0330",
+    (5, True): "0a0f96d305d902e0",
+    (5, False): "d85c51a88d37bdde",
+    (8, True): "e8368effbe1e9986",
+    (8, False): "ff57d378c8c24817",
+    (12, True): "341711b7e477d56f",
+    (12, False): "604949390c4909db",
+    (13, True): "05695bb5cad7a8b0",
+    (13, False): "c2d76c2953b8a857",
+    (16, True): "383f51dc064cbf9b",
+    (16, False): "2c3adf02c392384d",
+    (24, True): "297233691f88de99",
+    (24, False): "ff013a8d070b3d6f",
+    (31, True): "bd93b05fb5e39a40",
+    (31, False): "7efeb997f7c401c3",
+    (32, True): "3ba83a2988fd84a8",
+    (32, False): "13e86ae8bd397232",
+    (48, True): "b89148e8702c1d26",
+    (48, False): "6eec42a5d894ea94",
+    (64, True): "e52c895beca1dec2",
+    (64, False): "9eca62f11a3848c3",
+}
+
 PINS_ANALYTICAL = {
     (4, True): "4c6e0a2fc7102353",
     (4, False): "a228255baf2da4bf",
@@ -179,8 +246,11 @@ PINS_CHIP = {
     (64, False): "b570a66fecc5bc46",
 }
 
-PIN_PAPER_POINT = "b9094cff4dc77b5d"
-PINS_EXTRA_FOLD = {12: "c6c1536d1cdbf15e", 16: "c8a4d40e9f53c20b"}
+PIN_PAPER_POINT = ("925065a8b7da9971", "b9094cff4dc77b5d")
+PINS_EXTRA_FOLD = {
+    12: ("307a2ffd48fad2d5", "c6c1536d1cdbf15e"),
+    16: ("580aa14c842af0b5", "c8a4d40e9f53c20b"),
+}
 PIN_PAPER_CHIP = "635586afd077db21"
 PIN_P256_SIGN = "e496404cac4516a9"
 
@@ -188,6 +258,13 @@ PIN_P256_SIGN = "e496404cac4516a9"
 def _paper_point_calls():
     a, b = (BN254_P * 5) // 7, (BN254_P * 3) // 11
     return [(a, b, BN254_P), (a // 3, b, BN254_P), (b, a, BN254_P)]
+
+
+@pytest.mark.parametrize("full_range", [True, False], ids=["full", "paper"])
+@pytest.mark.parametrize("bits", WIDTHS)
+def test_fast_host_is_pinned(bits, full_range):
+    config, calls = _operations(bits, full_range)
+    assert host_digest(config, calls) == PINS_HOST[bits, full_range]
 
 
 @pytest.mark.parametrize("full_range", [True, False], ids=["full", "paper"])
@@ -208,14 +285,20 @@ def test_paper_point_is_pinned():
     calls = _paper_point_calls()
     first = AnalyticalModSRAM(PAPER_CONFIG).multiply(*calls[0])
     assert first.report.iteration_cycles == 767
-    assert analytical_digest(PAPER_CONFIG, calls) == PIN_PAPER_POINT
+    assert (
+        host_digest(PAPER_CONFIG, calls),
+        analytical_digest(PAPER_CONFIG, calls),
+    ) == PIN_PAPER_POINT
 
 
 @pytest.mark.parametrize("bits,a,b,modulus", EXTRA_FOLD_CASES)
 def test_extra_fold_cases_are_pinned(bits, a, b, modulus):
     config = _config(bits, full_range=False)
     calls = [(a, b, modulus), (a, b, modulus)]
-    assert analytical_digest(config, calls) == PINS_EXTRA_FOLD[bits]
+    assert (
+        host_digest(config, calls),
+        analytical_digest(config, calls),
+    ) == PINS_EXTRA_FOLD[bits]
 
 
 def test_paper_point_chip_tree_is_pinned():
