@@ -1,10 +1,10 @@
-"""Event-driven simulator: delta settling, register semantics, the wheel."""
+"""Event-driven simulator: settling, register semantics, the wheel, errors."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.hdl.eventsim import EventSimulator
+from repro.hdl.eventsim import EventSimulator, HdlModSRAM
 from repro.hdl.ir import (
     Assign,
     BinOp,
@@ -24,6 +24,7 @@ from repro.hdl.ir import (
     Slice,
     Wire,
 )
+from repro.modsram.config import ModSRAMConfig, PAPER_CONFIG
 
 
 def _counter() -> Module:
@@ -208,3 +209,98 @@ class TestMemory:
         cycles = sim.run_until(lambda s: s.peek("count") == 9, max_cycles=32)
         assert cycles <= 32
         assert sim.peek("count") == 9
+
+
+def _memory_port(read_addr, write_addr) -> Module:
+    """A 3-row memory with one read and one enabled write port."""
+    return Module(
+        name="memport",
+        ports=(
+            Port("clk", 1, "in"),
+            Port("wen", 1, "in"),
+            Port("raddr", 2, "in"),
+            Port("waddr", 2, "in"),
+            Port("out", 8, "out"),
+        ),
+        memories=(Memory("mem", 8, 3),),
+        assigns=(Assign("out", MemRead("mem", read_addr)),),
+        processes=(
+            Process(
+                "seq",
+                (SIf(Ref("wen"), (MemWrite("mem", write_addr, Const(0x5A, 8)),)),),
+            ),
+        ),
+    )
+
+
+def _negative(name: str) -> BinOp:
+    return BinOp("sub", Const(2, 2), Ref(name))
+
+
+#: Address expressions of one port signal that, with the signal at 3, reach
+#: past the last row, or below row 0 through a ``sub`` (index -1, which a
+#: Python list would silently wrap to the last row).
+_BAD_ADDRESSES = [
+    pytest.param(Ref, id="past-the-end"),
+    pytest.param(_negative, id="negative"),
+]
+
+
+class TestErrors:
+    @pytest.mark.parametrize("address", _BAD_ADDRESSES)
+    def test_memory_read_out_of_range(self, address):
+        sim = EventSimulator(_memory_port(address("raddr"), Const(0, 2)))
+        sim.poke("raddr", 3)
+        with pytest.raises(HdlError, match="read out of range"):
+            sim.settle()
+
+    @pytest.mark.parametrize("address", _BAD_ADDRESSES)
+    def test_memory_write_out_of_range(self, address):
+        sim = EventSimulator(_memory_port(Const(0, 2), address("waddr")))
+        sim.poke("wen", 1)
+        sim.poke("waddr", 3)
+        with pytest.raises(HdlError, match="write out of range"):
+            sim.step()
+        assert [sim.peek_memory("mem", row) for row in range(3)] == [0, 0, 0]
+
+    def test_poke_of_a_non_input_is_rejected(self):
+        sim = EventSimulator(_counter())
+        with pytest.raises(HdlError, match="not an input port"):
+            sim.poke("count", 3)
+
+    def test_at_for_a_past_cycle_is_rejected(self):
+        sim = EventSimulator(_counter())
+        sim.step(4)
+        with pytest.raises(HdlError, match="cannot schedule"):
+            sim.at(3, "enable", 1)
+
+    def test_peek_of_an_unknown_signal_is_rejected(self):
+        sim = EventSimulator(_counter())
+        with pytest.raises(HdlError, match="unknown signal"):
+            sim.peek("nope")
+
+
+@pytest.mark.parametrize(
+    "config",
+    [ModSRAMConfig().with_bitwidth(16), PAPER_CONFIG],
+    ids=["16-bit", "paper"],
+)
+def test_one_settle_reaches_the_fixpoint(config):
+    """After every clock edge of a multiply, settling again changes nothing."""
+    tier = HdlModSRAM(config)
+    sim = tier.macro.sim
+    step = sim.step
+    resettled = []
+
+    def step_then_resettle(cycles: int = 1) -> None:
+        step(cycles)
+        values, events = dict(sim.values), sim.events
+        sim.settle()
+        resettled.append((sim.events - events, sim.values == values))
+
+    sim.step = step_then_resettle
+    modulus = (1 << (config.bitwidth - 1)) + 0x2B
+    result = tier.multiply(modulus // 3, modulus - 2, modulus)
+    assert result.product == (modulus // 3) * (modulus - 2) % modulus
+    assert len(resettled) == sim.cycle
+    assert set(resettled) == {(0, True)}
