@@ -2,10 +2,13 @@
 
 :class:`EventSimulator` executes a flattened :class:`~repro.hdl.ir.Module`
 with classic discrete-event semantics: an event wheel keyed on the cycle
-number for scheduled stimulus, delta-cycle settling of the combinational
-network between clock edges, and nonblocking register/memory commits at the
-edge.  Expressions are compiled once to Python closures, so a multiply on
-the elaborated macro runs in milliseconds, not minutes.
+number for scheduled stimulus, settling of the combinational network
+between clock edges, and nonblocking register/memory commits at the edge.
+At construction the netlist is compiled to Python source: ``settle``
+evaluates every continuous assign once, in topological order, with the
+wires in locals, and ``edge`` runs every clocked process on the pre-edge
+values and then commits the registers and memory rows.  A 256-bit
+multiply on the elaborated macro takes milliseconds.
 
 On top of the simulator sit the co-simulation harness
 (:class:`HdlMacroSim`, the start/done handshake protocol of the macro) and
@@ -19,7 +22,7 @@ which the tests then assert equal to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ControllerError
 from repro.hdl.elaborate import MacroDesign, elaborate_macro
@@ -40,6 +43,7 @@ from repro.hdl.ir import (
     Slice,
     Stmt,
     UnOp,
+    expr_width,
 )
 from repro.modsram.config import ModSRAMConfig
 from repro.modsram.kernel import LutResidency, validate_operands
@@ -48,11 +52,326 @@ from repro.modsram.trace import ExecutionTrace
 
 __all__ = ["EventSimulator", "HdlMacroSim", "HdlRunTrace", "HdlModSRAM"]
 
-_ExprFn = Callable[[Dict[str, int], Dict[str, List[int]]], int]
+_NetFn = Callable[[Dict[str, int], Dict[str, List[int]]], int]
+
+_OPERATORS = {
+    "add": "+", "sub": "-", "and": "&", "or": "|", "xor": "^",
+    "shl": "<<", "shr": ">>",
+    "eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">=",
+}
+_COMPARISONS = frozenset(("eq", "ne", "lt", "le", "gt", "ge"))
+
+#: Constants of more bits are bound as names, keeping the source small.
+_LITERAL_BITS = 64
 
 
 def _mask(width: int) -> int:
     return (1 << width) - 1
+
+
+def _children(expr: Expr) -> Tuple[Expr, ...]:
+    if isinstance(expr, UnOp):
+        return (expr.operand,)
+    if isinstance(expr, BinOp):
+        return (expr.left, expr.right)
+    if isinstance(expr, Mux):
+        return (expr.cond, expr.if_true, expr.if_false)
+    if isinstance(expr, Slice):
+        return (expr.ref,)
+    if isinstance(expr, Cat):
+        return expr.parts
+    if isinstance(expr, MemRead):
+        return (expr.addr,)
+    return ()
+
+
+def _nodes(expr: Expr) -> Iterator[Expr]:
+    yield expr
+    for child in _children(expr):
+        yield from _nodes(child)
+
+
+def _statement_exprs(body: Tuple[Stmt, ...]) -> Iterator[Expr]:
+    for stmt in body:
+        if isinstance(stmt, SAssign):
+            yield stmt.expr
+        elif isinstance(stmt, MemWrite):
+            yield stmt.addr
+            yield stmt.data
+        elif isinstance(stmt, SIf):
+            yield stmt.cond
+            yield from _statement_exprs(stmt.then)
+            yield from _statement_exprs(stmt.orelse)
+        else:
+            raise HdlError(f"not a statement: {stmt!r}")
+
+
+def _topological(assigns: Tuple[Assign, ...]) -> List[Assign]:
+    """Order the continuous assigns so each follows every wire it reads.
+
+    Memory contents only change at clock edges, so a ``MemRead`` does not
+    create a combinational dependency; a cycle among the wires is a
+    genuine combinational loop and raises :class:`HdlError`.
+    """
+    driven = {assign.target for assign in assigns}
+    deps = {
+        assign.target: {
+            node.name
+            for node in _nodes(assign.expr)
+            if isinstance(node, Ref) and node.name in driven
+        }
+        for assign in assigns
+    }
+    ordered: List[Assign] = []
+    placed: set = set()
+    pending = list(assigns)
+    while pending:
+        progress = [assign for assign in pending if deps[assign.target] <= placed]
+        if not progress:
+            loop = sorted(assign.target for assign in pending)
+            raise HdlError(f"combinational loop through {loop}")
+        ordered.extend(progress)
+        placed.update(assign.target for assign in progress)
+        pending = [assign for assign in pending if assign.target not in placed]
+    return ordered
+
+
+def _out_of_range(memory: str, access: str, index: int) -> int:
+    raise HdlError(f"memory {memory!r} {access} out of range: {index}")
+
+
+class _Codegen:
+    """Python source for the ``settle`` and ``edge`` functions of a netlist.
+
+    ``settle`` keeps every wire in a local and loads each other signal it
+    reads once; ``edge`` loads a signal only if it reads it more than
+    once.  FSM states are literals, and constants wider than
+    ``_LITERAL_BITS`` are bound as names.  An expression evaluates to
+    exactly the Python integer its IR node denotes (a ``sub`` may go
+    negative), and a target is masked to its width unless its expression
+    provably fits.
+    """
+
+    def __init__(self, module: Module) -> None:
+        self.module = module
+        self.widths = module.signal_widths()
+        self.memories = module.memory_table()
+        self.memory_widths = {
+            name: decl.width for name, decl in self.memories.items()
+        }
+        self.states = {state.name: str(state.value) for state in module.fsm_states}
+        self.namespace: Dict[str, object] = {"_oob": _out_of_range}
+        self.constants: Dict[int, str] = {}
+        self.reads: Dict[str, str] = {}
+        self.temps = 0
+
+    # -- functions -------------------------------------------------------- #
+    def settle(self, ordered: List[Assign]) -> _NetFn:
+        driven = {assign.target for assign in ordered}
+        lines = self.loads([assign.expr for assign in ordered], driven, lazy=False)
+        for assign in ordered:
+            name, local = repr(assign.target), self.local(assign.target)
+            self.reads[assign.target] = local
+            lines += [
+                f"    {local} = {self.masked(assign.expr, self.widths[assign.target])}",
+                f"    if {local} != values[{name}]:",
+                f"        values[{name}] = {local}",
+                "        events += 1",
+            ]
+        return self.define("settle", lines)
+
+    def edge(self) -> _NetFn:
+        processes = self.module.processes
+        exprs = [expr for process in processes for expr in _statement_exprs(process.body)]
+        lines = self.loads(exprs, set(), lazy=True) + ["    regs = {}"]
+        writes: List[MemWrite] = []
+        body: List[str] = []
+        for process in processes:
+            self.statements(process.body, "    ", body, writes)
+        lines += [f"    a{site} = None" for site in range(len(writes))] + body
+        lines += [
+            "    for name, value in regs.items():",
+            "        if values[name] != value:",
+            "            values[name] = value",
+            "            events += 1",
+        ]
+        for site, write in enumerate(writes):
+            rows = self.memory(write.memory)
+            lines += [
+                f"    if a{site} is not None:",
+                f"        if not 0 <= a{site} < {self.memories[write.memory].depth}:",
+                f"            _oob({write.memory!r}, 'write', a{site})",
+                f"        if {rows}[a{site}] != d{site}:",
+                f"            {rows}[a{site}] = d{site}",
+                "            events += 1",
+            ]
+        return self.define("edge", lines)
+
+    def loads(self, exprs: List[Expr], driven: set, lazy: bool) -> List[str]:
+        """Bind how each signal the expressions use is read; load them.
+
+        Signals in ``driven`` are computed by the function itself.  With
+        ``lazy``, a signal read only once stays an inline lookup.
+        """
+        uses: Dict[str, int] = {}
+        for expr in exprs:
+            for node in _nodes(expr):
+                if isinstance(node, Ref):
+                    uses[node.name] = uses.get(node.name, 0) + 1
+        self.reads = dict(self.states)
+        lines = ["    events = 0"] + [
+            f"    {self.memory(name)} = memories[{name!r}]" for name in self.memories
+        ]
+        for name, count in uses.items():
+            if name in self.reads or name in driven:
+                continue
+            if lazy and count == 1:
+                self.reads[name] = f"values[{name!r}]"
+            else:
+                self.reads[name] = self.local(name)
+                lines.append(f"    {self.reads[name]} = values[{name!r}]")
+        return lines
+
+    def statements(self, body, pad: str, lines: List[str], writes) -> None:
+        for stmt in body:
+            if isinstance(stmt, SAssign):
+                value = self.masked(stmt.expr, self.widths[stmt.target])
+                lines.append(f"{pad}regs[{stmt.target!r}] = {value}")
+            elif isinstance(stmt, MemWrite):
+                site = len(writes)
+                writes.append(stmt)
+                data = self.masked(stmt.data, self.memory_widths[stmt.memory])
+                lines.append(f"{pad}a{site} = {self.value(stmt.addr)}")
+                lines.append(f"{pad}d{site} = {data}")
+            else:
+                lines.append(f"{pad}if {self.test(stmt.cond)}:")
+                self.statements(stmt.then, pad + "    ", lines, writes)
+                if not stmt.then:
+                    lines.append(f"{pad}    pass")
+                if stmt.orelse:
+                    lines.append(f"{pad}else:")
+                    self.statements(stmt.orelse, pad + "    ", lines, writes)
+
+    def define(self, name: str, body: List[str]) -> _NetFn:
+        """Compile one function on its own, keeping the peak memory low."""
+        lines = [f"def {name}(values, memories):"] + body + ["    return events"]
+        code = compile("\n".join(lines), f"<{self.module.name}.{name}>", "exec")
+        exec(code, self.namespace)
+        return self.namespace.pop(name)
+
+    # -- names ------------------------------------------------------------ #
+    def local(self, name: str) -> str:
+        if name.isidentifier():
+            return f"v_{name}"
+        return f"v{list(self.widths).index(name)}"
+
+    def memory(self, name: str) -> str:
+        return f"m{list(self.memories).index(name)}"
+
+    def const(self, value: int) -> str:
+        if value.bit_length() <= _LITERAL_BITS:
+            return str(value)
+        if value not in self.constants:
+            self.constants[value] = f"K{len(self.constants)}"
+            self.namespace[self.constants[value]] = value
+        return self.constants[value]
+
+    # -- expressions ------------------------------------------------------ #
+    def masked(self, expr: Expr, width: int) -> str:
+        """Source for ``expr`` cut to ``width`` bits."""
+        bits = self.bits(expr)
+        if bits is not None and bits <= width:
+            return self.value(expr)
+        return f"{self.value(expr)} & {self.const(_mask(width))}"
+
+    def bits(self, expr: Expr) -> Optional[int]:
+        """Bit-length bound of the value, or None if it may be negative."""
+        if isinstance(expr, Const):
+            return expr.value.bit_length()
+        if isinstance(expr, (Ref, Slice, MemRead, Cat)):
+            return self.width(expr)
+        if isinstance(expr, UnOp) or (
+            isinstance(expr, BinOp) and expr.op in _COMPARISONS
+        ):
+            return 1
+        if isinstance(expr, Mux):
+            left, right = self.bits(expr.if_true), self.bits(expr.if_false)
+            return None if left is None or right is None else max(left, right)
+        if expr.op == "sub":
+            return None
+        left, right = self.bits(expr.left), self.bits(expr.right)
+        if expr.op == "and" and (left is None or right is None):
+            return left if right is None else right
+        if left is None or right is None:
+            return None
+        if expr.op == "add":
+            return max(left, right) + 1
+        if expr.op == "shl":
+            return left + expr.right.value
+        if expr.op == "shr":
+            return max(left - expr.right.value, 0)
+        if expr.op == "and":
+            return min(left, right)
+        return max(left, right)
+
+    def width(self, expr: Expr) -> int:
+        return expr_width(expr, self.widths, self.memory_widths)
+
+    def value(self, expr: Expr) -> str:
+        """Python source evaluating to the expression's integer value."""
+        if isinstance(expr, Const):
+            return self.const(expr.value)
+        if isinstance(expr, Ref):
+            return self.reads[expr.name]
+        if isinstance(expr, Slice):
+            value = self.reads[expr.ref.name]
+            if expr.lsb:
+                value = f"({value} >> {expr.lsb})"
+            if expr.msb + 1 < self.widths[expr.ref.name]:
+                value = f"({value} & {self.const(_mask(self.width(expr)))})"
+            return value
+        if isinstance(expr, UnOp):
+            return f"(0 if {self.test(expr.operand)} else 1)"
+        if isinstance(expr, BinOp):
+            if expr.op in _COMPARISONS:
+                return f"(1 if {self.test(expr)} else 0)"
+            left, right = self.value(expr.left), self.value(expr.right)
+            return f"({left} {_OPERATORS[expr.op]} {right})"
+        if isinstance(expr, Mux):
+            return (
+                f"({self.value(expr.if_true)} if {self.test(expr.cond)} "
+                f"else {self.value(expr.if_false)})"
+            )
+        if isinstance(expr, Cat):
+            terms, shift = [], 0
+            for part in reversed(expr.parts):
+                term = f"({self.masked(part, self.width(part))})"
+                terms.append(f"({term} << {shift})" if shift else term)
+                shift += self.width(part)
+            return "(" + " | ".join(reversed(terms)) + ")"
+        if isinstance(expr, MemRead):
+            rows, depth = self.memory(expr.memory), self.memories[expr.memory].depth
+            if isinstance(expr.addr, Const) and expr.addr.value < depth:
+                return f"{rows}[{expr.addr.value}]"
+            index = bound = self.value(expr.addr)
+            if not isinstance(expr.addr, Ref):
+                index = f"t{self.temps}"
+                bound = f"({index} := {bound})"
+                self.temps += 1
+            return (
+                f"({rows}[{index}] if 0 <= {bound} < {depth} "
+                f"else _oob({expr.memory!r}, 'read', {index}))"
+            )
+        raise HdlError(f"not an expression: {expr!r}")
+
+    def test(self, expr: Expr) -> str:
+        """Python source whose truth is that of the expression's value."""
+        if isinstance(expr, UnOp):
+            return f"(not {self.test(expr.operand)})"
+        if isinstance(expr, BinOp) and expr.op in _COMPARISONS:
+            left, right = self.value(expr.left), self.value(expr.right)
+            return f"({left} {_OPERATORS[expr.op]} {right})"
+        return self.value(expr)
 
 
 class EventSimulator:
@@ -64,6 +383,13 @@ class EventSimulator:
     every signal-value change (combinational settling plus register and
     memory commits) — the quantity ``benchmarks/bench_hdl.py`` reports as
     events per second.
+
+    Construction compiles the netlist to two generated Python functions:
+    one settles the combinational network in a single pass over the
+    topologically sorted assigns, the other applies a clock edge.
+    ``values`` and ``memories`` hold the live state.  Drive inputs through
+    :meth:`poke` or :meth:`at`: :meth:`step` settles before the edge only
+    after a poke.
     """
 
     def __init__(self, module: Module) -> None:
@@ -71,220 +397,24 @@ class EventSimulator:
         flat = module.flatten()
         self.module = flat
         self._widths = flat.signal_widths()
-        self._mem_decls = flat.memory_table()
         self.values: Dict[str, int] = {name: 0 for name in self._widths}
         for state in flat.fsm_states:
             self.values[state.name] = state.value
         for reg in flat.regs:
             self.values[reg.name] = reg.reset
         self.memories: Dict[str, List[int]] = {
-            name: [0] * decl.depth for name, decl in self._mem_decls.items()
+            memory.name: [0] * memory.depth for memory in flat.memories
         }
-        self._reg_masks = {reg.name: _mask(reg.width) for reg in flat.regs}
         self._input_ports = {
             port.name for port in flat.ports if port.direction == "in"
         }
         self.cycle = 0
         self.events = 0
-        self.delta_passes = 0
         self._wheel: Dict[int, List[Tuple[str, int]]] = {}
-        self._assign_fns = self._compile_assigns()
-        self._process_fns = [
-            self._compile_stmts(process.body) for process in flat.processes
-        ]
+        codegen = _Codegen(flat)
+        self._settle = codegen.settle(_topological(flat.assigns))
+        self._edge = codegen.edge()
         self.settle()
-
-    # ------------------------------------------------------------------ #
-    # compilation
-    # ------------------------------------------------------------------ #
-    def _compile_expr(self, expr: Expr) -> _ExprFn:
-        if isinstance(expr, Const):
-            value = expr.value
-            return lambda s, m: value
-        if isinstance(expr, Ref):
-            name = expr.name
-            return lambda s, m: s[name]
-        if isinstance(expr, UnOp):
-            fn = self._compile_expr(expr.operand)
-            return lambda s, m: 0 if fn(s, m) else 1
-        if isinstance(expr, BinOp):
-            left = self._compile_expr(expr.left)
-            right = self._compile_expr(expr.right)
-            op = expr.op
-            if op == "add":
-                return lambda s, m: left(s, m) + right(s, m)
-            if op == "sub":
-                return lambda s, m: left(s, m) - right(s, m)
-            if op == "and":
-                return lambda s, m: left(s, m) & right(s, m)
-            if op == "or":
-                return lambda s, m: left(s, m) | right(s, m)
-            if op == "xor":
-                return lambda s, m: left(s, m) ^ right(s, m)
-            if op == "shl":
-                amount = expr.right.value  # Const, enforced by validate()
-                return lambda s, m: left(s, m) << amount
-            if op == "shr":
-                amount = expr.right.value
-                return lambda s, m: left(s, m) >> amount
-            if op == "eq":
-                return lambda s, m: 1 if left(s, m) == right(s, m) else 0
-            if op == "ne":
-                return lambda s, m: 1 if left(s, m) != right(s, m) else 0
-            if op == "lt":
-                return lambda s, m: 1 if left(s, m) < right(s, m) else 0
-            if op == "le":
-                return lambda s, m: 1 if left(s, m) <= right(s, m) else 0
-            if op == "gt":
-                return lambda s, m: 1 if left(s, m) > right(s, m) else 0
-            if op == "ge":
-                return lambda s, m: 1 if left(s, m) >= right(s, m) else 0
-            raise HdlError(f"unknown binary op {op!r}")
-        if isinstance(expr, Mux):
-            cond = self._compile_expr(expr.cond)
-            if_true = self._compile_expr(expr.if_true)
-            if_false = self._compile_expr(expr.if_false)
-            return lambda s, m: if_true(s, m) if cond(s, m) else if_false(s, m)
-        if isinstance(expr, Slice):
-            fn = self._compile_expr(expr.ref)
-            lsb = expr.lsb
-            mask = _mask(expr.msb - expr.lsb + 1)
-            return lambda s, m: (fn(s, m) >> lsb) & mask
-        if isinstance(expr, Cat):
-            parts = [
-                (
-                    self._compile_expr(part),
-                    expr_width_of(part, self._widths, self._mem_decls),
-                )
-                for part in expr.parts
-            ]
-
-            def cat(s: Dict[str, int], m: Dict[str, List[int]]) -> int:
-                acc = 0
-                for fn, width in parts:
-                    acc = (acc << width) | (fn(s, m) & _mask(width))
-                return acc
-
-            return cat
-        if isinstance(expr, MemRead):
-            name = expr.memory
-            addr = self._compile_expr(expr.addr)
-            depth = self._mem_decls[name].depth
-
-            def read(s: Dict[str, int], m: Dict[str, List[int]]) -> int:
-                index = addr(s, m)
-                if not 0 <= index < depth:
-                    raise HdlError(
-                        f"memory {name!r} read out of range: {index}"
-                    )
-                return m[name][index]
-
-            return read
-        raise HdlError(f"not an expression: {expr!r}")
-
-    def _expr_deps(self, expr: Expr, out: set) -> None:
-        if isinstance(expr, Ref):
-            out.add(expr.name)
-        elif isinstance(expr, UnOp):
-            self._expr_deps(expr.operand, out)
-        elif isinstance(expr, BinOp):
-            self._expr_deps(expr.left, out)
-            self._expr_deps(expr.right, out)
-        elif isinstance(expr, Mux):
-            self._expr_deps(expr.cond, out)
-            self._expr_deps(expr.if_true, out)
-            self._expr_deps(expr.if_false, out)
-        elif isinstance(expr, Slice):
-            self._expr_deps(expr.ref, out)
-        elif isinstance(expr, Cat):
-            for part in expr.parts:
-                self._expr_deps(part, out)
-        elif isinstance(expr, MemRead):
-            self._expr_deps(expr.addr, out)
-
-    def _compile_assigns(self) -> List[Tuple[str, int, _ExprFn]]:
-        """Topologically order the continuous assigns and compile them.
-
-        Memory contents only change at clock edges, so a ``MemRead`` does
-        not create a combinational dependency; a cycle among the wires is a
-        genuine combinational loop and raises :class:`HdlError`.
-        """
-        assigns = list(self.module.assigns)
-        driven = {assign.target for assign in assigns}
-        deps: Dict[str, set] = {}
-        for assign in assigns:
-            refs: set = set()
-            self._expr_deps(assign.expr, refs)
-            deps[assign.target] = {name for name in refs if name in driven}
-        ordered: List[Assign] = []
-        placed: set = set()
-        pending = assigns
-        while pending:
-            progress = []
-            stuck = []
-            for assign in pending:
-                if deps[assign.target] <= placed:
-                    progress.append(assign)
-                else:
-                    stuck.append(assign)
-            if not progress:
-                loop = sorted(assign.target for assign in stuck)
-                raise HdlError(f"combinational loop through {loop}")
-            for assign in progress:
-                ordered.append(assign)
-                placed.add(assign.target)
-            pending = stuck
-        return [
-            (
-                assign.target,
-                _mask(self._widths[assign.target]),
-                self._compile_expr(assign.expr),
-            )
-            for assign in ordered
-        ]
-
-    def _compile_stmts(
-        self, body: Tuple[Stmt, ...]
-    ) -> Callable[[Dict[str, int], Dict[str, List[int]], Dict[str, int], list], None]:
-        compiled = []
-        for stmt in body:
-            if isinstance(stmt, SAssign):
-                target = stmt.target
-                fn = self._compile_expr(stmt.expr)
-                compiled.append(
-                    lambda s, m, regs, mems, target=target, fn=fn: regs.__setitem__(
-                        target, fn(s, m)
-                    )
-                )
-            elif isinstance(stmt, MemWrite):
-                name = stmt.memory
-                addr = self._compile_expr(stmt.addr)
-                data = self._compile_expr(stmt.data)
-                compiled.append(
-                    lambda s, m, regs, mems, name=name, addr=addr, data=data: mems.append(
-                        (name, addr(s, m), data(s, m))
-                    )
-                )
-            elif isinstance(stmt, SIf):
-                cond = self._compile_expr(stmt.cond)
-                then = self._compile_stmts(stmt.then)
-                orelse = self._compile_stmts(stmt.orelse) if stmt.orelse else None
-
-                def run_if(s, m, regs, mems, cond=cond, then=then, orelse=orelse):
-                    if cond(s, m):
-                        then(s, m, regs, mems)
-                    elif orelse is not None:
-                        orelse(s, m, regs, mems)
-
-                compiled.append(run_if)
-            else:
-                raise HdlError(f"not a statement: {stmt!r}")
-
-        def run(s, m, regs, mems, compiled=tuple(compiled)):
-            for fn in compiled:
-                fn(s, m, regs, mems)
-
-        return run
 
     # ------------------------------------------------------------------ #
     # testbench surface
@@ -294,6 +424,7 @@ class EventSimulator:
         if name not in self._input_ports:
             raise HdlError(f"{name!r} is not an input port")
         self.values[name] = value & _mask(self._widths[name])
+        self._poked = True
 
     def peek(self, name: str) -> int:
         """Read the settled value of any signal."""
@@ -307,64 +438,42 @@ class EventSimulator:
         return self.memories[name][addr]
 
     def at(self, cycle: int, name: str, value: int) -> None:
-        """Schedule a poke on the event wheel for a future cycle."""
+        """Schedule a poke of an input port on the event wheel.
+
+        A past cycle or a name that is not an input port raises
+        :class:`HdlError` here, not when the cycle comes.
+        """
         if cycle < self.cycle:
             raise HdlError(
                 f"cannot schedule at cycle {cycle}; now at {self.cycle}"
             )
+        if name not in self._input_ports:
+            raise HdlError(f"{name!r} is not an input port")
         self._wheel.setdefault(cycle, []).append((name, value))
 
-    def settle(self) -> int:
-        """Run delta cycles until the combinational network is stable.
+    def settle(self) -> None:
+        """Settle the combinational network in one pass.
 
-        Assigns are evaluated in topological order, so the first pass
-        normally settles everything and the second confirms the fixpoint;
-        the pass count is bounded to catch oscillation through future IR
-        extensions.  Returns the number of delta passes taken.
+        Every assign is evaluated once, in topological order, so each reads
+        only values already final for this settle; memory rows change only
+        at edges, and construction rejects combinational loops.  One pass
+        is therefore the fixpoint.
         """
-        values = self.values
-        memories = self.memories
-        passes = 0
-        limit = len(self._assign_fns) + 2
-        while True:
-            passes += 1
-            changed = 0
-            for target, mask, fn in self._assign_fns:
-                value = fn(values, memories) & mask
-                if values[target] != value:
-                    values[target] = value
-                    changed += 1
-            self.events += changed
-            if not changed:
-                break
-            if passes > limit:
-                raise HdlError("combinational network failed to settle")
-        self.delta_passes += passes
-        return passes
+        self.events += self._settle(self.values, self.memories)
+        self._poked = False
 
     def step(self, cycles: int = 1) -> None:
-        """Advance whole clock cycles (wheel → settle → edge → settle)."""
+        """Advance whole clock cycles (wheel → settle → edge → settle).
+
+        The settle before the edge is skipped when nothing was poked since
+        the last one, which already left the network settled.
+        """
         for _ in range(cycles):
             for name, value in self._wheel.pop(self.cycle, ()):
                 self.poke(name, value)
-            self.settle()
-            reg_updates: Dict[str, int] = {}
-            mem_updates: list = []
-            for process in self._process_fns:
-                process(self.values, self.memories, reg_updates, mem_updates)
-            for name, value in reg_updates.items():
-                value &= self._reg_masks[name]
-                if self.values[name] != value:
-                    self.values[name] = value
-                    self.events += 1
-            for name, addr, data in mem_updates:
-                decl = self._mem_decls[name]
-                if not 0 <= addr < decl.depth:
-                    raise HdlError(f"memory {name!r} write out of range: {addr}")
-                data &= _mask(decl.width)
-                if self.memories[name][addr] != data:
-                    self.memories[name][addr] = data
-                    self.events += 1
+            if self._poked:
+                self.settle()
+            self.events += self._edge(self.values, self.memories)
             self.cycle += 1
             self.settle()
 
@@ -375,15 +484,6 @@ class EventSimulator:
                 return consumed
             self.step()
         raise HdlError(f"predicate still false after {max_cycles} cycles")
-
-
-def expr_width_of(expr: Expr, widths, mem_decls) -> int:
-    """Width helper bridging :func:`repro.hdl.ir.expr_width` to Memory decls."""
-    from repro.hdl.ir import expr_width
-
-    return expr_width(
-        expr, widths, {name: decl.width for name, decl in mem_decls.items()}
-    )
 
 
 # --------------------------------------------------------------------------- #

@@ -17,8 +17,8 @@ against the cycle tier in ``tests/modsram/test_fidelity.py``.
     (:class:`~repro.modsram.accelerator.ModSRAMAccelerator`)
 ``hdl``
     Event-driven co-simulation of the elaborated RTL: the same schedule as
-    structural IR, executed by the :mod:`repro.hdl` event simulator with
-    delta-cycle settling and register semantics.
+    structural IR, compiled to Python source by the :mod:`repro.hdl` event
+    simulator, settled in one pass per cycle, with register semantics.
     (:class:`~repro.hdl.eventsim.HdlModSRAM`)
 
 All three expose ``multiply(a, b, modulus)`` / ``multiply_many`` returning

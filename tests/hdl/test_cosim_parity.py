@@ -8,7 +8,7 @@ the analytical model and Python's big-int oracle — across the geometries
 most likely to break the datapath:
 
 * random odd moduli at widths from 16 to 256 bits (the big widths are
-  sampled sparsely: one RTL multiply at 256 bits costs ~0.15 s);
+  sampled sparsely: one RTL multiply at 256 bits costs ~10 ms);
 * Mersenne-adjacent moduli (``2**k - 1`` and neighbours), where the
   operands hug the top of the macro's word and every carry chain and
   shift-overflow path is exercised;

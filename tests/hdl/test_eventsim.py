@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.hdl.eventsim import EventSimulator, HdlModSRAM
 from repro.hdl.ir import (
     Assign,
     BinOp,
+    Cat,
     Const,
     HdlError,
     Memory,
@@ -22,7 +24,9 @@ from repro.hdl.ir import (
     SAssign,
     SIf,
     Slice,
+    UnOp,
     Wire,
+    expr_width,
 )
 from repro.modsram.config import ModSRAMConfig, PAPER_CONFIG
 
@@ -268,6 +272,17 @@ class TestErrors:
         with pytest.raises(HdlError, match="not an input port"):
             sim.poke("count", 3)
 
+    def test_at_of_a_non_input_is_rejected_when_scheduled(self):
+        # Rejected only when its cycle came, it would take the other pokes
+        # queued for that cycle down with it.
+        sim = EventSimulator(_counter())
+        sim.poke("enable", 1)
+        with pytest.raises(HdlError, match="not an input port"):
+            sim.at(3, "count", 9)
+        sim.at(3, "enable", 0)
+        sim.step(5)
+        assert sim.peek("count") == 3
+
     def test_at_for_a_past_cycle_is_rejected(self):
         sim = EventSimulator(_counter())
         sim.step(4)
@@ -304,3 +319,176 @@ def test_one_settle_reaches_the_fixpoint(config):
     assert result.product == (modulus // 3) * (modulus - 2) % modulus
     assert len(resettled) == sim.cycle
     assert set(resettled) == {(0, True)}
+
+
+# --------------------------------------------------------------------------- #
+# the generated source against the IR's semantics, on random expressions
+# --------------------------------------------------------------------------- #
+_INPUT_WIDTHS = {"x": 8, "y": 5, "s": 1}
+_OUTPUT_WIDTHS = {"o1": 1, "o4": 4, "o12": 12}
+_ARITHMETIC = ("add", "sub", "and", "or", "xor")
+_COMPARISONS = ("eq", "ne", "lt", "le", "gt", "ge")
+_PYTHON_OPS = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "and": lambda a, b: a & b,
+    "or": lambda a, b: a | b,
+    "xor": lambda a, b: a ^ b,
+    "shl": lambda a, b: a << b,
+    "shr": lambda a, b: a >> b,
+    "eq": lambda a, b: int(a == b),
+    "ne": lambda a, b: int(a != b),
+    "lt": lambda a, b: int(a < b),
+    "le": lambda a, b: int(a <= b),
+    "gt": lambda a, b: int(a > b),
+    "ge": lambda a, b: int(a >= b),
+}
+
+
+def _row(addr):
+    """An address that is always in range of the 4-row memory."""
+    return BinOp("and", addr, Const(3, 2))
+
+
+_leaves = st.one_of(
+    st.integers(1, 9).flatmap(
+        lambda width: st.integers(0, (1 << width) - 1).map(
+            lambda value: Const(value, width)
+        )
+    ),
+    st.sampled_from([Ref(name) for name in _INPUT_WIDTHS]),
+    st.integers(0, 7).flatmap(
+        lambda msb: st.integers(0, msb).map(lambda lsb: Slice(Ref("x"), msb, lsb))
+    ),
+)
+
+
+@st.composite
+def _exprs(draw, depth: int = 3):
+    """A random expression tree, never a bare leaf, weighted to arithmetic."""
+    kinds = ("binop", "binop", "binop", "shift", "not", "mux", "cat", "read")
+    if depth < 3:
+        kinds += ("leaf", "leaf")
+    kind = draw(st.sampled_from(kinds))
+    if depth == 0 or kind == "leaf":
+        return draw(_leaves)
+    child = _exprs(depth - 1)
+    if kind == "binop":
+        op = draw(st.sampled_from(_ARITHMETIC + _COMPARISONS))
+        return BinOp(op, draw(child), draw(child))
+    if kind == "shift":
+        amount = Const(draw(st.integers(0, 4)), 3)
+        return BinOp(draw(st.sampled_from(("shl", "shr"))), draw(child), amount)
+    if kind == "not":
+        return UnOp("not", draw(child))
+    if kind == "mux":
+        return Mux(draw(child), draw(child), draw(child))
+    if kind == "cat":
+        return Cat(tuple(draw(st.lists(child, min_size=1, max_size=3))))
+    return MemRead("mem", _row(draw(child)))
+
+
+def _reference(expr, values, rows):
+    """The IR's meaning of an expression: Python integers, lazy muxes."""
+    if isinstance(expr, Const):
+        return expr.value
+    if isinstance(expr, Ref):
+        return values[expr.name]
+    if isinstance(expr, Slice):
+        width = expr.msb - expr.lsb + 1
+        return (values[expr.ref.name] >> expr.lsb) & ((1 << width) - 1)
+    if isinstance(expr, UnOp):
+        return 0 if _reference(expr.operand, values, rows) else 1
+    if isinstance(expr, BinOp):
+        return _PYTHON_OPS[expr.op](
+            _reference(expr.left, values, rows), _reference(expr.right, values, rows)
+        )
+    if isinstance(expr, Mux):
+        chosen = expr.if_true if _reference(expr.cond, values, rows) else expr.if_false
+        return _reference(chosen, values, rows)
+    if isinstance(expr, Cat):
+        value = 0
+        for part in expr.parts:
+            width = expr_width(part, _INPUT_WIDTHS, {"mem": 8})
+            part_value = _reference(part, values, rows) & ((1 << width) - 1)
+            value = (value << width) | part_value
+        return value
+    return rows[_reference(expr.addr, values, rows)]
+
+
+def _expression_module(expr, cond) -> Module:
+    """``expr`` on three outputs; a register and a memory row written from it."""
+    return Module(
+        name="exprs",
+        ports=tuple(Port(name, width, "in") for name, width in _INPUT_WIDTHS.items())
+        + (Port("clk", 1, "in"),)
+        + tuple(Port(name, width, "out") for name, width in _OUTPUT_WIDTHS.items()),
+        regs=(Reg("r", 6),),
+        memories=(Memory("mem", 8, 4),),
+        assigns=tuple(Assign(name, expr) for name in _OUTPUT_WIDTHS),
+        processes=(
+            Process(
+                "seq",
+                (
+                    SIf(cond, (SAssign("r", expr),), (SAssign("r", cond),)),
+                    SIf(Ref("s"), (MemWrite("mem", _row(expr), cond),)),
+                ),
+            ),
+        ),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    expr=_exprs(),
+    cond=_exprs(),
+    inputs=st.fixed_dictionaries(
+        {name: st.integers(0, (1 << width) - 1) for name, width in _INPUT_WIDTHS.items()}
+    ),
+    rows=st.lists(st.integers(0, 255), min_size=4, max_size=4),
+)
+# A negative difference on every output, and a condition that is a
+# bitwise ``and`` of two multi-bit values with no common bit.
+@example(
+    expr=BinOp("sub", Ref("y"), Ref("x")),
+    cond=BinOp("and", Ref("x"), Ref("y")),
+    inputs={"x": 2, "y": 1, "s": 1},
+    rows=[0, 0, 0, 0],
+)
+# Shifts and slices at the output widths, negative parts of a
+# concatenation, and a memory read through a computed address.
+@example(
+    expr=Cat(
+        (
+            BinOp("shr", Ref("x"), Const(3, 3)),
+            BinOp("sub", Ref("s"), Ref("y")),
+            MemRead("mem", _row(BinOp("add", Ref("x"), Ref("y")))),
+        )
+    ),
+    cond=BinOp("shl", Slice(Ref("x"), 6, 3), Const(4, 3)),
+    inputs={"x": 0xFF, "y": 9, "s": 0},
+    rows=[0x81, 0x42, 0x24, 0x18],
+)
+@example(
+    expr=BinOp("shr", Ref("x"), Const(3, 3)),
+    cond=Slice(Ref("x"), 2, 0),
+    inputs={"x": 0xF8, "y": 3, "s": 1},
+    rows=[0, 0, 0, 0],
+)
+def test_generated_source_keeps_the_ir_semantics(expr, cond, inputs, rows):
+    sim = EventSimulator(_expression_module(expr, cond))
+    sim.memories["mem"][:] = rows
+    for name, value in inputs.items():
+        sim.poke(name, value)
+    sim.settle()
+    value = _reference(expr, inputs, rows)
+    for name, width in _OUTPUT_WIDTHS.items():
+        assert sim.peek(name) == value & ((1 << width) - 1), name
+
+    taken = _reference(cond, inputs, rows)
+    written = list(rows)
+    if inputs["s"]:
+        written[value & 3] = taken & 0xFF
+    sim.step()
+    assert sim.peek("r") == (value if taken else taken) & 0x3F
+    assert sim.memories["mem"] == written
