@@ -36,9 +36,8 @@ AGREEMENT_CASES = 4
 #: Operand stream seed (the artifact is reproducible modulo timing).
 AGREEMENT_SEED = 2024
 #: Floor on aggregate simulator throughput (events/second).  The
-#: measured rate is 0.77-1.37M on a 2-vCPU VM (51-96k while the netlist
-#: was interpreted as a tree of closures).  50k leaves a slow or loaded CI
-#: runner 15-27x of room; a slowdown beyond that fails.
+#: measured rate is 0.77-1.37M on a 2-vCPU VM; 50k leaves a slow or
+#: loaded CI runner 15-27x of room, and a slowdown beyond that fails.
 REQUIRED_EVENTS_PER_SECOND = 50_000.0
 
 

@@ -365,7 +365,7 @@ _leaves = st.one_of(
 
 @st.composite
 def _exprs(draw, depth: int = 3):
-    """A random expression tree, never a bare leaf, weighted to arithmetic."""
+    """A random expression tree, not a bare leaf, weighted to arithmetic."""
     kinds = ("binop", "binop", "binop", "shift", "not", "mux", "cat", "read")
     if depth < 3:
         kinds += ("leaf", "leaf")
@@ -469,6 +469,8 @@ def _expression_module(expr, cond) -> Module:
     inputs={"x": 0xFF, "y": 9, "s": 0},
     rows=[0x81, 0x42, 0x24, 0x18],
 )
+# A right shift wider than the narrow outputs, and a low slice, which is
+# zero, as the condition.
 @example(
     expr=BinOp("shr", Ref("x"), Const(3, 3)),
     cond=Slice(Ref("x"), 2, 0),
