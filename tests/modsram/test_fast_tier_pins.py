@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from typing import Tuple
 
 import pytest
 
@@ -161,19 +162,33 @@ def analytical_digest(config: ModSRAMConfig, calls) -> str:
     return _digest(lines)
 
 
-def chip_digest(config: ModSRAMConfig, modulus: int, leaves) -> str:
-    """Two product-tree runs on one 4-macro chip, then its cumulative state."""
+def chip_digest(config: ModSRAMConfig, modulus: int, leaves) -> Tuple[str, str]:
+    """Two product-tree runs on one 4-macro chip, as two digests.
+
+    The fresh-chip half holds the first run's products and schedule.  The
+    used-chip half holds the second run, then the chip's cumulative
+    ``activity()`` (read by name), access profile and energy.
+    """
     chip = Chip(4, config)
     graph = product_tree_graph(leaves)
-    lines = []
-    for _ in range(2):
-        run = chip.run_graph(graph, modulus)
-        lines.append(run.values)
-        lines.append(run.schedule.as_dict())
-    lines.append(chip.activity().as_dict())
-    lines.append(chip.stats().as_dict())
-    lines.append(chip.energy_report().as_dict())
-    return _digest(lines)
+    first = chip.run_graph(graph, modulus)
+    second = chip.run_graph(graph, modulus)
+    activity = chip.activity()
+    fresh = [first.values, first.schedule.as_dict()]
+    used = [
+        second.values,
+        second.schedule.as_dict(),
+        (
+            activity.operation, activity.macros, activity.jobs,
+            activity.per_macro_jobs, activity.per_macro_cycles,
+            activity.makespan_cycles, activity.lut_refills,
+            activity.lut_reuse_rate, activity.utilization,
+            activity.latency_ms, activity.throughput_mops,
+        ),
+        chip.stats().as_dict(),
+        chip.energy_report().as_dict(),
+    ]
+    return _digest(fresh), _digest(used)
 
 
 def _chip_case(bits: int, full_range: bool):
@@ -237,13 +252,14 @@ PINS_ANALYTICAL = {
     (64, False): "5978911b39cb23db",
 }
 
+#: ``(fresh chip, used chip)`` halves of :func:`chip_digest`.
 PINS_CHIP = {
-    (16, True): "85254c2472461ce1",
-    (16, False): "a491932d1acd4bb9",
-    (32, True): "62b2e58ffeaa8eb1",
-    (32, False): "75dcf3cd562873f6",
-    (64, True): "dea5f3e20deb90ab",
-    (64, False): "b570a66fecc5bc46",
+    (16, True): ("7f9a7de4de708db8", "4a6f4a5e503f65d9"),
+    (16, False): ("ab1842df49e2c824", "099a35bf91e0a412"),
+    (32, True): ("2d1cf253349ee4f7", "26902eb17f3888e1"),
+    (32, False): ("04f3a259e9427265", "c2db8c394abb4865"),
+    (64, True): ("30f227358e0fa54f", "79fdf19a650c2379"),
+    (64, False): ("a92ddad86c93ec40", "f0c857619c1368ae"),
 }
 
 PIN_PAPER_POINT = ("925065a8b7da9971", "b9094cff4dc77b5d")
@@ -251,7 +267,7 @@ PINS_EXTRA_FOLD = {
     12: ("307a2ffd48fad2d5", "c6c1536d1cdbf15e"),
     16: ("580aa14c842af0b5", "c8a4d40e9f53c20b"),
 }
-PIN_PAPER_CHIP = "635586afd077db21"
+PIN_PAPER_CHIP = ("0a61f7a241c0f899", "7bde3470603de893")
 PIN_P256_SIGN = "e496404cac4516a9"
 
 
