@@ -42,7 +42,6 @@ from repro.modsram.chip import (
     ChipGraphRun,
     ChipSchedule,
     ChipScheduler,
-    GraphSchedule,
     MultiplicationJob,
 )
 from repro.modsram.config import PAPER_CONFIG, ModSRAMConfig
@@ -80,7 +79,6 @@ __all__ = [
     "ChipGraphRun",
     "ChipSchedule",
     "ChipScheduler",
-    "GraphSchedule",
     "MacroGeometry",
     "SCHEDULER_POLICIES",
     "SUPPORTED_RADICES",

@@ -3,17 +3,22 @@
 §5.2 of the paper sizes one 64-row macro so a point operation's operands
 stay resident while its multiplications execute; this module generalises
 that scheduling argument from one macro to a *chip* of ``N`` macros.  A
-workload arrives as a stream of :class:`MultiplicationJob`\\ s — each naming
-the multiplicand whose radix-4 LUT it needs — and the chip-level scheduler
-places every job on the macro where it finishes earliest, which makes the
-placement LUT-reuse-aware: a macro whose resident LUT already matches skips
-the refill and therefore usually wins the placement race.
+workload arrives as a stream or a dependency graph of
+:class:`MultiplicationJob`\\ s — each naming the multiplicand whose radix-4
+LUT it needs — and the chip-level scheduler places every job on the macro
+where it finishes earliest, which makes the placement LUT-reuse-aware: a
+macro whose resident LUT already matches skips the refill and therefore
+usually wins the placement race.
 
-Two layers share the placement core:
+One placement state serves every dispatch path.  Per macro it holds the
+cycle the macro frees up, its busy cycles, its jobs and its resident LUT
+key, plus the refills charged so far; every path reports one
+:class:`ChipSchedule`:
 
-* :class:`ChipScheduler` schedules *abstract* streams (no operand values)
-  with the analytical cost algebra — this is what the ``chip-scaling``
-  experiment runs at 2^16-NTT scale;
+* :class:`ChipScheduler` schedules *abstract* streams and graphs (no
+  operand values) with the analytical cost algebra, on a fresh state per
+  call — this is what the ``chip-scaling`` experiment runs at 2^16-NTT
+  scale;
 * :class:`Chip` *executes* real multiplications on ``N`` analytical-tier
   macros (the substrate behind the ``modsram-chip`` engine backend),
   charging each macro the exact per-multiplication cycle report.
@@ -39,13 +44,12 @@ __all__ = [
     "MultiplicationJob",
     "ChipSchedule",
     "ChipScheduler",
-    "GraphSchedule",
     "ChipGraphRun",
     "Chip",
     "SCHEDULER_POLICIES",
 ]
 
-#: Flat-stream placement policies the chip scheduler implements.
+#: Placement policies the chip scheduler implements.
 #: ``lut-aware`` is the paper-motivated finish-time-greedy rule;
 #: ``round-robin`` is the residency-blind baseline the DSE sweeps use to
 #: quantify what LUT-aware placement buys at each design point.
@@ -68,80 +72,14 @@ class MultiplicationJob:
 
 @dataclass(frozen=True)
 class ChipSchedule:
-    """Outcome of dispatching one stream across a chip's macros."""
+    """Outcome of dispatching a stream or a graph across a chip's macros.
 
-    operation: str
-    macros: int
-    jobs: int
-    per_macro_jobs: Tuple[int, ...]
-    per_macro_cycles: Tuple[int, ...]
-    lut_refills: int
-    frequency_mhz: float
-
-    @property
-    def makespan_cycles(self) -> int:
-        """Cycles until the busiest macro finishes (the chip's latency)."""
-        return max(self.per_macro_cycles) if self.per_macro_cycles else 0
-
-    @property
-    def total_cycles(self) -> int:
-        """Cycles summed over every macro (the chip's energy-relevant work)."""
-        return sum(self.per_macro_cycles)
-
-    @property
-    def lut_reuse_rate(self) -> float:
-        """Fraction of jobs that reused a resident radix-4 LUT."""
-        if not self.jobs:
-            return 0.0
-        return 1.0 - self.lut_refills / self.jobs
-
-    @property
-    def utilization(self) -> float:
-        """How evenly the stream spread (1.0 = perfectly balanced)."""
-        if not self.jobs or self.makespan_cycles == 0:
-            return 0.0
-        return self.total_cycles / (self.macros * self.makespan_cycles)
-
-    @property
-    def latency_ms(self) -> float:
-        """Wall-clock makespan at the macro clock."""
-        return self.makespan_cycles / (self.frequency_mhz * 1e6) * 1e3
-
-    @property
-    def throughput_mops(self) -> float:
-        """Modular multiplications per second (in millions) at the clock."""
-        if self.makespan_cycles == 0:
-            return 0.0
-        return self.jobs / (self.makespan_cycles / (self.frequency_mhz * 1e6)) / 1e6
-
-    def as_dict(self) -> Dict[str, object]:
-        """Flat summary for reports and JSON payloads."""
-        return {
-            "operation": self.operation,
-            "macros": self.macros,
-            "jobs": self.jobs,
-            "per_macro_jobs": list(self.per_macro_jobs),
-            "per_macro_cycles": list(self.per_macro_cycles),
-            "lut_refills": self.lut_refills,
-            "lut_reuse_rate": self.lut_reuse_rate,
-            "makespan_cycles": self.makespan_cycles,
-            "total_cycles": self.total_cycles,
-            "utilization": self.utilization,
-            "latency_ms": self.latency_ms,
-            "throughput_mops": self.throughput_mops,
-            "frequency_mhz": self.frequency_mhz,
-        }
-
-
-@dataclass(frozen=True)
-class GraphSchedule:
-    """Outcome of dependency-aware dispatch of one workload graph.
-
-    Unlike :class:`ChipSchedule` (whose streams never idle a macro), a
-    graph schedule distinguishes *busy* cycles from the *makespan*: a macro
-    may sit idle waiting for a dependency, so ``utilization`` measures how
-    much of the chip's capacity the dependency structure let the scheduler
-    actually use.
+    A schedule distinguishes *busy* cycles from the *makespan*: in a graph
+    a macro may sit idle waiting for a dependency, so ``utilization``
+    measures how much of the chip's capacity the dependency structure let
+    the scheduler actually use.  A flat stream has no dependencies: it
+    reports depth 1 (0 when empty) and its longest job as the critical
+    path, so a dependency-free graph schedules to the same record.
     """
 
     operation: str
@@ -210,124 +148,12 @@ class GraphSchedule:
         }
 
 
-def _dispatch_graph(
-    graph: "WorkloadGraph",
-    macros: int,
-    iteration_cycles: int,
-    refill_cycles: int,
-    execute=None,
-    placement_key=None,
-):
-    """Dependency-aware, LUT-residency-aware list scheduling.
+class _Placement:
+    """Placement state of one chip, shared by every dispatch path.
 
-    Nodes enter the ready heap when every dependency has finished, ordered
-    by ``(ready time, -priority, index)``; each popped node is placed on
-    the macro where it *finishes* earliest, with ties broken toward the
-    macro whose resident LUT already matches (then the lowest index) — the
-    exact placement rule of the flat stream scheduler, generalised with
-    start times.  For a dependency-free graph this degenerates to the flat
-    scheduler's placement decision for decision, which is what the parity
-    tests pin down.
-
-    ``execute(node, macro)``, when given, runs the node on that macro and
-    returns its *measured* cycles, which replace the nominal charge (the
-    placement decision itself always uses the nominal cost, mirroring
-    :meth:`Chip.multiply`).  ``placement_key(node)``, when given,
-    overrides the LUT-residency key (execution paths key on the resolved
-    multiplicand *value* so the schedule's reuse accounting matches what
-    the macros actually measure).
-    """
-    nodes = graph.nodes
-    count = len(nodes)
-    dependents: List[List[int]] = [[] for _ in range(count)]
-    remaining = [0] * count
-    for node in nodes:
-        deps = set(node.deps)
-        remaining[node.index] = len(deps)
-        for dep in deps:
-            dependents[dep].append(node.index)
-
-    free = [0] * macros
-    busy = [0] * macros
-    jobs_on = [0] * macros
-    resident: List[Optional[str]] = [None] * macros
-    refills = 0
-    finish = [0] * count
-    critical = [0] * count
-
-    ready = [
-        (0, -nodes[index].priority, index)
-        for index in range(count)
-        if remaining[index] == 0
-    ]
-    heapq.heapify(ready)
-    while ready:
-        ready_time, _, index = heapq.heappop(ready)
-        node = nodes[index]
-        key = node.multiplicand if placement_key is None else placement_key(node)
-        best_macro = 0
-        best_finish: Optional[int] = None
-        best_reused = False
-        best_start = 0
-        for macro in range(macros):
-            reused = resident[macro] == key
-            cost = iteration_cycles + (0 if reused else refill_cycles)
-            start = max(free[macro], ready_time)
-            finish_time = start + cost
-            if (
-                best_finish is None
-                or finish_time < best_finish
-                or (finish_time == best_finish and reused and not best_reused)
-            ):
-                best_macro = macro
-                best_finish = finish_time
-                best_reused = reused
-                best_start = start
-        cost = iteration_cycles + (0 if best_reused else refill_cycles)
-        if execute is not None:
-            cost = execute(node, best_macro)
-            best_finish = best_start + cost
-        free[best_macro] = best_finish
-        busy[best_macro] += cost
-        jobs_on[best_macro] += 1
-        resident[best_macro] = key
-        if not best_reused:
-            refills += 1
-        finish[index] = best_finish
-        critical[index] = cost + max(
-            (critical[dep] for dep in node.deps), default=0
-        )
-        for dependent in dependents[index]:
-            remaining[dependent] -= 1
-            if remaining[dependent] == 0:
-                ready_at = max(
-                    (finish[dep] for dep in nodes[dependent].deps), default=0
-                )
-                heapq.heappush(
-                    ready, (ready_at, -nodes[dependent].priority, dependent)
-                )
-
-    if sum(jobs_on) != count:
-        raise ConfigurationError(
-            f"graph dispatch scheduled {sum(jobs_on)} of {count} nodes; "
-            "the dependency structure is not a DAG"
-        )
-    return {
-        "jobs": count,
-        "per_macro_jobs": tuple(jobs_on),
-        "per_macro_busy_cycles": tuple(busy),
-        "makespan_cycles": max(finish, default=0),
-        "critical_path_cycles": max(critical, default=0),
-        "lut_refills": refills,
-    }
-
-
-class _PlacementState:
-    """Flat-stream placement shared by both chip layers.
-
-    The default ``lut-aware`` policy is finish-time-greedy and
-    LUT-residency-aware; ``round-robin`` ignores both and cycles through
-    the macros in index order (the baseline the DSE sweeps race against).
+    Per macro: the cycle it frees up, its busy cycles, its job count and
+    the key of its resident LUT; plus the LUT refills and the longest job
+    charged so far.
     """
 
     def __init__(
@@ -344,74 +170,182 @@ class _PlacementState:
                 f"unknown scheduler policy {policy!r}; choose from "
                 f"{SCHEDULER_POLICIES}"
             )
-        self.macros = macros
-        self.policy = policy
         self.iteration_cycles = iteration_cycles
         self.refill_cycles = refill_cycles
-        self.loads = [0] * macros
+        self.round_robin = policy == "round-robin"
+        self.free = [0] * macros
+        self.busy = [0] * macros
         self.jobs = [0] * macros
         self.resident: List[Optional[str]] = [None] * macros
         self.refills = 0
+        self.longest = 0
         self._cursor = 0
 
-    def place(self, key: str) -> Tuple[int, bool]:
-        """Place one job; returns ``(macro_index, lut_reused)``.
+    def place(self, key: str, ready: int = 0) -> Tuple[int, int, int]:
+        """Choose the macro for one job that may start at cycle ``ready``.
 
-        Under ``lut-aware`` the job lands where it finishes earliest: a
-        macro with the matching resident LUT saves the refill cycles, so it
-        wins unless it is already more than one refill ahead of the
-        least-loaded macro; ties break toward the reusing macro, then the
-        lowest index.  Under ``round-robin`` the job lands on the next
-        macro in index order regardless of residency.
+        Returns ``(macro, start, cycles)``: the chosen macro, the cycle the
+        job starts there and its nominal cost (the main loop, plus the
+        refill unless the macro's resident LUT matches ``key``).  Under
+        ``lut-aware`` the job lands where it finishes earliest, so a macro
+        holding the LUT wins unless it frees up more than one refill after
+        another; ties break toward the reusing macro, then the lowest
+        index.  Under ``round-robin`` it lands on the next macro in index
+        order regardless of residency.  Nothing is charged until
+        :meth:`commit`.
         """
-        if self.policy == "round-robin":
-            macro = self._cursor
-            self._cursor = (self._cursor + 1) % self.macros
-            reused = self.resident[macro] == key
-            cost = self.loads[macro] + self.iteration_cycles
-            if not reused:
-                cost += self.refill_cycles
-            self.loads[macro] = cost
-            self.jobs[macro] += 1
-            self.resident[macro] = key
-            if not reused:
-                self.refills += 1
-            return macro, reused
-        best_macro = 0
-        best_cost = None
+        free = self.free
+        resident = self.resident
+        warm = self.iteration_cycles
+        cold = warm + self.refill_cycles
+        if self.round_robin:
+            best = self._cursor
+            self._cursor = (best + 1) % len(free)
+            cycles = warm if resident[best] == key else cold
+            return best, max(free[best], ready), cycles
+        best = best_finish = None
         best_reused = False
-        for macro in range(self.macros):
-            reused = self.resident[macro] == key
-            cost = self.loads[macro] + self.iteration_cycles
-            if not reused:
-                cost += self.refill_cycles
+        for macro, free_at in enumerate(free):
+            reused = resident[macro] == key
+            finish = (free_at if free_at > ready else ready) + (
+                warm if reused else cold
+            )
             if (
-                best_cost is None
-                or cost < best_cost
-                or (cost == best_cost and reused and not best_reused)
+                best_finish is None
+                or finish < best_finish
+                or (finish == best_finish and reused and not best_reused)
             ):
-                best_macro, best_cost, best_reused = macro, cost, reused
-        self.loads[best_macro] = best_cost
-        self.jobs[best_macro] += 1
-        self.resident[best_macro] = key
-        if not best_reused:
-            self.refills += 1
-        return best_macro, best_reused
+                best, best_finish, best_reused = macro, finish, reused
+        cycles = warm if best_reused else cold
+        return best, best_finish - cycles, cycles
 
-    def charge(self, macro: int, actual_cycles: int, nominal_cycles: int) -> None:
-        """Replace a nominal placement charge with measured cycles."""
-        self.loads[macro] += actual_cycles - nominal_cycles
+    def commit(self, macro: int, key: str, start: int, cycles: int) -> int:
+        """Charge one job to ``macro`` from ``start``; returns its finish.
+
+        ``cycles`` is the nominal cost :meth:`place` returned or the
+        cycles the macro measured; either way ``key``'s LUT is resident
+        afterwards, and the job counts as a refill unless it already was.
+        """
+        finish = start + cycles
+        self.free[macro] = finish
+        self.busy[macro] += cycles
+        self.jobs[macro] += 1
+        if self.resident[macro] != key:
+            self.resident[macro] = key
+            self.refills += 1
+        if cycles > self.longest:
+            self.longest = cycles
+        return finish
+
+    def record(self, operation: str, frequency_mhz: float) -> ChipSchedule:
+        """Everything committed so far, read as one flat stream."""
+        jobs = sum(self.jobs)
+        return ChipSchedule(
+            operation=operation,
+            macros=len(self.free),
+            jobs=jobs,
+            per_macro_jobs=tuple(self.jobs),
+            per_macro_busy_cycles=tuple(self.busy),
+            makespan_cycles=max(self.free),
+            critical_path_cycles=self.longest,
+            depth=1 if jobs else 0,
+            lut_refills=self.refills,
+            frequency_mhz=frequency_mhz,
+        )
+
+
+def _dispatch_graph(
+    state: _Placement,
+    graph: "WorkloadGraph",
+    operation: Optional[str],
+    frequency_mhz: float,
+    execute=None,
+    placement_key=None,
+) -> ChipSchedule:
+    """Dependency-aware list scheduling of one graph on ``state``.
+
+    Nodes enter the ready heap when every dependency has finished, ordered
+    by ``(ready time, -priority, index)``; :meth:`_Placement.place` then
+    picks each popped node's macro, so a node never starts before its
+    dependencies finish.  For a dependency-free graph with default
+    priorities every node is ready at cycle 0 and pops in insertion order,
+    which is exactly the flat stream's dispatch.
+
+    ``execute(node, macro)``, when given, runs the node on that macro and
+    returns its *measured* cycles, which replace the nominal charge (the
+    placement decision itself always uses the nominal cost, mirroring
+    :meth:`Chip.multiply`).  ``placement_key(node)``, when given,
+    overrides the LUT-residency key (execution paths key on the resolved
+    multiplicand *value* so the schedule's reuse accounting matches what
+    the macros actually measure).  The returned schedule counts only this
+    graph's jobs, busy cycles and refills.
+    """
+    nodes = graph.nodes
+    count = len(nodes)
+    dependents = graph.dependents()
+    remaining = [len(node.deps) for node in nodes]
+    jobs_before, busy_before = list(state.jobs), list(state.busy)
+    refills_before = state.refills
+    place, commit = state.place, state.commit
+    finish = [0] * count
+    critical = [0] * count
+
+    ready = [(0, -node.priority, node.index) for node in nodes if not node.deps]
+    heapq.heapify(ready)
+    while ready:
+        ready_time, _, index = heapq.heappop(ready)
+        node = nodes[index]
+        key = node.multiplicand if placement_key is None else placement_key(node)
+        macro, start, cycles = place(key, ready_time)
+        if execute is not None:
+            cycles = execute(node, macro)
+        finish[index] = commit(macro, key, start, cycles)
+        critical[index] = cycles + max(
+            (critical[dep] for dep in node.deps), default=0
+        )
+        for dependent in dependents[index]:
+            remaining[dependent] -= 1
+            if remaining[dependent] == 0:
+                ready_at = max(
+                    (finish[dep] for dep in nodes[dependent].deps), default=0
+                )
+                heapq.heappush(
+                    ready, (ready_at, -nodes[dependent].priority, dependent)
+                )
+
+    per_macro_jobs = tuple(
+        after - before for after, before in zip(state.jobs, jobs_before)
+    )
+    if sum(per_macro_jobs) != count:
+        raise ConfigurationError(
+            f"graph dispatch scheduled {sum(per_macro_jobs)} of {count} "
+            "nodes; the dependency structure is not a DAG"
+        )
+    return ChipSchedule(
+        operation=operation or getattr(graph, "name", "graph"),
+        macros=len(state.free),
+        jobs=count,
+        per_macro_jobs=per_macro_jobs,
+        per_macro_busy_cycles=tuple(
+            after - before for after, before in zip(state.busy, busy_before)
+        ),
+        makespan_cycles=max(finish, default=0),
+        critical_path_cycles=max(critical, default=0),
+        depth=graph.depth,
+        lut_refills=state.refills - refills_before,
+        frequency_mhz=frequency_mhz,
+    )
 
 
 class ChipScheduler:
-    """Schedules abstract multiplication streams onto an N-macro chip.
+    """Schedules abstract multiplication streams and graphs onto N macros.
 
     Uses the analytical cost algebra
     (:class:`~repro.modsram.analytical.AnalyticalCostModel`): every job
     costs the main-loop cycles plus, when the resident LUT does not match,
     the radix-4 refill — the single-macro
     :class:`~repro.modsram.scheduler.PointOperationScheduler`'s charges,
-    generalised to a pool of macros.
+    generalised to a pool of macros.  Every call starts from an idle chip.
     """
 
     def __init__(
@@ -421,17 +355,20 @@ class ChipScheduler:
         geometry: Optional[MacroGeometry] = None,
         policy: str = "lut-aware",
     ) -> None:
-        if macros <= 0:
-            raise ConfigurationError(f"macros must be positive, got {macros}")
-        if policy not in SCHEDULER_POLICIES:
-            raise ConfigurationError(
-                f"unknown scheduler policy {policy!r}; choose from "
-                f"{SCHEDULER_POLICIES}"
-            )
         self.macros = macros
         self.config = config or ModSRAMConfig()
         self.policy = policy
         self.cost_model = AnalyticalCostModel(self.config, geometry)
+        self._placement()  # rejects a bad macro count or policy up front
+
+    def _placement(self) -> _Placement:
+        """The placement state of an idle chip."""
+        return _Placement(
+            self.macros,
+            self.cost_model.iteration_cycles(),
+            self.cost_model.radix4_refill_cycles(),
+            self.policy,
+        )
 
     def schedule(
         self,
@@ -439,54 +376,31 @@ class ChipScheduler:
         operation: str = "stream",
     ) -> ChipSchedule:
         """Dispatch one stream; returns the chip-level schedule summary."""
-        state = _PlacementState(
-            self.macros,
-            self.cost_model.iteration_cycles(),
-            self.cost_model.radix4_refill_cycles(),
-            policy=self.policy,
-        )
-        count = 0
+        state = self._placement()
+        place, commit = state.place, state.commit
         for job in jobs:
-            state.place(job.multiplicand)
-            count += 1
-        return ChipSchedule(
-            operation=operation,
-            macros=self.macros,
-            jobs=count,
-            per_macro_jobs=tuple(state.jobs),
-            per_macro_cycles=tuple(state.loads),
-            lut_refills=state.refills,
-            frequency_mhz=self.config.frequency_mhz,
-        )
+            key = job.multiplicand
+            macro, start, cycles = place(key)
+            commit(macro, key, start, cycles)
+        return state.record(operation, self.config.frequency_mhz)
 
     def schedule_graph(
         self,
         graph: "WorkloadGraph",
         operation: Optional[str] = None,
-    ) -> GraphSchedule:
+    ) -> ChipSchedule:
         """Dependency-aware dispatch of one workload graph.
 
         Ready fronts (nodes whose dependencies have finished) are placed
-        finish-time-greedy and LUT-residency-aware across the macros; a
-        node never starts before its dependencies complete, so — unlike
-        :meth:`schedule`, which assumes a stream of independent jobs — the
-        resulting makespan is *valid* for dependent workloads.  For a
-        dependency-free graph the two paths place identically.  Graph
-        dispatch is always LUT-residency-aware; the flat-stream ``policy``
-        does not apply here.
+        by the scheduler's policy across the macros; a node never starts
+        before its dependencies complete, so — unlike :meth:`schedule`,
+        which assumes a stream of independent jobs — the resulting
+        makespan is *valid* for dependent workloads.  A dependency-free
+        graph with default priorities schedules exactly like its flat
+        stream.
         """
-        dispatch = _dispatch_graph(
-            graph,
-            self.macros,
-            self.cost_model.iteration_cycles(),
-            self.cost_model.radix4_refill_cycles(),
-        )
-        return GraphSchedule(
-            operation=operation or getattr(graph, "name", "graph"),
-            macros=self.macros,
-            depth=graph.depth,
-            frequency_mhz=self.config.frequency_mhz,
-            **dispatch,
+        return _dispatch_graph(
+            self._placement(), graph, operation, self.config.frequency_mhz
         )
 
 
@@ -494,7 +408,7 @@ class ChipScheduler:
 class ChipGraphRun:
     """Products plus schedule of one graph executed on a :class:`Chip`."""
 
-    schedule: GraphSchedule
+    schedule: ChipSchedule
     #: Product of every node, indexed like the graph's nodes.
     values: Tuple[int, ...]
     #: Node indices nothing depends on (the request's results).
@@ -523,21 +437,20 @@ class Chip:
         config: Optional[ModSRAMConfig] = None,
         geometry: Optional[MacroGeometry] = None,
     ) -> None:
-        if macros <= 0:
-            raise ConfigurationError(f"macros must be positive, got {macros}")
         base = config or ModSRAMConfig()
-        self._macros = [
-            AnalyticalModSRAM(base, geometry) for _ in range(macros)
-        ]
+        first = AnalyticalModSRAM(base, geometry)
         # Executable macros apply the geometry to their config, so the
         # chip-level view (config, cost model) follows the first macro.
-        self.config = self._macros[0].config
-        self.cost_model = self._macros[0].cost_model
-        self._state = _PlacementState(
+        self.config = first.config
+        self.cost_model = first.cost_model
+        self._state = _Placement(
             macros,
             self.cost_model.iteration_cycles(),
             self.cost_model.lut_fill_cycles(),
         )
+        self._macros = [first] + [
+            AnalyticalModSRAM(base, geometry) for _ in range(1, macros)
+        ]
 
     @property
     def macros(self) -> int:
@@ -551,13 +464,12 @@ class Chip:
     def multiply(self, a: int, b: int, modulus: int) -> MultiplicationResult:
         """Place and execute one multiplication on the best macro."""
         key = f"{b:#x}@{modulus:#x}"
-        macro_index, reused = self._state.place(key)
-        nominal = self._state.iteration_cycles + (
-            0 if reused else self._state.refill_cycles
+        macro, start, _ = self._state.place(key)
+        result = self._macros[macro].multiply(a, b, modulus)
+        report = result.report
+        self._state.commit(
+            macro, key, start, report.iteration_cycles + report.precompute_cycles
         )
-        result = self._macros[macro_index].multiply(a, b, modulus)
-        actual = result.report.iteration_cycles + result.report.precompute_cycles
-        self._state.charge(macro_index, actual, nominal)
         return result
 
     def multiply_many(
@@ -612,20 +524,16 @@ class Chip:
             # with the precompute cycles the macros measure.
             return f"{resolve(node.b):#x}@{modulus:#x}"
 
-        dispatch = _dispatch_graph(
+        state = _Placement(
+            self.macros, self._state.iteration_cycles, self._state.refill_cycles
+        )
+        schedule = _dispatch_graph(
+            state,
             graph,
-            self.macros,
-            self._state.iteration_cycles,
-            self._state.refill_cycles,
+            operation,
+            self.config.frequency_mhz,
             execute=execute,
             placement_key=placement_key,
-        )
-        schedule = GraphSchedule(
-            operation=operation or getattr(graph, "name", "graph"),
-            macros=self.macros,
-            depth=graph.depth,
-            frequency_mhz=self.config.frequency_mhz,
-            **dispatch,
         )
         return ChipGraphRun(
             schedule=schedule,
@@ -635,16 +543,7 @@ class Chip:
 
     def activity(self, operation: str = "executed") -> ChipSchedule:
         """Schedule summary of everything executed so far."""
-        state = self._state
-        return ChipSchedule(
-            operation=operation,
-            macros=self.macros,
-            jobs=sum(state.jobs),
-            per_macro_jobs=tuple(state.jobs),
-            per_macro_cycles=tuple(state.loads),
-            lut_refills=state.refills,
-            frequency_mhz=self.config.frequency_mhz,
-        )
+        return self._state.record(operation, self.config.frequency_mhz)
 
     def stats(self):
         """Chip-wide access profile: every macro's stats merged."""

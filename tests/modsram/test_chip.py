@@ -126,6 +126,14 @@ class TestChipExecution:
         assert activity.per_macro_jobs == (2, 2, 2, 2)
         assert activity.lut_reuse_rate == pytest.approx(0.5)
 
+    def test_a_rejected_multiplication_is_not_charged(self):
+        chip = Chip(2, ModSRAMConfig().with_bitwidth(16))
+        chip.multiply(3, 7, 65521)
+        before = chip.activity()
+        with pytest.raises(OperandRangeError):
+            chip.multiply(65521, 7, 65521)
+        assert chip.activity() == before
+
     def test_macro_accessor(self):
         chip = Chip(2, ModSRAMConfig().with_bitwidth(16))
         assert isinstance(chip.macro(0), AnalyticalModSRAM)

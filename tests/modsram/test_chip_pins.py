@@ -70,7 +70,7 @@ def schedule_line(schedule):
         schedule.macros,
         schedule.jobs,
         schedule.per_macro_jobs,
-        schedule.per_macro_cycles,
+        schedule.per_macro_busy_cycles,
         schedule.makespan_cycles,
         schedule.lut_refills,
         schedule.lut_reuse_rate,
@@ -82,18 +82,7 @@ def schedule_line(schedule):
 
 def graph_line(schedule):
     """:func:`schedule_line` plus the graph-only quantities."""
-    return (
-        schedule.operation,
-        schedule.macros,
-        schedule.jobs,
-        schedule.per_macro_jobs,
-        schedule.per_macro_busy_cycles,
-        schedule.makespan_cycles,
-        schedule.lut_refills,
-        schedule.lut_reuse_rate,
-        schedule.utilization,
-        schedule.latency_ms,
-        schedule.throughput_mops,
+    return schedule_line(schedule) + (
         schedule.critical_path_cycles,
         schedule.depth,
     )

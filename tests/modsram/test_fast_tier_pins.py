@@ -180,7 +180,7 @@ def chip_digest(config: ModSRAMConfig, modulus: int, leaves) -> Tuple[str, str]:
         second.schedule.as_dict(),
         (
             activity.operation, activity.macros, activity.jobs,
-            activity.per_macro_jobs, activity.per_macro_cycles,
+            activity.per_macro_jobs, activity.per_macro_busy_cycles,
             activity.makespan_cycles, activity.lut_refills,
             activity.lut_reuse_rate, activity.utilization,
             activity.latency_ms, activity.throughput_mops,
