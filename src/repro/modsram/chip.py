@@ -10,7 +10,7 @@ where it finishes earliest, which makes the placement LUT-reuse-aware: a
 macro whose resident LUT already matches skips the refill and therefore
 usually wins the placement race.
 
-One placement state serves every dispatch path.  Per macro it holds the
+Every dispatch path drives one placement state.  Per macro it holds the
 cycle the macro frees up, its busy cycles, its jobs and its resident LUT
 key, plus the refills charged so far; every path reports one
 :class:`ChipSchedule`:
@@ -19,8 +19,9 @@ key, plus the refills charged so far; every path reports one
   operand values) with the analytical cost algebra, on a fresh state per
   call — this is what the ``chip-scaling`` experiment runs at 2^16-NTT
   scale;
-* :class:`Chip` *executes* real multiplications on ``N`` analytical-tier
-  macros (the substrate behind the ``modsram-chip`` engine backend),
+* :class:`Chip` *executes* real multiplications and operand-carrying
+  graphs on ``N`` analytical-tier macros (the substrate behind the
+  ``modsram-chip`` engine backend), on one state for its lifetime,
   charging each macro the exact per-multiplication cycle report.
 """
 
@@ -423,12 +424,14 @@ class ChipGraphRun:
 class Chip:
     """``N`` analytical-tier macros executing real multiplications.
 
-    Every :meth:`multiply` is placed LUT-reuse-aware (the key is the actual
-    multiplicand value and modulus) and executed on that macro's
-    :class:`AnalyticalModSRAM`, whose exact cycle report is charged to the
-    macro's busy time.  :meth:`activity` summarises the accumulated
-    schedule in the same :class:`ChipSchedule` shape the abstract scheduler
-    produces.
+    The chip keeps one placement state for its lifetime: every
+    :meth:`multiply` and every node of :meth:`run_graph` is placed
+    LUT-reuse-aware on it (the key is the actual multiplicand value and
+    modulus), executed on that macro's :class:`AnalyticalModSRAM`, and
+    charged the macro's exact cycle report.  Work therefore queues behind
+    earlier work and reuses the LUTs it left resident, whichever call
+    submitted it.  :meth:`activity` summarises everything executed in the
+    same :class:`ChipSchedule` shape the abstract scheduler produces.
     """
 
     def __init__(
@@ -487,11 +490,16 @@ class Chip:
         """Execute an operand-carrying graph across the chip's macros.
 
         Placement is the same dependency-aware, LUT-residency-aware rule
-        as :meth:`ChipScheduler.schedule_graph`; every node then runs on
-        its macro's :class:`AnalyticalModSRAM` and the *measured* cycle
-        report replaces the nominal charge (mirroring :meth:`multiply`).
-        Products are bit-identical to evaluating the nodes one by one —
-        placement changes the timing, never the arithmetic.
+        as :meth:`ChipScheduler.schedule_graph`, on the chip's own state:
+        a root starts once its macro is free, and a LUT an earlier call
+        left resident counts as reused.  Every node then runs on its
+        macro's :class:`AnalyticalModSRAM` and the *measured* cycle report
+        replaces the nominal charge (mirroring :meth:`multiply`).  The
+        schedule counts this graph's jobs, busy cycles and refills; its
+        makespan is the cycle, on the chip's timeline, at which the
+        graph's last node finishes.  Products are bit-identical to
+        evaluating the nodes one by one — placement changes the timing,
+        never the arithmetic.
         """
         if not getattr(graph, "executable", False):
             raise ConfigurationError(
@@ -524,11 +532,8 @@ class Chip:
             # with the precompute cycles the macros measure.
             return f"{resolve(node.b):#x}@{modulus:#x}"
 
-        state = _Placement(
-            self.macros, self._state.iteration_cycles, self._state.refill_cycles
-        )
         schedule = _dispatch_graph(
-            state,
+            self._state,
             graph,
             operation,
             self.config.frequency_mhz,
@@ -542,7 +547,13 @@ class Chip:
         )
 
     def activity(self, operation: str = "executed") -> ChipSchedule:
-        """Schedule summary of everything executed so far."""
+        """Schedule summary of everything executed so far.
+
+        Every multiplication counts, whether :meth:`multiply` or
+        :meth:`run_graph` submitted it, read as one flat stream: the
+        makespan is when the busiest macro frees up and the critical path
+        is the longest single job.
+        """
         return self._state.record(operation, self.config.frequency_mhz)
 
     def stats(self):

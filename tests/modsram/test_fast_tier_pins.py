@@ -252,14 +252,16 @@ PINS_ANALYTICAL = {
     (64, False): "5978911b39cb23db",
 }
 
-#: ``(fresh chip, used chip)`` halves of :func:`chip_digest`.
+#: ``(fresh chip, used chip)`` halves of :func:`chip_digest`.  The
+#: used-chip halves were re-recorded when :meth:`Chip.run_graph` moved onto
+#: the chip's own placement state; the fresh-chip halves never moved.
 PINS_CHIP = {
-    (16, True): ("7f9a7de4de708db8", "4a6f4a5e503f65d9"),
-    (16, False): ("ab1842df49e2c824", "099a35bf91e0a412"),
-    (32, True): ("2d1cf253349ee4f7", "26902eb17f3888e1"),
-    (32, False): ("04f3a259e9427265", "c2db8c394abb4865"),
-    (64, True): ("30f227358e0fa54f", "79fdf19a650c2379"),
-    (64, False): ("a92ddad86c93ec40", "f0c857619c1368ae"),
+    (16, True): ("7f9a7de4de708db8", "bae17780df648b9e"),
+    (16, False): ("ab1842df49e2c824", "1f8e85ed3b052f70"),
+    (32, True): ("2d1cf253349ee4f7", "dabafa7eea8f8e39"),
+    (32, False): ("04f3a259e9427265", "aabe40eab407c038"),
+    (64, True): ("30f227358e0fa54f", "1ba96020cd402ca4"),
+    (64, False): ("a92ddad86c93ec40", "01cd516094352c79"),
 }
 
 PIN_PAPER_POINT = ("925065a8b7da9971", "b9094cff4dc77b5d")
@@ -267,7 +269,7 @@ PINS_EXTRA_FOLD = {
     12: ("307a2ffd48fad2d5", "c6c1536d1cdbf15e"),
     16: ("580aa14c842af0b5", "c8a4d40e9f53c20b"),
 }
-PIN_PAPER_CHIP = ("0a61f7a241c0f899", "7bde3470603de893")
+PIN_PAPER_CHIP = ("0a61f7a241c0f899", "b3797f7c3af7a3a5")
 PIN_P256_SIGN = "e496404cac4516a9"
 
 

@@ -173,3 +173,92 @@ class TestChipGraphExecution:
         chip = Chip(2, ModSRAMConfig().with_bitwidth(16))
         with pytest.raises(ConfigurationError, match="structural"):
             chip.run_graph(ntt_graph(8), 65521)
+
+
+#: A modulus that fills a 32-bit macro.
+P32 = (1 << 32) - 5
+
+
+def _pair(b: int) -> WorkloadGraph:
+    """Two independent nodes sharing the multiplicand ``b``."""
+    graph = WorkloadGraph("pair")
+    graph.add("b", a=5, b=b)
+    graph.add("b", a=7, b=b)
+    return graph
+
+
+def _nominal_busy(chip: Chip, schedule) -> int:
+    model = chip.cost_model
+    return (
+        schedule.jobs * model.iteration_cycles()
+        + schedule.lut_refills * model.lut_fill_cycles()
+    )
+
+
+def _record_reports(chip: Chip):
+    """Log every cycle report each macro measures, per macro."""
+    logs = [[] for _ in range(chip.macros)]
+    for index, log in enumerate(logs):
+        macro = chip.macro(index)
+
+        def multiply(a, b, modulus, inner=macro.multiply, log=log):
+            result = inner(a, b, modulus)
+            log.append(result.report)
+            return result
+
+        macro.multiply = multiply
+    return logs
+
+
+class TestUsedChip:
+    """Graphs run on the chip's own state, after whatever ran before."""
+
+    def test_a_resident_lut_is_reused_by_a_graph(self):
+        chip = Chip(1, ModSRAMConfig().with_bitwidth(32))
+        first = chip.multiply(3, 12345, P32).report
+        run = chip.run_graph(_pair(12345), P32)
+        assert run.schedule.lut_refills == 0
+        assert run.schedule.total_busy_cycles == 2 * first.iteration_cycles
+        # The graph queued behind the multiplication on the one macro.
+        assert run.schedule.makespan_cycles == (
+            first.iteration_cycles + first.precompute_cycles
+            + run.schedule.total_busy_cycles
+        )
+
+    @pytest.mark.parametrize("before", ["multiply", "run_graph"])
+    def test_busy_cycles_match_jobs_and_refills(self, before, rng):
+        chip = Chip(2, ModSRAMConfig().with_bitwidth(32))
+        leaves = [rng.randrange(1, P32) for _ in range(12)]
+        # Either way, both macros are left holding ``leaves[0]``'s LUT.
+        if before == "multiply":
+            chip.multiply_many([(leaf, leaves[0]) for leaf in leaves], P32)
+        else:
+            chip.run_graph(_pair(leaves[0]), P32)
+        for graph in (_pair(leaves[0]), product_tree_graph(leaves)):
+            schedule = chip.run_graph(graph, P32).schedule
+            assert schedule.jobs == len(graph)
+            assert schedule.total_busy_cycles == _nominal_busy(chip, schedule)
+        assert chip.activity().total_busy_cycles == _nominal_busy(
+            chip, chip.activity()
+        )
+
+    def test_activity_counts_every_executed_multiplication(self, rng):
+        chip = Chip(3, ModSRAMConfig().with_bitwidth(32))
+        logs = _record_reports(chip)
+        leaves = [rng.randrange(1, P32) for _ in range(16)]
+        chip.multiply_many([(leaf, 12345) for leaf in leaves[:5]], P32)
+        chip.run_graph(product_tree_graph(leaves), P32)
+        chip.run_graph(_pair(12345), P32)
+        chip.multiply(3, leaves[1], P32)
+
+        activity = chip.activity()
+        assert activity.jobs == 5 + 15 + 2 + 1
+        assert activity.per_macro_jobs == tuple(len(log) for log in logs)
+        assert activity.per_macro_busy_cycles == tuple(
+            sum(r.iteration_cycles + r.precompute_cycles for r in log)
+            for log in logs
+        )
+        assert activity.lut_refills == sum(
+            not report.lut_reused for log in logs for report in log
+        )
+
