@@ -33,8 +33,8 @@ setup(
     description=(
         "Reproduction of 'ModSRAM: Algorithm-Hardware Co-Design for Large "
         "Number Modular Multiplication in SRAM' (DAC 2024): R4CSA-LUT in a "
-        "layered simulation core (functional/analytical/cycle fidelity "
-        "tiers plus an N-macro chip model), PIM baselines, ECC/ZKP "
+        "layered simulation core (analytical/cycle/RTL fidelity tiers "
+        "plus an N-macro chip model), PIM baselines, ECC/ZKP "
         "substrates behind a unified Engine API, a dependency-aware "
         "Workload Graph API with an asyncio serving layer, and a "
         "declarative, parallel, disk-cached Experiment API for every "
