@@ -446,6 +446,8 @@ class Chip:
         # chip-level view (config, cost model) follows the first macro.
         self.config = first.config
         self.cost_model = first.cost_model
+        # The placement state rejects a bad macro count before the other
+        # macros are built.
         self._state = _Placement(
             macros,
             self.cost_model.iteration_cycles(),

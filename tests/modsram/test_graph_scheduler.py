@@ -238,9 +238,8 @@ class TestUsedChip:
             schedule = chip.run_graph(graph, P32).schedule
             assert schedule.jobs == len(graph)
             assert schedule.total_busy_cycles == _nominal_busy(chip, schedule)
-        assert chip.activity().total_busy_cycles == _nominal_busy(
-            chip, chip.activity()
-        )
+        activity = chip.activity()
+        assert activity.total_busy_cycles == _nominal_busy(chip, activity)
 
     def test_activity_counts_every_executed_multiplication(self, rng):
         chip = Chip(3, ModSRAMConfig().with_bitwidth(32))
@@ -261,4 +260,3 @@ class TestUsedChip:
         assert activity.lut_refills == sum(
             not report.lut_reused for log in logs for report in log
         )
-
