@@ -7,24 +7,21 @@ operand width, using the access counts of real cycle-accurate runs.
 
 from __future__ import annotations
 
-from repro.analysis.energy import (
-    measure_energy_per_multiplication,
-    reproduce_energy_analysis,
-)
+from repro.analysis.energy import measure_energy_per_multiplication, reproduce_energy
 
 
 def test_energy_sweep(benchmark):
     """Energy/multiplication across operand widths (cycle-accurate runs)."""
-    results, table = benchmark.pedantic(
-        reproduce_energy_analysis, kwargs={"bitwidths": (64, 128, 256)},
+    analysis = benchmark.pedantic(
+        reproduce_energy, kwargs={"bitwidths": (64, 128, 256)},
         rounds=1, iterations=1,
     )
-    energies = [result.energy_per_multiplication_pj for result in results]
+    energies = [result.energy_per_multiplication_pj for result in analysis.results]
     assert energies == sorted(energies)
     # The 256-bit figure lands in the nanojoule-per-multiplication regime.
     assert 0.3e3 < energies[-1] < 5e3
     print()
-    print(table)
+    print(analysis.render())
 
 
 def test_energy_single_256_bit(benchmark):

@@ -29,16 +29,15 @@ def _timed(function):
 def test_report_quick_serial_parallel_and_warm_cache(tmp_path):
     cache_dir = str(tmp_path / "experiment-cache")
 
+    cached = Runner(use_cache=True, cache_dir=cache_dir)
     serial, serial_s = _timed(lambda: build_report(quick=True))
     parallel, parallel_s = _timed(
-        lambda: build_report(quick=True, parallel=True)
+        lambda: build_report(
+            quick=True, runner=Runner(parallel=True, use_cache=False)
+        )
     )
-    cold, cold_s = _timed(
-        lambda: build_report(quick=True, use_cache=True, cache_dir=cache_dir)
-    )
-    warm, warm_s = _timed(
-        lambda: build_report(quick=True, use_cache=True, cache_dir=cache_dir)
-    )
+    cold, cold_s = _timed(lambda: build_report(quick=True, runner=cached))
+    warm, warm_s = _timed(lambda: build_report(quick=True, runner=cached))
 
     assert parallel == serial, "parallel report must be byte-identical"
     assert cold == serial and warm == serial, "cached report must be byte-identical"

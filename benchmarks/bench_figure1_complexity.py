@@ -13,11 +13,12 @@ from repro.core.complexity import cycles_mentt_bit_serial, cycles_r4csa_lut
 
 
 def test_figure1_analytic_sweep(benchmark):
-    """The closed-form series over the paper's bitwidths (8..256)."""
-    result = benchmark(reproduce_figure1, measure=False)
+    """The closed-form and measured series over the paper's bitwidths (8..256)."""
+    result = benchmark(reproduce_figure1)
     assert result.analytic_series["mentt"][-1] == 66049
     assert result.analytic_series["r4csa-lut"][-1] == 767
     assert result.analytic_series["mentt-projected"][-1] == 32896
+    assert result.measured_modsram == result.analytic_series["r4csa-lut"]
     print()
     print(result.render())
     print("speedup over MeNTT per bitwidth:",

@@ -24,7 +24,7 @@ def test_table3_rows(benchmark):
 
 def test_table3_with_measured_modsram_cycles(benchmark):
     """One real 256-bit multiplication on the cycle-accurate model (767 cycles)."""
-    result = benchmark.pedantic(reproduce_table3, kwargs={"measure": True}, rounds=1, iterations=1)
+    result = benchmark.pedantic(reproduce_table3, rounds=1, iterations=1)
     assert result.measured_modsram_cycles == 767
 
 

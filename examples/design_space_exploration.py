@@ -46,11 +46,7 @@ def bitwidth_sweep(runner: Runner) -> None:
 
 def technology_sweep(runner: Runner) -> None:
     """First-order constant-field scaling across process nodes."""
-    sweep = runner.sweep(
-        "design-point",
-        {"technology_nm": (65, 45, 28)},
-        params={"measure": False},  # scheduled cycles; no accelerator runs
-    )
+    sweep = runner.sweep("design-point", {"technology_nm": (65, 45, 28)})
     rows = []
     for result in sweep.results:
         point = result.result()

@@ -31,7 +31,6 @@ from repro.analysis.energy import (
     EnergyResult,
     measure_energy_per_multiplication,
     reproduce_energy,
-    reproduce_energy_analysis,
 )
 from repro.analysis.figure1 import Figure1Result, measure_modsram_cycles, reproduce_figure1
 from repro.analysis.figure5 import Figure5Result, reproduce_figure5
@@ -74,7 +73,6 @@ __all__ = [
     "reproduce_chip_scaling",
     "reproduce_design_point",
     "reproduce_energy",
-    "reproduce_energy_analysis",
     "reproduce_figure1",
     "reproduce_figure5",
     "reproduce_figure6",

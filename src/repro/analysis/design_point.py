@@ -4,6 +4,8 @@ The paper evaluates a single operating point (64 x 256 array, 65 nm,
 256-bit operands).  Design-space exploration asks the same four questions —
 how many cycles, how fast, how big, how many picojoules — at *other*
 points, so this module bundles them into one structured, sweepable result.
+Cycles, latency and energy come from one checked cycle-accurate run at the
+point; the area from the parametric area model.
 
 Registered as experiment ``design-point`` in :mod:`repro.experiments`;
 ``Runner().sweep(...)`` over ``bitwidth`` / ``technology_nm`` replaces the
@@ -20,6 +22,7 @@ from repro.analysis.tables import render_table
 from repro.modsram.accelerator import ModSRAMAccelerator
 from repro.modsram.area import AreaModel
 from repro.modsram.config import ModSRAMConfig
+from repro.modsram.fidelity import checked_multiply
 from repro.modsram.geometry import MacroGeometry
 
 __all__ = ["DesignPointResult", "reproduce_design_point"]
@@ -32,14 +35,12 @@ class DesignPointResult:
     bitwidth: int
     rows: int
     technology_nm: int
-    #: Whether the cycle count came from a cycle-accurate run (vs the schedule).
-    measured: bool
     iteration_cycles: int
     frequency_mhz: float
     latency_us: float
     area_mm2: float
-    #: Modelled energy of one multiplication; ``None`` without a measured run.
-    energy_pj: Optional[float]
+    #: Modelled energy of the measured multiplication.
+    energy_pj: float
     #: Array width in bit lines (defaults to the operand width, as in the
     #: paper's macro sizing).
     columns: int = 0
@@ -57,7 +58,7 @@ class DesignPointResult:
             round(self.frequency_mhz, 0),
             round(self.latency_us, 2),
             round(self.area_mm2, 4),
-            None if self.energy_pj is None else round(self.energy_pj, 1),
+            round(self.energy_pj, 1),
         ]
 
     def render(self) -> str:
@@ -74,8 +75,7 @@ class DesignPointResult:
                 "energy/op (pJ)",
             ),
             [self.as_row()],
-            title="ModSRAM design point"
-            + (" (measured)" if self.measured else " (scheduled)"),
+            title="ModSRAM design point (measured)",
         )
 
     def to_dict(self) -> Dict[str, object]:
@@ -86,7 +86,6 @@ class DesignPointResult:
             "columns": self.columns,
             "banks": self.banks,
             "technology_nm": self.technology_nm,
-            "measured": self.measured,
             "iteration_cycles": self.iteration_cycles,
             "frequency_mhz": self.frequency_mhz,
             "latency_us": self.latency_us,
@@ -97,19 +96,17 @@ class DesignPointResult:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "DesignPointResult":
         """Rebuild a result from :meth:`to_dict` output (e.g. loaded JSON)."""
-        energy = data["energy_pj"]
         return cls(
             bitwidth=int(data["bitwidth"]),
             rows=int(data["rows"]),
             columns=int(data.get("columns", 0)),
             banks=int(data.get("banks", 1)),
             technology_nm=int(data["technology_nm"]),
-            measured=bool(data["measured"]),
             iteration_cycles=int(data["iteration_cycles"]),
             frequency_mhz=float(data["frequency_mhz"]),
             latency_us=float(data["latency_us"]),
             area_mm2=float(data["area_mm2"]),
-            energy_pj=None if energy is None else float(energy),
+            energy_pj=float(data["energy_pj"]),
         )
 
 
@@ -138,20 +135,18 @@ def reproduce_design_point(
     bitwidth: int = 256,
     rows: Optional[int] = None,
     technology_nm: int = 65,
-    measure: bool = True,
     seed: int = 5,
     columns: Optional[int] = None,
     banks: int = 1,
 ) -> DesignPointResult:
     """Evaluate one ModSRAM design point.
 
-    ``measure=True`` runs a random multiplication through the cycle-accurate
-    model (checked against the oracle) and reports the measured cycles,
-    latency and energy; ``measure=False`` uses the scheduled cycle count and
-    skips the energy figure.  ``columns``/``banks`` extend the sweepable
+    One random multiplication runs through the cycle-accurate model,
+    checked against the oracle and the closed form, and its cycles, latency
+    and energy are reported.  ``columns``/``banks`` extend the sweepable
     geometry (:class:`~repro.modsram.geometry.MacroGeometry`); banking
     overlaps operand/LUT writes and leaves the main loop — the quantity
-    reported here — untouched, so measured runs stay valid at any bank
+    reported here — untouched, so the measured run stays valid at any bank
     count.
     """
     config = build_design_config(
@@ -160,36 +155,21 @@ def reproduce_design_point(
     geometry = MacroGeometry(
         rows=config.rows, columns=config.columns, banks=banks
     )
-    area_mm2 = AreaModel(config).total_mm2()
-    if measure:
-        rng = random.Random(seed)
-        accelerator = ModSRAMAccelerator(config)
-        modulus = ((1 << bitwidth) - rng.randrange(3, 1 << 8)) | 1
-        a = rng.randrange(modulus) >> 1  # paper schedule: top bit clear
-        b = rng.randrange(modulus)
-        result = accelerator.multiply(a, b, modulus)
-        if result.product != (a * b) % modulus:
-            raise AssertionError(
-                "cycle-accurate model disagrees with the oracle at design "
-                f"point ({bitwidth}b, {config.rows} rows, {technology_nm} nm)"
-            )
-        cycles = result.report.iteration_cycles
-        latency_us = result.report.latency_us
-        energy_pj: Optional[float] = accelerator.energy_report().total_pj
-    else:
-        cycles = config.expected_iteration_cycles
-        latency_us = cycles / config.frequency_mhz
-        energy_pj = None
+    rng = random.Random(seed)
+    accelerator = ModSRAMAccelerator(config)
+    modulus = ((1 << bitwidth) - rng.randrange(3, 1 << 8)) | 1
+    a = rng.randrange(modulus) >> 1  # paper schedule: top bit clear
+    b = rng.randrange(modulus)
+    report = checked_multiply(accelerator, a, b, modulus).report
     return DesignPointResult(
         bitwidth=bitwidth,
         rows=config.rows,
         columns=geometry.columns,
         banks=geometry.banks,
         technology_nm=technology_nm,
-        measured=measure,
-        iteration_cycles=cycles,
+        iteration_cycles=report.iteration_cycles,
         frequency_mhz=config.frequency_mhz,
-        latency_us=latency_us,
-        area_mm2=area_mm2,
-        energy_pj=energy_pj,
+        latency_us=report.latency_us,
+        area_mm2=AreaModel(config).total_mm2(),
+        energy_pj=accelerator.energy_report().total_pj,
     )

@@ -2,7 +2,8 @@
 
 The paper reports cycles, frequency and area but no energy figures.  A PIM
 library is routinely asked "and how many picojoules per multiplication?", so
-this module runs the cycle-accurate model, feeds its access statistics into
+this module runs the cycle-accurate model (checked against the oracle and
+the closed form), feeds its access statistics into
 the calibrated 65 nm energy model and reports the per-multiplication energy
 with its mechanism breakdown (precharge, word lines, sensing, write-back,
 near-memory registers), plus how the figure scales with operand width.
@@ -23,7 +24,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.analysis.tables import render_table
 from repro.ecc.curves_data import CURVE_SPECS
 from repro.modsram.accelerator import ModSRAMAccelerator
-from repro.modsram.config import ModSRAMConfig, PAPER_CONFIG
+from repro.modsram.config import ModSRAMConfig
+from repro.modsram.fidelity import checked_multiply
 from repro.sram.energy import EnergyBreakdown
 
 __all__ = [
@@ -31,7 +33,6 @@ __all__ = [
     "EnergyResult",
     "measure_energy_per_multiplication",
     "reproduce_energy",
-    "reproduce_energy_analysis",
 ]
 
 
@@ -98,7 +99,7 @@ class EnergyAnalysisResult:
     results: Tuple[EnergyResult, ...]
 
     def render(self) -> str:
-        """The sweep as the same text table the legacy API printed."""
+        """The sweep as a text table."""
         return render_table(
             (
                 "bitwidth",
@@ -140,8 +141,7 @@ def measure_energy_per_multiplication(
         modulus = ((1 << bitwidth) - rng.randrange(3, 1 << max(2, bitwidth // 8))) | 1
     a = rng.randrange(modulus) >> 1
     b = rng.randrange(modulus)
-    result = accelerator.multiply(a, b, modulus)
-    assert result.product == (a * b) % modulus
+    result = checked_multiply(accelerator, a, b, modulus)
 
     breakdown = accelerator.energy_report()
     per_multiplication = breakdown.total_pj
@@ -157,21 +157,9 @@ def measure_energy_per_multiplication(
 def reproduce_energy(
     bitwidths: Sequence[int] = (64, 128, 256),
 ) -> EnergyAnalysisResult:
-    """Energy sweep across operand widths as one structured result.
-
-    This is the entry point the ``energy`` experiment wraps; the legacy
-    :func:`reproduce_energy_analysis` tuple API delegates to it.
-    """
+    """Energy sweep across operand widths (what the ``energy`` experiment runs)."""
     return EnergyAnalysisResult(
         results=tuple(
             measure_energy_per_multiplication(bitwidth) for bitwidth in bitwidths
         )
     )
-
-
-def reproduce_energy_analysis(
-    bitwidths: Sequence[int] = (64, 128, 256),
-) -> Tuple[List[EnergyResult], str]:
-    """Energy sweep across operand widths; returns the results and a table."""
-    analysis = reproduce_energy(bitwidths)
-    return list(analysis.results), analysis.render()

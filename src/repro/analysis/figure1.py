@@ -8,7 +8,9 @@ things for every bitwidth:
 * the *analytic* cycle count from the closed-form laws
   (:mod:`repro.core.complexity`), and
 * the *measured* cycle count obtained by running the cycle-accurate
-  ModSRAM model on random operands of that width,
+  ModSRAM model on random operands of that width, each run checked
+  against the oracle and the closed form
+  (:func:`~repro.modsram.fidelity.checked_multiply`),
 
 so the O(n) claim is backed by the simulator rather than only by the
 formula.
@@ -21,7 +23,7 @@ when you want caching, sweeps or JSON output.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.tables import render_table
@@ -32,6 +34,7 @@ from repro.core.complexity import (
 )
 from repro.modsram.accelerator import ModSRAMAccelerator
 from repro.modsram.config import ModSRAMConfig
+from repro.modsram.fidelity import checked_multiply
 
 __all__ = ["Figure1Result", "measure_modsram_cycles", "reproduce_figure1"]
 
@@ -52,17 +55,10 @@ def measure_modsram_cycles(
     """
     rng = rng or random.Random(bitwidth)
     config = ModSRAMConfig(extend_for_full_range=False).with_bitwidth(bitwidth)
-    accelerator = ModSRAMAccelerator(config)
     modulus = _random_modulus(bitwidth, rng)
     a = rng.randrange(modulus) & ((1 << (bitwidth - 1)) - 1)
     b = rng.randrange(modulus)
-    result = accelerator.multiply(a, b, modulus)
-    expected = (a * b) % modulus
-    if result.product != expected:
-        raise AssertionError(
-            "cycle-accurate model disagrees with the oracle during the "
-            f"Figure 1 sweep at {bitwidth} bits"
-        )
+    result = checked_multiply(ModSRAMAccelerator(config), a, b, modulus)
     return result.report.iteration_cycles
 
 
@@ -127,22 +123,14 @@ class Figure1Result:
 
 def reproduce_figure1(
     bitwidths: Sequence[int] = PAPER_FIGURE1_BITWIDTHS,
-    measure: bool = True,
     seed: int = 2024,
 ) -> Figure1Result:
-    """Reproduce Figure 1 over the requested bitwidths.
-
-    ``measure=False`` skips the cycle-accurate runs (useful in quick test
-    configurations); the measured series then falls back to the analytic law.
-    """
-    analytic = complexity_sweep(bitwidths)
+    """Reproduce Figure 1 over the requested bitwidths."""
     rng = random.Random(seed)
-    if measure:
-        measured = [measure_modsram_cycles(bitwidth, rng) for bitwidth in bitwidths]
-    else:
-        measured = list(analytic["r4csa-lut"])
     return Figure1Result(
         bitwidths=tuple(bitwidths),
-        analytic_series=analytic,
-        measured_modsram=measured,
+        analytic_series=complexity_sweep(bitwidths),
+        measured_modsram=[
+            measure_modsram_cycles(bitwidth, rng) for bitwidth in bitwidths
+        ],
     )

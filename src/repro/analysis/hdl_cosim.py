@@ -3,25 +3,25 @@
 The exhibit behind experiment ``hdl-cosim`` (and ``repro hdl cosim``): for
 each bitwidth, run the same operand stream through the event-driven RTL
 simulator (:class:`~repro.hdl.eventsim.HdlModSRAM`), the cycle-accurate
-tier and the analytical tier, and check that products are bit-identical and
-the per-phase cycle reports agree field by field.  The paper's design point
-(256-bit, ``n/2`` schedule, 767 main-loop cycles) is always included, and
-the result records the co-simulation cost — simulator events per second and
-the slowdown against the cycle tier — so the price of the machine-checked
-cycle model is visible.
+tier and the analytical tier (:func:`~repro.modsram.fidelity.cross_check`),
+and record whether every product equals the big-integer oracle and the
+per-phase cycle reports agree field by field.  The paper's design point
+(256-bit, ``n/2`` schedule, 767 main-loop cycles) is always run on the RTL,
+checked against the closed form (a failure raises), and the result records
+the co-simulation cost — simulator events per second and the slowdown
+against the cycle tier — so the price of the machine-checked cycle model is
+visible.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.tables import render_table
-from repro.modsram.analytical import AnalyticalModSRAM
-from repro.modsram.accelerator import ModSRAMAccelerator
 from repro.modsram.config import ModSRAMConfig, PAPER_CONFIG
+from repro.modsram.fidelity import build_simulator, checked_multiply, cross_check
 
 __all__ = ["HdlCosimRow", "HdlCosimResult", "reproduce_hdl_cosim"]
 
@@ -184,48 +184,33 @@ def reproduce_hdl_cosim(
     """Run the co-simulation agreement sweep.
 
     For every bitwidth the same operands go through the HDL, cycle and
-    analytical tiers; products must be bit-identical (and equal to the
-    big-integer oracle) and the three cycle reports equal field by field.
-    The paper design point is measured unconditionally at the end.
+    analytical tiers; a row records whether every product equals the
+    big-integer oracle and whether the three cycle reports agree field by
+    field.  The paper design point is measured on the RTL at the end and
+    raises :class:`~repro.errors.TierMismatchError` if it fails its check.
     """
-    from repro.hdl.eventsim import HdlModSRAM
-
     rng = random.Random(seed)
     rows: List[HdlCosimRow] = []
     for bitwidth in bitwidths:
         config = ModSRAMConfig().with_bitwidth(int(bitwidth))
-        hdl = HdlModSRAM(config)
-        cycle = ModSRAMAccelerator(config)
-        analytical = AnalyticalModSRAM(config)
+        tiers = [
+            build_simulator(tier, config) for tier in ("hdl", "cycle", "analytical")
+        ]
+        hdl = tiers[0]
         modulus = _modulus_for(int(bitwidth), rng)
         pairs = _operands(config, modulus, cases, rng)
 
         events_before = hdl.macro.sim.events
-        products_match = True
-        cycles_match = True
+        failed: List[str] = []
         loop_cycles = config.expected_iteration_cycles
         hdl_seconds = 0.0
         cycle_seconds = 0.0
         for a, b in pairs:
-            began = time.perf_counter()
-            hdl_result = hdl.multiply(a, b, modulus)
-            hdl_seconds += time.perf_counter() - began
-            began = time.perf_counter()
-            cycle_result = cycle.multiply(a, b, modulus)
-            cycle_seconds += time.perf_counter() - began
-            analytical_result = analytical.multiply(a, b, modulus)
-            oracle = (a * b) % modulus
-            if not (
-                hdl_result.product == cycle_result.product == oracle
-            ):
-                products_match = False
-            if not (
-                hdl_result.report.as_dict()
-                == cycle_result.report.as_dict()
-                == analytical_result.report.as_dict()
-            ):
-                cycles_match = False
-            loop_cycles = hdl_result.report.iteration_cycles
+            check = cross_check(tiers, a, b, modulus)
+            failed.extend(check.failed)
+            hdl_seconds += check.seconds[0]
+            cycle_seconds += check.seconds[1]
+            loop_cycles = check.results[0].report.iteration_cycles
         sim_events = hdl.macro.sim.events - events_before
         rows.append(
             HdlCosimRow(
@@ -233,8 +218,10 @@ def reproduce_hdl_cosim(
                 cases=len(pairs),
                 iterations=config.iterations,
                 iteration_cycles=loop_cycles,
-                products_match=products_match,
-                cycles_match=cycles_match,
+                products_match=not any(
+                    name.endswith(" product") for name in failed
+                ),
+                cycles_match=not any(name.endswith(" report") for name in failed),
                 sim_events=sim_events,
                 events_per_second=(
                     sim_events / hdl_seconds if hdl_seconds > 0 else 0.0
@@ -244,11 +231,11 @@ def reproduce_hdl_cosim(
             )
         )
 
-    paper = HdlModSRAM(PAPER_CONFIG)
+    paper = build_simulator("hdl", PAPER_CONFIG)
     paper_modulus = _modulus_for(PAPER_CONFIG.bitwidth, rng)
     a = rng.randrange(1 << (2 * PAPER_CONFIG.iterations - 1))
     b = rng.randrange(paper_modulus)
-    paper_cycles = paper.multiply(a, b, paper_modulus).report.iteration_cycles
+    paper_cycles = checked_multiply(paper, a, b, paper_modulus).report.iteration_cycles
     return HdlCosimResult(
         rows=tuple(rows), seed=seed, paper_iteration_cycles=paper_cycles
     )

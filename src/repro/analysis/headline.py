@@ -10,6 +10,9 @@ paper-versus-measured scorecard:
 * 0.053 mm² macro area, 67/20/11/2 % breakdown, 32 % overhead over SRAM,
 * 52 % cycle reduction versus prior work at the same bitwidth.
 
+The cycle claims read the measured cycles of the Table 3 the scorecard
+builds for its cycle-reduction claim (one checked cycle-accurate run).
+
 Registered as experiment ``headline`` in :mod:`repro.experiments` (the
 ``repro experiment run headline --json --quick`` CI smoke check).
 """
@@ -17,12 +20,10 @@ Registered as experiment ``headline`` in :mod:`repro.experiments` (the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.analysis.tables import render_table
 from repro.analysis.table3 import reproduce_table3
-from repro.ecc.curves_data import CURVE_SPECS
-from repro.engine import Engine, ModSRAMBackend
 from repro.modsram.area import AreaModel, PAPER_AREA_MM2, PAPER_AREA_OVERHEAD_PERCENT
 from repro.modsram.config import PAPER_CONFIG
 
@@ -90,28 +91,13 @@ class HeadlineResult:
         )
 
 
-def reproduce_headline_claims(measure: bool = True) -> HeadlineResult:
-    """Evaluate every headline claim.
-
-    ``measure=True`` runs one real 256-bit multiplication through the
-    cycle-accurate model for the cycle claim; otherwise the scheduled count
-    is used.
-    """
+def reproduce_headline_claims() -> HeadlineResult:
+    """Evaluate every headline claim."""
     claims: List[HeadlineClaim] = []
+    table3 = reproduce_table3()
 
     # --- cycles -------------------------------------------------------- #
-    if measure:
-        # One real 256-bit multiplication through the Engine facade on the
-        # cycle-accurate backend, paper configuration.
-        modulus = CURVE_SPECS["bn254"].field_modulus
-        engine = Engine(ModSRAMBackend(config=PAPER_CONFIG), modulus=modulus)
-        a = (modulus * 5) // 7
-        b = (modulus * 3) // 11
-        result = engine.multiply(a, b)
-        assert result.value == (a * b) % modulus
-        cycles = engine.context().multiplier.reports[-1].iteration_cycles
-    else:
-        cycles = PAPER_CONFIG.expected_iteration_cycles
+    cycles = table3.measured_modsram_cycles
     claims.append(
         HeadlineClaim(
             claim="cycles per 256-bit modular multiplication",
@@ -172,7 +158,6 @@ def reproduce_headline_claims(measure: bool = True) -> HeadlineResult:
     )
 
     # --- cycle reduction vs prior work ----------------------------------- #
-    table3 = reproduce_table3(measure=False)
     reduction_mentt = table3.cycle_reduction_vs("mentt")
     reduction_bpntt = table3.cycle_reduction_vs("bpntt")
     claims.append(

@@ -4,96 +4,34 @@ The report is composed from the Experiment API
 (:mod:`repro.experiments`): each section is one registered experiment, so
 the sections can execute in parallel across a process pool and reuse the
 runner's content-hash disk cache.  The rendered text is byte-identical to
-the legacy serial path regardless of those flags.
+the serial, uncached path whatever runner composes it.
 
-Usage::
-
-    python -m repro.analysis.report              # full report (runs the
-                                                 # cycle-accurate sweeps)
-    python -m repro.analysis.report --quick      # skip cycle-accurate runs
-    python -m repro.analysis.report --parallel   # sections across a pool
-    python -m repro.analysis.report --no-cache   # force recomputation
+From the shell, ``repro report`` builds it; ``--quick`` applies each
+experiment's quick overrides (smaller workloads), and every measured
+exhibit still runs its cycle-accurate multiplications.
 """
 
 from __future__ import annotations
 
-import argparse
-from typing import List, Optional
+from typing import Optional
 
-from repro.errors import ConfigurationError
 from repro.experiments.registry import REPORT_EXPERIMENTS
 from repro.experiments.runner import Runner
 from repro.experiments.spec import ExperimentSpec
 
-__all__ = ["REPORT_EXPERIMENTS", "build_report", "main"]
+__all__ = ["REPORT_EXPERIMENTS", "build_report"]
 
 #: Separator between report sections.
 REPORT_DIVIDER = "\n\n" + "=" * 78 + "\n\n"
 
 
-def build_report(
-    quick: bool = False,
-    parallel: bool = False,
-    use_cache: bool = False,
-    cache_dir: Optional[str] = None,
-    runner: Optional[Runner] = None,
-) -> str:
+def build_report(quick: bool = False, runner: Optional[Runner] = None) -> str:
     """Produce the full text report covering every table and figure.
 
-    ``parallel`` runs the report's experiments across a process pool and
-    ``use_cache`` reuses/populates the experiment disk cache; both leave
-    the rendered text byte-identical to the serial, uncached path.  Pass
-    either a configured ``runner`` or the individual flags, not both.
+    ``runner`` decides parallelism and caching (default: serial, no
+    cache); the rendered text is the same either way.
     """
-    if runner is None:
-        runner = Runner(parallel=parallel, use_cache=use_cache, cache_dir=cache_dir)
-    elif parallel or use_cache or cache_dir is not None:
-        raise ConfigurationError(
-            "pass either runner= or the parallel/use_cache/cache_dir flags, "
-            "not both (the flags would be silently ignored)"
-        )
+    runner = runner or Runner(use_cache=False)
     specs = [ExperimentSpec(name) for name in REPORT_EXPERIMENTS]
     results = runner.run_specs(specs, quick=quick)
     return REPORT_DIVIDER.join(result.render() for result in results)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Command-line entry point."""
-    parser = argparse.ArgumentParser(
-        description="Reproduce every table and figure of the ModSRAM paper."
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="skip the cycle-accurate accelerator runs (analytic models only)",
-    )
-    parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help="run the report sections across a process pool",
-    )
-    parser.add_argument(
-        "--no-cache",
-        dest="no_cache",
-        action="store_true",
-        help="do not read or write the experiment result cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="experiment cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    arguments = parser.parse_args(argv)
-    print(
-        build_report(
-            quick=arguments.quick,
-            parallel=arguments.parallel,
-            use_cache=not arguments.no_cache,
-            cache_dir=arguments.cache_dir,
-        )
-    )
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -4,9 +4,9 @@ The table compares this work against MeNTT, BP-NTT, RM-NTT, CryptoPIM and
 X-Poly on application, reduction method, technology, cell type, array size,
 frequency, native bitwidth, per-multiplication cycles scaled to 256 bits and
 area.  This reproduction builds every row from the library's own models: the
-ModSRAM cycles come from the cycle-accurate accelerator (optionally) or the
-schedule, the prior-work cycles from their scaling laws, areas and
-frequencies from the design specs or the area/timing models.
+ModSRAM cycles come from one checked run of the cycle-accurate accelerator
+at the table's bitwidth, the prior-work cycles from their scaling laws,
+areas and frequencies from the design specs or the area/timing models.
 
 Registered as experiment ``table3`` in :mod:`repro.experiments`.
 """
@@ -14,13 +14,14 @@ Registered as experiment ``table3`` in :mod:`repro.experiments`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.analysis.tables import render_table
-from repro.baselines import available_designs, bpntt_transform_cycles, get_design
+from repro.baselines import bpntt_transform_cycles, get_design
 from repro.ecc.curves_data import CURVE_SPECS
 from repro.modsram.accelerator import ModSRAMAccelerator
-from repro.modsram.config import PAPER_CONFIG
+from repro.modsram.config import ModSRAMConfig
+from repro.modsram.fidelity import checked_multiply
 
 __all__ = ["Table3Result", "reproduce_table3", "DESIGN_ORDER"]
 
@@ -37,7 +38,7 @@ class Table3Result:
 
     bitwidth: int
     rows_by_design: Dict[str, Dict[str, object]]
-    measured_modsram_cycles: Optional[int]
+    measured_modsram_cycles: int
 
     def cycle_reduction_vs(self, design_key: str, include_transform: bool = False) -> float:
         """Percentage cycle reduction of this work versus a baseline design."""
@@ -99,12 +100,11 @@ class Table3Result:
                 "cycle reduction vs BP-NTT incl. Montgomery-form conversion share: "
                 f"{self.cycle_reduction_vs('bpntt', include_transform=True):.1f}%"
             ),
-        ]
-        if self.measured_modsram_cycles is not None:
-            summary_lines.append(
+            (
                 f"ModSRAM cycles measured by the cycle-accurate model: "
                 f"{self.measured_modsram_cycles}"
-            )
+            ),
+        ]
         return table + "\n" + "\n".join(summary_lines)
 
     def to_dict(self) -> Dict[str, object]:
@@ -124,33 +124,43 @@ class Table3Result:
         The row values render verbatim, so their JSON types (int vs float,
         lists for the bitwidth tuples) are kept exactly as loaded.
         """
-        measured = data["measured_modsram_cycles"]
         return cls(
             bitwidth=int(data["bitwidth"]),
             rows_by_design={
                 key: dict(row) for key, row in data["rows_by_design"].items()
             },
-            measured_modsram_cycles=None if measured is None else int(measured),
+            measured_modsram_cycles=int(data["measured_modsram_cycles"]),
         )
 
 
-def reproduce_table3(bitwidth: int = 256, measure: bool = False) -> Table3Result:
+def _measure_modsram_cycles(bitwidth: int) -> int:
+    """Main-loop cycles of one checked cycle-accurate run at ``bitwidth``.
+
+    The paper point multiplies two BN254 field elements (a 254-bit modulus
+    in the 256-bit macro); other widths keep that shape with the odd
+    modulus ``2**(bitwidth - 2) - 1``.
+    """
+    config = ModSRAMConfig(extend_for_full_range=False).with_bitwidth(bitwidth)
+    if bitwidth == 256:
+        modulus = CURVE_SPECS["bn254"].field_modulus
+    else:
+        modulus = (1 << (bitwidth - 2)) - 1
+    a = 0x1357_9BDF_2468_ACE0 % modulus
+    b = (modulus - 1) // 3
+    result = checked_multiply(ModSRAMAccelerator(config), a, b, modulus)
+    return result.report.iteration_cycles
+
+
+def reproduce_table3(bitwidth: int = 256) -> Table3Result:
     """Reproduce Table 3 at ``bitwidth`` bits.
 
-    ``measure=True`` additionally runs one 256-bit multiplication through the
-    cycle-accurate accelerator and reports the measured main-loop cycles
-    (identical to the scheduled count by construction, but measured).
+    The ModSRAM row carries the main-loop cycles of one cycle-accurate
+    multiplication at ``bitwidth`` (equal to the scheduled count by
+    construction, but measured and checked).
     """
     rows = {key: get_design(key).as_row(bitwidth) for key in DESIGN_ORDER}
-    measured: Optional[int] = None
-    if measure:
-        modulus = CURVE_SPECS["bn254"].field_modulus
-        accelerator = ModSRAMAccelerator(PAPER_CONFIG)
-        a = 0x1357_9BDF_2468_ACE0 % modulus
-        b = (modulus - 1) // 3
-        result = accelerator.multiply(a, b, modulus)
-        measured = result.report.iteration_cycles
-        rows["modsram"]["cycles"] = measured
+    measured = _measure_modsram_cycles(bitwidth)
+    rows["modsram"]["cycles"] = measured
     return Table3Result(
         bitwidth=bitwidth, rows_by_design=rows, measured_modsram_cycles=measured
     )

@@ -7,7 +7,7 @@ from repro.baselines.base import (
     register_design,
 )
 from repro.baselines.bpntt import BPNTT, bpntt_cycles, bpntt_rows, bpntt_transform_cycles
-from repro.baselines.mentt import MENTT, mentt_cycles, mentt_rows
+from repro.baselines.mentt import MENTT, mentt_rows
 from repro.baselines.modsram_entry import MODSRAM, modsram_rows
 from repro.baselines.reram import CRYPTOPIM, RMNTT, XPOLY, adc_area_fraction
 
@@ -25,7 +25,6 @@ __all__ = [
     "bpntt_rows",
     "bpntt_transform_cycles",
     "get_design",
-    "mentt_cycles",
     "mentt_rows",
     "modsram_rows",
     "register_design",

@@ -12,13 +12,9 @@ field sizes.
 from __future__ import annotations
 
 from repro.baselines.base import PimDesignSpec, register_design
+from repro.core.complexity import cycles_mentt_bit_serial
 
-__all__ = ["mentt_cycles", "mentt_rows", "MENTT"]
-
-
-def mentt_cycles(bitwidth: int) -> int:
-    """Scaled cycles of one bit-serial modular multiplication: ``(n+1)**2``."""
-    return (bitwidth + 1) ** 2
+__all__ = ["mentt_rows", "MENTT"]
 
 
 def mentt_rows(bitwidth: int) -> int:
@@ -45,7 +41,7 @@ MENTT = register_design(
         native_bitwidths=(14, 16, 32),
         area_mm2=0.36,
         reference="Li et al., IEEE TVLSI 30(5), 2022",
-        cycle_model=mentt_cycles,
+        cycle_model=cycles_mentt_bit_serial,
         row_model=mentt_rows,
         notes=(
             "Bit-serial access pattern: operands stored along bitlines, "

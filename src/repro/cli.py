@@ -126,7 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     report = subparsers.add_parser("report", help="reproduce every table and figure")
-    report.add_argument("--quick", action="store_true", help="skip cycle-accurate runs")
+    report.add_argument(
+        "--quick", action="store_true",
+        help="apply each experiment's quick overrides (smaller workloads)",
+    )
     report.add_argument(
         "--parallel",
         action="store_true",

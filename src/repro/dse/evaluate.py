@@ -7,8 +7,9 @@ across the point's macros with the geometry-aware analytical cost algebra
 (:class:`~repro.modsram.chip.ChipScheduler`), the closed-form energy and
 area models price the design, and — when the point asks for ``cycle`` or
 ``hdl`` fidelity — a seeded probe multiplication races the executable tier
-against the closed form and requires bit-identical products and
-field-by-field report agreement before the point is marked *verified*.
+against the closed form (:func:`~repro.modsram.fidelity.checked_multiply`:
+products equal to the big-integer oracle, reports equal field by field)
+before the point is marked *verified*.
 
 This module is what the registered ``dse-point`` experiment runs, so every
 result is cacheable and JSON round-trippable.
@@ -23,10 +24,10 @@ from typing import Any, Dict, Iterable, Iterator, List, Mapping
 
 from repro.analysis.design_point import build_design_config
 from repro.analysis.tables import render_table
-from repro.modsram.analytical import AnalyticalCostModel, AnalyticalModSRAM
+from repro.modsram.analytical import AnalyticalCostModel
 from repro.modsram.area import AreaModel
 from repro.modsram.chip import ChipSchedule, ChipScheduler, MultiplicationJob
-from repro.modsram.fidelity import build_simulator
+from repro.modsram.fidelity import build_simulator, checked_multiply
 from repro.dse.spec import DesignPoint
 from repro.workloads.builders import (
     ecdsa_sign_jobs,
@@ -90,32 +91,18 @@ def _point_seed(point: DesignPoint) -> int:
 
 
 def _verify_probe(point: DesignPoint, config) -> None:
-    """Race one seeded multiply: executable tier vs closed form.
+    """Race one seeded multiply on the point's tier against the closed form.
 
-    Products must match the big-int oracle and the cycle reports must
-    agree field by field — the cross-tier contract the parity test suite
-    pins down, applied at this point's geometry.
+    The cross-tier contract the parity test suite pins down, applied at
+    this point's geometry; a failure raises
+    :class:`~repro.errors.TierMismatchError`.
     """
     rng = random.Random(_point_seed(point))
     modulus = (rng.getrandbits(point.bitwidth) | (1 << (point.bitwidth - 1))) | 1
     # Paper schedule: the multiplier's top bit must be clear.
     a = rng.randrange(modulus) >> 1
     b = rng.randrange(modulus)
-    executable = build_simulator(point.fidelity, config)
-    analytical = AnalyticalModSRAM(config)
-    measured = executable.multiply(a, b, modulus)
-    closed = analytical.multiply(a, b, modulus)
-    oracle = (a * b) % modulus
-    if measured.product != oracle or closed.product != oracle:
-        raise AssertionError(
-            f"probe product mismatch at design point {point.to_params()}"
-        )
-    if measured.report.as_dict() != closed.report.as_dict():
-        raise AssertionError(
-            f"probe cycle-report mismatch at design point "
-            f"{point.to_params()}: {measured.report.as_dict()} != "
-            f"{closed.report.as_dict()}"
-        )
+    checked_multiply(build_simulator(point.fidelity, config), a, b, modulus)
 
 
 @dataclass(frozen=True)

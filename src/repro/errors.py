@@ -48,6 +48,10 @@ class ControllerError(ReproError, RuntimeError):
     """The ModSRAM controller reached an illegal state."""
 
 
+class TierMismatchError(ReproError, RuntimeError):
+    """A simulation tier's product or cycle report failed its check."""
+
+
 class CurveError(ReproError, ValueError):
     """An elliptic-curve parameter or point is invalid."""
 

@@ -41,10 +41,8 @@ from repro.zkp.opcount import PAPER_FIGURE7_BITWIDTH, PAPER_FIGURE7_VECTOR_SIZE
 __all__ = []
 
 
-def _run_figure1(bitwidths, measure, seed):
-    return reproduce_figure1(
-        bitwidths=tuple(int(b) for b in bitwidths), measure=measure, seed=seed
-    )
+def _run_figure1(bitwidths, seed):
+    return reproduce_figure1(bitwidths=tuple(int(b) for b in bitwidths), seed=seed)
 
 
 def _run_figure5(rows=None, bitwidth=None, technology_nm=None):
@@ -93,12 +91,7 @@ register_experiment(
         run=_run_figure1,
         serialize=Figure1Result.to_dict,
         deserialize=Figure1Result.from_dict,
-        defaults={
-            "bitwidths": list(PAPER_FIGURE1_BITWIDTHS),
-            "measure": True,
-            "seed": 2024,
-        },
-        quick_overrides={"measure": False},
+        defaults={"bitwidths": list(PAPER_FIGURE1_BITWIDTHS), "seed": 2024},
         sweep_axes=("seed",),
     )
 )
@@ -161,13 +154,12 @@ register_experiment(
         title="Table 3: PIM design comparison",
         description=(
             "Every Table 3 row rebuilt from the library's own models, "
-            "optionally with a measured ModSRAM cycle count."
+            "with the ModSRAM cycles measured at the table's bitwidth."
         ),
         run=reproduce_table3,
         serialize=Table3Result.to_dict,
         deserialize=Table3Result.from_dict,
-        defaults={"bitwidth": 256, "measure": True},
-        quick_overrides={"measure": False},
+        defaults={"bitwidth": 256},
         sweep_axes=("bitwidth",),
     )
 )
@@ -183,8 +175,6 @@ register_experiment(
         run=reproduce_headline_claims,
         serialize=HeadlineResult.to_dict,
         deserialize=HeadlineResult.from_dict,
-        defaults={"measure": True},
-        quick_overrides={"measure": False},
     )
 )
 
@@ -305,10 +295,8 @@ register_experiment(
             "columns": None,
             "banks": 1,
             "technology_nm": 65,
-            "measure": True,
             "seed": 5,
         },
-        quick_overrides={"measure": False},
         sweep_axes=("bitwidth", "rows", "columns", "banks", "technology_nm"),
     )
 )

@@ -58,7 +58,7 @@ class ExperimentDefinition:
     deserialize: Callable[[Dict[str, Any]], Any]
     #: Every accepted parameter with its default value.
     defaults: Mapping[str, Any] = field(default_factory=dict)
-    #: Parameter overrides applied in quick mode (skip expensive runs).
+    #: Parameter overrides applied in quick mode (smaller sweeps and workloads).
     quick_overrides: Mapping[str, Any] = field(default_factory=dict)
     #: Parameters that make natural sweep/grid axes.
     sweep_axes: Tuple[str, ...] = ()

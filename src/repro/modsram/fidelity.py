@@ -23,21 +23,32 @@ against the cycle tier in ``tests/modsram/test_fidelity.py``.
 
 All three expose ``multiply(a, b, modulus)`` / ``multiply_many`` returning
 a :class:`~repro.modsram.report.MultiplicationResult`: a ``.product`` and a
-``.report`` (:class:`~repro.modsram.report.CycleReport`) that the tests
-require to match field by field.
+``.report`` (:class:`~repro.modsram.report.CycleReport`) that must match
+field by field.  :func:`cross_check` is the one place that check is made:
+every exhibit, the DSE probe and the equivalence checker run their tiers
+through it (or through its raising form :func:`checked_multiply`).
 """
 
 from __future__ import annotations
 
+import time
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TierMismatchError
 from repro.modsram.accelerator import ModSRAMAccelerator
 from repro.modsram.analytical import AnalyticalModSRAM
 from repro.modsram.config import ModSRAMConfig
+from repro.modsram.report import MultiplicationResult
 
-__all__ = ["Fidelity", "build_simulator"]
+__all__ = [
+    "Fidelity",
+    "TierCheck",
+    "build_simulator",
+    "checked_multiply",
+    "cross_check",
+]
 
 
 class Fidelity(str, Enum):
@@ -76,3 +87,79 @@ def build_simulator(
     if tier is Fidelity.ANALYTICAL:
         return AnalyticalModSRAM(config)
     return ModSRAMAccelerator(config)
+
+
+#: The tier each simulator class runs, by class name (the hdl tier is only
+#: imported lazily), for check names and error messages.
+_TIER_NAMES = {
+    "AnalyticalModSRAM": Fidelity.ANALYTICAL.value,
+    "ModSRAMAccelerator": Fidelity.CYCLE.value,
+    "HdlModSRAM": Fidelity.HDL.value,
+}
+
+
+def _tier_name(simulator) -> str:
+    name = type(simulator).__name__
+    return _TIER_NAMES.get(name, name)
+
+
+@dataclass(frozen=True)
+class TierCheck:
+    """One operand pair run on several simulators, and what failed."""
+
+    #: Each simulator's result, in the order the simulators were given.
+    results: Tuple[MultiplicationResult, ...]
+    #: Host seconds each simulator's ``multiply`` took.
+    seconds: Tuple[float, ...]
+    #: The failed checks: ``"<tier> product"`` when a product is not
+    #: ``a * b % modulus``, ``"<tier> report"`` when a cycle report differs
+    #: from the first simulator's.  Empty when every check passed.
+    failed: Tuple[str, ...]
+
+
+def cross_check(simulators: Sequence, a: int, b: int, modulus: int) -> TierCheck:
+    """Multiply ``a * b mod modulus`` on every simulator and check each run.
+
+    Every product is compared to the big-integer oracle and every
+    :class:`~repro.modsram.report.CycleReport` field by field to the first
+    simulator's.  Simulators keep their LUT residency between calls, so
+    reports only agree when the caller keeps the simulators in step (the
+    same multiplications, in the same order).
+    """
+    oracle = a * b % modulus
+    results: List[MultiplicationResult] = []
+    seconds: List[float] = []
+    failed: List[str] = []
+    for simulator in simulators:
+        began = time.perf_counter()
+        result = simulator.multiply(a, b, modulus)
+        seconds.append(time.perf_counter() - began)
+        tier = _tier_name(simulator)
+        if result.product != oracle:
+            failed.append(f"{tier} product")
+        if results and result.report != results[0].report:
+            failed.append(f"{tier} report")
+        results.append(result)
+    return TierCheck(tuple(results), tuple(seconds), tuple(failed))
+
+
+def checked_multiply(simulator, a: int, b: int, modulus: int) -> MultiplicationResult:
+    """One multiplication on a fresh ``simulator``, checked, or an error.
+
+    The run is cross-checked against a fresh
+    :class:`~repro.modsram.analytical.AnalyticalModSRAM` at the simulator's
+    configuration (the closed form in step with a simulator that has not
+    run before): both products must equal ``a * b % modulus`` and the cycle
+    reports must agree field by field.  Returns the simulator's result;
+    raises :class:`~repro.errors.TierMismatchError` naming the tier, the
+    width and the operands otherwise.
+    """
+    reference = AnalyticalModSRAM(simulator.config)
+    check = cross_check((reference, simulator), a, b, modulus)
+    if check.failed:
+        raise TierMismatchError(
+            f"{_tier_name(simulator)} tier at {simulator.config.bitwidth} "
+            f"bits failed {', '.join(check.failed)} for a={a:#x}, b={b:#x}, "
+            f"modulus={modulus:#x}"
+        )
+    return check.results[1]

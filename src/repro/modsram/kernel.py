@@ -75,11 +75,6 @@ class LutResidency:
         self.multiplicand = multiplicand
         self.modulus = modulus
 
-    def invalidate(self) -> None:
-        """Drop residency (e.g. after external writes to the LUT rows)."""
-        self.multiplicand = None
-        self.modulus = None
-
 
 @dataclass(frozen=True)
 class KernelOutcome:

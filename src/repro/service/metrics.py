@@ -63,9 +63,6 @@ class LatencyStats:
             return 0.0
         return self.total_seconds / self.total * 1e3
 
-    def percentile_ms(self, fraction: float) -> float:
-        return _percentile(sorted(self.samples), fraction) * 1e3
-
     def as_dict(self) -> Dict[str, float]:
         window = sorted(self.samples)
         return {

@@ -109,11 +109,6 @@ class SramArray:
     # helpers
     # ------------------------------------------------------------------ #
     @property
-    def column_mask(self) -> int:
-        """All-ones mask covering every column."""
-        return (1 << self.cols) - 1
-
-    @property
     def capacity_bits(self) -> int:
         """Total storage capacity in bits."""
         return self.rows * self.cols

@@ -4,10 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.energy import (
-    measure_energy_per_multiplication,
-    reproduce_energy_analysis,
-)
+from repro.analysis.energy import measure_energy_per_multiplication, reproduce_energy
 
 
 class TestEnergyPerMultiplication:
@@ -36,7 +33,8 @@ class TestEnergyPerMultiplication:
         assert large.energy_per_multiplication_pj > 1.5 * small.energy_per_multiplication_pj
 
     def test_sweep_table(self):
-        results, table = reproduce_energy_analysis(bitwidths=(32, 64))
+        analysis = reproduce_energy(bitwidths=(32, 64))
+        results = analysis.results
         assert len(results) == 2
-        assert "energy/mul" in table
+        assert "energy/mul" in analysis.render()
         assert results[0].bitwidth == 32 and results[1].bitwidth == 64

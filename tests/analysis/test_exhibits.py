@@ -54,28 +54,23 @@ class TestTable1:
 
 
 class TestFigure1:
-    def test_quick_reproduction_uses_analytic_series(self):
-        result = reproduce_figure1(measure=False)
-        assert result.bitwidths == PAPER_FIGURE1_BITWIDTHS
-        assert result.measured_modsram == result.analytic_series["r4csa-lut"]
-
     def test_measured_cycles_match_the_formula_at_small_widths(self):
-        result = reproduce_figure1(bitwidths=(8, 16, 32), measure=True)
+        result = reproduce_figure1(bitwidths=(8, 16, 32))
         assert result.measured_modsram == [23, 47, 95]
 
     def test_speedup_over_mentt_grows_with_bitwidth(self):
-        result = reproduce_figure1(measure=False)
+        result = reproduce_figure1()
         speedups = result.speedup_over_mentt()
         assert speedups == sorted(speedups)
         assert speedups[-1] > 80  # 66049 / 767 ≈ 86
 
     def test_render_contains_every_bitwidth(self):
-        text = reproduce_figure1(measure=False).render()
+        text = reproduce_figure1().render()
         for bitwidth in PAPER_FIGURE1_BITWIDTHS:
             assert str(bitwidth) in text
 
     def test_rows_shape(self):
-        result = reproduce_figure1(measure=False)
+        result = reproduce_figure1()
         rows = result.rows()
         assert len(rows) == len(PAPER_FIGURE1_BITWIDTHS)
         assert len(rows[0]) == 1 + len(result.analytic_series) + 1
@@ -149,6 +144,7 @@ class TestTable3:
 
     def test_cycle_columns(self):
         result = reproduce_table3()
+        assert result.measured_modsram_cycles == 767
         assert result.rows_by_design["modsram"]["cycles"] == 767
         assert result.rows_by_design["mentt"]["cycles"] == 66049
         assert result.rows_by_design["bpntt"]["cycles"] == 1465
@@ -176,8 +172,8 @@ class TestTable3:
 
 
 class TestHeadlineAndReport:
-    def test_headline_claims_hold_without_measurement(self):
-        result = reproduce_headline_claims(measure=False)
+    def test_headline_claims_hold(self):
+        result = reproduce_headline_claims()
         assert result.all_hold()
         assert len(result.claims) == 7
         assert "767" in result.render()

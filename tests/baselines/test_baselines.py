@@ -17,7 +17,6 @@ from repro.baselines import (
     bpntt_rows,
     bpntt_transform_cycles,
     get_design,
-    mentt_cycles,
     mentt_rows,
     modsram_rows,
     register_design,
@@ -64,7 +63,6 @@ class TestRegistry:
 
 class TestMentt:
     def test_cycles_match_table3_at_256_bits(self):
-        assert mentt_cycles(256) == 66049
         assert MENTT.cycles(256) == 66049
 
     def test_rows_match_paper_statement(self):
@@ -73,8 +71,8 @@ class TestMentt:
         assert MENTT.rows_required(256) == 1282
 
     def test_quadratic_scaling(self):
-        assert mentt_cycles(32) == 33 * 33
-        assert mentt_cycles(256) / mentt_cycles(128) == pytest.approx(4, rel=0.05)
+        assert MENTT.cycles(32) == 33 * 33
+        assert MENTT.cycles(256) / MENTT.cycles(128) == pytest.approx(4, rel=0.05)
 
     def test_spec_fields_match_table3(self):
         assert MENTT.technology_nm == 65

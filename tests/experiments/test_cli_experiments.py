@@ -28,7 +28,9 @@ class TestExperimentList:
         assert main(["experiment", "list", "--json"]) == 0
         entries = json.loads(capsys.readouterr().out)
         by_name = {entry["name"]: entry for entry in entries}
-        assert by_name["figure1"]["quick_overrides"] == {"measure": False}
+        assert by_name["hdl-cosim"]["quick_overrides"] == {
+            "bitwidths": [16, 24], "cases": 3
+        }
         assert "bitwidth" in by_name["figure6"]["defaults"]
         assert by_name["design-point"]["sweep_axes"] == [
             "bitwidth", "rows", "columns", "banks", "technology_nm"
@@ -68,7 +70,6 @@ class TestExperimentRun:
                      "--no-cache"])
         assert code == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["params"]["measure"] is False
         assert all(claim["holds"] for claim in data["payload"]["claims"])
 
     def test_run_reads_the_cache_on_the_second_invocation(self, capsys, tmp_path):

@@ -22,14 +22,14 @@ ROUND_TRIP_CASES = (
     ("table1", {}, False),
     ("table1", {"multiplicand": 12345, "modulus": 65521}, False),
     ("figure1", {}, True),
-    ("figure1", {"bitwidths": [8, 16, 32], "measure": True}, False),
+    ("figure1", {"bitwidths": [8, 16, 32]}, False),
     ("figure5", {}, False),
     ("figure5", {"technology_nm": 45}, False),
     ("figure6", {}, False),
     ("figure6", {"bitwidth": 128}, False),
     ("figure7", {}, False),
     ("table3", {}, True),
-    ("table3", {"measure": True}, False),
+    ("table3", {"bitwidth": 128}, False),
     ("headline", {}, True),
     ("energy", {"bitwidths": [16, 32]}, False),
     ("design-point", {"bitwidth": 32}, False),

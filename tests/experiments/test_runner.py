@@ -32,7 +32,7 @@ class TestExperimentSpec:
     def test_cartesian_grid_expansion(self):
         spec = ExperimentSpec(
             "design-point",
-            {"measure": False},
+            {"rows": 32},
             {"bitwidth": [64, 128], "technology_nm": [65, 45]},
         )
         points = spec.points()
@@ -40,7 +40,7 @@ class TestExperimentSpec:
         assert {(p["bitwidth"], p["technology_nm"]) for p in points} == {
             (64, 65), (64, 45), (128, 65), (128, 45)
         }
-        assert all(p["measure"] is False for p in points)
+        assert all(p["rows"] == 32 for p in points)
 
     def test_axis_conflicting_with_fixed_param_is_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -70,17 +70,14 @@ class TestRunnerExecution:
 
     def test_quick_mode_applies_the_overrides(self, tmp_path):
         runner = Runner(cache_dir=str(tmp_path), use_cache=False)
-        result = runner.run("figure1", quick=True)
-        assert result.params["measure"] is False
-        legacy = result.result()
-        assert legacy.measured_modsram == legacy.analytic_series["r4csa-lut"]
+        result = runner.run("dse-point", quick=True)
+        assert result.params["workload_ops"] == 128
+        assert result.result().jobs == 128
 
     def test_explicit_param_beats_quick_override(self, tmp_path):
         runner = Runner(cache_dir=str(tmp_path), use_cache=False)
-        result = runner.run(
-            "figure1", {"bitwidths": [8, 16], "measure": True}, quick=True
-        )
-        assert result.params["measure"] is True
+        result = runner.run("dse-point", {"workload_ops": 64}, quick=True)
+        assert result.params["workload_ops"] == 64
 
     def test_result_matches_the_direct_call(self, tmp_path):
         runner = Runner(cache_dir=str(tmp_path), use_cache=False)
@@ -195,12 +192,12 @@ class TestReportEquivalence:
         return REPORT_DIVIDER.join(
             [
                 reproduce_tables().render(),
-                reproduce_figure1(measure=False).render(),
+                reproduce_figure1().render(),
                 reproduce_figure5().render(),
                 reproduce_figure6().render(),
                 reproduce_figure7().render(),
-                reproduce_table3(measure=False).render(),
-                reproduce_headline_claims(measure=False).render(),
+                reproduce_table3().render(),
+                reproduce_headline_claims().render(),
                 reproduce_chip_scaling(
                     macro_counts=(1, 2, 4),
                     scalar_bits=64,
@@ -214,17 +211,15 @@ class TestReportEquivalence:
         assert build_report(quick=True) == legacy_quick_report
 
     def test_parallel_report_is_byte_identical(self, legacy_quick_report):
-        assert build_report(quick=True, parallel=True) == legacy_quick_report
+        runner = Runner(parallel=True, use_cache=False)
+        assert build_report(quick=True, runner=runner) == legacy_quick_report
 
     def test_cached_report_is_byte_identical(self, tmp_path, legacy_quick_report):
-        cold = build_report(quick=True, use_cache=True, cache_dir=str(tmp_path))
-        warm = build_report(quick=True, use_cache=True, cache_dir=str(tmp_path))
+        runner = Runner(use_cache=True, cache_dir=str(tmp_path))
+        cold = build_report(quick=True, runner=runner)
+        warm = build_report(quick=True, runner=runner)
         assert cold == legacy_quick_report
         assert warm == legacy_quick_report
-
-    def test_runner_and_flags_together_are_rejected(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            build_report(quick=True, parallel=True, runner=Runner(use_cache=False))
 
 
 class TestImportOrders:

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.carry_save import xor3_maj
-from repro.errors import ConfigurationError, OperandRangeError
+from repro.errors import (
+    ConfigurationError,
+    OperandRangeError,
+    ReproError,
+    TierMismatchError,
+)
 from repro.modsram import (
     AnalyticalCostModel,
     AnalyticalModSRAM,
@@ -17,6 +24,7 @@ from repro.modsram import (
     build_simulator,
 )
 from repro.modsram.config import OVERFLOW_LUT_ROWS
+from repro.modsram.fidelity import checked_multiply, cross_check
 
 BN254_P = 0x30644E72E131A029B85045B68181585D97816A916871CA8D3C208C16D87CFD47
 SECP256K1_P = 2**256 - 2**32 - 977
@@ -287,3 +295,67 @@ class TestFidelitySelection:
     def test_coerce_accepts_mixed_case_strings(self):
         assert Fidelity.coerce("CYCLE") is Fidelity.CYCLE
         assert Fidelity.coerce("hdl") is Fidelity.HDL
+
+
+
+def skew(monkeypatch, tier, product=0, iteration_cycles=0):
+    """Make ``tier.multiply`` return products and main loops off by these."""
+    original = tier.multiply
+
+    def multiply(self, a, b, modulus):
+        result = original(self, a, b, modulus)
+        report = replace(
+            result.report,
+            iteration_cycles=result.report.iteration_cycles + iteration_cycles,
+        )
+        return replace(result, product=result.product + product, report=report)
+
+    monkeypatch.setattr(tier, "multiply", multiply)
+
+
+class TestCrossCheck:
+    """The one checked run every exhibit and checker goes through."""
+
+    CONFIG = ModSRAMConfig().with_bitwidth(16)
+
+    def test_agreeing_tiers_pass_and_are_timed(self):
+        simulators = [build_simulator(tier, self.CONFIG) for tier in Fidelity]
+        check = cross_check(simulators, 123, 456, 65521)
+        assert check.failed == ()
+        assert [r.product for r in check.results] == [123 * 456 % 65521] * 3
+        assert len(check.seconds) == 3 and min(check.seconds) >= 0.0
+
+    def test_failed_checks_name_the_tier(self, monkeypatch):
+        skew(monkeypatch, ModSRAMAccelerator, product=1, iteration_cycles=1)
+        simulators = tiers(self.CONFIG)[::-1]  # analytical first
+        check = cross_check(simulators, 123, 456, 65521)
+        assert check.failed == ("cycle product", "cycle report")
+
+    def test_reports_are_compared_to_the_first_simulator(self):
+        cycle = ModSRAMAccelerator(self.CONFIG)
+        cycle.multiply(5, 456, 65521)  # leaves the LUT for b=456 resident
+        check = cross_check((AnalyticalModSRAM(self.CONFIG), cycle), 7, 456, 65521)
+        assert check.failed == ("cycle report",)
+
+    def test_checked_multiply_returns_the_simulators_result(self):
+        result = checked_multiply(ModSRAMAccelerator(self.CONFIG), 123, 456, 65521)
+        assert result.product == 123 * 456 % 65521
+        closed_form = AnalyticalModSRAM(self.CONFIG).multiply(123, 456, 65521)
+        assert result.report == closed_form.report
+
+    def test_checked_multiply_raises_naming_tier_width_and_operands(
+        self, monkeypatch
+    ):
+        skew(monkeypatch, ModSRAMAccelerator, iteration_cycles=1)
+        with pytest.raises(TierMismatchError) as excinfo:
+            checked_multiply(ModSRAMAccelerator(self.CONFIG), 3, 4, 65521)
+        assert isinstance(excinfo.value, ReproError)
+        assert str(excinfo.value) == (
+            "cycle tier at 16 bits failed cycle report for a=0x3, b=0x4, "
+            "modulus=0xfff1"
+        )
+
+    def test_checked_multiply_also_checks_the_closed_form(self, monkeypatch):
+        skew(monkeypatch, AnalyticalModSRAM, product=1)
+        with pytest.raises(TierMismatchError, match="failed analytical product"):
+            checked_multiply(ModSRAMAccelerator(self.CONFIG), 3, 4, 65521)

@@ -184,8 +184,29 @@ class TestEquivalenceChecker:
         bad_case = VerificationCase(
             a=1, b=1, modulus=7, expected=1,
             accelerator_product=2, algorithm_product=1, iteration_cycles=11,
+            failed=("cycle product",),
         )
         report = VerificationReport(modulus=7, bitwidth=3, cases=[bad_case])
         assert not report.passed
         assert len(report.failures) == 1
         assert "FAIL" in report.summary()
+
+    def test_a_drifting_cycle_report_fails_every_case(self, monkeypatch):
+        """Products can all be right and the schedule still wrong."""
+        from dataclasses import replace
+
+        from repro.modsram import ModSRAMAccelerator
+
+        original = ModSRAMAccelerator.multiply
+
+        def one_cycle_late(self, a, b, modulus):
+            result = original(self, a, b, modulus)
+            late = result.report.iteration_cycles + 1
+            return replace(result, report=replace(result.report, iteration_cycles=late))
+
+        monkeypatch.setattr(ModSRAMAccelerator, "multiply", one_cycle_late)
+        checker = EquivalenceChecker(ModSRAMConfig().with_bitwidth(16))
+        report = checker.run(65521, random_cases=2, include_directed=False)
+        assert [case.failed for case in report.cases] == [("cycle report",)] * 2
+        assert all(case.accelerator_product == case.expected for case in report.cases)
+        assert report.summary().startswith("FAIL (2 mismatches)")

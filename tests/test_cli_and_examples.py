@@ -25,15 +25,6 @@ ALL_EXAMPLES = (
     "serving_quickstart.py",
     "sharded_serving.py",
 )
-#: Examples cheap enough to execute end-to-end inside the unit-test suite.
-FAST_EXAMPLES = (
-    "quickstart.py",
-    "engine_quickstart.py",
-    "dataflow_walkthrough.py",
-    "ecdsa_signing.py",
-    "serving_quickstart.py",
-    "sharded_serving.py",
-)
 
 
 class TestCliParser:
@@ -91,8 +82,8 @@ class TestExamples:
             assert os.path.exists(path), name
             py_compile.compile(path, doraise=True)
 
-    @pytest.mark.parametrize("name", FAST_EXAMPLES)
-    def test_fast_examples_run(self, name):
+    @pytest.mark.parametrize("name", ALL_EXAMPLES)
+    def test_example_runs(self, name):
         path = os.path.join(EXAMPLES_DIR, name)
         completed = subprocess.run(
             [sys.executable, path],
