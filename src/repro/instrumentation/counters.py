@@ -44,7 +44,10 @@ class OperationCounter:
         self._totals[operation] += amount
         if self._scope_stack:
             scope = self._scope_stack[-1]
-            self._scoped.setdefault(scope, Counter())[operation] += amount
+            scoped = self._scoped.get(scope)
+            if scoped is None:
+                scoped = self._scoped[scope] = Counter()
+            scoped[operation] += amount
 
     def increment(self, operation: str) -> None:
         """Add a single occurrence of ``operation``."""
