@@ -5,17 +5,20 @@ The NTT is one of the two dominant kernels of a zero-knowledge-proof backend
 point-wise in the evaluation domain, so forward/inverse transforms over the
 curve's scalar field account for a large fraction of the modular
 multiplications.  This implementation is the standard iterative radix-2
-Cooley–Tukey transform; every butterfly's multiplications, memory accesses
+Cooley–Tukey transform; its butterflies' multiplications, memory accesses
 and register writes are counted so the Figure 7 operation-count analysis can
 be generated from measurement rather than quoted from the paper's citations.
+Those counts do not depend on the data, so each transform charges them once.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
+from functools import lru_cache
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
+from repro.core.algorithms.schoolbook import SchoolbookMultiplier
 from repro.errors import NttError
 from repro.instrumentation import OperationCounter
 
@@ -40,6 +43,16 @@ def bit_reverse_indices(size: int) -> List[int]:
             value >>= 1
         indices.append(reversed_index)
     return indices
+
+
+@lru_cache(maxsize=None)
+def _bit_reversal(size: int) -> Tuple[int, ...]:
+    """One shared, read-only bit-reversal table per transform size.
+
+    Every context of a size reads the same table, so building many
+    contexts (one per engine) adds no per-context copy.
+    """
+    return tuple(bit_reverse_indices(size))
 
 
 def find_root_of_unity(modulus: int, size: int, seed: int = 0) -> int:
@@ -94,9 +107,10 @@ class NttContext:
     butterfly twiddle products, the point-wise products and the inverse
     scaling) through a :class:`~repro.core.ModularMultiplier` backend — this
     is how :meth:`repro.engine.Engine.ntt` attaches the transform to its
-    cached per-modulus context.  Without one, plain Python ``%`` arithmetic
-    is used (the fast software oracle); the operation *counts* are identical
-    either way.
+    cached per-modulus context.  Without one, the context multiplies on its
+    own :class:`~repro.core.algorithms.schoolbook.SchoolbookMultiplier`
+    (``a * b % p``, the fast software oracle); the operation *counts* are
+    identical either way.
     """
 
     def __init__(
@@ -116,23 +130,14 @@ class NttContext:
         self.size = size
         self.counter = counter or OperationCounter("ntt")
         self.word_bits = word_bits
-        self.multiplier = multiplier
-        if multiplier is None:
-            self._modmul: Callable[[int, int], int] = (
-                lambda x, y: (x * y) % modulus
-            )
-        else:
-            # Operands are always reduced here, so the algorithm body is
-            # called directly (batch-style); the multiplication counter is
-            # kept truthful by hand.
-            stats = multiplier.stats
-
-            def _modmul(x: int, y: int) -> int:
-                stats.multiplications += 1
-                return multiplier._multiply(x, y, modulus)
-
-            self._modmul = _modmul
+        self.multiplier = multiplier or SchoolbookMultiplier()
         self._weights = _CountWeights()
+        words = max(1, -(-modulus.bit_length() // word_bits))
+        self._register_writes_per_butterfly = (
+            self._weights.register_writes_per_word * words
+            + self._weights.register_writes_fixed
+        )
+        self._bit_reversal = _bit_reversal(size)
         self.root = (
             root_of_unity
             if root_of_unity is not None
@@ -154,23 +159,16 @@ class NttContext:
             powers[index] = (powers[index - 1] * base) % self.modulus
         return powers
 
-    # ------------------------------------------------------------------ #
-    # counting helpers
-    # ------------------------------------------------------------------ #
-    @property
-    def _words_per_operand(self) -> int:
-        return max(1, -(-self.modulus.bit_length() // self.word_bits))
+    def _charge(self, modmuls: int, **counts: int) -> None:
+        """Charge one call's backend multiplications and counts, once.
 
-    def _count_butterfly(self) -> None:
-        weights = self._weights
-        self.counter.increment("modmul")
-        self.counter.add("modadd", 2)
-        self.counter.add("memory_access", weights.value_accesses_per_butterfly)
-        self.counter.add(
-            "register_write",
-            weights.register_writes_per_word * self._words_per_operand
-            + weights.register_writes_fixed,
-        )
+        The backend's algorithm body is called directly (operands are always
+        reduced), so its multiplication counter is kept truthful here.
+        """
+        self.multiplier.stats.multiplications += modmuls
+        self.counter.add("modmul", modmuls)
+        for operation, amount in counts.items():
+            self.counter.add(operation, amount)
 
     # ------------------------------------------------------------------ #
     # transforms
@@ -181,25 +179,38 @@ class NttContext:
                 f"expected {self.size} coefficients, got {len(values)}"
             )
         modulus = self.modulus
-        data = [value % modulus for value in values]
+        size = self.size
+        multiply = self.multiplier._multiply
         # Bit-reversal permutation (decimation in time).
-        for index, reversed_index in enumerate(bit_reverse_indices(self.size)):
-            if index < reversed_index:
-                data[index], data[reversed_index] = data[reversed_index], data[index]
-
+        data = [values[index] % modulus for index in self._bit_reversal]
+        # One block at a time, so the backend sees its calls in butterfly
+        # order (its statistics and depth-one LUT cache depend on it).
         length = 2
-        while length <= self.size:
+        while length <= size:
             half = length // 2
-            step = self.size // length
-            for start in range(0, self.size, length):
-                for offset in range(half):
-                    twiddle = twiddles[offset * step]
-                    even = data[start + offset]
-                    odd = self._modmul(data[start + offset + half], twiddle)
-                    data[start + offset] = (even + odd) % modulus
-                    data[start + offset + half] = (even - odd) % modulus
-                    self._count_butterfly()
+            factors = twiddles[:: size // length]
+            for start in range(0, size, length):
+                middle = start + half
+                end = start + length
+                evens = data[start:middle]
+                odds = [
+                    multiply(odd, factor, modulus)
+                    for odd, factor in zip(data[middle:end], factors)
+                ]
+                data[start:middle] = [
+                    (even + odd) % modulus for even, odd in zip(evens, odds)
+                ]
+                data[middle:end] = [
+                    (even - odd) % modulus for even, odd in zip(evens, odds)
+                ]
             length *= 2
+        butterflies = (size // 2) * (size.bit_length() - 1)
+        self._charge(
+            butterflies,
+            modadd=2 * butterflies,
+            memory_access=self._weights.value_accesses_per_butterfly * butterflies,
+            register_write=self._register_writes_per_butterfly * butterflies,
+        )
         return data
 
     @classmethod
@@ -225,11 +236,10 @@ class NttContext:
         """Inverse NTT (evaluations → coefficients)."""
         with self.counter.scope("inverse"):
             transformed = self._transform(values, self._inverse_twiddles)
-            result = []
-            for value in transformed:
-                result.append(self._modmul(value, self.size_inverse))
-                self.counter.increment("modmul")
-                self.counter.add("memory_access", 2)
+            multiply = self.multiplier._multiply
+            scale, modulus = self.size_inverse, self.modulus
+            result = [multiply(value, scale, modulus) for value in transformed]
+            self._charge(self.size, memory_access=2 * self.size)
             return result
 
     # ------------------------------------------------------------------ #
@@ -252,9 +262,7 @@ class NttContext:
         padded_b = list(b) + [0] * (self.size - len(b))
         eval_a = self.forward(padded_a)
         eval_b = self.forward(padded_b)
-        pointwise = []
-        for x, y in zip(eval_a, eval_b):
-            pointwise.append(self._modmul(x, y))
-            self.counter.increment("modmul")
-            self.counter.add("memory_access", 3)
+        multiply, modulus = self.multiplier._multiply, self.modulus
+        pointwise = [multiply(x, y, modulus) for x, y in zip(eval_a, eval_b)]
+        self._charge(self.size, memory_access=3 * self.size)
         return self.inverse(pointwise)

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.engine import Engine
 from repro.errors import NttError
 from repro.zkp import NttContext, bit_reverse_indices, find_root_of_unity
 
@@ -27,6 +28,15 @@ class TestHelpers:
     def test_bit_reverse_requires_power_of_two(self):
         with pytest.raises(NttError):
             bit_reverse_indices(12)
+
+    def test_contexts_of_one_size_share_one_bit_reversal_table(self):
+        """Engines build a context each; none may copy the table."""
+        table = NttContext(SMALL_PRIME, 16)._bit_reversal
+        assert list(table) == bit_reverse_indices(16)
+        for _ in range(2):
+            context = Engine(backend="schoolbook").ntt(16, modulus=BN254_R)
+            assert context._bit_reversal is table
+        assert NttContext(SMALL_PRIME, 8)._bit_reversal is not table
 
     def test_find_root_of_unity_has_exact_order(self):
         root = find_root_of_unity(SMALL_PRIME, 16)
