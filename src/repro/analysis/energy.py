@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.tables import render_table
 from repro.ecc.curves_data import CURVE_SPECS
@@ -34,6 +34,9 @@ __all__ = [
     "measure_energy_per_multiplication",
     "reproduce_energy",
 ]
+
+#: Seed of the modulus (below 256 bits) and operands each width measures.
+_OPERAND_SEED = 1
 
 
 @dataclass(frozen=True)
@@ -125,16 +128,11 @@ class EnergyAnalysisResult:
         )
 
 
-def measure_energy_per_multiplication(
-    bitwidth: int = 256,
-    config: Optional[ModSRAMConfig] = None,
-    seed: int = 1,
-) -> EnergyResult:
+def measure_energy_per_multiplication(bitwidth: int = 256) -> EnergyResult:
     """Run one multiplication and return its modelled energy."""
-    if config is None:
-        config = ModSRAMConfig(extend_for_full_range=False).with_bitwidth(bitwidth)
+    config = ModSRAMConfig(extend_for_full_range=False).with_bitwidth(bitwidth)
     accelerator = ModSRAMAccelerator(config)
-    rng = random.Random(seed)
+    rng = random.Random(_OPERAND_SEED)
     if bitwidth == 256:
         modulus = CURVE_SPECS["bn254"].field_modulus
     else:
