@@ -1,9 +1,9 @@
 """Serial vs parallel vs warm-cache wall time of the quick report.
 
-PR 2's claim: routing ``report`` through the Experiment API turns it from
-serial re-computation into parallel execution with content-hash cache
-reuse.  This benchmark times the three modes on ``report --quick`` and
-enforces the acceptance criteria:
+``report`` runs through the Experiment API, so its sections can run in
+parallel and be reused from the content-hash cache instead of being
+recomputed one after another.  This benchmark times the three modes on
+``report --quick`` and checks that:
 
 * every mode produces byte-identical report text, and
 * the warm-cache pass performs zero recomputation (every section is a

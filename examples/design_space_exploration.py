@@ -3,9 +3,9 @@
 
 The paper evaluates one design point (64 x 256, 65 nm, 256-bit).  Because
 every model in this library is parametric, the same machinery answers
-"what if" questions a deployment would ask — and since PR 2 the way to ask
-them is a *sweep* of the registered ``design-point`` experiment rather
-than a hand-rolled loop: the Runner executes the grid (optionally across a
+"what if" questions a deployment would ask.  This example asks them as a
+*sweep* of the registered ``design-point`` experiment rather than a
+hand-rolled loop: the Runner executes the grid (optionally across a
 process pool), caches every point by content hash, and returns structured
 results that render to the familiar tables.
 

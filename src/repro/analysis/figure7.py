@@ -5,8 +5,11 @@ The paper's closing argument is that ZKP workloads at realistic sizes
 of modular multiplications, memory accesses and intermediate register
 writes, and that computing the multiplications in-SRAM removes the latter
 two categories.  The reproduction evaluates the closed-form operation-count
-models at the paper's operating point and, optionally, validates those
-models against the instrumented NTT/MSM implementations at a small size.
+models at the paper's operating point; it runs no kernel.
+:func:`measure_ntt_counts` and :func:`measure_msm_counts` run the
+instrumented NTT and MSM at a small size, and
+``tests/zkp/test_msm_opcount.py`` checks the NTT model against the
+instrumented transform's counts.
 
 Registered as experiment ``figure7`` in :mod:`repro.experiments`.
 """
