@@ -35,7 +35,7 @@ __all__ = [
     "reproduce_energy",
 ]
 
-#: Seed of the modulus (below 256 bits) and operands each width measures.
+#: Seeds the operands (and, below 256 bits, the modulus) of every width.
 _OPERAND_SEED = 1
 
 

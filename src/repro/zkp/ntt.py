@@ -50,7 +50,8 @@ def _bit_reversal(size: int) -> Tuple[int, ...]:
     """One shared, read-only bit-reversal table per transform size.
 
     Every context of a size reads the same table, so building many
-    contexts (one per engine) adds no per-context copy.
+    contexts (one per engine) adds no per-context copy.  Sizes are powers
+    of two, so the cache holds at most one table per power.
     """
     return tuple(bit_reverse_indices(size))
 
