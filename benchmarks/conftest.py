@@ -1,29 +1,11 @@
-"""Shared fixtures for the benchmark harness."""
+"""Shared set-up for the benchmark harness."""
 
 from __future__ import annotations
 
 import os
-import random
 import sys
-
-import pytest
 
 # Allow running the benchmarks from a source checkout without installation.
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
-
-from repro.ecc.curves_data import CURVE_SPECS  # noqa: E402
-
-
-@pytest.fixture(scope="session")
-def bn254_modulus() -> int:
-    """The BN254 base-field prime (the paper's ZKP-oriented 256-bit target)."""
-    return CURVE_SPECS["bn254"].field_modulus
-
-
-@pytest.fixture(scope="session")
-def operands(bn254_modulus) -> tuple:
-    """A fixed operand pair below the BN254 modulus."""
-    rng = random.Random(42)
-    return rng.randrange(bn254_modulus), rng.randrange(bn254_modulus)

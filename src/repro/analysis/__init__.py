@@ -37,7 +37,6 @@ from repro.analysis.figure5 import Figure5Result, reproduce_figure5
 from repro.analysis.figure6 import Figure6Result, reproduce_figure6
 from repro.analysis.figure7 import (
     Figure7Result,
-    measure_msm_counts,
     measure_ntt_counts,
     reproduce_figure7,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "format_value",
     "measure_energy_per_multiplication",
     "measure_modsram_cycles",
-    "measure_msm_counts",
     "measure_ntt_counts",
     "render_table",
     "reproduce_chip_scaling",

@@ -6,8 +6,7 @@ of modular multiplications, memory accesses and intermediate register
 writes, and that computing the multiplications in-SRAM removes the latter
 two categories.  The reproduction evaluates the closed-form operation-count
 models at the paper's operating point; it runs no kernel.
-:func:`measure_ntt_counts` and :func:`measure_msm_counts` run the
-instrumented NTT and MSM at a small size, and
+:func:`measure_ntt_counts` runs the instrumented NTT at a small size, and
 ``tests/zkp/test_msm_opcount.py`` checks the NTT model against the
 instrumented transform's counts.
 
@@ -21,9 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.analysis.tables import render_table
-from repro.ecc.scalar import scalar_multiply
 from repro.engine import Engine
-from repro.zkp.msm import msm_pippenger
 from repro.zkp.opcount import (
     PAPER_FIGURE7_BITWIDTH,
     PAPER_FIGURE7_VECTOR_SIZE,
@@ -32,7 +29,7 @@ from repro.zkp.opcount import (
     ntt_operation_counts,
 )
 
-__all__ = ["Figure7Result", "reproduce_figure7", "measure_ntt_counts", "measure_msm_counts"]
+__all__ = ["Figure7Result", "reproduce_figure7", "measure_ntt_counts"]
 
 
 def measure_ntt_counts(
@@ -57,30 +54,6 @@ def measure_ntt_counts(
         "modular_multiplication": context.counter.count("modmul"),
         "memory_access": context.counter.count("memory_access"),
         "register_writes": context.counter.count("register_write"),
-    }
-
-
-def measure_msm_counts(
-    size: int = 32, window_bits: int = 4, engine: Optional[Engine] = None
-) -> Dict[str, int]:
-    """Run the instrumented Pippenger MSM at a small size and return its counts.
-
-    The curve (and therefore every field multiplication) is built through
-    the Engine facade, defaulting to the schoolbook oracle backend.
-    """
-    if engine is None:
-        engine = Engine(backend="schoolbook")
-    curve = engine.curve("secp256k1")
-    rng = random.Random(size)
-    base = curve.generator
-    points = [scalar_multiply(curve, rng.randrange(3, 2**64), base) for _ in range(size)]
-    scalars = [rng.randrange(1, 2**64) for _ in range(size)]
-    curve.field.counter.reset()
-    msm_pippenger(curve, scalars, points, window_bits=window_bits)
-    return {
-        "modular_multiplication": curve.field.counter.count("modmul"),
-        "memory_access": curve.field.counter.count("modmul") * 3,
-        "register_writes": curve.field.counter.count("modmul") * 20,
     }
 
 

@@ -6,8 +6,8 @@ bit overlapping. As a result, the total iterations are cut down by
 one-third") and cites Javeed & Wang's FPGA multipliers, which implement both.
 A radix-8 variant needs a larger per-digit LUT — nine possible digits, of
 which the ±3 multiples cannot be produced by shifting alone — so it trades
-LUT word lines for iterations.  Implementing it lets the ablation benchmarks
-quantify that trade-off against the radix-4 design the paper chose.
+LUT word lines for iterations.  Implementing it lets that trade-off be
+measured against the radix-4 design the paper chose.
 """
 
 from __future__ import annotations

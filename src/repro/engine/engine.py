@@ -14,8 +14,10 @@ R4CSA-LUT overflow tables, Montgomery/Barrett constants and ModSRAM macro
 sizing are derived once per modulus and shared across the ECC, ZKP and
 analysis layers.  :meth:`Engine.multiply_batch` validates once and runs the
 backend's inner loop directly, which is measurably faster than per-call
-dispatch on NTT/MSM-sized workloads (see
-``benchmarks/bench_engine_batch.py``).
+dispatch on NTT/MSM-sized workloads: perfbench's ``engine-bulk`` workload
+times ``multiply_batch`` (``engine.batch_ns_per_pair``) against a per-call
+``multiplier.multiply`` loop over a sample of the same pairs
+(``engine.backend.ns_per_call``).
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ The model rebuilds those numbers from per-component primitives (8T cell,
 latch-type SA, DFF, NAND2-equivalent gate) whose 65 nm areas are calibrated
 so the default configuration lands on the published total and breakdown; the
 same primitives then produce breakdowns for any other configuration, which
-is what the ablation benchmarks sweep.
+is what the design-space exploration sweeps.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 The default configuration is the design point evaluated in the paper: a
 64 × 256 array of 8T cells in 65 nm, computing 256-bit modular
 multiplications at ~420 MHz.  Every field is overridable so the examples and
-ablation benchmarks can sweep bitwidth, array geometry and technology.
+the design-space exploration can sweep bitwidth, array geometry and technology.
 """
 
 from __future__ import annotations

@@ -237,7 +237,7 @@ class LogicSenseAmpModule:
         """Analytic probability that one comparison flips under noise.
 
         Assumes Gaussian bitline/reference noise with the given sigma and
-        the worst-case margin; used by the sensing-margin ablation bench.
+        the worst-case margin.
         """
         if noise_sigma_v <= 0:
             return 0.0

@@ -6,21 +6,25 @@ point-wise in the evaluation domain, so forward/inverse transforms over the
 curve's scalar field account for a large fraction of the modular
 multiplications.  This implementation is the standard iterative radix-2
 Cooley–Tukey transform; its butterflies' multiplications, memory accesses
-and register writes are counted so the Figure 7 operation-count analysis can
-be generated from measurement rather than quoted from the paper's citations.
+and register writes are counted, on the word-serial cost table of
+:mod:`repro.zkp.opcount`, so the Figure 7 operation-count analysis can be
+generated from measurement rather than quoted from the paper's citations.
 Those counts do not depend on the data, so each transform charges them once.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.core.algorithms.schoolbook import SchoolbookMultiplier
 from repro.errors import NttError
 from repro.instrumentation import OperationCounter
+from repro.zkp.opcount import (
+    _VALUE_ACCESSES_PER_BUTTERFLY,
+    _register_writes_per_modmul,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.algorithms.base import ModularMultiplier
@@ -84,23 +88,6 @@ def find_root_of_unity(modulus: int, size: int, seed: int = 0) -> int:
     )
 
 
-@dataclass(frozen=True)
-class _CountWeights:
-    """How many architectural events one butterfly implies.
-
-    The memory-access and register-write weights model a conventional
-    (non-PIM) word-serial datapath: a butterfly reads two coefficients and a
-    twiddle factor and writes two results (5 value-level accesses), and each
-    256-bit modular multiplication on a 32-bit word-serial multiplier updates
-    roughly ``2 * words + 4`` working registers.  These are the quantities
-    Figure 7 compares and the ones ModSRAM's in-memory accumulation removes.
-    """
-
-    value_accesses_per_butterfly: int = 5
-    register_writes_per_word: int = 2
-    register_writes_fixed: int = 4
-
-
 class NttContext:
     """Forward and inverse NTT of a fixed power-of-two size.
 
@@ -120,7 +107,6 @@ class NttContext:
         size: int,
         root_of_unity: Optional[int] = None,
         counter: Optional[OperationCounter] = None,
-        word_bits: int = 32,
         multiplier: Optional["ModularMultiplier"] = None,
     ) -> None:
         if size <= 1 or size & (size - 1):
@@ -130,13 +116,9 @@ class NttContext:
         self.modulus = modulus
         self.size = size
         self.counter = counter or OperationCounter("ntt")
-        self.word_bits = word_bits
         self.multiplier = multiplier or SchoolbookMultiplier()
-        self._weights = _CountWeights()
-        words = max(1, -(-modulus.bit_length() // word_bits))
-        self._register_writes_per_butterfly = (
-            self._weights.register_writes_per_word * words
-            + self._weights.register_writes_fixed
+        self._register_writes_per_butterfly = _register_writes_per_modmul(
+            modulus.bit_length()
         )
         self._bit_reversal = _bit_reversal(size)
         self.root = (
@@ -209,7 +191,7 @@ class NttContext:
         self._charge(
             butterflies,
             modadd=2 * butterflies,
-            memory_access=self._weights.value_accesses_per_butterfly * butterflies,
+            memory_access=_VALUE_ACCESSES_PER_BUTTERFLY * butterflies,
             register_write=self._register_writes_per_butterfly * butterflies,
         )
         return data
@@ -259,10 +241,17 @@ class NttContext:
                 "each input polynomial must have at most size/2 coefficients "
                 f"({self.size // 2}) to avoid cyclic wrap-around"
             )
-        padded_a = list(a) + [0] * (self.size - len(a))
-        padded_b = list(b) + [0] * (self.size - len(b))
-        eval_a = self.forward(padded_a)
-        eval_b = self.forward(padded_b)
+        return self._convolve(a, b)
+
+    def _convolve(self, a: Sequence[int], b: Sequence[int]) -> List[int]:
+        """Cyclic convolution of two coefficient lists of at most ``size``.
+
+        Both are padded to ``size`` and transformed; the point-wise products
+        run on the backend and are charged once, then the inverse transform
+        returns the coefficients.  The callers check the lengths.
+        """
+        eval_a = self.forward(list(a) + [0] * (self.size - len(a)))
+        eval_b = self.forward(list(b) + [0] * (self.size - len(b)))
         multiply, modulus = self.multiplier._multiply, self.modulus
         pointwise = [multiply(x, y, modulus) for x, y in zip(eval_a, eval_b)]
         self._charge(self.size, memory_access=3 * self.size)

@@ -43,6 +43,13 @@ MULS_PER_DOUBLING = 8
 #: Field-element reads/writes of one point addition (inputs + outputs).
 VALUE_ACCESSES_PER_POINT_ADD = 12
 
+# The conventional (non-PIM) datapath both kernels are costed on, and the
+# one the instrumented ``NttContext`` charges: a word-serial multiplier on
+# 32-bit words, and an NTT butterfly that reads two coefficients and a
+# twiddle factor and writes two results.
+_WORD_BITS = 32
+_VALUE_ACCESSES_PER_BUTTERFLY = 5
+
 
 @dataclass(frozen=True)
 class OperationCounts:
@@ -64,11 +71,11 @@ class OperationCounts:
         }
 
 
-def _words(bitwidth: int, word_bits: int = 32) -> int:
-    return max(1, -(-bitwidth // word_bits))
+def _words(bitwidth: int) -> int:
+    return max(1, -(-bitwidth // _WORD_BITS))
 
 
-def _register_writes_per_modmul(bitwidth: int, word_bits: int = 32) -> int:
+def _register_writes_per_modmul(bitwidth: int) -> int:
     """Working-register updates of one modular multiplication.
 
     Models a conventional word-serial (CIOS-style) multiplier: two register
@@ -76,13 +83,12 @@ def _register_writes_per_modmul(bitwidth: int, word_bits: int = 32) -> int:
     These are exactly the writes ModSRAM eliminates by accumulating in the
     array.
     """
-    return 2 * _words(bitwidth, word_bits) + 4
+    return 2 * _words(bitwidth) + 4
 
 
 def ntt_operation_counts(
     vector_size: int = PAPER_FIGURE7_VECTOR_SIZE,
     bitwidth: int = PAPER_FIGURE7_BITWIDTH,
-    word_bits: int = 32,
 ) -> OperationCounts:
     """Operation counts of one forward NTT of ``vector_size`` points.
 
@@ -101,8 +107,8 @@ def ntt_operation_counts(
     stages = int(math.log2(vector_size))
     butterflies = (vector_size // 2) * stages
     modmuls = butterflies
-    memory_accesses = 5 * butterflies
-    register_writes = modmuls * _register_writes_per_modmul(bitwidth, word_bits)
+    memory_accesses = _VALUE_ACCESSES_PER_BUTTERFLY * butterflies
+    register_writes = modmuls * _register_writes_per_modmul(bitwidth)
     return OperationCounts(
         kernel="ntt",
         vector_size=vector_size,
@@ -140,7 +146,6 @@ def msm_operation_counts(
     vector_size: int = PAPER_FIGURE7_VECTOR_SIZE,
     bitwidth: int = PAPER_FIGURE7_BITWIDTH,
     window_bits: int = 16,
-    word_bits: int = 32,
 ) -> OperationCounts:
     """Operation counts of one bucket-method MSM of ``vector_size`` points.
 
@@ -166,9 +171,9 @@ def msm_operation_counts(
         + structure["general_additions"]
         + structure["doublings"]
     )
-    words = _words(bitwidth, word_bits)
+    words = _words(bitwidth)
     memory_accesses = point_operations * VALUE_ACCESSES_PER_POINT_ADD * words
-    register_writes = modmuls * _register_writes_per_modmul(bitwidth, word_bits)
+    register_writes = modmuls * _register_writes_per_modmul(bitwidth)
     return OperationCounts(
         kernel="msm",
         vector_size=vector_size,

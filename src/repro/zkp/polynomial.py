@@ -143,7 +143,9 @@ class Polynomial:
 
         Requires the field to support an NTT of the needed size (the product
         length rounded up to a power of two).  A pre-built ``context`` of at
-        least that size may be supplied to reuse twiddle factors.
+        least that size may be supplied to reuse twiddle factors; its
+        backend runs, and its counter counts, every multiplication, as in
+        :meth:`NttContext.multiply_polynomials`.
         """
         self._check_compatible(other)
         if self.is_zero() or other.is_zero():
@@ -163,13 +165,8 @@ class Polynomial:
         elif context.modulus != self.modulus:
             raise NttError("NTT context modulus does not match the polynomial field")
 
-        padded_a = list(self.coefficients) + [0] * (context.size - len(self.coefficients))
-        padded_b = list(other.coefficients) + [0] * (context.size - len(other.coefficients))
-        eval_a = context.forward(padded_a)
-        eval_b = context.forward(padded_b)
-        pointwise = [(x * y) % self.modulus for x, y in zip(eval_a, eval_b)]
-        coefficients = context.inverse(pointwise)[:product_length]
-        return Polynomial.create(coefficients, self.modulus)
+        product = context._convolve(self.coefficients, other.coefficients)
+        return Polynomial.create(product[:product_length], self.modulus)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         """Product, choosing NTT when the field supports it and it pays off."""

@@ -28,9 +28,19 @@ class TestEnergyPerMultiplication:
         )
 
     def test_energy_grows_with_bitwidth(self):
-        small = measure_energy_per_multiplication(bitwidth=32)
-        large = measure_energy_per_multiplication(bitwidth=64)
-        assert large.energy_per_multiplication_pj > 1.5 * small.energy_per_multiplication_pj
+        results = [
+            measure_energy_per_multiplication(bitwidth=bitwidth)
+            for bitwidth in (32, 64, 128, 256)
+        ]
+        energies = [result.energy_per_multiplication_pj for result in results]
+        assert energies[1] > 1.5 * energies[0]
+        assert energies == sorted(energies)
+        paper = results[-1]
+        assert paper.iteration_cycles == 767
+        # The paper point costs nanojoules per multiplication, and sensing
+        # (three SAs per column per access) outweighs the write-back.
+        assert 0.3e3 < paper.energy_per_multiplication_pj < 5e3
+        assert paper.breakdown.sensing_pj > paper.breakdown.near_memory_pj
 
     def test_sweep_table(self):
         analysis = reproduce_energy(bitwidths=(32, 64))

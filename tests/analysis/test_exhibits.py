@@ -44,6 +44,7 @@ class TestTable1:
         assert len(result.encoder_rows) == 8
         assert len(result.radix4_rows) == 5
         assert len(result.overflow_rows) == 8
+        assert result.encoder_rows[4] == (1, 0, 0, -2)
         assert "Table 1a" in result.render()
         assert "Table 2" in result.render()
 
@@ -63,6 +64,13 @@ class TestFigure1:
         speedups = result.speedup_over_mentt()
         assert speedups == sorted(speedups)
         assert speedups[-1] > 80  # 66049 / 767 ≈ 86
+        series = result.analytic_series
+        assert series["mentt"][-1] == 66049
+        assert series["mentt-projected"][-1] == 32896
+        assert series["r4csa-lut"][-1] == 767
+        # Every width measured on the cycle tier lands on the 3n - 1 law.
+        assert result.measured_modsram == series["r4csa-lut"]
+        assert series["mentt"][-1] / result.measured_modsram[-1] > 86
 
     def test_render_contains_every_bitwidth(self):
         text = reproduce_figure1().render()
@@ -82,6 +90,7 @@ class TestFigure5:
         assert abs(result.total_error_percent) < 5
         for component, share in result.breakdown.percentages.items():
             assert abs(share - result.paper_breakdown_percent[component]) < 2.0
+        assert abs(result.overhead_percent - result.paper_overhead_percent) < 4.0
 
     def test_render_mentions_overhead(self):
         assert "overhead" in reproduce_figure5().render()
@@ -97,7 +106,11 @@ class TestFigure6:
         assert result.rows_by_design["bpntt"] == 6
         assert result.rows_by_design["modsram"] == 18
         assert result.modsram_utilization.lut_rows == 13
+        assert result.modsram_utilization.intermediate_rows == 2
+        assert result.modsram_utilization.free_rows == 46
         assert result.modsram_array_rows == 64
+        # §5.2: a point addition's ~12 coordinates and temporaries fit.
+        assert result.modsram_utilization.operand_capacity >= 12 + 3
 
     def test_mentt_does_not_fit_the_array_modsram_uses(self):
         """The paper's point: 1282 rows cannot fit a 64-row bank."""
@@ -115,6 +128,12 @@ class TestFigure7:
         result = reproduce_figure7()
         assert result.vector_size == 2**15
         assert result.bitwidth == 256
+        assert result.ntt.modular_multiplications == 245760
+        assert 1e7 < result.msm.modular_multiplications < 1e8
+        assert (
+            result.msm.modular_multiplications
+            > 100 * result.ntt.modular_multiplications
+        )
         ntt = result.ntt.as_dict()
         msm = result.msm.as_dict()
         # The qualitative shape of Figure 7: MSM >> NTT in every category,
@@ -149,12 +168,20 @@ class TestTable3:
         assert result.rows_by_design["mentt"]["cycles"] == 66049
         assert result.rows_by_design["bpntt"]["cycles"] == 1465
         assert result.rows_by_design["rm-ntt"]["cycles"] is None
+        assert result.rows_by_design["modsram"]["area_mm2"] < 0.06
+        assert result.rows_by_design["mentt"]["area_mm2"] == 0.36
 
     def test_cycle_reductions(self):
         result = reproduce_table3()
         assert result.cycle_reduction_vs("mentt") > 98.0
         assert 45.0 < result.best_prior_cycle_reduction() < 50.0
         assert 50.0 < result.cycle_reduction_vs("bpntt", include_transform=True) < 55.0
+        # At each design's own clock: two orders of magnitude below MeNTT.
+        rows = result.rows_by_design
+        assert (
+            rows["modsram"]["cycles"] / rows["modsram"]["frequency_mhz"]
+            < rows["mentt"]["cycles"] / rows["mentt"]["frequency_mhz"] / 100
+        )
 
     def test_reduction_against_design_without_cycles_rejected(self):
         with pytest.raises(ValueError):

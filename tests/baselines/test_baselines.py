@@ -69,6 +69,11 @@ class TestMentt:
         """§5.4: computing in 256 bits requires a total of 1282 rows."""
         assert mentt_rows(256) == 1282
         assert MENTT.rows_required(256) == 1282
+        # The bit-serial layout grows linearly and never fits a 64-row bank.
+        rows = {bitwidth: mentt_rows(bitwidth) for bitwidth in (16, 32, 64, 128, 256)}
+        assert rows[16] == 82
+        assert rows[256] / rows[128] > 1.9
+        assert min(rows.values()) > 64
 
     def test_quadratic_scaling(self):
         assert MENTT.cycles(32) == 33 * 33

@@ -54,6 +54,7 @@ class TestRadix4Lut:
         lut = build_radix4_lut(BN254_P - 1, BN254_P)
         for digit in RADIX4_DIGIT_ORDER:
             assert 0 <= lut[digit] < BN254_P
+            assert lut[digit] == (digit * (BN254_P - 1)) % BN254_P
 
     def test_unknown_digit_rejected(self):
         with pytest.raises(OperandRangeError):
@@ -75,11 +76,11 @@ class TestOverflowLut:
         assert lut.paper_rows()[0] == (0, 0)
 
     def test_entries_are_weighted_residues(self):
-        register_width = 9
-        modulus = 251
-        lut = build_overflow_lut(modulus, register_width)
-        for index in range(len(lut)):
-            assert lut[index] == (index << register_width) % modulus
+        # A small modulus, and Table 2 at BN254 on the 257-bit register.
+        for modulus, register_width in ((251, 9), (BN254_P, 257)):
+            lut = build_overflow_lut(modulus, register_width)
+            for index in range(len(lut)):
+                assert lut[index] == (index << register_width) % modulus
 
     def test_entry_zero_is_zero(self):
         assert build_overflow_lut(997, 11)[0] == 0

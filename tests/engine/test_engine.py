@@ -163,8 +163,10 @@ class TestBatch:
             pairs = [(rng.randrange(BN254_P), b) for _ in range(size)]
             batch = engine.multiply_batch(pairs)
             assert list(batch) == [(a * b) % BN254_P for a, _ in pairs]
+            assert batch.stats.multiplications == size
         # One (B, p) LUT build serves both batches.
         assert engine.stats().precomputations == 1
+        assert engine.cache_stats.misses == 1
 
     def test_batch_validates_operands(self):
         engine = Engine(backend="schoolbook", modulus=97)

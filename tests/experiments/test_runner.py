@@ -16,7 +16,7 @@ from repro.analysis import (
     reproduce_table3,
     reproduce_tables,
 )
-from repro.analysis.report import REPORT_DIVIDER, build_report
+from repro.analysis.report import REPORT_DIVIDER, REPORT_EXPERIMENTS, build_report
 from repro.errors import ConfigurationError
 from repro.experiments import ExperimentSpec, Runner, SweepResult
 
@@ -220,6 +220,11 @@ class TestReportEquivalence:
         warm = build_report(quick=True, runner=runner)
         assert cold == legacy_quick_report
         assert warm == legacy_quick_report
+        # Nothing is left to recompute: every section is a cache hit.
+        rerun = Runner(use_cache=True, cache_dir=str(tmp_path)).run_specs(
+            [ExperimentSpec(name) for name in REPORT_EXPERIMENTS], quick=True
+        )
+        assert all(result.cache_hit for result in rerun)
 
 
 class TestImportOrders:

@@ -58,9 +58,19 @@ class TestAreaModel:
         assert model.baseline_sram_mm2() < model.total_mm2()
 
     def test_area_scales_with_array_size(self):
-        small = AreaModel(ModSRAMConfig(rows=32)).total_mm2()
-        large = AreaModel(ModSRAMConfig(rows=64)).total_mm2()
-        assert large > small
+        models = [AreaModel(ModSRAMConfig(rows=rows)) for rows in (32, 64, 128, 256)]
+        totals = [model.total_mm2() for model in models]
+        assert totals[0] < totals[1] < totals[2] < totals[3]
+        # Taller arrays amortise the per-column circuits: the array's share
+        # rises while the in-memory circuit's share and the overhead fall.
+        first, last = models[0].breakdown(), models[-1].breakdown()
+        assert last.percentages["sram_array"] > first.percentages["sram_array"]
+        assert (
+            last.percentages["in_memory_circuit"]
+            < first.percentages["in_memory_circuit"]
+        )
+        overheads = [model.overhead_percent() for model in models]
+        assert overheads[0] > overheads[1] > overheads[2] > overheads[3]
 
     def test_technology_scaling_is_quadratic(self):
         params_28 = AreaParameters().scaled_to(28)

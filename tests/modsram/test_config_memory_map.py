@@ -36,6 +36,7 @@ class TestConfig:
 
     def test_frequency_comes_from_timing_model(self):
         assert ModSRAMConfig().frequency_mhz == pytest.approx(420.0, rel=0.02)
+        assert abs(PAPER_CONFIG.frequency_mhz - 420.0) < 5
 
     def test_with_bitwidth_resizes_columns(self):
         config = ModSRAMConfig().with_bitwidth(64)

@@ -149,6 +149,10 @@ class TestLogicSenseAmpModule:
         quiet = module.failure_probability(0.01)
         noisy = module.failure_probability(0.10)
         assert 0.0 <= quiet < noisy < 0.5
+        sweep = [module.failure_probability(mv * 1e-3) for mv in (5, 15, 30, 45, 60)]
+        assert sweep == sorted(sweep)
+        assert sweep[0] < 1e-80  # essentially never at nominal noise
+        assert sweep[-1] > 1e-3  # clearly broken at 60 mV sigma
 
     def test_failure_probability_zero_without_noise(self, module):
         assert module.failure_probability(0.0) == 0.0

@@ -104,11 +104,12 @@ class TestOperationCountModels:
         """The closed-form NTT counts equal the instrumented implementation."""
         from repro.analysis import measure_ntt_counts
 
-        measured = measure_ntt_counts(size=256)
-        model = ntt_operation_counts(vector_size=256, bitwidth=254)
-        assert measured["modular_multiplication"] == model.modular_multiplications
-        assert measured["memory_access"] == model.memory_accesses
-        assert measured["register_writes"] == model.register_writes
+        for size in (256, 512):
+            measured = measure_ntt_counts(size=size)
+            model = ntt_operation_counts(vector_size=size, bitwidth=254)
+            assert measured["modular_multiplication"] == model.modular_multiplications
+            assert measured["memory_access"] == model.memory_accesses
+            assert measured["register_writes"] == model.register_writes
 
     def test_msm_model_brackets_instrumented_run(self, rng):
         """The closed-form MSM multiplication count tracks the measured count.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.engine import Engine
 from repro.errors import NttError, OperandRangeError
 from repro.zkp import NttContext, Polynomial
 
@@ -113,6 +114,27 @@ class TestNttMultiplication:
         product = a.multiply_ntt(b, context=context)
         assert product == a.multiply_schoolbook(b)
         assert context.counter.count("modmul") > 0
+
+    @pytest.mark.parametrize("backend", (None, "r4csa-lut"))
+    def test_product_is_charged_like_multiply_polynomials(self, backend):
+        """Both entries run one path on the context's backend."""
+        def build():
+            if backend is None:
+                return NttContext(SMALL, 8)
+            return Engine(backend=backend).ntt(8, modulus=SMALL)
+
+        def charges(context):
+            counter = context.counter
+            scopes = [(scope, counter.scoped(scope)) for scope in counter.scopes()]
+            return counter.as_dict(), scopes, context.multiplier.stats.multiplications
+
+        via_polynomial, via_context = build(), build()
+        a, b = [1, 2, 3], [4, 5]
+        product = Polynomial.create(a, SMALL).multiply_ntt(
+            Polynomial.create(b, SMALL), context=via_polynomial
+        )
+        assert product == Polynomial.create(via_context.multiply_polynomials(a, b), SMALL)
+        assert charges(via_polynomial) == charges(via_context)
 
     def test_too_small_context_rejected(self):
         context = NttContext(R, 4)
