@@ -31,7 +31,7 @@ import time
 
 from repro.analysis.chip_scaling import reproduce_chip_scaling
 from repro.ecc.ecdsa import Ecdsa
-from repro.engine import Engine, ModSRAMFastBackend
+from repro.engine import Engine
 from repro.modsram import AnalyticalModSRAM, ModSRAMAccelerator, ModSRAMConfig
 
 #: Required fidelity-tier advantage on a full ECDSA sign (acceptance floor).
@@ -86,9 +86,7 @@ def _measure_analytical_per_multiply() -> float:
 
 def collect_fidelity_speedup() -> dict:
     """The fidelity-tier section of the benchmark payload."""
-    analytical_sign = _measure_sign(
-        Engine(backend=ModSRAMFastBackend(), curve="p256")
-    )
+    analytical_sign = _measure_sign(Engine(backend="modsram-fast", curve="p256"))
     cycle_per_multiply = _measure_cycle_tier_per_multiply()
     analytical_per_multiply = _measure_analytical_per_multiply()
 

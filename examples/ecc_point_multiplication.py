@@ -34,7 +34,7 @@ def run_point_operations_on_modsram() -> None:
     generator = curve.generator
     doubled = curve.double(generator)
     field.counter.reset()
-    adapter.reports.clear()
+    adapter.reset_stats()
 
     tripled = curve.add(doubled, generator)
     assert curve.contains(tripled)

@@ -68,7 +68,7 @@ def main() -> None:
     hardware = Engine(backend="modsram", curve="bn254")
     hw_result = hardware.multiply(a, b)
     assert hw_result.value == result.value
-    report = hardware.context().multiplier.reports[-1]
+    report = hardware.context().multiplier.last_report
     print("Engine(backend='modsram'): cycle-accurate 8T-SRAM model")
     print(f"  main-loop cycles: {report.iteration_cycles}  (paper: 767)")
     print(f"  latency         : {report.latency_us:.2f} us "

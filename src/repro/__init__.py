@@ -49,9 +49,9 @@ bit-identical products and cycle reports —
 
 ``Engine(backend="modsram-chip")`` scales out to an N-macro chip whose
 scheduler dispatches the multiplication stream with LUT-reuse-aware
-placement (``ModSRAMChipBackend(macros=16)`` for custom sizes); the
-``chip-scaling`` experiment and ``repro chip`` sweep throughput versus
-macro count on real workload streams.  Backend capability metadata
+placement (``MultiplierBackend("modsram-chip", macros=16)`` for custom
+sizes); the ``chip-scaling`` experiment and ``repro chip`` sweep
+throughput versus macro count on real workload streams.  Backend capability metadata
 (``info.fidelity`` / ``info.macros``) distinguishes the tiers in
 ``repro backends --json``.
 

@@ -1041,12 +1041,7 @@ def _command_cluster_loadtest(arguments: argparse.Namespace) -> int:
 def _command_backends(arguments: argparse.Namespace) -> int:
     infos = [get_backend(name).info for name in available_backends()]
     if arguments.json:
-        from repro.engine import global_cache_stats
-
-        payload = {
-            "backends": [info.as_dict() for info in infos],
-            "context_cache": global_cache_stats().as_dict(),
-        }
+        payload = {"backends": [info.as_dict() for info in infos]}
         print(json.dumps(payload, indent=2))
         return 0
     rows = []

@@ -22,6 +22,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.modsram.chip import SCHEDULER_POLICIES
+from repro.modsram.fidelity import Fidelity
 from repro.modsram.geometry import SUPPORTED_RADICES, MacroGeometry
 
 __all__ = [
@@ -42,7 +43,7 @@ DSE_WORKLOADS = ("ecdsa-sign", "scalar-mult", "ntt", "msm", "mixed")
 #: is pure closed form; ``cycle`` and ``hdl`` additionally race one seeded
 #: multiplication through the executable tier and require field-by-field
 #: report agreement (radix-4, single-bank, 8-overflow-row geometries only).
-DSE_FIDELITIES = ("analytical", "cycle", "hdl")
+DSE_FIDELITIES = tuple(tier.value for tier in Fidelity)
 
 #: The executable memory map's row floor (operands + radix-4 LUTs +
 #: intermediates); configs below it cannot be built even when a smaller

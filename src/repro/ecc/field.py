@@ -13,15 +13,12 @@ multiplications, additions and inversions a kernel performs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.core.algorithms.base import ModularMultiplier
 from repro.core.algorithms.schoolbook import SchoolbookMultiplier
 from repro.errors import ModulusError, OperandRangeError
 from repro.instrumentation import OperationCounter
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.engine.engine import Engine
 
 __all__ = ["PrimeField", "FieldElement"]
 
@@ -42,20 +39,6 @@ class PrimeField:
         self.modulus = modulus
         self.multiplier = multiplier or SchoolbookMultiplier()
         self.counter = counter or OperationCounter("field")
-
-    @classmethod
-    def from_engine(
-        cls, engine: "Engine", modulus: Optional[int] = None
-    ) -> "PrimeField":
-        """The engine-backed field for ``modulus`` (or the engine default).
-
-        Delegates to :meth:`repro.engine.Engine.field`, so the returned
-        field shares the engine's cached per-modulus multiplier context —
-        the recommended way to wire ECC code to a backend since the Engine
-        API redesign.  Constructing ``PrimeField(modulus, multiplier=...)``
-        directly keeps working as before.
-        """
-        return engine.field(modulus)
 
     # ------------------------------------------------------------------ #
     # element construction

@@ -22,21 +22,13 @@ from repro.engine.backend import (
     Backend,
     BackendInfo,
     EngineContext,
-    ModSRAMBackend,
-    ModSRAMChipBackend,
-    ModSRAMFastBackend,
     MultiplierBackend,
     PimBaselineBackend,
     available_backends,
     get_backend,
     register_backend,
 )
-from repro.engine.cache import (
-    CacheStats,
-    ContextCache,
-    global_cache_stats,
-    reset_global_cache_stats,
-)
+from repro.engine.cache import CacheStats, ContextCache
 from repro.engine.engine import BatchResult, Engine, EngineStats, MultiplyResult
 from repro.engine.spec import EngineSpec
 
@@ -50,15 +42,10 @@ __all__ = [
     "EngineContext",
     "EngineSpec",
     "EngineStats",
-    "ModSRAMBackend",
-    "ModSRAMChipBackend",
-    "ModSRAMFastBackend",
     "MultiplierBackend",
     "MultiplyResult",
     "PimBaselineBackend",
     "available_backends",
     "get_backend",
-    "global_cache_stats",
     "register_backend",
-    "reset_global_cache_stats",
 ]

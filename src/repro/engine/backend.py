@@ -13,11 +13,13 @@ through one :class:`Backend` interface:
   tables and ModSRAM macro sizing are derived exactly once per modulus and
   then shared by every caller through the engine's context cache.
 
-The registry mirrors the multiplier registry (same names: ``"r4csa-lut"``,
-``"montgomery"``, ``"modsram"``, ...) and adds the Table 3 PIM baselines
-under ``pim-*`` aliases (``"pim-mentt"``, ``"pim-bpntt"``, ...), whose
-functional results come from the schoolbook oracle while their cycle models
-come from the published design data.
+The registry wraps every registered multiplier in a
+:class:`MultiplierBackend` under the multiplier's name (``"r4csa-lut"``,
+``"montgomery"``, ``"modsram"``, ...), which reads the ModSRAM tier
+adapters' tier and macro count from the adapter itself, and adds the
+Table 3 PIM baselines under ``pim-*`` aliases (``"pim-mentt"``,
+``"pim-bpntt"``, ...), whose functional results come from the schoolbook
+oracle while their cycle models come from the published design data.
 """
 
 from __future__ import annotations
@@ -39,9 +41,6 @@ __all__ = [
     "EngineContext",
     "Backend",
     "MultiplierBackend",
-    "ModSRAMBackend",
-    "ModSRAMChipBackend",
-    "ModSRAMFastBackend",
     "PimBaselineBackend",
     "register_backend",
     "get_backend",
@@ -149,33 +148,31 @@ class Backend(abc.ABC):
 class MultiplierBackend(Backend):
     """Adapter exposing a registered :class:`ModularMultiplier` as a backend.
 
-    ``create_context`` instantiates a fresh multiplier per modulus and warms
-    it through :meth:`ModularMultiplier.prepare` (Montgomery constants,
-    Barrett reciprocals, R4CSA-LUT overflow tables, ModSRAM macro sizing),
-    so the first batched call already runs hot.
+    ``multiplier_kwargs`` go to the multiplier's constructor, for example
+    ``MultiplierBackend("modsram-chip", macros=8)``.  ``create_context``
+    instantiates a fresh multiplier per modulus and warms it through
+    :meth:`ModularMultiplier.prepare` (Montgomery constants, Barrett
+    reciprocals, R4CSA-LUT overflow tables, ModSRAM macro sizing), so the
+    first batched call already runs hot.  A multiplier that names a
+    simulation ``tier`` (the ModSRAM adapters) makes an accelerator
+    backend of that tier, with the adapter's macro count.
     """
 
-    def __init__(
-        self,
-        multiplier_name: str,
-        kind: str = "software",
-        supported_bitwidths: Optional[Tuple[int, ...]] = None,
-        info_fidelity: Optional[str] = None,
-        info_macros: Optional[int] = None,
-        **multiplier_kwargs: Any,
-    ) -> None:
+    def __init__(self, multiplier_name: str, **multiplier_kwargs: Any) -> None:
+        import repro.modsram.multiplier  # noqa: F401 - registers the adapters
+
         self._multiplier_cls = get_multiplier(multiplier_name)
-        self._multiplier_kwargs = dict(multiplier_kwargs)
+        self._multiplier_kwargs = multiplier_kwargs
         probe = self._new_multiplier()
+        tier = getattr(probe, "tier", None)
         self.info = BackendInfo(
             name=multiplier_name,
             description=probe.description or type(probe).__doc__ or "",
-            kind=kind,
+            kind="software" if tier is None else "accelerator",
             has_cycle_model=probe.cycles(256) is not None,
             direct_form=probe.direct_form,
-            supported_bitwidths=supported_bitwidths,
-            fidelity=info_fidelity,
-            macros=info_macros,
+            fidelity=tier,
+            macros=getattr(probe, "macros", None),
         )
 
     def _new_multiplier(self) -> ModularMultiplier:
@@ -198,65 +195,6 @@ class MultiplierBackend(Backend):
         if not self.info.has_cycle_model:
             return None
         return self._new_multiplier().cycles(bitwidth)
-
-
-class ModSRAMBackend(MultiplierBackend):
-    """The cycle-accurate ModSRAM accelerator behind the backend interface.
-
-    Warming a context provisions the simulated macro for the modulus
-    bitwidth; the adapter's cycle reports stay reachable through
-    ``context.multiplier.reports`` for callers that want measured rather
-    than analytic cycle counts.
-    """
-
-    def __init__(self, config: Optional[object] = None) -> None:
-        import repro.modsram.multiplier  # noqa: F401 - registers the adapters
-
-        kwargs = {"config": config} if config is not None else {}
-        super().__init__(
-            "modsram", kind="accelerator", info_fidelity="cycle", **kwargs
-        )
-
-
-class ModSRAMFastBackend(MultiplierBackend):
-    """The analytical tier (``modsram-fast``) behind the backend interface.
-
-    Products and cycle reports are identical to ``modsram``; the
-    recurrence runs as one word-level loop instead of on the SRAM
-    substrate, about 30x faster at 256 bits.
-    """
-
-    def __init__(self, config: Optional[object] = None) -> None:
-        import repro.modsram.multiplier  # noqa: F401 - registers the adapters
-
-        kwargs = {"config": config} if config is not None else {}
-        super().__init__(
-            "modsram-fast", kind="accelerator", info_fidelity="analytical",
-            **kwargs,
-        )
-
-
-class ModSRAMChipBackend(MultiplierBackend):
-    """An N-macro ModSRAM chip (``modsram-chip``) behind the backend interface.
-
-    Each multiplication is dispatched LUT-reuse-aware across ``macros``
-    analytical macros; ``context.multiplier.activity()`` exposes the
-    chip-level schedule (per-macro load, reuse rate, throughput).
-    """
-
-    def __init__(self, config: Optional[object] = None, macros: int = 4) -> None:
-        import repro.modsram.multiplier  # noqa: F401 - registers the adapters
-
-        kwargs: Dict[str, Any] = {"macros": macros}
-        if config is not None:
-            kwargs["config"] = config
-        super().__init__(
-            "modsram-chip",
-            kind="accelerator",
-            info_fidelity="analytical",
-            info_macros=macros,
-            **kwargs,
-        )
 
 
 class PimBaselineBackend(Backend):
@@ -317,27 +255,14 @@ def _build_default_backends() -> None:
     global _DEFAULTS_BUILT
     if _DEFAULTS_BUILT:
         return
-    # Importing these modules registers the multiplier adapter and the
+    # Importing these modules registers the ModSRAM tier adapters and the
     # Table 3 design specs as side effects.
     import repro.baselines  # noqa: F401
     import repro.modsram.multiplier  # noqa: F401
     from repro.baselines.base import available_designs
-    from repro.hdl.multiplier import ModSRAMHdlBackend
 
-    # Backends needing a richer adapter than the plain MultiplierBackend.
-    special_backends = {
-        "modsram": ModSRAMBackend,
-        "modsram-fast": ModSRAMFastBackend,
-        "modsram-chip": ModSRAMChipBackend,
-        "modsram-hdl": ModSRAMHdlBackend,
-    }
     for name in available_multipliers():
-        if name in _REGISTRY:
-            continue
-        backend_cls = special_backends.get(name)
-        if backend_cls is not None:
-            _REGISTRY[name] = backend_cls()
-        else:
+        if name not in _REGISTRY:
             _REGISTRY[name] = MultiplierBackend(name)
     for key in available_designs():
         if key == "modsram":  # covered by the accelerator backend above

@@ -12,7 +12,6 @@ per call.
 from __future__ import annotations
 
 import threading
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple, TYPE_CHECKING
@@ -25,8 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 __all__ = [
     "CacheStats",
     "ContextCache",
-    "global_cache_stats",
-    "reset_global_cache_stats",
 ]
 
 
@@ -92,62 +89,6 @@ class CacheStats:
         self.hits = self.misses = self.evictions = 0
 
 
-#: Process-wide observability: every live :class:`ContextCache` registers
-#: here, and the counters of collected caches fold into a retired total,
-#: so ``repro backends --json`` and the serving layer can report
-#: process-wide cache behaviour *without* the hot lookup path ever taking
-#: a global lock — the totals are summed lazily at read time.
-_CACHES: "weakref.WeakSet[ContextCache]" = weakref.WeakSet()
-_RETIRED = CacheStats()
-_BASELINE = CacheStats()
-# Re-entrant: a GC pass triggered by an allocation made while this lock is
-# held can run a dead cache's finalize callback (_fold_retired) on the same
-# thread, which must be able to re-acquire the lock instead of deadlocking.
-_GLOBAL_LOCK = threading.RLock()
-
-
-def _fold_retired(stats: CacheStats) -> None:
-    with _GLOBAL_LOCK:
-        _RETIRED.hits += stats.hits
-        _RETIRED.misses += stats.misses
-        _RETIRED.evictions += stats.evictions
-
-
-def _current_totals() -> CacheStats:
-    with _GLOBAL_LOCK:
-        totals = _RETIRED.snapshot()
-        for cache in _CACHES:
-            stats = cache.stats
-            totals.hits += stats.hits
-            totals.misses += stats.misses
-            totals.evictions += stats.evictions
-    return totals
-
-
-def global_cache_stats() -> CacheStats:
-    """Snapshot of the process-wide context-cache counters."""
-    totals = _current_totals()
-    with _GLOBAL_LOCK:
-        return CacheStats(
-            hits=max(totals.hits - _BASELINE.hits, 0),
-            misses=max(totals.misses - _BASELINE.misses, 0),
-            evictions=max(totals.evictions - _BASELINE.evictions, 0),
-        )
-
-
-def reset_global_cache_stats() -> None:
-    """Zero the process-wide view (test isolation).
-
-    Live caches keep their own counters; the global view simply rebases
-    against the current totals.
-    """
-    totals = _current_totals()
-    with _GLOBAL_LOCK:
-        _BASELINE.hits = totals.hits
-        _BASELINE.misses = totals.misses
-        _BASELINE.evictions = totals.evictions
-
-
 class ContextCache:
     """Least-recently-used cache keyed by ``(backend name, modulus)``.
 
@@ -175,11 +116,6 @@ class ContextCache:
         self._on_evict = on_evict
         self._lock = threading.RLock()
         self._entries: "OrderedDict[Tuple[str, int], EngineContext]" = OrderedDict()
-        # Process-wide observability: registered while alive, counters
-        # folded into the retired totals on collection.
-        with _GLOBAL_LOCK:
-            _CACHES.add(self)
-        weakref.finalize(self, _fold_retired, self.stats)
 
     def get_or_create(
         self, backend: "Backend", modulus: int

@@ -26,7 +26,6 @@ from repro.hdl.eventsim import (
     HdlRunTrace,
 )
 from repro.hdl.ir import HdlError, Module
-from repro.hdl.multiplier import ModSRAMHdlBackend, ModSRAMHdlMultiplier
 from repro.hdl.verilog import design_file_names, emit_design, emit_module
 
 __all__ = [
@@ -39,8 +38,6 @@ __all__ = [
     "HdlRunTrace",
     "HdlError",
     "Module",
-    "ModSRAMHdlBackend",
-    "ModSRAMHdlMultiplier",
     "design_file_names",
     "emit_design",
     "emit_module",

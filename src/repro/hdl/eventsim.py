@@ -586,6 +586,8 @@ class HdlModSRAM:
     cross-check.
     """
 
+    tier = "hdl"
+
     def __init__(self, config: Optional[ModSRAMConfig] = None) -> None:
         self.config = config or ModSRAMConfig()
         self.macro = HdlMacroSim(self.config)

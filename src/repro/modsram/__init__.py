@@ -4,7 +4,7 @@ The package is a *layered simulation core*: the R4CSA-LUT algorithm at
 two fidelity tiers —
 ``analytical`` (:class:`AnalyticalModSRAM`: exact closed-form cycle/energy
 reports) and ``cycle`` (:class:`ModSRAMAccelerator`: the word-line-accurate
-SRAM model with pluggable :class:`TraceSink` collection).
+SRAM model, with an opt-in per-cycle trace).
 :func:`build_simulator` selects a tier by name, the RTL event simulator of
 :mod:`repro.hdl` (``hdl``) included.  The cycle tier runs the per-step
 body of :mod:`repro.modsram.kernel`; the analytical tier runs the same
@@ -14,8 +14,8 @@ whose scheduler dispatches multiplication streams with LUT-reuse-aware
 placement.  The surrounding modules provide the memory map, the
 near-memory datapath, the controller FSM, the area model behind Figure 5
 and the multiplier adapters (``modsram``, ``modsram-fast``,
-``modsram-chip``) that plug the tiers into any code written against the
-generic multiplier interface.
+``modsram-chip``, ``modsram-hdl``) that plug the tiers into any code
+written against the generic multiplier interface.
 """
 
 from repro.modsram.accelerator import (
@@ -49,11 +49,12 @@ from repro.modsram.geometry import SUPPORTED_RADICES, MacroGeometry
 from repro.modsram.controller import Controller, ControllerState, CycleBudget
 from repro.modsram.datapath import DatapathStats, NearMemoryDatapath
 from repro.modsram.fidelity import Fidelity, build_simulator
-from repro.modsram.kernel import KernelHost, KernelOutcome, LutResidency, run_kernel
+from repro.modsram.kernel import KernelOutcome, LutResidency, run_kernel
 from repro.modsram.memory_map import MemoryMap, MemoryUtilization
 from repro.modsram.multiplier import (
     ModSRAMChipMultiplier,
     ModSRAMFastMultiplier,
+    ModSRAMHdlMultiplier,
     ModSRAMMultiplier,
 )
 from repro.modsram.scheduler import (
@@ -62,7 +63,6 @@ from repro.modsram.scheduler import (
     ScheduledMultiplication,
 )
 from repro.modsram.trace import CycleEvent, ExecutionTrace, Phase
-from repro.modsram.tracesink import NULL_SINK, NullTraceSink, TraceSink
 from repro.modsram.verification import (
     EquivalenceChecker,
     VerificationCase,
@@ -92,7 +92,6 @@ __all__ = [
     "ExecutionTrace",
     "FastHost",
     "Fidelity",
-    "KernelHost",
     "KernelOutcome",
     "LutResidency",
     "MemoryMap",
@@ -101,12 +100,11 @@ __all__ = [
     "ModSRAMChipMultiplier",
     "ModSRAMConfig",
     "ModSRAMFastMultiplier",
+    "ModSRAMHdlMultiplier",
     "ModSRAMMultiplier",
     "MultiplicationJob",
     "MultiplicationResult",
-    "NULL_SINK",
     "NearMemoryDatapath",
-    "NullTraceSink",
     "PAPER_AREA_MM2",
     "PAPER_AREA_OVERHEAD_PERCENT",
     "PAPER_BREAKDOWN_PERCENT",
@@ -115,7 +113,6 @@ __all__ = [
     "PointOperationSchedule",
     "PointOperationScheduler",
     "ScheduledMultiplication",
-    "TraceSink",
     "VerificationCase",
     "VerificationReport",
     "build_simulator",

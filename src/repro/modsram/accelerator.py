@@ -12,12 +12,10 @@ oracle in the tests) and a cycle/area/energy report that reproduces the
 paper's evaluation numbers (767 main-loop cycles at 256 bits under the
 paper's schedule).
 
-Trace collection is a pluggable :class:`~repro.modsram.tracesink.TraceSink`:
-the default run allocates no per-cycle events at all; pass ``trace=True``
-(or an explicit ``trace_sink``) to collect the full Figure 3-style
-walk-through.  The cheaper **analytical** tier lives in
-:mod:`repro.modsram.analytical` and runs the same recurrence without the
-SRAM substrate.
+The default run allocates no per-cycle events at all; pass ``trace=True``
+to collect the full Figure 3-style walk-through.  The cheaper
+**analytical** tier lives in :mod:`repro.modsram.analytical` and runs the
+same recurrence without the SRAM substrate.
 """
 
 from __future__ import annotations
@@ -28,16 +26,10 @@ from repro.instrumentation import OperationCounter
 from repro.modsram.config import ModSRAMConfig
 from repro.modsram.controller import Controller, ControllerState
 from repro.modsram.datapath import NearMemoryDatapath
-from repro.modsram.kernel import (
-    NMC_COUNTER_OF_KIND,
-    KernelHost,
-    LutResidency,
-    run_kernel,
-)
+from repro.modsram.kernel import NMC_COUNTER_OF_KIND, LutResidency, run_kernel
 from repro.modsram.memory_map import MemoryMap
 from repro.modsram.report import CycleReport, MultiplicationResult
 from repro.modsram.trace import CycleEvent, ExecutionTrace, Phase
-from repro.modsram.tracesink import NULL_SINK, TraceSink
 from repro.sram.array import SramArray
 from repro.sram.decoder import DecoderBank
 from repro.sram.sense_amp import LogicSenseAmpModule
@@ -45,14 +37,18 @@ from repro.sram.sense_amp import LogicSenseAmpModule
 __all__ = ["CycleReport", "MultiplicationResult", "ModSRAMAccelerator"]
 
 
-class ModSRAMAccelerator(KernelHost):
-    """Executes 256-bit (or any configured width) modular multiplication in SRAM."""
+class ModSRAMAccelerator:
+    """Executes 256-bit (or any configured width) modular multiplication in SRAM.
+
+    The host :func:`~repro.modsram.kernel.run_kernel` runs against: it
+    provides the storage rows, the near-memory datapath registers and the
+    per-step accounting, and each of its access methods is one clock cycle.
+    """
+
+    tier = "cycle"
 
     def __init__(
-        self,
-        config: Optional[ModSRAMConfig] = None,
-        trace: bool = False,
-        trace_sink: Optional[TraceSink] = None,
+        self, config: Optional[ModSRAMConfig] = None, trace: bool = False
     ) -> None:
         self.config = config or ModSRAMConfig()
         self.memory_map = MemoryMap(self.config)
@@ -68,26 +64,24 @@ class ModSRAMAccelerator(KernelHost):
         self.decoders = DecoderBank.for_array(self.config.rows)
         self.datapath = NearMemoryDatapath(self.config)
         self.counter = OperationCounter("modsram")
-        self.trace_enabled = trace or trace_sink is not None
-        #: Legacy per-multiplication trace; rebuilt on each multiply when the
-        #: accelerator owns its sink (``trace=True``).
-        self.trace = ExecutionTrace(enabled=trace and trace_sink is None)
-        self._external_sink = trace_sink
-        self._sink: TraceSink = trace_sink if trace_sink is not None else (
-            self.trace if trace else NULL_SINK
-        )
+        self.trace_enabled = trace
+        #: The last multiplication's trace, rebuilt on each multiply; its
+        #: events are only constructed with ``trace=True``.
+        self.trace = ExecutionTrace(enabled=trace)
         self._controller: Optional[Controller] = None
         # Resident LUT state for data reuse across multiplications.
         self.lut_residency = LutResidency()
 
     # ------------------------------------------------------------------ #
-    # kernel-host interface (each array access is one clock cycle)
+    # kernel host (each array access is one clock cycle)
     # ------------------------------------------------------------------ #
     def transition(self, state: ControllerState) -> None:
+        """Move the controller FSM."""
         assert self._controller is not None
         self._controller.transition(state)
 
     def begin_iteration(self, iteration: int) -> None:
+        """Mark the start of a main-loop iteration."""
         assert self._controller is not None
         self._controller.begin_iteration(iteration)
 
@@ -99,13 +93,13 @@ class ModSRAMAccelerator(KernelHost):
         iteration: Optional[int] = None,
         note: str = "",
     ) -> None:
+        """Write a full row through the write port (one cycle)."""
         self.decoders.write_decoder.decode([row])
         self.array.write_row(row, value)
         cycle = self._controller.tick(phase)
         self.counter.increment("memory_write")
-        sink = self._sink
-        if sink.active:
-            sink.record(
+        if self.trace_enabled:
+            self.trace.record(
                 CycleEvent(
                     cycle=cycle,
                     phase=phase,
@@ -122,13 +116,13 @@ class ModSRAMAccelerator(KernelHost):
         iteration: Optional[int] = None,
         note: str = "",
     ) -> int:
+        """Read one row through the read port (one cycle)."""
         self.decoders.read_decoder.decode([row])
         readout = self.array.activate_rows([row])
         cycle = self._controller.tick(phase)
         self.counter.increment("memory_read")
-        sink = self._sink
-        if sink.active:
-            sink.record(
+        if self.trace_enabled:
+            self.trace.record(
                 CycleEvent(
                     cycle=cycle,
                     phase=phase,
@@ -146,14 +140,17 @@ class ModSRAMAccelerator(KernelHost):
         iteration: Optional[int] = None,
         kind: str = "nmc",
     ) -> None:
-        """One clock cycle spent purely in the near-memory circuit."""
+        """One clock cycle spent purely in the near-memory circuit.
+
+        ``kind`` names the operation for the accounting:
+        ``"lut_compute"``, ``"full_add"`` or ``"subtract"``.
+        """
         cycle = self._controller.tick(phase)
         counter_name = NMC_COUNTER_OF_KIND.get(kind)
         if counter_name is not None:
             self.counter.increment(counter_name)
-        sink = self._sink
-        if sink.active:
-            sink.record(
+        if self.trace_enabled:
+            self.trace.record(
                 CycleEvent(cycle=cycle, phase=phase, iteration=iteration, note=note)
             )
 
@@ -171,9 +168,8 @@ class ModSRAMAccelerator(KernelHost):
         result = self.sense_module.evaluate(readout)
         cycle = self._controller.tick(phase)
         self.counter.increment("imc_access")
-        sink = self._sink
-        if sink.active:
-            sink.record(
+        if self.trace_enabled:
+            self.trace.record(
                 CycleEvent(
                     cycle=cycle,
                     phase=phase,
@@ -190,11 +186,7 @@ class ModSRAMAccelerator(KernelHost):
     # ------------------------------------------------------------------ #
     def multiply(self, a: int, b: int, modulus: int) -> MultiplicationResult:
         """Compute ``a * b mod modulus`` on the simulated macro."""
-        if self._external_sink is None:
-            # The accelerator owns its trace: one ExecutionTrace per run,
-            # enabled only when the caller opted in at construction.
-            self.trace = ExecutionTrace(enabled=self.trace_enabled)
-            self._sink = self.trace if self.trace_enabled else NULL_SINK
+        self.trace = ExecutionTrace(enabled=self.trace_enabled)
         self._controller = Controller(self.config.iterations)
 
         outcome = run_kernel(self, a, b, modulus)

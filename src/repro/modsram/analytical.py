@@ -376,6 +376,8 @@ class AnalyticalModSRAM:
     (:class:`AnalyticalCostModel` directly).
     """
 
+    tier = "analytical"
+
     def __init__(
         self,
         config: Optional[ModSRAMConfig] = None,

@@ -434,6 +434,8 @@ class Chip:
     same :class:`ChipSchedule` shape the abstract scheduler produces.
     """
 
+    tier = AnalyticalModSRAM.tier
+
     def __init__(
         self,
         macros: int = 4,

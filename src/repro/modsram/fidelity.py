@@ -13,7 +13,8 @@ against the cycle tier in ``tests/modsram/test_fidelity.py``.
     (:class:`~repro.modsram.analytical.AnalyticalModSRAM`)
 ``cycle``
     The word-line-accurate model with the controller FSM, the logic-SA
-    sense amplifiers and opt-in trace sinks, one kernel step per cycle.
+    sense amplifiers and an opt-in per-cycle trace, one kernel step per
+    cycle.
     (:class:`~repro.modsram.accelerator.ModSRAMAccelerator`)
 ``hdl``
     Event-driven co-simulation of the elaborated RTL: the same schedule as
@@ -34,7 +35,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError, TierMismatchError
 from repro.modsram.accelerator import ModSRAMAccelerator
@@ -72,35 +73,30 @@ class Fidelity(str, Enum):
             ) from None
 
 
+def _hdl_simulator(config: Optional[ModSRAMConfig]):
+    # imported lazily: repro.hdl depends on repro.modsram, and eagerly
+    # importing it here would close an import cycle.
+    from repro.hdl.eventsim import HdlModSRAM
+
+    return HdlModSRAM(config)
+
+
+#: The simulator of each tier: the one place that says which class runs
+#: which tier.  Every simulator class and multiplier adapter names its own
+#: tier (``tier``), and the engine backends read it from their adapter.
+_SIMULATORS: Dict[Fidelity, Callable[[Optional[ModSRAMConfig]], object]] = {
+    Fidelity.ANALYTICAL: AnalyticalModSRAM,
+    Fidelity.CYCLE: ModSRAMAccelerator,
+    Fidelity.HDL: _hdl_simulator,
+}
+
+
 def build_simulator(
     fidelity: Union[str, Fidelity] = Fidelity.CYCLE,
     config: Optional[ModSRAMConfig] = None,
 ):
     """Instantiate the simulator for a fidelity tier (string or enum)."""
-    tier = Fidelity.coerce(fidelity)
-    if tier is Fidelity.HDL:
-        # imported lazily: repro.hdl depends on repro.modsram, and eagerly
-        # importing it here would close an import cycle.
-        from repro.hdl.eventsim import HdlModSRAM
-
-        return HdlModSRAM(config)
-    if tier is Fidelity.ANALYTICAL:
-        return AnalyticalModSRAM(config)
-    return ModSRAMAccelerator(config)
-
-
-#: The tier each simulator class runs, by class name (the hdl tier is only
-#: imported lazily), for check names and error messages.
-_TIER_NAMES = {
-    "AnalyticalModSRAM": Fidelity.ANALYTICAL.value,
-    "ModSRAMAccelerator": Fidelity.CYCLE.value,
-    "HdlModSRAM": Fidelity.HDL.value,
-}
-
-
-def _tier_name(simulator) -> str:
-    name = type(simulator).__name__
-    return _TIER_NAMES.get(name, name)
+    return _SIMULATORS[Fidelity.coerce(fidelity)](config)
 
 
 @dataclass(frozen=True)
@@ -134,7 +130,7 @@ def cross_check(simulators: Sequence, a: int, b: int, modulus: int) -> TierCheck
         began = time.perf_counter()
         result = simulator.multiply(a, b, modulus)
         seconds.append(time.perf_counter() - began)
-        tier = _tier_name(simulator)
+        tier = simulator.tier
         if result.product != oracle:
             failed.append(f"{tier} product")
         if results and result.report != results[0].report:
@@ -158,7 +154,7 @@ def checked_multiply(simulator, a: int, b: int, modulus: int) -> MultiplicationR
     check = cross_check((reference, simulator), a, b, modulus)
     if check.failed:
         raise TierMismatchError(
-            f"{_tier_name(simulator)} tier at {simulator.config.bitwidth} "
+            f"{simulator.tier} tier at {simulator.config.bitwidth} "
             f"bits failed {', '.join(check.failed)} for a={a:#x}, b={b:#x}, "
             f"modulus={modulus:#x}"
         )

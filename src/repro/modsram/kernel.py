@@ -4,9 +4,10 @@
 radix-4/overflow LUTs, iterate Booth digit + overflow-fold carry-save
 additions, finalise — as the sequence of word-line writes, reads,
 logic-SA accesses and near-memory cycles the controller schedules, each
-one a call on a :class:`KernelHost`.  It drives the **cycle** tier
+one a call on its host, the **cycle** tier
 (:class:`~repro.modsram.accelerator.ModSRAMAccelerator`), whose SRAM
-substrate, controller FSM, trace sinks and noisy logic-SA need every step.
+substrate, controller FSM, per-cycle trace and noisy logic-SA need every
+step.
 
 The analytical tier (:mod:`repro.modsram.analytical`) runs the same
 recurrence as one word-level loop,
@@ -21,9 +22,8 @@ by both paths.
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.core.luts import (
     RADIX4_DIGIT_ORDER,
@@ -35,11 +35,12 @@ from repro.core.luts import (
 from repro.errors import ControllerError, OperandRangeError
 from repro.modsram.config import OVERFLOW_LUT_ROWS, ModSRAMConfig
 from repro.modsram.controller import ControllerState
-from repro.modsram.memory_map import MemoryMap
 from repro.modsram.trace import Phase
 
+if TYPE_CHECKING:  # pragma: no cover - the accelerator imports this module
+    from repro.modsram.accelerator import ModSRAMAccelerator
+
 __all__ = [
-    "KernelHost",
     "KernelOutcome",
     "LutResidency",
     "NMC_COUNTER_OF_KIND",
@@ -50,7 +51,7 @@ __all__ = [
 ]
 
 #: Counter name charged for each near-memory cycle ``kind`` the kernel
-#: passes to :meth:`KernelHost.nmc_cycle`; the analytical tier charges the
+#: passes to its host's ``nmc_cycle``; the analytical tier charges the
 #: same names, so the tiers' operation counts cannot drift apart.
 NMC_COUNTER_OF_KIND = {
     "lut_compute": "nmc_compute",
@@ -86,76 +87,6 @@ class KernelOutcome:
     #: Conditional subtractions performed during finalisation (each is one
     #: near-memory cycle in the cycle-accurate schedule).
     finalize_subtractions: int
-
-
-class KernelHost(abc.ABC):
-    """Execution substrate the per-step algorithm body runs against.
-
-    A host provides storage rows, the near-memory datapath registers and the
-    per-step accounting.  Every method maps to exactly one clock cycle in
-    the cycle-accurate schedule.  The cycle tier is the host; the
-    analytical tier runs the word-level loop of
-    :class:`~repro.modsram.analytical.FastHost` instead.
-    """
-
-    config: ModSRAMConfig
-    memory_map: MemoryMap
-    datapath: "object"  # NearMemoryDatapath-compatible
-    lut_residency: LutResidency
-
-    @abc.abstractmethod
-    def transition(self, state: ControllerState) -> None:
-        """Move the controller FSM."""
-
-    @abc.abstractmethod
-    def begin_iteration(self, iteration: int) -> None:
-        """Mark the start of a main-loop iteration."""
-
-    @abc.abstractmethod
-    def write_row(
-        self,
-        phase: Phase,
-        row: int,
-        value: int,
-        iteration: Optional[int] = None,
-        note: str = "",
-    ) -> None:
-        """Write a full row through the write port (one cycle)."""
-
-    @abc.abstractmethod
-    def read_row(
-        self,
-        phase: Phase,
-        row: int,
-        iteration: Optional[int] = None,
-        note: str = "",
-    ) -> int:
-        """Read one row through the read port (one cycle)."""
-
-    @abc.abstractmethod
-    def nmc_cycle(
-        self,
-        phase: Phase,
-        note: str,
-        iteration: Optional[int] = None,
-        kind: str = "nmc",
-    ) -> None:
-        """One cycle spent purely in the near-memory circuit.
-
-        ``kind`` names the operation for the host's accounting:
-        ``"lut_compute"``, ``"full_add"`` or ``"subtract"``.
-        """
-
-    @abc.abstractmethod
-    def imc_access(
-        self,
-        phase: Phase,
-        rows: Tuple[int, int, int],
-        iteration: int,
-        digit: Optional[int] = None,
-        overflow_index: Optional[int] = None,
-    ) -> Tuple[int, int]:
-        """One logic-SA access: activate three rows, sense XOR3 and MAJ."""
 
 
 def validate_operands(config: ModSRAMConfig, a: int, b: int, modulus: int) -> None:
@@ -212,7 +143,7 @@ def fill_luts(
     return radix4, overflow, compute_cycles
 
 
-def _load_operands(host: KernelHost, a: int, b: int, modulus: int) -> None:
+def _load_operands(host: ModSRAMAccelerator, a: int, b: int, modulus: int) -> None:
     """Write A, B, p to their word lines and latch the multiplier."""
     host.transition(ControllerState.LOAD)
     mm = host.memory_map
@@ -229,7 +160,7 @@ def _load_operands(host: KernelHost, a: int, b: int, modulus: int) -> None:
     host.datapath.set_pending_carry_out(0)
 
 
-def _precompute_luts(host: KernelHost, b: int, modulus: int) -> bool:
+def _precompute_luts(host: ModSRAMAccelerator, b: int, modulus: int) -> bool:
     """Fill the radix-4 and overflow LUT word lines.
 
     Returns ``True`` when the resident tables were reused (same multiplicand
@@ -262,7 +193,7 @@ def _precompute_luts(host: KernelHost, b: int, modulus: int) -> bool:
 
 
 def _carry_save_step(
-    host: KernelHost,
+    host: ModSRAMAccelerator,
     phase: Phase,
     lut_row: int,
     iteration: int,
@@ -303,7 +234,7 @@ def _carry_save_step(
 
 
 def _writeback(
-    host: KernelHost,
+    host: ModSRAMAccelerator,
     value: int,
     row: int,
     msb_setter: str,
@@ -330,7 +261,7 @@ def _writeback(
     return overflow
 
 
-def _run_iterations(host: KernelHost) -> Tuple[int, int, int, int]:
+def _run_iterations(host: ModSRAMAccelerator) -> Tuple[int, int, int, int]:
     """Execute the main loop; returns (sum, carry, pending, extra_folds)."""
     mm = host.memory_map
     iterations = host.config.iterations
@@ -416,7 +347,11 @@ def _run_iterations(host: KernelHost) -> Tuple[int, int, int, int]:
 
 
 def _finalize(
-    host: KernelHost, sum_word: int, carry_word: int, pending: int, modulus: int
+    host: ModSRAMAccelerator,
+    sum_word: int,
+    carry_word: int,
+    pending: int,
+    modulus: int,
 ) -> Tuple[int, int]:
     """Final full addition and reduction performed near-memory.
 
@@ -447,7 +382,7 @@ def _finalize(
     return total, subtractions
 
 
-def run_kernel(host: KernelHost, a: int, b: int, modulus: int) -> KernelOutcome:
+def run_kernel(host: ModSRAMAccelerator, a: int, b: int, modulus: int) -> KernelOutcome:
     """Execute one modular multiplication on a host, one step per cycle."""
     validate_operands(host.config, a, b, modulus)
     _load_operands(host, a, b, modulus)

@@ -4,8 +4,9 @@ This lets the ECC field layer, the ZKP kernels and the algorithm test suite
 treat the simulated hardware exactly like any software algorithm: the same
 interface, the same operand preconditions, the same oracle checks.  One
 adapter, :class:`ModSRAMMultiplier`, caches a simulator per operand width
-and accounts its cycle reports; each registered tier supplies only how to
-build its simulator:
+and accounts its cycle reports; each registered adapter names only the
+tier it runs (``tier``), which
+:func:`~repro.modsram.fidelity.build_simulator` builds:
 
 ``modsram``
     The cycle-accurate tier (word-line-level SRAM simulation).
@@ -18,7 +19,7 @@ build its simulator:
     (:class:`~repro.modsram.chip.Chip`).
 ``modsram-hdl``
     The elaborated RTL on the event simulator
-    (:mod:`repro.hdl.multiplier`).
+    (:class:`~repro.hdl.eventsim.HdlModSRAM`).
 
 Each adapter accumulates cycle statistics across calls, which is how the
 application-level examples estimate end-to-end latency on ModSRAM.
@@ -26,26 +27,29 @@ application-level examples estimate end-to-end latency on ModSRAM.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.algorithms.base import ModularMultiplier, register_multiplier
 from repro.errors import ConfigurationError
-from repro.modsram.analytical import AnalyticalModSRAM
-from repro.modsram.accelerator import ModSRAMAccelerator
 from repro.modsram.chip import Chip, ChipSchedule
 from repro.modsram.config import ModSRAMConfig
+from repro.modsram.fidelity import Fidelity, build_simulator
 from repro.modsram.report import CycleReport
 
-__all__ = ["ModSRAMMultiplier", "ModSRAMFastMultiplier", "ModSRAMChipMultiplier"]
+__all__ = [
+    "ModSRAMMultiplier",
+    "ModSRAMFastMultiplier",
+    "ModSRAMChipMultiplier",
+    "ModSRAMHdlMultiplier",
+]
 
 
 @register_multiplier
 class ModSRAMMultiplier(ModularMultiplier):
     """Runs every multiplication through the cycle-level ModSRAM model.
 
-    Subclasses run another tier by overriding :meth:`_new_simulator`;
-    anything it returns must offer ``multiply(a, b, modulus)`` returning a
-    result with ``.product`` and ``.report``.
+    Subclasses run another tier by naming it in :attr:`tier` (and a chip
+    by setting :attr:`macros`); :meth:`simulator_for` builds it.
     """
 
     name = "modsram"
@@ -54,20 +58,28 @@ class ModSRAMMultiplier(ModularMultiplier):
         "simulated 8T SRAM array)."
     )
     direct_form = True
+    #: The fidelity tier every simulator of this adapter runs.
+    tier = Fidelity.CYCLE.value
+    #: Macros per simulator: ``None`` runs one macro of :attr:`tier`.
+    macros: Optional[int] = None
 
     def __init__(self, config: Optional[ModSRAMConfig] = None) -> None:
         super().__init__()
         self._config = config
         self._simulators: Dict[int, object] = {}
-        self.reports: List[CycleReport] = []
+        self._clear_reports()
+
+    def _clear_reports(self) -> None:
+        # Only what the aggregates read is kept, so an adapter that runs
+        # for a process's lifetime holds a fixed amount of report state.
+        self._count = 0
+        self._reused = 0
+        self._iteration_cycles = 0
+        self._last_report: Optional[CycleReport] = None
 
     # ------------------------------------------------------------------ #
     # simulator management
     # ------------------------------------------------------------------ #
-    def _new_simulator(self, config: ModSRAMConfig) -> object:
-        """Build this tier's simulator for one macro configuration."""
-        return ModSRAMAccelerator(config)
-
     def simulator_for(self, modulus: int):
         """Return (and cache) a simulator sized for ``modulus``.
 
@@ -82,7 +94,11 @@ class ModSRAMMultiplier(ModularMultiplier):
             config = ModSRAMConfig().with_bitwidth(bitwidth)
         key = config.bitwidth
         if key not in self._simulators:
-            self._simulators[key] = self._new_simulator(config)
+            self._simulators[key] = (
+                build_simulator(self.tier, config)
+                if self.macros is None
+                else Chip(self.macros, config)
+            )
         return self._simulators[key]
 
     def prepare(self, modulus: int) -> None:
@@ -95,13 +111,22 @@ class ModSRAMMultiplier(ModularMultiplier):
     def _multiply(self, a: int, b: int, modulus: int) -> int:
         result = self.simulator_for(modulus).multiply(a, b, modulus)
         report = result.report
-        self.reports.append(report)
+        self._count += 1
+        self._iteration_cycles += report.iteration_cycles
+        self._last_report = report
         self.stats.iterations += report.iterations
         self.stats.lut_lookups += 2 * report.iterations
         self.stats.carry_save_additions += 2 * report.iterations
-        if not report.lut_reused:
+        if report.lut_reused:
+            self._reused += 1
+        else:
             self.stats.precomputations += 1
         return result.product
+
+    def reset_stats(self) -> None:
+        """Clear the operation counters and the cycle aggregates."""
+        super().reset_stats()
+        self._clear_reports()
 
     def cycles(self, bitwidth: int) -> Optional[int]:
         """Main-loop cycles of a macro sized for ``bitwidth`` operands."""
@@ -115,16 +140,20 @@ class ModSRAMMultiplier(ModularMultiplier):
     # ------------------------------------------------------------------ #
     # aggregate reporting
     # ------------------------------------------------------------------ #
+    @property
+    def last_report(self) -> Optional[CycleReport]:
+        """The latest multiplication's cycle report (``None`` before one)."""
+        return self._last_report
+
     def total_iteration_cycles(self) -> int:
         """Main-loop cycles accumulated over every multiplication so far."""
-        return sum(report.iteration_cycles for report in self.reports)
+        return self._iteration_cycles
 
     def lut_reuse_rate(self) -> float:
         """Fraction of multiplications that reused the resident LUTs."""
-        if not self.reports:
+        if not self._count:
             return 0.0
-        reused = sum(1 for report in self.reports if report.lut_reused)
-        return reused / len(self.reports)
+        return self._reused / self._count
 
 
 @register_multiplier
@@ -141,9 +170,7 @@ class ModSRAMFastMultiplier(ModSRAMMultiplier):
         "Analytical-tier ModSRAM model: the R4CSA-LUT kernel as one "
         "word-level loop with closed-form cycle reports (no SRAM substrate)."
     )
-
-    def _new_simulator(self, config: ModSRAMConfig) -> AnalyticalModSRAM:
-        return AnalyticalModSRAM(config)
+    tier = Fidelity.ANALYTICAL.value
 
 
 @register_multiplier
@@ -161,6 +188,7 @@ class ModSRAMChipMultiplier(ModSRAMMultiplier):
         "N-macro ModSRAM chip: analytical macros with LUT-reuse-aware "
         "chip-level dispatch."
     )
+    tier = Fidelity.ANALYTICAL.value
 
     def __init__(
         self, config: Optional[ModSRAMConfig] = None, macros: int = 4
@@ -169,9 +197,6 @@ class ModSRAMChipMultiplier(ModSRAMMultiplier):
         if macros <= 0:
             raise ConfigurationError(f"macros must be positive, got {macros}")
         self.macros = macros
-
-    def _new_simulator(self, config: ModSRAMConfig) -> Chip:
-        return Chip(self.macros, config)
 
     def activity(self, bitwidth: Optional[int] = None) -> ChipSchedule:
         """Chip-level schedule summary for one provisioned bitwidth.
@@ -189,3 +214,21 @@ class ModSRAMChipMultiplier(ModSRAMMultiplier):
                 )
             bitwidth = next(iter(self._simulators))
         return self._simulators[bitwidth].activity()
+
+
+@register_multiplier
+class ModSRAMHdlMultiplier(ModSRAMMultiplier):
+    """Runs every multiplication through the RTL event simulator.
+
+    Provisioning a width elaborates the macro RTL and compiles it for
+    event-driven execution; the analytic :meth:`cycles` model (identical
+    by construction, enforced by the parity suite) keeps backend metadata
+    queries cheap.
+    """
+
+    name = "modsram-hdl"
+    description = (
+        "HDL co-simulation tier: the elaborated ModSRAM RTL executed by the "
+        "event-driven simulator, cycle counts measured from the netlist."
+    )
+    tier = Fidelity.HDL.value

@@ -1,8 +1,8 @@
 """Cycle-by-cycle execution trace.
 
 The paper illustrates the dataflow with a 5-bit walk-through (Figure 3).
-The accelerator records a :class:`CycleEvent` for every clock cycle so the
-same walk-through can be regenerated for any operand size, and so the test
+A traced accelerator records a :class:`CycleEvent` for every clock cycle so
+the same walk-through can be regenerated for any operand size, and so the test
 suite can check structural properties of the schedule (every iteration
 activates exactly three rows per compute access, the sum row is written
 before the carry row, the last carry write-back is elided, and so on).
@@ -69,20 +69,11 @@ class CycleEvent:
 
 
 class ExecutionTrace:
-    """Ordered collection of cycle events for one multiplication.
-
-    An enabled trace is a valid :class:`~repro.modsram.tracesink.TraceSink`
-    — pass one as ``trace_sink=`` to the accelerator to collect events.
-    """
+    """Ordered collection of cycle events for one multiplication."""
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._events: List[CycleEvent] = []
-
-    @property
-    def active(self) -> bool:
-        """TraceSink protocol: events are only constructed when enabled."""
-        return self.enabled
 
     # ------------------------------------------------------------------ #
     # recording

@@ -26,9 +26,8 @@ from repro.zkp.opcount import (
     _register_writes_per_modmul,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.core.algorithms.base import ModularMultiplier
-    from repro.engine.engine import Engine
 
 __all__ = ["NttContext", "bit_reverse_indices", "find_root_of_unity"]
 
@@ -195,20 +194,6 @@ class NttContext:
             register_write=self._register_writes_per_butterfly * butterflies,
         )
         return data
-
-    @classmethod
-    def from_engine(
-        cls,
-        engine: "Engine",
-        size: int,
-        modulus: Optional[int] = None,
-    ) -> "NttContext":
-        """An NTT context whose multiplications run on ``engine``'s backend.
-
-        Delegates to :meth:`repro.engine.Engine.ntt`, which caches the
-        context alongside the engine's per-modulus state.
-        """
-        return engine.ntt(size, modulus=modulus)
 
     def forward(self, values: Sequence[int]) -> List[int]:
         """Forward NTT (coefficients → evaluations)."""

@@ -44,10 +44,15 @@ class TestNodeKillRecovery:
     def test_sigkilled_node_jobs_complete_bit_identical_on_survivor(self):
         async def scenario():
             # replication=1 pins the slow modulus to its home node, so
-            # the test knows exactly which process to kill mid-batch.
+            # the test knows exactly which process to kill mid-batch.  The
+            # bit-serial r4csa-lut kernel keeps the batches in flight for
+            # ~90 ms; on the schoolbook serving default they all finish
+            # in ~0.1 ms, between two polls for pending work.
             config = RouterConfig(replication=1, max_retries=2)
             async with LocalFleet(
-                spec=EngineSpec(), workers=2, router_config=config
+                spec=EngineSpec(backend="r4csa-lut"),
+                workers=2,
+                router_config=config,
             ) as fleet:
                 router = fleet.router
                 home = router._ring.home(SLOW_MODULUS)

@@ -89,24 +89,10 @@ class TestBackendsCommand:
         assert by_name["modsram"]["kind"] == "accelerator"
         assert by_name["r4csa-lut"]["has_cycle_model"] is True
 
-    def test_json_exposes_context_cache_counters(self, capsys):
-        from repro.engine import Engine, reset_global_cache_stats
-
-        reset_global_cache_stats()
-        engine = Engine(backend="barrett", modulus=997)
-        engine.multiply(3, 5)
-        engine.multiply(4, 6)
+    def test_json_has_only_the_listing(self, capsys):
         assert main(["backends", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        cache = payload["context_cache"]
-        assert cache["misses"] == 1
-        assert cache["hits"] == 1
-        assert 0.0 <= cache["hit_rate"] <= 1.0
-
-    def test_json_has_only_the_listing_and_context_cache(self, capsys):
-        assert main(["backends", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"backends", "context_cache"}
+        assert set(payload) == {"backends"}
 
     def test_text_table_columns(self, capsys):
         assert main(["backends"]) == 0

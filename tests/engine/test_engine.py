@@ -224,7 +224,6 @@ class TestApplicationSubstrates:
         assert field is engine.field()  # cached per context
         assert field.multiplier is engine.context().multiplier
         assert field.multiply(5, 7) == 35
-        assert PrimeField.from_engine(engine) is field
 
     def test_engine_curve_scalar_mult_matches_direct_wiring(self):
         # Old wiring: hand-built field with an explicit backend.
@@ -256,11 +255,6 @@ class TestApplicationSubstrates:
         assert routed == direct
         assert context.inverse(routed) == [value % BN254_R for value in values]
         assert engine.stats().multiplications > 0
-
-    def test_ntt_from_engine_classmethod(self):
-        engine = Engine(backend="schoolbook", curve="bn254")
-        context = NttContext.from_engine(engine, 8)
-        assert context is engine.ntt(8)  # cached per context
 
     def test_msm_engine_matches_direct_wiring(self, rng):
         count = 8

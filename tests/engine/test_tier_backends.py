@@ -6,7 +6,7 @@ import pytest
 
 from repro.engine import (
     Engine,
-    ModSRAMChipBackend,
+    MultiplierBackend,
     available_backends,
     get_backend,
 )
@@ -34,13 +34,18 @@ class TestRegistry:
             payload = info.as_dict()
             assert payload["fidelity"] == info.fidelity
             assert payload["macros"] == info.macros
+        # The simulator each adapter builds runs the tier its backend lists.
+        for name in ("modsram", "modsram-fast", "modsram-chip", "modsram-hdl"):
+            backend = get_backend(name)
+            multiplier = backend.create_context(65521).multiplier
+            assert multiplier.simulator_for(65521).tier == backend.info.fidelity
 
     def test_software_backends_have_no_tier_metadata(self):
         info = get_backend("montgomery").info
         assert info.fidelity is None and info.macros is None
 
     def test_chip_backend_macro_config(self):
-        backend = ModSRAMChipBackend(macros=8)
+        backend = MultiplierBackend("modsram-chip", macros=8)
         assert backend.info.macros == 8
         context = backend.create_context(65521)
         assert isinstance(context.multiplier, ModSRAMChipMultiplier)
@@ -48,7 +53,7 @@ class TestRegistry:
 
     def test_invalid_tier_configurations_are_rejected(self):
         with pytest.raises(ConfigurationError):
-            ModSRAMChipBackend(macros=0)
+            MultiplierBackend("modsram-chip", macros=0)
 
 
 class TestHdlBackend:
@@ -140,7 +145,9 @@ class TestChipEngineIntegration:
         assert batch.modeled_cycles == per_call * len(pairs)
 
     def test_engine_accepts_backend_instances_with_custom_macros(self, rng):
-        engine = Engine(backend=ModSRAMChipBackend(macros=2), modulus=65521)
+        engine = Engine(
+            backend=MultiplierBackend("modsram-chip", macros=2), modulus=65521
+        )
         result = engine.multiply(123, 456)
         assert int(result) == (123 * 456) % 65521
         assert engine.info.macros == 2

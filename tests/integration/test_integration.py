@@ -70,8 +70,11 @@ class TestEccOnModSRAM:
             reference.generator, reference.double(reference.generator)
         )
         assert hardware_result.coordinates() == reference_result.coordinates()
-        assert adapter.reports, "the accelerator should have been exercised"
-        assert all(r.iteration_cycles == 767 for r in adapter.reports)
+        count = adapter.stats.multiplications
+        assert count, "the accelerator should have been exercised"
+        # Extra overflow folds only add cycles, so a sum of 767 per
+        # multiplication means every one took exactly 767.
+        assert adapter.total_iteration_cycles() == 767 * count
 
     def test_point_operation_latency_projection(self):
         """Cycles per point addition = modmuls x 767 when LUTs are not shared."""

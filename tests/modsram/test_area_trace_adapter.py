@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
+import tracemalloc
+
 import pytest
 
 from repro.core import available_multipliers, create_multiplier
 from repro.errors import ConfigurationError
-from repro.hdl.multiplier import ModSRAMHdlMultiplier
 from repro.modsram import (
     AreaModel,
     AreaParameters,
@@ -15,6 +17,7 @@ from repro.modsram import (
     ModSRAMChipMultiplier,
     ModSRAMConfig,
     ModSRAMFastMultiplier,
+    ModSRAMHdlMultiplier,
     ModSRAMMultiplier,
     PAPER_AREA_MM2,
     PAPER_AREA_OVERHEAD_PERCENT,
@@ -141,7 +144,7 @@ class TestExecutionTrace:
         assert not Phase.IMC_RADIX4.is_writeback()
 
 
-#: The four tier adapters; each supplies only how to build its simulator.
+#: The four tier adapters; each names only the tier its simulators run.
 ADAPTERS = (
     ModSRAMMultiplier,
     ModSRAMFastMultiplier,
@@ -166,12 +169,47 @@ class TestModSRAMMultiplierAdapter:
         multiplier = ModSRAMMultiplier()
         modulus = 65521
         multiplier.multiply(3, 7, modulus)
+        first = multiplier.last_report
         multiplier.multiply(5, 7, modulus)
-        assert len(multiplier.reports) == 2
-        assert multiplier.total_iteration_cycles() == sum(
-            report.iteration_cycles for report in multiplier.reports
+        second = multiplier.last_report
+        assert multiplier.stats.multiplications == 2
+        assert not first.lut_reused and second.lut_reused
+        assert multiplier.total_iteration_cycles() == (
+            first.iteration_cycles + second.iteration_cycles
         )
         assert multiplier.lut_reuse_rate() == pytest.approx(0.5)
+
+    def test_reset_stats_clears_the_cycle_aggregates(self):
+        multiplier = ModSRAMFastMultiplier()
+        multiplier.multiply(3, 7, 65521)
+        multiplier.reset_stats()
+        assert multiplier.stats.multiplications == 0
+        assert multiplier.last_report is None
+        assert multiplier.total_iteration_cycles() == 0
+        assert multiplier.lut_reuse_rate() == 0.0
+
+    def test_retained_memory_does_not_grow_with_multiplications(self):
+        """An adapter serving for a process's lifetime keeps no per-call state."""
+        multiplier = ModSRAMFastMultiplier()
+        modulus = 65521
+        rng = random.Random(11)
+
+        def run(count):
+            for _ in range(count):
+                a, b = rng.randrange(modulus), rng.randrange(modulus)
+                multiplier.multiply(a, b, modulus)
+
+        run(100)  # provisions the macro
+        tracemalloc.start()
+        try:
+            run(1000)
+            after_1000, _ = tracemalloc.get_traced_memory()
+            run(1000)
+            after_2000, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after_2000 - after_1000 < 4096
+        assert multiplier.stats.multiplications == 2100
 
     @pytest.mark.parametrize("adapter", ADAPTERS, ids=lambda cls: cls.name)
     def test_macro_is_provisioned_per_bitwidth(self, adapter):
@@ -187,7 +225,7 @@ class TestModSRAMMultiplierAdapter:
         multiplier = adapter(config)
         assert multiplier.multiply(3, 7, 65521) == 21
         assert multiplier.simulator_for(65521).config is config
-        assert multiplier.reports[0].iterations == config.iterations
+        assert multiplier.last_report.iterations == config.iterations
 
     def test_cycles_matches_schedule(self):
         multiplier = ModSRAMMultiplier()

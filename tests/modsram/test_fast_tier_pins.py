@@ -19,7 +19,7 @@ from typing import Tuple
 import pytest
 
 from repro.ecc.ecdsa import Ecdsa
-from repro.engine import Engine, ModSRAMFastBackend
+from repro.engine import Engine
 from repro.modsram import (
     AnalyticalModSRAM,
     Chip,
@@ -327,7 +327,7 @@ def test_paper_point_chip_tree_is_pinned():
 
 def test_p256_sign_on_the_fast_backend_is_pinned():
     """Recorded on the functional tier, since deleted; same multiply loop."""
-    engine = Engine(backend=ModSRAMFastBackend(), curve="p256")
+    engine = Engine(backend="modsram-fast", curve="p256")
     signature = Ecdsa(engine.curve("p256")).sign(0x1CE1CE1CE1CE1CE, b"pin")
     stats = engine.stats().operations
     assert _digest(

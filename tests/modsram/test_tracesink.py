@@ -1,19 +1,9 @@
-"""Tests for pluggable trace sinks on the cycle-accurate tier."""
+"""Tests for the cycle-accurate tier's opt-in per-cycle trace."""
 
 from __future__ import annotations
 
-import pytest
-
 import repro.modsram.accelerator as accelerator_module
-from repro.modsram import (
-    CycleEvent,
-    ExecutionTrace,
-    ModSRAMAccelerator,
-    ModSRAMConfig,
-    NULL_SINK,
-    NullTraceSink,
-    TraceSink,
-)
+from repro.modsram import CycleEvent, ModSRAMAccelerator, ModSRAMConfig
 
 
 def small_config(bitwidth: int = 8) -> ModSRAMConfig:
@@ -33,7 +23,7 @@ class CountingEventFactory:
 
 class TestDefaultRunAllocatesNothing:
     def test_no_cycle_events_constructed_without_a_sink(self, monkeypatch):
-        """Satellite acceptance: the default run materialises zero events."""
+        """The default run materialises zero events."""
         factory = CountingEventFactory()
         monkeypatch.setattr(accelerator_module, "CycleEvent", factory)
         accelerator = ModSRAMAccelerator(small_config())
@@ -49,58 +39,14 @@ class TestDefaultRunAllocatesNothing:
         result = accelerator.multiply(0x2A, 0x51, 0xF1)
         assert factory.constructed == result.report.total_cycles
         assert len(result.trace) == result.report.total_cycles
+        assert [event.cycle for event in result.trace] == list(
+            range(result.report.total_cycles)
+        )
 
 
 class TestSinkReproducesLegacyTrace:
-    def test_external_sink_matches_legacy_trace_byte_for_byte(self):
-        """Satellite acceptance: opt-in sink == legacy ``trace=True`` text."""
-        legacy = ModSRAMAccelerator(small_config(), trace=True)
-        legacy_text = legacy.multiply(0x2A, 0x51, 0xF1).trace.render()
-
-        sink = ExecutionTrace()
-        accelerator = ModSRAMAccelerator(small_config(), trace_sink=sink)
-        accelerator.multiply(0x2A, 0x51, 0xF1)
-        assert sink.render() == legacy_text
-        assert len(legacy_text) > 0
-
-    def test_external_sink_accumulates_across_multiplications(self):
-        sink = ExecutionTrace()
-        accelerator = ModSRAMAccelerator(small_config(), trace_sink=sink)
-        first = accelerator.multiply(0x2A, 0x51, 0xF1)
-        events_after_first = len(sink)
-        accelerator.multiply(0x2B, 0x51, 0xF1)
-        assert events_after_first == first.report.total_cycles
-        assert len(sink) > events_after_first  # caller owns the lifecycle
-
     def test_legacy_trace_resets_per_multiplication(self):
         accelerator = ModSRAMAccelerator(small_config(), trace=True)
         accelerator.multiply(0x2A, 0x51, 0xF1)
         second = accelerator.multiply(0x2B, 0x51, 0xF1)
         assert len(second.trace) == second.report.total_cycles
-
-
-class TestSinkProtocol:
-    def test_null_sink_is_inactive(self):
-        assert NullTraceSink().active is False
-        assert NULL_SINK.active is False
-
-    def test_execution_trace_satisfies_the_protocol(self):
-        assert isinstance(ExecutionTrace(), TraceSink)
-        assert isinstance(NullTraceSink(), TraceSink)
-        assert ExecutionTrace(enabled=False).active is False
-        assert ExecutionTrace(enabled=True).active is True
-
-    def test_custom_sink_receives_events_in_cycle_order(self):
-        class Collector:
-            active = True
-
-            def __init__(self):
-                self.cycles = []
-
-            def record(self, event):
-                self.cycles.append(event.cycle)
-
-        collector = Collector()
-        accelerator = ModSRAMAccelerator(small_config(), trace_sink=collector)
-        result = accelerator.multiply(0x2A, 0x51, 0xF1)
-        assert collector.cycles == list(range(result.report.total_cycles))
