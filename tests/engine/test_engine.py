@@ -250,6 +250,7 @@ class TestApplicationSubstrates:
 
         engine = Engine(backend="r4csa-lut", curve="bn254")
         context = engine.ntt(size)
+        assert context is engine.ntt(size)  # cached per context
         assert context.modulus == BN254_R  # scalar field, not base field
         routed = context.forward(values)
         assert routed == direct
