@@ -1,16 +1,13 @@
-"""Design-space exploration: sweep throughput and cache, machine-readable.
+"""Design-space exploration: sweep throughput and frontier, machine-readable.
 
 Emits ``BENCH_dse.json`` with three sections:
 
 1. **expansion** — how fast the declarative sweep spec expands into
    validated design points, and that two expansions of the same spec
-   are identical (the determinism the runner cache keys rely on).
-2. **pool** — the default 640-point sweep evaluated twice through the
-   cached parallel :class:`~repro.experiments.Runner`: a cold run
-   against an empty cache directory, then a warm re-run that must be
-   served entirely from disk.  The asserted warm-over-cold speedup
-   floor is deliberately loose (process-pool startup dominates small
-   sweeps on a loaded CI runner); the artifact records the real ratio.
+   are identical.
+2. **sweep** — the default 640-point sweep evaluated once in-process
+   (:func:`~repro.dse.run_dse`): its seconds and points per second.
+   Recorded, not gated.
 3. **frontier** — Pareto accounting of the swept space: frontier size,
    dominated-point count, and the objective set.  A sweep whose
    frontier is empty (or is the whole space) means the cost model has
@@ -25,17 +22,9 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
-import tempfile
 import time
 
 from repro.dse import DEFAULT_OBJECTIVES, default_sweep_spec, run_dse
-from repro.experiments import Runner
-
-#: Floor on the warm-over-cold speedup.  Warm runs replay the sweep
-#: from the content-addressed disk cache (no pool, no evaluation); the
-#: observed ratio is ~10-20x, and 1.2 still catches a broken cache.
-REQUIRED_WARM_SPEEDUP = 1.2
 
 
 def _output_path() -> str:
@@ -60,41 +49,22 @@ def collect_expansion(spec) -> dict:
     }
 
 
-def collect_pool_and_frontier(spec) -> dict:
-    cache_dir = tempfile.mkdtemp(prefix="bench-dse-")
-    try:
-        runner = Runner(cache_dir=cache_dir, parallel=True)
-        cold = run_dse(spec, runner=runner)
-        warm = run_dse(spec, runner=runner)
-    finally:
-        shutil.rmtree(cache_dir, ignore_errors=True)
-    warm_speedup = (
-        cold.elapsed_seconds / warm.elapsed_seconds
-        if warm.elapsed_seconds
-        else 0.0
-    )
+def collect_sweep_and_frontier(spec) -> dict:
+    run = run_dse(spec)
     return {
-        "pool": {
-            "workers": min(os.cpu_count() or 1, len(cold.points)),
-            "cpu_count": os.cpu_count() or 1,
-            "cold_seconds": cold.elapsed_seconds,
-            "warm_seconds": warm.elapsed_seconds,
-            "cold_points_per_second": cold.points_per_second,
-            "warm_points_per_second": warm.points_per_second,
-            "cold_cache_hits": cold.cache_hits,
-            "warm_cache_hits": warm.cache_hits,
-            "warm_speedup": warm_speedup,
-            "required_warm_speedup": REQUIRED_WARM_SPEEDUP,
+        "sweep": {
+            "seconds": run.elapsed_seconds,
+            "points_per_second": run.points_per_second,
         },
         "frontier": {
-            "size": len(cold.frontier),
-            "dominated": cold.dominated,
-            "swept_points": len(cold.points),
+            "size": len(run.frontier),
+            "dominated": run.dominated,
+            "swept_points": len(run.points),
             "objectives": [
                 {"metric": o.metric, "maximize": o.maximize}
                 for o in DEFAULT_OBJECTIVES
             ],
-            "non_empty": bool(cold.frontier),
+            "non_empty": bool(run.frontier),
         },
     }
 
@@ -110,7 +80,7 @@ def write_payload(payload: dict) -> str:
 def run_benchmark() -> dict:
     spec = default_sweep_spec()
     payload = {"benchmark": "dse", "expansion": collect_expansion(spec)}
-    payload.update(collect_pool_and_frontier(spec))
+    payload.update(collect_sweep_and_frontier(spec))
     path = write_payload(payload)
     payload["output"] = path
     return payload
@@ -139,28 +109,12 @@ def test_expansion_is_deterministic():
     assert expansion["deterministic"]
 
 
-def test_warm_rerun_is_served_from_cache():
-    """Acceptance: the warm re-run hits the cache on every point."""
-    pool = _payload()["pool"]
-    print(
-        f"pool: cold {pool['cold_points_per_second']:.0f} points/s "
-        f"({pool['cold_cache_hits']} cached), warm "
-        f"{pool['warm_points_per_second']:.0f} points/s "
-        f"({pool['warm_cache_hits']} cached), "
-        f"{pool['warm_speedup']:.1f}x warm speedup"
-    )
-    assert pool["cold_cache_hits"] == 0
-    assert pool["warm_cache_hits"] == _payload()["expansion"]["points"]
-    assert pool["warm_speedup"] >= pool["required_warm_speedup"], (
-        f"expected >= {pool['required_warm_speedup']:.1f}x warm speedup, "
-        f"got {pool['warm_speedup']:.2f}x"
-    )
-
-
 def test_frontier_is_a_proper_subset():
     """Acceptance: a non-empty frontier strictly inside the swept space."""
-    frontier = _payload()["frontier"]
+    sweep, frontier = _payload()["sweep"], _payload()["frontier"]
     print(
+        f"sweep: {frontier['swept_points']} points in "
+        f"{sweep['seconds']:.2f} s ({sweep['points_per_second']:.0f} points/s); "
         f"frontier: {frontier['size']} of {frontier['swept_points']} "
         f"points ({frontier['dominated']} dominated)"
     )

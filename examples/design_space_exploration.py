@@ -5,28 +5,30 @@ The paper evaluates one design point (64 x 256, 65 nm, 256-bit).  Because
 every model in this library is parametric, the same machinery answers
 "what if" questions a deployment would ask.  This example asks them as a
 *sweep* of the registered ``design-point`` experiment rather than a
-hand-rolled loop: the Runner executes the grid (optionally across a
-process pool), caches every point by content hash, and returns structured
-results that render to the familiar tables.
+hand-rolled loop: an ``ExperimentSpec`` expands the grid, each point runs
+in-process, and the structured results render to the familiar tables.
 
 Run with ``python examples/design_space_exploration.py``.
 """
 
 from __future__ import annotations
 
-import tempfile
-
 from repro.analysis import render_table
-from repro.experiments import Runner
+from repro.experiments import ExperimentSpec, get_experiment
 from repro.sram import LogicSenseAmpModule, SenseAmpParameters
 
 
-def bitwidth_sweep(runner: Runner) -> None:
+def sweep(axis, values):
+    """Every ``design-point`` result along one axis, in grid order."""
+    spec = ExperimentSpec("design-point", sweep={axis: values})
+    definition = get_experiment(spec.experiment)
+    return [definition.execute(point).result for point in spec.points()]
+
+
+def bitwidth_sweep() -> None:
     """Cycles / latency / area / energy across operand widths."""
-    sweep = runner.sweep("design-point", {"bitwidth": (64, 128, 192, 256)})
     rows = []
-    for result in sweep.results:
-        point = result.result()  # DesignPointResult
+    for point in sweep("bitwidth", (64, 128, 192, 256)):
         rows.append(
             (
                 point.bitwidth,
@@ -44,12 +46,10 @@ def bitwidth_sweep(runner: Runner) -> None:
     print()
 
 
-def technology_sweep(runner: Runner) -> None:
+def technology_sweep() -> None:
     """First-order constant-field scaling across process nodes."""
-    sweep = runner.sweep("design-point", {"technology_nm": (65, 45, 28)})
     rows = []
-    for result in sweep.results:
-        point = result.result()
+    for point in sweep("technology_nm", (65, 45, 28)):
         rows.append(
             (
                 f"{point.technology_nm} nm",
@@ -63,16 +63,6 @@ def technology_sweep(runner: Runner) -> None:
         rows,
         title="Technology scaling (first-order constant-field rules)",
     ))
-    print()
-
-
-def warm_cache_demo(runner: Runner) -> None:
-    """Re-running a sweep serves every point from the content-hash cache."""
-    warm = runner.sweep("design-point", {"bitwidth": (64, 128, 192, 256)})
-    print(
-        f"re-ran the bitwidth sweep: {warm.cache_hits}/{len(warm.results)} "
-        f"points from cache, {warm.elapsed_seconds:.3f} s recomputation"
-    )
     print()
 
 
@@ -99,13 +89,8 @@ def sensing_margin_study() -> None:
 
 
 def main() -> None:
-    # A throwaway cache directory keeps the example self-contained; drop
-    # cache_dir (or set $REPRO_CACHE_DIR) to persist sweeps across runs.
-    with tempfile.TemporaryDirectory() as cache_dir:
-        runner = Runner(cache_dir=cache_dir, parallel=True)
-        bitwidth_sweep(runner)
-        technology_sweep(runner)
-        warm_cache_demo(runner)
+    bitwidth_sweep()
+    technology_sweep()
     sensing_margin_study()
 
 

@@ -58,21 +58,19 @@ throughput versus macro count on real workload streams.  Backend capability meta
 Reproducing the paper
 ---------------------
 Every table and figure is a registered *experiment* — declarative,
-parameterisable, sweepable, executed in parallel and cached on disk by
-content hash (:mod:`repro.experiments`)::
+parameterisable and sweepable, run in-process on every call
+(:mod:`repro.experiments`)::
 
-    from repro.experiments import Runner
+    from repro.experiments import get_experiment
 
-    runner = Runner(parallel=True)
-    print(runner.run("headline", quick=True).render())   # claims scorecard
-    sweep = runner.sweep("design-point", {"bitwidth": [64, 128, 256]})
+    result = get_experiment("headline").execute(quick=True)
+    print(result.render())                                # claims scorecard
 
 The same API drives the shell: ``repro experiment list`` names every
 experiment, ``repro experiment run table3 --json`` emits the structured
-result, ``repro experiment sweep design-point --axis bitwidth=64,128,256
---parallel`` runs a grid, and ``repro report --parallel`` composes the
-full consolidated report with warm-cache reuse (``python -m repro`` is
-equivalent to the ``repro`` console script).
+result, ``repro experiment sweep design-point --axis bitwidth=64,128,256``
+runs a grid, and ``repro report`` composes the full consolidated report
+(``python -m repro`` is equivalent to the ``repro`` console script).
 
 Workload graphs and the serving layer
 -------------------------------------

@@ -1,23 +1,19 @@
 """Experiment reproductions: one module per table/figure of the paper.
 
-The canonical way to run these is the Experiment API
-(:mod:`repro.experiments`): every entry point below is registered as a
-named experiment — ``table1``, ``figure1``, ``figure5``, ``figure6``,
-``figure7``, ``table3``, ``headline``, ``energy``, ``design-point`` — so it
-can be parameterised, swept over a grid, executed across a process pool
-and cached to disk as structured JSON::
+Every entry point below is registered as a named experiment of the
+Experiment API (:mod:`repro.experiments`) — ``table1``, ``figure1``,
+``figure5``, ``figure6``, ``figure7``, ``table3``, ``headline``,
+``energy``, ``design-point`` — so it can be parameterised, swept over a
+grid and printed as structured JSON::
 
-    from repro.experiments import Runner
+    from repro.experiments import get_experiment
 
-    runner = Runner(parallel=True)
-    print(runner.run("table3", quick=True).render())
-    sweep = runner.sweep("design-point", {"bitwidth": [64, 128, 256]})
+    print(get_experiment("table3").execute(quick=True).render())
 
 or, from the shell, ``repro experiment run table3 --json`` and
-``repro report --parallel``.  The ``reproduce_*`` functions remain the
-thin, direct entry points the experiments wrap: calling them yields the
-same result objects (now JSON round-trippable via ``to_dict`` /
-``from_dict``) without caching or parallelism.
+``repro report``.  The ``reproduce_*`` functions are the thin, direct
+entry points the experiments wrap: calling them yields the same result
+objects, each with ``render()`` and a JSON-clean ``to_dict()``.
 """
 
 from repro.analysis.chip_scaling import (

@@ -10,9 +10,8 @@ latency, throughput, LUT-reuse rate, speedup over one macro and parallel
 efficiency.
 
 Registered as experiment ``chip-scaling`` in :mod:`repro.experiments`, so
-it runs through the cached/parallel Runner, appears in ``repro report``,
-and is reachable as ``repro experiment run chip-scaling`` or the
-``repro chip`` shortcut.
+it appears in ``repro report`` and is reachable as ``repro experiment run
+chip-scaling`` or the ``repro chip`` shortcut.
 """
 
 from __future__ import annotations
@@ -105,21 +104,6 @@ class ChipScalingPoint:
             "efficiency": self.efficiency,
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ChipScalingPoint":
-        """Rebuild a point from :meth:`to_dict` output."""
-        return cls(
-            macros=int(data["macros"]),
-            jobs=int(data["jobs"]),
-            makespan_cycles=int(data["makespan_cycles"]),
-            lut_reuse_rate=float(data["lut_reuse_rate"]),
-            utilization=float(data["utilization"]),
-            latency_ms=float(data["latency_ms"]),
-            throughput_mops=float(data["throughput_mops"]),
-            speedup=float(data["speedup"]),
-            efficiency=float(data["efficiency"]),
-        )
-
 
 @dataclass(frozen=True)
 class ChipScalingResult:
@@ -152,25 +136,13 @@ class ChipScalingResult:
         )
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-clean representation (round-trips through :meth:`from_dict`)."""
+        """JSON-clean representation."""
         return {
             "workload": self.workload,
             "bitwidth": self.bitwidth,
             "workload_parameter": self.workload_parameter,
             "points": [point.to_dict() for point in self.points],
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ChipScalingResult":
-        """Rebuild a result from :meth:`to_dict` output (e.g. loaded JSON)."""
-        return cls(
-            workload=str(data["workload"]),
-            bitwidth=int(data["bitwidth"]),
-            workload_parameter=str(data["workload_parameter"]),
-            points=tuple(
-                ChipScalingPoint.from_dict(point) for point in data["points"]
-            ),
-        )
 
 
 def reproduce_chip_scaling(

@@ -8,8 +8,8 @@ Cycles, latency and energy come from one checked cycle-accurate run at the
 point; the area from the parametric area model.
 
 Registered as experiment ``design-point`` in :mod:`repro.experiments`;
-``Runner().sweep(...)`` over ``bitwidth`` / ``technology_nm`` replaces the
-hand-rolled loops ``examples/design_space_exploration.py`` used to carry.
+``repro experiment sweep design-point --axis bitwidth=64,128,256`` sweeps
+it from the shell.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class DesignPointResult:
         )
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-clean representation (round-trips through :meth:`from_dict`)."""
+        """JSON-clean representation."""
         return {
             "bitwidth": self.bitwidth,
             "rows": self.rows,
@@ -92,22 +92,6 @@ class DesignPointResult:
             "area_mm2": self.area_mm2,
             "energy_pj": self.energy_pj,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "DesignPointResult":
-        """Rebuild a result from :meth:`to_dict` output (e.g. loaded JSON)."""
-        return cls(
-            bitwidth=int(data["bitwidth"]),
-            rows=int(data["rows"]),
-            columns=int(data.get("columns", 0)),
-            banks=int(data.get("banks", 1)),
-            technology_nm=int(data["technology_nm"]),
-            iteration_cycles=int(data["iteration_cycles"]),
-            frequency_mhz=float(data["frequency_mhz"]),
-            latency_us=float(data["latency_us"]),
-            area_mm2=float(data["area_mm2"]),
-            energy_pj=float(data["energy_pj"]),
-        )
 
 
 def build_design_config(

@@ -61,7 +61,7 @@ class EnergyResult:
         ]
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-clean representation (round-trips through :meth:`from_dict`)."""
+        """JSON-clean representation."""
         return {
             "bitwidth": self.bitwidth,
             "iteration_cycles": self.iteration_cycles,
@@ -75,24 +75,6 @@ class EnergyResult:
             "energy_per_multiplication_pj": self.energy_per_multiplication_pj,
             "energy_per_bit_pj": self.energy_per_bit_pj,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "EnergyResult":
-        """Rebuild a result from :meth:`to_dict` output (e.g. loaded JSON)."""
-        breakdown = data["breakdown"]
-        return cls(
-            bitwidth=int(data["bitwidth"]),
-            iteration_cycles=int(data["iteration_cycles"]),
-            breakdown=EnergyBreakdown(
-                precharge_pj=float(breakdown["precharge_pj"]),
-                wordline_pj=float(breakdown["wordline_pj"]),
-                sensing_pj=float(breakdown["sensing_pj"]),
-                write_pj=float(breakdown["write_pj"]),
-                near_memory_pj=float(breakdown["near_memory_pj"]),
-            ),
-            energy_per_multiplication_pj=float(data["energy_per_multiplication_pj"]),
-            energy_per_bit_pj=float(data["energy_per_bit_pj"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -117,15 +99,8 @@ class EnergyAnalysisResult:
         )
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-clean representation (round-trips through :meth:`from_dict`)."""
+        """JSON-clean representation."""
         return {"results": [result.to_dict() for result in self.results]}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "EnergyAnalysisResult":
-        """Rebuild a result from :meth:`to_dict` output (e.g. loaded JSON)."""
-        return cls(
-            results=tuple(EnergyResult.from_dict(entry) for entry in data["results"])
-        )
 
 
 def measure_energy_per_multiplication(bitwidth: int = 256) -> EnergyResult:

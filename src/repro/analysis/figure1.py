@@ -15,9 +15,8 @@ things for every bitwidth:
 so the O(n) claim is backed by the simulator rather than only by the
 formula.
 
-Registered as experiment ``figure1`` in :mod:`repro.experiments`; prefer
-``Runner().run("figure1")`` over calling :func:`reproduce_figure1` directly
-when you want caching, sweeps or JSON output.
+Registered as experiment ``figure1`` in :mod:`repro.experiments`, which
+adds sweeps and JSON output to :func:`reproduce_figure1`.
 """
 
 from __future__ import annotations
@@ -99,7 +98,7 @@ class Figure1Result:
         )
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-clean representation (round-trips through :meth:`from_dict`)."""
+        """JSON-clean representation."""
         return {
             "bitwidths": list(self.bitwidths),
             "analytic_series": {
@@ -107,18 +106,6 @@ class Figure1Result:
             },
             "measured_modsram": list(self.measured_modsram),
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Figure1Result":
-        """Rebuild a result from :meth:`to_dict` output (e.g. loaded JSON)."""
-        return cls(
-            bitwidths=tuple(int(b) for b in data["bitwidths"]),
-            analytic_series={
-                key: [int(v) for v in series]
-                for key, series in data["analytic_series"].items()
-            },
-            measured_modsram=[int(v) for v in data["measured_modsram"]],
-        )
 
 
 def reproduce_figure1(

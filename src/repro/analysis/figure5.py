@@ -79,7 +79,7 @@ class Figure5Result:
         return f"{table}\n{summary}"
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-clean representation (round-trips through :meth:`from_dict`)."""
+        """JSON-clean representation."""
         return {
             "breakdown": {
                 "sram_array_mm2": self.breakdown.sram_array_mm2,
@@ -92,25 +92,6 @@ class Figure5Result:
             "paper_breakdown_percent": dict(self.paper_breakdown_percent),
             "paper_overhead_percent": self.paper_overhead_percent,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Figure5Result":
-        """Rebuild a result from :meth:`to_dict` output (e.g. loaded JSON)."""
-        breakdown = data["breakdown"]
-        return cls(
-            breakdown=AreaBreakdown(
-                sram_array_mm2=float(breakdown["sram_array_mm2"]),
-                in_memory_circuit_mm2=float(breakdown["in_memory_circuit_mm2"]),
-                near_memory_circuit_mm2=float(breakdown["near_memory_circuit_mm2"]),
-                decoder_mm2=float(breakdown["decoder_mm2"]),
-            ),
-            overhead_percent=float(data["overhead_percent"]),
-            # The paper constants render verbatim (``{value}%``), so their
-            # original int/float type must survive the round trip untouched.
-            paper_total_mm2=data["paper_total_mm2"],
-            paper_breakdown_percent=dict(data["paper_breakdown_percent"]),
-            paper_overhead_percent=data["paper_overhead_percent"],
-        )
 
 
 def reproduce_figure5(config: Optional[ModSRAMConfig] = None) -> Figure5Result:

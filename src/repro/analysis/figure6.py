@@ -67,7 +67,7 @@ class Figure6Result:
         return f"{table}\n{breakdown}"
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-clean representation (round-trips through :meth:`from_dict`)."""
+        """JSON-clean representation."""
         util = self.modsram_utilization
         return {
             "bitwidth": self.bitwidth,
@@ -81,26 +81,6 @@ class Figure6Result:
             },
             "modsram_array_rows": self.modsram_array_rows,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Figure6Result":
-        """Rebuild a result from :meth:`to_dict` output (e.g. loaded JSON)."""
-        util = data["modsram_utilization"]
-        return cls(
-            bitwidth=int(data["bitwidth"]),
-            rows_by_design={
-                key: (None if value is None else int(value))
-                for key, value in data["rows_by_design"].items()
-            },
-            modsram_utilization=MemoryUtilization(
-                total_rows=int(util["total_rows"]),
-                operand_rows_used=int(util["operand_rows_used"]),
-                operand_capacity=int(util["operand_capacity"]),
-                intermediate_rows=int(util["intermediate_rows"]),
-                lut_rows=int(util["lut_rows"]),
-            ),
-            modsram_array_rows=int(data["modsram_array_rows"]),
-        )
 
 
 def reproduce_figure6(

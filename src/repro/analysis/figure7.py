@@ -87,7 +87,7 @@ class Figure7Result:
         )
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-clean representation (round-trips through :meth:`from_dict`)."""
+        """JSON-clean representation."""
         def counts_dict(counts: OperationCounts) -> Dict[str, object]:
             return {
                 "kernel": counts.kernel,
@@ -104,26 +104,6 @@ class Figure7Result:
             "ntt": counts_dict(self.ntt),
             "msm": counts_dict(self.msm),
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Figure7Result":
-        """Rebuild a result from :meth:`to_dict` output (e.g. loaded JSON)."""
-        def counts(entry: Dict[str, object]) -> OperationCounts:
-            return OperationCounts(
-                kernel=str(entry["kernel"]),
-                vector_size=int(entry["vector_size"]),
-                bitwidth=int(entry["bitwidth"]),
-                modular_multiplications=int(entry["modular_multiplications"]),
-                memory_accesses=int(entry["memory_accesses"]),
-                register_writes=int(entry["register_writes"]),
-            )
-
-        return cls(
-            vector_size=int(data["vector_size"]),
-            bitwidth=int(data["bitwidth"]),
-            ntt=counts(data["ntt"]),
-            msm=counts(data["msm"]),
-        )
 
 
 def reproduce_figure7(

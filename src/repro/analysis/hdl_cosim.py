@@ -76,22 +76,6 @@ class HdlCosimRow:
             "cycle_seconds": self.cycle_seconds,
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "HdlCosimRow":
-        """Rebuild a row from :meth:`to_dict` output."""
-        return cls(
-            bitwidth=int(data["bitwidth"]),
-            cases=int(data["cases"]),
-            iterations=int(data["iterations"]),
-            iteration_cycles=int(data["iteration_cycles"]),
-            products_match=bool(data["products_match"]),
-            cycles_match=bool(data["cycles_match"]),
-            sim_events=int(data["sim_events"]),
-            events_per_second=float(data["events_per_second"]),
-            hdl_seconds=float(data["hdl_seconds"]),
-            cycle_seconds=float(data["cycle_seconds"]),
-        )
-
 
 @dataclass(frozen=True)
 class HdlCosimResult:
@@ -138,7 +122,7 @@ class HdlCosimResult:
         return f"{table}\n{paper}\nverdict: {verdict}"
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-clean representation (round-trips through :meth:`from_dict`)."""
+        """JSON-clean representation."""
         return {
             "rows": [row.to_dict() for row in self.rows],
             "seed": self.seed,
@@ -146,15 +130,6 @@ class HdlCosimResult:
             "all_match": self.all_match,
             "paper_point_ok": self.paper_point_ok,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "HdlCosimResult":
-        """Rebuild a result from :meth:`to_dict` output (e.g. loaded JSON)."""
-        return cls(
-            rows=tuple(HdlCosimRow.from_dict(row) for row in data["rows"]),
-            seed=int(data["seed"]),
-            paper_iteration_cycles=int(data["paper_iteration_cycles"]),
-        )
 
 
 def _modulus_for(bitwidth: int, rng: random.Random) -> int:

@@ -62,7 +62,7 @@ class HeadlineResult:
         )
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-clean representation (round-trips through :meth:`from_dict`)."""
+        """JSON-clean representation."""
         return {
             "claims": [
                 {
@@ -74,21 +74,6 @@ class HeadlineResult:
                 for claim in self.claims
             ]
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "HeadlineResult":
-        """Rebuild a result from :meth:`to_dict` output (e.g. loaded JSON)."""
-        return cls(
-            claims=[
-                HeadlineClaim(
-                    claim=str(entry["claim"]),
-                    paper_value=str(entry["paper_value"]),
-                    reproduced_value=str(entry["reproduced_value"]),
-                    holds=bool(entry["holds"]),
-                )
-                for entry in data["claims"]
-            ]
-        )
 
 
 def reproduce_headline_claims() -> HeadlineResult:

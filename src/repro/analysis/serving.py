@@ -94,7 +94,7 @@ class ServingThroughputResult:
         )
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-clean representation (round-trips through :meth:`from_dict`)."""
+        """JSON-clean representation."""
         return {
             "backend": self.backend,
             "tenants": self.tenants,
@@ -119,33 +119,6 @@ class ServingThroughputResult:
             "cache_misses": self.cache_misses,
             "cache_hit_rate": self.cache_hit_rate,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ServingThroughputResult":
-        """Rebuild a result from :meth:`to_dict` output (e.g. loaded JSON)."""
-        return cls(
-            backend=str(data["backend"]),
-            tenants=int(data["tenants"]),
-            requests_per_tenant=int(data["requests_per_tenant"]),
-            pairs_per_request=int(data["pairs_per_request"]),
-            workers=int(data.get("workers", 0)),
-            completed_requests=int(data["completed_requests"]),
-            verified_requests=int(data["verified_requests"]),
-            rejected_requests=int(data["rejected_requests"]),
-            deadline_misses=int(data["deadline_misses"]),
-            completed_multiplications=int(data["completed_multiplications"]),
-            batches=int(data["batches"]),
-            mean_batch_size=float(data["mean_batch_size"]),
-            elapsed_seconds=float(data["elapsed_seconds"]),
-            requests_per_second=float(data["requests_per_second"]),
-            multiplications_per_second=float(data["multiplications_per_second"]),
-            latency_p50_ms=float(data["latency_p50_ms"]),
-            latency_p95_ms=float(data["latency_p95_ms"]),
-            latency_p99_ms=float(data["latency_p99_ms"]),
-            cache_hits=int(data["cache_hits"]),
-            cache_misses=int(data["cache_misses"]),
-            cache_hit_rate=float(data["cache_hit_rate"]),
-        )
 
 
 def reproduce_serving_throughput(

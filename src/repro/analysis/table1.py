@@ -53,7 +53,7 @@ class TableOneResult:
         return "\n\n".join(sections)
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-clean representation (round-trips through :meth:`from_dict`)."""
+        """JSON-clean representation."""
         return {
             "multiplicand": self.multiplicand,
             "modulus": self.modulus,
@@ -62,18 +62,6 @@ class TableOneResult:
             "radix4_rows": [list(row) for row in self.radix4_rows],
             "overflow_rows": [list(row) for row in self.overflow_rows],
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "TableOneResult":
-        """Rebuild a result from :meth:`to_dict` output (e.g. loaded JSON)."""
-        return cls(
-            multiplicand=int(data["multiplicand"]),
-            modulus=int(data["modulus"]),
-            bitwidth=int(data["bitwidth"]),
-            encoder_rows=[tuple(row) for row in data["encoder_rows"]],
-            radix4_rows=[tuple(row) for row in data["radix4_rows"]],
-            overflow_rows=[tuple(row) for row in data["overflow_rows"]],
-        )
 
 
 def reproduce_tables(

@@ -108,7 +108,7 @@ class Table3Result:
         return table + "\n" + "\n".join(summary_lines)
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-clean representation (round-trips through :meth:`from_dict`)."""
+        """JSON-clean representation."""
         return {
             "bitwidth": self.bitwidth,
             "rows_by_design": {
@@ -116,21 +116,6 @@ class Table3Result:
             },
             "measured_modsram_cycles": self.measured_modsram_cycles,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Table3Result":
-        """Rebuild a result from :meth:`to_dict` output (e.g. loaded JSON).
-
-        The row values render verbatim, so their JSON types (int vs float,
-        lists for the bitwidth tuples) are kept exactly as loaded.
-        """
-        return cls(
-            bitwidth=int(data["bitwidth"]),
-            rows_by_design={
-                key: dict(row) for key, row in data["rows_by_design"].items()
-            },
-            measured_modsram_cycles=int(data["measured_modsram_cycles"]),
-        )
 
 
 def _measure_modsram_cycles(bitwidth: int) -> int:

@@ -4,10 +4,10 @@ The arithmetic subcommands go through the unified :class:`repro.engine.Engine`
 facade, so every registered backend — software algorithms, the cycle-level
 ModSRAM model and the Table 3 PIM baselines — is reachable from the shell::
 
-    python -m repro.cli report   [--quick] [--parallel] [--no-cache]
+    python -m repro.cli report   [--quick]
     python -m repro.cli experiment list [--json]    # registered experiments
     python -m repro.cli experiment run NAME [--quick] [--set K=V] [--json]
-    python -m repro.cli experiment sweep NAME --axis K=V1,V2 [--parallel] [--json]
+    python -m repro.cli experiment sweep NAME --axis K=V1,V2 [--json]
     python -m repro.cli multiply A B [--modulus P] [--backend NAME] [--curve NAME] [--json]
     python -m repro.cli batch    [--count N] [--backend NAME] [--seed S] [--json]
     python -m repro.cli chip     [--workload W] [--macros 1,2,4] [--json]
@@ -22,11 +22,13 @@ ModSRAM model and the Table 3 PIM baselines — is reachable from the shell::
     python -m repro.cli verify   [--bitwidth N] [--cases K]   # equivalence check
     python -m repro.cli hdl emit  [--bitwidth N] [--out DIR] [--check]
     python -m repro.cli hdl cosim [--quick] [--json]          # RTL agreement
+    python -m repro.cli dse run [SPEC] [--quick] [--sample N] [--json]
+    python -m repro.cli dse frontier RESULTS [--json]
 
 The same interface is reachable as ``python -m repro`` and as the
 ``repro`` console script.  The ``experiment`` subcommands drive the
 declarative Experiment API (:mod:`repro.experiments`): every paper
-table/figure as a parameterisable, sweepable, disk-cached experiment.
+table/figure as a parameterisable, sweepable experiment, run in-process.
 Values may be given in decimal or ``0x``-prefixed hexadecimal.
 """
 
@@ -44,7 +46,7 @@ from repro.core.complexity import COMPLEXITY_MODELS
 from repro.ecc.curves_data import CURVE_SPECS
 from repro.engine import Engine, EngineSpec, available_backends, get_backend
 from repro.errors import ReproError
-from repro.experiments import Runner, available_experiments, get_experiment
+from repro.experiments import ExperimentSpec, available_experiments, get_experiment
 from repro.modsram.area import AreaModel
 from repro.modsram.config import ModSRAMConfig
 from repro.modsram.verification import EquivalenceChecker
@@ -94,21 +96,6 @@ def _parse_axes(pairs: Optional[List[str]]) -> dict:
     return axes
 
 
-def _add_cache_options(parser: argparse.ArgumentParser) -> None:
-    """The experiment-cache flags shared by report/run/sweep."""
-    parser.add_argument(
-        "--no-cache",
-        dest="no_cache",
-        action="store_true",
-        help="do not read or write the experiment result cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="experiment cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
     from repro import __version__
@@ -130,15 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quick", action="store_true",
         help="apply each experiment's quick overrides (smaller workloads)",
     )
-    report.add_argument(
-        "--parallel",
-        action="store_true",
-        help="run the report sections across a process pool",
-    )
-    report.add_argument(
-        "--workers", type=int, default=None, help="process pool size cap"
-    )
-    _add_cache_options(report)
 
     experiment = subparsers.add_parser(
         "experiment",
@@ -172,7 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment_run.add_argument(
         "--json", action="store_true", help="emit the structured result as JSON"
     )
-    _add_cache_options(experiment_run)
 
     experiment_sweep = experiment_commands.add_parser(
         "sweep", help="run a cartesian parameter sweep of one experiment"
@@ -199,14 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quick", action="store_true", help="apply the experiment's quick overrides"
     )
     experiment_sweep.add_argument(
-        "--parallel",
-        action="store_true",
-        help="run the grid points across a process pool",
-    )
-    experiment_sweep.add_argument(
-        "--workers", type=int, default=None, help="process pool size cap"
-    )
-    experiment_sweep.add_argument(
         "--render",
         action="store_true",
         help="print every point's full text view instead of the summary table",
@@ -214,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment_sweep.add_argument(
         "--json", action="store_true", help="emit the sweep results as JSON"
     )
-    _add_cache_options(experiment_sweep)
 
     multiply = subparsers.add_parser("multiply", help="one modular multiplication")
     multiply.add_argument("a", type=_parse_int, help="multiplier (decimal or 0x...)")
@@ -265,37 +233,41 @@ def build_parser() -> argparse.ArgumentParser:
         help="multi-macro chip scale-out of one workload (the chip-scaling "
              "experiment as a shortcut)",
     )
+    # A flag left unset takes the chip-scaling experiment's default (see
+    # 'repro experiment list').
     chip.add_argument(
         "--workload",
         choices=sorted(CHIP_WORKLOADS),
-        default="ecdsa-sign",
         help="multiplication stream to dispatch across the chip",
     )
     chip.add_argument(
         "--macros",
-        default="1,2,4,8,16",
+        dest="macro_counts",
+        metavar="MACROS",
         help="comma-separated macro counts to scale across",
     )
-    chip.add_argument("--bitwidth", type=int, default=256, help="operand width")
+    chip.add_argument("--bitwidth", type=int, help="operand width")
     chip.add_argument(
-        "--scalar-bits", type=int, default=256, help="scalar width (ECC/MSM workloads)"
+        "--scalar-bits", type=int, help="scalar width (ECC/MSM workloads)"
     )
     chip.add_argument(
-        "--signatures", type=int, default=1, help="signatures (ecdsa-sign workload)"
+        "--signatures", type=int, help="signatures (ecdsa-sign workload)"
     )
     chip.add_argument(
-        "--size", type=int, default=4096, help="vector size (ntt workload)"
+        "--size", dest="vector_size", metavar="SIZE", type=int,
+        help="vector size (ntt workload)",
     )
     chip.add_argument(
-        "--points", type=int, default=128, help="point count (msm workload)"
+        "--points", dest="msm_points", metavar="POINTS", type=int,
+        help="point count (msm workload)",
     )
     chip.add_argument(
-        "--quick", action="store_true", help="apply the experiment's quick overrides"
+        "--quick", action="store_true",
+        help="apply the experiment's quick overrides to every flag left unset",
     )
     chip.add_argument(
         "--json", action="store_true", help="emit the structured result as JSON"
     )
-    _add_cache_options(chip)
 
     serve = subparsers.add_parser(
         "serve",
@@ -548,8 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     dse_run = dse_commands.add_parser(
         "run",
         help="expand a sweep spec into design points, evaluate them "
-             "through the cached parallel runner and print the "
-             "throughput/energy/area Pareto frontier",
+             "and print the throughput/energy/area Pareto frontier",
     )
     dse_run.add_argument(
         "spec", nargs="?", default=None, metavar="SPEC",
@@ -569,14 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the per-point workload stream length",
     )
     dse_run.add_argument(
-        "--parallel", action="store_true",
-        help="evaluate points across the process pool",
-    )
-    dse_run.add_argument(
-        "--workers", type=int, default=None,
-        help="process-pool size (default: cpu count)",
-    )
-    dse_run.add_argument(
         "--json", action="store_true",
         help="emit the full run result as JSON",
     )
@@ -585,7 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the run result JSON to PATH "
              "(readable by 'repro dse frontier')",
     )
-    _add_cache_options(dse_run)
 
     dse_frontier = dse_commands.add_parser(
         "frontier",
@@ -602,23 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_runner(arguments: argparse.Namespace, parallel: bool = False) -> Runner:
-    """The experiment runner a subcommand's cache/parallel flags describe."""
-    return Runner(
-        cache_dir=arguments.cache_dir,
-        use_cache=not arguments.no_cache,
-        parallel=parallel,
-        max_workers=getattr(arguments, "workers", None),
-    )
-
-
 def _command_report(arguments: argparse.Namespace) -> int:
-    print(
-        build_report(
-            quick=arguments.quick,
-            runner=_make_runner(arguments, parallel=arguments.parallel),
-        )
-    )
+    print(build_report(quick=arguments.quick))
     return 0
 
 
@@ -656,8 +603,7 @@ def _command_experiment_list(arguments: argparse.Namespace) -> int:
 
 def _command_experiment_run(arguments: argparse.Namespace) -> int:
     params = _parse_assignments(arguments.assignments, "--set")
-    runner = _make_runner(arguments)
-    result = runner.run(arguments.name, params, quick=arguments.quick)
+    result = get_experiment(arguments.name).execute(params, quick=arguments.quick)
     if arguments.json:
         print(result.to_json(indent=2))
         return 0
@@ -667,25 +613,37 @@ def _command_experiment_run(arguments: argparse.Namespace) -> int:
 
 def _command_experiment_sweep(arguments: argparse.Namespace) -> int:
     params = _parse_assignments(arguments.assignments, "--set")
-    axes = _parse_axes(arguments.axes)
-    runner = _make_runner(arguments, parallel=arguments.parallel)
-    sweep = runner.sweep(arguments.name, axes, params, quick=arguments.quick)
+    spec = ExperimentSpec(arguments.name, params, _parse_axes(arguments.axes))
+    definition = get_experiment(arguments.name)
+    results = [
+        definition.execute(point, quick=arguments.quick) for point in spec.points()
+    ]
     if arguments.json:
-        print(json.dumps(sweep.to_dict(), indent=2))
+        print(json.dumps(
+            {
+                "spec": spec.to_dict(),
+                "results": [result.to_dict() for result in results],
+            },
+            indent=2,
+        ))
         return 0
     if arguments.render:
         divider = "\n\n" + "-" * 78 + "\n\n"
-        print(divider.join(result.render() for result in sweep.results))
+        print(divider.join(result.render() for result in results))
     else:
-        headers = tuple(sorted(axes)) + ("elapsed (s)", "cache hit")
+        axes = sorted(spec.sweep)
         print(render_table(
-            headers,
-            sweep.summary_rows(),
+            tuple(axes) + ("elapsed (s)",),
+            [
+                [result.params[axis] for axis in axes]
+                + [round(result.elapsed_seconds, 3)]
+                for result in results
+            ],
             title=f"Sweep of experiment {arguments.name!r} "
-                  f"({len(sweep.results)} points)",
+                  f"({len(results)} points)",
         ))
-    print(f"{sweep.cache_hits}/{len(sweep.results)} points from cache; "
-          f"computed in {sweep.elapsed_seconds:.3f} s")
+    elapsed = sum(result.elapsed_seconds for result in results)
+    print(f"computed {len(results)} points in {elapsed:.3f} s")
     return 0
 
 
@@ -754,41 +712,26 @@ def _command_batch(arguments: argparse.Namespace) -> int:
     return 0
 
 
-#: Argparse defaults of the ``chip`` subcommand, mapped to the experiment's
-#: parameter names.  Values the user leaves at their default are *omitted*
-#: from the experiment params so the experiment's own defaults — and, under
-#: ``--quick``, its quick overrides — stay in force; explicit flags always
-#: win, in quick mode too.
-_CHIP_DEFAULTS = {
-    "workload": ("workload", "ecdsa-sign"),
-    "bitwidth": ("bitwidth", 256),
-    "scalar_bits": ("scalar_bits", 256),
-    "signatures": ("signatures", 1),
-    "size": ("vector_size", 4096),
-    "points": ("msm_points", 128),
-}
-
-
 def _command_chip(arguments: argparse.Namespace) -> int:
-    try:
-        macro_counts = [
-            int(value, 0) for value in str(arguments.macros).split(",") if value
-        ]
-    except ValueError:
-        print(f"--macros expects comma-separated integers, got {arguments.macros!r}")
-        return 2
-    if not macro_counts or any(count <= 0 for count in macro_counts):
-        print(f"--macros needs positive macro counts, got {arguments.macros!r}")
-        return 2
-    params = {}
-    for attribute, (param, default) in _CHIP_DEFAULTS.items():
-        value = getattr(arguments, attribute)
-        if value != default:
-            params[param] = value
-    if arguments.macros != "1,2,4,8,16":
-        params["macro_counts"] = macro_counts
-    runner = _make_runner(arguments)
-    result = runner.run("chip-scaling", params, quick=arguments.quick)
+    definition = get_experiment("chip-scaling")
+    # Every flag the user set wins, in quick mode too.
+    params = {
+        name: getattr(arguments, name)
+        for name in definition.defaults
+        if getattr(arguments, name) is not None
+    }
+    if "macro_counts" in params:
+        text = params["macro_counts"]
+        try:
+            counts = [int(value, 0) for value in text.split(",") if value]
+        except ValueError:
+            print(f"--macros expects comma-separated integers, got {text!r}")
+            return 2
+        if not counts or min(counts) <= 0:
+            print(f"--macros needs positive macro counts, got {text!r}")
+            return 2
+        params["macro_counts"] = counts
+    result = definition.execute(params, quick=arguments.quick)
     if arguments.json:
         print(result.to_json(indent=2))
         return 0
@@ -1157,17 +1100,12 @@ def _command_hdl_emit(arguments: argparse.Namespace) -> int:
 
 
 def _command_hdl_cosim(arguments: argparse.Namespace) -> int:
-    from repro.experiments import get_experiment
-
-    definition = get_experiment("hdl-cosim")
-    params = dict(definition.defaults)
-    if arguments.quick:
-        params.update(definition.quick_overrides)
-    if arguments.cases is not None:
-        params["cases"] = arguments.cases
-    if arguments.seed is not None:
-        params["seed"] = arguments.seed
-    result = definition.execute(params)
+    params = {
+        name: getattr(arguments, name)
+        for name in ("cases", "seed")
+        if getattr(arguments, name) is not None
+    }
+    result = get_experiment("hdl-cosim").execute(params, quick=arguments.quick).result
     if arguments.json:
         print(json.dumps(result.to_dict(), indent=2))
     else:
@@ -1193,10 +1131,9 @@ def _command_dse_run(arguments: argparse.Namespace) -> int:
     )
     if arguments.workload_ops is not None:
         spec = spec.with_fixed(workload_ops=arguments.workload_ops)
-    if arguments.sample:
+    if arguments.sample is not None:
         spec = spec.quick(per_axis=arguments.sample)
-    runner = _make_runner(arguments, parallel=arguments.parallel)
-    result = run_dse(spec, runner, quick=arguments.quick)
+    result = run_dse(spec, quick=arguments.quick)
     if arguments.output:
         with open(arguments.output, "w", encoding="utf-8") as handle:
             json.dump(result.to_dict(), handle, indent=2)
@@ -1222,7 +1159,6 @@ def _command_dse_frontier(arguments: argparse.Namespace) -> int:
         points=run.points,
         frontier=frontier,
         dominated=len(run.points) - len(frontier),
-        cache_hits=run.cache_hits,
         elapsed_seconds=run.elapsed_seconds,
     )
     if arguments.json:

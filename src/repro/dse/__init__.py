@@ -6,11 +6,10 @@ configs.  A :class:`SweepSpec` (JSON, or YAML when PyYAML is available)
 declares fixed values and swept axes over macro geometry (rows, columns,
 banking), Booth radix, LUT sizing, macro count, scheduler policy, workload
 mix and probe fidelity; :func:`run_dse` expands it into validated
-:class:`DesignPoint`\\ s, evaluates each through the cached parallel
-experiment :class:`~repro.experiments.Runner` (every point is one
-cacheable ``dse-point`` experiment, so warm re-runs are served from disk),
-and reduces the sweep into the throughput / energy-per-op / area Pareto
-frontier with dominated-point accounting.
+:class:`DesignPoint`\\ s, evaluates each in-process
+(:func:`evaluate_design_point`), and reduces the sweep into the
+throughput / energy-per-op / area Pareto frontier with dominated-point
+accounting.
 
 Surfaces: the ``repro dse run|frontier`` CLI, the registered ``dse`` and
 ``dse-point`` experiments, and ``benchmarks/bench_dse.py`` →

@@ -11,8 +11,9 @@ against the closed form (:func:`~repro.modsram.fidelity.checked_multiply`:
 products equal to the big-integer oracle, reports equal field by field)
 before the point is marked *verified*.
 
-This module is what the registered ``dse-point`` experiment runs, so every
-result is cacheable and JSON round-trippable.
+This module is what :func:`~repro.dse.run.run_dse` and the registered
+``dse-point`` experiment run; every result is JSON round-trippable, so
+``repro dse frontier`` can re-read a saved sweep.
 """
 
 from __future__ import annotations

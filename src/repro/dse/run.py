@@ -1,24 +1,23 @@
-"""Sweep orchestration: spec → runner pool → frontier.
+"""Sweep orchestration: spec → evaluated points → frontier.
 
 :func:`run_dse` expands a :class:`~repro.dse.spec.SweepSpec` into design
-points, runs each as one ``dse-point`` experiment through a
-:class:`~repro.experiments.Runner` (so points execute across the process
-pool and land in the content-addressed disk cache — a warm re-run of the
-same spec is served entirely from cache), then reduces the results into
-the throughput/energy/area Pareto frontier with dominated-point
-accounting.  The whole run is a :class:`DseRunResult`, which is also the
-payload of the registered ``dse`` experiment and of ``repro dse run``.
+points, evaluates each in-process with
+:func:`~repro.dse.evaluate.evaluate_design_point`, then reduces the
+results into the throughput/energy/area Pareto frontier with
+dominated-point accounting.  The whole run is a :class:`DseRunResult`,
+which is also the result of the registered ``dse`` experiment and of
+``repro dse run``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping
 
 from repro.analysis.tables import render_table
 from repro.errors import ConfigurationError
-from repro.dse.evaluate import DsePointResult
+from repro.dse.evaluate import DsePointResult, evaluate_design_point
 from repro.dse.frontier import (
     DEFAULT_OBJECTIVES,
     FrontierPoint,
@@ -31,7 +30,7 @@ __all__ = ["DseRunResult", "run_dse"]
 
 @dataclass(frozen=True)
 class DseRunResult:
-    """One executed sweep: every point, the frontier, and pool accounting."""
+    """One executed sweep: every point, the frontier, and its timing."""
 
     spec: Dict[str, Any]
     points: List[DsePointResult]
@@ -39,12 +38,11 @@ class DseRunResult:
     #: Points some frontier member dominates (== points - frontier size
     #: only when no two points tie on every objective).
     dominated: int
-    cache_hits: int
     elapsed_seconds: float
 
     @property
     def points_per_second(self) -> float:
-        """Evaluation rate through the runner (cache hits included)."""
+        """Evaluated points per second of the sweep."""
         if self.elapsed_seconds <= 0:
             return 0.0
         return len(self.points) / self.elapsed_seconds
@@ -66,7 +64,7 @@ class DseRunResult:
         name = self.spec.get("name", "sweep")
         summary = (
             f"sweep {name!r}: {len(self.points)} points "
-            f"({self.cache_hits} cached) in {self.elapsed_seconds:.2f}s "
+            f"in {self.elapsed_seconds:.2f}s "
             f"({self.points_per_second:.0f} points/s); frontier "
             f"{len(self.frontier)}, dominated {self.dominated}"
         )
@@ -95,7 +93,6 @@ class DseRunResult:
                 for member in self.frontier
             ],
             "dominated": self.dominated,
-            "cache_hits": self.cache_hits,
             "elapsed_seconds": self.elapsed_seconds,
             "points_per_second": self.points_per_second,
         }
@@ -108,10 +105,7 @@ class DseRunResult:
                 f"a DSE results document must be a mapping, "
                 f"got {type(data).__name__}"
             )
-        required = (
-            "spec", "points", "frontier", "dominated", "cache_hits",
-            "elapsed_seconds",
-        )
+        required = ("spec", "points", "frontier", "dominated", "elapsed_seconds")
         missing = [key for key in required if key not in data]
         if missing:
             raise ConfigurationError(
@@ -135,36 +129,22 @@ class DseRunResult:
                 for entry in data["frontier"]
             ],
             dominated=int(data["dominated"]),
-            cache_hits=int(data["cache_hits"]),
             elapsed_seconds=float(data["elapsed_seconds"]),
         )
 
 
-def run_dse(
-    spec: SweepSpec,
-    runner: Optional["Runner"] = None,
-    quick: bool = False,
-) -> DseRunResult:
-    """Expand a sweep spec and evaluate every point through the runner.
+def run_dse(spec: SweepSpec, quick: bool = False) -> DseRunResult:
+    """Expand a sweep spec and evaluate every point in-process.
 
     ``quick`` shrinks the grid to two values per axis (analytical probes
-    only) — the smoke-test path.  Each point is one cacheable
-    ``dse-point`` experiment, so re-running an already-swept spec is
-    served from the runner's disk cache.
+    only) — the smoke-test path.
     """
-    from repro.experiments import ExperimentSpec, Runner
-
     if quick:
         spec = spec.quick()
-    if runner is None:
-        runner = Runner()
     points = spec.expand()
     started = time.perf_counter()
-    results = runner.run_specs(
-        [ExperimentSpec("dse-point", point.to_params()) for point in points]
-    )
+    evaluated = [evaluate_design_point(point) for point in points]
     elapsed = time.perf_counter() - started
-    evaluated = [DsePointResult.from_dict(entry.payload) for entry in results]
     frontier = pareto_frontier(
         [point.metrics() for point in evaluated], DEFAULT_OBJECTIVES
     )
@@ -173,6 +153,5 @@ def run_dse(
         points=evaluated,
         frontier=frontier,
         dominated=len(evaluated) - len(frontier),
-        cache_hits=sum(1 for entry in results if entry.cache_hit),
         elapsed_seconds=elapsed,
     )

@@ -6,11 +6,11 @@ parameter values plus *axes* — lists of values whose cartesian product
 expands into :class:`DesignPoint`\\ s.  Expansion is deterministic and
 order-stable: axes are iterated in sorted key order, values in the order
 the spec lists them, so the same spec always yields the same point
-sequence (the property the runner's content-addressed cache relies on).
+sequence.
 
 Every parameter is validated eagerly with the offending key named in the
 :class:`~repro.errors.ConfigurationError`, so a thousand-point sweep
-fails at parse time, not in worker number 713.
+fails at parse time, not at point number 713.
 """
 
 from __future__ import annotations
@@ -294,6 +294,10 @@ class SweepSpec:
         Used by ``--quick`` paths: same shape and validation, a grid small
         enough for smoke tests; the probe fidelity drops to analytical.
         """
+        if per_axis < 1:
+            raise ConfigurationError(
+                f"a sample keeps at least 1 value per axis, got {per_axis}"
+            )
         fixed = dict(self.fixed)
         fixed["fidelity"] = "analytical"
         axes = {
@@ -373,7 +377,7 @@ def default_sweep_spec() -> SweepSpec:
 
     Bitwidth × rows × macro count × scheduler policy × workload — all
     closed-form (analytical fidelity), so the full grid expands and
-    evaluates in seconds through the runner pool while still exposing a
+    evaluates in about a second while still exposing a
     real throughput/energy/area trade-off surface.
     """
     return SweepSpec(

@@ -13,25 +13,18 @@ analysis layer in at import time.
 
 from __future__ import annotations
 
-from repro.analysis.chip_scaling import ChipScalingResult, reproduce_chip_scaling
-from repro.analysis.design_point import (
-    DesignPointResult,
-    build_design_config,
-    reproduce_design_point,
-)
-from repro.analysis.energy import EnergyAnalysisResult, reproduce_energy
-from repro.analysis.hdl_cosim import HdlCosimResult, reproduce_hdl_cosim
-from repro.analysis.figure1 import Figure1Result, reproduce_figure1
-from repro.analysis.figure5 import Figure5Result, reproduce_figure5
-from repro.analysis.figure6 import Figure6Result, reproduce_figure6
-from repro.analysis.figure7 import Figure7Result, reproduce_figure7
-from repro.analysis.headline import HeadlineResult, reproduce_headline_claims
-from repro.analysis.serving import (
-    ServingThroughputResult,
-    reproduce_serving_throughput,
-)
-from repro.analysis.table1 import TableOneResult, reproduce_tables
-from repro.analysis.table3 import Table3Result, reproduce_table3
+from repro.analysis.chip_scaling import reproduce_chip_scaling
+from repro.analysis.design_point import build_design_config, reproduce_design_point
+from repro.analysis.energy import reproduce_energy
+from repro.analysis.hdl_cosim import reproduce_hdl_cosim
+from repro.analysis.figure1 import reproduce_figure1
+from repro.analysis.figure5 import reproduce_figure5
+from repro.analysis.figure6 import reproduce_figure6
+from repro.analysis.figure7 import reproduce_figure7
+from repro.analysis.headline import reproduce_headline_claims
+from repro.analysis.serving import reproduce_serving_throughput
+from repro.analysis.table1 import reproduce_tables
+from repro.analysis.table3 import reproduce_table3
 from repro.core.complexity import PAPER_FIGURE1_BITWIDTHS
 from repro.engine import EngineSpec
 from repro.experiments.registry import ExperimentDefinition, register_experiment
@@ -73,8 +66,6 @@ register_experiment(
             "radix-4 / carry-overflow LUTs from the implementation."
         ),
         run=reproduce_tables,
-        serialize=TableOneResult.to_dict,
-        deserialize=TableOneResult.from_dict,
         defaults={"multiplicand": None, "modulus": None},
         sweep_axes=("multiplicand", "modulus"),
     )
@@ -89,8 +80,6 @@ register_experiment(
             "ModSRAM measurements over the paper's bitwidth sweep."
         ),
         run=_run_figure1,
-        serialize=Figure1Result.to_dict,
-        deserialize=Figure1Result.from_dict,
         defaults={"bitwidths": list(PAPER_FIGURE1_BITWIDTHS), "seed": 2024},
         sweep_axes=("seed",),
     )
@@ -105,8 +94,6 @@ register_experiment(
             "and SRAM overhead."
         ),
         run=_run_figure5,
-        serialize=Figure5Result.to_dict,
-        deserialize=Figure5Result.from_dict,
         defaults={"rows": None, "bitwidth": None, "technology_nm": None},
         sweep_axes=("rows", "bitwidth", "technology_nm"),
     )
@@ -121,8 +108,6 @@ register_experiment(
             "multiplication plus ModSRAM's region breakdown."
         ),
         run=reproduce_figure6,
-        serialize=Figure6Result.to_dict,
-        deserialize=Figure6Result.from_dict,
         defaults={"bitwidth": 256},
         sweep_axes=("bitwidth",),
     )
@@ -137,8 +122,6 @@ register_experiment(
             "2^15-element, 256-bit operating point."
         ),
         run=reproduce_figure7,
-        serialize=Figure7Result.to_dict,
-        deserialize=Figure7Result.from_dict,
         defaults={
             "vector_size": PAPER_FIGURE7_VECTOR_SIZE,
             "bitwidth": PAPER_FIGURE7_BITWIDTH,
@@ -157,8 +140,6 @@ register_experiment(
             "with the ModSRAM cycles measured at the table's bitwidth."
         ),
         run=reproduce_table3,
-        serialize=Table3Result.to_dict,
-        deserialize=Table3Result.from_dict,
         defaults={"bitwidth": 256},
         sweep_axes=("bitwidth",),
     )
@@ -173,8 +154,6 @@ register_experiment(
             "reproduced value."
         ),
         run=reproduce_headline_claims,
-        serialize=HeadlineResult.to_dict,
-        deserialize=HeadlineResult.from_dict,
     )
 )
 
@@ -187,8 +166,6 @@ register_experiment(
             "widths, with the per-mechanism breakdown."
         ),
         run=_run_energy,
-        serialize=EnergyAnalysisResult.to_dict,
-        deserialize=EnergyAnalysisResult.from_dict,
         defaults={"bitwidths": [64, 128, 256]},
     )
 )
@@ -217,8 +194,6 @@ register_experiment(
             "report throughput, reuse rate, speedup and efficiency."
         ),
         run=_run_chip_scaling,
-        serialize=ChipScalingResult.to_dict,
-        deserialize=ChipScalingResult.from_dict,
         defaults={
             "workload": "ecdsa-sign",
             "macro_counts": [1, 2, 4, 8, 16],
@@ -249,8 +224,6 @@ register_experiment(
             "coalescing and context-cache behaviour."
         ),
         run=reproduce_serving_throughput,
-        serialize=ServingThroughputResult.to_dict,
-        deserialize=ServingThroughputResult.from_dict,
         defaults={
             "backend": EngineSpec.backend,
             "curve": "bn254",
@@ -272,9 +245,6 @@ register_experiment(
         sweep_axes=(
             "backend", "tenants", "requests", "max_batch", "workers",
         ),
-        # Headline figures are wall-clock measurements of this machine:
-        # serving a cached timing as freshly measured would mislead.
-        cacheable=False,
     )
 )
 
@@ -287,8 +257,6 @@ register_experiment(
             "sweep bitwidth/rows/technology for design-space exploration."
         ),
         run=reproduce_design_point,
-        serialize=DesignPointResult.to_dict,
-        deserialize=DesignPointResult.from_dict,
         defaults={
             "bitwidth": 256,
             "rows": None,
@@ -313,8 +281,6 @@ register_experiment(
             "main-loop cycles at 256 bits)."
         ),
         run=reproduce_hdl_cosim,
-        serialize=HdlCosimResult.to_dict,
-        deserialize=HdlCosimResult.from_dict,
         defaults={
             "bitwidths": [16, 32, 64],
             "cases": 5,
@@ -322,9 +288,6 @@ register_experiment(
         },
         quick_overrides={"bitwidths": [16, 24], "cases": 3},
         sweep_axes=("bitwidths", "cases", "seed"),
-        # events/sec and the slowdown column are wall-clock measurements
-        # of this machine; replaying a cached timing would mislead.
-        cacheable=False,
     )
 )
 
@@ -336,37 +299,16 @@ def _run_dse_point(**params):
     return evaluate_design_point(DesignPoint.from_params(params))
 
 
-def _serialize_dse_point(result):
-    return result.to_dict()
-
-
-def _deserialize_dse_point(payload):
-    from repro.dse.evaluate import DsePointResult
-
-    return DsePointResult.from_dict(payload)
-
-
-def _run_dse(spec=None, sample=0, parallel=False, workload_ops=None):
+def _run_dse(spec=None, sample=0, workload_ops=None):
     from repro.dse.run import run_dse
     from repro.dse.spec import SweepSpec, default_sweep_spec
-    from repro.experiments.runner import Runner
 
     sweep = SweepSpec.from_dict(spec) if spec else default_sweep_spec()
     if workload_ops is not None:
         sweep = sweep.with_fixed(workload_ops=int(workload_ops))
     if sample:
         sweep = sweep.quick(per_axis=int(sample))
-    return run_dse(sweep, Runner(parallel=bool(parallel)))
-
-
-def _serialize_dse(result):
-    return result.to_dict()
-
-
-def _deserialize_dse(payload):
-    from repro.dse.run import DseRunResult
-
-    return DseRunResult.from_dict(payload)
+    return run_dse(sweep)
 
 
 register_experiment(
@@ -380,8 +322,6 @@ register_experiment(
             "the cycle or hdl tier by a seeded probe multiplication."
         ),
         run=_run_dse_point,
-        serialize=_serialize_dse_point,
-        deserialize=_deserialize_dse_point,
         defaults={
             "bitwidth": 256,
             "rows": 64,
@@ -416,24 +356,17 @@ register_experiment(
         title="DSE: full sweep with Pareto-frontier extraction",
         description=(
             "Expand a declarative sweep spec (default: the built-in "
-            "640-point grid) into design points, evaluate each as a "
-            "cached dse-point experiment through the runner, and extract "
-            "the throughput/energy/area Pareto frontier with "
+            "640-point grid) into design points, evaluate each in-process, "
+            "and extract the throughput/energy/area Pareto frontier with "
             "dominated-point accounting."
         ),
         run=_run_dse,
-        serialize=_serialize_dse,
-        deserialize=_deserialize_dse,
         defaults={
             "spec": None,
             "sample": 0,
-            "parallel": False,
             "workload_ops": None,
         },
         quick_overrides={"sample": 2, "workload_ops": 128},
         sweep_axes=("sample",),
-        # points/sec is a wall-clock measurement of this machine; the
-        # per-point results underneath are cached, the aggregate is not.
-        cacheable=False,
     )
 )

@@ -2,19 +2,21 @@
 
 An :class:`ExperimentDefinition` wraps one ``reproduce_*`` entry point with
 its parameter schema (defaults, ``--quick`` overrides, natural sweep axes)
-and the serialise/deserialise pair that moves its result through JSON and
-the disk cache.  The built-in definitions — one per paper table/figure —
-are registered lazily by :mod:`repro.experiments.builtin` so importing this
-package stays cheap and free of import cycles with :mod:`repro.analysis`.
+and runs it in-process (:meth:`ExperimentDefinition.execute`).  The
+built-in definitions — one per paper table/figure — are registered lazily
+by :mod:`repro.experiments.builtin` so importing this package stays cheap
+and free of import cycles with :mod:`repro.analysis`.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.experiments.spec import ExperimentResult
 
 __all__ = [
     "ExperimentDefinition",
@@ -50,22 +52,15 @@ class ExperimentDefinition:
     title: str
     #: What the experiment reproduces, one sentence.
     description: str
-    #: Entry point; called with the fully resolved keyword parameters.
+    #: Entry point; called with the fully resolved keyword parameters and
+    #: returns a result object with ``render()`` and ``to_dict()``.
     run: Callable[..., Any]
-    #: Legacy result object -> JSON-clean payload dictionary.
-    serialize: Callable[[Any], Dict[str, Any]]
-    #: Payload dictionary -> legacy result object (render()-able).
-    deserialize: Callable[[Dict[str, Any]], Any]
     #: Every accepted parameter with its default value.
     defaults: Mapping[str, Any] = field(default_factory=dict)
     #: Parameter overrides applied in quick mode (smaller sweeps and workloads).
     quick_overrides: Mapping[str, Any] = field(default_factory=dict)
     #: Parameters that make natural sweep/grid axes.
     sweep_axes: Tuple[str, ...] = ()
-    #: Whether results may be served from the disk cache.  ``False`` for
-    #: experiments whose headline figures are wall-clock measurements of
-    #: *this* machine (serving a stale timing as fresh would mislead).
-    cacheable: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "defaults", MappingProxyType(dict(self.defaults)))
@@ -108,9 +103,21 @@ class ExperimentDefinition:
         resolved.update(params)
         return resolved
 
-    def execute(self, params: Mapping[str, Any]) -> Any:
-        """Run the entry point with fully resolved parameters."""
-        return self.run(**params)
+    def execute(
+        self,
+        params: Optional[Mapping[str, Any]] = None,
+        quick: bool = False,
+    ) -> ExperimentResult:
+        """Run the entry point in-process at one parameter point.
+
+        ``params`` are resolved as :meth:`resolve_params` does; the result
+        holds them, the live result object and the entry point's seconds.
+        """
+        resolved = self.resolve_params(params, quick=quick)
+        start = time.perf_counter()
+        result = self.run(**resolved)
+        elapsed = time.perf_counter() - start
+        return ExperimentResult(self.name, resolved, result, elapsed)
 
     def describe(self) -> Dict[str, Any]:
         """Definition metadata as a JSON-friendly dictionary."""
@@ -121,7 +128,6 @@ class ExperimentDefinition:
             "defaults": dict(self.defaults),
             "quick_overrides": dict(self.quick_overrides),
             "sweep_axes": list(self.sweep_axes),
-            "cacheable": self.cacheable,
         }
 
 

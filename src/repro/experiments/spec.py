@@ -1,10 +1,11 @@
-"""Declarative experiment specifications and structured results.
+"""Declarative experiment requests and their in-process results.
 
 An :class:`ExperimentSpec` names a registered experiment, overrides some of
 its parameters and optionally declares sweep axes; :meth:`ExperimentSpec.points`
-expands the cartesian grid.  An :class:`ExperimentResult` wraps the
-experiment's structured payload so it can be cached to disk, shipped as
-JSON and rendered back into the exact legacy text view.
+expands the cartesian grid.  An :class:`ExperimentResult` holds one executed
+point: its resolved parameters, the live result object the experiment
+returned and the seconds it took.  :meth:`ExperimentResult.render` and
+:meth:`ExperimentResult.to_dict` read that object.
 """
 
 from __future__ import annotations
@@ -13,19 +14,11 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.errors import ConfigurationError
 
-__all__ = ["ExperimentSpec", "ExperimentResult", "RESULT_SCHEMA"]
-
-#: Version of the ``ExperimentResult`` serialisation format.  Bumping it
-#: invalidates every on-disk cache entry (the hash key includes it).
-RESULT_SCHEMA = 1
-
-
-def _frozen_mapping(value: Mapping[str, Any]) -> Mapping[str, Any]:
-    return MappingProxyType(dict(value))
+__all__ = ["ExperimentSpec", "ExperimentResult"]
 
 
 @dataclass(frozen=True)
@@ -34,8 +27,8 @@ class ExperimentSpec:
 
     ``params`` override the experiment's registered defaults point-wise;
     ``sweep`` maps axis names to value lists and turns the spec into a
-    cartesian grid.  A spec is data, not behaviour — hand it to a
-    :class:`~repro.experiments.runner.Runner` to execute it.
+    cartesian grid.  Each of :meth:`points` is one call of
+    :meth:`~repro.experiments.ExperimentDefinition.execute`.
     """
 
     experiment: str
@@ -43,7 +36,7 @@ class ExperimentSpec:
     sweep: Mapping[str, Tuple[Any, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "params", _frozen_mapping(self.params))
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
         swept = {name: tuple(values) for name, values in dict(self.sweep).items()}
         for name, values in swept.items():
             if not values:
@@ -77,88 +70,41 @@ class ExperimentSpec:
         return grids
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-clean representation (round-trips through :meth:`from_dict`)."""
+        """JSON-clean representation."""
         return {
             "experiment": self.experiment,
             "params": dict(self.params),
             "sweep": {name: list(values) for name, values in self.sweep.items()},
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
-        """Rebuild a spec from :meth:`to_dict` output (e.g. loaded JSON)."""
-        return cls(
-            experiment=str(data["experiment"]),
-            params=dict(data.get("params", {})),
-            sweep={
-                name: tuple(values)
-                for name, values in dict(data.get("sweep", {})).items()
-            },
-        )
 
-
-@dataclass
+@dataclass(frozen=True)
 class ExperimentResult:
-    """One executed experiment: resolved parameters plus structured payload.
+    """One executed experiment point: resolved parameters plus live result.
 
-    The payload is the experiment's own ``to_dict`` serialisation, so
-    :meth:`result` reconstructs the legacy result object and :meth:`render`
-    reproduces the legacy text view byte-for-byte after any number of
-    JSON/disk round trips.
+    ``result`` is the object the experiment's entry point returned
+    (``Figure1Result``, ``Table3Result``, ...); its ``to_dict`` is the
+    ``payload`` of :meth:`to_dict`.
     """
 
     experiment: str
     params: Dict[str, Any]
-    payload: Dict[str, Any]
+    result: Any
     elapsed_seconds: float = 0.0
-    #: Whether this result came from the runner's disk cache.
-    cache_hit: bool = False
-    schema: int = RESULT_SCHEMA
-
-    def result(self) -> Any:
-        """The legacy result object (``Figure1Result``, ``Table3Result``, ...)."""
-        from repro.experiments.registry import get_experiment
-
-        return get_experiment(self.experiment).deserialize(self.payload)
 
     def render(self) -> str:
-        """The legacy text view of this result."""
-        return self.result().render()
+        """The result's text view."""
+        return self.result.render()
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-clean representation (round-trips through :meth:`from_dict`)."""
+        """JSON-clean representation; ``payload`` is the result's ``to_dict``."""
         return {
             "experiment": self.experiment,
             "params": dict(self.params),
-            "payload": self.payload,
+            "payload": self.result.to_dict(),
             "elapsed_seconds": self.elapsed_seconds,
-            "cache_hit": self.cache_hit,
-            "schema": self.schema,
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentResult":
-        """Rebuild a result from :meth:`to_dict` output (e.g. loaded JSON)."""
-        schema = int(data.get("schema", RESULT_SCHEMA))
-        if schema != RESULT_SCHEMA:
-            raise ConfigurationError(
-                f"experiment result schema {schema} is not supported "
-                f"(expected {RESULT_SCHEMA})"
-            )
-        return cls(
-            experiment=str(data["experiment"]),
-            params=dict(data["params"]),
-            payload=dict(data["payload"]),
-            elapsed_seconds=float(data.get("elapsed_seconds", 0.0)),
-            cache_hit=bool(data.get("cache_hit", False)),
-            schema=schema,
-        )
-
     def to_json(self, indent: int | None = None) -> str:
-        """Serialise to a JSON string."""
+        """Serialise :meth:`to_dict` to a JSON string."""
         return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentResult":
-        """Deserialise from :meth:`to_json` output."""
-        return cls.from_dict(json.loads(text))

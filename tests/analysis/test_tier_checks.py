@@ -64,14 +64,13 @@ def corrupt(monkeypatch, tier, change, when=lambda simulator: True):
 
 
 def run_exhibit(name, params):
-    definition = get_experiment(name)
-    return definition.execute(definition.resolve_params(params))
+    return get_experiment(name).execute(params)
 
 
 class TestTable3Width:
     @pytest.mark.parametrize("quick", [False, True])
     def test_table3_measures_at_its_own_bitwidth(self, capsys, quick):
-        argv = ["experiment", "run", "table3", "--set", "bitwidth=128", "--no-cache"]
+        argv = ["experiment", "run", "table3", "--set", "bitwidth=128"]
         assert main(argv + (["--quick"] if quick else [])) == 0
         output = capsys.readouterr().out
         assert "cycle reduction vs BP-NTT (as scaled): 53.6%" in output

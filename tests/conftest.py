@@ -16,23 +16,6 @@ if _SRC not in sys.path:
 from repro.ecc.curves_data import CURVE_SPECS  # noqa: E402
 
 
-@pytest.fixture(autouse=True, scope="session")
-def _isolated_experiment_cache(tmp_path_factory):
-    """Point $REPRO_CACHE_DIR at a per-session temp dir.
-
-    Tests that exercise the experiment runner's default cache (directly or
-    through the CLI) must never read from — or pollute — the developer's
-    real ``~/.cache/repro``.
-    """
-    previous = os.environ.get("REPRO_CACHE_DIR")
-    os.environ["REPRO_CACHE_DIR"] = str(tmp_path_factory.mktemp("repro-cache"))
-    yield
-    if previous is None:
-        os.environ.pop("REPRO_CACHE_DIR", None)
-    else:
-        os.environ["REPRO_CACHE_DIR"] = previous
-
-
 #: Moduli used across the suite: the two curves the paper names, the NIST
 #: prime, and a few small odd moduli for exhaustive / fast checks.
 BN254_P = CURVE_SPECS["bn254"].field_modulus

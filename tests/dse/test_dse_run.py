@@ -1,4 +1,4 @@
-"""Point evaluation, sweep execution through the runner pool, and the CLI."""
+"""Point evaluation, sweep execution, and the CLI."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.errors import ConfigurationError
 from repro.dse import (
     DesignPoint,
     DseRunResult,
@@ -14,7 +15,6 @@ from repro.dse import (
     evaluate_design_point,
     run_dse,
 )
-from repro.experiments import Runner
 
 SMALL_SPEC = SweepSpec(
     name="small",
@@ -84,51 +84,60 @@ class TestEvaluateDesignPoint:
 
 
 class TestRunDse:
-    def test_cold_then_warm_run_hits_the_cache(self, tmp_path):
-        runner = Runner(cache_dir=str(tmp_path), parallel=False)
-        cold = run_dse(SMALL_SPEC, runner=runner)
-        assert len(cold.points) == SMALL_SPEC.point_count == 8
-        assert cold.cache_hits == 0
-        assert cold.frontier  # non-empty by acceptance criterion
-        warm = run_dse(SMALL_SPEC, runner=runner)
-        assert warm.cache_hits == len(warm.points) == 8
-        assert [p.to_dict() for p in warm.points] == [
-            p.to_dict() for p in cold.points
-        ]
-        assert [m.index for m in warm.frontier] == [
-            m.index for m in cold.frontier
+    def test_every_point_is_evaluated_in_expansion_order(self):
+        result = run_dse(SMALL_SPEC)
+        assert len(result.points) == SMALL_SPEC.point_count == 8
+        assert result.frontier  # non-empty by acceptance criterion
+        assert result.points == [
+            evaluate_design_point(point) for point in SMALL_SPEC.expand()
         ]
 
-    def test_frontier_accounting_is_consistent(self, tmp_path):
-        runner = Runner(cache_dir=str(tmp_path), parallel=False)
-        result = run_dse(SMALL_SPEC, runner=runner)
+    def test_frontier_accounting_is_consistent(self):
+        result = run_dse(SMALL_SPEC)
         assert result.dominated <= len(result.points) - len(result.frontier)
         frontier_indices = {m.index for m in result.frontier}
         assert all(0 <= i < len(result.points) for i in frontier_indices)
 
-    def test_quick_mode_shrinks_the_sweep(self, tmp_path):
-        runner = Runner(cache_dir=str(tmp_path), parallel=False)
-        result = run_dse(SMALL_SPEC, runner=runner, quick=True)
+    def test_quick_mode_shrinks_the_sweep(self):
+        result = run_dse(SMALL_SPEC, quick=True)
         assert len(result.points) == 8  # 2 values were kept per axis
         assert result.spec["name"] == "small-quick"
 
-    def test_run_result_dict_round_trip(self, tmp_path):
-        runner = Runner(cache_dir=str(tmp_path), parallel=False)
-        result = run_dse(SMALL_SPEC, runner=runner)
+    def test_run_result_dict_round_trip(self):
+        result = run_dse(SMALL_SPEC)
         wire = json.loads(json.dumps(result.to_dict()))
         loaded = DseRunResult.from_dict(wire)
         assert loaded.render() == result.render()
 
+    @pytest.mark.parametrize("per_axis", (0, -1))
+    def test_a_sample_below_one_value_per_axis_is_rejected(self, per_axis):
+        with pytest.raises(ConfigurationError, match="at least 1 value per axis"):
+            SMALL_SPEC.quick(per_axis=per_axis)
+
 
 class TestCli:
-    def test_dse_run_quick_json_smoke(self, tmp_path, capsys):
-        code = main(
-            ["dse", "run", "--quick", "--json", "--cache-dir", str(tmp_path)]
-        )
+    def test_dse_run_quick_json_smoke(self, capsys):
+        code = main(["dse", "run", "--quick", "--json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {
+            "spec", "points", "frontier", "dominated", "elapsed_seconds",
+            "points_per_second",
+        }
         assert payload["frontier"]
         assert len(payload["points"]) == 32
+
+    @pytest.mark.parametrize("sample", ("0", "-1"))
+    def test_dse_run_rejects_a_sample_below_one(self, capsys, sample):
+        assert main(["dse", "run", "--sample", sample]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("error:") and "at least 1 value per axis" in out
+
+    def test_dse_experiment_rejects_a_sample_below_one(self, capsys):
+        code = main(["experiment", "run", "dse", "--set", "sample=-1"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert out.startswith("error:") and "at least 1 value per axis" in out
 
     def test_dse_run_with_a_spec_file_and_sample(self, tmp_path, capsys):
         spec_path = tmp_path / "sweep.json"
@@ -137,7 +146,6 @@ class TestCli:
             [
                 "dse", "run", str(spec_path), "--sample", "1",
                 "--workload-ops", "16", "--json",
-                "--cache-dir", str(tmp_path / "cache"),
             ]
         )
         assert code == 0
@@ -148,12 +156,7 @@ class TestCli:
     def test_dse_run_text_mentions_the_frontier(self, tmp_path, capsys):
         spec_path = tmp_path / "sweep.json"
         spec_path.write_text(json.dumps(SMALL_SPEC.to_dict()))
-        code = main(
-            [
-                "dse", "run", str(spec_path),
-                "--cache-dir", str(tmp_path / "cache"),
-            ]
-        )
+        code = main(["dse", "run", str(spec_path)])
         assert code == 0
         out = capsys.readouterr().out
         assert "Pareto frontier" in out
@@ -165,11 +168,7 @@ class TestCli:
         results_path = tmp_path / "results.json"
         assert (
             main(
-                [
-                    "dse", "run", str(spec_path),
-                    "--output", str(results_path),
-                    "--cache-dir", str(tmp_path / "cache"),
-                ]
+                ["dse", "run", str(spec_path), "--output", str(results_path)]
             )
             == 0
         )
@@ -177,6 +176,18 @@ class TestCli:
         assert main(["dse", "frontier", str(results_path), "--json"]) == 0
         frontier = json.loads(capsys.readouterr().out)
         assert frontier and all("dominates" in member for member in frontier)
+
+    def test_dse_frontier_reads_a_file_that_counts_cache_hits(
+        self, tmp_path, capsys
+    ):
+        """Results files written while sweeps were cached carry cache_hits."""
+        saved = run_dse(SMALL_SPEC).to_dict()
+        saved["cache_hits"] = 0
+        results_path = tmp_path / "results.json"
+        results_path.write_text(json.dumps(saved))
+        assert main(["dse", "frontier", str(results_path), "--json"]) == 0
+        frontier = json.loads(capsys.readouterr().out)
+        assert frontier == saved["frontier"]
 
     def test_dse_frontier_rejects_a_malformed_results_file(
         self, tmp_path, capsys

@@ -1,4 +1,4 @@
-"""Tests for the chip-scaling experiment through the Runner and the CLI."""
+"""Tests for the chip-scaling experiment, its registration and the CLI."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import pytest
 from repro.analysis.chip_scaling import reproduce_chip_scaling
 from repro.cli import main as cli_main
 from repro.errors import ConfigurationError
-from repro.experiments import Runner, get_experiment
+from repro.experiments import ExperimentSpec, get_experiment
 
 QUICK_PARAMS = {
     "macro_counts": [1, 2],
@@ -85,42 +85,21 @@ class TestReproduceChipScaling:
             reproduce_chip_scaling(macro_counts=())
 
 
-class TestRunnerIntegration:
-    """Acceptance: chip-scaling runs through the Runner with caching."""
-
+class TestRegisteredExperiment:
     def test_registered_with_quick_overrides_and_sweep_axes(self):
         definition = get_experiment("chip-scaling")
         assert "workload" in definition.sweep_axes
         assert definition.quick_overrides  # quick mode shrinks the workload
 
-    def test_runner_caches_the_experiment(self, tmp_path):
-        runner = Runner(cache_dir=str(tmp_path))
-        cold = runner.run("chip-scaling", QUICK_PARAMS)
-        warm = runner.run("chip-scaling", QUICK_PARAMS)
-        assert not cold.cache_hit
-        assert warm.cache_hit
-        assert warm.render() == cold.render()
-
-    def test_sweep_over_workloads(self, tmp_path):
-        runner = Runner(cache_dir=str(tmp_path))
-        sweep = runner.sweep(
-            "chip-scaling",
-            {"workload": ["ntt", "scalar-mult"]},
-            QUICK_PARAMS,
-        )
-        assert len(sweep.results) == 2
-        rendered = [result.render() for result in sweep.results]
-        assert "ntt" in rendered[0] and "scalar-mult" in rendered[1]
-
-    def test_parallel_matches_serial(self, tmp_path):
-        from repro.experiments import ExperimentSpec
-
+    def test_sweep_over_workloads(self):
         spec = ExperimentSpec(
-            "chip-scaling", QUICK_PARAMS, {"workload": ("ntt", "msm")}
+            "chip-scaling", QUICK_PARAMS, {"workload": ["ntt", "scalar-mult"]}
         )
-        serial = Runner(use_cache=False).run_spec(spec)
-        parallel = Runner(use_cache=False, parallel=True, max_workers=2).run_spec(spec)
-        assert [r.render() for r in parallel] == [r.render() for r in serial]
+        definition = get_experiment(spec.experiment)
+        results = [definition.execute(point) for point in spec.points()]
+        assert len(results) == 2
+        rendered = [result.render() for result in results]
+        assert "ntt" in rendered[0] and "scalar-mult" in rendered[1]
 
 
 class TestChipCli:
@@ -128,46 +107,52 @@ class TestChipCli:
         code = cli_main(list(argv))
         return code, capsys.readouterr().out
 
-    def test_chip_subcommand_renders_a_table(self, capsys, tmp_path):
+    def test_chip_subcommand_renders_a_table(self, capsys):
         code, out = self.run_cli(
             capsys,
             "chip", "--workload", "ntt", "--macros", "1,2", "--size", "128",
-            "--cache-dir", str(tmp_path),
         )
         assert code == 0
         assert "Chip scale-out on ntt" in out
 
-    def test_chip_subcommand_json(self, capsys, tmp_path):
-        code, out = self.run_cli(
-            capsys,
-            "chip", "--quick", "--json", "--cache-dir", str(tmp_path),
-        )
+    def test_chip_subcommand_json(self, capsys):
+        code, out = self.run_cli(capsys, "chip", "--quick", "--json")
         assert code == 0
         payload = json.loads(out)
         assert payload["experiment"] == "chip-scaling"
         assert payload["payload"]["workload"] == "ecdsa-sign"
         assert len(payload["payload"]["points"]) == 3  # quick grid: 1, 2, 4
 
-    def test_quick_mode_applies_the_experiment_overrides(self, capsys, tmp_path):
+    def test_quick_mode_applies_the_experiment_overrides(self, capsys):
         """--quick must shrink the workload, not just the macro grid."""
-        code, out = self.run_cli(
-            capsys, "chip", "--quick", "--json", "--cache-dir", str(tmp_path)
-        )
+        code, out = self.run_cli(capsys, "chip", "--quick", "--json")
         assert code == 0
         params = json.loads(out)["params"]
         assert params["scalar_bits"] == 64  # the experiment's quick override
         assert params["macro_counts"] == [1, 2, 4]
 
-    def test_explicit_flags_win_even_in_quick_mode(self, capsys, tmp_path):
+    def test_explicit_flags_win_even_in_quick_mode(self, capsys):
         code, out = self.run_cli(
             capsys,
             "chip", "--quick", "--json", "--macros", "1,8",
-            "--scalar-bits", "16", "--cache-dir", str(tmp_path),
+            "--scalar-bits", "16",
         )
         assert code == 0
         params = json.loads(out)["params"]
         assert params["macro_counts"] == [1, 8]
         assert params["scalar_bits"] == 16
+
+    def test_flags_equal_to_the_full_defaults_win_in_quick_mode(self, capsys):
+        code, out = self.run_cli(
+            capsys,
+            "chip", "--quick", "--json", "--macros", "1,2,4,8,16",
+            "--scalar-bits", "256",
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["params"]["macro_counts"] == [1, 2, 4, 8, 16]
+        assert data["params"]["scalar_bits"] == 256
+        assert len(data["payload"]["points"]) == 5
 
     def test_chip_subcommand_rejects_bad_macros(self, capsys):
         code, out = self.run_cli(capsys, "chip", "--macros", "two")

@@ -39,99 +39,114 @@ class TestExperimentList:
 
 class TestExperimentRun:
     def test_unknown_experiment_fails_cleanly(self, capsys):
-        assert main(["experiment", "run", "figure99", "--no-cache"]) == 1
+        assert main(["experiment", "run", "figure99"]) == 1
         output = capsys.readouterr().out
         assert "error:" in output and "unknown experiment" in output
 
     def test_bad_set_syntax_fails_cleanly(self, capsys):
-        code = main(["experiment", "run", "figure6", "--set", "bitwidth",
-                     "--no-cache"])
+        code = main(["experiment", "run", "figure6", "--set", "bitwidth"])
         assert code == 1
         assert "KEY=VALUE" in capsys.readouterr().out
 
     def test_run_renders_the_legacy_text_view(self, capsys):
-        assert main(["experiment", "run", "figure6", "--no-cache"]) == 0
+        assert main(["experiment", "run", "figure6"]) == 0
         output = capsys.readouterr().out
         assert "Figure 6" in output and "ModSRAM" in output
 
     def test_json_run_with_parameter_override(self, capsys):
         code = main(["experiment", "run", "figure6", "--set", "bitwidth=128",
-                     "--json", "--no-cache"])
+                     "--json"])
         assert code == 0
         data = json.loads(capsys.readouterr().out)
+        assert set(data) == {"experiment", "params", "payload", "elapsed_seconds"}
         assert data["experiment"] == "figure6"
         assert data["params"]["bitwidth"] == 128
         assert data["payload"]["bitwidth"] == 128
-        assert data["cache_hit"] is False
 
     def test_headline_quick_json_smoke(self, capsys):
         """The CI smoke invocation: every claim must hold."""
-        code = main(["experiment", "run", "headline", "--json", "--quick",
-                     "--no-cache"])
+        code = main(["experiment", "run", "headline", "--json", "--quick"])
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert all(claim["holds"] for claim in data["payload"]["claims"])
 
-    def test_run_reads_the_cache_on_the_second_invocation(self, capsys, tmp_path):
-        argv = ["experiment", "run", "figure6", "--json",
-                "--cache-dir", str(tmp_path)]
+    def test_second_run_reflects_changed_code(self, capsys, monkeypatch):
+        """A repeated run recomputes: it never replays an older result."""
+        import repro.analysis.figure6 as figure6
+
+        argv = ["experiment", "run", "figure6", "--json"]
         assert main(argv) == 0
         first = json.loads(capsys.readouterr().out)
+        original = figure6.get_design
+
+        def one_more_mentt_row(name):
+            design = original(name)
+            if name != "mentt":
+                return design
+
+            class Patched:
+                def rows_required(self, bitwidth):
+                    return design.rows_required(bitwidth) + 1
+
+            return Patched()
+
+        monkeypatch.setattr(figure6, "get_design", one_more_mentt_row)
         assert main(argv) == 0
         second = json.loads(capsys.readouterr().out)
-        assert first["cache_hit"] is False
-        assert second["cache_hit"] is True
-        assert second["payload"] == first["payload"]
+        rows = first["payload"]["rows_by_design"]
+        assert second["payload"]["rows_by_design"] == dict(
+            rows, mentt=rows["mentt"] + 1
+        )
 
 
 class TestExperimentSweep:
-    def test_sweep_summary_table(self, capsys, tmp_path):
+    def test_sweep_summary_table(self, capsys):
         code = main(["experiment", "sweep", "figure6",
-                     "--axis", "bitwidth=64,128",
-                     "--cache-dir", str(tmp_path)])
+                     "--axis", "bitwidth=64,128"])
         assert code == 0
         output = capsys.readouterr().out
         assert "2 points" in output
-        assert "0/2 points from cache" in output
+        assert "computed 2 points in" in output
 
-    def test_sweep_json_round_trips_and_caches(self, capsys, tmp_path):
+    def test_sweep_json_lists_every_point(self, capsys):
         argv = ["experiment", "sweep", "figure6", "--axis", "bitwidth=64,128",
-                "--json", "--cache-dir", str(tmp_path)]
+                "--json"]
         assert main(argv) == 0
-        first = json.loads(capsys.readouterr().out)
-        assert [r["params"]["bitwidth"] for r in first["results"]] == [64, 128]
-        assert main(argv) == 0
-        second = json.loads(capsys.readouterr().out)
-        assert all(r["cache_hit"] for r in second["results"])
-        assert [r["payload"] for r in second["results"]] == [
-            r["payload"] for r in first["results"]
-        ]
+        data = json.loads(capsys.readouterr().out)
+        assert data["spec"] == {
+            "experiment": "figure6", "params": {}, "sweep": {"bitwidth": [64, 128]}
+        }
+        assert [r["params"]["bitwidth"] for r in data["results"]] == [64, 128]
+        assert [r["payload"]["bitwidth"] for r in data["results"]] == [64, 128]
 
-    def test_sweep_render_mode_prints_every_point(self, capsys, tmp_path):
+    def test_sweep_render_mode_prints_every_point(self, capsys):
         code = main(["experiment", "sweep", "figure6",
-                     "--axis", "bitwidth=64,128", "--render",
-                     "--cache-dir", str(tmp_path)])
+                     "--axis", "bitwidth=64,128", "--render"])
         assert code == 0
         output = capsys.readouterr().out
         assert output.count("Figure 6") == 2
 
 
-class TestReportFlags:
-    def test_parallel_report_is_byte_identical_to_serial(self, capsys):
-        assert main(["report", "--quick", "--no-cache"]) == 0
-        serial = capsys.readouterr().out
-        assert main(["report", "--quick", "--parallel", "--no-cache"]) == 0
-        parallel = capsys.readouterr().out
-        assert parallel == serial
-
-    def test_cached_report_reuses_results(self, capsys, tmp_path):
-        argv = ["report", "--quick", "--cache-dir", str(tmp_path)]
-        assert main(argv) == 0
-        cold = capsys.readouterr().out
-        assert main(argv) == 0
-        warm = capsys.readouterr().out
-        assert warm == cold
-        assert list(tmp_path.glob("*.json"))
+class TestNothingWritten:
+    def test_exhibit_commands_write_only_the_requested_output(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        home, work = tmp_path / "home", tmp_path / "work"
+        home.mkdir()
+        work.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.chdir(work)
+        for argv in (
+            ["report", "--quick"],
+            ["experiment", "run", "figure6"],
+            ["experiment", "sweep", "figure6", "--axis", "bitwidth=64,128"],
+            ["chip", "--quick", "--json"],
+            ["dse", "run", "--quick", "--output", "run.json"],
+        ):
+            assert main(argv) == 0, argv
+        capsys.readouterr()
+        assert list(home.rglob("*")) == []
+        assert [path.name for path in work.rglob("*")] == ["run.json"]
 
 
 class TestModuleEntryPoint:
@@ -151,14 +166,14 @@ class TestModuleEntryPoint:
         assert completed.returncode == 0, completed.stderr
         assert "r4csa-lut" in completed.stdout
 
-    def test_python_dash_m_repro_experiment_run(self, tmp_path):
+    def test_python_dash_m_repro_experiment_run(self):
         environment = dict(os.environ)
         environment["PYTHONPATH"] = SRC_DIR + os.pathsep + environment.get(
             "PYTHONPATH", ""
         )
         completed = subprocess.run(
             [sys.executable, "-m", "repro", "experiment", "run", "headline",
-             "--json", "--quick", "--cache-dir", str(tmp_path)],
+             "--json", "--quick"],
             capture_output=True,
             text=True,
             timeout=300,

@@ -176,8 +176,7 @@ def test_chip_multiply_sequence_is_pinned(bits):
 @pytest.mark.parametrize("workload", sorted(PINS_CHIP_SCALING))
 def test_quick_chip_scaling_payload_is_pinned(workload):
     definition = get_experiment("chip-scaling")
-    params = definition.resolve_params({"workload": workload}, quick=True)
-    payload = definition.serialize(definition.execute(params))
+    payload = definition.execute({"workload": workload}, quick=True).result.to_dict()
     assert _digest([payload]) == PINS_CHIP_SCALING[workload]
 
 

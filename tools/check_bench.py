@@ -180,17 +180,9 @@ SCHEMAS = {
             "points_per_second": NUMBER,
             "deterministic": Value(True),
         },
-        "pool": {
-            "workers": int,
-            "cpu_count": int,
-            "cold_seconds": NUMBER,
-            "warm_seconds": NUMBER,
-            "cold_points_per_second": NUMBER,
-            "warm_points_per_second": NUMBER,
-            "cold_cache_hits": int,
-            "warm_cache_hits": int,
-            "warm_speedup": NUMBER,
-            "required_warm_speedup": NUMBER,
+        "sweep": {
+            "seconds": NUMBER,
+            "points_per_second": NUMBER,
         },
         "frontier": {
             "size": int,
