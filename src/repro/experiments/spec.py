@@ -21,6 +21,10 @@ from repro.errors import ConfigurationError
 __all__ = ["ExperimentSpec", "ExperimentResult"]
 
 
+def _frozen_mapping(value: Mapping[str, Any]) -> Mapping[str, Any]:
+    return MappingProxyType(dict(value))
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A declarative request: one experiment, its parameters, its sweep grid.
@@ -36,7 +40,7 @@ class ExperimentSpec:
     sweep: Mapping[str, Tuple[Any, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+        object.__setattr__(self, "params", _frozen_mapping(self.params))
         swept = {name: tuple(values) for name, values in dict(self.sweep).items()}
         for name, values in swept.items():
             if not values:

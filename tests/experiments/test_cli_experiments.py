@@ -72,6 +72,8 @@ class TestExperimentRun:
 
     def test_second_run_reflects_changed_code(self, capsys, monkeypatch):
         """A repeated run recomputes: it never replays an older result."""
+        import dataclasses
+
         import repro.analysis.figure6 as figure6
 
         argv = ["experiment", "run", "figure6", "--json"]
@@ -83,12 +85,8 @@ class TestExperimentRun:
             design = original(name)
             if name != "mentt":
                 return design
-
-            class Patched:
-                def rows_required(self, bitwidth):
-                    return design.rows_required(bitwidth) + 1
-
-            return Patched()
+            rows = design.row_model
+            return dataclasses.replace(design, row_model=lambda n: rows(n) + 1)
 
         monkeypatch.setattr(figure6, "get_design", one_more_mentt_row)
         assert main(argv) == 0
