@@ -6,10 +6,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
 from repro.cli import main
+from repro.experiments import available_experiments, get_experiment
 
 SRC_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
@@ -126,6 +128,25 @@ class TestExperimentSweep:
 
 
 class TestNothingWritten:
+    @pytest.mark.parametrize("name", available_experiments())
+    def test_every_experiment_run_writes_nothing(
+        self, name, capsys, monkeypatch, tmp_path
+    ):
+        """Each exhibit runs afresh: its ``--json`` run leaves no file behind."""
+        home, work, scratch = tmp_path / "home", tmp_path / "work", tmp_path / "tmp"
+        for directory in (home, work, scratch):
+            directory.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        monkeypatch.chdir(work)
+        assert main(["experiment", "run", name, "--quick", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert set(data) == {"experiment", "params", "payload", "elapsed_seconds"}
+        assert data["experiment"] == name
+        resolved = get_experiment(name).resolve_params(quick=True)
+        assert data["params"] == json.loads(json.dumps(resolved))
+        assert sorted(tmp_path.rglob("*")) == sorted([home, work, scratch])
+
     def test_exhibit_commands_write_only_the_requested_output(
         self, capsys, monkeypatch, tmp_path
     ):
