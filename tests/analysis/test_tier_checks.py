@@ -1,8 +1,9 @@
 """Every exhibit checks its tier runs, and a wrong tier fails loudly.
 
 Each test patches one simulation tier in-process so its ``multiply``
-returns a wrong product or a cycle report one main-loop cycle off, then
-runs the exhibits that measure on that tier.  The checks raise
+returns a wrong product or a cycle report one main-loop cycle off, or its
+``energy_report`` reads 1 pJ high, then runs the exhibits that measure on
+that tier.  The checks raise
 :class:`~repro.errors.TierMismatchError` (a :class:`~repro.errors.ReproError`)
 instead of asserting, so they also hold under ``python -O``.
 """
@@ -52,6 +53,17 @@ def one_cycle_late(result):
     return dataclasses.replace(result, report=report)
 
 
+def one_pj_high(monkeypatch):
+    """Make the cycle tier's ``energy_report`` read 1 pJ more than it charged."""
+    original = ModSRAMAccelerator.energy_report
+
+    def energy_report(self):
+        report = original(self)
+        return dataclasses.replace(report, near_memory_pj=report.near_memory_pj + 1.0)
+
+    monkeypatch.setattr(ModSRAMAccelerator, "energy_report", energy_report)
+
+
 def corrupt(monkeypatch, tier, change, when=lambda simulator: True):
     """Make ``tier.multiply`` pass its results through ``change``."""
     original = tier.multiply
@@ -85,6 +97,14 @@ class TestWrongCycleTier:
         with pytest.raises(TierMismatchError, match="cycle tier"):
             run_exhibit(name, params)
 
+    @pytest.mark.parametrize("name,params", MEASURED_EXHIBITS)
+    def test_measured_exhibits_raise_on_a_wrong_energy(
+        self, monkeypatch, name, params
+    ):
+        one_pj_high(monkeypatch)
+        with pytest.raises(TierMismatchError, match="cycle tier .* cycle energy"):
+            run_exhibit(name, params)
+
     @pytest.mark.parametrize("tier,fidelity", [
         (ModSRAMAccelerator, "cycle"),
         (HdlModSRAM, "hdl"),
@@ -103,7 +123,7 @@ class TestWrongCycleTier:
     def test_checks_hold_under_optimised_python(self):
         script = "\n".join([
             "import dataclasses",
-            "from repro.analysis.energy import reproduce_energy",
+            "from repro.analysis.design_point import reproduce_design_point",
             "from repro.errors import TierMismatchError",
             "from repro.modsram.accelerator import ModSRAMAccelerator",
             "original = ModSRAMAccelerator.multiply",
@@ -112,7 +132,7 @@ class TestWrongCycleTier:
             "    return dataclasses.replace(result, product=result.product + 1)",
             "ModSRAMAccelerator.multiply = multiply",
             "try:",
-            "    reproduce_energy((16,))",
+            "    reproduce_design_point(16)",
             "except TierMismatchError as error:",
             "    print('raised:', error)",
         ])

@@ -15,6 +15,7 @@ from repro.dse import (
     evaluate_design_point,
     run_dse,
 )
+from repro.experiments import get_experiment
 
 SMALL_SPEC = SweepSpec(
     name="small",
@@ -24,6 +25,14 @@ SMALL_SPEC = SweepSpec(
         "macros": [1, 4],
         "scheduler": ["lut-aware", "round-robin"],
     },
+)
+
+#: (bits, cold pJ, warm pJ) of one multiplication on the cycle and
+#: analytical tiers (``tests/modsram/test_fidelity.py::TestCostModelEnergy``).
+TIER_ENERGY = (
+    (64, 195.69, 193.11),
+    (128, 459.60, 454.44),
+    (256, 1198.79, 1188.47),
 )
 
 
@@ -75,6 +84,22 @@ class TestEvaluateDesignPoint:
             DesignPoint(workload=workload, workload_ops=24)
         )
         assert result.jobs == 24
+
+    @pytest.mark.parametrize("bits,cold_pj,warm_pj", TIER_ENERGY)
+    def test_energy_per_op_weighs_the_tiers_cold_and_warm_energy(
+        self, bits, cold_pj, warm_pj
+    ):
+        result = get_experiment("dse-point").execute({"bitwidth": bits}).result
+        reuse = result.lut_reuse_rate
+        assert 0.0 < reuse < 1.0
+        assert result.energy_pj_per_op == pytest.approx(
+            reuse * warm_pj + (1.0 - reuse) * cold_pj, abs=0.01
+        )
+
+    def test_the_probed_paper_point_prices_the_near_memory_registers(self):
+        result = get_experiment("dse-point").execute({"fidelity": "cycle"}).result
+        assert result.verified
+        assert result.energy_pj_per_op == pytest.approx(1198.02, abs=0.005)
 
     def test_result_dict_round_trip(self):
         result = evaluate_design_point(DesignPoint(banks=2, workload_ops=8))
@@ -138,6 +163,27 @@ class TestCli:
         assert code == 1
         out = capsys.readouterr().out
         assert out.startswith("error:") and "at least 1 value per axis" in out
+
+    def test_dse_experiment_rejects_a_zero_sample(self, capsys):
+        code = main(["experiment", "run", "dse", "--set", "sample=0"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert out.startswith("error:") and "at least 1 value per axis" in out
+
+    def test_quick_does_not_shrink_a_sample_again(self, capsys):
+        assert main(["dse", "run", "--sample", "3", "--quick", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["points"]) == 162
+        assert payload["spec"]["name"] == "modsram-default-quick"
+
+    def test_dse_run_quick_is_the_dse_experiments_quick_mode(self, capsys):
+        assert main(["dse", "run", "--quick", "--json"]) == 0
+        direct = json.loads(capsys.readouterr().out)
+        assert main(["experiment", "run", "dse", "--quick", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        assert direct["spec"] == payload["spec"]
+        assert direct["points"] == payload["points"]
+        assert {point["workload_ops"] for point in direct["points"]} == {128}
 
     def test_dse_run_with_a_spec_file_and_sample(self, tmp_path, capsys):
         spec_path = tmp_path / "sweep.json"

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.design_point import build_design_config
 from repro.core.carry_save import xor3_maj
 from repro.errors import (
     ConfigurationError,
@@ -28,6 +30,14 @@ from repro.modsram.fidelity import checked_multiply, cross_check
 
 BN254_P = 0x30644E72E131A029B85045B68181585D97816A916871CA8D3C208C16D87CFD47
 SECP256K1_P = 2**256 - 2**32 - 977
+
+#: (bits, cold pJ, warm pJ): one multiplication at the paper schedule that
+#: fills the LUTs, and one that reuses them, as both tiers charge it.
+ENERGY_AT_WIDTH = (
+    (64, 195.69, 193.11),
+    (128, 459.60, 454.44),
+    (256, 1198.79, 1188.47),
+)
 
 
 def tiers(config: ModSRAMConfig):
@@ -247,6 +257,22 @@ class TestAccessStatsParity:
         )
         assert closed_form.as_dict() == cycle.array.stats.as_dict()
 
+    @pytest.mark.parametrize(
+        "full_range,a,b,modulus",
+        [(True, 12345, 54321, 65521), (False, 9490, 58192, 59009)],
+        ids=("no-extra-fold", "one-extra-fold"),
+    )
+    def test_register_closed_form_matches_measured_datapath(
+        self, full_range, a, b, modulus
+    ):
+        config = ModSRAMConfig(extend_for_full_range=full_range).with_bitwidth(16)
+        cycle = ModSRAMAccelerator(config)
+        result = cycle.multiply(a, b, modulus)
+        closed_form = AnalyticalCostModel(config).datapath_stats(
+            result.report.extra_overflow_folds
+        )
+        assert closed_form.as_dict() == cycle.datapath.stats.as_dict()
+
     def test_analytical_energy_is_positive_and_tier_consistent(self):
         config = ModSRAMConfig().with_bitwidth(16)
         cycle = ModSRAMAccelerator(config)
@@ -260,6 +286,35 @@ class TestAccessStatsParity:
         assert modelled.precharge_pj == pytest.approx(measured.precharge_pj)
         assert modelled.wordline_pj == pytest.approx(measured.wordline_pj)
         assert modelled.write_pj == pytest.approx(measured.write_pj)
+
+
+class TestCostModelEnergy:
+    """The closed form prices a multiplication as both tiers charge it."""
+
+    @pytest.mark.parametrize("bits,cold_pj,warm_pj", ENERGY_AT_WIDTH)
+    def test_energy_equals_what_the_tiers_charge(self, bits, cold_pj, warm_pj):
+        config = build_design_config(bits)
+        model = AnalyticalCostModel(config)
+        rng = random.Random(1)
+        modulus = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        b = rng.randrange(modulus)
+        first, second = (rng.randrange(modulus) >> 1 for _ in range(2))
+        for simulator in tiers(config):
+            result = simulator.multiply(first, b, modulus)
+            assert result.report.extra_overflow_folds == 0
+            cold = simulator.energy_report().total_pj
+            result = simulator.multiply(second, b, modulus)
+            assert result.report.lut_reused
+            assert result.report.extra_overflow_folds == 0
+            warm = simulator.energy_report().total_pj - cold
+            assert model.energy(reused=False).total_pj == cold
+            assert model.energy(reused=True).total_pj == pytest.approx(warm)
+        assert model.energy(reused=False).total_pj == pytest.approx(
+            cold_pj, abs=0.005
+        )
+        assert model.energy(reused=True).total_pj == pytest.approx(
+            warm_pj, abs=0.005
+        )
 
 
 class TestFidelitySelection:
