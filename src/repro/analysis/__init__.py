@@ -3,8 +3,9 @@
 Every entry point below is registered as a named experiment of the
 Experiment API (:mod:`repro.experiments`) — ``table1``, ``figure1``,
 ``figure5``, ``figure6``, ``figure7``, ``table3``, ``headline``,
-``energy``, ``design-point`` — so it can be parameterised, swept over a
-grid and printed as structured JSON::
+``design-point`` (cycles, latency, area and energy per multiplication, with
+its mechanism breakdown), ``chip-scaling`` — so it can be parameterised,
+swept over a grid and printed as structured JSON::
 
     from repro.experiments import get_experiment
 
@@ -22,12 +23,6 @@ from repro.analysis.chip_scaling import (
     reproduce_chip_scaling,
 )
 from repro.analysis.design_point import DesignPointResult, reproduce_design_point
-from repro.analysis.energy import (
-    EnergyAnalysisResult,
-    EnergyResult,
-    measure_energy_per_multiplication,
-    reproduce_energy,
-)
 from repro.analysis.figure1 import Figure1Result, measure_modsram_cycles, reproduce_figure1
 from repro.analysis.figure5 import Figure5Result, reproduce_figure5
 from repro.analysis.figure6 import Figure6Result, reproduce_figure6
@@ -47,8 +42,6 @@ __all__ = [
     "ChipScalingResult",
     "DESIGN_ORDER",
     "DesignPointResult",
-    "EnergyAnalysisResult",
-    "EnergyResult",
     "Figure1Result",
     "Figure5Result",
     "Figure6Result",
@@ -60,13 +53,11 @@ __all__ = [
     "TableOneResult",
     "build_report",
     "format_value",
-    "measure_energy_per_multiplication",
     "measure_modsram_cycles",
     "measure_ntt_counts",
     "render_table",
     "reproduce_chip_scaling",
     "reproduce_design_point",
-    "reproduce_energy",
     "reproduce_figure1",
     "reproduce_figure5",
     "reproduce_figure6",

@@ -5,25 +5,31 @@ The paper evaluates a single operating point (64 x 256 array, 65 nm,
 how many cycles, how fast, how big, how many picojoules — at *other*
 points, so this module bundles them into one structured, sweepable result.
 Cycles, latency and energy come from one checked cycle-accurate run at the
-point; the area from the parametric area model.
+point (:func:`~repro.modsram.fidelity.probe_multiply`, the seeded probe the
+DSE shares); the area from the parametric area model.
+
+The energy is reported with its mechanism breakdown (precharge, word
+lines, sensing, write-back, near-memory registers).  The paper publishes no
+energy figure, so this is a beyond-the-paper analysis; the constants live
+in :class:`repro.sram.energy.EnergyModel` and are user-recalibratable.
 
 Registered as experiment ``design-point`` in :mod:`repro.experiments`;
-``repro experiment sweep design-point --axis bitwidth=64,128,256`` sweeps
-it from the shell.
+``repro experiment sweep design-point --axis bitwidth=64,128,256 --render``
+sweeps it from the shell.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional
 
 from repro.analysis.tables import render_table
 from repro.modsram.accelerator import ModSRAMAccelerator
 from repro.modsram.area import AreaModel
 from repro.modsram.config import ModSRAMConfig
-from repro.modsram.fidelity import checked_multiply
+from repro.modsram.fidelity import probe_multiply
 from repro.modsram.geometry import MacroGeometry
+from repro.sram.energy import EnergyBreakdown
 
 __all__ = ["DesignPointResult", "reproduce_design_point"]
 
@@ -39,13 +45,18 @@ class DesignPointResult:
     frequency_mhz: float
     latency_us: float
     area_mm2: float
-    #: Modelled energy of the measured multiplication.
-    energy_pj: float
+    #: Modelled energy of the measured multiplication, per mechanism.
+    breakdown: EnergyBreakdown
     #: Array width in bit lines (defaults to the operand width, as in the
     #: paper's macro sizing).
     columns: int = 0
     #: Independently addressable sub-arrays (1 = the paper's design).
     banks: int = 1
+
+    @property
+    def energy_pj(self) -> float:
+        """Modelled energy of the measured multiplication."""
+        return self.breakdown.total_pj
 
     def as_row(self) -> List[object]:
         """One table row for sweeps over bitwidth or technology."""
@@ -62,8 +73,8 @@ class DesignPointResult:
         ]
 
     def render(self) -> str:
-        """The design point as a one-row text table."""
-        return render_table(
+        """The design point as a one-row text table plus its energy split."""
+        table = render_table(
             (
                 "bitwidth",
                 "geometry",
@@ -76,6 +87,13 @@ class DesignPointResult:
             ),
             [self.as_row()],
             title="ModSRAM design point (measured)",
+        )
+        energy = self.breakdown
+        return table + (
+            f"\nenergy/op by mechanism (pJ): precharge {energy.precharge_pj:.1f}, "
+            f"word lines {energy.wordline_pj:.1f}, sensing {energy.sensing_pj:.1f}, "
+            f"write-back {energy.write_pj:.1f}, "
+            f"near-memory registers {energy.near_memory_pj:.1f}"
         )
 
     def to_dict(self) -> Dict[str, object]:
@@ -91,6 +109,7 @@ class DesignPointResult:
             "latency_us": self.latency_us,
             "area_mm2": self.area_mm2,
             "energy_pj": self.energy_pj,
+            "breakdown": asdict(self.breakdown),
         }
 
 
@@ -125,13 +144,14 @@ def reproduce_design_point(
 ) -> DesignPointResult:
     """Evaluate one ModSRAM design point.
 
-    One random multiplication runs through the cycle-accurate model,
-    checked against the oracle and the closed form, and its cycles, latency
-    and energy are reported.  ``columns``/``banks`` extend the sweepable
-    geometry (:class:`~repro.modsram.geometry.MacroGeometry`); banking
-    overlaps operand/LUT writes and leaves the main loop — the quantity
-    reported here — untouched, so the measured run stays valid at any bank
-    count.
+    One seeded multiplication under a full-width modulus runs through the
+    cycle-accurate model, checked against the oracle and the closed form
+    (:func:`~repro.modsram.fidelity.probe_multiply`), and its cycles,
+    latency and energy are reported.  ``columns``/``banks`` extend the
+    sweepable geometry (:class:`~repro.modsram.geometry.MacroGeometry`);
+    banking overlaps operand/LUT writes and leaves the main loop — the
+    quantity reported here — untouched, so the measured run stays valid at
+    any bank count.
     """
     config = build_design_config(
         bitwidth, rows=rows, technology_nm=technology_nm, columns=columns
@@ -139,12 +159,8 @@ def reproduce_design_point(
     geometry = MacroGeometry(
         rows=config.rows, columns=config.columns, banks=banks
     )
-    rng = random.Random(seed)
     accelerator = ModSRAMAccelerator(config)
-    modulus = ((1 << bitwidth) - rng.randrange(3, 1 << 8)) | 1
-    a = rng.randrange(modulus) >> 1  # paper schedule: top bit clear
-    b = rng.randrange(modulus)
-    report = checked_multiply(accelerator, a, b, modulus).report
+    report = probe_multiply(accelerator, seed).report
     return DesignPointResult(
         bitwidth=bitwidth,
         rows=config.rows,
@@ -155,5 +171,5 @@ def reproduce_design_point(
         frequency_mhz=config.frequency_mhz,
         latency_us=report.latency_us,
         area_mm2=AreaModel(config).total_mm2(),
-        energy_pj=accelerator.energy_report().total_pj,
+        breakdown=accelerator.energy_report(),
     )

@@ -529,7 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dse_run.add_argument(
         "--quick", action="store_true",
-        help="shrink the grid to two values per axis (CI smoke)",
+        help="apply the dse experiment's quick overrides to every flag left "
+             "unset: 2 values per axis, 128 jobs per point (CI smoke)",
     )
     dse_run.add_argument(
         "--sample", type=int, default=None, metavar="N",
@@ -1122,18 +1123,17 @@ def _command_dse(arguments: argparse.Namespace) -> int:
 
 
 def _command_dse_run(arguments: argparse.Namespace) -> int:
-    from repro.dse import default_sweep_spec, load_spec, run_dse
+    from repro.dse import load_spec
 
-    spec = (
-        load_spec(arguments.spec)
-        if arguments.spec
-        else default_sweep_spec()
-    )
-    if arguments.workload_ops is not None:
-        spec = spec.with_fixed(workload_ops=arguments.workload_ops)
-    if arguments.sample is not None:
-        spec = spec.quick(per_axis=arguments.sample)
-    result = run_dse(spec, quick=arguments.quick)
+    # Every flag the user set wins, in quick mode too.
+    params = {
+        name: getattr(arguments, name)
+        for name in ("sample", "workload_ops")
+        if getattr(arguments, name) is not None
+    }
+    if arguments.spec:
+        params["spec"] = load_spec(arguments.spec).to_dict()
+    result = get_experiment("dse").execute(params, quick=arguments.quick).result
     if arguments.output:
         with open(arguments.output, "w", encoding="utf-8") as handle:
             json.dump(result.to_dict(), handle, indent=2)

@@ -7,9 +7,14 @@ across the point's macros with the geometry-aware analytical cost algebra
 (:class:`~repro.modsram.chip.ChipScheduler`), the closed-form energy and
 area models price the design, and — when the point asks for ``cycle`` or
 ``hdl`` fidelity — a seeded probe multiplication races the executable tier
-against the closed form (:func:`~repro.modsram.fidelity.checked_multiply`:
-products equal to the big-integer oracle, reports equal field by field)
-before the point is marked *verified*.
+against the closed form (:func:`~repro.modsram.fidelity.probe_multiply`:
+products equal to the big-integer oracle, cycle reports, and energy
+reports where the tier keeps one, equal field by field) before the point
+is marked *verified*.  Energy per op is
+:meth:`~repro.modsram.analytical.AnalyticalCostModel.energy`, the array
+accesses plus the near-memory register writes of one multiplication, as
+the executable tiers charge it, cold and warm weighed by the schedule's
+LUT reuse.
 
 This module is what :func:`~repro.dse.run.run_dse` and the registered
 ``dse-point`` experiment run; every result is JSON round-trippable, so
@@ -18,7 +23,6 @@ This module is what :func:`~repro.dse.run.run_dse` and the registered
 
 from __future__ import annotations
 
-import random
 import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Mapping
@@ -28,7 +32,7 @@ from repro.analysis.tables import render_table
 from repro.modsram.analytical import AnalyticalCostModel
 from repro.modsram.area import AreaModel
 from repro.modsram.chip import ChipSchedule, ChipScheduler, MultiplicationJob
-from repro.modsram.fidelity import build_simulator, checked_multiply
+from repro.modsram.fidelity import build_simulator, probe_multiply
 from repro.dse.spec import DesignPoint
 from repro.workloads.builders import (
     ecdsa_sign_jobs,
@@ -89,21 +93,6 @@ def _point_seed(point: DesignPoint) -> int:
     """A deterministic per-point seed (stable across runs and machines)."""
     canonical = repr(sorted(point.to_params().items()))
     return zlib.crc32(canonical.encode("utf-8"))
-
-
-def _verify_probe(point: DesignPoint, config) -> None:
-    """Race one seeded multiply on the point's tier against the closed form.
-
-    The cross-tier contract the parity test suite pins down, applied at
-    this point's geometry; a failure raises
-    :class:`~repro.errors.TierMismatchError`.
-    """
-    rng = random.Random(_point_seed(point))
-    modulus = (rng.getrandbits(point.bitwidth) | (1 << (point.bitwidth - 1))) | 1
-    # Paper schedule: the multiplier's top bit must be clear.
-    a = rng.randrange(modulus) >> 1
-    b = rng.randrange(modulus)
-    checked_multiply(build_simulator(point.fidelity, config), a, b, modulus)
 
 
 @dataclass(frozen=True)
@@ -256,7 +245,9 @@ def evaluate_design_point(point: DesignPoint) -> DsePointResult:
     macro_area = AreaModel(config).total_mm2()
     verified = point.fidelity != "analytical"
     if verified:
-        _verify_probe(point, config)
+        # Race one seeded multiply on the point's tier against the closed
+        # form; a failure raises TierMismatchError.
+        probe_multiply(build_simulator(point.fidelity, config), _point_seed(point))
 
     return DsePointResult(
         point=point,

@@ -5,8 +5,9 @@ points, evaluates each in-process with
 :func:`~repro.dse.evaluate.evaluate_design_point`, then reduces the
 results into the throughput/energy/area Pareto frontier with
 dominated-point accounting.  The whole run is a :class:`DseRunResult`,
-which is also the result of the registered ``dse`` experiment and of
-``repro dse run``.
+the result of the registered ``dse`` experiment, which ``repro dse run``
+executes: its quick mode and ``sample`` are the one place a sweep is
+shrunk (:meth:`~repro.dse.spec.SweepSpec.quick`).
 """
 
 from __future__ import annotations
@@ -133,14 +134,8 @@ class DseRunResult:
         )
 
 
-def run_dse(spec: SweepSpec, quick: bool = False) -> DseRunResult:
-    """Expand a sweep spec and evaluate every point in-process.
-
-    ``quick`` shrinks the grid to two values per axis (analytical probes
-    only) — the smoke-test path.
-    """
-    if quick:
-        spec = spec.quick()
+def run_dse(spec: SweepSpec) -> DseRunResult:
+    """Expand a sweep spec and evaluate every point in-process."""
     points = spec.expand()
     started = time.perf_counter()
     evaluated = [evaluate_design_point(point) for point in points]

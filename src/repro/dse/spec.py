@@ -15,12 +15,12 @@ fails at parse time, not at point number 713.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.experiments.spec import ExperimentSpec
 from repro.modsram.chip import SCHEDULER_POLICIES
 from repro.modsram.fidelity import Fidelity
 from repro.modsram.geometry import SUPPORTED_RADICES, MacroGeometry
@@ -260,22 +260,18 @@ class SweepSpec:
         """The full cartesian grid as validated design points.
 
         Deterministic and order-stable: axes iterate in sorted key order,
-        values in spec order.  Invalid cross-products (e.g. ``columns``
-        below a swept ``bitwidth``) raise with the offending key named.
+        values in spec order, as the ``dse-point`` experiment's grid
+        (:meth:`~repro.experiments.spec.ExperimentSpec.points`) expands.
+        Invalid cross-products (e.g. ``columns`` below a swept
+        ``bitwidth``) raise with the offending key named.
         """
         if self.point_count > max_points:
             raise ConfigurationError(
                 f"spec key 'axes' expands to {self.point_count} points, "
                 f"more than the {max_points}-point limit"
             )
-        keys = sorted(self.axes)
-        grids = [self.axes[key] for key in keys]
-        points = []
-        for combo in itertools.product(*grids):
-            values = dict(self.fixed)
-            values.update(zip(keys, combo))
-            points.append(DesignPoint(**values))
-        return points
+        grid = ExperimentSpec("dse-point", self.fixed, self.axes).points()
+        return [DesignPoint(**values) for values in grid]
 
     def with_fixed(self, **overrides: Any) -> "SweepSpec":
         """A copy pinning extra fixed values (dropping any matching axes)."""

@@ -2,11 +2,11 @@
 
 Importing this module registers every reproduction entry point —
 ``table1``, ``figure1``, ``figure5``, ``figure6``, ``figure7``, ``table3``,
-``headline``, plus the beyond-the-paper ``energy`` sweep, the design-space
-``design-point``, the multi-macro ``chip-scaling`` exhibit, the async
+``headline``, plus the beyond-the-paper ``design-point`` (cycles, latency,
+area and energy per multiplication), the ``dse-point`` and ``dse``
+design-space sweeps, the multi-macro ``chip-scaling`` exhibit, the async
 ``serving-throughput`` exhibit and the RTL ``hdl-cosim`` agreement check —
-with
-:mod:`repro.experiments.registry`.
+with :mod:`repro.experiments.registry`.
 The registry imports it lazily, so :mod:`repro.experiments` never drags the
 analysis layer in at import time.
 """
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from repro.analysis.chip_scaling import reproduce_chip_scaling
 from repro.analysis.design_point import build_design_config, reproduce_design_point
-from repro.analysis.energy import reproduce_energy
 from repro.analysis.hdl_cosim import reproduce_hdl_cosim
 from repro.analysis.figure1 import reproduce_figure1
 from repro.analysis.figure5 import reproduce_figure5
@@ -51,10 +50,6 @@ def _run_figure5(rows=None, bitwidth=None, technology_nm=None):
             ),
         )
     return reproduce_figure5(config)
-
-
-def _run_energy(bitwidths):
-    return reproduce_energy(tuple(int(b) for b in bitwidths))
 
 
 register_experiment(
@@ -157,18 +152,6 @@ register_experiment(
     )
 )
 
-register_experiment(
-    ExperimentDefinition(
-        name="energy",
-        title="Energy per multiplication (beyond the paper)",
-        description=(
-            "Modelled energy of one modular multiplication across operand "
-            "widths, with the per-mechanism breakdown."
-        ),
-        run=_run_energy,
-        defaults={"bitwidths": [64, 128, 256]},
-    )
-)
 
 def _run_chip_scaling(
     workload, macro_counts, bitwidth, scalar_bits, signatures, vector_size, msm_points
@@ -253,8 +236,10 @@ register_experiment(
         name="design-point",
         title="ModSRAM design point (DSE)",
         description=(
-            "Cycles, latency, area and energy of one ModSRAM configuration; "
-            "sweep bitwidth/rows/technology for design-space exploration."
+            "Cycles, latency, area and energy (with its per-mechanism "
+            "breakdown) of one checked multiplication on one ModSRAM "
+            "configuration; sweep bitwidth/rows/technology for "
+            "design-space exploration."
         ),
         run=reproduce_design_point,
         defaults={
@@ -299,14 +284,14 @@ def _run_dse_point(**params):
     return evaluate_design_point(DesignPoint.from_params(params))
 
 
-def _run_dse(spec=None, sample=0, workload_ops=None):
+def _run_dse(spec=None, sample=None, workload_ops=None):
     from repro.dse.run import run_dse
     from repro.dse.spec import SweepSpec, default_sweep_spec
 
     sweep = SweepSpec.from_dict(spec) if spec else default_sweep_spec()
     if workload_ops is not None:
         sweep = sweep.with_fixed(workload_ops=int(workload_ops))
-    if sample:
+    if sample is not None:
         sweep = sweep.quick(per_axis=int(sample))
     return run_dse(sweep)
 
@@ -363,7 +348,7 @@ register_experiment(
         run=_run_dse,
         defaults={
             "spec": None,
-            "sample": 0,
+            "sample": None,
             "workload_ops": None,
         },
         quick_overrides={"sample": 2, "workload_ops": 128},

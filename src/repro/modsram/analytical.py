@@ -3,11 +3,14 @@
 :class:`AnalyticalModSRAM` runs the cycle-accurate model's algorithm as one
 word-level loop (:meth:`FastHost.multiply`) and takes its cycle and energy
 reports from :class:`AnalyticalCostModel`, the ModSRAM schedule as algebra:
-the per-phase cycle counts the controller FSM would measure and the array
-access profile the energy model consumes, without simulating a single word
-line.  The reports match the cycle-accurate tier's *exactly* (asserted field
-by field in ``tests/modsram/test_fidelity.py``; the loop's counts are pinned
-in ``tests/modsram/test_fast_tier_pins.py``).  Only the data-dependent
+the per-phase cycle counts the controller FSM would measure, and the array
+accesses and near-memory register writes the energy model prices, without
+simulating a single word line.  The cost model is the one closed form of
+what one multiplication charges: the reports match the cycle-accurate
+tier's *exactly* (asserted field by field in
+``tests/modsram/test_fidelity.py``; the loop's counts are pinned in
+``tests/modsram/test_fast_tier_pins.py``), and the design-space exploration
+prices every design point with it.  Only the data-dependent
 quantities come from the loop: LUT reuse, extra overflow folds and the final
 conditional-subtraction count.  This is the tier the full-workload studies
 (ECDSA signing, NTT/MSM batches, chip scale-out) run on.
@@ -29,7 +32,7 @@ from repro.core.carry_save import xor3_maj
 from repro.errors import ConfigurationError
 from repro.instrumentation import OperationCounter
 from repro.modsram.config import ModSRAMConfig
-from repro.modsram.datapath import NearMemoryDatapath
+from repro.modsram.datapath import DatapathStats, NearMemoryDatapath
 from repro.modsram.geometry import MacroGeometry, _default_geometry
 from repro.modsram.kernel import (
     NMC_COUNTER_OF_KIND,
@@ -197,15 +200,45 @@ class AnalyticalCostModel:
             read_disturb_events=0,
         )
 
-    def energy(
-        self,
-        reused: bool = False,
-        extra_folds: int = 0,
-        register_bits_written: int = 0,
-    ) -> EnergyBreakdown:
-        """Closed-form energy of one multiplication on this macro."""
+    def datapath_stats(self, extra_folds: int = 0) -> DatapathStats:
+        """The :class:`DatapathStats` one multiplication implies.
+
+        The closed-form counterpart of what the near-memory datapath
+        collects, in :class:`NearMemoryDatapath`'s register widths: the
+        load latches the multiplier (n bits), the MSB extensions (2), the
+        overflow field (3) and the pending bit (1); each logic-SA access
+        (two per iteration plus one per extra fold) latches XOR3 and MAJ
+        (n+1 each); each sum/carry write-back (four per iteration plus two
+        per extra fold, less the elided last carry write-back) updates the
+        MSB extensions; each iteration but the last latches the overflow
+        field and the pending bit.  LUT reuse writes no register.
+        """
+        iterations = self.iterations
+        accesses = 2 * iterations + extra_folds
+        writebacks = 4 * iterations - 1 + 2 * extra_folds
+        shifted_iterations = iterations - 1
+        return DatapathStats(
+            register_writes=4 + 2 * accesses + writebacks + 2 * shifted_iterations,
+            register_bits_written=(
+                self.config.bitwidth + 6
+                + 2 * self.config.register_width * accesses
+                + 2 * writebacks
+                + 4 * shifted_iterations
+            ),
+            booth_encodings=iterations,
+            overflow_updates=1 + shifted_iterations,
+        )
+
+    def energy(self, reused: bool = False, extra_folds: int = 0) -> EnergyBreakdown:
+        """Closed-form energy of one multiplication on this macro.
+
+        The array accesses of :meth:`array_stats` plus the register writes
+        of :meth:`datapath_stats`: what either executable tier's
+        ``energy_report()`` reads after the same multiplication.
+        """
         return self.config.energy.from_stats(
-            self.array_stats(reused, extra_folds), register_bits_written
+            self.array_stats(reused, extra_folds),
+            self.datapath_stats(extra_folds).register_bits_written,
         )
 
 
@@ -217,12 +250,13 @@ class FastHost:
     against a resident LUT entry, and no array, decoder, controller or
     trace is modelled.  The resident LUTs are the entries of the last fill,
     held while :attr:`lut_residency` names their pair.  Each multiplication
-    charges the access statistics (the cost model's
-    :meth:`~AnalyticalCostModel.array_stats`), operation counts and
-    near-memory register activity the cycle tier collects step by step,
-    once, from its counts of LUT fills, overflow folds and conditional
-    subtractions.  The datapath's activity counters are kept; its
-    registers are not.
+    charges the access statistics, operation counts and near-memory
+    register activity the cycle tier collects step by step, once, from its
+    counts of LUT fills, overflow folds and conditional subtractions; the
+    access and register counts are the cost model's
+    (:meth:`~AnalyticalCostModel.array_stats`,
+    :meth:`~AnalyticalCostModel.datapath_stats`).  The datapath's activity
+    counters are kept; its registers are not.
     """
 
     def __init__(self, cost_model: AnalyticalCostModel) -> None:
@@ -320,51 +354,33 @@ class FastHost:
     ) -> None:
         """Charge one multiplication's accesses, operations and registers.
 
-        The access profile is the cost model's closed form.  The other
-        counts are those of :func:`~repro.modsram.kernel.run_kernel`: two
-        logic-SA accesses per iteration plus one per extra fold; four
-        sum/carry write-backs per iteration plus two per extra fold, less
-        the elided last carry write-back; one plain read each to latch the
-        multiplier and to finalise.
+        The access profile and the register activity are the cost model's
+        closed forms.  The operation counts are those of
+        :func:`~repro.modsram.kernel.run_kernel`: one logic-SA access per
+        compute read, one plain read each to latch the multiplier and to
+        finalise.
         """
-        config = self.config
-        iterations = config.iterations
-        profile = self.cost_model.array_stats(reused, extra_folds)
+        cost_model = self.cost_model
+        profile = cost_model.array_stats(reused, extra_folds)
         self.stats.accumulate(profile)
-        accesses = profile.compute_reads
-        writebacks = 4 * iterations - 1 + 2 * extra_folds
+        registers = cost_model.datapath_stats(extra_folds)
+        datapath = self.datapath.stats
+        datapath.register_writes += registers.register_writes
+        datapath.register_bits_written += registers.register_bits_written
+        datapath.booth_encodings += registers.booth_encodings
+        datapath.overflow_updates += registers.overflow_updates
 
         # Only non-zero counts: adding zero would create the key.
         counter = self.counter
         counter.add("memory_write", profile.row_writes)
         counter.add("memory_read", 2)
-        counter.add("imc_access", accesses)
+        counter.add("imc_access", profile.compute_reads)
         if lut_compute_cycles:
             counter.add(NMC_COUNTER_OF_KIND["lut_compute"], lut_compute_cycles)
         counter.add(NMC_COUNTER_OF_KIND["full_add"], 1)
         if subtractions:
             counter.add(NMC_COUNTER_OF_KIND["subtract"], subtractions)
         counter.add("modmul", 1)
-
-        # Register writes, in NearMemoryDatapath's widths: the load latches
-        # the multiplier (n bits), the MSB extensions (2), the overflow
-        # field (3) and the pending bit (1); each access latches XOR3 and
-        # MAJ (n+1 each); each write-back updates the MSB extensions; each
-        # iteration but the last latches the overflow field and the pending
-        # bit.
-        shifted_iterations = iterations - 1
-        datapath = self.datapath.stats
-        datapath.register_writes += (
-            4 + 2 * accesses + writebacks + 2 * shifted_iterations
-        )
-        datapath.register_bits_written += (
-            config.bitwidth + 6
-            + 2 * config.register_width * accesses
-            + 2 * writebacks
-            + 4 * shifted_iterations
-        )
-        datapath.booth_encodings += iterations
-        datapath.overflow_updates += 1 + shifted_iterations
 
 
 class AnalyticalModSRAM:

@@ -25,13 +25,18 @@ against the cycle tier in ``tests/modsram/test_fidelity.py``.
 All three expose ``multiply(a, b, modulus)`` / ``multiply_many`` returning
 a :class:`~repro.modsram.report.MultiplicationResult`: a ``.product`` and a
 ``.report`` (:class:`~repro.modsram.report.CycleReport`) that must match
-field by field.  :func:`cross_check` is the one place that check is made:
-every exhibit, the DSE probe and the equivalence checker run their tiers
-through it (or through its raising form :func:`checked_multiply`).
+field by field.  The analytical and cycle tiers also expose
+``energy_report()``, which must match too; the RTL tier has none.
+:func:`cross_check` is the one place those checks are made: every exhibit,
+the DSE probe and the equivalence checker run their tiers through it (or
+through its raising form :func:`checked_multiply`).  :func:`probe_multiply`
+is the one seeded probe the ``design-point`` exhibit and the DSE probe
+share.
 """
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -49,6 +54,7 @@ __all__ = [
     "build_simulator",
     "checked_multiply",
     "cross_check",
+    "probe_multiply",
 ]
 
 
@@ -109,23 +115,27 @@ class TierCheck:
     seconds: Tuple[float, ...]
     #: The failed checks: ``"<tier> product"`` when a product is not
     #: ``a * b % modulus``, ``"<tier> report"`` when a cycle report differs
-    #: from the first simulator's.  Empty when every check passed.
+    #: from the first simulator's, ``"<tier> energy"`` when an energy report
+    #: differs from the first one taken.  Empty when every check passed.
     failed: Tuple[str, ...]
 
 
 def cross_check(simulators: Sequence, a: int, b: int, modulus: int) -> TierCheck:
     """Multiply ``a * b mod modulus`` on every simulator and check each run.
 
-    Every product is compared to the big-integer oracle and every
+    Every product is compared to the big-integer oracle, every
     :class:`~repro.modsram.report.CycleReport` field by field to the first
-    simulator's.  Simulators keep their LUT residency between calls, so
-    reports only agree when the caller keeps the simulators in step (the
-    same multiplications, in the same order).
+    simulator's, and the cumulative ``energy_report()`` of every simulator
+    that has one to the first such report.  Simulators keep their LUT
+    residency and their energy between calls, so reports only agree when
+    the caller keeps the simulators in step (the same multiplications, in
+    the same order).
     """
     oracle = a * b % modulus
     results: List[MultiplicationResult] = []
     seconds: List[float] = []
     failed: List[str] = []
+    first_energy = None
     for simulator in simulators:
         began = time.perf_counter()
         result = simulator.multiply(a, b, modulus)
@@ -135,6 +145,12 @@ def cross_check(simulators: Sequence, a: int, b: int, modulus: int) -> TierCheck
             failed.append(f"{tier} product")
         if results and result.report != results[0].report:
             failed.append(f"{tier} report")
+        if hasattr(simulator, "energy_report"):
+            energy = simulator.energy_report()
+            if first_energy is None:
+                first_energy = energy
+            elif energy != first_energy:
+                failed.append(f"{tier} energy")
         results.append(result)
     return TierCheck(tuple(results), tuple(seconds), tuple(failed))
 
@@ -145,10 +161,11 @@ def checked_multiply(simulator, a: int, b: int, modulus: int) -> MultiplicationR
     The run is cross-checked against a fresh
     :class:`~repro.modsram.analytical.AnalyticalModSRAM` at the simulator's
     configuration (the closed form in step with a simulator that has not
-    run before): both products must equal ``a * b % modulus`` and the cycle
-    reports must agree field by field.  Returns the simulator's result;
-    raises :class:`~repro.errors.TierMismatchError` naming the tier, the
-    width and the operands otherwise.
+    run before): both products must equal ``a * b % modulus``, and the
+    cycle reports and (when the simulator has one) the energy reports must
+    agree field by field.  Returns the simulator's result; raises
+    :class:`~repro.errors.TierMismatchError` naming the tier, the width and
+    the operands otherwise.
     """
     reference = AnalyticalModSRAM(simulator.config)
     check = cross_check((reference, simulator), a, b, modulus)
@@ -159,3 +176,19 @@ def checked_multiply(simulator, a: int, b: int, modulus: int) -> MultiplicationR
             f"modulus={modulus:#x}"
         )
     return check.results[1]
+
+
+def probe_multiply(simulator, seed: int) -> MultiplicationResult:
+    """One seeded :func:`checked_multiply` at the simulator's full width.
+
+    The modulus is an odd number of exactly ``bitwidth`` bits and the
+    multiplier has its top bit clear, as the paper schedule requires, so
+    the probe is valid on a fresh simulator of any width and either range
+    mode.
+    """
+    bits = simulator.config.bitwidth
+    rng = random.Random(seed)
+    modulus = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+    a = rng.randrange(modulus) >> 1
+    b = rng.randrange(modulus)
+    return checked_multiply(simulator, a, b, modulus)

@@ -37,7 +37,6 @@ MEASURED_EXHIBITS = (
     ("figure1", {"bitwidths": [8, 16]}),
     ("table3", {}),
     ("headline", {}),
-    ("energy", {"bitwidths": [16]}),
     ("design-point", {"bitwidth": 32}),
 )
 

@@ -124,7 +124,7 @@ class TestRunDse:
         assert all(0 <= i < len(result.points) for i in frontier_indices)
 
     def test_quick_mode_shrinks_the_sweep(self):
-        result = run_dse(SMALL_SPEC, quick=True)
+        result = run_dse(SMALL_SPEC.quick())
         assert len(result.points) == 8  # 2 values were kept per axis
         assert result.spec["name"] == "small-quick"
 

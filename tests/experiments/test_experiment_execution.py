@@ -154,7 +154,7 @@ class TestImportOrders:
         completed = subprocess.run(
             [sys.executable, "-c",
              "from repro.experiments import available_experiments; "
-             "assert len(available_experiments()) == 14"],
+             "assert len(available_experiments()) == 13"],
             capture_output=True,
             text=True,
             timeout=120,

@@ -27,7 +27,6 @@ ROUND_TRIP_CASES = (
     ("table3", {}, True),
     ("table3", {"bitwidth": 128}, False),
     ("headline", {}, True),
-    ("energy", {"bitwidths": [16, 32]}, False),
     ("design-point", {"bitwidth": 32}, False),
     ("design-point", {}, True),
     ("chip-scaling", {}, True),

@@ -141,7 +141,7 @@ PINS_CHIP_SCALING = {
     "msm": "0b3b5178a366897b",
 }
 
-PIN_DSE_QUICK = "290c09fbc9c9cf10"
+PIN_DSE_QUICK = "4500042497d65e3f"
 
 
 @pytest.mark.parametrize("workload", sorted(STREAMS))

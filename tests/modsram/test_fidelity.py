@@ -297,8 +297,9 @@ class TestCostModelEnergy:
         model = AnalyticalCostModel(config)
         rng = random.Random(1)
         modulus = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        first = rng.randrange(modulus) >> 1  # paper schedule: top bit clear
         b = rng.randrange(modulus)
-        first, second = (rng.randrange(modulus) >> 1 for _ in range(2))
+        second = rng.randrange(modulus) >> 1
         for simulator in tiers(config):
             result = simulator.multiply(first, b, modulus)
             assert result.report.extra_overflow_folds == 0
@@ -390,7 +391,26 @@ class TestCrossCheck:
         cycle = ModSRAMAccelerator(self.CONFIG)
         cycle.multiply(5, 456, 65521)  # leaves the LUT for b=456 resident
         check = cross_check((AnalyticalModSRAM(self.CONFIG), cycle), 7, 456, 65521)
-        assert check.failed == ("cycle report",)
+        # The earlier run also left its energy on the cycle tier's report.
+        assert check.failed == ("cycle report", "cycle energy")
+
+    def test_energy_is_compared_between_the_tiers_that_report_it(
+        self, monkeypatch
+    ):
+        original = ModSRAMAccelerator.energy_report
+
+        def one_pj_high(self):
+            report = original(self)
+            return replace(report, near_memory_pj=report.near_memory_pj + 1.0)
+
+        monkeypatch.setattr(ModSRAMAccelerator, "energy_report", one_pj_high)
+        # The RTL tier keeps no energy report: the analytical tier's is the
+        # first one taken.
+        simulators = [
+            build_simulator(tier, self.CONFIG) for tier in ("hdl", "analytical", "cycle")
+        ]
+        check = cross_check(simulators, 123, 456, 65521)
+        assert check.failed == ("cycle energy",)
 
     def test_checked_multiply_returns_the_simulators_result(self):
         result = checked_multiply(ModSRAMAccelerator(self.CONFIG), 123, 456, 65521)
