@@ -118,6 +118,19 @@ class TestValidator:
         errors = checker.check_file(str(path))
         assert any("expected number, got bool" in error for error in errors)
 
+    def test_cluster_scaling_records_every_pass(
+        self, checker, tmp_path, cluster_payload
+    ):
+        """The gated median must come with the passes it was taken over."""
+        payload = json.loads(json.dumps(cluster_payload))
+        payload["node_scaling"]["pair_speedups"] = []
+        del payload["node_scaling"]["points"][0]["pass"]
+        path = tmp_path / "BENCH_cluster.json"
+        path.write_text(json.dumps(payload))
+        errors = checker.check_file(str(path))
+        assert any("pair_speedups" in error for error in errors)
+        assert any("pass: missing" in error for error in errors)
+
     def test_hdl_agreement_regression_fails(self, checker, tmp_path):
         """A cosim mismatch can never slip through the schema gate."""
         payload = _synthesize(checker, checker.SCHEMAS["BENCH_hdl.json"])

@@ -121,8 +121,10 @@ SCHEMAS = {
         "node_scaling": {
             "requests": int,
             "multiplications": int,
+            "passes": int,
             "points": [
                 {
+                    "pass": int,
                     "nodes": int,
                     "seconds": NUMBER,
                     "requests_per_second": NUMBER,
@@ -131,6 +133,7 @@ SCHEMAS = {
                     "per_node_dispatched": dict,
                 }
             ],
+            "pair_speedups": [NUMBER],
             "speedup": NUMBER,
             "products_identical_across_fleets": Value(True),
         },
