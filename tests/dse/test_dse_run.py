@@ -158,14 +158,9 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("error:") and "at least 1 value per axis" in out
 
-    def test_dse_experiment_rejects_a_sample_below_one(self, capsys):
-        code = main(["experiment", "run", "dse", "--set", "sample=-1"])
-        assert code == 1
-        out = capsys.readouterr().out
-        assert out.startswith("error:") and "at least 1 value per axis" in out
-
-    def test_dse_experiment_rejects_a_zero_sample(self, capsys):
-        code = main(["experiment", "run", "dse", "--set", "sample=0"])
+    @pytest.mark.parametrize("sample", ("0", "-1"))
+    def test_dse_experiment_rejects_a_sample_below_one(self, capsys, sample):
+        code = main(["experiment", "run", "dse", "--set", f"sample={sample}"])
         assert code == 1
         out = capsys.readouterr().out
         assert out.startswith("error:") and "at least 1 value per axis" in out
