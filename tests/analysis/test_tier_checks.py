@@ -21,7 +21,7 @@ from repro.analysis.hdl_cosim import reproduce_hdl_cosim
 from repro.cli import main
 from repro.dse.evaluate import evaluate_design_point
 from repro.dse.spec import DesignPoint
-from repro.errors import TierMismatchError
+from repro.errors import ConfigurationError, TierMismatchError
 from repro.experiments import get_experiment
 from repro.hdl.eventsim import HdlModSRAM
 from repro.modsram.accelerator import ModSRAMAccelerator
@@ -163,6 +163,22 @@ class TestHdlCosimChecks:
         assert not result.rows[0].products_match
         assert result.rows[0].cycles_match
         assert "verdict: DISAGREE" in result.render()
+
+    def test_a_wrong_energy_report_is_a_disagreement(self, monkeypatch):
+        one_pj_high(monkeypatch)
+        result = reproduce_hdl_cosim(bitwidths=(16,), cases=2)
+        assert result.rows[0].products_match and result.rows[0].cycles_match
+        assert not result.all_match
+        assert "verdict: DISAGREE" in result.render()
+
+    def test_an_empty_request_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="bitwidths"):
+            reproduce_hdl_cosim(bitwidths=(), cases=2)
+
+    @pytest.mark.parametrize("cases", (0, -2))
+    def test_a_case_count_below_one_is_rejected(self, cases):
+        with pytest.raises(ConfigurationError, match="cases"):
+            reproduce_hdl_cosim(bitwidths=(16,), cases=cases)
 
     def test_a_wrong_paper_point_rtl_product_raises(self, monkeypatch):
         corrupt(
