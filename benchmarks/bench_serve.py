@@ -44,6 +44,7 @@ import random
 import time
 
 from repro.ecc.curves_data import CURVE_SPECS
+from repro.experiments import get_experiment
 from repro.modsram import Chip, ChipScheduler, ModSRAMConfig
 from repro.service import Server, ServerConfig, run_self_test
 from repro.workloads import ecdsa_sign_graph, ntt_graph, product_tree_graph
@@ -133,7 +134,10 @@ def collect_bit_identical() -> dict:
 
 def collect_serving() -> dict:
     """Quick-mode async serving traffic: throughput and latency report."""
-    return run_self_test(quick=True, backend="montgomery")
+    params = get_experiment("serving-throughput").resolve_params(
+        {"backend": "montgomery"}, quick=True
+    )
+    return run_self_test(**params)
 
 
 def _scaling_traffic() -> list:

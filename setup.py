@@ -37,8 +37,8 @@ setup(
         "plus an N-macro chip model), PIM baselines, ECC/ZKP "
         "substrates behind a unified Engine API, a dependency-aware "
         "Workload Graph API with an asyncio serving layer, and a "
-        "declarative, parallel, disk-cached Experiment API for every "
-        "table and figure."
+        "declarative, in-process Experiment API for every table and "
+        "figure."
     ),
     long_description=open("src/repro/__init__.py").read().split('"""')[1],
     long_description_content_type="text/x-rst",

@@ -99,9 +99,9 @@ Serving scales past the GIL: ``Server(..., workers=N)`` (or ``repro
 serve --workers N``) shards batch execution across N engine-owning
 worker processes with stable modulus→shard hashing, per-shard warm
 context caches, and crash retry — bit-identical products, more cores
-(:mod:`repro.service.pool`).  ``repro serve --self-test`` drives the
-multi-tenant traffic mix, ``repro submit`` sends one request from the
-shell, and the ``serving-throughput`` experiment measures the layer.
+(:mod:`repro.service.pool`).  The ``serving-throughput`` experiment
+(``repro serve``) drives the verified multi-tenant traffic mix and
+measures the layer; ``repro submit`` sends one request from the shell.
 The ``docs/`` mkdocs site carries the full architecture guide, the
 serving/sharding how-to and generated CLI/API references.
 

@@ -35,7 +35,7 @@ from repro.analysis.headline import HeadlineClaim, HeadlineResult, reproduce_hea
 from repro.analysis.report import REPORT_EXPERIMENTS, build_report
 from repro.analysis.table1 import TableOneResult, reproduce_tables
 from repro.analysis.table3 import DESIGN_ORDER, Table3Result, reproduce_table3
-from repro.analysis.tables import format_value, render_table
+from repro.tables import format_value, render_table
 
 __all__ = [
     "ChipScalingPoint",

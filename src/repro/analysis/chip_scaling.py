@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.analysis.tables import render_table
 from repro.errors import ConfigurationError
 from repro.modsram.chip import ChipScheduler, MultiplicationJob
 from repro.modsram.config import ModSRAMConfig
+from repro.tables import render_table
 from repro.workloads.builders import (
     ecdsa_sign_jobs,
     msm_jobs,

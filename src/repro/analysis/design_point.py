@@ -23,13 +23,13 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional
 
-from repro.analysis.tables import render_table
 from repro.modsram.accelerator import ModSRAMAccelerator
 from repro.modsram.area import AreaModel
 from repro.modsram.config import ModSRAMConfig
 from repro.modsram.fidelity import probe_multiply
 from repro.modsram.geometry import MacroGeometry
 from repro.sram.energy import EnergyBreakdown
+from repro.tables import render_table
 
 __all__ = ["DesignPointResult", "reproduce_design_point"]
 

@@ -25,7 +25,6 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.tables import render_table
 from repro.core.complexity import (
     COMPLEXITY_MODELS,
     PAPER_FIGURE1_BITWIDTHS,
@@ -34,6 +33,7 @@ from repro.core.complexity import (
 from repro.modsram.accelerator import ModSRAMAccelerator
 from repro.modsram.config import ModSRAMConfig
 from repro.modsram.fidelity import checked_multiply
+from repro.tables import render_table
 
 __all__ = ["Figure1Result", "measure_modsram_cycles", "reproduce_figure1"]
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.analysis.tables import render_table
 from repro.modsram.area import (
     PAPER_AREA_MM2,
     PAPER_AREA_OVERHEAD_PERCENT,
@@ -24,6 +23,7 @@ from repro.modsram.area import (
     AreaModel,
 )
 from repro.modsram.config import PAPER_CONFIG, ModSRAMConfig
+from repro.tables import render_table
 
 __all__ = ["Figure5Result", "reproduce_figure5"]
 

@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.analysis.tables import render_table
 from repro.baselines import get_design
 from repro.modsram.config import PAPER_CONFIG, ModSRAMConfig
 from repro.modsram.memory_map import MemoryMap, MemoryUtilization
+from repro.tables import render_table
 
 __all__ = ["Figure6Result", "reproduce_figure6"]
 

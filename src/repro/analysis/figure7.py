@@ -19,8 +19,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.analysis.tables import render_table
 from repro.engine import Engine
+from repro.tables import render_table
 from repro.zkp.opcount import (
     PAPER_FIGURE7_BITWIDTH,
     PAPER_FIGURE7_VECTOR_SIZE,

@@ -4,8 +4,9 @@ The exhibit behind experiment ``hdl-cosim`` (and ``repro hdl cosim``): for
 each bitwidth, run the same operand stream through the event-driven RTL
 simulator (:class:`~repro.hdl.eventsim.HdlModSRAM`), the cycle-accurate
 tier and the analytical tier (:func:`~repro.modsram.fidelity.cross_check`),
-and record whether every product equals the big-integer oracle and the
-per-phase cycle reports agree field by field.  The paper's design point
+and record whether every product equals the big-integer oracle, the
+per-phase cycle reports agree field by field and the cycle and analytical
+tiers' energy reports agree.  The paper's design point
 (256-bit, ``n/2`` schedule, 767 main-loop cycles) is always run on the RTL,
 checked against the closed form (a failure raises), and the result records
 the co-simulation cost — simulator events per second and the slowdown
@@ -19,9 +20,10 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.analysis.tables import render_table
+from repro.errors import ConfigurationError
 from repro.modsram.config import ModSRAMConfig, PAPER_CONFIG
 from repro.modsram.fidelity import build_simulator, checked_multiply, cross_check
+from repro.tables import render_table
 
 __all__ = ["HdlCosimRow", "HdlCosimResult", "reproduce_hdl_cosim"]
 
@@ -36,6 +38,9 @@ class HdlCosimRow:
     iteration_cycles: int
     products_match: bool
     cycles_match: bool
+    #: Whether the cycle and analytical tiers' energy reports agreed (the
+    #: RTL tier has none).
+    energy_match: bool
     sim_events: int
     events_per_second: float
     hdl_seconds: float
@@ -56,6 +61,7 @@ class HdlCosimRow:
             self.iteration_cycles,
             "yes" if self.products_match else "NO",
             "yes" if self.cycles_match else "NO",
+            "yes" if self.energy_match else "NO",
             self.sim_events,
             round(self.events_per_second / 1e3, 1),
             round(self.slowdown, 1),
@@ -70,6 +76,7 @@ class HdlCosimRow:
             "iteration_cycles": self.iteration_cycles,
             "products_match": self.products_match,
             "cycles_match": self.cycles_match,
+            "energy_match": self.energy_match,
             "sim_events": self.sim_events,
             "events_per_second": self.events_per_second,
             "hdl_seconds": self.hdl_seconds,
@@ -88,13 +95,21 @@ class HdlCosimResult:
 
     @property
     def all_match(self) -> bool:
-        """Whether every bitwidth agreed on products and cycle reports."""
-        return all(row.products_match and row.cycles_match for row in self.rows)
+        """Whether every bitwidth agreed on products, cycle and energy reports."""
+        return all(
+            row.products_match and row.cycles_match and row.energy_match
+            for row in self.rows
+        )
 
     @property
     def paper_point_ok(self) -> bool:
         """Whether the RTL reproduces the paper's 767 main-loop cycles."""
         return self.paper_iteration_cycles == PAPER_CONFIG.expected_iteration_cycles
+
+    @property
+    def passed(self) -> bool:
+        """The experiment's verdict: every tier agreed and the paper point held."""
+        return self.all_match and self.paper_point_ok
 
     def render(self) -> str:
         """Human-readable agreement table."""
@@ -105,6 +120,7 @@ class HdlCosimResult:
                 "loop cycles",
                 "products",
                 "cycle report",
+                "energy report",
                 "sim events",
                 "kevents/s",
                 "slowdown vs cycle tier",
@@ -148,7 +164,7 @@ def _operands(
     pairs = [(0, modulus - 1), (1, 1), (a_limit - 1, modulus - 1)]
     while len(pairs) < cases:
         pairs.append((rng.randrange(a_limit), rng.randrange(modulus)))
-    return pairs[: max(cases, 1)]
+    return pairs[:cases]
 
 
 def reproduce_hdl_cosim(
@@ -160,10 +176,17 @@ def reproduce_hdl_cosim(
 
     For every bitwidth the same operands go through the HDL, cycle and
     analytical tiers; a row records whether every product equals the
-    big-integer oracle and whether the three cycle reports agree field by
-    field.  The paper design point is measured on the RTL at the end and
-    raises :class:`~repro.errors.TierMismatchError` if it fails its check.
+    big-integer oracle, whether the three cycle reports agree field by
+    field and whether the two energy reports agree.  The paper design
+    point is measured on the RTL at the end and raises
+    :class:`~repro.errors.TierMismatchError` if it fails its check.  An
+    empty ``bitwidths`` or ``cases`` below 1 raises
+    :class:`~repro.errors.ConfigurationError`.
     """
+    if not bitwidths:
+        raise ConfigurationError("bitwidths must not be empty")
+    if cases < 1:
+        raise ConfigurationError(f"cases must be at least 1, got {cases}")
     rng = random.Random(seed)
     rows: List[HdlCosimRow] = []
     for bitwidth in bitwidths:
@@ -197,6 +220,7 @@ def reproduce_hdl_cosim(
                     name.endswith(" product") for name in failed
                 ),
                 cycles_match=not any(name.endswith(" report") for name in failed),
+                energy_match=not any(name.endswith(" energy") for name in failed),
                 sim_events=sim_events,
                 events_per_second=(
                     sim_events / hdl_seconds if hdl_seconds > 0 else 0.0

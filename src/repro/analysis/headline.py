@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.analysis.tables import render_table
 from repro.analysis.table3 import reproduce_table3
 from repro.modsram.area import AreaModel, PAPER_AREA_MM2, PAPER_AREA_OVERHEAD_PERCENT
 from repro.modsram.config import PAPER_CONFIG
+from repro.tables import render_table
 
 __all__ = ["HeadlineClaim", "HeadlineResult", "reproduce_headline_claims"]
 
@@ -49,6 +49,11 @@ class HeadlineResult:
     def all_hold(self) -> bool:
         """Whether every claim is reproduced within its tolerance."""
         return all(claim.holds for claim in self.claims)
+
+    @property
+    def passed(self) -> bool:
+        """The experiment's verdict: every claim holds."""
+        return self.all_hold()
 
     def render(self) -> str:
         """Scorecard as a text table."""

@@ -9,7 +9,7 @@ context-cache behaviour.
 
 Registered as experiment ``serving-throughput`` in
 :mod:`repro.experiments`, and reachable as ``repro experiment run
-serving-throughput`` or the ``repro serve --self-test`` shortcut.  The
+serving-throughput`` or the ``repro serve`` shortcut.  The
 wall-clock figures are machine-dependent (they measure *this* host's
 event loop and python arithmetic); the structural figures — requests
 verified, batches formed, coalescing factor, cache hit rate — are
@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.analysis.tables import render_table
 from repro.engine import EngineSpec
+from repro.tables import render_table
 
 __all__ = ["ServingThroughputResult", "reproduce_serving_throughput"]
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.analysis.tables import render_table
 from repro.core.booth import encoder_truth_table
 from repro.core.luts import build_overflow_lut, build_radix4_lut
 from repro.ecc.curves_data import CURVE_SPECS
+from repro.tables import render_table
 
 __all__ = ["TableOneResult", "reproduce_tables"]
 

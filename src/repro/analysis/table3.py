@@ -16,12 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.analysis.tables import render_table
 from repro.baselines import bpntt_transform_cycles, get_design
 from repro.ecc.curves_data import CURVE_SPECS
 from repro.modsram.accelerator import ModSRAMAccelerator
 from repro.modsram.config import ModSRAMConfig
 from repro.modsram.fidelity import checked_multiply
+from repro.tables import render_table
 
 __all__ = ["Table3Result", "reproduce_table3", "DESIGN_ORDER"]
 

@@ -1,90 +1,95 @@
 """Command-line interface for the ModSRAM reproduction.
 
-The arithmetic subcommands go through the unified :class:`repro.engine.Engine`
-facade, so every registered backend — software algorithms, the cycle-level
-ModSRAM model and the Table 3 PIM baselines — is reachable from the shell::
+``repro`` (also ``python -m repro``) reaches every subsystem from the
+shell; ``docs/reference/cli.md``, generated from :func:`build_parser`,
+lists each subcommand and option.
 
-    python -m repro.cli report   [--quick]
-    python -m repro.cli experiment list [--json]    # registered experiments
-    python -m repro.cli experiment run NAME [--quick] [--set K=V] [--json]
-    python -m repro.cli experiment sweep NAME --axis K=V1,V2 [--json]
-    python -m repro.cli multiply A B [--modulus P] [--backend NAME] [--curve NAME] [--json]
-    python -m repro.cli batch    [--count N] [--backend NAME] [--seed S] [--json]
-    python -m repro.cli chip     [--workload W] [--macros 1,2,4] [--json]
-    python -m repro.cli serve    --self-test [--quick] [--workers N] [--json]
-    python -m repro.cli submit   [--workload batch|product-tree] [--json]
-    python -m repro.cli cluster router   [--port P] [--replication R]
-    python -m repro.cli cluster worker   --port P [--name N] [--pool-workers W]
-    python -m repro.cli cluster loadtest [--workers N] [--kill-worker] [--json]
-    python -m repro.cli backends [--json]           # backend capability matrix
-    python -m repro.cli cycles   [--bitwidth N]     # cycle model + comparison
-    python -m repro.cli area     [--rows R] [--bitwidth N] [--technology NM]
-    python -m repro.cli verify   [--bitwidth N] [--cases K]   # equivalence check
-    python -m repro.cli hdl emit  [--bitwidth N] [--out DIR] [--check]
-    python -m repro.cli hdl cosim [--quick] [--json]          # RTL agreement
-    python -m repro.cli dse run [SPEC] [--quick] [--sample N] [--json]
-    python -m repro.cli dse frontier RESULTS [--json]
+The exhibit shortcuts ``chip``, ``serve``, ``hdl cosim`` and ``dse run``
+are ``repro experiment run`` for ``chip-scaling``, ``serving-throughput``,
+``hdl-cosim`` and ``dse``: each flag is one of the experiment's parameters
+(``--macro-counts`` sets ``macro_counts``), and every value, from a flag,
+``--set`` or ``--axis``, is read as the type of the parameter's declared
+default.  Each subcommand imports its layer when it runs, so ``repro
+--version`` and ``repro backends`` load no exhibit.
 
-The same interface is reachable as ``python -m repro`` and as the
-``repro`` console script.  The ``experiment`` subcommands drive the
-declarative Experiment API (:mod:`repro.experiments`): every paper
-table/figure as a parameterisable, sweepable experiment, run in-process.
-Values may be given in decimal or ``0x``-prefixed hexadecimal.
+Exit status: 0 when the command succeeds; 1 on a library error or a
+failed verdict (a headline claim that does not hold, tiers that disagree,
+an empty DSE frontier); 2 on a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
-from typing import List, Optional
+import sys
+from typing import Any, Dict, List, Mapping, Optional
 
-from repro.analysis.chip_scaling import CHIP_WORKLOADS
-from repro.analysis.report import build_report
-from repro.analysis.tables import render_table
-from repro.core.complexity import COMPLEXITY_MODELS
-from repro.ecc.curves_data import CURVE_SPECS
-from repro.engine import Engine, EngineSpec, available_backends, get_backend
 from repro.errors import ReproError
-from repro.experiments import ExperimentSpec, available_experiments, get_experiment
-from repro.modsram.area import AreaModel
-from repro.modsram.config import ModSRAMConfig
-from repro.modsram.verification import EquivalenceChecker
 
 __all__ = ["main", "build_parser"]
+
+
+class UsageError(ReproError):
+    """A malformed command line; :func:`main` prints it and returns 2."""
 
 
 def _parse_int(text: str) -> int:
     return int(text, 0)
 
 
-def _parse_param_value(text: str) -> object:
-    """A ``--set``/``--axis`` value: JSON first, then 0x-int, then string."""
-    try:
-        return json.loads(text)
-    except ValueError:
-        pass
-    try:
+def _read(text: str, default: Any) -> Any:
+    """``text`` as the type of ``default``; ValueError when it is not one.
+
+    A list takes ``V1,V2,...`` (brackets optional; empty for ``[]``), an
+    integer a decimal or ``0x`` value and a string the text itself.  A
+    parameter declared ``None`` takes JSON, then an integer, then the text.
+    """
+    if isinstance(default, list):
+        items = text.strip().removeprefix("[").removesuffix("]")
+        element = default[0] if default else None
+        if not items.strip():
+            return []
+        return [_read(item.strip(), element) for item in items.split(",")]
+    if isinstance(default, int):
         return int(text, 0)
-    except ValueError:
+    if isinstance(default, str):
         return text
+    for read in (json.loads, _parse_int):
+        try:
+            return read(text)
+        except ValueError:
+            pass
+    return text
 
 
-def _parse_assignments(pairs: Optional[List[str]], option: str) -> dict:
-    """``KEY=VALUE`` strings into a parameter dictionary."""
+def _parse_value(option: str, text: str, default: Any) -> Any:
+    """One command-line value of a parameter whose default is ``default``."""
+    try:
+        return _read(text, default)
+    except ValueError:
+        kind = "comma-separated integers" if isinstance(default, list) else "an integer"
+        raise UsageError(f"{option} expects {kind}, got {text!r}") from None
+
+
+def _parse_assignments(
+    pairs: Optional[List[str]], defaults: Mapping[str, Any]
+) -> Dict[str, Any]:
+    """``KEY=VALUE`` strings into parameters, each read as its declared type."""
     params = {}
     for pair in pairs or []:
         key, separator, value = pair.partition("=")
         if not separator or not key:
-            raise ReproError(
-                f"{option} expects KEY=VALUE, got {pair!r}"
-            )
-        params[key] = _parse_param_value(value)
+            raise ReproError(f"--set expects KEY=VALUE, got {pair!r}")
+        params[key] = _parse_value(f"--set {key}", value, defaults.get(key))
     return params
 
 
-def _parse_axes(pairs: Optional[List[str]]) -> dict:
-    """``KEY=V1,V2,...`` strings into sweep axes."""
+def _parse_axes(
+    pairs: Optional[List[str]], defaults: Mapping[str, Any]
+) -> Dict[str, List[Any]]:
+    """``KEY=V1,V2,...`` strings into sweep axes, one value per comma."""
     axes = {}
     for pair in pairs or []:
         key, separator, values = pair.partition("=")
@@ -92,13 +97,62 @@ def _parse_axes(pairs: Optional[List[str]]) -> dict:
             raise ReproError(
                 f"--axis expects KEY=VALUE[,VALUE...], got {pair!r}"
             )
-        axes[key] = [_parse_param_value(value) for value in values.split(",")]
+        axes[key] = [
+            _parse_value(f"--axis {key}", value, defaults.get(key))
+            for value in values.split(",")
+        ]
     return axes
+
+
+def _add_experiment_flags(
+    parser: argparse.ArgumentParser, experiment: str, skip: tuple = ()
+) -> None:
+    """Make ``parser`` a shortcut of ``repro experiment run experiment``.
+
+    Each declared parameter (except ``skip``) becomes a ``--name`` flag; a
+    flag left unset keeps the parameter's default, or its quick override
+    under ``--quick``.
+    """
+    from repro.experiments import get_experiment
+
+    definition = get_experiment(experiment)
+    for name, default in definition.defaults.items():
+        if name in skip:
+            continue
+        quick = ""
+        if name in definition.quick_overrides:
+            quick = f"; {definition.quick_overrides[name]!r} under --quick"
+        parser.add_argument(
+            "--" + name.replace("_", "-"), dest=name, metavar=name.upper(),
+            help=f"{experiment} parameter {name} (default {default!r}{quick})",
+        )
+    parser.add_argument(
+        "--quick", action="store_true",
+        help="apply the experiment's quick overrides to every flag left unset",
+    )
+    parser.add_argument(
+        "--json", action="store_true", help="emit the structured result as JSON"
+    )
+    parser.set_defaults(handler=_command_shortcut, experiment=experiment)
+
+
+def _add_engine_flags(parser: argparse.ArgumentParser, backend: str) -> None:
+    """``--backend``, ``--curve`` and ``--modulus`` of an engine subcommand."""
+    parser.add_argument(
+        "--backend", default=backend,
+        help="engine backend (see 'repro backends' for the list)",
+    )
+    parser.add_argument(
+        "--curve", default="bn254",
+        help="use this named curve's base-field prime when --modulus is not given",
+    )
+    parser.add_argument("--modulus", type=_parse_int, default=None, help="modulus p")
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
     from repro import __version__
+    from repro.engine import EngineSpec
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -117,14 +171,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--quick", action="store_true",
         help="apply each experiment's quick overrides (smaller workloads)",
     )
+    report.set_defaults(handler=_command_report)
 
     experiment = subparsers.add_parser(
         "experiment",
         help="declarative experiment API: list, run or sweep any table/figure",
     )
-    experiment_commands = experiment.add_subparsers(
-        dest="experiment_command", required=True
-    )
+    experiment_commands = experiment.add_subparsers(required=True)
 
     experiment_list = experiment_commands.add_parser(
         "list", help="every registered experiment with its parameters"
@@ -132,30 +185,14 @@ def build_parser() -> argparse.ArgumentParser:
     experiment_list.add_argument(
         "--json", action="store_true", help="emit the experiment metadata as JSON"
     )
+    experiment_list.set_defaults(handler=_command_experiment_list)
 
     experiment_run = experiment_commands.add_parser(
         "run", help="run one experiment and print its result"
     )
-    experiment_run.add_argument("name", help="experiment name (see 'experiment list')")
-    experiment_run.add_argument(
-        "--set",
-        dest="assignments",
-        action="append",
-        metavar="KEY=VALUE",
-        help="override one parameter (repeatable)",
-    )
-    experiment_run.add_argument(
-        "--quick", action="store_true", help="apply the experiment's quick overrides"
-    )
-    experiment_run.add_argument(
-        "--json", action="store_true", help="emit the structured result as JSON"
-    )
-
+    experiment_run.set_defaults(handler=_command_experiment_run)
     experiment_sweep = experiment_commands.add_parser(
         "sweep", help="run a cartesian parameter sweep of one experiment"
-    )
-    experiment_sweep.add_argument(
-        "name", help="experiment name (see 'experiment list')"
     )
     experiment_sweep.add_argument(
         "--axis",
@@ -166,42 +203,36 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep axis with its values (repeatable; axes form a grid)",
     )
     experiment_sweep.add_argument(
-        "--set",
-        dest="assignments",
-        action="append",
-        metavar="KEY=VALUE",
-        help="fix one non-swept parameter (repeatable)",
-    )
-    experiment_sweep.add_argument(
-        "--quick", action="store_true", help="apply the experiment's quick overrides"
-    )
-    experiment_sweep.add_argument(
         "--render",
         action="store_true",
         help="print every point's full text view instead of the summary table",
     )
-    experiment_sweep.add_argument(
-        "--json", action="store_true", help="emit the sweep results as JSON"
-    )
+    experiment_sweep.set_defaults(handler=_command_experiment_sweep)
+    for command in (experiment_run, experiment_sweep):
+        command.add_argument("name", help="experiment name (see 'experiment list')")
+        command.add_argument(
+            "--set",
+            dest="assignments",
+            action="append",
+            metavar="KEY=VALUE",
+            help="set one parameter (repeatable)",
+        )
+        command.add_argument(
+            "--quick", action="store_true",
+            help="apply the experiment's quick overrides",
+        )
+        command.add_argument(
+            "--json", action="store_true", help="emit the structured result as JSON"
+        )
 
     multiply = subparsers.add_parser("multiply", help="one modular multiplication")
     multiply.add_argument("a", type=_parse_int, help="multiplier (decimal or 0x...)")
     multiply.add_argument("b", type=_parse_int, help="multiplicand")
-    multiply.add_argument("--modulus", type=_parse_int, default=None, help="modulus p")
-    multiply.add_argument(
-        "--curve",
-        choices=sorted(CURVE_SPECS),
-        default="bn254",
-        help="use this curve's base-field prime when --modulus is not given",
-    )
-    multiply.add_argument(
-        "--backend",
-        default="r4csa-lut",
-        help="engine backend (see 'repro backends' for the list)",
-    )
+    _add_engine_flags(multiply, "r4csa-lut")
     multiply.add_argument(
         "--json", action="store_true", help="emit the result as JSON"
     )
+    multiply.set_defaults(handler=_command_multiply)
 
     batch = subparsers.add_parser(
         "batch", help="batched multiplication through the engine's context cache"
@@ -209,107 +240,28 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--count", type=int, default=256, help="number of operand pairs"
     )
-    batch.add_argument("--modulus", type=_parse_int, default=None, help="modulus p")
-    batch.add_argument(
-        "--curve",
-        choices=sorted(CURVE_SPECS),
-        default="bn254",
-        help="use this curve's base-field prime when --modulus is not given",
-    )
-    batch.add_argument(
-        "--backend",
-        default="r4csa-lut",
-        help="engine backend (see 'repro backends' for the list)",
-    )
+    _add_engine_flags(batch, "r4csa-lut")
     batch.add_argument(
         "--seed", type=int, default=2024, help="seed for the random operand pairs"
     )
     batch.add_argument(
         "--json", action="store_true", help="emit the batch result as JSON"
     )
+    batch.set_defaults(handler=_command_batch)
 
     chip = subparsers.add_parser(
         "chip",
         help="multi-macro chip scale-out of one workload (the chip-scaling "
-             "experiment as a shortcut)",
+             "experiment)",
     )
-    # A flag left unset takes the chip-scaling experiment's default (see
-    # 'repro experiment list').
-    chip.add_argument(
-        "--workload",
-        choices=sorted(CHIP_WORKLOADS),
-        help="multiplication stream to dispatch across the chip",
-    )
-    chip.add_argument(
-        "--macros",
-        dest="macro_counts",
-        metavar="MACROS",
-        help="comma-separated macro counts to scale across",
-    )
-    chip.add_argument("--bitwidth", type=int, help="operand width")
-    chip.add_argument(
-        "--scalar-bits", type=int, help="scalar width (ECC/MSM workloads)"
-    )
-    chip.add_argument(
-        "--signatures", type=int, help="signatures (ecdsa-sign workload)"
-    )
-    chip.add_argument(
-        "--size", dest="vector_size", metavar="SIZE", type=int,
-        help="vector size (ntt workload)",
-    )
-    chip.add_argument(
-        "--points", dest="msm_points", metavar="POINTS", type=int,
-        help="point count (msm workload)",
-    )
-    chip.add_argument(
-        "--quick", action="store_true",
-        help="apply the experiment's quick overrides to every flag left unset",
-    )
-    chip.add_argument(
-        "--json", action="store_true", help="emit the structured result as JSON"
-    )
+    _add_experiment_flags(chip, "chip-scaling")
 
     serve = subparsers.add_parser(
         "serve",
-        help="the async serving layer (self-test traffic against an "
-             "in-process server)",
+        help="verified multi-tenant traffic through an in-process server "
+             "(the serving-throughput experiment)",
     )
-    serve.add_argument(
-        "--self-test",
-        dest="self_test",
-        action="store_true",
-        help="drive the built-in multi-tenant traffic mix and report metrics",
-    )
-    serve.add_argument(
-        "--backend",
-        default=EngineSpec.backend,
-        help="engine backend serving the traffic",
-    )
-    serve.add_argument(
-        "--curve",
-        choices=sorted(CURVE_SPECS),
-        default="bn254",
-        help="curve whose base-field prime the traffic multiplies under",
-    )
-    serve.add_argument(
-        "--tenants", type=int, default=None,
-        help="concurrent client tenants (default 4; 2 under --quick)",
-    )
-    serve.add_argument(
-        "--requests", type=int, default=None,
-        help="requests per tenant (default 32; 8 under --quick)",
-    )
-    serve.add_argument(
-        "--quick", action="store_true", help="shrink the traffic for CI smoke"
-    )
-    serve.add_argument(
-        "--workers", type=int, default=0,
-        help="shard batch execution across N worker processes "
-             "(0 = inline on the event loop)",
-    )
-    serve.add_argument(
-        "--json", action="store_true", help="emit the metrics summary as JSON"
-    )
+    _add_experiment_flags(serve, "serving-throughput")
 
     submit = subparsers.add_parser(
         "submit",
@@ -325,18 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--count", type=int, default=16,
         help="operand pairs (batch) or leaves (product-tree)",
     )
-    submit.add_argument(
-        "--backend",
-        default=EngineSpec.backend,
-        help="engine backend (see 'repro backends' for the list)",
-    )
-    submit.add_argument(
-        "--curve",
-        choices=sorted(CURVE_SPECS),
-        default="bn254",
-        help="use this curve's base-field prime when --modulus is not given",
-    )
-    submit.add_argument("--modulus", type=_parse_int, default=None, help="modulus p")
+    _add_engine_flags(submit, EngineSpec.backend)
     submit.add_argument(
         "--seed", type=int, default=2024, help="seed for the random operands"
     )
@@ -347,14 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument(
         "--json", action="store_true", help="emit the response as JSON"
     )
+    submit.set_defaults(handler=_command_submit)
 
     cluster = subparsers.add_parser(
         "cluster",
         help="the multi-node serving fleet: router, worker nodes, load tests",
     )
-    cluster_commands = cluster.add_subparsers(
-        dest="cluster_command", required=True
-    )
+    cluster_commands = cluster.add_subparsers(required=True)
 
     cluster_router = cluster_commands.add_parser(
         "router",
@@ -373,10 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="engine backend every joining worker builds",
     )
     cluster_router.add_argument(
-        "--curve",
-        choices=sorted(CURVE_SPECS),
-        default=None,
-        help="default curve of the fleet's engine spec",
+        "--curve", default=None, help="default curve of the fleet's engine spec"
     )
     cluster_router.add_argument(
         "--modulus", type=_parse_int, default=None,
@@ -390,6 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--rate-per-tenant", type=float, default=None,
         help="token-bucket rate per tenant in pairs/second (default: unlimited)",
     )
+    cluster_router.set_defaults(handler=_command_cluster_router)
 
     cluster_worker = cluster_commands.add_parser(
         "worker",
@@ -408,6 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--pool-workers", type=int, default=0,
         help="process-pool shards under this node's server (0 = inline)",
     )
+    cluster_worker.set_defaults(handler=_command_cluster_worker)
 
     cluster_loadtest = cluster_commands.add_parser(
         "loadtest",
@@ -445,6 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="additionally write the JSON report to PATH (works with or "
              "without --json)",
     )
+    cluster_loadtest.set_defaults(handler=_command_cluster_loadtest)
 
     backends = subparsers.add_parser(
         "backends", help="capability matrix of every registered engine backend"
@@ -452,26 +392,30 @@ def build_parser() -> argparse.ArgumentParser:
     backends.add_argument(
         "--json", action="store_true", help="emit the backend metadata as JSON"
     )
+    backends.set_defaults(handler=_command_backends)
 
     cycles = subparsers.add_parser("cycles", help="cycle models at a bitwidth")
     cycles.add_argument("--bitwidth", type=int, default=256)
+    cycles.set_defaults(handler=_command_cycles)
 
     area = subparsers.add_parser("area", help="area model for a configuration")
     area.add_argument("--rows", type=int, default=64)
     area.add_argument("--bitwidth", type=int, default=256)
     area.add_argument("--technology", type=int, default=65)
+    area.set_defaults(handler=_command_area)
 
     verify = subparsers.add_parser(
         "verify", help="equivalence-check the accelerator against the oracle"
     )
     verify.add_argument("--bitwidth", type=int, default=32)
     verify.add_argument("--cases", type=int, default=8)
+    verify.set_defaults(handler=_command_verify)
 
     hdl = subparsers.add_parser(
         "hdl",
         help="the RTL tier: emit the macro Verilog, run the co-simulation",
     )
-    hdl_commands = hdl.add_subparsers(dest="hdl_command", required=True)
+    hdl_commands = hdl.add_subparsers(required=True)
 
     hdl_emit = hdl_commands.add_parser(
         "emit",
@@ -491,64 +435,39 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare the emitted RTL against the files already in --out "
              "instead of writing; exit 1 on drift",
     )
+    hdl_emit.set_defaults(handler=_command_hdl_emit)
 
     hdl_cosim = hdl_commands.add_parser(
         "cosim",
-        help="run the hdl-cosim experiment: event-driven RTL simulation "
-             "vs the cycle and analytical tiers",
+        help="event-driven RTL simulation vs the cycle and analytical tiers "
+             "(the hdl-cosim experiment)",
     )
-    hdl_cosim.add_argument(
-        "--quick", action="store_true", help="shrink the sweep for CI smoke"
-    )
-    hdl_cosim.add_argument(
-        "--json", action="store_true", help="emit the result as JSON"
-    )
-    hdl_cosim.add_argument(
-        "--cases", type=int, default=None,
-        help="operand pairs per bitwidth (default: experiment default)",
-    )
-    hdl_cosim.add_argument(
-        "--seed", type=int, default=None, help="operand stream seed"
-    )
+    _add_experiment_flags(hdl_cosim, "hdl-cosim")
 
     dse = subparsers.add_parser(
         "dse",
         help="declarative design-space exploration with Pareto frontiers",
     )
-    dse_commands = dse.add_subparsers(dest="dse_command", required=True)
+    dse_commands = dse.add_subparsers(required=True)
 
     dse_run = dse_commands.add_parser(
         "run",
         help="expand a sweep spec into design points, evaluate them "
-             "and print the throughput/energy/area Pareto frontier",
+             "and print the throughput/energy/area Pareto frontier "
+             "(the dse experiment)",
     )
     dse_run.add_argument(
-        "spec", nargs="?", default=None, metavar="SPEC",
-        help="sweep-spec file (JSON, or YAML when PyYAML is installed); "
-             "default: the built-in 640-point grid",
-    )
-    dse_run.add_argument(
-        "--quick", action="store_true",
-        help="apply the dse experiment's quick overrides to every flag left "
-             "unset: 2 values per axis, 128 jobs per point (CI smoke)",
-    )
-    dse_run.add_argument(
-        "--sample", type=int, default=None, metavar="N",
-        help="keep only the first N values of every axis",
-    )
-    dse_run.add_argument(
-        "--workload-ops", type=int, default=None, metavar="N",
-        help="override the per-point workload stream length",
-    )
-    dse_run.add_argument(
-        "--json", action="store_true",
-        help="emit the full run result as JSON",
+        "spec_file", nargs="?", default=None, metavar="SPEC",
+        help="sweep-spec file (JSON, or YAML when PyYAML is installed) for "
+             "the spec parameter; default: the built-in 640-point grid",
     )
     dse_run.add_argument(
         "--output", default=None, metavar="PATH",
-        help="also write the run result JSON to PATH "
+        help="also write the JSON result to PATH "
              "(readable by 'repro dse frontier')",
     )
+    _add_experiment_flags(dse_run, "dse", skip=("spec",))
+    dse_run.set_defaults(handler=_command_dse_run)
 
     dse_frontier = dse_commands.add_parser(
         "frontier",
@@ -562,38 +481,30 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="emit the frontier as JSON",
     )
+    dse_frontier.set_defaults(handler=_command_dse_frontier)
     return parser
 
 
 def _command_report(arguments: argparse.Namespace) -> int:
+    from repro.analysis.report import build_report
+
     print(build_report(quick=arguments.quick))
     return 0
 
 
-def _command_experiment(arguments: argparse.Namespace) -> int:
-    handlers = {
-        "list": _command_experiment_list,
-        "run": _command_experiment_run,
-        "sweep": _command_experiment_sweep,
-    }
-    return handlers[arguments.experiment_command](arguments)
-
-
 def _command_experiment_list(arguments: argparse.Namespace) -> int:
+    from repro.experiments import available_experiments, get_experiment
+    from repro.tables import render_table
+
     definitions = [get_experiment(name) for name in available_experiments()]
     if arguments.json:
         print(json.dumps([d.describe() for d in definitions], indent=2))
         return 0
-    rows = []
-    for definition in definitions:
-        rows.append(
-            (
-                definition.name,
-                definition.title,
-                ", ".join(definition.sweep_axes) or "-",
-                "yes" if definition.quick_overrides else "no",
-            )
-        )
+    rows = [
+        (d.name, d.title, ", ".join(d.sweep_axes) or "-",
+         "yes" if d.quick_overrides else "no")
+        for d in definitions
+    ]
     print(render_table(
         ("experiment", "title", "sweep axes", "quick mode"),
         rows,
@@ -602,23 +513,51 @@ def _command_experiment_list(arguments: argparse.Namespace) -> int:
     return 0
 
 
+def _report(result, as_json: bool) -> int:
+    """Print one experiment result; 1 when it carries a failed verdict."""
+    print(result.to_json(indent=2) if as_json else result.render())
+    return 0 if result.passed else 1
+
+
 def _command_experiment_run(arguments: argparse.Namespace) -> int:
-    params = _parse_assignments(arguments.assignments, "--set")
-    result = get_experiment(arguments.name).execute(params, quick=arguments.quick)
-    if arguments.json:
-        print(result.to_json(indent=2))
-        return 0
-    print(result.render())
-    return 0
+    from repro.experiments import get_experiment
+
+    definition = get_experiment(arguments.name)
+    params = _parse_assignments(arguments.assignments, definition.defaults)
+    return _report(definition.execute(params, quick=arguments.quick), arguments.json)
+
+
+def _shortcut_result(arguments: argparse.Namespace, **params: Any):
+    """Run a shortcut's experiment with every flag that was set."""
+    from repro.experiments import get_experiment
+
+    definition = get_experiment(arguments.experiment)
+    for name, default in definition.defaults.items():
+        text = getattr(arguments, name, None)
+        if text is not None:
+            option = "--" + name.replace("_", "-")
+            params[name] = _parse_value(option, text, default)
+    return definition.execute(params, quick=arguments.quick)
+
+
+def _command_shortcut(arguments: argparse.Namespace) -> int:
+    return _report(_shortcut_result(arguments), arguments.json)
 
 
 def _command_experiment_sweep(arguments: argparse.Namespace) -> int:
-    params = _parse_assignments(arguments.assignments, "--set")
-    spec = ExperimentSpec(arguments.name, params, _parse_axes(arguments.axes))
+    from repro.experiments import ExperimentSpec, get_experiment
+    from repro.tables import render_table
+
     definition = get_experiment(arguments.name)
+    spec = ExperimentSpec(
+        arguments.name,
+        _parse_assignments(arguments.assignments, definition.defaults),
+        _parse_axes(arguments.axes, definition.defaults),
+    )
     results = [
         definition.execute(point, quick=arguments.quick) for point in spec.points()
     ]
+    status = 0 if all(result.passed for result in results) else 1
     if arguments.json:
         print(json.dumps(
             {
@@ -627,7 +566,7 @@ def _command_experiment_sweep(arguments: argparse.Namespace) -> int:
             },
             indent=2,
         ))
-        return 0
+        return status
     if arguments.render:
         divider = "\n\n" + "-" * 78 + "\n\n"
         print(divider.join(result.render() for result in results))
@@ -645,15 +584,25 @@ def _command_experiment_sweep(arguments: argparse.Namespace) -> int:
         ))
     elapsed = sum(result.elapsed_seconds for result in results)
     print(f"computed {len(results)} points in {elapsed:.3f} s")
-    return 0
+    return status
 
 
-def _make_engine(arguments: argparse.Namespace) -> Optional[Engine]:
-    """Build the engine a subcommand asked for, or report a usage error."""
-    if arguments.backend not in available_backends():
-        print(f"unknown backend {arguments.backend!r}; available: "
-              f"{', '.join(available_backends())}")
-        return None
+def _check_backend(name: str) -> None:
+    """Reject a backend the engine registry does not know (a usage error)."""
+    from repro.engine import available_backends
+
+    if name not in available_backends():
+        raise UsageError(
+            f"unknown backend {name!r}; available: "
+            f"{', '.join(available_backends())}"
+        )
+
+
+def _make_engine(arguments: argparse.Namespace):
+    """Build the engine a subcommand asked for."""
+    from repro.engine import Engine
+
+    _check_backend(arguments.backend)
     return Engine(
         backend=arguments.backend,
         curve=arguments.curve,
@@ -663,8 +612,6 @@ def _make_engine(arguments: argparse.Namespace) -> Optional[Engine]:
 
 def _command_multiply(arguments: argparse.Namespace) -> int:
     engine = _make_engine(arguments)
-    if engine is None:
-        return 2
     modulus = engine.default_modulus
     assert modulus is not None
     result = engine.multiply(arguments.a % modulus, arguments.b % modulus)
@@ -681,11 +628,8 @@ def _command_multiply(arguments: argparse.Namespace) -> int:
 
 def _command_batch(arguments: argparse.Namespace) -> int:
     if arguments.count < 1:
-        print(f"--count must be positive, got {arguments.count}")
-        return 2
+        raise UsageError(f"--count must be positive, got {arguments.count}")
     engine = _make_engine(arguments)
-    if engine is None:
-        return 2
     modulus = engine.default_modulus
     assert modulus is not None
     rng = random.Random(arguments.seed)
@@ -713,98 +657,16 @@ def _command_batch(arguments: argparse.Namespace) -> int:
     return 0
 
 
-def _command_chip(arguments: argparse.Namespace) -> int:
-    definition = get_experiment("chip-scaling")
-    # Every flag the user set wins, in quick mode too.
-    params = {
-        name: getattr(arguments, name)
-        for name in definition.defaults
-        if getattr(arguments, name) is not None
-    }
-    if "macro_counts" in params:
-        text = params["macro_counts"]
-        try:
-            counts = [int(value, 0) for value in text.split(",") if value]
-        except ValueError:
-            print(f"--macros expects comma-separated integers, got {text!r}")
-            return 2
-        if not counts or min(counts) <= 0:
-            print(f"--macros needs positive macro counts, got {text!r}")
-            return 2
-        params["macro_counts"] = counts
-    result = definition.execute(params, quick=arguments.quick)
-    if arguments.json:
-        print(result.to_json(indent=2))
-        return 0
-    print(result.render())
-    return 0
-
-
-def _command_serve(arguments: argparse.Namespace) -> int:
-    if not arguments.self_test:
-        print(
-            "only --self-test mode is available: the server is in-process "
-            "(see 'repro submit' and repro.service for the API)"
-        )
-        return 2
-    from repro.service import run_self_test
-
-    # Explicit sizing always wins, even over --quick's shrunk traffic.
-    traffic = {}
-    if arguments.tenants is not None:
-        traffic["tenants"] = arguments.tenants
-    if arguments.requests is not None:
-        traffic["requests"] = arguments.requests
-    if arguments.workers < 0:
-        print(f"--workers must be >= 0, got {arguments.workers}")
-        return 2
-    summary = run_self_test(
-        quick=arguments.quick,
-        backend=arguments.backend,
-        curve=arguments.curve,
-        workers=arguments.workers,
-        **traffic,
-    )
-    if arguments.json:
-        print(json.dumps(summary, indent=2))
-        return 0
-    latency = summary["latency"]
-    executor = summary["executor"]
-    print(f"backend           : {summary['backend']}")
-    if executor["kind"] == "pool":
-        print(f"executor          : pool, {executor['workers']} workers "
-              f"({executor['jobs']} jobs, {executor['spilled_jobs']} spilled, "
-              f"{executor['worker_restarts']} restarts)")
-    else:
-        print("executor          : inline (event loop)")
-    print(f"tenants           : {summary['tenants']} "
-          f"x {summary['requests_per_tenant']} requests")
-    print(f"verified requests : {summary['verified_requests']}"
-          f" (all products checked against the big-int reference)")
-    print(f"throughput        : {summary['requests_per_second']:.1f} req/s, "
-          f"{summary['multiplications_per_second']:.1f} mul/s")
-    print(f"batching          : {summary['batches']} engine batches, "
-          f"mean {summary['mean_batch_size']:.1f} pairs")
-    print(f"latency           : p50 {latency['p50_ms']:.3f} ms, "
-          f"p95 {latency['p95_ms']:.3f} ms, p99 {latency['p99_ms']:.3f} ms")
-    cache = summary["context_cache"]
-    print(f"context cache     : {cache['hits']} hits / {cache['misses']} misses "
-          f"(hit rate {cache['hit_rate']:.3f})")
-    return 0
-
-
 def _command_submit(arguments: argparse.Namespace) -> int:
     import asyncio
 
     minimum = 2 if arguments.workload == "product-tree" else 1
     if arguments.count < minimum:
-        print(f"--count must be at least {minimum} for {arguments.workload}, "
-              f"got {arguments.count}")
-        return 2
-    if arguments.backend not in available_backends():
-        print(f"unknown backend {arguments.backend!r}; available: "
-              f"{', '.join(available_backends())}")
-        return 2
+        raise UsageError(
+            f"--count must be at least {minimum} for {arguments.workload}, "
+            f"got {arguments.count}"
+        )
+    _check_backend(arguments.backend)
     from repro.service import Client, Server
     from repro.workloads import product_tree_graph
 
@@ -869,29 +731,19 @@ def _command_submit(arguments: argparse.Namespace) -> int:
     return 0
 
 
-def _command_cluster(arguments: argparse.Namespace) -> int:
-    handlers = {
-        "router": _command_cluster_router,
-        "worker": _command_cluster_worker,
-        "loadtest": _command_cluster_loadtest,
-    }
-    return handlers[arguments.cluster_command](arguments)
-
-
 def _command_cluster_router(arguments: argparse.Namespace) -> int:
     import asyncio
 
     from repro.cluster import Router, RouterConfig
+    from repro.engine import EngineSpec
 
-    if arguments.backend not in available_backends():
-        print(f"unknown backend {arguments.backend!r}; available: "
-              f"{', '.join(available_backends())}")
-        return 2
+    _check_backend(arguments.backend)
     spec = EngineSpec(
         backend=arguments.backend,
         curve=arguments.curve,
         modulus=arguments.modulus,
     )
+    spec.build()  # a spec no worker could build fails here, once
     config = RouterConfig(
         host=arguments.host,
         port=arguments.port,
@@ -921,8 +773,9 @@ def _command_cluster_worker(arguments: argparse.Namespace) -> int:
     from repro.cluster import run_worker
 
     if arguments.pool_workers < 0:
-        print(f"--pool-workers must be >= 0, got {arguments.pool_workers}")
-        return 2
+        raise UsageError(
+            f"--pool-workers must be >= 0, got {arguments.pool_workers}"
+        )
     try:
         run_worker(
             arguments.host,
@@ -941,8 +794,7 @@ def _command_cluster_loadtest(arguments: argparse.Namespace) -> int:
     from repro.cluster import run_loadtest
 
     if arguments.workers < 1:
-        print(f"--workers must be >= 1, got {arguments.workers}")
-        return 2
+        raise UsageError(f"--workers must be >= 1, got {arguments.workers}")
     report = asyncio.run(
         run_loadtest(
             workers=arguments.workers,
@@ -983,6 +835,9 @@ def _command_cluster_loadtest(arguments: argparse.Namespace) -> int:
 
 
 def _command_backends(arguments: argparse.Namespace) -> int:
+    from repro.engine import available_backends, get_backend
+    from repro.tables import render_table
+
     infos = [get_backend(name).info for name in available_backends()]
     if arguments.json:
         payload = {"backends": [info.as_dict() for info in infos]}
@@ -1018,6 +873,10 @@ def _command_backends(arguments: argparse.Namespace) -> int:
 
 
 def _command_cycles(arguments: argparse.Namespace) -> int:
+    from repro.core.complexity import COMPLEXITY_MODELS
+    from repro.engine import available_backends
+    from repro.tables import render_table
+
     bitwidth = arguments.bitwidth
     rows = []
     for key, model in sorted(COMPLEXITY_MODELS.items()):
@@ -1032,6 +891,10 @@ def _command_cycles(arguments: argparse.Namespace) -> int:
 
 
 def _command_area(arguments: argparse.Namespace) -> int:
+    from repro.modsram.area import AreaModel
+    from repro.modsram.config import ModSRAMConfig
+    from repro.tables import render_table
+
     config = ModSRAMConfig(
         rows=arguments.rows,
         bitwidth=arguments.bitwidth,
@@ -1052,6 +915,9 @@ def _command_area(arguments: argparse.Namespace) -> int:
 
 
 def _command_verify(arguments: argparse.Namespace) -> int:
+    from repro.modsram.config import ModSRAMConfig
+    from repro.modsram.verification import EquivalenceChecker
+
     bitwidth = arguments.bitwidth
     config = ModSRAMConfig().with_bitwidth(bitwidth)
     checker = EquivalenceChecker(config)
@@ -1061,18 +927,11 @@ def _command_verify(arguments: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _command_hdl(arguments: argparse.Namespace) -> int:
-    handlers = {
-        "emit": _command_hdl_emit,
-        "cosim": _command_hdl_cosim,
-    }
-    return handlers[arguments.hdl_command](arguments)
-
-
 def _command_hdl_emit(arguments: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.hdl import elaborate_macro, emit_design
+    from repro.modsram.config import ModSRAMConfig
 
     config = ModSRAMConfig().with_bitwidth(arguments.bitwidth)
     files = emit_design(elaborate_macro(config))
@@ -1100,48 +959,17 @@ def _command_hdl_emit(arguments: argparse.Namespace) -> int:
     return 0
 
 
-def _command_hdl_cosim(arguments: argparse.Namespace) -> int:
-    params = {
-        name: getattr(arguments, name)
-        for name in ("cases", "seed")
-        if getattr(arguments, name) is not None
-    }
-    result = get_experiment("hdl-cosim").execute(params, quick=arguments.quick).result
-    if arguments.json:
-        print(json.dumps(result.to_dict(), indent=2))
-    else:
-        print(result.render())
-    return 0 if result.all_match and result.paper_point_ok else 1
-
-
-def _command_dse(arguments: argparse.Namespace) -> int:
-    handlers = {
-        "run": _command_dse_run,
-        "frontier": _command_dse_frontier,
-    }
-    return handlers[arguments.dse_command](arguments)
-
-
 def _command_dse_run(arguments: argparse.Namespace) -> int:
     from repro.dse import load_spec
 
-    # Every flag the user set wins, in quick mode too.
-    params = {
-        name: getattr(arguments, name)
-        for name in ("sample", "workload_ops")
-        if getattr(arguments, name) is not None
-    }
-    if arguments.spec:
-        params["spec"] = load_spec(arguments.spec).to_dict()
-    result = get_experiment("dse").execute(params, quick=arguments.quick).result
+    params = {}
+    if arguments.spec_file:
+        params["spec"] = load_spec(arguments.spec_file).to_dict()
+    result = _shortcut_result(arguments, **params)
     if arguments.output:
         with open(arguments.output, "w", encoding="utf-8") as handle:
-            json.dump(result.to_dict(), handle, indent=2)
-    if arguments.json:
-        print(json.dumps(result.to_dict(), indent=2))
-    else:
-        print(result.render())
-    return 0 if result.frontier else 1
+            handle.write(result.to_json(indent=2))
+    return _report(result, arguments.json)
 
 
 def _command_dse_frontier(arguments: argparse.Namespace) -> int:
@@ -1152,7 +980,9 @@ def _command_dse_frontier(arguments: argparse.Namespace) -> int:
             data = json.load(handle)
     except (OSError, ValueError) as error:
         raise ReproError(f"cannot read DSE results {arguments.input}: {error}")
-    run = DseRunResult.from_dict(data)
+    # 'repro dse run --output' writes the experiment's result, whose
+    # payload is the run; a bare run dictionary reads as well.
+    run = DseRunResult.from_dict(data.get("payload", data))
     frontier = pareto_frontier([point.metrics() for point in run.points])
     rebuilt = DseRunResult(
         spec=run.spec,
@@ -1182,28 +1012,22 @@ def _command_dse_frontier(arguments: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
-    parser = build_parser()
-    arguments = parser.parse_args(argv)
-    handlers = {
-        "report": _command_report,
-        "experiment": _command_experiment,
-        "multiply": _command_multiply,
-        "batch": _command_batch,
-        "chip": _command_chip,
-        "serve": _command_serve,
-        "submit": _command_submit,
-        "cluster": _command_cluster,
-        "backends": _command_backends,
-        "cycles": _command_cycles,
-        "area": _command_area,
-        "verify": _command_verify,
-        "hdl": _command_hdl,
-        "dse": _command_dse,
-    }
     try:
-        return handlers[arguments.command](arguments)
+        arguments = build_parser().parse_args(argv)
+        status = arguments.handler(arguments)
+        sys.stdout.flush()
+        return status
+    except UsageError as error:
+        print(f"error: {error}")
+        return 2
     except ReproError as error:
         print(f"error: {error}")
+        return 1
+    except BrokenPipeError:
+        # The reader closed stdout (``repro ... | head``): point it at
+        # devnull so the flush at exit does not fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
         return 1
 
 

@@ -16,7 +16,6 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping
 
-from repro.analysis.tables import render_table
 from repro.errors import ConfigurationError
 from repro.dse.evaluate import DsePointResult, evaluate_design_point
 from repro.dse.frontier import (
@@ -25,6 +24,7 @@ from repro.dse.frontier import (
     pareto_frontier,
 )
 from repro.dse.spec import SweepSpec
+from repro.tables import render_table
 
 __all__ = ["DseRunResult", "run_dse"]
 
@@ -47,6 +47,11 @@ class DseRunResult:
         if self.elapsed_seconds <= 0:
             return 0.0
         return len(self.points) / self.elapsed_seconds
+
+    @property
+    def passed(self) -> bool:
+        """The experiment's verdict: the sweep has a frontier."""
+        return bool(self.frontier)
 
     def frontier_rows(self) -> List[List[object]]:
         """Frontier members as table rows (expansion order)."""

@@ -7,37 +7,44 @@ area and energy per multiplication), the ``dse-point`` and ``dse``
 design-space sweeps, the multi-macro ``chip-scaling`` exhibit, the async
 ``serving-throughput`` exhibit and the RTL ``hdl-cosim`` agreement check —
 with :mod:`repro.experiments.registry`.
-The registry imports it lazily, so :mod:`repro.experiments` never drags the
-analysis layer in at import time.
+The registry imports it lazily, and every entry point imports its exhibit
+when it first runs, so reading the registry (as the CLI parser does)
+loads no exhibit layer.
 """
 
 from __future__ import annotations
 
-from repro.analysis.chip_scaling import reproduce_chip_scaling
-from repro.analysis.design_point import build_design_config, reproduce_design_point
-from repro.analysis.hdl_cosim import reproduce_hdl_cosim
-from repro.analysis.figure1 import reproduce_figure1
-from repro.analysis.figure5 import reproduce_figure5
-from repro.analysis.figure6 import reproduce_figure6
-from repro.analysis.figure7 import reproduce_figure7
-from repro.analysis.headline import reproduce_headline_claims
-from repro.analysis.serving import reproduce_serving_throughput
-from repro.analysis.table1 import reproduce_tables
-from repro.analysis.table3 import reproduce_table3
+from importlib import import_module
+from typing import Any, Callable
+
 from repro.core.complexity import PAPER_FIGURE1_BITWIDTHS
 from repro.engine import EngineSpec
 from repro.experiments.registry import ExperimentDefinition, register_experiment
-from repro.modsram.config import PAPER_CONFIG
-from repro.zkp.opcount import PAPER_FIGURE7_BITWIDTH, PAPER_FIGURE7_VECTOR_SIZE
 
 __all__ = []
 
 
+def _entry(path: str) -> Callable[..., Any]:
+    """The function at ``"module:name"``, imported when it is first called."""
+    module, _, name = path.partition(":")
+
+    def run(**params: Any) -> Any:
+        return getattr(import_module(module), name)(**params)
+
+    return run
+
+
 def _run_figure1(bitwidths, seed):
+    from repro.analysis.figure1 import reproduce_figure1
+
     return reproduce_figure1(bitwidths=tuple(int(b) for b in bitwidths), seed=seed)
 
 
 def _run_figure5(rows=None, bitwidth=None, technology_nm=None):
+    from repro.analysis.design_point import build_design_config
+    from repro.analysis.figure5 import reproduce_figure5
+    from repro.modsram.config import PAPER_CONFIG
+
     config = None
     if any(value is not None for value in (rows, bitwidth, technology_nm)):
         config = build_design_config(
@@ -52,6 +59,17 @@ def _run_figure5(rows=None, bitwidth=None, technology_nm=None):
     return reproduce_figure5(config)
 
 
+def _run_figure7(vector_size=None, bitwidth=None, msm_window_bits=16):
+    from repro.analysis.figure7 import reproduce_figure7
+    from repro.zkp.opcount import PAPER_FIGURE7_BITWIDTH, PAPER_FIGURE7_VECTOR_SIZE
+
+    return reproduce_figure7(
+        vector_size=PAPER_FIGURE7_VECTOR_SIZE if vector_size is None else vector_size,
+        bitwidth=PAPER_FIGURE7_BITWIDTH if bitwidth is None else bitwidth,
+        msm_window_bits=msm_window_bits,
+    )
+
+
 register_experiment(
     ExperimentDefinition(
         name="table1",
@@ -60,7 +78,7 @@ register_experiment(
             "Regenerate the radix-4 Booth encoder truth table and the "
             "radix-4 / carry-overflow LUTs from the implementation."
         ),
-        run=reproduce_tables,
+        run=_entry("repro.analysis.table1:reproduce_tables"),
         defaults={"multiplicand": None, "modulus": None},
         sweep_axes=("multiplicand", "modulus"),
     )
@@ -102,7 +120,7 @@ register_experiment(
             "Row requirements of MeNTT / BP-NTT / ModSRAM for one modular "
             "multiplication plus ModSRAM's region breakdown."
         ),
-        run=reproduce_figure6,
+        run=_entry("repro.analysis.figure6:reproduce_figure6"),
         defaults={"bitwidth": 256},
         sweep_axes=("bitwidth",),
     )
@@ -113,15 +131,11 @@ register_experiment(
         name="figure7",
         title="Figure 7: ZKP kernel operation counts",
         description=(
-            "Closed-form NTT/MSM operation counts at the paper's "
-            "2^15-element, 256-bit operating point."
+            "Closed-form NTT/MSM operation counts, by default at the "
+            "paper's 2^15-element, 256-bit operating point."
         ),
-        run=reproduce_figure7,
-        defaults={
-            "vector_size": PAPER_FIGURE7_VECTOR_SIZE,
-            "bitwidth": PAPER_FIGURE7_BITWIDTH,
-            "msm_window_bits": 16,
-        },
+        run=_run_figure7,
+        defaults={"vector_size": None, "bitwidth": None, "msm_window_bits": 16},
         sweep_axes=("vector_size", "bitwidth"),
     )
 )
@@ -134,7 +148,7 @@ register_experiment(
             "Every Table 3 row rebuilt from the library's own models, "
             "with the ModSRAM cycles measured at the table's bitwidth."
         ),
-        run=reproduce_table3,
+        run=_entry("repro.analysis.table3:reproduce_table3"),
         defaults={"bitwidth": 256},
         sweep_axes=("bitwidth",),
     )
@@ -148,7 +162,7 @@ register_experiment(
             "The paper's section 5.3 headline claims, paper value versus "
             "reproduced value."
         ),
-        run=reproduce_headline_claims,
+        run=_entry("repro.analysis.headline:reproduce_headline_claims"),
     )
 )
 
@@ -156,6 +170,8 @@ register_experiment(
 def _run_chip_scaling(
     workload, macro_counts, bitwidth, scalar_bits, signatures, vector_size, msm_points
 ):
+    from repro.analysis.chip_scaling import reproduce_chip_scaling
+
     return reproduce_chip_scaling(
         workload=workload,
         macro_counts=tuple(int(count) for count in macro_counts),
@@ -206,7 +222,7 @@ register_experiment(
             "verified); report throughput, latency percentiles, batching "
             "coalescing and context-cache behaviour."
         ),
-        run=reproduce_serving_throughput,
+        run=_entry("repro.analysis.serving:reproduce_serving_throughput"),
         defaults={
             "backend": EngineSpec.backend,
             "curve": "bn254",
@@ -241,7 +257,7 @@ register_experiment(
             "configuration; sweep bitwidth/rows/technology for "
             "design-space exploration."
         ),
-        run=reproduce_design_point,
+        run=_entry("repro.analysis.design_point:reproduce_design_point"),
         defaults={
             "bitwidth": 256,
             "rows": None,
@@ -265,7 +281,7 @@ register_experiment(
             "cycle reports equal field by field (including the paper's 767 "
             "main-loop cycles at 256 bits)."
         ),
-        run=reproduce_hdl_cosim,
+        run=_entry("repro.analysis.hdl_cosim:reproduce_hdl_cosim"),
         defaults={
             "bitwidths": [16, 32, 64],
             "cases": 5,

@@ -96,6 +96,11 @@ class ExperimentResult:
     result: Any
     elapsed_seconds: float = 0.0
 
+    @property
+    def passed(self) -> bool:
+        """The result's own verdict (its ``passed``); True when it has none."""
+        return bool(getattr(self.result, "passed", True))
+
     def render(self) -> str:
         """The result's text view."""
         return self.result.render()

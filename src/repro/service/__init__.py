@@ -25,11 +25,11 @@ on the event loop by default, or — ``Server(..., workers=N)`` /
 stable modulus→shard hashing, escaping the GIL (see
 :mod:`repro.service.pool` and the serving/sharding how-to in ``docs/``).
 
-``repro serve --self-test [--workers N]`` drives the built-in
-multi-tenant traffic mix (:mod:`repro.service.selftest`), ``repro
-submit`` sends one request from the shell, and the
-``serving-throughput`` experiment plus ``benchmarks/bench_serve.py``
-measure the layer end to end.
+The ``serving-throughput`` experiment (``repro serve [--workers N]``)
+drives the built-in multi-tenant traffic mix
+(:mod:`repro.service.selftest`), ``repro submit`` sends one request from
+the shell, and the experiment plus ``benchmarks/bench_serve.py`` measure
+the layer end to end.
 """
 
 from repro.errors import (

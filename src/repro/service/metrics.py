@@ -2,8 +2,8 @@
 
 Pure-python accounting: the server records one sample per completed
 request and one per executed batch; :meth:`ServiceMetrics.summary`
-condenses them into the payload the ``serving-throughput`` experiment,
-``repro serve --self-test`` and ``BENCH_serve.json`` report.
+condenses them into the payload the self-test traffic returns, which the
+``serving-throughput`` experiment and ``BENCH_serve.json`` report.
 """
 
 from __future__ import annotations

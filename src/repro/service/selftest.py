@@ -1,7 +1,7 @@
 """Synthetic multi-tenant traffic against an in-process server.
 
-``repro serve --self-test`` and the ``serving-throughput`` experiment both
-drive this: ``tenants`` concurrent clients each fire ``requests`` requests
+The ``serving-throughput`` experiment (and its ``repro serve`` shortcut)
+drives this: ``tenants`` concurrent clients each fire ``requests`` requests
 (operand batches, with every ``graph_every``-th request an executable
 product-tree graph), every product is verified against the big-int
 reference, and the server's metrics summary comes back as the payload.
@@ -101,11 +101,6 @@ async def self_test(
     return summary
 
 
-def run_self_test(quick: bool = False, **kwargs) -> Dict[str, object]:
-    """Synchronous wrapper; ``quick`` shrinks the traffic for CI smoke."""
-    if quick:
-        kwargs.setdefault("tenants", 2)
-        kwargs.setdefault("requests", 8)
-        kwargs.setdefault("pairs_per_request", 4)
-        kwargs.setdefault("graph_leaves", 8)
+def run_self_test(**kwargs) -> Dict[str, object]:
+    """Synchronous wrapper of :func:`self_test`."""
     return asyncio.run(self_test(**kwargs))

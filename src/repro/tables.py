@@ -1,7 +1,9 @@
-"""Plain-text table rendering used by every experiment reproduction.
+"""Plain-text table rendering used by every exhibit, the DSE and the CLI.
 
-The benchmarks print the same rows/series the paper reports; a small ASCII
+The exhibits print the same rows/series the paper reports; a small ASCII
 renderer keeps that output readable without pulling in plotting libraries.
+It lives outside :mod:`repro.analysis` so the CLI's listings can print a
+table without loading the exhibits.
 """
 
 from __future__ import annotations

@@ -144,7 +144,7 @@ class TestCli:
     def test_dse_run_quick_json_smoke(self, capsys):
         code = main(["dse", "run", "--quick", "--json"])
         assert code == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = json.loads(capsys.readouterr().out)["payload"]
         assert set(payload) == {
             "spec", "points", "frontier", "dominated", "elapsed_seconds",
             "points_per_second",
@@ -167,13 +167,13 @@ class TestCli:
 
     def test_quick_does_not_shrink_a_sample_again(self, capsys):
         assert main(["dse", "run", "--sample", "3", "--quick", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = json.loads(capsys.readouterr().out)["payload"]
         assert len(payload["points"]) == 162
         assert payload["spec"]["name"] == "modsram-default-quick"
 
     def test_dse_run_quick_is_the_dse_experiments_quick_mode(self, capsys):
         assert main(["dse", "run", "--quick", "--json"]) == 0
-        direct = json.loads(capsys.readouterr().out)
+        direct = json.loads(capsys.readouterr().out)["payload"]
         assert main(["experiment", "run", "dse", "--quick", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)["payload"]
         assert direct["spec"] == payload["spec"]
@@ -190,7 +190,7 @@ class TestCli:
             ]
         )
         assert code == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = json.loads(capsys.readouterr().out)["payload"]
         assert len(payload["points"]) == 1
         assert payload["points"][0]["workload_ops"] == 16
 

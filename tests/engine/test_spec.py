@@ -96,8 +96,11 @@ class TestServingDefault:
             )
         experiment = get_experiment("serving-throughput")
         assert experiment.defaults["backend"] == default
+        # 'repro serve' runs this experiment, so it resolves the same default.
+        for quick in (False, True):
+            assert experiment.resolve_params(quick=quick)["backend"] == default
         parser = build_parser()
-        for argv in (["serve"], ["submit"], ["cluster", "router"]):
+        for argv in (["submit"], ["cluster", "router"]):
             assert parser.parse_args(argv).backend == default
         # The arithmetic verbs report the paper's modeled cycles instead.
         assert parser.parse_args(["batch"]).backend == "r4csa-lut"

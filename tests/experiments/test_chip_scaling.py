@@ -110,7 +110,8 @@ class TestChipCli:
     def test_chip_subcommand_renders_a_table(self, capsys):
         code, out = self.run_cli(
             capsys,
-            "chip", "--workload", "ntt", "--macros", "1,2", "--size", "128",
+            "chip", "--workload", "ntt", "--macro-counts", "1,2",
+            "--vector-size", "128",
         )
         assert code == 0
         assert "Chip scale-out on ntt" in out
@@ -134,7 +135,7 @@ class TestChipCli:
     def test_explicit_flags_win_even_in_quick_mode(self, capsys):
         code, out = self.run_cli(
             capsys,
-            "chip", "--quick", "--json", "--macros", "1,8",
+            "chip", "--quick", "--json", "--macro-counts", "1,8",
             "--scalar-bits", "16",
         )
         assert code == 0
@@ -145,7 +146,7 @@ class TestChipCli:
     def test_flags_equal_to_the_full_defaults_win_in_quick_mode(self, capsys):
         code, out = self.run_cli(
             capsys,
-            "chip", "--quick", "--json", "--macros", "1,2,4,8,16",
+            "chip", "--quick", "--json", "--macro-counts", "1,2,4,8,16",
             "--scalar-bits", "256",
         )
         assert code == 0
@@ -155,8 +156,10 @@ class TestChipCli:
         assert len(data["payload"]["points"]) == 5
 
     def test_chip_subcommand_rejects_bad_macros(self, capsys):
-        code, out = self.run_cli(capsys, "chip", "--macros", "two")
+        code, out = self.run_cli(capsys, "chip", "--macro-counts", "two")
         assert code == 2
         assert "comma-separated integers" in out
-        code, out = self.run_cli(capsys, "chip", "--macros", "0")
-        assert code == 2
+        # The experiment rejects a macro count below one itself.
+        code, out = self.run_cli(capsys, "chip", "--macro-counts", "0")
+        assert code == 1
+        assert out.startswith("error:") and "positive" in out

@@ -9,7 +9,10 @@ spec, points and frontier of the default 640-point design-space sweep.
 The ``design-point``, ``dse`` and ``dse-point`` digests and the sweep's
 were recorded again when the cost model began charging the near-memory
 registers (every DSE energy figure) and ``design-point`` gained its energy
-breakdown; every other digest, and the sweep's frontier, stayed put.
+breakdown; every other digest, and the sweep's frontier, stayed put.  The
+``hdl-cosim`` digest was recorded again when each row gained
+``energy_match`` (true on both quick rows); without that key the payload
+reads the earlier digest.
 
 Wall-clock figures are left out: the whole ``serving-throughput`` payload,
 ``hdl-cosim``'s per-row timings and the DSE run's elapsed seconds and rate.
@@ -42,7 +45,7 @@ PAYLOAD_PINS = {
     "figure5": "29cdcf05dc5ef10f9da59ff7d8fe7cc89c0a59902e2eff4db99a09bfbdcf25ac",
     "figure6": "14c94660075ac92e69323bd79cc589ab157a5363379134df93d77d879e002e04",
     "figure7": "ee46e6feeed0cf776dd10e734ed5bcd229fcde28adeaf7123f310a82bc5d7cb8",
-    "hdl-cosim": "6c1b1a6721ad8c2d25a974d43568dfe31c9f516ef58ab1533baba9b727f69226",
+    "hdl-cosim": "8daa0085ca944ff004b21037d87e8d3e26df9492c705a783fdb185e55d191da7",
     "headline": "d678cee95ee07082c1cab8057f1d9c2adebb9ac70b9bc89b5fbb2b5715591d1c",
     "table1": "fdc95b37a33575095dabb011f608cf55250f2fa01f1378de87d534ac35f32b74",
     "table3": "66f2b66053fdb760b18129e8c9d7812b9437245ddb7fcd7022fabe6ecac7d6d8",

@@ -62,26 +62,17 @@ class TestServingExperiment:
 
 class TestServeCli:
     def test_self_test_quick_text(self, capsys):
-        assert main([
-            "serve", "--self-test", "--quick", "--backend", "montgomery",
-        ]) == 0
+        assert main(["serve", "--quick", "--backend", "montgomery"]) == 0
         output = capsys.readouterr().out
-        assert "verified requests" in output
-        assert "context cache" in output
+        assert "completed / verified requests" in output
+        assert "context-cache hit rate" in output
 
     def test_self_test_json(self, capsys):
-        assert main([
-            "serve", "--self-test", "--quick", "--backend", "montgomery",
-            "--json",
-        ]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["failed_requests"] == 0
-        assert payload["verified_requests"] == payload["completed_requests"]
-        assert "context_cache" in payload
-
-    def test_serve_without_self_test_is_a_usage_error(self, capsys):
-        assert main(["serve"]) == 2
-        assert "--self-test" in capsys.readouterr().out
+        assert main(["serve", "--quick", "--backend", "montgomery", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        assert payload["rejected_requests"] == 0
+        assert payload["verified_requests"] == payload["completed_requests"] > 0
+        assert "cache_hit_rate" in payload
 
 
 class TestSubmitCli:

@@ -13,6 +13,7 @@ from repro.errors import (
     DeadlineError,
     ServiceError,
 )
+from repro.experiments import get_experiment
 from repro.service import (
     Client,
     Server,
@@ -413,7 +414,10 @@ class TestMetricsAcrossRestarts:
 
 class TestSelfTest:
     def test_quick_self_test_verifies_everything(self):
-        summary = run_self_test(quick=True, backend="montgomery")
+        params = get_experiment("serving-throughput").resolve_params(
+            {"backend": "montgomery"}, quick=True
+        )
+        summary = run_self_test(**params)
         assert summary["failed_requests"] == 0
         assert summary["verified_requests"] == summary["completed_requests"]
         assert summary["completed_requests"] == (
