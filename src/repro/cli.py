@@ -126,14 +126,19 @@ def _add_experiment_flags(
             "--" + name.replace("_", "-"), dest=name, metavar=name.upper(),
             help=f"{experiment} parameter {name} (default {default!r}{quick})",
         )
+    _add_run_flags(parser)
+    parser.set_defaults(handler=_command_shortcut, experiment=experiment)
+
+
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """``--quick`` and ``--json`` of every command that runs an experiment."""
     parser.add_argument(
         "--quick", action="store_true",
-        help="apply the experiment's quick overrides to every flag left unset",
+        help="apply the experiment's quick overrides to every parameter left unset",
     )
     parser.add_argument(
         "--json", action="store_true", help="emit the structured result as JSON"
     )
-    parser.set_defaults(handler=_command_shortcut, experiment=experiment)
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser, backend: str) -> None:
@@ -217,13 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="set one parameter (repeatable)",
         )
-        command.add_argument(
-            "--quick", action="store_true",
-            help="apply the experiment's quick overrides",
-        )
-        command.add_argument(
-            "--json", action="store_true", help="emit the structured result as JSON"
-        )
+        _add_run_flags(command)
 
     multiply = subparsers.add_parser("multiply", help="one modular multiplication")
     multiply.add_argument("a", type=_parse_int, help="multiplier (decimal or 0x...)")
