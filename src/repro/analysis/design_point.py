@@ -20,12 +20,12 @@ sweeps it from the shell.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional
 
 from repro.modsram.accelerator import ModSRAMAccelerator
 from repro.modsram.area import AreaModel
-from repro.modsram.config import ModSRAMConfig
+from repro.modsram.config import build_design_config
 from repro.modsram.fidelity import probe_multiply
 from repro.modsram.geometry import MacroGeometry
 from repro.sram.energy import EnergyBreakdown
@@ -111,27 +111,6 @@ class DesignPointResult:
             "energy_pj": self.energy_pj,
             "breakdown": asdict(self.breakdown),
         }
-
-
-def build_design_config(
-    bitwidth: int = 256,
-    rows: Optional[int] = None,
-    technology_nm: int = 65,
-    columns: Optional[int] = None,
-) -> ModSRAMConfig:
-    """A paper-schedule configuration at the requested design point."""
-    config = ModSRAMConfig(extend_for_full_range=False).with_bitwidth(
-        bitwidth, columns=columns
-    )
-    if rows is not None:
-        config = replace(config, rows=rows)
-    if technology_nm != config.technology_nm:
-        config = replace(
-            config,
-            technology_nm=technology_nm,
-            timing=config.timing.scaled_to(technology_nm),
-        )
-    return config
 
 
 def reproduce_design_point(

@@ -341,10 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_worker.add_argument(
         "--name", default=None, help="node name (default: worker-<pid>)"
     )
-    cluster_worker.add_argument(
-        "--pool-workers", type=int, default=0,
-        help="process-pool shards under this node's server (0 = inline)",
-    )
     cluster_worker.set_defaults(handler=_command_cluster_worker)
 
     cluster_loadtest = cluster_commands.add_parser(
@@ -771,17 +767,8 @@ def _command_cluster_router(arguments: argparse.Namespace) -> int:
 def _command_cluster_worker(arguments: argparse.Namespace) -> int:
     from repro.cluster import run_worker
 
-    if arguments.pool_workers < 0:
-        raise UsageError(
-            f"--pool-workers must be >= 0, got {arguments.pool_workers}"
-        )
     try:
-        run_worker(
-            arguments.host,
-            arguments.port,
-            name=arguments.name,
-            pool_workers=arguments.pool_workers,
-        )
+        run_worker(arguments.host, arguments.port, name=arguments.name)
     except KeyboardInterrupt:
         pass
     return 0

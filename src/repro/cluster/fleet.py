@@ -34,14 +34,12 @@ from repro.errors import ConfigurationError, ServiceError
 __all__ = ["LocalFleet", "run_loadtest"]
 
 
-def _fleet_worker_main(
-    host: str, port: int, name: str, pool_workers: int
-) -> None:
+def _fleet_worker_main(host: str, port: int, name: str) -> None:
     """Entry point of one spawned worker process (module-level so the
     spawn context can pickle it)."""
     from repro.cluster.worker import run_worker
 
-    run_worker(host, port, name=name, pool_workers=pool_workers)
+    run_worker(host, port, name=name)
 
 
 class LocalFleet:
@@ -61,7 +59,6 @@ class LocalFleet:
         workers: int = 2,
         router_config: Optional[RouterConfig] = None,
         slo_catalog: Optional[SloCatalog] = None,
-        pool_workers: int = 0,
     ) -> None:
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -70,7 +67,6 @@ class LocalFleet:
             self.spec, config=router_config, slo_catalog=slo_catalog
         )
         self.workers = workers
-        self.pool_workers = pool_workers
         self._context = multiprocessing.get_context("spawn")
         self._processes: List[multiprocessing.process.BaseProcess] = []
         self._next_worker = 0
@@ -120,12 +116,7 @@ class LocalFleet:
         node_name = name or f"fleet-{index}"
         process = self._context.Process(
             target=_fleet_worker_main,
-            args=(
-                self.router.config.host,
-                self.router.port,
-                node_name,
-                self.pool_workers,
-            ),
+            args=(self.router.config.host, self.router.port, node_name),
             daemon=True,
             name=node_name,
         )

@@ -4,9 +4,9 @@ A :class:`WorkerNode` dials the router, joins, receives the fleet's
 :class:`~repro.engine.EngineSpec` in the welcome frame and builds its
 serving stack from it — every node runs an identical engine, which is
 what makes cross-node re-dispatch bit-identical.  Job frames are fed to
-the node's :class:`~repro.service.server.Server` (inline executor by
-default; ``pool_workers > 0`` puts a process pool under it) with the
-tenant, priority and deadline the router resolved from the request's SLO
+the node's :class:`~repro.service.server.Server` (inline, on the node's
+event loop: one process per node is the fleet's unit of parallelism) with
+the tenant, priority and deadline the router resolved from the request's SLO
 class, so the fleet's SLO policy rides the serving layer's existing
 admission control and deadline expiry.
 
@@ -39,7 +39,6 @@ from repro.cluster.protocol import (
 from repro.engine import EngineSpec
 from repro.errors import (
     AdmissionError,
-    ConfigurationError,
     ProtocolError,
     ReproError,
 )
@@ -55,22 +54,12 @@ class WorkerConfig:
 
     #: Node name in the fleet (defaults to ``worker-<pid>``).
     name: Optional[str] = None
-    #: Process-pool shards under this node's server (0 = inline
-    #: execution on the node's event loop — the default, one process
-    #: per node, which is the fleet's unit of parallelism).
-    pool_workers: int = 0
     #: Admission cap of this node's server (queued + executing).
     max_pending: int = 4096
     #: Per-dispatch batch cap of this node's server.
     max_batch: int = 64
     #: Frame size limit (must match the router's).
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
-
-    def __post_init__(self) -> None:
-        if self.pool_workers < 0:
-            raise ConfigurationError(
-                f"pool_workers must be >= 0, got {self.pool_workers}"
-            )
 
 
 class WorkerNode:
@@ -137,7 +126,6 @@ class WorkerNode:
                 max_pending=self.config.max_pending,
                 max_batch=self.config.max_batch,
             ),
-            workers=self.config.pool_workers or None,
         )
         await self.server.start()
         loop = asyncio.get_running_loop()
@@ -330,12 +318,7 @@ class WorkerNode:
         return f"WorkerNode(name={self.name!r}, router={self.host}:{self.port})"
 
 
-def run_worker(
-    host: str,
-    port: int,
-    name: Optional[str] = None,
-    pool_workers: int = 0,
-) -> None:
+def run_worker(host: str, port: int, name: Optional[str] = None) -> None:
     """Run one worker node to completion (the sync CLI/subprocess entry).
 
     Returns when the router says ``bye``/``shutdown`` or the connection
@@ -343,11 +326,7 @@ def run_worker(
     """
 
     async def _serve() -> None:
-        node = WorkerNode(
-            host,
-            port,
-            WorkerConfig(name=name, pool_workers=pool_workers),
-        )
+        node = WorkerNode(host, port, WorkerConfig(name=name))
         await node.start()
         try:
             await node.wait()

@@ -27,7 +27,6 @@ from repro.core.booth import (
     booth_digit_count,
     booth_digit_radix4,
     booth_digits_radix4,
-    booth_digits_radix8,
     encoder_truth_table,
 )
 from repro.core.complexity import (
@@ -64,7 +63,6 @@ __all__ = [
     "booth_digit_count",
     "booth_digit_radix4",
     "booth_digits_radix4",
-    "booth_digits_radix8",
     "build_overflow_lut",
     "build_radix4_lut",
     "complexity_sweep",

@@ -22,7 +22,6 @@ from repro.core.algorithms.r4csa_lut import (
     R4CSALutMultiplier,
 )
 from repro.core.algorithms.radix4 import Radix4InterleavedMultiplier
-from repro.core.algorithms.radix8 import Radix8InterleavedMultiplier, build_radix8_lut
 from repro.core.algorithms.schoolbook import SchoolbookMultiplier
 
 __all__ = [
@@ -38,9 +37,7 @@ __all__ = [
     "R4CSALutContext",
     "R4CSALutMultiplier",
     "Radix4InterleavedMultiplier",
-    "Radix8InterleavedMultiplier",
     "SchoolbookMultiplier",
-    "build_radix8_lut",
     "available_multipliers",
     "create_multiplier",
     "get_multiplier",

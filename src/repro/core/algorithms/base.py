@@ -13,7 +13,7 @@ from __future__ import annotations
 import abc
 import inspect
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Type
+from typing import Any, Callable, Dict, List, Optional, Type
 
 from repro.errors import ConfigurationError, ModulusError, OperandRangeError
 
@@ -55,14 +55,6 @@ class MultiplierStats:
     def as_dict(self) -> Dict[str, int]:
         """Counters as a plain dictionary (stable key order)."""
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, int]) -> "MultiplierStats":
-        """Rebuild stats from :meth:`as_dict` output (unknown keys ignored)."""
-        stats = cls()
-        for name in cls.__dataclass_fields__:
-            setattr(stats, name, int(data.get(name, 0)))
-        return stats
 
     def merged_with(self, other: "MultiplierStats") -> "MultiplierStats":
         """Return a new stats object with element-wise summed counters."""

@@ -16,6 +16,7 @@ from typing import Optional
 
 from repro.core.algorithms.base import ModularMultiplier, register_multiplier
 from repro.core.carry_save import xor3_maj
+from repro.core.complexity import cycles_csa_interleaved
 from repro.core.luts import build_overflow_lut
 
 __all__ = ["CsaInterleavedMultiplier"]
@@ -31,11 +32,6 @@ class CsaInterleavedMultiplier(ModularMultiplier):
         "overflow LUT (Mazonka-style, radix-2)."
     )
     direct_form = True
-
-    #: Array accesses per iteration in the hardware mapping: two logic-SA
-    #: accesses plus four write-backs, same structure as R4CSA-LUT but for a
-    #: single multiplier bit.
-    CYCLES_PER_ITERATION = 6
 
     def _multiply(self, a: int, b: int, modulus: int) -> int:
         bitwidth = max(modulus.bit_length(), 2)
@@ -85,4 +81,4 @@ class CsaInterleavedMultiplier(ModularMultiplier):
 
     def cycles(self, bitwidth: int) -> Optional[int]:
         """Analytic cycle count: one full iteration per multiplier bit."""
-        return self.CYCLES_PER_ITERATION * bitwidth - 1
+        return cycles_csa_interleaved(bitwidth)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.algorithms.base import ModularMultiplier, register_multiplier
+from repro.core.complexity import cycles_interleaved
 
 __all__ = ["InterleavedMultiplier"]
 
@@ -27,11 +28,6 @@ class InterleavedMultiplier(ModularMultiplier):
         "(Algorithm 1)."
     )
     direct_form = True
-
-    #: Cycles charged per iteration by the analytic model: shift, compare,
-    #: subtract, add, compare, subtract — each a full-width operation with
-    #: carry propagation in a straightforward hardware mapping.
-    CYCLES_PER_ITERATION = 6
 
     def _multiply(self, a: int, b: int, modulus: int) -> int:
         bitwidth = max(a.bit_length(), 1)
@@ -59,4 +55,4 @@ class InterleavedMultiplier(ModularMultiplier):
 
     def cycles(self, bitwidth: int) -> Optional[int]:
         """Analytic cycle count: one pass of the loop per multiplier bit."""
-        return self.CYCLES_PER_ITERATION * bitwidth
+        return cycles_interleaved(bitwidth)

@@ -36,8 +36,8 @@ from typing import List, Optional, Tuple
 from repro.core.algorithms.base import ModularMultiplier, register_multiplier
 from repro.core.booth import booth_digits_radix4
 from repro.core.carry_save import xor3_maj
+from repro.core.complexity import cycles_r4csa_lut
 from repro.core.luts import OverflowLut, Radix4Lut, build_overflow_lut, build_radix4_lut
-from repro.errors import OperandRangeError
 
 __all__ = [
     "R4CSALutMultiplier",
@@ -292,14 +292,9 @@ class R4CSALutMultiplier(ModularMultiplier):
     # cycle model
     # ------------------------------------------------------------------ #
     def cycles(self, bitwidth: int) -> Optional[int]:
-        """The paper's cycle count: ``3n - 1`` array cycles at ``n`` bits.
+        """The paper's cycle count, :func:`~repro.core.complexity.cycles_r4csa_lut`.
 
-        Six array accesses per iteration over ``n/2`` iterations, with the
-        last carry write-back elided (see :mod:`repro.modsram.controller`).
         This is the analytic counterpart of the measured count produced by
         the cycle-accurate :class:`repro.modsram.ModSRAMAccelerator`.
         """
-        if bitwidth <= 0:
-            raise OperandRangeError(f"bitwidth must be positive, got {bitwidth}")
-        iterations = (bitwidth + 1) // 2
-        return 6 * iterations - 1
+        return cycles_r4csa_lut(bitwidth)

@@ -18,6 +18,7 @@ from typing import Optional
 
 from repro.core.algorithms.base import ModularMultiplier, register_multiplier
 from repro.core.booth import booth_digits_radix4
+from repro.core.complexity import cycles_radix4_interleaved
 from repro.core.luts import build_radix4_lut
 
 __all__ = ["Radix4InterleavedMultiplier"]
@@ -33,11 +34,6 @@ class Radix4InterleavedMultiplier(ModularMultiplier):
         "precomputed digit LUT (Algorithm 2)."
     )
     direct_form = True
-
-    #: Cycles per iteration in the analytic model: shift-by-two, LUT-based
-    #: reduction of the quadrupled accumulator, digit-LUT addition and one
-    #: conditional subtraction — each fully carry-propagating.
-    CYCLES_PER_ITERATION = 5
 
     def __init__(self, full_range: bool = True) -> None:
         super().__init__()
@@ -78,5 +74,4 @@ class Radix4InterleavedMultiplier(ModularMultiplier):
 
     def cycles(self, bitwidth: int) -> Optional[int]:
         """Analytic cycle count: half the iterations of Algorithm 1."""
-        iterations = (bitwidth + 1) // 2
-        return self.CYCLES_PER_ITERATION * iterations
+        return cycles_radix4_interleaved(bitwidth)

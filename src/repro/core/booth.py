@@ -1,4 +1,4 @@
-"""Booth recoding (radix-4 and radix-8 encoders).
+"""Booth recoding (the radix-4 encoder).
 
 The radix-4 Booth encoder is Table 1a of the paper: three multiplier bits
 (with one bit of overlap between consecutive groups) are recoded into a
@@ -20,10 +20,8 @@ from repro.errors import BitWidthError, OperandRangeError
 
 __all__ = [
     "RADIX4_ENCODER_TABLE",
-    "RADIX8_ENCODER_TABLE",
     "booth_digit_radix4",
     "booth_digits_radix4",
-    "booth_digits_radix8",
     "booth_digit_count",
     "encoder_truth_table",
 ]
@@ -39,29 +37,6 @@ RADIX4_ENCODER_TABLE: Dict[Tuple[int, int, int], int] = {
     (1, 1, 0): -1,
     (1, 1, 1): 0,
 }
-
-#: Radix-8 Booth encoder: (a_{i+2}, a_{i+1}, a_i, a_{i-1}) -> signed digit.
-#: Included because the paper discusses radix-8 as the natural extension
-#: ("four bits are processed with one bit overlapping").
-RADIX8_ENCODER_TABLE: Dict[Tuple[int, int, int, int], int] = {
-    (0, 0, 0, 0): 0,
-    (0, 0, 0, 1): +1,
-    (0, 0, 1, 0): +1,
-    (0, 0, 1, 1): +2,
-    (0, 1, 0, 0): +2,
-    (0, 1, 0, 1): +3,
-    (0, 1, 1, 0): +3,
-    (0, 1, 1, 1): +4,
-    (1, 0, 0, 0): -4,
-    (1, 0, 0, 1): -3,
-    (1, 0, 1, 0): -3,
-    (1, 0, 1, 1): -2,
-    (1, 1, 0, 0): -2,
-    (1, 1, 0, 1): -1,
-    (1, 1, 1, 0): -1,
-    (1, 1, 1, 1): 0,
-}
-
 
 def booth_digit_radix4(a_high: int, a_mid: int, a_low: int) -> int:
     """Recode one overlapping bit triple into a radix-4 Booth digit.
@@ -134,34 +109,6 @@ def booth_digits_radix4(
         high = (value >> (2 * digit_index + 1)) & 1
         digits.append(booth_digit_radix4(high, low, previous_bit))
         previous_bit = high
-    digits.reverse()
-    return digits
-
-
-def booth_digits_radix8(value: int, bitwidth: int) -> List[int]:
-    """Radix-8 Booth digits of ``value``, most-significant digit first.
-
-    Provided for the radix-8 variant the paper's background section
-    discusses; always uses enough digits to recode any unsigned operand
-    exactly.
-    """
-    if bitwidth <= 0:
-        raise BitWidthError(f"bitwidth must be positive, got {bitwidth}")
-    if value < 0:
-        raise OperandRangeError(f"value must be non-negative, got {value}")
-    if value >> bitwidth:
-        raise BitWidthError(f"value {value:#x} does not fit in {bitwidth} bits")
-
-    digit_count = bitwidth // 3 + 1
-    digits: List[int] = []
-    previous_bit = 0
-    for digit_index in range(digit_count):
-        base = 3 * digit_index
-        b0 = (value >> base) & 1
-        b1 = (value >> (base + 1)) & 1
-        b2 = (value >> (base + 2)) & 1
-        digits.append(RADIX8_ENCODER_TABLE[(b2, b1, b0, previous_bit)])
-        previous_bit = b2
     digits.reverse()
     return digits
 

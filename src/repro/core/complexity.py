@@ -7,6 +7,8 @@ variant of it, and the paper's algorithm.  These closed-form laws are the
 comes from the cycle-accurate accelerator model in :mod:`repro.modsram`.
 
 All functions take the operand bitwidth ``n`` and return a cycle count.
+The four laws of the implemented algorithms are also their classes'
+``cycles()``.
 """
 
 from __future__ import annotations
@@ -63,25 +65,42 @@ def cycles_mentt_projected(bitwidth: int) -> int:
 
 
 def cycles_r4csa_lut(bitwidth: int) -> int:
-    """This work: ``3n - 1`` cycles (six array accesses per radix-4 digit)."""
+    """This work: six array accesses per radix-4 digit, ``6 * ceil(n/2) - 1``.
+
+    ``ceil(n/2)`` iterations of two logic-SA accesses and four write-backs,
+    with the last carry write-back elided (see
+    :mod:`repro.modsram.controller`): ``3n - 1`` at even ``n``.
+    """
     _check_bitwidth(bitwidth)
-    return 3 * bitwidth - 1
+    return 6 * ((bitwidth + 1) // 2) - 1
 
 
 def cycles_interleaved(bitwidth: int) -> int:
-    """Classic interleaved algorithm (Algorithm 1): ``6n`` full-width steps."""
+    """Classic interleaved algorithm (Algorithm 1): ``6n`` full-width steps.
+
+    Per multiplier bit: shift, compare, subtract, add, compare, subtract,
+    each carry-propagating in a straightforward hardware mapping.
+    """
     _check_bitwidth(bitwidth)
     return 6 * bitwidth
 
 
 def cycles_radix4_interleaved(bitwidth: int) -> int:
-    """Radix-4 interleaved algorithm (Algorithm 2): ``5 * ceil(n/2)`` steps."""
+    """Radix-4 interleaved algorithm (Algorithm 2): ``5 * ceil(n/2)`` steps.
+
+    Per radix-4 digit: shift-by-two, LUT reduction of the quadrupled
+    accumulator, digit-LUT addition and one conditional subtraction.
+    """
     _check_bitwidth(bitwidth)
     return 5 * ((bitwidth + 1) // 2)
 
 
 def cycles_csa_interleaved(bitwidth: int) -> int:
-    """Radix-2 carry-save interleaved algorithm: ``6n - 1`` array accesses."""
+    """Radix-2 carry-save interleaved algorithm: ``6n - 1`` array accesses.
+
+    Two logic-SA accesses and four write-backs per multiplier bit, the
+    R4CSA-LUT iteration for one bit, last carry write-back elided.
+    """
     _check_bitwidth(bitwidth)
     return 6 * bitwidth - 1
 

@@ -27,10 +27,10 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Mapping
 
-from repro.analysis.design_point import build_design_config
 from repro.modsram.analytical import AnalyticalCostModel
 from repro.modsram.area import AreaModel
 from repro.modsram.chip import ChipSchedule, ChipScheduler, MultiplicationJob
+from repro.modsram.config import build_design_config
 from repro.modsram.fidelity import build_simulator, probe_multiply
 from repro.dse.spec import DesignPoint
 from repro.tables import render_table

@@ -15,12 +15,7 @@ from repro.ecc.curves_data import (
 )
 from repro.ecc.ecdsa import Ecdsa, KeyPair, Signature
 from repro.ecc.field import FieldElement, PrimeField
-from repro.ecc.scalar import (
-    montgomery_ladder,
-    scalar_multiply,
-    scalar_multiply_wnaf,
-    wnaf_digits,
-)
+from repro.ecc.scalar import scalar_multiply
 
 __all__ = [
     "AffinePoint",
@@ -36,8 +31,5 @@ __all__ = [
     "Signature",
     "build_curve",
     "get_curve",
-    "montgomery_ladder",
     "scalar_multiply",
-    "scalar_multiply_wnaf",
-    "wnaf_digits",
 ]

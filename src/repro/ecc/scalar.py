@@ -1,36 +1,25 @@
-"""Scalar multiplication algorithms.
+"""Scalar multiplication.
 
 Scalar multiplication ``k · P`` is the outer loop that turns modular
-multiplications into ECC; every algorithm here is written over the Jacobian
-group law so the number of modular multiplications it triggers can be
-measured through the field's operation counter, which is how the
-application-level examples connect ModSRAM's per-multiplication cycle count
-to end-to-end point-operation latency.
+multiplications into ECC; it is written over the Jacobian group law so the
+number of modular multiplications it triggers can be measured through the
+field's operation counter, which is how the application-level examples
+connect ModSRAM's per-multiplication cycle count to end-to-end
+point-operation latency.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-from repro.ecc.curve import AffinePoint, EllipticCurve, JacobianPoint
+from repro.ecc.curve import AffinePoint, EllipticCurve
 from repro.errors import OperandRangeError
 
-__all__ = [
-    "scalar_multiply",
-    "scalar_multiply_wnaf",
-    "montgomery_ladder",
-    "wnaf_digits",
-]
-
-
-def _validate_scalar(scalar: int) -> None:
-    if scalar < 0:
-        raise OperandRangeError(f"scalar must be non-negative, got {scalar}")
+__all__ = ["scalar_multiply"]
 
 
 def scalar_multiply(curve: EllipticCurve, scalar: int, point: AffinePoint) -> AffinePoint:
     """Left-to-right double-and-add scalar multiplication."""
-    _validate_scalar(scalar)
+    if scalar < 0:
+        raise OperandRangeError(f"scalar must be non-negative, got {scalar}")
     if scalar == 0 or point.is_infinity:
         return curve.infinity()
     accumulator = curve.to_jacobian(curve.infinity())
@@ -38,88 +27,4 @@ def scalar_multiply(curve: EllipticCurve, scalar: int, point: AffinePoint) -> Af
         accumulator = curve.jacobian_double(accumulator)
         if (scalar >> bit_index) & 1:
             accumulator = curve.jacobian_add_mixed(accumulator, point)
-    return curve.to_affine(accumulator)
-
-
-def montgomery_ladder(curve: EllipticCurve, scalar: int, point: AffinePoint) -> AffinePoint:
-    """Montgomery-ladder scalar multiplication (constant operation pattern).
-
-    Performs one doubling and one addition for *every* scalar bit regardless
-    of its value — the data-independent access pattern a side-channel-aware
-    hardware deployment of ModSRAM would use.
-    """
-    _validate_scalar(scalar)
-    if scalar == 0 or point.is_infinity:
-        return curve.infinity()
-    r0 = curve.to_jacobian(curve.infinity())
-    r1 = curve.to_jacobian(point)
-    for bit_index in range(scalar.bit_length() - 1, -1, -1):
-        if (scalar >> bit_index) & 1:
-            r0 = curve.jacobian_add(r0, r1)
-            r1 = curve.jacobian_double(r1)
-        else:
-            r1 = curve.jacobian_add(r0, r1)
-            r0 = curve.jacobian_double(r0)
-    return curve.to_affine(r0)
-
-
-def wnaf_digits(scalar: int, width: int) -> List[int]:
-    """Windowed non-adjacent form of a scalar, least-significant digit first.
-
-    Every non-zero digit is odd and bounded by ``2**(width-1)`` in absolute
-    value, and any two non-zero digits are separated by at least ``width - 1``
-    zeros, which is what reduces the addition count of
-    :func:`scalar_multiply_wnaf`.
-    """
-    _validate_scalar(scalar)
-    if width < 2:
-        raise OperandRangeError(f"wNAF width must be at least 2, got {width}")
-    digits: List[int] = []
-    modulus = 1 << width
-    half = 1 << (width - 1)
-    value = scalar
-    while value > 0:
-        if value & 1:
-            digit = value % modulus
-            if digit >= half:
-                digit -= modulus
-            value -= digit
-        else:
-            digit = 0
-        digits.append(digit)
-        value >>= 1
-    return digits
-
-
-def scalar_multiply_wnaf(
-    curve: EllipticCurve,
-    scalar: int,
-    point: AffinePoint,
-    width: int = 4,
-) -> AffinePoint:
-    """Scalar multiplication using width-``w`` NAF with precomputed odd multiples."""
-    _validate_scalar(scalar)
-    if scalar == 0 or point.is_infinity:
-        return curve.infinity()
-
-    digits = wnaf_digits(scalar, width)
-
-    # Precompute the odd multiples P, 3P, 5P, ... (2^(w-1) - 1 of them).
-    table: List[JacobianPoint] = [curve.to_jacobian(point)]
-    double_point = curve.jacobian_double(curve.to_jacobian(point))
-    for _ in range((1 << (width - 1)) // 2 - 1 + ((1 << (width - 1)) % 2)):
-        table.append(curve.jacobian_add(table[-1], double_point))
-
-    def lookup(digit: int) -> JacobianPoint:
-        index = (abs(digit) - 1) // 2
-        candidate = table[index]
-        if digit < 0:
-            return JacobianPoint(candidate.x, -candidate.y, candidate.z)
-        return candidate
-
-    accumulator = curve.to_jacobian(curve.infinity())
-    for digit in reversed(digits):
-        accumulator = curve.jacobian_double(accumulator)
-        if digit:
-            accumulator = curve.jacobian_add(accumulator, lookup(digit))
     return curve.to_affine(accumulator)

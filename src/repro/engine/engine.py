@@ -23,9 +23,9 @@ times ``multiply_batch`` (``engine.batch_ns_per_pair``) against a per-call
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from repro.core.algorithms.base import ModularMultiplier, MultiplierStats
+from repro.core.algorithms.base import MultiplierStats
 from repro.engine.backend import (
     Backend,
     BackendInfo,
@@ -58,13 +58,11 @@ class MultiplyResult:
     backend: str
     modulus: int
     bitwidth: int
-    #: Analytic hardware cycles of the operation(s), ``None`` when the
+    #: Analytic hardware cycles of the operation, ``None`` when the
     #: backend has no cycle model.
     modeled_cycles: Optional[int]
     #: Whether the per-modulus context was already resident in the cache.
     cache_hit: bool
-    #: Backend multiplications performed (1 for multiply, more for power).
-    operations: int = 1
 
     def __int__(self) -> int:
         return self.value
@@ -94,26 +92,7 @@ class MultiplyResult:
             "bitwidth": self.bitwidth,
             "modeled_cycles": self.modeled_cycles,
             "cache_hit": self.cache_hit,
-            "operations": self.operations,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "MultiplyResult":
-        """Rebuild a result (value plus cycle metadata) from :meth:`as_dict`.
-
-        Lets experiment payloads and cached JSON carry engine results
-        without losing the execution metadata around the product.
-        """
-        cycles = data.get("modeled_cycles")
-        return cls(
-            value=int(data["value"]),
-            backend=str(data["backend"]),
-            modulus=int(data["modulus"]),
-            bitwidth=int(data["bitwidth"]),
-            modeled_cycles=None if cycles is None else int(cycles),
-            cache_hit=bool(data.get("cache_hit", False)),
-            operations=int(data.get("operations", 1)),
-        )
 
 
 @dataclass(frozen=True)
@@ -157,20 +136,6 @@ class BatchResult:
             "cache_hit": self.cache_hit,
             "stats": self.stats.as_dict(),
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "BatchResult":
-        """Rebuild a batch result (values, cycles, stats) from :meth:`as_dict`."""
-        cycles = data.get("modeled_cycles")
-        return cls(
-            values=tuple(int(value) for value in data["values"]),
-            backend=str(data["backend"]),
-            modulus=int(data["modulus"]),
-            bitwidth=int(data["bitwidth"]),
-            modeled_cycles=None if cycles is None else int(cycles),
-            cache_hit=bool(data.get("cache_hit", False)),
-            stats=MultiplierStats.from_dict(dict(data.get("stats", {}))),
-        )
 
 
 @dataclass(frozen=True)
@@ -409,40 +374,6 @@ class Engine:
             modeled_cycles=None if per_call is None else per_call * len(work),
             cache_hit=hit,
             stats=delta,
-        )
-
-    def power(
-        self, base: int, exponent: int, modulus: Optional[int] = None
-    ) -> MultiplyResult:
-        """``base ** exponent mod p`` by square-and-multiply on the backend."""
-        if exponent < 0:
-            raise OperandRangeError(
-                f"exponent must be non-negative, got {exponent}"
-            )
-        context, hit = self._lookup(modulus)
-        p = context.modulus
-        multiplier = context.multiplier
-        result = 1 % p
-        square = base % p
-        remaining = exponent
-        operations = 0
-        while remaining:
-            if remaining & 1:
-                result = multiplier.multiply(result, square, p)
-                operations += 1
-            remaining >>= 1
-            if remaining:
-                square = multiplier.multiply(square, square, p)
-                operations += 1
-        per_call = context.modeled_cycles_per_multiply
-        return MultiplyResult(
-            value=result,
-            backend=context.info.name,
-            modulus=p,
-            bitwidth=context.bitwidth,
-            modeled_cycles=None if per_call is None else per_call * operations,
-            cache_hit=hit,
-            operations=operations,
         )
 
     # ------------------------------------------------------------------ #

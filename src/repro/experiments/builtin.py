@@ -41,9 +41,8 @@ def _run_figure1(bitwidths, seed):
 
 
 def _run_figure5(rows=None, bitwidth=None, technology_nm=None):
-    from repro.analysis.design_point import build_design_config
     from repro.analysis.figure5 import reproduce_figure5
-    from repro.modsram.config import PAPER_CONFIG
+    from repro.modsram.config import PAPER_CONFIG, build_design_config
 
     config = None
     if any(value is not None for value in (rows, bitwidth, technology_nm)):

@@ -17,7 +17,7 @@ from repro.sram.energy import EnergyModel
 from repro.sram.sense_amp import SenseAmpParameters
 from repro.sram.timing import TimingModel
 
-__all__ = ["ModSRAMConfig", "PAPER_CONFIG"]
+__all__ = ["ModSRAMConfig", "PAPER_CONFIG", "build_design_config"]
 
 #: Rows consumed by the two precomputation LUTs: 5 (radix-4) + 8 (overflow).
 RADIX4_LUT_ROWS = 5
@@ -166,3 +166,22 @@ class ModSRAMConfig:
 #: The exact design point of the paper's evaluation (§5): 64 × 256, 8T,
 #: 65 nm, 256-bit operands, n/2 iterations → 767 main-loop cycles.
 PAPER_CONFIG = ModSRAMConfig(extend_for_full_range=False)
+
+
+def build_design_config(
+    bitwidth: int = 256,
+    rows: Optional[int] = None,
+    technology_nm: int = 65,
+    columns: Optional[int] = None,
+) -> ModSRAMConfig:
+    """A paper-schedule configuration at the requested design point."""
+    config = PAPER_CONFIG.with_bitwidth(bitwidth, columns=columns)
+    if rows is not None:
+        config = replace(config, rows=rows)
+    if technology_nm != config.technology_nm:
+        config = replace(
+            config,
+            technology_nm=technology_nm,
+            timing=config.timing.scaled_to(technology_nm),
+        )
+    return config

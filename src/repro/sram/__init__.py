@@ -11,7 +11,6 @@ from repro.sram.array import BitlineReadout, SramArray
 from repro.sram.cell import EightTransistorCell, SixTransistorCell, SramCell, make_cell
 from repro.sram.decoder import DecoderBank, WordlineDecoder
 from repro.sram.energy import DEFAULT_65NM_ENERGY, EnergyBreakdown, EnergyModel
-from repro.sram.montecarlo import ColumnTrialResult, MonteCarloSenseAnalysis
 from repro.sram.sense_amp import (
     LatchSenseAmplifier,
     LogicSenseAmpModule,
@@ -24,7 +23,6 @@ from repro.sram.timing import DEFAULT_65NM_TIMING, TimingModel
 __all__ = [
     "ArrayStats",
     "BitlineReadout",
-    "ColumnTrialResult",
     "DEFAULT_65NM_ENERGY",
     "DEFAULT_65NM_TIMING",
     "DecoderBank",
@@ -34,7 +32,6 @@ __all__ = [
     "LatchSenseAmplifier",
     "LogicSenseAmpModule",
     "LogicSenseAmpResult",
-    "MonteCarloSenseAnalysis",
     "SenseAmpParameters",
     "SixTransistorCell",
     "SramArray",

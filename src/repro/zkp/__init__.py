@@ -3,12 +3,10 @@
 from repro.zkp.msm import (
     MsmStatistics,
     default_window_bits,
-    msm_engine,
     msm_naive,
     msm_pippenger,
 )
 from repro.zkp.ntt import NttContext, bit_reverse_indices, find_root_of_unity
-from repro.zkp.polynomial import Polynomial
 from repro.zkp.opcount import (
     PAPER_FIGURE7_BITWIDTH,
     PAPER_FIGURE7_VECTOR_SIZE,
@@ -24,11 +22,9 @@ __all__ = [
     "OperationCounts",
     "PAPER_FIGURE7_BITWIDTH",
     "PAPER_FIGURE7_VECTOR_SIZE",
-    "Polynomial",
     "bit_reverse_indices",
     "default_window_bits",
     "find_root_of_unity",
-    "msm_engine",
     "msm_naive",
     "msm_operation_counts",
     "msm_pippenger",

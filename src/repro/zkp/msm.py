@@ -14,20 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence
 
 from repro.ecc.curve import AffinePoint, EllipticCurve, JacobianPoint
 from repro.ecc.scalar import scalar_multiply
 from repro.errors import OperandRangeError
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.engine.engine import Engine
-
 __all__ = [
     "MsmStatistics",
     "msm_naive",
     "msm_pippenger",
-    "msm_engine",
     "default_window_bits",
 ]
 
@@ -150,34 +146,3 @@ def msm_pippenger(
         result = curve.jacobian_add(result, window_total)
         stats.point_additions += 1
     return curve.to_affine(result)
-
-
-def msm_engine(
-    engine: "Engine",
-    scalars: Sequence[int],
-    points: Sequence[Union[AffinePoint, Tuple[int, int]]],
-    curve_name: Optional[str] = None,
-    window_bits: Optional[int] = None,
-    statistics: Optional[MsmStatistics] = None,
-) -> AffinePoint:
-    """Bucket-method MSM with every field multiplication on an Engine backend.
-
-    Builds (or reuses) the engine-backed curve, rebinds the input points to
-    it — they may come from another curve instance or be raw ``(x, y)``
-    coordinate pairs — and runs :func:`msm_pippenger`, so the modular
-    multiplications hit the engine's cached per-modulus context.
-    """
-    curve = engine.curve(curve_name)
-    rebound: List[AffinePoint] = []
-    for point in points:
-        if isinstance(point, AffinePoint):
-            if point.is_infinity:
-                rebound.append(curve.infinity())
-            else:
-                rebound.append(curve.affine_point(*point.coordinates()))
-        else:
-            x, y = point
-            rebound.append(curve.affine_point(x, y))
-    return msm_pippenger(
-        curve, scalars, rebound, window_bits=window_bits, statistics=statistics
-    )

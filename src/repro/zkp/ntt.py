@@ -220,21 +220,14 @@ class NttContext:
 
         The product has degree < size, so no wrap-around occurs and the
         result equals schoolbook polynomial multiplication modulo ``p``.
+        Both inputs are padded to ``size`` and transformed; the point-wise
+        products run on the backend and are charged once.
         """
         if len(a) > self.size // 2 or len(b) > self.size // 2:
             raise NttError(
                 "each input polynomial must have at most size/2 coefficients "
                 f"({self.size // 2}) to avoid cyclic wrap-around"
             )
-        return self._convolve(a, b)
-
-    def _convolve(self, a: Sequence[int], b: Sequence[int]) -> List[int]:
-        """Cyclic convolution of two coefficient lists of at most ``size``.
-
-        Both are padded to ``size`` and transformed; the point-wise products
-        run on the backend and are charged once, then the inverse transform
-        returns the coefficients.  The callers check the lengths.
-        """
         eval_a = self.forward(list(a) + [0] * (self.size - len(a)))
         eval_b = self.forward(list(b) + [0] * (self.size - len(b)))
         multiply, modulus = self.multiplier._multiply, self.modulus

@@ -374,8 +374,6 @@ class TestValidationAndErrors:
             RouterConfig(replication=0)
         with pytest.raises(ConfigurationError):
             RouterConfig(max_retries=-1)
-        with pytest.raises(ConfigurationError):
-            WorkerConfig(pool_workers=-1)
         with pytest.raises(ConfigurationError, match="wire"):
             ClusterClient("127.0.0.1", 1, wire=1)
 

@@ -1,4 +1,4 @@
-"""Tests for the radix-4 / radix-8 Booth encoders (Table 1a)."""
+"""Tests for the radix-4 Booth encoder (Table 1a)."""
 
 from __future__ import annotations
 
@@ -7,11 +7,9 @@ from hypothesis import given, strategies as st
 
 from repro.core.booth import (
     RADIX4_ENCODER_TABLE,
-    RADIX8_ENCODER_TABLE,
     booth_digit_count,
     booth_digit_radix4,
     booth_digits_radix4,
-    booth_digits_radix8,
     encoder_truth_table,
 )
 from repro.errors import BitWidthError, OperandRangeError
@@ -50,10 +48,6 @@ class TestEncoderTable:
         assert len(rows) == 8
         assert rows[0] == (0, 0, 0, 0)
         assert rows[-1] == (1, 1, 1, 0)
-
-    def test_radix8_table_covers_all_sixteen_inputs(self):
-        assert len(RADIX8_ENCODER_TABLE) == 16
-        assert set(RADIX8_ENCODER_TABLE.values()) == {-4, -3, -2, -1, 0, 1, 2, 3, 4}
 
 
 class TestDigitCount:
@@ -121,23 +115,3 @@ class TestRadix4Digits:
 
     def test_zero_expansion(self):
         assert all(d == 0 for d in booth_digits_radix4(0, 16))
-
-
-class TestRadix8Digits:
-    @given(st.integers(0, 2**48 - 1))
-    def test_expansion_reconstructs_value(self, value):
-        digits = booth_digits_radix8(value, 48)
-        reconstructed = 0
-        for digit in digits:
-            reconstructed = reconstructed * 8 + digit
-        assert reconstructed == value
-
-    def test_digit_range(self):
-        for digit in booth_digits_radix8(0xDEADBEEF, 32):
-            assert -4 <= digit <= 4
-
-    def test_radix8_uses_fewer_digits_than_radix4(self):
-        value = (1 << 62) - 12345
-        assert len(booth_digits_radix8(value, 64)) < len(
-            booth_digits_radix4(value, 64)
-        )

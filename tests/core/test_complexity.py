@@ -4,6 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.algorithms import (
+    CsaInterleavedMultiplier,
+    InterleavedMultiplier,
+    R4CSALutMultiplier,
+    Radix4InterleavedMultiplier,
+)
 from repro.core.complexity import (
     COMPLEXITY_MODELS,
     PAPER_FIGURE1_BITWIDTHS,
@@ -16,6 +22,8 @@ from repro.core.complexity import (
     cycles_radix4_interleaved,
 )
 from repro.errors import OperandRangeError
+from repro.modsram.analytical import AnalyticalCostModel
+from repro.modsram.config import PAPER_CONFIG
 
 
 class TestPaperNumbers:
@@ -85,3 +93,27 @@ class TestSweep:
     def test_model_sweep_method(self):
         model = COMPLEXITY_MODELS["r4csa-lut"]
         assert model.sweep((8, 16)) == [23, 47]
+
+
+class TestOneLawEach:
+    """Each implemented algorithm's ``cycles()`` is its Figure 1 law."""
+
+    @pytest.mark.parametrize(
+        "multiplier",
+        (
+            InterleavedMultiplier(),
+            Radix4InterleavedMultiplier(),
+            CsaInterleavedMultiplier(),
+            R4CSALutMultiplier(),
+        ),
+        ids=lambda multiplier: multiplier.name,
+    )
+    def test_class_cycles_are_the_law(self, multiplier):
+        law = COMPLEXITY_MODELS[multiplier.name].cycles
+        for bitwidth in range(4, 301):
+            assert multiplier.cycles(bitwidth) == law(bitwidth), bitwidth
+
+    def test_r4csa_law_is_the_paper_mode_main_loop(self):
+        for bitwidth in range(4, 301):
+            model = AnalyticalCostModel(PAPER_CONFIG.with_bitwidth(bitwidth))
+            assert cycles_r4csa_lut(bitwidth) == model.iteration_cycles(), bitwidth

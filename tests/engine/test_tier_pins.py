@@ -58,8 +58,8 @@ TIER_PINS = {
 
 def test_backend_listing():
     listing = [get_backend(name).info.as_dict() for name in available_backends()]
-    assert len(listing) == 17
-    assert _digest(json.dumps(listing, sort_keys=True)) == "b790017710c9729f"
+    assert len(listing) == 16
+    assert _digest(json.dumps(listing, sort_keys=True)) == "9bcb170848b65295"
 
 
 @pytest.mark.parametrize("backend", sorted(TIER_PINS))

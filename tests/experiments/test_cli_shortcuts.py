@@ -143,6 +143,27 @@ class TestStartup:
                 if name == layer or name.startswith(layer + ".")
             ], f"{argv} loaded {layer}"
 
+    def test_dse_loads_no_exhibit(self):
+        script = (
+            "import sys, repro.dse; "
+            "print(sorted(name for name in sys.modules if name.startswith('repro')))"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=_environment(),
+            check=False,
+        )
+        assert completed.returncode == 0, completed.stderr
+        loaded = ast.literal_eval(completed.stdout.strip().splitlines()[-1])
+        assert "repro.dse" in loaded
+        assert not [
+            name for name in loaded
+            if name == "repro.analysis" or name.startswith("repro.analysis.")
+        ]
+
 
 class TestEveryParameterIsAFlag:
     @pytest.mark.parametrize("words,experiment,name", _shortcut_parameters())

@@ -8,7 +8,6 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.design_point import build_design_config
 from repro.core.carry_save import xor3_maj
 from repro.errors import (
     ConfigurationError,
@@ -25,7 +24,7 @@ from repro.modsram import (
     PAPER_CONFIG,
     build_simulator,
 )
-from repro.modsram.config import OVERFLOW_LUT_ROWS
+from repro.modsram.config import OVERFLOW_LUT_ROWS, build_design_config
 from repro.modsram.fidelity import checked_multiply, cross_check
 
 BN254_P = 0x30644E72E131A029B85045B68181585D97816A916871CA8D3C208C16D87CFD47
