@@ -167,8 +167,7 @@ class Outcome:
 def functions(package: str) -> List[Function]:
     """Every top-level function and method under ``package``, in file order.
 
-    Abstract methods and ``@overload`` stubs are left out: no path can run
-    them.
+    Abstract methods are left out: no path can run them.
     """
     found: List[Function] = []
     for directory, subdirectories, files in os.walk(package):
@@ -180,7 +179,7 @@ def functions(package: str) -> List[Function]:
             with open(path, encoding="utf-8") as handle:
                 tree = ast.parse(handle.read(), path)
             for node, owner in _definitions(tree):
-                if _never_called(node):
+                if _is_abstract(node):
                     continue
                 first = min([node.lineno] + [d.lineno for d in node.decorator_list])
                 found.append(Function(
@@ -203,14 +202,11 @@ def _definitions(tree: ast.Module):
                     yield item, node.name
 
 
-def _never_called(node: ast.AST) -> bool:
-    for decorator in node.decorator_list:
-        name = decorator.attr if isinstance(decorator, ast.Attribute) else getattr(
-            decorator, "id", ""
-        )
-        if name in ("abstractmethod", "overload"):
-            return True
-    return False
+def _is_abstract(node: ast.AST) -> bool:
+    return any(
+        getattr(decorator, "attr", getattr(decorator, "id", "")) == "abstractmethod"
+        for decorator in node.decorator_list
+    )
 
 
 def kept_commands(root: str) -> List[Command]:
