@@ -130,6 +130,10 @@ class TestModsramEntry:
     def test_cycles_match_headline(self):
         assert MODSRAM.cycles(256) == 767
 
+    @pytest.mark.parametrize("bitwidth,cycles", ((5, 17), (9, 29), (255, 767)))
+    def test_cycles_at_odd_widths_take_ceil_half_iterations(self, bitwidth, cycles):
+        assert MODSRAM.cycles(bitwidth) == cycles
+
     def test_working_set_rows(self):
         assert modsram_rows(256) == 18
         assert MODSRAM.rows_required(256) == 18

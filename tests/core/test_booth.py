@@ -49,6 +49,10 @@ class TestEncoderTable:
         assert rows[0] == (0, 0, 0, 0)
         assert rows[-1] == (1, 1, 1, 0)
 
+    def test_truth_table_rows_are_the_encoder(self):
+        for high, mid, low, digit in encoder_truth_table():
+            assert booth_digit_radix4(high, mid, low) == digit
+
 
 class TestDigitCount:
     def test_paper_iteration_count_at_256_bits(self):
@@ -62,6 +66,12 @@ class TestDigitCount:
     def test_invalid_bitwidth(self):
         with pytest.raises(BitWidthError):
             booth_digit_count(0)
+
+    def test_count_is_the_expansion_length(self):
+        for bitwidth in range(1, 81):
+            for full_range in (True, False):
+                digits = booth_digits_radix4(0, bitwidth, full_range=full_range)
+                assert len(digits) == booth_digit_count(bitwidth, full_range), bitwidth
 
 
 class TestRadix4Digits:
@@ -115,3 +125,20 @@ class TestRadix4Digits:
 
     def test_zero_expansion(self):
         assert all(d == 0 for d in booth_digits_radix4(0, 16))
+
+    @given(st.data())
+    def test_odd_widths_recode_every_operand_in_paper_mode(self, data):
+        """At odd widths the paper's ceil(n/2) digits leave a padding top bit."""
+        bitwidth = data.draw(st.integers(0, 150)) * 2 + 1
+        value = data.draw(st.integers(0, (1 << bitwidth) - 1))
+        digits = booth_digits_radix4(value, bitwidth, full_range=False)
+        assert len(digits) == (bitwidth + 1) // 2
+        reconstructed = 0
+        for digit in digits:
+            reconstructed = reconstructed * 4 + digit
+        assert reconstructed == value
+
+    @given(st.integers(0, 2**64 - 1))
+    def test_most_significant_digit_is_non_negative(self, value):
+        """An unsigned operand never recodes to a negative leading digit."""
+        assert booth_digits_radix4(value, 64)[0] >= 0

@@ -117,3 +117,29 @@ class TestOneLawEach:
         for bitwidth in range(4, 301):
             model = AnalyticalCostModel(PAPER_CONFIG.with_bitwidth(bitwidth))
             assert cycles_r4csa_lut(bitwidth) == model.iteration_cycles(), bitwidth
+
+
+class TestOddWidths:
+    """R4CSA-LUT runs ceil(n/2) iterations of six accesses, minus one."""
+
+    @pytest.mark.parametrize(
+        "bitwidth,cycles", ((4, 11), (5, 17), (9, 29), (255, 767))
+    )
+    def test_r4csa_law(self, bitwidth, cycles):
+        assert cycles_r4csa_lut(bitwidth) == cycles
+        assert R4CSALutMultiplier().cycles(bitwidth) == cycles
+
+    def test_an_odd_width_costs_what_the_next_even_width_does(self):
+        for bitwidth in range(5, 301, 2):
+            assert cycles_r4csa_lut(bitwidth) == cycles_r4csa_lut(bitwidth + 1)
+            assert cycles_r4csa_lut(bitwidth) == cycles_r4csa_lut(bitwidth - 1) + 6
+
+    def test_cycles_command_prints_the_law_at_an_odd_width(self, capsys):
+        from repro.cli import main
+
+        assert main(["cycles", "--bitwidth", "255"]) == 0
+        row = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith(COMPLEXITY_MODELS["r4csa-lut"].label)
+        )
+        assert row.split("|")[-1].strip() == "767"

@@ -176,3 +176,55 @@ class TestScalarMultiplication:
         left = scalar_multiply(bn254, k1 + k2, g)
         right = bn254.add(scalar_multiply(bn254, k1, g), scalar_multiply(bn254, k2, g))
         assert left == right
+
+    def test_unit_scalar_returns_the_point(self, secp, rng):
+        point = scalar_multiply(secp, rng.randrange(3, 1 << 64), secp.generator)
+        assert scalar_multiply(secp, 1, point) == point
+
+    def test_multiples_of_infinity_are_infinity(self, secp):
+        for scalar in (0, 1, 2, 0xDEADBEEF):
+            assert scalar_multiply(secp, scalar, secp.infinity()).is_infinity
+
+    @pytest.mark.parametrize("name", sorted(CURVE_SPECS))
+    def test_order_minus_one_negates_the_generator(self, name):
+        curve = get_curve(name)
+        order = CURVE_SPECS[name].order
+        assert scalar_multiply(curve, order - 1, curve.generator) == curve.negate(
+            curve.generator
+        )
+
+    @pytest.mark.parametrize("name", sorted(CURVE_SPECS))
+    def test_multiples_lie_on_the_curve(self, name, rng):
+        curve = get_curve(name)
+        for _ in range(3):
+            point = scalar_multiply(curve, rng.randrange(1, 1 << 128), curve.generator)
+            assert curve.contains(point)
+
+    def test_scalars_wrap_at_the_group_order(self, bn254, rng):
+        order = CURVE_SPECS["bn254"].order
+        scalar = rng.randrange(1, 1 << 64)
+        assert scalar_multiply(bn254, order + scalar, bn254.generator) == (
+            scalar_multiply(bn254, scalar, bn254.generator)
+        )
+
+    def test_composition_of_scalars(self, secp, rng):
+        """k1 * (k2 * G) == (k1 * k2) * G."""
+        k1, k2 = rng.randrange(1, 1 << 40), rng.randrange(1, 1 << 40)
+        inner = scalar_multiply(secp, k2, secp.generator)
+        assert scalar_multiply(secp, k1, inner) == scalar_multiply(
+            secp, k1 * k2, secp.generator
+        )
+
+    def test_one_inversion_and_a_fixed_price_per_doubling(self):
+        """Jacobian coordinates defer the one inversion to the affine result."""
+        spec = CURVE_SPECS["secp256k1"]
+        counts = []
+        for bits in (8, 9, 10, 64):
+            curve = build_curve(spec, field=PrimeField(spec.field_modulus))
+            scalar_multiply(curve, 1 << bits, curve.generator)
+            assert curve.field.counter.count("modinv") == 1
+            counts.append(curve.field.counter.count("modmul"))
+        per_doubling = counts[1] - counts[0]
+        assert per_doubling > 0
+        assert counts[2] - counts[1] == per_doubling
+        assert counts[3] - counts[0] == (64 - 8) * per_doubling

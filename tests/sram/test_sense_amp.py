@@ -157,6 +157,43 @@ class TestLogicSenseAmpModule:
     def test_failure_probability_zero_without_noise(self, module):
         assert module.failure_probability(0.0) == 0.0
 
+    @pytest.mark.parametrize("sigma", (0.05, 0.06))
+    def test_analytic_probability_brackets_the_noisy_amplifier(self, module, sigma):
+        """At the worst-case margin the erfc model sits between the two outcomes.
+
+        A comparison flips when the noise crosses the margin plus the
+        offset, and fails (flip or margin error) once it crosses the margin
+        minus the offset; the model counts the margin itself.
+        """
+        amplifier = LatchSenseAmplifier(
+            offset_v=module.parameters.sense_offset_v,
+            noise_sigma_v=sigma,
+            rng=random.Random(7),
+        )
+        trials, flips, failures = 20000, 0, 0
+        for _ in range(trials):
+            try:
+                flipped = amplifier.resolve(0.0, module.worst_case_margin_v())
+            except SenseMarginError:
+                failures += 1
+                continue
+            flips += flipped
+            failures += flipped
+        analytic = module.failure_probability(sigma)
+        assert flips / trials < analytic < failures / trials
+
+    def test_noisy_sensing_runs_every_column_comparator(self):
+        parameters = SenseAmpParameters(noise_sigma_v=1e-4)
+        module = LogicSenseAmpModule(columns=8, parameters=parameters)
+        array = SramArray(rows=3, cols=8)
+        a, b, c = 0b1011_0010, 0b0111_1000, 0b1101_0110
+        for row, word in enumerate((a, b, c)):
+            array.write_row(row, word)
+        result = module.evaluate(array.activate_rows([0, 1, 2]))
+        assert result.xor3 == a ^ b ^ c
+        assert result.maj == (a & b) | (a & c) | (b & c)
+        assert module._amplifier.evaluations == 8 * 3
+
     def test_invalid_column_count_rejected(self):
         with pytest.raises(ConfigurationError):
             LogicSenseAmpModule(columns=0)

@@ -10,6 +10,15 @@ REPO_ROOT = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 )
 
+TOY = (
+    "def called():\n"
+    "    return 1\n"
+    "\n"
+    "\n"
+    "def uncalled():\n"
+    "    return 2\n"
+)
+
 
 def _load_reach():
     path = os.path.join(REPO_ROOT, "tools", "reach.py")
@@ -20,18 +29,16 @@ def _load_reach():
     return module
 
 
-def test_only_the_uncalled_function_is_reported(tmp_path):
-    reach = _load_reach()
+def _package(tmp_path, source=TOY):
     package = tmp_path / "src" / "toy"
     package.mkdir(parents=True)
-    (package / "__init__.py").write_text(
-        "def called():\n"
-        "    return 1\n"
-        "\n"
-        "\n"
-        "def uncalled():\n"
-        "    return 2\n"
-    )
+    (package / "__init__.py").write_text(source)
+    return package
+
+
+def test_only_the_uncalled_function_is_reported(tmp_path):
+    reach = _load_reach()
+    package = _package(tmp_path)
     kept = [("call one", ("-c", "import toy; toy.called()"))]
 
     summary, outcomes = reach.measure(str(tmp_path), str(package), kept)
@@ -44,3 +51,112 @@ def test_only_the_uncalled_function_is_reported(tmp_path):
         "unreached_functions": 1,
         "unreached_lines": 2,
     }
+
+
+def test_a_decorated_function_is_keyed_by_its_first_decorator(tmp_path):
+    reach = _load_reach()
+    package = _package(
+        tmp_path,
+        "import functools\n"
+        "\n"
+        "\n"
+        "def traced(function):\n"
+        "    @functools.wraps(function)\n"
+        "    def wrapper(*args):\n"
+        "        return function(*args)\n"
+        "    return wrapper\n"
+        "\n"
+        "\n"
+        "@traced\n"
+        "def decorated():\n"
+        "    return 1\n",
+    )
+    listed = [(f.name, f.line, f.lines) for f in reach.functions(str(package))]
+    assert listed == [("traced", 4, 5), ("decorated", 11, 3)]
+
+    kept = [("call", ("-c", "import toy; toy.decorated()"))]
+    summary, _ = reach.measure(str(tmp_path), str(package), kept)
+    assert summary["unreached"] == []
+
+
+def test_methods_carry_their_class_and_abstract_methods_are_left_out(tmp_path):
+    reach = _load_reach()
+    package = _package(
+        tmp_path,
+        "import abc\n"
+        "\n"
+        "\n"
+        "class Shape(abc.ABC):\n"
+        "    @abc.abstractmethod\n"
+        "    def area(self):\n"
+        "        ...\n"
+        "\n"
+        "    def describe(self):\n"
+        "        return 'shape'\n",
+    )
+    assert [function.name for function in reach.functions(str(package))] == [
+        "Shape.describe"
+    ]
+
+
+def test_spawned_processes_are_traced(tmp_path):
+    reach = _load_reach()
+    package = _package(tmp_path)
+    script = (
+        "import subprocess, sys, toy; toy.called(); "
+        "subprocess.run([sys.executable, '-c', 'import toy; toy.uncalled()'], "
+        "check=True)"
+    )
+    kept = [("spawn", ("-c", script))]
+
+    summary, outcomes = reach.measure(str(tmp_path), str(package), kept)
+
+    assert [outcome.returncode for outcome in outcomes] == [0]
+    assert summary["unreached"] == []
+
+
+def test_a_terminated_process_still_records_its_reach(tmp_path):
+    reach = _load_reach()
+    package = _package(tmp_path)
+    script = "import os, signal, toy; toy.called(); os.kill(os.getpid(), signal.SIGTERM)"
+    kept = [("terminate", ("-c", script))]
+
+    summary, outcomes = reach.measure(str(tmp_path), str(package), kept)
+
+    assert [outcome.returncode for outcome in outcomes] == [-15]
+    assert [entry["name"] for entry in summary["unreached"]] == ["uncalled"]
+
+
+def test_examples_count_on_top_of_the_kept_paths(tmp_path):
+    reach = _load_reach()
+    package = _package(tmp_path)
+    kept = [("kept", ("-c", "import toy; toy.called()"))]
+    examples = [("example", ("-c", "import toy; toy.uncalled()"))]
+
+    summary, outcomes = reach.measure(str(tmp_path), str(package), kept, examples)
+
+    assert len(outcomes) == 2
+    assert summary["unreached"] == [
+        {
+            "path": os.path.join("toy", "__init__.py"),
+            "line": 5,
+            "name": "uncalled",
+            "lines": 2,
+            "examples": True,
+        }
+    ]
+    assert summary["totals"]["with_examples"]["unreached_functions"] == 0
+
+
+def test_a_failed_command_is_named_in_the_report(tmp_path):
+    reach = _load_reach()
+    package = _package(tmp_path)
+    kept = [("broken", ("-c", "import sys, toy; toy.called(); sys.exit(3)"))]
+
+    summary, outcomes = reach.measure(str(tmp_path), str(package), kept)
+    text = reach.render(summary, outcomes)
+
+    assert [outcome.returncode for outcome in outcomes] == [3]
+    assert "FAILED: broken (exit 3)" in text
+    assert "  toy/__init__.py: 1 of 2, 2 of 4" in text
+    assert "kept paths: 2 of 4 lines never run (1 of 2 functions)" in text

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from repro.ecc import get_curve, scalar_multiply
+from repro.engine import Engine
 from repro.errors import OperandRangeError
 from repro.zkp import (
     MsmStatistics,
@@ -90,6 +91,41 @@ class TestMsm:
         assert stats.windows == 16  # 64-bit scalars, 4-bit windows
         assert stats.doublings == stats.windows * 4
         assert stats.point_additions > 0
+
+    @pytest.mark.parametrize("backend", ("schoolbook", "montgomery", "r4csa-lut"))
+    def test_engine_curve_matches_the_default_curve(self, backend, rng):
+        """The bucket method runs unchanged over an engine-backed field."""
+        curve = get_curve("secp256k1")
+        points = _sample_points(curve, rng, 6)
+        scalars = [rng.randrange(1, 1 << 24) for _ in range(6)]
+        expected = msm_pippenger(curve, scalars, points, window_bits=4)
+
+        engine = Engine(backend=backend, curve="secp256k1")
+        routed_curve = engine.curve()
+        rebound = [routed_curve.affine_point(*point.coordinates()) for point in points]
+        routed = msm_pippenger(routed_curve, scalars, rebound, window_bits=4)
+        assert routed.coordinates() == expected.coordinates()
+        assert engine.stats().multiplications > 0
+
+    def test_infinity_and_repeated_points(self, rng):
+        curve = get_curve("bn254")
+        point = _sample_points(curve, rng, 1)[0]
+        points = [point, curve.infinity(), point, curve.negate(point)]
+        scalars = [5, 9, 7, 3]
+        result = msm_pippenger(curve, scalars, points, window_bits=2)
+        assert result == msm_naive(curve, scalars, points)
+        assert result == scalar_multiply(curve, 9, point)
+
+    @pytest.mark.parametrize("window", (2, 3, 4))
+    def test_digits_at_the_window_edges(self, window, rng):
+        """Digits 0, 1, 2^c - 1 and a carry into the next window."""
+        curve = get_curve("secp256k1")
+        points = _sample_points(curve, rng, 4)
+        top = (1 << window) - 1
+        scalars = [top, 1 << window, (top << window) | top, 1]
+        assert msm_pippenger(curve, scalars, points, window_bits=window) == msm_naive(
+            curve, scalars, points
+        )
 
     def test_default_window_grows_with_size(self):
         assert default_window_bits(2) == 2

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import Engine
+from repro.engine import Engine, available_backends
 from repro.errors import NttError
 from repro.zkp import NttContext, bit_reverse_indices, find_root_of_unity
 
@@ -15,6 +15,33 @@ from repro.zkp import NttContext, bit_reverse_indices, find_root_of_unity
 SMALL_PRIME = 97
 #: The BN254 scalar field (2-adicity 28), the field ZKP systems transform over.
 BN254_R = 0x30644E72E131A029B85045B68181585D2833E84879B9709143E1F593F0000001
+
+#: Coefficient lists that fit a size-16 product without wrap-around.
+POLYNOMIALS = st.lists(st.integers(0, SMALL_PRIME - 1), min_size=1, max_size=8)
+
+
+def _schoolbook(a, b, modulus, size):
+    """The product of two coefficient lists, padded to ``size``."""
+    product = [0] * size
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            product[i + j] = (product[i + j] + x * y) % modulus
+    return product
+
+
+def _add(a, b):
+    """Coefficient-wise sum modulo the small prime, padded to the longer list."""
+    length = max(len(a), len(b))
+    a, b = list(a) + [0] * (length - len(a)), list(b) + [0] * (length - len(b))
+    return [(x + y) % SMALL_PRIME for x, y in zip(a, b)]
+
+
+def _evaluate(coefficients, point):
+    """Horner evaluation modulo the small prime."""
+    value = 0
+    for coefficient in reversed(coefficients):
+        value = (value * point + coefficient) % SMALL_PRIME
+    return value
 
 
 class TestHelpers:
@@ -133,16 +160,97 @@ class TestPolynomialMultiplication:
         a = [rng.randrange(1000) for _ in range(16)]
         b = [rng.randrange(1000) for _ in range(16)]
         product = context.multiply_polynomials(a, b)
-        expected = [0] * 32
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                expected[(i + j)] = (expected[i + j] + x * y) % BN254_R
-        assert product == expected
+        assert product == _schoolbook(a, b, BN254_R, 32)
 
     def test_degree_bound_enforced(self):
         context = NttContext(SMALL_PRIME, 8)
         with pytest.raises(NttError):
             context.multiply_polynomials([1] * 5, [1] * 2)
+
+    def test_degree_bound_enforced_on_the_second_operand(self):
+        context = NttContext(SMALL_PRIME, 8)
+        with pytest.raises(NttError):
+            context.multiply_polynomials([1] * 2, [1] * 5)
+
+    def test_difference_of_squares(self):
+        """(1 + x)(1 - x) = 1 - x^2."""
+        product = NttContext(SMALL_PRIME, 8).multiply_polynomials([1, 1], [1, 96])
+        assert product == [1, 0, 96, 0, 0, 0, 0, 0]
+
+    def test_product_with_zero(self):
+        product = NttContext(SMALL_PRIME, 8).multiply_polynomials([3, 1, 4], [0])
+        assert product == [0] * 8
+
+    def test_constant_one_is_the_identity(self):
+        product = NttContext(SMALL_PRIME, 8).multiply_polynomials([5, 7, 9, 11], [1])
+        assert product == [5, 7, 9, 11, 0, 0, 0, 0]
+
+    def test_coefficients_are_reduced(self):
+        context = NttContext(SMALL_PRIME, 8)
+        assert context.multiply_polynomials([100, -1], [1]) == [3, 96, 0, 0, 0, 0, 0, 0]
+        assert context.multiply_polynomials([100, -1], [2, 3]) == (
+            context.multiply_polynomials([3, 96], [2, 3])
+        )
+
+    @given(POLYNOMIALS, POLYNOMIALS)
+    @settings(max_examples=30, deadline=None)
+    def test_multiplication_is_commutative(self, a, b):
+        context = NttContext(SMALL_PRIME, 16)
+        assert context.multiply_polynomials(a, b) == context.multiply_polynomials(b, a)
+
+    @given(POLYNOMIALS, POLYNOMIALS, POLYNOMIALS)
+    @settings(max_examples=20, deadline=None)
+    def test_multiplication_distributes_over_addition(self, a, b, c):
+        context = NttContext(SMALL_PRIME, 16)
+        b_plus_c = _add(b, c)
+        assert context.multiply_polynomials(a, b_plus_c) == _add(
+            context.multiply_polynomials(a, b), context.multiply_polynomials(a, c)
+        )
+
+    @given(POLYNOMIALS, POLYNOMIALS, st.integers(0, SMALL_PRIME - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_evaluation_is_a_ring_homomorphism(self, a, b, point):
+        product = NttContext(SMALL_PRIME, 16).multiply_polynomials(a, b)
+        assert _evaluate(product, point) == (
+            _evaluate(a, point) * _evaluate(b, point)
+        ) % SMALL_PRIME
+
+    def test_product_is_charged_once_per_step(self):
+        """Two forward transforms, the point-wise products, one inverse."""
+        size = 16
+        context = NttContext(SMALL_PRIME, size)
+        context.multiply_polynomials([1, 2, 3], [4, 5])
+        butterflies = (size // 2) * 4
+        counter = context.counter
+        assert counter.count("modmul") == 3 * butterflies + 2 * size
+        assert counter.count("modadd") == 3 * 2 * butterflies
+        assert counter.count("memory_access") == 15 * butterflies + 5 * size
+        assert counter.scoped("forward")["modmul"] == 2 * butterflies
+        assert counter.scoped("inverse")["modmul"] == butterflies + size
+        assert context.multiplier.stats.multiplications == counter.count("modmul")
+
+    def test_a_reused_context_charges_every_product_alike(self, rng):
+        reused, fresh = NttContext(SMALL_PRIME, 16), NttContext(SMALL_PRIME, 16)
+        a = [rng.randrange(SMALL_PRIME) for _ in range(8)]
+        b = [rng.randrange(SMALL_PRIME) for _ in range(8)]
+        first = reused.multiply_polynomials(a, b)
+        assert reused.multiply_polynomials(a, b) == first
+        assert fresh.multiply_polynomials(a, b) == first
+        assert reused.counter.as_dict() == {
+            operation: 2 * count for operation, count in fresh.counter.as_dict().items()
+        }
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_every_backend_multiplies_like_schoolbook(self, backend):
+        """The engine-backed context's products run on, and count on, the backend."""
+        engine = Engine(backend=backend)
+        rng = random.Random(backend)  # str seeds are stable across processes
+        for modulus in (SMALL_PRIME, 257, 7681):
+            a = [rng.randrange(modulus) for _ in range(8)]
+            b = [rng.randrange(modulus) for _ in range(8)]
+            context = engine.ntt(16, modulus=modulus)
+            assert context.multiply_polynomials(a, b) == _schoolbook(a, b, modulus, 16)
+        assert engine.stats().multiplications == 3 * (3 * 32 + 2 * 16)
 
 
 class TestOperationCounting:
