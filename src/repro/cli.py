@@ -393,19 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     cycles.add_argument("--bitwidth", type=int, default=256)
     cycles.set_defaults(handler=_command_cycles)
 
-    area = subparsers.add_parser("area", help="area model for a configuration")
-    area.add_argument("--rows", type=int, default=64)
-    area.add_argument("--bitwidth", type=int, default=256)
-    area.add_argument("--technology", type=int, default=65)
-    area.set_defaults(handler=_command_area)
-
-    verify = subparsers.add_parser(
-        "verify", help="equivalence-check the accelerator against the oracle"
-    )
-    verify.add_argument("--bitwidth", type=int, default=32)
-    verify.add_argument("--cases", type=int, default=8)
-    verify.set_defaults(handler=_command_verify)
-
     hdl = subparsers.add_parser(
         "hdl",
         help="the RTL tier: emit the macro Verilog, run the co-simulation",
@@ -456,27 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep-spec file (JSON, or YAML when PyYAML is installed) for "
              "the spec parameter; default: the built-in 640-point grid",
     )
-    dse_run.add_argument(
-        "--output", default=None, metavar="PATH",
-        help="also write the JSON result to PATH "
-             "(readable by 'repro dse frontier')",
-    )
     _add_experiment_flags(dse_run, "dse", skip=("spec",))
     dse_run.set_defaults(handler=_command_dse_run)
-
-    dse_frontier = dse_commands.add_parser(
-        "frontier",
-        help="re-extract and print the Pareto frontier of a saved run",
-    )
-    dse_frontier.add_argument(
-        "input", metavar="RESULTS",
-        help="JSON file written by 'repro dse run --output'",
-    )
-    dse_frontier.add_argument(
-        "--json", action="store_true",
-        help="emit the frontier as JSON",
-    )
-    dse_frontier.set_defaults(handler=_command_dse_frontier)
     return parser
 
 
@@ -751,11 +719,8 @@ def _command_cluster_router(arguments: argparse.Namespace) -> int:
             print(f"router listening on {config.host}:{router.port} "
                   f"(backend {spec.backend}, replication "
                   f"{config.replication})", flush=True)
-            try:
-                while True:
-                    await asyncio.sleep(3600)
-            except asyncio.CancelledError:  # pragma: no cover - signal path
-                pass
+            while True:
+                await asyncio.sleep(3600)
 
     try:
         asyncio.run(run())
@@ -876,43 +841,6 @@ def _command_cycles(arguments: argparse.Namespace) -> int:
     return 0
 
 
-def _command_area(arguments: argparse.Namespace) -> int:
-    from repro.modsram.area import AreaModel
-    from repro.modsram.config import ModSRAMConfig
-    from repro.tables import render_table
-
-    config = ModSRAMConfig(
-        rows=arguments.rows,
-        bitwidth=arguments.bitwidth,
-        columns=max(arguments.bitwidth, 4),
-        technology_nm=arguments.technology,
-    )
-    model = AreaModel(config)
-    breakdown = model.breakdown()
-    rows = [
-        (name.replace("_mm2", "").replace("_", " "), round(value, 5))
-        for name, value in breakdown.as_dict().items()
-    ]
-    print(render_table(("component", "area (mm^2)"), rows,
-                       title=f"ModSRAM area model ({arguments.rows}x{arguments.bitwidth}, "
-                             f"{arguments.technology} nm)"))
-    print(f"overhead over plain SRAM: {model.overhead_percent():.1f}%")
-    return 0
-
-
-def _command_verify(arguments: argparse.Namespace) -> int:
-    from repro.modsram.config import ModSRAMConfig
-    from repro.modsram.verification import EquivalenceChecker
-
-    bitwidth = arguments.bitwidth
-    config = ModSRAMConfig().with_bitwidth(bitwidth)
-    checker = EquivalenceChecker(config)
-    modulus = ((1 << bitwidth) - 5) | 1
-    report = checker.run(modulus, random_cases=arguments.cases)
-    print(report.summary())
-    return 0 if report.passed else 1
-
-
 def _command_hdl_emit(arguments: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -951,49 +879,7 @@ def _command_dse_run(arguments: argparse.Namespace) -> int:
     params = {}
     if arguments.spec_file:
         params["spec"] = load_spec(arguments.spec_file).to_dict()
-    result = _shortcut_result(arguments, **params)
-    if arguments.output:
-        with open(arguments.output, "w", encoding="utf-8") as handle:
-            handle.write(result.to_json(indent=2))
-    return _report(result, arguments.json)
-
-
-def _command_dse_frontier(arguments: argparse.Namespace) -> int:
-    from repro.dse import DseRunResult, pareto_frontier
-
-    try:
-        with open(arguments.input, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, ValueError) as error:
-        raise ReproError(f"cannot read DSE results {arguments.input}: {error}")
-    # 'repro dse run --output' writes the experiment's result, whose
-    # payload is the run; a bare run dictionary reads as well.
-    run = DseRunResult.from_dict(data.get("payload", data))
-    frontier = pareto_frontier([point.metrics() for point in run.points])
-    rebuilt = DseRunResult(
-        spec=run.spec,
-        points=run.points,
-        frontier=frontier,
-        dominated=len(run.points) - len(frontier),
-        elapsed_seconds=run.elapsed_seconds,
-    )
-    if arguments.json:
-        print(
-            json.dumps(
-                [
-                    {
-                        "index": member.index,
-                        "objectives": dict(member.objectives),
-                        "dominates": member.dominates,
-                    }
-                    for member in frontier
-                ],
-                indent=2,
-            )
-        )
-    else:
-        print(rebuilt.render())
-    return 0 if frontier else 1
+    return _report(_shortcut_result(arguments, **params), arguments.json)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

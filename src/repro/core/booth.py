@@ -49,8 +49,10 @@ def booth_digit_radix4(a_high: int, a_mid: int, a_low: int) -> int:
     return RADIX4_ENCODER_TABLE[(a_high, a_mid, a_low)]
 
 
-def booth_digit_count(bitwidth: int, full_range: bool = True) -> int:
-    """Number of radix-4 digits needed to recode a ``bitwidth``-bit operand.
+def booth_digit_count(
+    bitwidth: int, full_range: bool = True, digit_bits: int = 2
+) -> int:
+    """Number of Booth digits needed to recode a ``bitwidth``-bit operand.
 
     Radix-4 Booth recoding of an *unsigned* operand ``a`` is exact over
     ``m`` digits only when bit ``2m - 1`` of ``a`` is zero.  With
@@ -58,17 +60,17 @@ def booth_digit_count(bitwidth: int, full_range: bool = True) -> int:
     any ``bitwidth``-bit operand recodes exactly; with ``full_range=False``
     the paper's ``ceil(n / 2)`` digit count is used, which is exact only
     when the operand's top bit is clear (true for BN254-sized moduli held
-    in 256-bit registers).
+    in 256-bit registers).  ``digit_bits`` generalises the rule to radix
+    ``2 ** digit_bits``: ``ceil(n / digit_bits)`` digits, one more in full
+    range.  It is the one digit rule of every main-loop iteration count.
     """
     if bitwidth <= 0:
         raise BitWidthError(f"bitwidth must be positive, got {bitwidth}")
-    base = (bitwidth + 1) // 2
-    if not full_range:
-        return base
+    base = -(-bitwidth // digit_bits)
     # One more digit is only required when the top processed bit can be set,
-    # i.e. when the bitwidth is even (for odd widths the extra overlap bit is
-    # already a padding zero).
-    return base + 1 if bitwidth % 2 == 0 else base
+    # i.e. when the bitwidth is a multiple of the digit width (otherwise the
+    # extra overlap bit is already a padding zero).
+    return base + 1 if full_range and bitwidth % digit_bits == 0 else base
 
 
 def booth_digits_radix4(

@@ -16,12 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
+from repro.core.booth import booth_digit_count
 from repro.errors import OperandRangeError
 
 __all__ = [
     "cycles_mentt_bit_serial",
     "cycles_mentt_projected",
     "cycles_r4csa_lut",
+    "r4csa_lut_main_loop",
     "cycles_interleaved",
     "cycles_radix4_interleaved",
     "cycles_csa_interleaved",
@@ -64,15 +66,25 @@ def cycles_mentt_projected(bitwidth: int) -> int:
     return bitwidth * (bitwidth + 1) // 2
 
 
+def r4csa_lut_main_loop(iterations: int) -> int:
+    """Main-loop cycles of ``iterations`` R4CSA-LUT iterations: ``6 * it - 1``.
+
+    Each iteration is two logic-SA accesses and four write-backs, with the
+    last carry write-back elided (see :mod:`repro.modsram.controller`).
+    The one copy of the law: :func:`cycles_r4csa_lut`, the macro
+    configuration and the analytical tier read it.
+    """
+    return 6 * iterations - 1
+
+
 def cycles_r4csa_lut(bitwidth: int) -> int:
     """This work: six array accesses per radix-4 digit, ``6 * ceil(n/2) - 1``.
 
-    ``ceil(n/2)`` iterations of two logic-SA accesses and four write-backs,
-    with the last carry write-back elided (see
-    :mod:`repro.modsram.controller`): ``3n - 1`` at even ``n``.
+    The paper schedule's ``ceil(n/2)`` digits through
+    :func:`r4csa_lut_main_loop`: ``3n - 1`` at even ``n``.
     """
     _check_bitwidth(bitwidth)
-    return 6 * ((bitwidth + 1) // 2) - 1
+    return r4csa_lut_main_loop(booth_digit_count(bitwidth, full_range=False))
 
 
 def cycles_interleaved(bitwidth: int) -> int:
@@ -92,7 +104,7 @@ def cycles_radix4_interleaved(bitwidth: int) -> int:
     accumulator, digit-LUT addition and one conditional subtraction.
     """
     _check_bitwidth(bitwidth)
-    return 5 * ((bitwidth + 1) // 2)
+    return 5 * booth_digit_count(bitwidth, full_range=False)
 
 
 def cycles_csa_interleaved(bitwidth: int) -> int:

@@ -11,7 +11,7 @@ mix and probe fidelity; :func:`run_dse` expands it into validated
 throughput / energy-per-op / area Pareto frontier with dominated-point
 accounting.
 
-Surfaces: the ``repro dse run|frontier`` CLI, the registered ``dse`` and
+Surfaces: the ``repro dse run`` CLI, the registered ``dse`` and
 ``dse-point`` experiments, and ``benchmarks/bench_dse.py`` →
 ``BENCH_dse.json``.
 """

@@ -17,15 +17,14 @@ the executable tiers charge it, cold and warm weighed by the schedule's
 LUT reuse.
 
 This module is what :func:`~repro.dse.run.run_dse` and the registered
-``dse-point`` experiment run; every result is JSON round-trippable, so
-``repro dse frontier`` can re-read a saved sweep.
+``dse-point`` experiment run.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Mapping
+from typing import Any, Dict, Iterable, Iterator, List
 
 from repro.modsram.analytical import AnalyticalCostModel
 from repro.modsram.area import AreaModel
@@ -97,7 +96,7 @@ def _point_seed(point: DesignPoint) -> int:
 
 @dataclass(frozen=True)
 class DsePointResult:
-    """Every metric of one evaluated design point (JSON round-trippable)."""
+    """Every metric of one evaluated design point."""
 
     point: DesignPoint
     #: ``True`` when an executable-tier probe verified the closed form.
@@ -171,7 +170,7 @@ class DsePointResult:
         )
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-clean representation (round-trips through :meth:`from_dict`)."""
+        """JSON-clean representation."""
         payload = dict(self.point.to_params())
         payload.update(
             {
@@ -190,32 +189,6 @@ class DsePointResult:
             }
         )
         return payload
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "DsePointResult":
-        """Rebuild a result from :meth:`to_dict` output (e.g. loaded JSON)."""
-        point = DesignPoint.from_params(
-            {
-                key: value
-                for key, value in data.items()
-                if key in DesignPoint.__dataclass_fields__
-            }
-        )
-        return cls(
-            point=point,
-            verified=bool(data["verified"]),
-            jobs=int(data["jobs"]),
-            makespan_cycles=int(data["makespan_cycles"]),
-            lut_reuse_rate=float(data["lut_reuse_rate"]),
-            utilization=float(data["utilization"]),
-            frequency_mhz=float(data["frequency_mhz"]),
-            cycles_per_op=int(data["cycles_per_op"]),
-            latency_ms=float(data["latency_ms"]),
-            throughput_mops=float(data["throughput_mops"]),
-            energy_pj_per_op=float(data["energy_pj_per_op"]),
-            macro_area_mm2=float(data["macro_area_mm2"]),
-            area_mm2=float(data["area_mm2"]),
-        )
 
 
 def evaluate_design_point(point: DesignPoint) -> DsePointResult:

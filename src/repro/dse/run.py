@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping
+from typing import Any, Dict, List
 
-from repro.errors import ConfigurationError
 from repro.dse.evaluate import DsePointResult, evaluate_design_point
 from repro.dse.frontier import (
     DEFAULT_OBJECTIVES,
@@ -86,7 +85,7 @@ class DseRunResult:
         return summary + "\n\n" + table
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-clean representation (round-trips through :meth:`from_dict`)."""
+        """JSON-clean representation."""
         return {
             "spec": dict(self.spec),
             "points": [point.to_dict() for point in self.points],
@@ -102,41 +101,6 @@ class DseRunResult:
             "elapsed_seconds": self.elapsed_seconds,
             "points_per_second": self.points_per_second,
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "DseRunResult":
-        """Rebuild a run from :meth:`to_dict` output (e.g. loaded JSON)."""
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"a DSE results document must be a mapping, "
-                f"got {type(data).__name__}"
-            )
-        required = ("spec", "points", "frontier", "dominated", "elapsed_seconds")
-        missing = [key for key in required if key not in data]
-        if missing:
-            raise ConfigurationError(
-                f"DSE results document is missing {missing[0]!r} "
-                f"(expected the output of 'repro dse run --output/--json')"
-            )
-        return cls(
-            spec=dict(data["spec"]),
-            points=[
-                DsePointResult.from_dict(entry) for entry in data["points"]
-            ],
-            frontier=[
-                FrontierPoint(
-                    index=int(entry["index"]),
-                    objectives={
-                        key: float(value)
-                        for key, value in entry["objectives"].items()
-                    },
-                    dominates=int(entry["dominates"]),
-                )
-                for entry in data["frontier"]
-            ],
-            dominated=int(data["dominated"]),
-            elapsed_seconds=float(data["elapsed_seconds"]),
-        )
 
 
 def run_dse(spec: SweepSpec) -> DseRunResult:

@@ -63,11 +63,6 @@ from repro.modsram.scheduler import (
     ScheduledMultiplication,
 )
 from repro.modsram.trace import CycleEvent, ExecutionTrace, Phase
-from repro.modsram.verification import (
-    EquivalenceChecker,
-    VerificationCase,
-    VerificationReport,
-)
 
 __all__ = [
     "AnalyticalCostModel",
@@ -88,7 +83,6 @@ __all__ = [
     "CycleEvent",
     "CycleReport",
     "DatapathStats",
-    "EquivalenceChecker",
     "ExecutionTrace",
     "FastHost",
     "Fidelity",
@@ -113,8 +107,6 @@ __all__ = [
     "PointOperationSchedule",
     "PointOperationScheduler",
     "ScheduledMultiplication",
-    "VerificationCase",
-    "VerificationReport",
     "build_simulator",
     "run_kernel",
 ]

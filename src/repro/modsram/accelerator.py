@@ -216,10 +216,6 @@ class ModSRAMAccelerator:
     # ------------------------------------------------------------------ #
     # reporting helpers
     # ------------------------------------------------------------------ #
-    def expected_iteration_cycles(self) -> int:
-        """The analytic main-loop cycle count for this configuration."""
-        return self.config.expected_iteration_cycles
-
     def utilization(self, operand_rows_used: int = 3):
         """Row-utilisation summary (Figure 6) for this macro."""
         return self.memory_map.utilization(operand_rows_used)

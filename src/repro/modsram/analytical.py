@@ -29,6 +29,7 @@ from typing import List, Optional, Tuple
 
 from repro.core.booth import RADIX4_ENCODER_TABLE
 from repro.core.carry_save import xor3_maj
+from repro.core.complexity import r4csa_lut_main_loop
 from repro.errors import ConfigurationError
 from repro.instrumentation import OperationCounter
 from repro.modsram.config import ModSRAMConfig
@@ -123,7 +124,7 @@ class AnalyticalCostModel:
         plus one additional logic-SA access).  The recurrence is serial, so
         banking does not shorten it.
         """
-        return 6 * self.iterations - 1 + 3 * extra_folds
+        return r4csa_lut_main_loop(self.iterations) + 3 * extra_folds
 
     def finalize_cycles(self, subtractions: int = 1) -> int:
         """Finalisation: sum read, full addition, then the reduction steps."""

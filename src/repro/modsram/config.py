@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from repro.core.booth import booth_digit_count
+from repro.core.complexity import r4csa_lut_main_loop
 from repro.errors import ConfigurationError
 from repro.sram.cell import EightTransistorCell, SramCell
 from repro.sram.energy import EnergyModel
@@ -129,16 +131,13 @@ class ModSRAMConfig:
 
     @property
     def iterations(self) -> int:
-        """Main-loop iterations for one multiplication."""
-        base = (self.bitwidth + 1) // 2
-        if self.extend_for_full_range and self.bitwidth % 2 == 0:
-            return base + 1
-        return base
+        """Main-loop iterations for one multiplication (radix-4 digits)."""
+        return booth_digit_count(self.bitwidth, self.extend_for_full_range)
 
     @property
     def expected_iteration_cycles(self) -> int:
         """Array cycles of the main loop (six per iteration, last write elided)."""
-        return 6 * self.iterations - 1
+        return r4csa_lut_main_loop(self.iterations)
 
     @property
     def frequency_mhz(self) -> float:

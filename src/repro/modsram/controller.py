@@ -157,13 +157,6 @@ class Controller:
             self.budget.finalize_cycles += 1
         return index
 
-    # ------------------------------------------------------------------ #
-    # accounting helpers
-    # ------------------------------------------------------------------ #
-    def expected_iteration_cycles(self) -> int:
-        """The schedule's main-loop cycle count (``6 * iterations - 1``)."""
-        return 6 * self.iterations - 1
-
     def finished(self) -> bool:
         """Whether the FSM has reached the DONE state."""
         return self.state is ControllerState.DONE

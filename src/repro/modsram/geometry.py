@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from repro.core.booth import booth_digit_count
 from repro.errors import ConfigurationError
 from repro.modsram.config import (
     INTERMEDIATE_ROWS,
@@ -147,17 +148,12 @@ class MacroGeometry:
     def iterations(self, bitwidth: int, extend_for_full_range: bool) -> int:
         """Main-loop iterations for one ``bitwidth``-bit multiplication.
 
-        Generalises the paper's ``n/2`` radix-4 count to any supported
-        radix; the full-range extension adds one digit exactly when the
-        bitwidth is a multiple of the digit width (same rule the
-        :class:`~repro.modsram.config.ModSRAMConfig` property applies for
-        radix 4).
+        The Booth digit count (:func:`~repro.core.booth.booth_digit_count`)
+        at this geometry's radix: the paper's ``n/2`` at radix 4, one more
+        digit in full range when the bitwidth is a multiple of the digit
+        width.
         """
-        digits = self.digit_bits
-        base = (bitwidth + digits - 1) // digits
-        if extend_for_full_range and bitwidth % digits == 0:
-            return base + 1
-        return base
+        return booth_digit_count(bitwidth, extend_for_full_range, self.digit_bits)
 
     def check_executable(self) -> None:
         """Raise unless the executable tiers can run this geometry.

@@ -76,15 +76,28 @@ class TestFigure1:
         ids=lambda widths: "-".join(map(str, widths)),
     )
     def test_every_measured_width_lands_on_the_law(self, bitwidths):
-        """The figure's widths, then Figure 3's 5 bits, 9 and 255, one run each.
+        """The figure's widths, then Figure 3's 5 bits, 9 and 255.
 
-        The odd widths take ceil(n/2) digits.  An operand whose carry-save
-        sum needs an extra overflow fold pays three cycles more than the
-        law: the 255-bit draw that follows 5 and 9 bits in one seed-2024
-        run does, so each odd width is its own run at the exhibit's seed.
+        The odd widths take ceil(n/2) digits.
         """
         result = reproduce_figure1(bitwidths=bitwidths)
         assert result.measured_modsram == result.analytic_series["r4csa-lut"]
+
+    def test_a_width_reads_the_same_whatever_else_is_requested(self):
+        alone = reproduce_figure1(bitwidths=(255,)).measured_modsram
+        among = reproduce_figure1(bitwidths=(5, 9, 255)).measured_modsram
+        assert among == [17, 29, 767]
+        assert alone == [767]
+
+    def test_an_extra_overflow_fold_costs_three_cycles(self):
+        """Seed 8's 256-bit operands need one extra overflow fold.
+
+        The measured column is the cycle tier's main loop, extra folds
+        included, so it reads three cycles over the fold-free law.
+        """
+        result = reproduce_figure1(bitwidths=(256,), seed=8)
+        assert result.analytic_series["r4csa-lut"] == [767]
+        assert result.measured_modsram == [767 + 3]
 
     def test_render_contains_every_bitwidth(self):
         text = reproduce_figure1().render()

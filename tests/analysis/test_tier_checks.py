@@ -114,11 +114,6 @@ class TestWrongCycleTier:
         with pytest.raises(TierMismatchError, match=f"{fidelity} tier at 32 bits"):
             evaluate_design_point(point)
 
-    def test_verify_fails_on_a_drifting_report(self, monkeypatch, capsys):
-        corrupt(monkeypatch, ModSRAMAccelerator, one_cycle_late)
-        assert main(["verify", "--bitwidth", "16", "--cases", "2"]) == 1
-        assert "FAIL" in capsys.readouterr().out
-
     def test_checks_hold_under_optimised_python(self):
         script = "\n".join([
             "import dataclasses",

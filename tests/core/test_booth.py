@@ -63,6 +63,14 @@ class TestDigitCount:
         assert booth_digit_count(255, full_range=True) == 128
         assert booth_digit_count(255, full_range=False) == 128
 
+    @pytest.mark.parametrize(
+        "digit_bits,paper,full", ((1, 256, 257), (2, 128, 129), (3, 86, 86), (4, 64, 65))
+    )
+    def test_the_rule_at_every_radix(self, digit_bits, paper, full):
+        """ceil(n / k) digits at radix 2^k; full range adds one when k divides n."""
+        assert booth_digit_count(256, False, digit_bits) == paper
+        assert booth_digit_count(256, True, digit_bits) == full
+
     def test_invalid_bitwidth(self):
         with pytest.raises(BitWidthError):
             booth_digit_count(0)

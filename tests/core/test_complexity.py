@@ -20,10 +20,13 @@ from repro.core.complexity import (
     cycles_mentt_projected,
     cycles_r4csa_lut,
     cycles_radix4_interleaved,
+    r4csa_lut_main_loop,
 )
+from repro.core.booth import booth_digit_count
 from repro.errors import OperandRangeError
 from repro.modsram.analytical import AnalyticalCostModel
-from repro.modsram.config import PAPER_CONFIG
+from repro.modsram.config import PAPER_CONFIG, ModSRAMConfig
+from repro.modsram.geometry import MacroGeometry
 
 
 class TestPaperNumbers:
@@ -117,6 +120,21 @@ class TestOneLawEach:
         for bitwidth in range(4, 301):
             model = AnalyticalCostModel(PAPER_CONFIG.with_bitwidth(bitwidth))
             assert cycles_r4csa_lut(bitwidth) == model.iteration_cycles(), bitwidth
+
+    @pytest.mark.parametrize("full_range", (False, True))
+    def test_one_digit_rule_and_one_main_loop_law(self, full_range):
+        """The macro, its geometry and the analytical tier count alike."""
+        for bitwidth in range(4, 301):
+            config = ModSRAMConfig(extend_for_full_range=full_range).with_bitwidth(bitwidth)
+            digits = booth_digit_count(bitwidth, full_range)
+            assert config.iterations == digits, bitwidth
+            assert MacroGeometry.from_config(config).iterations(bitwidth, full_range) == digits
+            model = AnalyticalCostModel(config)
+            assert model.iterations == digits
+            assert config.expected_iteration_cycles == r4csa_lut_main_loop(digits)
+            assert model.iteration_cycles() == config.expected_iteration_cycles
+        full = ModSRAMConfig(extend_for_full_range=full_range)
+        assert full.expected_iteration_cycles == (773 if full_range else 767)
 
 
 class TestOddWidths:

@@ -10,9 +10,9 @@ from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.dse import (
     DesignPoint,
-    DseRunResult,
     SweepSpec,
     evaluate_design_point,
+    pareto_frontier,
     run_dse,
 )
 from repro.experiments import get_experiment
@@ -101,13 +101,6 @@ class TestEvaluateDesignPoint:
         assert result.verified
         assert result.energy_pj_per_op == pytest.approx(1198.02, abs=0.005)
 
-    def test_result_dict_round_trip(self):
-        result = evaluate_design_point(DesignPoint(banks=2, workload_ops=8))
-        wire = json.loads(json.dumps(result.to_dict()))
-        loaded = result.from_dict(wire)
-        assert loaded == result
-
-
 class TestRunDse:
     def test_every_point_is_evaluated_in_expansion_order(self):
         result = run_dse(SMALL_SPEC)
@@ -128,12 +121,6 @@ class TestRunDse:
         assert len(result.points) == 8  # 2 values were kept per axis
         assert result.spec["name"] == "small-quick"
 
-    def test_run_result_dict_round_trip(self):
-        result = run_dse(SMALL_SPEC)
-        wire = json.loads(json.dumps(result.to_dict()))
-        loaded = DseRunResult.from_dict(wire)
-        assert loaded.render() == result.render()
-
     @pytest.mark.parametrize("per_axis", (0, -1))
     def test_a_sample_below_one_value_per_axis_is_rejected(self, per_axis):
         with pytest.raises(ConfigurationError, match="at least 1 value per axis"):
@@ -151,6 +138,17 @@ class TestCli:
         }
         assert payload["frontier"]
         assert len(payload["points"]) == 32
+
+    def test_dse_run_json_carries_the_frontier_of_its_points(self, capsys):
+        """A saved ``dse run --json`` needs no re-run to re-read its frontier."""
+        assert main(["dse", "run", "--quick", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        frontier = pareto_frontier(payload["points"])
+        assert payload["frontier"] == [
+            {"index": m.index, "objectives": m.objectives, "dominates": m.dominates}
+            for m in frontier
+        ]
+        assert payload["dominated"] == len(payload["points"]) - len(frontier)
 
     @pytest.mark.parametrize("sample", ("0", "-1"))
     def test_dse_run_rejects_a_sample_below_one(self, capsys, sample):
@@ -202,43 +200,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Pareto frontier" in out
         assert "8 points" in out
-
-    def test_dse_frontier_rereads_a_saved_run(self, tmp_path, capsys):
-        spec_path = tmp_path / "sweep.json"
-        spec_path.write_text(json.dumps(SMALL_SPEC.to_dict()))
-        results_path = tmp_path / "results.json"
-        assert (
-            main(
-                ["dse", "run", str(spec_path), "--output", str(results_path)]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        assert main(["dse", "frontier", str(results_path), "--json"]) == 0
-        frontier = json.loads(capsys.readouterr().out)
-        assert frontier and all("dominates" in member for member in frontier)
-
-    def test_dse_frontier_reads_a_file_that_counts_cache_hits(
-        self, tmp_path, capsys
-    ):
-        """Results files written while sweeps were cached carry cache_hits."""
-        saved = run_dse(SMALL_SPEC).to_dict()
-        saved["cache_hits"] = 0
-        results_path = tmp_path / "results.json"
-        results_path.write_text(json.dumps(saved))
-        assert main(["dse", "frontier", str(results_path), "--json"]) == 0
-        frontier = json.loads(capsys.readouterr().out)
-        assert frontier == saved["frontier"]
-
-    def test_dse_frontier_rejects_a_malformed_results_file(
-        self, tmp_path, capsys
-    ):
-        results_path = tmp_path / "not-results.json"
-        results_path.write_text(json.dumps({"spec": {"name": "x"}}))
-        code = main(["dse", "frontier", str(results_path)])
-        assert code != 0
-        out = capsys.readouterr().out
-        assert "error:" in out and "'points'" in out
 
     def test_dse_run_rejects_a_bad_spec_file(self, tmp_path, capsys):
         spec_path = tmp_path / "bad.json"

@@ -147,7 +147,7 @@ class TestNothingWritten:
         assert data["params"] == json.loads(json.dumps(resolved))
         assert sorted(tmp_path.rglob("*")) == sorted([home, work, scratch])
 
-    def test_exhibit_commands_write_only_the_requested_output(
+    def test_exhibit_commands_write_no_file(
         self, capsys, monkeypatch, tmp_path
     ):
         home, work = tmp_path / "home", tmp_path / "work"
@@ -160,12 +160,12 @@ class TestNothingWritten:
             ["experiment", "run", "figure6"],
             ["experiment", "sweep", "figure6", "--axis", "bitwidth=64,128"],
             ["chip", "--quick", "--json"],
-            ["dse", "run", "--quick", "--output", "run.json"],
+            ["dse", "run", "--quick"],
         ):
             assert main(argv) == 0, argv
         capsys.readouterr()
         assert list(home.rglob("*")) == []
-        assert [path.name for path in work.rglob("*")] == ["run.json"]
+        assert list(work.rglob("*")) == []
 
 
 class TestModuleEntryPoint:

@@ -96,7 +96,7 @@ class TestCycleCounts:
             assert result.report.iteration_cycles == 3 * bitwidth - 1
             assert (
                 result.report.iteration_cycles
-                == accelerator.expected_iteration_cycles()
+                == accelerator.config.expected_iteration_cycles
             )
 
     def test_full_range_configuration_costs_six_more_cycles(self):

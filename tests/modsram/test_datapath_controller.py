@@ -142,9 +142,6 @@ class TestControllerFsm:
         with pytest.raises(ControllerError):
             controller.begin_iteration(0)
 
-    def test_expected_iteration_cycles(self):
-        assert Controller(iterations=128).expected_iteration_cycles() == 767
-
     def test_returning_to_idle_resets_budget(self):
         controller = Controller(iterations=1)
         controller.transition(ControllerState.LOAD)

@@ -1,19 +1,21 @@
-"""Tests for the point-operation scheduler and the equivalence checker."""
+"""Tests for the point-operation scheduler and the corner-case corpus."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.algorithms.r4csa_lut import R4CSALutMultiplier
 from repro.errors import MemoryMapError
 from repro.modsram import (
     AnalyticalCostModel,
-    EquivalenceChecker,
+    AnalyticalModSRAM,
+    ModSRAMAccelerator,
     ModSRAMConfig,
     PAPER_CONFIG,
     PointOperationScheduler,
 )
+from repro.modsram.fidelity import cross_check
 from repro.modsram.scheduler import DOUBLING_SEQUENCE, MIXED_ADDITION_SEQUENCE
-from repro.modsram.verification import directed_operands
 
 
 class TestPointOperationScheduler:
@@ -141,72 +143,50 @@ class TestPointOperationScheduler:
         assert summary["total_cycles"] == summary["iteration_cycles"] + summary["precompute_cycles"]
 
 
-class TestEquivalenceChecker:
-    def test_directed_operands_cover_corner_cases(self):
+def directed_operands(modulus: int, bitwidth: int):
+    """The corner cases hardware verification drives, as operand pairs.
+
+    All-zero and all-one operands, values straddling half the modulus, and
+    single-bit walks through the multiplier that reach every Booth window;
+    the multiplicand ``modulus - 1`` fills the overflow LUT's range.
+    """
+    top, half = modulus - 1, modulus >> 1
+    pairs = [
+        (0, 0), (0, top), (1, 1), (1, top),
+        (top, top), (half, half), (half, half + 1), (top, 1),
+    ]
+    for position in range(0, bitwidth, max(1, bitwidth // 8)):
+        bit = 1 << position
+        pairs += [(bit, top), (bit | 1, half)]
+    return pairs
+
+
+class TestDirectedCorpus:
+    """The corner-case corpus on both tiers and the algorithm, both schedules."""
+
+    @pytest.mark.parametrize("full_range", [True, False], ids=["full-range", "paper"])
+    @pytest.mark.parametrize("bitwidth,modulus", [
+        (16, 65521),
+        (20, ((1 << 20) - 3) | 1),
+        (32, ((1 << 32) - 5) | 1),
+    ])
+    def test_corner_cases_agree_and_take_the_law(self, bitwidth, modulus, full_range):
+        config = ModSRAMConfig(extend_for_full_range=full_range).with_bitwidth(bitwidth)
+        tiers = (AnalyticalModSRAM(config), ModSRAMAccelerator(config))
+        algorithm = R4CSALutMultiplier(full_range=full_range)
+        # The paper schedule needs the multiplier's top bit clear.
+        mask = (1 << (bitwidth - (0 if full_range else 1))) - 1
+        loops = set()
+        for a, b in directed_operands(modulus, bitwidth):
+            a &= mask
+            check = cross_check(tiers, a, b, modulus)
+            assert check.failed == (), (a, b)
+            assert algorithm.multiply(a, b, modulus) == a * b % modulus
+            loops.add(check.results[1].report.iteration_cycles)
+        assert loops == {config.expected_iteration_cycles}
+
+    def test_corpus_covers_the_corners(self):
         pairs = directed_operands(65521, 16)
-        assert (0, 0) in pairs
-        assert (65520, 65520) in pairs
+        assert (0, 0) in pairs and (65520, 65520) in pairs
         assert all(0 <= a < 65521 and 0 <= b < 65521 for a, b in pairs)
-
-    def test_checker_passes_on_a_small_macro(self):
-        checker = EquivalenceChecker(ModSRAMConfig().with_bitwidth(20))
-        modulus = ((1 << 20) - 3) | 1
-        report = checker.run(modulus, random_cases=6, seed=1)
-        assert report.passed
-        assert report.total == 6 + len(directed_operands(modulus, 20))
-        assert report.constant_time()
-        assert "PASS" in report.summary()
-
-    def test_checker_paper_mode_masks_the_top_bit(self):
-        config = ModSRAMConfig(extend_for_full_range=False).with_bitwidth(16)
-        checker = EquivalenceChecker(config)
-        report = checker.run(65521, random_cases=4, seed=2)
-        assert report.passed
-        for case in report.cases:
-            assert case.a < (1 << 15)
-
-    def test_checker_without_directed_cases(self):
-        checker = EquivalenceChecker(ModSRAMConfig().with_bitwidth(16))
-        report = checker.run(65521, random_cases=3, include_directed=False)
-        assert report.total == 3
-
-    def test_invalid_case_count_rejected(self):
-        from repro.errors import ConfigurationError
-
-        checker = EquivalenceChecker(ModSRAMConfig().with_bitwidth(16))
-        with pytest.raises(ConfigurationError):
-            checker.run(65521, random_cases=-1)
-
-    def test_failure_detection(self):
-        """A corrupted result is reported as a failure, not silently accepted."""
-        from repro.modsram.verification import VerificationCase, VerificationReport
-
-        bad_case = VerificationCase(
-            a=1, b=1, modulus=7, expected=1,
-            accelerator_product=2, algorithm_product=1, iteration_cycles=11,
-            failed=("cycle product",),
-        )
-        report = VerificationReport(modulus=7, bitwidth=3, cases=[bad_case])
-        assert not report.passed
-        assert len(report.failures) == 1
-        assert "FAIL" in report.summary()
-
-    def test_a_drifting_cycle_report_fails_every_case(self, monkeypatch):
-        """Products can all be right and the schedule still wrong."""
-        from dataclasses import replace
-
-        from repro.modsram import ModSRAMAccelerator
-
-        original = ModSRAMAccelerator.multiply
-
-        def one_cycle_late(self, a, b, modulus):
-            result = original(self, a, b, modulus)
-            late = result.report.iteration_cycles + 1
-            return replace(result, report=replace(result.report, iteration_cycles=late))
-
-        monkeypatch.setattr(ModSRAMAccelerator, "multiply", one_cycle_late)
-        checker = EquivalenceChecker(ModSRAMConfig().with_bitwidth(16))
-        report = checker.run(65521, random_cases=2, include_directed=False)
-        assert [case.failed for case in report.cases] == [("cycle report",)] * 2
-        assert all(case.accelerator_product == case.expected for case in report.cases)
-        assert report.summary().startswith("FAIL (2 mismatches)")
+        assert {a for a, _ in pairs} >= {1 << k for k in range(0, 16, 2)}

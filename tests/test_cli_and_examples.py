@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import py_compile
 import subprocess
@@ -30,7 +31,7 @@ ALL_EXAMPLES = (
 class TestCliParser:
     def test_all_subcommands_exist(self):
         parser = build_parser()
-        for command in ("report", "multiply", "cycles", "area", "verify"):
+        for command in ("report", "multiply", "cycles"):
             arguments = parser.parse_args(
                 [command] + (["1", "2"] if command == "multiply" else [])
             )
@@ -65,14 +66,14 @@ class TestCliCommands:
         output = capsys.readouterr().out
         assert "767" in output and "66,049" in output
 
-    def test_area_command(self, capsys):
-        assert main(["area"]) == 0
-        output = capsys.readouterr().out
-        assert "sram array" in output and "overhead" in output
-
-    def test_verify_command(self, capsys):
-        assert main(["verify", "--bitwidth", "16", "--cases", "2"]) == 0
-        assert "PASS" in capsys.readouterr().out
+    def test_area_of_a_configuration(self, capsys):
+        """Figure 5's experiment prices any rows x width at any node."""
+        argv = ["experiment", "run", "figure5", "--set", "rows=128",
+                "--set", "bitwidth=128", "--set", "technology_nm=45", "--json"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        assert sum(payload["breakdown"].values()) == pytest.approx(0.022055, abs=1e-6)
+        assert payload["overhead_percent"] == pytest.approx(20.02, abs=0.005)
 
 
 class TestExamples:

@@ -1,10 +1,12 @@
-"""tools/reach.py reports the functions no kept command runs."""
+"""tools/reach.py reports the functions no kept command runs, and gates them."""
 
 from __future__ import annotations
 
 import importlib.util
 import os
 import sys
+
+import pytest
 
 REPO_ROOT = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -160,3 +162,60 @@ def test_a_failed_command_is_named_in_the_report(tmp_path):
     assert "FAILED: broken (exit 3)" in text
     assert "  toy/__init__.py: 1 of 2, 2 of 4" in text
     assert "kept paths: 2 of 4 lines never run (1 of 2 functions)" in text
+
+
+def test_a_never_run_function_fails_the_gate_unless_allowed(tmp_path):
+    reach = _load_reach()
+    package = _package(tmp_path)
+    kept = [("call one", ("-c", "import toy; toy.called()"))]
+    summary, _ = reach.measure(str(tmp_path), str(package), kept)
+    key = os.path.join("toy", "__init__.py") + "::uncalled"
+
+    assert reach.check(str(package), summary, {}) == [f"never run, not allowed: {key}"]
+    assert reach.check(str(package), summary, {key: "a reason"}) == []
+
+
+def test_an_allowed_function_that_runs_or_is_gone_fails_the_gate(tmp_path):
+    reach = _load_reach()
+    package = _package(tmp_path)
+    kept = [("call one", ("-c", "import toy; toy.called()"))]
+    examples = [("example", ("-c", "import toy; toy.uncalled()"))]
+    summary, _ = reach.measure(str(tmp_path), str(package), kept, examples)
+    toy = os.path.join("toy", "__init__.py")
+    allowed = {f"{toy}::called": "r", f"{toy}::uncalled": "r", f"{toy}::deleted": "r"}
+
+    assert reach.check(str(package), summary, allowed) == [
+        f"allowed, gone: {toy}::deleted",
+        f"allowed, runs: {toy}::called",
+        f"allowed, runs: {toy}::uncalled",
+    ]
+
+
+def test_the_allow_list_groups_entries_under_reasons(tmp_path):
+    reach = _load_reach()
+    path = tmp_path / "allowed.txt"
+    path.write_text(
+        "# a comment\n\n## debug aids\ntoy/a.py::A.__repr__\n"
+        "## examples only\ntoy/b.py::f\ntoy/b.py::g\n"
+    )
+    assert reach.read_allowed(str(path)) == {
+        "toy/a.py::A.__repr__": "debug aids",
+        "toy/b.py::f": "examples only",
+        "toy/b.py::g": "examples only",
+    }
+    path.write_text("toy/a.py::f\n")
+    with pytest.raises(ValueError, match="under no reason"):
+        reach.read_allowed(str(path))
+
+
+def test_every_allowed_function_exists_under_a_reason():
+    """The committed list names functions of the package (the gate's cheap half)."""
+    reach = _load_reach()
+    package = os.path.join(REPO_ROOT, "src", "repro")
+    allowed = reach.read_allowed(reach.ALLOWED)
+    existing = {
+        f"{os.path.relpath(f.path, os.path.dirname(os.path.realpath(package)))}::{f.name}"
+        for f in reach.functions(package)
+    }
+    assert allowed
+    assert sorted(allowed.keys() - existing) == []

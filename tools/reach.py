@@ -19,10 +19,12 @@ Usage::
     python tools/reach.py           # unreached functions, per-file totals, both totals
     python tools/reach.py --json    # the same as one JSON document
 
-A full run takes about two minutes on a 2-vCPU machine.  The tool only
-reports; it exits 1 when a traced command fails, because that command's
-reach may then be incomplete (a bench file's timing gate can fail under
-the profiler's overhead).
+A full run takes about two and a half minutes on a 2-vCPU machine.  It
+is a gate: it exits 1 when a function that neither the kept paths nor
+the examples run is missing from ``tools/reach_allowed.txt``, when a
+function listed there runs or no longer exists, or when a traced command
+fails, because that command's reach may then be incomplete (a bench
+file's timing gate can fail under the profiler's overhead).
 """
 
 from __future__ import annotations
@@ -37,9 +39,12 @@ import sys
 import tempfile
 import time
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: The functions no kept path or example runs, each under a ``## reason``.
+ALLOWED = os.path.join(REPO_ROOT, "tools", "reach_allowed.txt")
 
 #: A traced command: a label and the interpreter arguments, run from the root.
 Command = Tuple[str, Tuple[str, ...]]
@@ -58,7 +63,10 @@ CI_SMOKE: Tuple[Tuple[str, ...], ...] = (
     ("experiment", "list"),
     ("experiment", "run", "headline", "--json", "--quick"),
     ("experiment", "run", "chip-scaling", "--quick", "--json"),
+    ("experiment", "sweep", "design-point", "--axis", "bitwidth=64,128,256", "--render"),
     ("backends",),
+    ("multiply", "0x1234", "0x5678", "--curve", "bn254"),
+    ("cycles", "--bitwidth", "256"),
     ("batch", "--count", "8", "--backend", "montgomery", "--json"),
     *(
         ("chip", "--workload", workload, "--macro-counts", "1,4", "--quick")
@@ -92,8 +100,10 @@ BENCH_FILES = (
     "bench_dse.py",
 )
 
-#: Serving contracts whose error paths no command drives.
+#: Serving contracts no command drives: error paths, and the router and
+#: worker commands of a multi-host fleet.
 CONTRACT_TESTS = (
+    "tests/cluster/test_cli_fleet.py::TestRouterAndWorkerCommands",
     "tests/cluster/test_node_failures.py::TestNodeKillRecovery",
     "tests/cluster/test_protocol.py::TestRouterAnswersBadFrames",
     "tests/cluster/test_router_worker.py::TestValidationAndErrors",
@@ -325,6 +335,46 @@ def _count(tally: Dict[str, int], function: Function, reached: bool) -> None:
         tally["unreached_lines"] += function.lines
 
 
+def read_allowed(path: str) -> Dict[str, str]:
+    """The allow-list: ``path::name`` of each function mapped to its reason.
+
+    A ``## reason`` line opens a group, other ``#`` lines are comments,
+    and each other line names one function as :func:`check` keys it.
+    """
+    allowed: Dict[str, str] = {}
+    reason = None
+    with open(path, encoding="utf-8") as handle:
+        for number, line in enumerate(handle, 1):
+            line = line.strip()
+            if line.startswith("## "):
+                reason = line[3:]
+            elif line and not line.startswith("#"):
+                if reason is None:
+                    raise ValueError(f"{path}:{number}: {line} is under no reason")
+                allowed[line] = reason
+    return allowed
+
+
+def check(
+    package: str, summary: Dict[str, object], allowed: Mapping[str, str]
+) -> List[str]:
+    """Why the gate fails: a never-run function not allowed, or a stale entry."""
+    base = os.path.dirname(os.path.realpath(package))
+    existing = {
+        f"{os.path.relpath(f.path, base)}::{f.name}" for f in functions(package)
+    }
+    never_run = {
+        f"{entry['path']}::{entry['name']}"
+        for entry in summary["unreached"]
+        if not entry["examples"]
+    }
+    return (
+        [f"never run, not allowed: {key}" for key in sorted(never_run - allowed.keys())]
+        + [f"allowed, gone: {key}" for key in sorted(allowed.keys() - existing)]
+        + [f"allowed, runs: {key}" for key in sorted((allowed.keys() & existing) - never_run)]
+    )
+
+
 def render(summary: Dict[str, object], outcomes: Sequence[Outcome]) -> str:
     """The summary as text: each unreached function, then the totals."""
     lines = ["Functions no kept path runs ('examples' marks those only examples run)"]
@@ -356,6 +406,7 @@ def render(summary: Dict[str, object], outcomes: Sequence[Outcome]) -> str:
     failed = [o for o in outcomes if o.returncode != 0]
     for outcome in failed:
         lines.append(f"FAILED: {outcome.name} (exit {outcome.returncode})")
+    lines += [f"GATE: {problem}" for problem in summary.get("gate", ())]
     return "\n".join(lines)
 
 
@@ -381,12 +432,14 @@ def main(argv: Sequence[str] = None) -> int:
         REPO_ROOT, package, kept_commands(REPO_ROOT), example_commands(REPO_ROOT),
         log=sys.stderr,
     )
+    summary["gate"] = check(package, summary, read_allowed(ALLOWED))
     if args.json:
         summary["commands"] = [asdict(outcome) for outcome in outcomes]
         print(json.dumps(summary, indent=2))
     else:
         print(render(summary, outcomes))
-    return 1 if any(outcome.returncode for outcome in outcomes) else 0
+    failed = any(outcome.returncode for outcome in outcomes)
+    return 1 if failed or summary["gate"] else 0
 
 
 if __name__ == "__main__":
