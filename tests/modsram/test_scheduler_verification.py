@@ -175,7 +175,7 @@ class TestDirectedCorpus:
         tiers = (AnalyticalModSRAM(config), ModSRAMAccelerator(config))
         algorithm = R4CSALutMultiplier(full_range=full_range)
         # The paper schedule needs the multiplier's top bit clear.
-        mask = (1 << (bitwidth - (0 if full_range else 1))) - 1
+        mask = (1 << bitwidth if full_range else 1 << (bitwidth - 1)) - 1
         loops = set()
         for a, b in directed_operands(modulus, bitwidth):
             a &= mask
