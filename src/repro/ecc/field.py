@@ -8,6 +8,12 @@ code can run on the software oracle, on the R4CSA-LUT reference algorithm or
 on the cycle-level ModSRAM model, and every operation is counted so the
 application-level analyses (Figure 7) can report how many modular
 multiplications, additions and inversions a kernel performs.
+
+The curve's point formulas (:mod:`repro.ecc.curve`) bypass
+:class:`FieldElement`: they call the backend's algorithm body directly on
+residues they have already reduced, making the calls element arithmetic
+would make, and charge each formula's counts once.  The counter and the
+backend's statistics read as if every operation had gone through here.
 """
 
 from __future__ import annotations
