@@ -577,8 +577,8 @@ class HdlMacroSim:
 class HdlModSRAM:
     """The ``hdl`` fidelity tier: co-simulation of the elaborated RTL.
 
-    Same ``multiply`` / ``multiply_many`` surface as the other tiers, but
-    the product comes out of the simulated datapath and the
+    Same ``multiply`` surface as the other tiers, but the product comes
+    out of the simulated datapath and the
     :class:`~repro.modsram.report.CycleReport` fields are *measured* by
     counting controller states — nothing is taken from the closed-form
     algebra, which is exactly what makes the field-by-field comparison
@@ -614,9 +614,3 @@ class HdlModSRAM:
             report=report,
             trace=ExecutionTrace(enabled=False),
         )
-
-    def multiply_many(
-        self, pairs: List[Tuple[int, int]], modulus: int
-    ) -> List[MultiplicationResult]:
-        """Multiply a batch of operand pairs, reusing resident LUTs."""
-        return [self.multiply(a, b, modulus) for a, b in pairs]

@@ -20,7 +20,7 @@ same recurrence without the SRAM substrate.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.instrumentation import OperationCounter
 from repro.modsram.config import ModSRAMConfig
@@ -206,12 +206,6 @@ class ModSRAMAccelerator:
         return MultiplicationResult(
             product=outcome.product, report=report, trace=self.trace
         )
-
-    def multiply_many(
-        self, pairs: List[Tuple[int, int]], modulus: int
-    ) -> List[MultiplicationResult]:
-        """Multiply a batch of operand pairs, reusing LUTs where possible."""
-        return [self.multiply(a, b, modulus) for a, b in pairs]
 
     # ------------------------------------------------------------------ #
     # reporting helpers

@@ -25,7 +25,7 @@ macro.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.booth import RADIX4_ENCODER_TABLE
 from repro.core.carry_save import xor3_maj
@@ -421,12 +421,6 @@ class AnalyticalModSRAM:
             report=report,
             trace=ExecutionTrace(enabled=False),
         )
-
-    def multiply_many(
-        self, pairs: List[Tuple[int, int]], modulus: int
-    ) -> List[MultiplicationResult]:
-        """Multiply a batch of operand pairs, reusing LUTs where possible."""
-        return [self.multiply(a, b, modulus) for a, b in pairs]
 
     def energy_report(self) -> EnergyBreakdown:
         """Energy implied by every access performed so far (cumulative)."""

@@ -479,12 +479,6 @@ class Chip:
         )
         return result
 
-    def multiply_many(
-        self, pairs: List[Tuple[int, int]], modulus: int
-    ) -> List[MultiplicationResult]:
-        """Dispatch a batch of operand pairs across the chip."""
-        return [self.multiply(a, b, modulus) for a, b in pairs]
-
     def run_graph(
         self,
         graph: "WorkloadGraph",

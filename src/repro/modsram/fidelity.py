@@ -22,8 +22,8 @@ against the cycle tier in ``tests/modsram/test_fidelity.py``.
     simulator, settled in one pass per cycle, with register semantics.
     (:class:`~repro.hdl.eventsim.HdlModSRAM`)
 
-All three expose ``multiply(a, b, modulus)`` / ``multiply_many`` returning
-a :class:`~repro.modsram.report.MultiplicationResult`: a ``.product`` and a
+All three expose ``multiply(a, b, modulus)``, returning a
+:class:`~repro.modsram.report.MultiplicationResult`: a ``.product`` and a
 ``.report`` (:class:`~repro.modsram.report.CycleReport`) that must match
 field by field.  The analytical and cycle tiers also expose
 ``energy_report()``, which must match too; the RTL tier has none.

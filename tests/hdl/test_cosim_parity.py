@@ -157,7 +157,7 @@ def test_lut_reuse_skips_precompute():
     assert second.report.as_dict() == ref_second.report.as_dict()
 
 
-def test_multiply_many_matches_oracle():
+def test_consecutive_multiplies_match_oracle():
     config = ModSRAMConfig().with_bitwidth(20)
     hdl = HdlModSRAM(config)
     rng = random.Random(SEED)
@@ -166,5 +166,5 @@ def test_multiply_many_matches_oracle():
         (rng.randrange(_a_limit(config, modulus)), rng.randrange(modulus))
         for _ in range(4)
     ]
-    results = hdl.multiply_many(pairs, modulus)
+    results = [hdl.multiply(a, b, modulus) for a, b in pairs]
     assert [r.product for r in results] == [a * b % modulus for a, b in pairs]

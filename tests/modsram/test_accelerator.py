@@ -197,13 +197,13 @@ class TestHardwareActivity:
         accelerator = ModSRAMAccelerator(PAPER_CONFIG)
         assert accelerator.utilization().lut_rows == 13
 
-    def test_multiply_many_reuses_luts(self):
+    def test_a_repeated_multiplicand_reuses_luts(self):
         accelerator = small_accelerator()
-        results = accelerator.multiply_many([(1, 7), (2, 7), (3, 7)], 65521)
+        pairs = [(1, 7), (2, 7), (3, 7)]
+        results = [accelerator.multiply(a, b, 65521) for a, b in pairs]
         assert [r.report.lut_reused for r in results] == [False, True, True]
         assert all(
-            r.product == (a * 7) % 65521
-            for r, (a, _) in zip(results, [(1, 7), (2, 7), (3, 7)])
+            r.product == (a * 7) % 65521 for r, (a, _) in zip(results, pairs)
         )
 
 

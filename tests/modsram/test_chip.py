@@ -106,7 +106,8 @@ class TestChipExecution:
         config = ModSRAMConfig().with_bitwidth(16)
         chip = Chip(2, config)
         modulus = 65521
-        chip.multiply_many([(i, 7) for i in range(1, 7)], modulus)
+        for i in range(1, 7):
+            chip.multiply(i, 7, modulus)
         activity = chip.activity()
         assert activity.jobs == 6
         assert sum(activity.per_macro_jobs) == 6
@@ -118,7 +119,8 @@ class TestChipExecution:
     def test_idle_macros_prefer_refill_over_queueing(self):
         config = ModSRAMConfig().with_bitwidth(16)
         chip = Chip(4, config)
-        chip.multiply_many([(i, 7) for i in range(1, 9)], 65521)
+        for i in range(1, 9):
+            chip.multiply(i, 7, 65521)
         activity = chip.activity()
         # The first four jobs each claim an idle macro (a refill is cheaper
         # than waiting behind the resident LUT); the next four all reuse.
@@ -142,9 +144,8 @@ class TestChipExecution:
     def test_chip_stats_merge_every_macro(self, rng):
         config = ModSRAMConfig().with_bitwidth(16)
         chip = Chip(2, config)
-        chip.multiply_many(
-            [(rng.randrange(65521), rng.randrange(65521)) for _ in range(4)], 65521
-        )
+        for _ in range(4):
+            chip.multiply(rng.randrange(65521), rng.randrange(65521), 65521)
         merged = chip.stats()
         per_macro = [chip.macro(index).host.stats for index in range(2)]
         assert merged.row_writes == sum(stats.row_writes for stats in per_macro)
@@ -156,7 +157,8 @@ class TestChipExecution:
     def test_chip_energy_report_is_chip_wide(self, rng):
         config = ModSRAMConfig().with_bitwidth(16)
         chip = Chip(2, config)
-        chip.multiply_many([(11, 13), (17, 19)], 65521)
+        for a, b in [(11, 13), (17, 19)]:
+            chip.multiply(a, b, 65521)
         chip_energy = chip.energy_report().total_pj
         macro_energy = sum(
             chip.macro(index).energy_report().total_pj for index in range(2)

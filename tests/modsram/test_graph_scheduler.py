@@ -231,7 +231,8 @@ class TestUsedChip:
         leaves = [rng.randrange(1, P32) for _ in range(12)]
         # Either way, both macros are left holding ``leaves[0]``'s LUT.
         if before == "multiply":
-            chip.multiply_many([(leaf, leaves[0]) for leaf in leaves], P32)
+            for leaf in leaves:
+                chip.multiply(leaf, leaves[0], P32)
         else:
             chip.run_graph(_pair(leaves[0]), P32)
         for graph in (_pair(leaves[0]), product_tree_graph(leaves)):
@@ -245,7 +246,8 @@ class TestUsedChip:
         chip = Chip(3, ModSRAMConfig().with_bitwidth(32))
         logs = _record_reports(chip)
         leaves = [rng.randrange(1, P32) for _ in range(16)]
-        chip.multiply_many([(leaf, 12345) for leaf in leaves[:5]], P32)
+        for leaf in leaves[:5]:
+            chip.multiply(leaf, 12345, P32)
         chip.run_graph(product_tree_graph(leaves), P32)
         chip.run_graph(_pair(12345), P32)
         chip.multiply(3, leaves[1], P32)
