@@ -56,7 +56,7 @@ class Figure5Result:
             table.append(
                 [
                     component.replace("_", " "),
-                    round(self.breakdown.as_dict()[f"{component}_mm2"], 4),
+                    self.breakdown.as_dict()[f"{component}_mm2"],
                     round(modelled[component], 1),
                     self.paper_breakdown_percent[component],
                 ]

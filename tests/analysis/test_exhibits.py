@@ -18,6 +18,7 @@ from repro.analysis import (
     reproduce_tables,
 )
 from repro.core.complexity import PAPER_FIGURE1_BITWIDTHS
+from repro.modsram.config import build_design_config
 
 
 class TestRendering:
@@ -124,6 +125,18 @@ class TestFigure5:
 
     def test_rows_have_four_components(self):
         assert len(reproduce_figure5().rows()) == 4
+
+    def test_areas_are_rounded_once(self):
+        """0.0014506 mm^2 prints as 0.001, not 0.0015 rounded again to 0.002."""
+        config = build_design_config(bitwidth=128, rows=128, technology_nm=45)
+        result = reproduce_figure5(config)
+        area = result.breakdown.near_memory_circuit_mm2
+        assert 0.00145 < area < 0.0015
+        near_memory = next(
+            line for line in result.render().splitlines()
+            if line.startswith("near memory circuit")
+        )
+        assert near_memory.split("|")[1].strip() == "0.001"
 
 
 class TestFigure6:
