@@ -224,8 +224,9 @@ class EllipticCurve:
             field.counter.add("modsub", modsubs)
 
     def _double(self, point: Residues) -> Residues:
-        """Doubling: 11 multiplications and 4 subtractions, or 14, 1 and 4
-        when ``a != 0``.  The constant factors are field multiplications."""
+        """Doubling: 11 multiplications and 4 subtractions, plus 3
+        multiplications and 1 addition when ``a != 0``.  The constant
+        factors are field multiplications."""
         x, y, z = point
         if not z or not y:
             return _INFINITY
