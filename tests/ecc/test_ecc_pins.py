@@ -166,8 +166,7 @@ def _point(point: AffinePoint) -> object:
 
 
 def _counts(counter: OperationCounter) -> List[object]:
-    scopes = [(scope, counter.scoped(scope)) for scope in counter.scopes()]
-    return [counter.as_dict(), *scopes, repr(counter)]
+    return [counter.as_dict(), repr(counter)]
 
 
 def _signing(curve: EllipticCurve, keys=KEYS) -> List[object]:

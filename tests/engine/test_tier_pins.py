@@ -17,7 +17,8 @@ import json
 
 import pytest
 
-from repro.engine import Engine, available_backends, get_backend
+from repro.cli import main
+from repro.engine import Engine
 from repro.modsram import ModSRAMAccelerator, ModSRAMConfig
 
 MODULUS = 65521
@@ -56,10 +57,16 @@ TIER_PINS = {
 }
 
 
-def test_backend_listing():
-    listing = [get_backend(name).info.as_dict() for name in available_backends()]
-    assert len(listing) == 16
-    assert _digest(json.dumps(listing, sort_keys=True)) == "9bcb170848b65295"
+def test_backend_listing(capsys):
+    """The ``repro backends --json`` rows of the 11 registered multipliers."""
+    assert main(["backends", "--json"]) == 0
+    rows = [
+        {key: value for key, value in row.items() if key != "supported_bitwidths"}
+        for row in json.loads(capsys.readouterr().out)["backends"]
+        if not row["name"].startswith("pim-")
+    ]
+    assert len(rows) == 11
+    assert _digest(json.dumps(rows, sort_keys=True)) == "ceab7b0882a69e46"
 
 
 @pytest.mark.parametrize("backend", sorted(TIER_PINS))

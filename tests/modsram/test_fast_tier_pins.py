@@ -115,9 +115,9 @@ class _PerMultiplication:
 
     def multiply(self, a: int, b: int, modulus: int):
         host = self.host
-        counts, stats = host.counter.as_dict(), host.stats.snapshot()
+        counts, stats = host.counter.as_dict(), host.stats.as_dict()
         outcome = host.multiply(a, b, modulus)
-        after = host.counter.as_dict()
+        after, stats_after = host.counter.as_dict(), host.stats.as_dict()
         operations = {
             name: after[name] - counts.get(name, 0)
             for name in after
@@ -126,7 +126,7 @@ class _PerMultiplication:
         return (
             outcome.product, outcome.lut_reused,
             outcome.extra_overflow_folds, outcome.finalize_subtractions,
-            operations, host.stats.delta_since(stats).as_dict(),
+            operations, {name: stats_after[name] - stats[name] for name in stats},
         )
 
 
