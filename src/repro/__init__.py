@@ -17,17 +17,17 @@ fields, curves, NTTs — shares one cached per-modulus context.
 >>> int(engine.multiply(12345, 67890)) == (12345 * 67890) % engine.default_modulus
 True
 >>> batch = engine.multiply_batch([(3, 5), (7, 5)])    # one context, N products
->>> list(batch)
-[15, 35]
+>>> batch.values
+(15, 35)
 >>> batch.stats.precomputations                        # LUTs built once, reused
 1
 
 ``engine.field()`` / ``engine.curve()`` / ``engine.ntt(size)`` return
 engine-backed ECC and ZKP substrates; ``Engine(backend="modsram")`` routes
 the same calls through the cycle-accurate hardware model, and
-``available_backends()`` lists every option (including the Table 3 PIM
-baselines as ``pim-*``).  The low-level multiplier classes below remain
-available for direct use.
+``available_backends()`` lists every option: one backend per registered
+multiplier.  The low-level multiplier classes below remain available for
+direct use.
 
 Fidelity tiers and the chip backend
 -----------------------------------
@@ -120,7 +120,6 @@ from repro.core import (
     Radix4InterleavedMultiplier,
     SchoolbookMultiplier,
     available_multipliers,
-    create_multiplier,
     get_multiplier,
 )
 from repro.engine import (
@@ -152,7 +151,6 @@ __all__ = [
     "SchoolbookMultiplier",
     "available_backends",
     "available_multipliers",
-    "create_multiplier",
     "get_backend",
     "get_multiplier",
     "__version__",

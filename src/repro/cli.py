@@ -796,11 +796,6 @@ def _command_backends(arguments: argparse.Namespace) -> int:
         return 0
     rows = []
     for info in infos:
-        bitwidths = (
-            "any"
-            if info.supported_bitwidths is None
-            else ", ".join(str(bits) for bits in info.supported_bitwidths)
-        )
         tier = info.fidelity or "-"
         if info.macros is not None:
             tier += f" x{info.macros}"
@@ -811,12 +806,10 @@ def _command_backends(arguments: argparse.Namespace) -> int:
                 tier,
                 "yes" if info.has_cycle_model else "no",
                 "direct" if info.direct_form else "montgomery",
-                bitwidths,
             )
         )
     print(render_table(
-        ("backend", "kind", "tier", "cycle model", "result form",
-         "native bitwidths"),
+        ("backend", "kind", "tier", "cycle model", "result form"),
         rows,
         title="Engine backends",
     ))

@@ -18,7 +18,6 @@ from repro.core.algorithms import (
     Radix4InterleavedMultiplier,
     SchoolbookMultiplier,
     available_multipliers,
-    create_multiplier,
     get_multiplier,
     register_multiplier,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "build_overflow_lut",
     "build_radix4_lut",
     "complexity_sweep",
-    "create_multiplier",
     "cycles_mentt_bit_serial",
     "cycles_r4csa_lut",
     "encoder_truth_table",

@@ -8,7 +8,6 @@ from repro.core.algorithms.base import (
     ModularMultiplier,
     MultiplierStats,
     available_multipliers,
-    create_multiplier,
     get_multiplier,
     register_multiplier,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "Radix4InterleavedMultiplier",
     "SchoolbookMultiplier",
     "available_multipliers",
-    "create_multiplier",
     "get_multiplier",
     "register_multiplier",
 ]

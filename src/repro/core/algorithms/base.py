@@ -11,9 +11,8 @@ ModSRAM accelerator adapter, can be swapped in as the arithmetic backend.
 from __future__ import annotations
 
 import abc
-import inspect
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Type
+from typing import Callable, Dict, List, Optional, Type
 
 from repro.errors import ConfigurationError, ModulusError, OperandRangeError
 
@@ -22,7 +21,6 @@ __all__ = [
     "ModularMultiplier",
     "register_multiplier",
     "get_multiplier",
-    "create_multiplier",
     "available_multipliers",
 ]
 
@@ -186,39 +184,6 @@ def get_multiplier(name: str) -> Type[ModularMultiplier]:
         raise ConfigurationError(
             f"unknown multiplier {name!r}; available: {sorted(_REGISTRY)}"
         ) from None
-
-
-def create_multiplier(name: str, **kwargs: Any) -> ModularMultiplier:
-    """Instantiate a registered multiplier by name.
-
-    Unknown keyword options raise a :class:`ConfigurationError` naming the
-    options the multiplier accepts, instead of surfacing as a bare
-    ``TypeError`` from the constructor.
-    """
-    cls = get_multiplier(name)
-    parameters = inspect.signature(cls.__init__).parameters
-    accepts_anything = any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in parameters.values()
-    )
-    if not accepts_anything:
-        accepted = sorted(
-            parameter_name
-            for parameter_name, parameter in parameters.items()
-            if parameter_name != "self"
-            and parameter.kind
-            in (
-                inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                inspect.Parameter.KEYWORD_ONLY,
-            )
-        )
-        unknown = sorted(set(kwargs) - set(accepted))
-        if unknown:
-            raise ConfigurationError(
-                f"unknown option(s) {unknown} for multiplier {name!r}; "
-                f"accepted options: {accepted or '(none)'}"
-            )
-    return cls(**kwargs)
 
 
 def available_multipliers() -> List[str]:

@@ -8,7 +8,6 @@ curves the paper discusses (secp256k1, BN254, P-256).
 from repro.ecc.curve import AffinePoint, EllipticCurve, JacobianPoint
 from repro.ecc.curves_data import (
     CURVE_SPECS,
-    CURVES,
     CurveSpec,
     build_curve,
     get_curve,
@@ -19,7 +18,6 @@ from repro.ecc.scalar import scalar_multiply
 
 __all__ = [
     "AffinePoint",
-    "CURVES",
     "CURVE_SPECS",
     "CurveSpec",
     "Ecdsa",

@@ -49,12 +49,6 @@ class AffinePoint:
         """Whether this is the point at infinity."""
         return self.x is None
 
-    def coordinates(self) -> Tuple[int, int]:
-        """Integer coordinates; raises for the point at infinity."""
-        if self.is_infinity or self.x is None or self.y is None:
-            raise CurveError("the point at infinity has no affine coordinates")
-        return int(self.x), int(self.y)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AffinePoint):
             return NotImplemented
@@ -136,11 +130,6 @@ class EllipticCurve:
         if self._generator is None:
             raise CurveError(f"curve {self.name!r} has no generator configured")
         return self._generator
-
-    @property
-    def field_modulus(self) -> int:
-        """The prime of the underlying field."""
-        return self.field.modulus
 
     def contains(self, point: AffinePoint) -> bool:
         """Whether a point satisfies the curve equation."""
@@ -322,12 +311,6 @@ class EllipticCurve:
     def double(self, p: AffinePoint) -> AffinePoint:
         """Affine point doubling."""
         return self.to_affine(self.jacobian_double(self.to_jacobian(p)))
-
-    def negate(self, p: AffinePoint) -> AffinePoint:
-        """Additive inverse of a point."""
-        if p.is_infinity:
-            return p
-        return AffinePoint(p.x, -p.y)
 
     def __repr__(self) -> str:
         return f"EllipticCurve(name={self.name!r}, p={self.field.modulus:#x})"

@@ -18,7 +18,7 @@ from repro.ecc.curve import EllipticCurve
 from repro.ecc.field import PrimeField
 from repro.errors import CurveError
 
-__all__ = ["CurveSpec", "CURVE_SPECS", "CURVES", "build_curve", "get_curve"]
+__all__ = ["CurveSpec", "CURVE_SPECS", "build_curve", "get_curve"]
 
 
 @dataclass(frozen=True)
@@ -34,11 +34,6 @@ class CurveSpec:
     #: Scalar field used by proof systems built over this curve (if any);
     #: for BN254 this is the NTT-friendly field of Figure 7.
     scalar_field_modulus: Optional[int] = None
-
-    @property
-    def bitwidth(self) -> int:
-        """Bit length of the base-field prime."""
-        return self.field_modulus.bit_length()
 
 
 #: secp256k1: the Bitcoin curve, full 256-bit prime.
@@ -116,29 +111,3 @@ def get_curve(name: str, field: Optional[PrimeField] = None) -> EllipticCurve:
             f"unknown curve {name!r}; available: {sorted(CURVE_SPECS)}"
         )
     return build_curve(CURVE_SPECS[key], field)
-
-
-class _CurveRegistry:
-    """Lazy mapping of curve name → spec with attribute-style access."""
-
-    def __getitem__(self, name: str) -> CurveSpec:
-        key = name.lower()
-        if key not in CURVE_SPECS:
-            raise CurveError(
-                f"unknown curve {name!r}; available: {sorted(CURVE_SPECS)}"
-            )
-        return CURVE_SPECS[key]
-
-    def __contains__(self, name: str) -> bool:
-        return name.lower() in CURVE_SPECS
-
-    def __iter__(self):
-        return iter(CURVE_SPECS)
-
-    def keys(self):
-        """Available curve names."""
-        return CURVE_SPECS.keys()
-
-
-#: Mapping-style access to the curve specs (``CURVES["bn254"]``).
-CURVES = _CurveRegistry()

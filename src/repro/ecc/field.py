@@ -61,11 +61,6 @@ class PrimeField:
         """The multiplicative identity."""
         return self.element(1)
 
-    @property
-    def bitwidth(self) -> int:
-        """Bit length of the modulus."""
-        return self.modulus.bit_length()
-
     # ------------------------------------------------------------------ #
     # arithmetic primitives (counted)
     # ------------------------------------------------------------------ #
@@ -77,45 +72,17 @@ class PrimeField:
             result -= self.modulus
         return result
 
-    def subtract(self, a: int, b: int) -> int:
-        """Modular subtraction."""
-        self.counter.increment("modsub")
-        result = a - b
-        if result < 0:
-            result += self.modulus
-        return result
-
     def multiply(self, a: int, b: int) -> int:
         """Modular multiplication through the configured backend."""
         self.counter.increment("modmul")
         return self.multiplier.multiply(a, b, self.modulus)
 
-    def square(self, a: int) -> int:
-        """Modular squaring (counted as a multiplication)."""
-        return self.multiply(a, a)
-
     def inverse(self, a: int) -> int:
-        """Modular inverse via Fermat's little theorem.
-
-        Counted as one ``modinv``; callers that care about the multiplication
-        cost of inversion (roughly ``1.5 * log2(p)`` multiplications by
-        square-and-multiply) can expand it with
-        :meth:`inversion_multiplication_cost`.
-        """
+        """Modular inverse via Fermat's little theorem, counted as one ``modinv``."""
         if a % self.modulus == 0:
             raise OperandRangeError("zero has no multiplicative inverse")
         self.counter.increment("modinv")
         return pow(a, self.modulus - 2, self.modulus)
-
-    def negate(self, a: int) -> int:
-        """Modular negation."""
-        self.counter.increment("modsub")
-        return (-a) % self.modulus
-
-    def inversion_multiplication_cost(self) -> int:
-        """Equivalent multiplication count of one Fermat inversion."""
-        bits = self.modulus.bit_length()
-        return bits + bits // 2
 
     # ------------------------------------------------------------------ #
     # misc
@@ -156,37 +123,10 @@ class FieldElement:
     def __add__(self, other: "FieldElement | int") -> "FieldElement":
         return FieldElement(self.field.add(self.value, self._coerce(other)), self.field)
 
-    def __sub__(self, other: "FieldElement | int") -> "FieldElement":
-        return FieldElement(
-            self.field.subtract(self.value, self._coerce(other)), self.field
-        )
-
     def __mul__(self, other: "FieldElement | int") -> "FieldElement":
         return FieldElement(
             self.field.multiply(self.value, self._coerce(other)), self.field
         )
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field.negate(self.value), self.field)
-
-    def __truediv__(self, other: "FieldElement | int") -> "FieldElement":
-        divisor = self._coerce(other)
-        return FieldElement(
-            self.field.multiply(self.value, self.field.inverse(divisor)), self.field
-        )
-
-    def __pow__(self, exponent: int) -> "FieldElement":
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = self.field.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def square(self) -> "FieldElement":
         """Square this element."""

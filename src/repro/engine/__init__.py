@@ -1,9 +1,9 @@
 """Unified Engine API: one batched, context-cached entry point.
 
-The engine layer unifies every arithmetic backend — the software
-:class:`~repro.core.ModularMultiplier` family, the cycle-accurate ModSRAM
-accelerator and the Table 3 PIM baselines — behind a single facade with
-per-modulus context caching and batch execution::
+The engine layer unifies every registered
+:class:`~repro.core.ModularMultiplier` — the software family and the
+ModSRAM tier adapters — behind a single facade with per-modulus context
+caching and batch execution::
 
     from repro.engine import Engine
 
@@ -14,26 +14,22 @@ per-modulus context caching and batch execution::
     ntt = engine.ntt(1024)                           # engine-backed NTT
 
 See :mod:`repro.engine.engine` for the facade, :mod:`repro.engine.backend`
-for the backend protocol and registry, and :mod:`repro.engine.cache` for
+for the backends and their registry, and :mod:`repro.engine.cache` for
 the LRU context cache.
 """
 
 from repro.engine.backend import (
-    Backend,
     BackendInfo,
     EngineContext,
     MultiplierBackend,
-    PimBaselineBackend,
     available_backends,
     get_backend,
-    register_backend,
 )
 from repro.engine.cache import CacheStats, ContextCache
 from repro.engine.engine import BatchResult, Engine, EngineStats, MultiplyResult
 from repro.engine.spec import EngineSpec
 
 __all__ = [
-    "Backend",
     "BackendInfo",
     "BatchResult",
     "CacheStats",
@@ -44,8 +40,6 @@ __all__ = [
     "EngineStats",
     "MultiplierBackend",
     "MultiplyResult",
-    "PimBaselineBackend",
     "available_backends",
     "get_backend",
-    "register_backend",
 ]

@@ -19,7 +19,7 @@ from typing import Callable, Dict, Optional, Tuple, TYPE_CHECKING
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
-    from repro.engine.backend import Backend, EngineContext
+    from repro.engine.backend import EngineContext, MultiplierBackend
 
 __all__ = [
     "CacheStats",
@@ -84,10 +84,6 @@ class CacheStats:
             hits=self.hits, misses=self.misses, evictions=self.evictions
         )
 
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.hits = self.misses = self.evictions = 0
-
 
 class ContextCache:
     """Least-recently-used cache keyed by ``(backend name, modulus)``.
@@ -118,7 +114,7 @@ class ContextCache:
         self._entries: "OrderedDict[Tuple[str, int], EngineContext]" = OrderedDict()
 
     def get_or_create(
-        self, backend: "Backend", modulus: int
+        self, backend: "MultiplierBackend", modulus: int
     ) -> Tuple["EngineContext", bool]:
         """Return ``(context, cache_hit)`` for ``(backend, modulus)``.
 
@@ -149,23 +145,6 @@ class ContextCache:
         """Every resident context, least recently used first."""
         with self._lock:
             return tuple(self._entries.values())
-
-    def clear(self) -> None:
-        """Evict every entry (notifying ``on_evict``) and keep the stats."""
-        with self._lock:
-            while self._entries:
-                _, evicted = self._entries.popitem(last=False)
-                self.stats.evictions += 1
-                if self._on_evict is not None:
-                    self._on_evict(evicted)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: Tuple[str, int]) -> bool:
-        with self._lock:
-            return key in self._entries
 
     def __repr__(self) -> str:
         with self._lock:

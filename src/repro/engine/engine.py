@@ -23,13 +23,13 @@ times ``multiply_batch`` (``engine.batch_ns_per_pair``) against a per-call
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.algorithms.base import MultiplierStats
 from repro.engine.backend import (
-    Backend,
     BackendInfo,
     EngineContext,
+    MultiplierBackend,
     get_backend,
 )
 from repro.engine.cache import CacheStats, ContextCache
@@ -115,15 +115,6 @@ class BatchResult:
         """Number of products in the batch."""
         return len(self.values)
 
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.values)
-
-    def __getitem__(self, index: int) -> int:
-        return self.values[index]
-
     def as_dict(self) -> Dict[str, object]:
         """JSON-friendly representation (used by ``repro batch --json``)."""
         return {
@@ -171,7 +162,7 @@ class Engine:
     ----------
     backend:
         Registry name (``"r4csa-lut"``, ``"montgomery"``, ``"modsram"``,
-        ``"pim-bpntt"``, ...) or a :class:`Backend` instance.
+        ...) or a :class:`MultiplierBackend` instance.
     curve:
         Optional named curve (``"bn254"``, ``"secp256k1"``, ``"p256"``);
         its base-field prime becomes the default modulus and its scalar
@@ -184,12 +175,14 @@ class Engine:
 
     def __init__(
         self,
-        backend: Union[str, Backend] = "r4csa-lut",
+        backend: Union[str, MultiplierBackend] = "r4csa-lut",
         curve: Optional[str] = None,
         modulus: Optional[int] = None,
         cache_size: int = 32,
     ) -> None:
-        self._backend = backend if isinstance(backend, Backend) else get_backend(backend)
+        self._backend = (
+            backend if isinstance(backend, MultiplierBackend) else get_backend(backend)
+        )
         self._retired_stats = MultiplierStats()
         self._cache = ContextCache(cache_size, on_evict=self._retire_context)
         self._curve_spec = None if curve is None else _resolve_curve_spec(curve)
@@ -200,11 +193,6 @@ class Engine:
     # ------------------------------------------------------------------ #
     # introspection
     # ------------------------------------------------------------------ #
-    @property
-    def backend(self) -> Backend:
-        """The backend this engine drives."""
-        return self._backend
-
     @property
     def info(self) -> BackendInfo:
         """Capability metadata of the configured backend."""
@@ -219,11 +207,6 @@ class Engine:
     def cache_stats(self) -> CacheStats:
         """Hit/miss statistics of the context cache."""
         return self._cache.stats
-
-    @property
-    def cache_size(self) -> int:
-        """Number of contexts currently resident."""
-        return len(self._cache)
 
     def stats(self) -> EngineStats:
         """Aggregate operation counters across every context (live + evicted).
@@ -244,9 +227,9 @@ class Engine:
         The serving pool ships the spec to worker processes, each of which
         rebuilds an equivalent engine with :meth:`EngineSpec.build`.  Only
         registry-resolvable backends can be specced: an engine wrapping an
-        unregistered :class:`Backend` *instance* has no portable name.
+        unregistered :class:`MultiplierBackend` *instance* (one built with
+        constructor options) has no portable name.
         """
-        from repro.engine.backend import get_backend
         from repro.engine.spec import EngineSpec
 
         name = self.info.name
@@ -257,7 +240,8 @@ class Engine:
         if registered is not self._backend:
             raise ConfigurationError(
                 f"engine backend {name!r} is an unregistered instance; "
-                "register it (register_backend) before deriving a spec"
+                "register its multiplier (register_multiplier) before "
+                "deriving a spec"
             )
         return EngineSpec(
             backend=name,
@@ -266,28 +250,8 @@ class Engine:
             cache_size=self._cache.max_entries,
         )
 
-    def describe(self) -> Dict[str, object]:
-        """Engine configuration and state as a JSON-friendly dictionary."""
-        return {
-            "backend": self.info.as_dict(),
-            "curve": self._curve_spec.name if self._curve_spec else None,
-            "default_modulus": self._default_modulus,
-            "cache": {
-                "resident_contexts": len(self._cache),
-                "max_entries": self._cache.max_entries,
-                **self._cache.stats.as_dict(),
-            },
-            # Operation counters only: the cache counters already appear
-            # (with residency) under "cache" above.
-            "stats": self.stats().operations.as_dict(),
-        }
-
     def _retire_context(self, context: EngineContext) -> None:
         self._retired_stats = self._retired_stats.merged_with(context.stats)
-
-    def clear_cache(self) -> None:
-        """Evict every cached context (their stats are retained)."""
-        self._cache.clear()
 
     # ------------------------------------------------------------------ #
     # context access

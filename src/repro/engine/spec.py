@@ -10,9 +10,9 @@ parent ships the spec over the wire and each worker calls
 :meth:`EngineSpec.build` to warm its own private engine.
 
 Only registry-resolvable backends can be specced: a backend passed to the
-engine as a live instance has no portable name to rebuild from, unless
-that name is also registered (custom backends registered through
-:func:`~repro.engine.backend.register_backend` work fine).
+engine as a live instance has no portable name to rebuild from.  A custom
+multiplier registered through :func:`~repro.core.register_multiplier` is
+a registered backend, so it specs fine.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
 """Operation counting shared by all subsystems."""
 
-from repro.instrumentation.counters import OperationCounter, ScopedCounter
+from repro.instrumentation.counters import OperationCounter
 
-__all__ = ["OperationCounter", "ScopedCounter"]
+__all__ = ["OperationCounter"]

@@ -8,12 +8,12 @@ instance, plus the exit nodes of the operations it chains off) or one
 single multiplication (an NTT butterfly, an inversion step) with its
 dependencies.  Two views read the same records:
 
-* ``*_graph()`` builds the dependency-aware :class:`WorkloadGraph`,
-  expanding each point operation through a dependency template computed
-  once per sequence;
 * ``*_jobs()`` lazily yields the flat :class:`MultiplicationJob` stream
-  in the same order (exactly ``graph.to_jobs()``) without building the
-  graph, so a ``2^16``-point NTT schedules in O(1) memory.
+  without building a graph, so a ``2^16``-point NTT schedules in O(1)
+  memory;
+* ``ecdsa_sign_graph()`` and ``ntt_graph()`` build the dependency-aware
+  :class:`WorkloadGraph` (nodes in the same order), expanding each point
+  operation through a dependency template computed once per sequence.
 
 The dependency model follows the point-operation formulas: within an
 operation, a multiplication depends on the in-operation nodes producing
@@ -48,14 +48,11 @@ from repro.modsram.scheduler import DOUBLING_SEQUENCE, MIXED_ADDITION_SEQUENCE
 from repro.workloads.graph import Operand, Ref, WorkloadGraph
 
 __all__ = [
-    "point_operation_graph",
-    "scalar_multiplication_graph",
     "scalar_multiplication_jobs",
     "ecdsa_sign_graph",
     "ecdsa_sign_jobs",
     "ntt_graph",
     "ntt_jobs",
-    "msm_graph",
     "msm_jobs",
     "product_tree_graph",
 ]
@@ -310,44 +307,13 @@ def _msm(
         index, carry = _MIXED_ADDITION.after(index)
 
 
-def point_operation_graph(
-    sequence: Sequence[Tuple[str, str, str]],
-    tag: str = "point-op",
-    field_name: str = "",
-) -> WorkloadGraph:
-    """One point operation (doubling / mixed addition) as a graph.
-
-    Multiplicand keys are scoped to ``tag``, because the live values of
-    one operation are unrelated to those of the next: ``yy`` of ``dbl[3]``
-    and ``yy`` of ``dbl[4]`` must not look like a shared LUT.
-    """
-    return _graph(tag, [(tag, tag, (), _template(sequence))], field_name)
-
-
-def scalar_multiplication_graph(
-    scalar_bits: int = 256,
-    additions: int = -1,
-    field_name: str = "",
-) -> WorkloadGraph:
-    """Double-and-add scalar multiplication as a dependency graph.
-
-    Sequential across ladder steps (each step consumes the running point),
-    parallel within a step: the independent multiplications of one
-    doubling or addition land in the same topological level.
-    """
-    return _graph(
-        f"scalar-mult[{scalar_bits}]", _ladder(scalar_bits, additions), field_name
-    )
-
-
 def scalar_multiplication_jobs(
     scalar_bits: int = 256, additions: int = -1
 ) -> Iterator[MultiplicationJob]:
     """Double-and-add scalar multiplication as a lazy job stream.
 
     ``scalar_bits`` doublings interleaved with ``additions`` mixed
-    additions (default: half the bit length), in the order of
-    :func:`scalar_multiplication_graph`.
+    additions (default: half the bit length).
     """
     return _jobs(_ladder(scalar_bits, additions))
 
@@ -409,27 +375,6 @@ def ntt_jobs(size: int, tag: str = "ntt") -> Iterator[MultiplicationJob]:
     return _jobs(_ntt(size, tag))
 
 
-def msm_graph(
-    points: int,
-    window_bits: int = 0,
-    scalar_bits: int = 256,
-    tag: str = "msm",
-    field_name: str = "",
-) -> WorkloadGraph:
-    """A ``points``-element bucket-method MSM as a dependency graph.
-
-    Mirrors :func:`repro.zkp.msm.msm_pippenger` structurally: per window,
-    every point is accumulated into a bucket (additions into the same
-    bucket chain, different buckets run concurrently), the running-sum
-    reduction walks the buckets sequentially, and the window results fold
-    through a sequential Horner chain of doublings.  Windows are
-    independent until the Horner fold joins them.
-    """
-    return _graph(
-        f"{tag}[{points}]", _msm(points, window_bits, scalar_bits, tag), field_name
-    )
-
-
 def msm_jobs(
     points: int,
     window_bits: int = 0,
@@ -441,7 +386,7 @@ def msm_jobs(
     For each of the ``ceil(scalar_bits / c)`` windows (``c`` defaults to
     :func:`repro.zkp.msm.default_window_bits`), one mixed addition per
     point and two per bucket, then ``c`` doublings and one addition per
-    window, in the order of :func:`msm_graph`.
+    window.  It mirrors :func:`repro.zkp.msm.msm_pippenger` structurally.
     """
     return _jobs(_msm(points, window_bits, scalar_bits, tag))
 

@@ -46,16 +46,6 @@ class GraphExecution:
         """The sink products, in node order."""
         return tuple(self.values[index] for index in self.sinks)
 
-    @property
-    def result(self) -> int:
-        """The single sink product (raises unless exactly one sink)."""
-        if len(self.sinks) != 1:
-            raise ConfigurationError(
-                f"graph {self.graph_name!r} has {len(self.sinks)} sinks; "
-                "use .results"
-            )
-        return self.values[self.sinks[0]]
-
     def as_dict(self) -> Dict[str, object]:
         """JSON-friendly summary (products elided to the sinks)."""
         return {

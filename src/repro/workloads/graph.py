@@ -4,8 +4,7 @@ One :class:`WorkloadGraph` is one *request*: a DAG whose nodes are modular
 multiplications and whose edges are data (or conservative control)
 dependencies.  Nodes are appended in a valid topological order — every
 dependency must name an already-added node — so the graph is acyclic by
-construction and its insertion order doubles as the flat job order
-(:meth:`WorkloadGraph.to_jobs`).
+construction and its insertion order doubles as the flat job order.
 
 Two views matter to schedulers:
 
@@ -31,7 +30,6 @@ from dataclasses import dataclass
 from typing import (
     Dict,
     Iterable,
-    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -41,7 +39,6 @@ from typing import (
 )
 
 from repro.errors import ConfigurationError
-from repro.modsram.chip import MultiplicationJob
 
 __all__ = ["Ref", "Operand", "MulNode", "WorkloadGraph"]
 
@@ -96,10 +93,6 @@ class MulNode:
     def executable(self) -> bool:
         """Whether both operands are known (directly or by reference)."""
         return self.a is not None and self.b is not None
-
-    def job(self) -> MultiplicationJob:
-        """This node as a flat-stream :class:`MultiplicationJob`."""
-        return MultiplicationJob(multiplicand=self.multiplicand, tag=self.tag)
 
 
 class WorkloadGraph:
@@ -163,15 +156,8 @@ class WorkloadGraph:
         """Every node, in insertion (topological) order."""
         return tuple(self._nodes)
 
-    def node(self, index: int) -> MulNode:
-        """One node by index."""
-        return self._nodes[index]
-
     def __len__(self) -> int:
         return len(self._nodes)
-
-    def __iter__(self) -> Iterator[MulNode]:
-        return iter(self._nodes)
 
     def dependents(self) -> List[List[int]]:
         """For every node, the indices of the nodes that depend on it."""
@@ -180,10 +166,6 @@ class WorkloadGraph:
             for dep in node.deps:
                 result[dep].append(node.index)
         return result
-
-    def roots(self) -> List[int]:
-        """Nodes with no dependencies (the initial ready front)."""
-        return [node.index for node in self._nodes if not node.deps]
 
     def sinks(self) -> List[int]:
         """Nodes nothing depends on (the request's results)."""
@@ -240,17 +222,6 @@ class WorkloadGraph:
     # ------------------------------------------------------------------ #
     # views
     # ------------------------------------------------------------------ #
-    def to_jobs(self) -> Iterator[MultiplicationJob]:
-        """The flat view: jobs in insertion order, no dependencies.
-
-        :meth:`repro.modsram.chip.ChipScheduler.schedule` consumes it.  For
-        the builder workloads, the lazy ``*_jobs`` functions of
-        :mod:`repro.workloads.builders` yield the same jobs without
-        building the graph first.
-        """
-        for node in self._nodes:
-            yield node.job()
-
     def linearized(self) -> "WorkloadGraph":
         """The same nodes chained serially (node ``i`` depends on ``i-1``).
 

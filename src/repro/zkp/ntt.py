@@ -197,18 +197,16 @@ class NttContext:
 
     def forward(self, values: Sequence[int]) -> List[int]:
         """Forward NTT (coefficients → evaluations)."""
-        with self.counter.scope("forward"):
-            return self._transform(values, self._twiddles)
+        return self._transform(values, self._twiddles)
 
     def inverse(self, values: Sequence[int]) -> List[int]:
         """Inverse NTT (evaluations → coefficients)."""
-        with self.counter.scope("inverse"):
-            transformed = self._transform(values, self._inverse_twiddles)
-            multiply = self.multiplier._multiply
-            scale, modulus = self.size_inverse, self.modulus
-            result = [multiply(value, scale, modulus) for value in transformed]
-            self._charge(self.size, memory_access=2 * self.size)
-            return result
+        transformed = self._transform(values, self._inverse_twiddles)
+        multiply = self.multiplier._multiply
+        scale, modulus = self.size_inverse, self.modulus
+        result = [multiply(value, scale, modulus) for value in transformed]
+        self._charge(self.size, memory_access=2 * self.size)
+        return result
 
     # ------------------------------------------------------------------ #
     # convenience

@@ -18,7 +18,6 @@ from repro.core import (
     Radix4InterleavedMultiplier,
     SchoolbookMultiplier,
     available_multipliers,
-    create_multiplier,
     get_multiplier,
 )
 from repro.core.algorithms.barrett import BarrettContext
@@ -223,11 +222,9 @@ class TestRegistry:
         ):
             assert expected in names
 
-    def test_get_and_create(self):
-        cls = get_multiplier("interleaved")
-        assert cls is InterleavedMultiplier
-        instance = create_multiplier("barrett")
-        assert isinstance(instance, BarrettMultiplier)
+    def test_get_by_name(self):
+        assert get_multiplier("interleaved") is InterleavedMultiplier
+        assert get_multiplier("barrett") is BarrettMultiplier
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -162,7 +162,7 @@ def _digest(lines) -> str:
 
 
 def _point(point: AffinePoint) -> object:
-    return None if point.is_infinity else point.coordinates()
+    return None if point.is_infinity else (int(point.x), int(point.y))
 
 
 def _counts(counter: OperationCounter) -> List[object]:

@@ -1,7 +1,7 @@
 """Regression tests: backend listings are deterministically sorted by name.
 
-The registry is a plain dict populated by import side effects, so without
-an explicit sort every listing (`repro backends`, ``available_backends``,
+The multiplier registry is a plain dict populated by import side effects,
+so without an explicit sort every listing (`repro backends`, ``available_backends``,
 the JSON capability matrix) would depend on insertion order — which varies
 with which module happened to be imported first.  These tests pin the
 sorted contract, including after late out-of-order registrations.
@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.cli import main
-from repro.engine import available_backends, get_backend, register_backend
-from repro.engine.backend import _REGISTRY, MultiplierBackend
+from repro.core import SchoolbookMultiplier, register_multiplier
+from repro.core.algorithms.base import _REGISTRY as multiplier_registry
+from repro.engine import Engine, available_backends, get_backend
+from repro.engine.backend import _BACKENDS as backend_registry
 
 
 class TestSortedListings:
@@ -26,25 +26,26 @@ class TestSortedListings:
 
     def test_listing_stays_sorted_after_out_of_order_registration(self):
         # "aaa-..." would lead the list; "zzz-..." would trail it.  Register
-        # them in reverse-alphabetical order and check both land sorted.
+        # them in reverse-alphabetical order and check both land sorted, as
+        # backends of their own.
         extras = []
         try:
             for name in ("zzz-test-backend", "aaa-test-backend"):
-                backend = MultiplierBackend("schoolbook")
-                # Rebrand the probe so the registry sees a distinct name.
-                backend.info = backend.info.__class__(
-                    **{**backend.info.as_dict(), "name": name,
-                       "supported_bitwidths": None}
+                register_multiplier(
+                    type("Renamed", (SchoolbookMultiplier,), {"name": name})
                 )
-                register_backend(backend)
                 extras.append(name)
             names = available_backends()
             assert names == sorted(names)
             assert names[0] == "aaa-test-backend"
             assert names[-1] == "zzz-test-backend"
+            engine = Engine(backend="aaa-test-backend", modulus=97)
+            assert int(engine.multiply(5, 7)) == 35
+            assert engine.spec().backend == "aaa-test-backend"
         finally:
             for name in extras:
-                _REGISTRY.pop(name, None)
+                multiplier_registry.pop(name, None)
+                backend_registry.pop(name, None)
 
     def test_cli_text_listing_rows_are_sorted(self, capsys):
         assert main(["backends"]) == 0

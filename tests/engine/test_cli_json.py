@@ -77,8 +77,9 @@ class TestBackendsCommand:
     def test_lists_every_backend(self, capsys):
         assert main(["backends"]) == 0
         output = capsys.readouterr().out
-        for name in ("r4csa-lut", "modsram", "pim-mentt"):
+        for name in available_backends():
             assert name in output
+        assert "pim-" not in output
 
     def test_json_matches_registry(self, capsys):
         assert main(["backends", "--json"]) == 0
@@ -104,7 +105,6 @@ class TestBackendsCommand:
             "tier",
             "cycle model",
             "result form",
-            "native bitwidths",
         ]
 
 

@@ -29,8 +29,8 @@ class TestThreadedBatches:
             modulus = moduli[index]
             pairs = batch_for(modulus, seed=index)
             result = engine.multiply_batch(pairs, modulus)
-            assert list(result) == [a * b % modulus for a, b in pairs]
-            return len(result)
+            assert list(result.values) == [a * b % modulus for a, b in pairs]
+            return result.count
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             counts = list(pool.map(work, range(32)))
@@ -54,7 +54,7 @@ class TestThreadedBatches:
             pairs = batch_for(65521, seed=1000 + index, count=16)
             result = engine.multiply_batch(pairs)
             expected = [a * b % 65521 for a, b in pairs]
-            if list(result) != expected:
+            if list(result.values) != expected:
                 failures.append(index)
 
         threads = [
@@ -67,7 +67,7 @@ class TestThreadedBatches:
 
         assert not failures
         assert engine.cache_stats.misses == 1
-        assert engine.cache_size == 1
+        assert len(engine._cache.contexts()) == 1
         # Precomputation ran exactly once despite the race.
         assert engine.stats().precomputations == 1
 
@@ -103,8 +103,8 @@ class TestAsyncioBatches:
                 result = await asyncio.to_thread(
                     engine.multiply_batch, pairs, modulus
                 )
-                assert list(result) == [a * b % modulus for a, b in pairs]
-                return len(result)
+                assert list(result.values) == [a * b % modulus for a, b in pairs]
+                return result.count
 
             counts = await asyncio.gather(*(one(index) for index in range(16)))
             return counts

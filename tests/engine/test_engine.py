@@ -66,23 +66,16 @@ class TestContextCaching:
         engine.multiply(3, 4, modulus=97)
         assert engine.cache_stats.misses == 2
         assert engine.cache_stats.hits == 1
-        assert engine.cache_size == 2
+        assert len(engine._cache.contexts()) == 2
 
     def test_eviction_preserves_aggregate_stats(self):
         engine = Engine(backend="montgomery", cache_size=1)
         engine.multiply(5, 7, modulus=97)
         engine.multiply(5, 7, modulus=101)  # evicts the 97 context
-        assert engine.cache_size == 1
+        assert [context.modulus for context in engine._cache.contexts()] == [101]
         stats = engine.stats()
         assert stats.multiplications == 2
         assert stats.precomputations == 2
-
-    def test_clear_cache_retains_stats(self):
-        engine = Engine(backend="barrett", modulus=997)
-        engine.multiply(5, 7)
-        engine.clear_cache()
-        assert engine.cache_size == 0
-        assert engine.stats().multiplications == 1
 
     def test_no_default_modulus_is_an_error(self):
         engine = Engine(backend="schoolbook")
@@ -93,15 +86,6 @@ class TestContextCaching:
         with pytest.raises(ConfigurationError, match="unknown curve"):
             Engine(curve="curve25519")
 
-    def test_describe_is_json_friendly(self):
-        import json
-
-        engine = Engine(backend="r4csa-lut", curve="bn254")
-        engine.multiply(3, 5)
-        payload = json.loads(json.dumps(engine.describe()))
-        assert payload["backend"]["name"] == "r4csa-lut"
-        assert payload["curve"] == "bn254"
-        assert payload["cache"]["misses"] == 1
 
 
 class TestBatch:
@@ -110,7 +94,7 @@ class TestBatch:
         pairs = [(rng.randrange(997), rng.randrange(997)) for _ in range(32)]
         batch = engine.multiply_batch(pairs)
         loop = [int(engine.multiply(a, b)) for a, b in pairs]
-        assert list(batch) == loop
+        assert list(batch.values) == loop
         assert batch.count == 32
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
@@ -128,8 +112,8 @@ class TestBatch:
         batch = batch_engine.multiply_batch(pairs)
         loop = [loop_engine.multiply(a, b) for a, b in pairs]
 
-        assert list(batch) == [int(result) for result in loop]
-        assert list(batch) == [(a * b) % modulus for a, b in pairs]
+        assert list(batch.values) == [int(result) for result in loop]
+        assert list(batch.values) == [(a * b) % modulus for a, b in pairs]
         assert batch.stats.multiplications == len(pairs)
         assert (
             batch_engine.stats().operations.as_dict()
@@ -161,7 +145,7 @@ class TestBatch:
         for size in (4, 16):
             pairs = [(rng.randrange(BN254_P), b) for _ in range(size)]
             batch = engine.multiply_batch(pairs)
-            assert list(batch) == [(a * b) % BN254_P for a, _ in pairs]
+            assert list(batch.values) == [(a * b) % BN254_P for a, _ in pairs]
             assert batch.stats.multiplications == size
         # One (B, p) LUT build serves both batches.
         assert engine.stats().precomputations == 1
@@ -182,13 +166,13 @@ class TestBatch:
     def test_batch_accepts_generators(self):
         engine = Engine(backend="schoolbook", modulus=97)
         batch = engine.multiply_batch((a, a) for a in range(5))
-        assert list(batch) == [a * a % 97 for a in range(5)]
+        assert list(batch.values) == [a * a % 97 for a in range(5)]
 
     def test_empty_batch(self):
         engine = Engine(backend="schoolbook", modulus=97)
         batch = engine.multiply_batch([])
         assert batch.count == 0
-        assert list(batch) == []
+        assert list(batch.values) == []
 
 
 class TestApplicationSubstrates:
@@ -213,7 +197,7 @@ class TestApplicationSubstrates:
         engine = Engine(backend="r4csa-lut", curve="secp256k1")
         engine_curve = engine.curve()
         routed = scalar_multiply(engine_curve, scalar, engine_curve.generator)
-        assert routed.coordinates() == direct.coordinates()
+        assert routed == direct
         # The multiplications actually went through the engine's context.
         assert engine.stats().multiplications > 0
 

@@ -31,7 +31,7 @@ class TestEngineSpec:
             twin.multiply(12345, 67890)
         )
         # Independent runtime state: warming one leaves the other cold.
-        assert twin.cache_size == 1 and engine.cache_size == 1
+        assert twin.cache_stats.misses == 1 and engine.cache_stats.misses == 1
         assert engine.context() is not twin.context()
 
     def test_round_trips_through_dict_and_pickle(self):

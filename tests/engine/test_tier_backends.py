@@ -95,25 +95,25 @@ class TestParityWithSingleMacro:
         pairs = self.pairs(rng)
         cycle = Engine(backend="modsram", modulus=self.MODULUS)
         fast = Engine(backend="modsram-fast", modulus=self.MODULUS)
-        assert list(fast.multiply_batch(pairs)) == list(
-            cycle.multiply_batch(pairs)
+        assert list(fast.multiply_batch(pairs).values) == list(
+            cycle.multiply_batch(pairs).values
         )
 
     def test_chip_backend_matches_cycle_backend(self, rng):
         pairs = self.pairs(rng)
         cycle = Engine(backend="modsram", modulus=self.MODULUS)
         chip = Engine(backend="modsram-chip", modulus=self.MODULUS)
-        assert list(chip.multiply_batch(pairs)) == list(
-            cycle.multiply_batch(pairs)
+        assert list(chip.multiply_batch(pairs).values) == list(
+            cycle.multiply_batch(pairs).values
         )
 
     def test_modeled_cycles_match_across_tiers(self):
-        bitwidth = 16
-        cycle = get_backend("modsram").modeled_cycles(bitwidth)
-        fast = get_backend("modsram-fast").modeled_cycles(bitwidth)
-        chip = get_backend("modsram-chip").modeled_cycles(bitwidth)
+        cycle, fast, chip = (
+            get_backend(name).create_context(self.MODULUS).modeled_cycles_per_multiply
+            for name in ("modsram", "modsram-fast", "modsram-chip")
+        )
         assert cycle == fast == chip
-        assert cycle == ModSRAMConfig().with_bitwidth(bitwidth).expected_iteration_cycles
+        assert cycle == ModSRAMConfig().with_bitwidth(16).expected_iteration_cycles
 
     def test_fast_backend_on_bn254(self, rng, bn254_modulus):
         fast = Engine(backend="modsram-fast", curve="bn254")
@@ -122,8 +122,8 @@ class TestParityWithSingleMacro:
             (rng.randrange(bn254_modulus), rng.randrange(bn254_modulus))
             for _ in range(4)
         ]
-        assert list(fast.multiply_batch(pairs)) == list(
-            oracle.multiply_batch(pairs)
+        assert list(fast.multiply_batch(pairs).values) == list(
+            oracle.multiply_batch(pairs).values
         )
 
 

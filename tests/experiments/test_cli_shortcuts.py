@@ -38,8 +38,8 @@ SHORTCUTS = {
 }
 
 #: Layers no subcommand may load before it runs.
-LAZY_LAYERS = ("repro.analysis", "repro.hdl", "repro.cluster", "repro.dse",
-               "repro.service")
+LAZY_LAYERS = ("repro.analysis", "repro.baselines", "repro.hdl", "repro.cluster",
+               "repro.dse", "repro.service")
 
 SMALL_SPEC = SweepSpec(
     name="small",

@@ -1,10 +1,10 @@
-"""Tests for the hierarchical operation counters."""
+"""Tests for the operation counter, a named tally."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.instrumentation import OperationCounter, ScopedCounter
+from repro.instrumentation import OperationCounter
 
 
 class TestOperationCounter:
@@ -16,69 +16,30 @@ class TestOperationCounter:
         assert counter.count("modmul") == 5
         assert counter.count("memory_read") == 2
         assert counter.count("missing") == 0
-        assert counter.total() == 7
+        assert counter.as_dict() == {"memory_read": 2, "modmul": 5}
 
     def test_negative_amount_rejected(self):
         with pytest.raises(ValueError):
             OperationCounter().add("x", -1)
 
-    def test_scopes_attribute_counts(self):
-        counter = OperationCounter()
-        with counter.scope("ntt"):
-            counter.add("modmul", 3)
-        with counter.scope("msm"):
-            counter.add("modmul", 5)
-        counter.add("modmul", 1)
-        assert counter.count("modmul") == 9
-        assert counter.scoped("ntt") == {"modmul": 3}
-        assert counter.scoped("msm") == {"modmul": 5}
-        assert counter.scopes() == ["msm", "ntt"]
-
-    def test_nested_scope_attributes_to_innermost(self):
-        counter = OperationCounter()
-        with counter.scope("outer"):
-            with counter.scope("inner"):
-                counter.add("op", 1)
-        assert counter.scoped("inner") == {"op": 1}
-        assert counter.scoped("outer") == {}
-
-    def test_operations_and_as_dict_are_sorted(self):
+    def test_as_dict_is_sorted(self):
         counter = OperationCounter()
         counter.add("zeta", 1)
         counter.add("alpha", 1)
-        assert counter.operations() == ["alpha", "zeta"]
         assert list(counter.as_dict()) == ["alpha", "zeta"]
 
     def test_reset(self):
         counter = OperationCounter()
         counter.add("x", 3)
         counter.reset()
-        assert counter.total() == 0
-        assert counter.scopes() == []
+        assert counter.as_dict() == {}
+        assert counter.count("x") == 0
 
-    def test_merge(self):
-        left = OperationCounter("a")
-        right = OperationCounter("b")
-        left.add("x", 1)
-        right.add("x", 2)
-        right.add("y", 3)
-        merged = left.merged_with(right)
-        assert merged.count("x") == 3
-        assert merged.count("y") == 3
-        # The originals are untouched.
-        assert left.count("x") == 1
-
-    def test_repr(self):
+    def test_repr_keeps_first_count_order(self):
         counter = OperationCounter("repr-test")
-        counter.add("x", 1)
-        assert "repr-test" in repr(counter)
-
-
-class TestScopedCounter:
-    def test_view_adds_under_fixed_scope(self):
-        parent = OperationCounter()
-        view = ScopedCounter(parent, "kernel")
-        view.increment("modmul")
-        view.add("modadd", 2)
-        assert parent.scoped("kernel") == {"modadd": 2, "modmul": 1}
-        assert parent.count("modmul") == 1
+        counter.add("zeta", 1)
+        counter.add("alpha", 2)
+        counter.add("zeta", 0)
+        assert repr(counter) == (
+            "OperationCounter(name='repr-test', totals={'zeta': 1, 'alpha': 2})"
+        )

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from repro.core import available_multipliers, create_multiplier
+from repro.core import available_multipliers, get_multiplier
 from repro.errors import ConfigurationError
 from repro.modsram import (
     AreaModel,
@@ -157,7 +157,7 @@ ADAPTERS = (
 class TestModSRAMMultiplierAdapter:
     def test_registered_in_the_registry(self):
         assert "modsram" in available_multipliers()
-        assert isinstance(create_multiplier("modsram"), ModSRAMMultiplier)
+        assert get_multiplier("modsram") is ModSRAMMultiplier
 
     def test_matches_oracle(self, rng):
         multiplier = ModSRAMMultiplier()

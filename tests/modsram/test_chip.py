@@ -19,7 +19,6 @@ from repro.workloads import (
     ecdsa_sign_jobs,
     msm_jobs,
     ntt_jobs,
-    point_operation_graph,
     scalar_multiplication_jobs,
 )
 
@@ -169,7 +168,7 @@ class TestChipExecution:
 
 class TestEccJobs:
     def test_point_operation_scopes_multiplicands(self):
-        doubling = list(point_operation_graph(DOUBLING_SEQUENCE, "dbl[0]").to_jobs())
+        doubling = list(scalar_multiplication_jobs(1, additions=0))
         assert len(doubling) == len(DOUBLING_SEQUENCE)
         assert all(job.multiplicand.startswith("dbl[0].") for job in doubling)
 

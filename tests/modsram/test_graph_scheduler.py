@@ -12,6 +12,7 @@ from repro.modsram import (
     Chip,
     ChipScheduler,
     ModSRAMConfig,
+    MultiplicationJob,
     PAPER_CONFIG,
 )
 from repro.workloads import (
@@ -46,8 +47,9 @@ class TestFlatParity:
     def test_placement_parity(self, keys, macros, policy):
         scheduler = ChipScheduler(macros, PAPER_CONFIG, policy=policy)
         graph = flat_graph(keys)
+        jobs = (MultiplicationJob(n.multiplicand, n.tag) for n in graph.nodes)
         assert scheduler.schedule_graph(graph) == scheduler.schedule(
-            graph.to_jobs(), operation=graph.name
+            jobs, operation=graph.name
         )
 
     def test_chain_graph_is_serial(self):

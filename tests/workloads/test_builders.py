@@ -12,15 +12,13 @@ from repro.modsram.scheduler import DOUBLING_SEQUENCE, MIXED_ADDITION_SEQUENCE
 from repro.workloads import (
     ecdsa_sign_graph,
     ecdsa_sign_jobs,
-    msm_graph,
     msm_jobs,
     ntt_graph,
     ntt_jobs,
-    point_operation_graph,
     product_tree_graph,
-    scalar_multiplication_graph,
     scalar_multiplication_jobs,
 )
+from repro.workloads.builders import _graph, _template
 
 
 def _digest(lines) -> str:
@@ -44,14 +42,20 @@ def graph_digest(graph) -> str:
     )
 
 
+def point_operation_graph(sequence, tag):
+    """One point operation of the builders' dependency model as a graph."""
+    return _graph(tag, [(tag, tag, (), _template(sequence))], "")
+
+
 #: (jobs view, graph view, job count, jobs digest, graph digest).  The
 #: values were recorded when each workload still had a separate
 #: hand-written job stream next to its graph builder, so both views keep
-#: that exact order and those dependency lists.
+#: that exact order and those dependency lists.  Scalar multiplication
+#: and the MSM have no graph view.
 PINS = {
     "scalar-mult": (
         lambda: scalar_multiplication_jobs(48),
-        lambda: scalar_multiplication_graph(48),
+        None,
         648, "2111ab6ab282bffd", "6c48d00d674a4936",
     ),
     "ecdsa-sign": (
@@ -66,24 +70,25 @@ PINS = {
     ),
     "msm": (
         lambda: msm_jobs(8, window_bits=2, scalar_bits=8),
-        lambda: msm_graph(8, window_bits=2, scalar_bits=8),
+        None,
         724, "8c092a8384d13d8e", "909d7c37bf558bf6",
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINS))
-class TestPinnedOutputs:
-    def test_jobs(self, name):
-        jobs, _, count, digest, _ = PINS[name]
-        assert jobs_digest(jobs()) == (count, digest)
+def test_jobs_are_pinned(name):
+    jobs, _, count, digest, _ = PINS[name]
+    assert jobs_digest(jobs()) == (count, digest)
 
-    def test_graph(self, name):
-        _, graph, count, digest, edges = PINS[name]
-        built = graph()
-        assert len(built) == count
-        assert graph_digest(built) == edges
-        assert jobs_digest(built.to_jobs()) == (count, digest)
+
+@pytest.mark.parametrize("name", ["ecdsa-sign", "ntt"])
+def test_graphs_are_pinned(name):
+    _, graph, count, digest, edges = PINS[name]
+    built = graph()
+    assert len(built) == count
+    assert graph_digest(built) == edges
+    assert jobs_digest(built.nodes) == (count, digest)
 
 
 @pytest.mark.slow
@@ -109,7 +114,7 @@ class TestPointOperationStructure:
     def test_mixed_addition_dependencies_follow_the_formula(self):
         graph = point_operation_graph(MIXED_ADDITION_SEQUENCE, tag="add")
         by_product = {
-            name: graph.node(index)
+            name: graph.nodes[index]
             for index, (name, _, _) in enumerate(MIXED_ADDITION_SEQUENCE)
         }
         # hh = h^2 with h = u2 - x1: must depend on the u2 node.
@@ -120,17 +125,10 @@ class TestPointOperationStructure:
         assert by_product["rr"].index in by_product["t1"].deps
 
 
-class TestScalarMultiplicationStructure:
-    def test_ladder_steps_chain(self):
-        graph = scalar_multiplication_graph(8, additions=0)
-        # Depth grows with the ladder: each doubling waits for the previous.
-        assert graph.depth >= 8
-        # But each step contributes fewer levels than multiplications.
-        assert graph.depth < len(graph)
-
+class TestScalarMultiplicationJobs:
     def test_validation(self):
         with pytest.raises(OperandRangeError):
-            scalar_multiplication_graph(0)
+            list(scalar_multiplication_jobs(0))
 
 
 class TestEcdsaStructure:
@@ -139,7 +137,7 @@ class TestEcdsaStructure:
         levels = graph.topological_levels()
         # The inversion chain starts at level 0 (independent of the ladder):
         # some level must contain both a ladder node and an inversion node.
-        tags_at_level0 = {graph.node(index).tag for index in levels[0]}
+        tags_at_level0 = {graph.nodes[index].tag for index in levels[0]}
         assert "inversion" in tags_at_level0
         assert any(tag.startswith("dbl[") for tag in tags_at_level0)
 
@@ -178,7 +176,7 @@ class TestNttStructure:
         graph = ntt_graph(8)
         levels = graph.topological_levels()
         for index in levels[1]:
-            assert len(graph.node(index).deps) == 2
+            assert len(graph.nodes[index].deps) == 2
 
     def test_validation(self):
         with pytest.raises(OperandRangeError):
@@ -187,19 +185,12 @@ class TestNttStructure:
             ntt_graph(0)
 
 
-class TestMsmStructure:
-    def test_windows_parallel_until_horner(self):
-        graph = msm_graph(8, window_bits=2, scalar_bits=8)
-        # Bucket chains across windows are independent: width exceeds one
-        # point operation by a wide margin.
-        assert graph.width > len(MIXED_ADDITION_SEQUENCE)
-        assert graph.depth < len(graph)
-
+class TestMsmJobs:
     def test_validation(self):
         with pytest.raises(OperandRangeError):
-            msm_graph(0)
+            list(msm_jobs(0))
         with pytest.raises(OperandRangeError):
-            msm_graph(8, scalar_bits=0)
+            list(msm_jobs(8, scalar_bits=0))
 
 
 class TestProductTree:

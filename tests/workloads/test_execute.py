@@ -28,7 +28,7 @@ class TestExecuteGraph:
         values = [rng.randrange(1, modulus) for _ in range(32)]
         engine = Engine(backend="montgomery", modulus=modulus)
         execution = execute_graph(engine, product_tree_graph(values))
-        assert execution.result == tree_reference(values, modulus)
+        assert execution.results == (tree_reference(values, modulus),)
         assert execution.batches == 5  # log2(32) levels
         assert execution.max_batch == 16
         assert execution.backend == "montgomery"

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.modsram.chip import MultiplicationJob
 from repro.workloads import Ref, WorkloadGraph
 
 
@@ -23,7 +22,7 @@ class TestConstruction:
     def test_insertion_is_topological(self):
         graph = diamond()
         assert len(graph) == 4
-        for node in graph:
+        for node in graph.nodes:
             assert all(dep < node.index for dep in node.deps)
 
     def test_forward_dependency_is_rejected(self):
@@ -41,7 +40,7 @@ class TestConstruction:
         graph = WorkloadGraph()
         a = graph.add("a", a=3, b=5)
         b = graph.add("b", a=Ref(a), b=7)
-        assert graph.node(b).deps == (a,)
+        assert graph.nodes[b].deps == (a,)
         assert graph.executable
 
     def test_metadata_round_trips(self):
@@ -49,11 +48,10 @@ class TestConstruction:
         index = graph.add(
             "key", tag="op", field_name="bn254.base", priority=3
         )
-        node = graph.node(index)
+        node = graph.nodes[index]
         assert node.tag == "op"
         assert node.field_name == "bn254.base"
         assert node.priority == 3
-        assert node.job() == MultiplicationJob(multiplicand="key", tag="op")
 
 
 class TestStructure:
@@ -65,10 +63,8 @@ class TestStructure:
         assert graph.width == 2
         assert graph.parallelism == pytest.approx(4 / 3)
 
-    def test_roots_and_sinks(self):
-        graph = diamond()
-        assert graph.roots() == [0]
-        assert graph.sinks() == [3]
+    def test_sinks(self):
+        assert diamond().sinks() == [3]
 
     def test_dependents_inverts_deps(self):
         graph = diamond()
@@ -80,7 +76,7 @@ class TestStructure:
         assert graph.width == 0
         assert graph.parallelism == 0.0
         assert not graph.executable
-        assert list(graph.to_jobs()) == []
+        assert graph.nodes == ()
 
     def test_executable_requires_all_operands(self):
         graph = WorkloadGraph()
@@ -91,17 +87,14 @@ class TestStructure:
 
 
 class TestViews:
-    def test_to_jobs_preserves_insertion_order(self):
-        graph = diamond()
-        jobs = list(graph.to_jobs())
-        assert [job.multiplicand for job in jobs] == ["a", "b", "c", "d"]
-        assert all(isinstance(job, MultiplicationJob) for job in jobs)
+    def test_nodes_keep_insertion_order(self):
+        assert [node.multiplicand for node in diamond().nodes] == ["a", "b", "c", "d"]
 
     def test_linearized_is_a_chain(self):
         chain = diamond().linearized()
         assert chain.depth == len(chain) == 4
         assert chain.width == 1
-        for node in chain:
+        for node in chain.nodes:
             expected = (node.index - 1,) if node.index else ()
             assert node.deps == expected
 
@@ -110,8 +103,8 @@ class TestViews:
         a = graph.add("a", a=3, b=5, tag="t", priority=1)
         graph.add("b", a=Ref(a), b=7)
         chain = graph.linearized()
-        assert chain.node(0).a == 3 and chain.node(0).tag == "t"
-        assert chain.node(1).a == Ref(a)
+        assert chain.nodes[0].a == 3 and chain.nodes[0].tag == "t"
+        assert chain.nodes[1].a == Ref(a)
         assert chain.executable
 
     def test_as_dict_summary(self):

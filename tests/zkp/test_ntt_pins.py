@@ -4,8 +4,7 @@ The values were recorded while every butterfly charged its own counts and
 called the backend through a per-context closure.  Charging each
 transform's counts once must not move any of them: the outputs of
 ``forward``, ``inverse`` and ``multiply_polynomials``, the counter's
-totals and insertion order (its ``repr``), the counts attributed to the
-``forward`` and ``inverse`` scopes, and the engine's multiplier
+totals and insertion order (its ``repr``), and the engine's multiplier
 statistics, which see every backend call in order (``r4csa-lut`` and
 ``modsram-fast`` keep a depth-one LUT cache, so their ``precomputations``
 count depends on that order).
@@ -32,31 +31,26 @@ ENGINE_PINS = {
     "schoolbook": (256, {
         "outputs": "ac3d34330ac47ff9",
         "counter": "f63c96616a5a5d41",
-        "scopes": "537d68dc97c17dc6",
         "stats": "e28c82b7b3411d0c",
     }),
     "r4csa-lut": (32, {
         "outputs": "9812bdef053b62e9",
         "counter": "27269a86eef9a6ad",
-        "scopes": "d5a5b9d7f9aee199",
         "stats": "29d6b9ffd7ab5f02",
     }),
     "montgomery": (64, {
         "outputs": "7e3776ae306b5ce0",
         "counter": "532febc19df208f3",
-        "scopes": "2912ffd393ae4996",
         "stats": "2567231de8354f59",
     }),
     "barrett": (64, {
         "outputs": "7e3776ae306b5ce0",
         "counter": "532febc19df208f3",
-        "scopes": "2912ffd393ae4996",
         "stats": "318993c9d84b8cbf",
     }),
     "modsram-fast": (32, {
         "outputs": "9812bdef053b62e9",
         "counter": "27269a86eef9a6ad",
-        "scopes": "d5a5b9d7f9aee199",
         "stats": "4414f60a683c822f",
     }),
 }
@@ -65,7 +59,6 @@ ENGINE_PINS = {
 PLAIN_PINS = {
     "outputs": "7e3776ae306b5ce0",
     "counter": "532febc19df208f3",
-    "scopes": "2912ffd393ae4996",
 }
 
 
@@ -93,10 +86,6 @@ def _counts(counter: OperationCounter) -> List[object]:
     return [counter.as_dict(), repr(counter)]
 
 
-def _scopes(counter: OperationCounter) -> List[object]:
-    return [(scope, counter.scoped(scope)) for scope in counter.scopes()]
-
-
 @pytest.mark.parametrize("backend", sorted(ENGINE_PINS))
 def test_engine_ntt_is_pinned(backend: str) -> None:
     size, pins = ENGINE_PINS[backend]
@@ -104,7 +93,6 @@ def test_engine_ntt_is_pinned(backend: str) -> None:
     context = engine.ntt(size, modulus=BN254_R)
     digests: Dict[str, str] = {"outputs": _digest(_outputs(context))}
     digests["counter"] = _digest(_counts(context.counter))
-    digests["scopes"] = _digest(_scopes(context.counter))
     digests["stats"] = _digest([engine.stats().operations.as_dict()])
     assert digests == pins
 
@@ -113,5 +101,4 @@ def test_ntt_without_a_multiplier_is_pinned() -> None:
     context = NttContext(BN254_R, 64)
     digests = {"outputs": _digest(_outputs(context))}
     digests["counter"] = _digest(_counts(context.counter))
-    digests["scopes"] = _digest(_scopes(context.counter))
     assert digests == PLAIN_PINS
