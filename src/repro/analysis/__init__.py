@@ -28,7 +28,6 @@ from repro.analysis.figure5 import Figure5Result, reproduce_figure5
 from repro.analysis.figure6 import Figure6Result, reproduce_figure6
 from repro.analysis.figure7 import (
     Figure7Result,
-    measure_ntt_counts,
     reproduce_figure7,
 )
 from repro.analysis.headline import HeadlineClaim, HeadlineResult, reproduce_headline_claims
@@ -54,7 +53,6 @@ __all__ = [
     "build_report",
     "format_value",
     "measure_modsram_cycles",
-    "measure_ntt_counts",
     "render_table",
     "reproduce_chip_scaling",
     "reproduce_design_point",

@@ -69,12 +69,6 @@ class Figure1Result:
     analytic_series: Dict[str, List[int]]
     measured_modsram: List[int]
 
-    def speedup_over_mentt(self) -> List[float]:
-        """MeNTT cycles divided by this work's cycles, per bitwidth."""
-        ours = self.analytic_series["r4csa-lut"]
-        mentt = self.analytic_series["mentt"]
-        return [m / o for m, o in zip(mentt, ours)]
-
     def rows(self) -> List[List[object]]:
         """Table rows: one per bitwidth, one column per series."""
         table = []

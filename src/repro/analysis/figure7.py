@@ -6,7 +6,6 @@ of modular multiplications, memory accesses and intermediate register
 writes, and that computing the multiplications in-SRAM removes the latter
 two categories.  The reproduction evaluates the closed-form operation-count
 models at the paper's operating point; it runs no kernel.
-:func:`measure_ntt_counts` runs the instrumented NTT at a small size, and
 ``tests/zkp/test_msm_opcount.py`` checks the NTT model against the
 instrumented transform's counts.
 
@@ -15,11 +14,9 @@ Registered as experiment ``figure7`` in :mod:`repro.experiments`.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.engine import Engine
 from repro.tables import render_table
 from repro.zkp.opcount import (
     PAPER_FIGURE7_BITWIDTH,
@@ -29,32 +26,7 @@ from repro.zkp.opcount import (
     ntt_operation_counts,
 )
 
-__all__ = ["Figure7Result", "reproduce_figure7", "measure_ntt_counts"]
-
-
-def measure_ntt_counts(
-    size: int = 256, engine: Optional[Engine] = None
-) -> Dict[str, int]:
-    """Run the instrumented NTT at a small size and return its counts.
-
-    The transform goes through the unified Engine facade (default: the
-    schoolbook oracle over BN254's scalar field), so the measurement shares
-    the same cached per-modulus context as every other engine user.
-    """
-    if engine is None:
-        engine = Engine(backend="schoolbook", curve="bn254")
-    context = engine.ntt(size)
-    modulus = context.modulus
-    rng = random.Random(size)
-    # The context is cached on the engine, so drop any counts accumulated by
-    # earlier transforms (mirrors the counter reset on the MSM path).
-    context.counter.reset()
-    context.forward([rng.randrange(modulus) for _ in range(size)])
-    return {
-        "modular_multiplication": context.counter.count("modmul"),
-        "memory_access": context.counter.count("memory_access"),
-        "register_writes": context.counter.count("register_write"),
-    }
+__all__ = ["Figure7Result", "reproduce_figure7"]
 
 
 @dataclass(frozen=True)

@@ -50,10 +50,6 @@ class Table3Result:
             theirs = int(theirs) + bpntt_transform_cycles(self.bitwidth) // 10
         return 100.0 * (1.0 - float(ours) / float(theirs))
 
-    def best_prior_cycle_reduction(self) -> float:
-        """Reduction versus the best prior design that reports cycles (BP-NTT)."""
-        return self.cycle_reduction_vs("bpntt")
-
     def rows(self) -> List[List[object]]:
         """Rows in the paper's column order."""
         table = []

@@ -9,7 +9,7 @@ from repro.baselines.base import (
 from repro.baselines.bpntt import BPNTT, bpntt_cycles, bpntt_rows, bpntt_transform_cycles
 from repro.baselines.mentt import MENTT, mentt_rows
 from repro.baselines.modsram_entry import MODSRAM, modsram_rows
-from repro.baselines.reram import CRYPTOPIM, RMNTT, XPOLY, adc_area_fraction
+from repro.baselines.reram import CRYPTOPIM, RMNTT, XPOLY
 
 __all__ = [
     "BPNTT",
@@ -19,7 +19,6 @@ __all__ = [
     "PimDesignSpec",
     "RMNTT",
     "XPOLY",
-    "adc_area_fraction",
     "available_designs",
     "bpntt_cycles",
     "bpntt_rows",

@@ -58,13 +58,6 @@ class PimDesignSpec:
             return None
         return self.row_model(bitwidth)
 
-    def latency_us(self, bitwidth: int) -> Optional[float]:
-        """Wall-clock latency of one multiplication at the design's clock."""
-        cycles = self.cycles(bitwidth)
-        if cycles is None:
-            return None
-        return cycles / self.frequency_mhz
-
     def as_row(self, bitwidth: int) -> Dict[str, object]:
         """One Table 3 column rendered as a dictionary."""
         return {

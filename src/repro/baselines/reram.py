@@ -14,17 +14,7 @@ from __future__ import annotations
 
 from repro.baselines.base import PimDesignSpec, register_design
 
-__all__ = ["RMNTT", "CRYPTOPIM", "XPOLY", "adc_area_fraction"]
-
-#: Fraction of the RM-NTT / X-Poly macro area occupied by ADCs (§5.4:
-#: "more than 70% of the total architecture").
-ADC_AREA_FRACTION = 0.70
-
-
-def adc_area_fraction() -> float:
-    """The ADC share of the ReRAM designs' area the paper cites (>70 %)."""
-    return ADC_AREA_FRACTION
-
+__all__ = ["RMNTT", "CRYPTOPIM", "XPOLY"]
 
 RMNTT = register_design(
     PimDesignSpec(

@@ -63,12 +63,6 @@ class HashRing:
         """Current members, sorted by name."""
         return sorted(self._members)
 
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __contains__(self, node: str) -> bool:
-        return node in self._members
-
     def add(self, node: str) -> None:
         """Add a member (idempotent)."""
         if node in self._members:

@@ -83,11 +83,6 @@ class SloCatalog:
             raise ConfigurationError("an SLO catalog needs at least one class")
 
     @property
-    def names(self) -> list:
-        """Every class name, in catalog order."""
-        return list(self._classes)
-
-    @property
     def default(self) -> SloClass:
         """The class an SLO-less request gets: the *last* (loosest) tier."""
         return list(self._classes.values())[-1]
@@ -100,7 +95,7 @@ class SloCatalog:
             return self._classes[name]
         except KeyError:
             raise ConfigurationError(
-                f"unknown SLO class {name!r}; catalog: {self.names}"
+                f"unknown SLO class {name!r}; catalog: {list(self._classes)}"
             ) from None
 
     def as_dict(self) -> Dict[str, object]:
@@ -108,4 +103,4 @@ class SloCatalog:
         return {name: slo.as_dict() for name, slo in self._classes.items()}
 
     def __repr__(self) -> str:
-        return f"SloCatalog({self.names})"
+        return f"SloCatalog({list(self._classes)})"

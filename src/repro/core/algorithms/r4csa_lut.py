@@ -114,10 +114,6 @@ class IterationSnapshot:
     carry_word: int
     pending_overflow: int
 
-    def resolved(self) -> int:
-        """The logical accumulator value, ignoring the pending overflow bit."""
-        return self.sum_word + self.carry_word
-
 
 @register_multiplier
 class R4CSALutMultiplier(ModularMultiplier):

@@ -55,14 +55,6 @@ class Radix4Lut:
             )
         return self.entries[digit]
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def digits(self) -> Tuple[int, ...]:
-        """Digits in the paper's row order."""
-        return RADIX4_DIGIT_ORDER
-
     def rows(self) -> List[Tuple[int, int]]:
         """Table rows ``(digit, value)`` in the paper's order (Table 1b)."""
         return [(digit, self.entries[digit]) for digit in RADIX4_DIGIT_ORDER]

@@ -55,11 +55,6 @@ class ExperimentSpec:
                 )
         object.__setattr__(self, "sweep", MappingProxyType(swept))
 
-    @property
-    def is_sweep(self) -> bool:
-        """Whether this spec declares sweep axes."""
-        return bool(self.sweep)
-
     def points(self) -> List[Dict[str, Any]]:
         """Every concrete parameter dict of the grid (one without a sweep)."""
         base = dict(self.params)

@@ -26,7 +26,7 @@ from repro.hdl.eventsim import (
     HdlRunTrace,
 )
 from repro.hdl.ir import HdlError, Module
-from repro.hdl.verilog import design_file_names, emit_design, emit_module
+from repro.hdl.verilog import emit_design, emit_module
 
 __all__ = [
     "MacroDesign",
@@ -38,7 +38,6 @@ __all__ = [
     "HdlRunTrace",
     "HdlError",
     "Module",
-    "design_file_names",
     "emit_design",
     "emit_module",
 ]

@@ -1,8 +1,7 @@
 """Event-driven simulation of the structural IR, and the HDL fidelity tier.
 
 :class:`EventSimulator` executes a flattened :class:`~repro.hdl.ir.Module`
-with classic discrete-event semantics: an event wheel keyed on the cycle
-number for scheduled stimulus, settling of the combinational network
+with classic cycle semantics: settling of the combinational network
 between clock edges, and nonblocking register/memory commits at the edge.
 At construction the netlist is compiled to Python source: ``settle``
 evaluates every continuous assign once, in topological order, with the
@@ -378,8 +377,7 @@ class EventSimulator:
     """Discrete-event simulator for one (flattened) IR module.
 
     The public surface is testbench-shaped: :meth:`poke` inputs,
-    :meth:`peek` any signal, :meth:`at` to schedule a poke on the event
-    wheel, :meth:`step` to advance whole clock cycles.  ``events`` counts
+    :meth:`peek` any signal, :meth:`step` to advance whole clock cycles.  ``events`` counts
     every signal-value change (combinational settling plus register and
     memory commits) — the quantity ``benchmarks/bench_hdl.py`` reports as
     events per second.
@@ -410,7 +408,6 @@ class EventSimulator:
         }
         self.cycle = 0
         self.events = 0
-        self._wheel: Dict[int, List[Tuple[str, int]]] = {}
         codegen = _Codegen(flat)
         self._settle = codegen.settle(_topological(flat.assigns))
         self._edge = codegen.edge()
@@ -433,24 +430,6 @@ class EventSimulator:
         except KeyError:
             raise HdlError(f"unknown signal {name!r}") from None
 
-    def peek_memory(self, name: str, addr: int) -> int:
-        """Read one memory row directly (backdoor, no cycle charged)."""
-        return self.memories[name][addr]
-
-    def at(self, cycle: int, name: str, value: int) -> None:
-        """Schedule a poke of an input port on the event wheel.
-
-        A past cycle or a name that is not an input port raises
-        :class:`HdlError` here, not when the cycle comes.
-        """
-        if cycle < self.cycle:
-            raise HdlError(
-                f"cannot schedule at cycle {cycle}; now at {self.cycle}"
-            )
-        if name not in self._input_ports:
-            raise HdlError(f"{name!r} is not an input port")
-        self._wheel.setdefault(cycle, []).append((name, value))
-
     def settle(self) -> None:
         """Settle the combinational network in one pass.
 
@@ -463,27 +442,17 @@ class EventSimulator:
         self._poked = False
 
     def step(self, cycles: int = 1) -> None:
-        """Advance whole clock cycles (wheel → settle → edge → settle).
+        """Advance whole clock cycles (settle → edge → settle).
 
         The settle before the edge is skipped when nothing was poked since
         the last one, which already left the network settled.
         """
         for _ in range(cycles):
-            for name, value in self._wheel.pop(self.cycle, ()):
-                self.poke(name, value)
             if self._poked:
                 self.settle()
             self.events += self._edge(self.values, self.memories)
             self.cycle += 1
             self.settle()
-
-    def run_until(self, predicate: Callable[["EventSimulator"], bool], max_cycles: int) -> int:
-        """Step until ``predicate(self)`` holds; returns cycles consumed."""
-        for consumed in range(max_cycles + 1):
-            if predicate(self):
-                return consumed
-            self.step()
-        raise HdlError(f"predicate still false after {max_cycles} cycles")
 
 
 # --------------------------------------------------------------------------- #
@@ -499,16 +468,6 @@ class HdlRunTrace:
     iteration_cycles: int
     finalize_cycles: int
     extra_folds: int
-
-    @property
-    def total_cycles(self) -> int:
-        """Every cycle from the start pulse to ``done``."""
-        return (
-            self.load_cycles
-            + self.precompute_cycles
-            + self.iteration_cycles
-            + self.finalize_cycles
-        )
 
 
 class HdlMacroSim:

@@ -35,7 +35,7 @@ from repro.hdl.ir import (
     UnOp,
 )
 
-__all__ = ["emit_module", "emit_design", "design_file_names"]
+__all__ = ["emit_module", "emit_design"]
 
 _BINOPS = {
     "add": "+",
@@ -186,11 +186,6 @@ def emit_module(module: Module, banner: Sequence[str] = ()) -> str:
     lines.append(f"endmodule // {module.name}")
     lines.append("")
     return "\n".join(lines)
-
-
-def design_file_names(design: MacroDesign) -> List[str]:
-    """The stable per-module file names for one elaborated design."""
-    return [f"{module.name}.v" for module in design.modules]
 
 
 def emit_design(design: MacroDesign) -> Dict[str, str]:

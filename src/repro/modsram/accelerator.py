@@ -210,10 +210,6 @@ class ModSRAMAccelerator:
     # ------------------------------------------------------------------ #
     # reporting helpers
     # ------------------------------------------------------------------ #
-    def utilization(self, operand_rows_used: int = 3):
-        """Row-utilisation summary (Figure 6) for this macro."""
-        return self.memory_map.utilization(operand_rows_used)
-
     def energy_report(self):
         """Energy breakdown implied by the accesses performed so far."""
         return self.config.energy.from_stats(

@@ -44,6 +44,7 @@ PAPER_AREA_OVERHEAD_PERCENT = 32.0
 class AreaParameters:
     """Per-component layout areas (µm², 65 nm full-custom / synthesized)."""
 
+    #: One 8T bit cell: a 6T storage core plus a decoupled read port.
     cell_area_um2: float = 2.165
     sense_amp_area_um2: float = 13.45
     column_mux_area_um2: float = 0.45

@@ -558,7 +558,7 @@ class Chip:
         """Chip-wide access profile: every macro's stats merged."""
         merged = ArrayStats()
         for macro in self._macros:
-            merged = merged.merged_with(macro.host.stats)
+            merged.accumulate(macro.host.stats)
         return merged
 
     def energy_report(self):

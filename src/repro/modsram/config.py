@@ -115,11 +115,6 @@ class ModSRAMConfig:
         return RADIX4_LUT_ROWS + OVERFLOW_LUT_ROWS
 
     @property
-    def intermediate_rows(self) -> int:
-        """Word lines holding intermediate results (sum and carry)."""
-        return INTERMEDIATE_ROWS
-
-    @property
     def minimum_rows(self) -> int:
         """Smallest array that can hold the memory map."""
         return MINIMUM_OPERAND_ROWS + self.lut_rows + INTERMEDIATE_ROWS
@@ -156,10 +151,6 @@ class ModSRAMConfig:
         macro is sized to its operands, as in the paper's design).
         """
         return replace(self, bitwidth=bitwidth, columns=columns or bitwidth)
-
-    def paper_mode(self) -> "ModSRAMConfig":
-        """A copy using the paper's ``n/2``-iteration schedule."""
-        return replace(self, extend_for_full_range=False)
 
 
 #: The exact design point of the paper's evaluation (§5): 64 × 256, 8T,

@@ -72,26 +72,6 @@ class CycleBudget:
     iteration_cycles: int = 0
     finalize_cycles: int = 0
 
-    @property
-    def total_cycles(self) -> int:
-        """All cycles, including operand loading and LUT precomputation."""
-        return (
-            self.load_cycles
-            + self.precompute_cycles
-            + self.iteration_cycles
-            + self.finalize_cycles
-        )
-
-    def as_dict(self) -> Dict[str, int]:
-        """Counters plus total, for reports."""
-        return {
-            "load_cycles": self.load_cycles,
-            "precompute_cycles": self.precompute_cycles,
-            "iteration_cycles": self.iteration_cycles,
-            "finalize_cycles": self.finalize_cycles,
-            "total_cycles": self.total_cycles,
-        }
-
 
 class Controller:
     """The FSM driving one ModSRAM macro."""
@@ -157,6 +137,3 @@ class Controller:
             self.budget.finalize_cycles += 1
         return index
 
-    def finished(self) -> bool:
-        """Whether the FSM has reached the DONE state."""
-        return self.state is ControllerState.DONE

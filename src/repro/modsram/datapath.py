@@ -15,7 +15,7 @@ registers are one bit wider than the array row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.core.booth import booth_digit_radix4
 from repro.errors import ControllerError
@@ -37,11 +37,6 @@ class DatapathStats:
         """Counters as a plain dictionary."""
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
-    def reset(self) -> None:
-        """Zero every counter."""
-        for name in self.__dataclass_fields__:
-            setattr(self, name, 0)
-
 
 class NearMemoryDatapath:
     """Registers and combinational helpers of the near-memory circuit."""
@@ -49,10 +44,9 @@ class NearMemoryDatapath:
     def __init__(self, config: ModSRAMConfig) -> None:
         self.config = config
         self.stats = DatapathStats()
-        # Full-width registers (the "three DFFs" of the paper).
+        # The full-width multiplier register; the sum and carry registers
+        # (the other two of the paper's "three DFFs") are only counted.
         self._multiplier: int = 0
-        self._sum_latch: int = 0
-        self._carry_latch: int = 0
         # Single-bit extensions: bit n of the (n+1)-bit redundant registers
         # lives here because the array row is only n columns wide.
         self._sum_msb: int = 0
@@ -79,8 +73,6 @@ class NearMemoryDatapath:
 
     def latch_imc_result(self, xor3_word: int, maj_word: int) -> None:
         """Latch the logic-SA outputs (sum and carry words) into the FFs."""
-        self._sum_latch = xor3_word
-        self._carry_latch = maj_word
         self._write_register(self.config.register_width)
         self._write_register(self.config.register_width)
 
@@ -111,21 +103,6 @@ class NearMemoryDatapath:
     # register reads
     # ------------------------------------------------------------------ #
     @property
-    def multiplier(self) -> int:
-        """Current multiplier register value."""
-        return self._multiplier
-
-    @property
-    def sum_latch(self) -> int:
-        """Latched sum word (logic-SA XOR3 output)."""
-        return self._sum_latch
-
-    @property
-    def carry_latch(self) -> int:
-        """Latched carry word (logic-SA MAJ output)."""
-        return self._carry_latch
-
-    @property
     def sum_msb(self) -> int:
         """Bit ``n`` of the sum register."""
         return self._sum_msb
@@ -134,16 +111,6 @@ class NearMemoryDatapath:
     def carry_msb(self) -> int:
         """Bit ``n`` of the carry register."""
         return self._carry_msb
-
-    @property
-    def shift_overflow(self) -> int:
-        """Overflow bits captured during the last shifted write-back."""
-        return self._shift_overflow
-
-    @property
-    def pending_carry_out(self) -> int:
-        """Carry-out bit of the previous iteration's second CSA."""
-        return self._pending_carry_out
 
     # ------------------------------------------------------------------ #
     # combinational helpers
@@ -185,22 +152,3 @@ class NearMemoryDatapath:
                 f"CSA carry-out must be a bit, got {csa_carry_out}"
             )
         return self._shift_overflow + csa_carry_out + 4 * self._pending_carry_out
-
-    # ------------------------------------------------------------------ #
-    # structural facts for the area model
-    # ------------------------------------------------------------------ #
-    def flipflop_count(self) -> int:
-        """Total flip-flops in the NMC register file."""
-        full_width = self.config.bitwidth + 2 * self.config.register_width
-        return full_width + 2 + 3 + 1  # MSB extensions, overflow field, pending bit
-
-    def reset(self) -> None:
-        """Clear every register (power-on state)."""
-        self._multiplier = 0
-        self._sum_latch = 0
-        self._carry_latch = 0
-        self._sum_msb = 0
-        self._carry_msb = 0
-        self._shift_overflow = 0
-        self._pending_carry_out = 0
-        self.stats.reset()

@@ -140,11 +140,6 @@ class MacroGeometry:
         """Smallest array that can hold this geometry's memory map."""
         return MINIMUM_OPERAND_ROWS + self.lut_rows + INTERMEDIATE_ROWS
 
-    @property
-    def operand_capacity(self) -> int:
-        """Rows left for operands once LUTs and intermediates are placed."""
-        return self.rows - self.lut_rows - INTERMEDIATE_ROWS
-
     def iterations(self, bitwidth: int, extend_for_full_range: bool) -> int:
         """Main-loop iterations for one ``bitwidth``-bit multiplication.
 

@@ -133,11 +133,6 @@ class MemoryMap:
         return self.operand_region[slot]
 
     @property
-    def radix4_rows(self) -> Dict[int, int]:
-        """Digit → word-line mapping of the radix-4 LUT."""
-        return dict(self._radix4_rows)
-
-    @property
     def overflow_rows(self) -> Tuple[int, ...]:
         """Word lines of the overflow LUT, in index order."""
         return self._overflow_rows
@@ -146,11 +141,6 @@ class MemoryMap:
     def lut_rows(self) -> List[int]:
         """Every LUT word line (13 rows in the default configuration)."""
         return sorted(self._radix4_rows.values()) + list(self._overflow_rows)
-
-    @property
-    def intermediate_rows(self) -> Tuple[int, int]:
-        """The sum and carry word lines."""
-        return self.sum_row, self.carry_row
 
     # ------------------------------------------------------------------ #
     # reporting

@@ -32,10 +32,6 @@ class Phase(str, Enum):
         """Whether this cycle performs a multi-row logic-SA access."""
         return self in (Phase.IMC_RADIX4, Phase.IMC_OVERFLOW)
 
-    def is_writeback(self) -> bool:
-        """Whether this cycle writes a row back through the write port."""
-        return self in (Phase.WRITEBACK_SUM, Phase.WRITEBACK_CARRY)
-
 
 @dataclass(frozen=True)
 class CycleEvent:
@@ -83,10 +79,6 @@ class ExecutionTrace:
         if self.enabled:
             self._events.append(event)
 
-    def clear(self) -> None:
-        """Drop every recorded event."""
-        self._events.clear()
-
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
@@ -98,17 +90,6 @@ class ExecutionTrace:
     def __len__(self) -> int:
         return len(self._events)
 
-    def __iter__(self):
-        return iter(self._events)
-
-    def phase_events(self, phase: Phase) -> List[CycleEvent]:
-        """Every event of one phase."""
-        return [event for event in self._events if event.phase is phase]
-
-    def iteration_events(self, iteration: int) -> List[CycleEvent]:
-        """Every event belonging to one main-loop iteration."""
-        return [event for event in self._events if event.iteration == iteration]
-
     def phase_histogram(self) -> Dict[str, int]:
         """Cycle count per phase."""
         histogram: Dict[str, int] = {}
@@ -119,10 +100,6 @@ class ExecutionTrace:
     def compute_access_count(self) -> int:
         """Number of multi-row logic-SA accesses."""
         return sum(1 for event in self._events if event.phase.is_compute_access())
-
-    def writeback_count(self) -> int:
-        """Number of row write-backs."""
-        return sum(1 for event in self._events if event.phase.is_writeback())
 
     # ------------------------------------------------------------------ #
     # rendering

@@ -257,10 +257,6 @@ class PoolExecutor(Executor):
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    @property
-    def started(self) -> bool:
-        return self._started
-
     async def start(self) -> None:
         """Spawn the workers and the liveness monitor."""
         if self._started:

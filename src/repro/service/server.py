@@ -704,11 +704,6 @@ class Server:
     # ------------------------------------------------------------------ #
     # observability
     # ------------------------------------------------------------------ #
-    @property
-    def pending(self) -> int:
-        """Requests admitted but not yet dispatched."""
-        return self._pending
-
     def metrics_summary(self) -> Dict[str, object]:
         """Service metrics plus the executor's operation/cache counters.
 

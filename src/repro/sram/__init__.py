@@ -8,7 +8,7 @@ circuit-level simulation.
 """
 
 from repro.sram.array import BitlineReadout, SramArray
-from repro.sram.cell import EightTransistorCell, SixTransistorCell, SramCell, make_cell
+from repro.sram.cell import EightTransistorCell, SixTransistorCell, SramCell
 from repro.sram.decoder import DecoderBank, WordlineDecoder
 from repro.sram.energy import DEFAULT_65NM_ENERGY, EnergyBreakdown, EnergyModel
 from repro.sram.sense_amp import (
@@ -38,5 +38,4 @@ __all__ = [
     "SramCell",
     "TimingModel",
     "WordlineDecoder",
-    "make_cell",
 ]

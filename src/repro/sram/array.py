@@ -21,7 +21,7 @@ discharge level) are derived only when its per-column path asks for them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ReadDisturbError, SramAccessError
 from repro.sram.cell import EightTransistorCell, SramCell
@@ -59,13 +59,6 @@ class BitlineReadout:
             sum((word >> column) & 1 for word in words)
             for column in range(self.columns)
         )
-
-    def wired_or(self) -> int:
-        """Columns with at least one conducting cell (a plain multi-row OR)."""
-        value = 0
-        for word in self.words:
-            value |= word
-        return value
 
     def exact_value(self) -> int:
         """Single-row reads only: the stored word."""
@@ -105,14 +98,6 @@ class SramArray:
         self.stats = stats if stats is not None else ArrayStats()
         self._data: List[int] = [0] * rows
 
-    # ------------------------------------------------------------------ #
-    # helpers
-    # ------------------------------------------------------------------ #
-    @property
-    def capacity_bits(self) -> int:
-        """Total storage capacity in bits."""
-        return self.rows * self.cols
-
     def _check_row(self, row: int) -> None:
         if not 0 <= row < self.rows:
             raise SramAccessError(
@@ -134,19 +119,9 @@ class SramArray:
         self._data[row] = value
         self.stats.record_write(self.cols)
 
-    def clear(self) -> None:
-        """Write zero to every row (counted as individual row writes)."""
-        for row in range(self.rows):
-            self.write_row(row, 0)
-
     # ------------------------------------------------------------------ #
     # read port
     # ------------------------------------------------------------------ #
-    def read_row(self, row: int) -> int:
-        """Plain single-row read."""
-        readout = self.activate_rows([row])
-        return readout.exact_value()
-
     def activate_rows(self, rows: Sequence[int]) -> BitlineReadout:
         """Activate one or more read word lines simultaneously.
 
@@ -164,7 +139,7 @@ class SramArray:
             self._check_row(row)
 
         if self.cell.disturb_risk(len(unique)):
-            self.stats.record_disturb()
+            self.stats.read_disturb_events += 1
             if self.strict_disturb:
                 raise ReadDisturbError(
                     f"activating {len(unique)} rows on a {self.cell.name} array "
@@ -177,31 +152,6 @@ class SramArray:
             words=tuple(self._data[row] for row in unique),
             columns=self.cols,
         )
-
-    # ------------------------------------------------------------------ #
-    # debug / inspection (not counted as hardware accesses)
-    # ------------------------------------------------------------------ #
-    def peek(self, row: int) -> int:
-        """Inspect a row without modelling a hardware access."""
-        self._check_row(row)
-        return self._data[row]
-
-    def poke(self, row: int, value: int) -> None:
-        """Set a row without modelling a hardware access (test fixtures)."""
-        self._check_row(row)
-        if value < 0 or value >> self.cols:
-            raise SramAccessError(
-                f"value {value:#x} does not fit in a {self.cols}-column row"
-            )
-        self._data[row] = value
-
-    def dump(self) -> Dict[int, int]:
-        """Snapshot of every non-zero row (row index → stored word)."""
-        return {row: word for row, word in enumerate(self._data) if word}
-
-    def area_um2(self) -> float:
-        """Full-custom area of the cell array alone."""
-        return self.cell.area_for(self.rows, self.cols)
 
     def __repr__(self) -> str:
         return (

@@ -5,8 +5,9 @@ two-transistor read port — because the logic-SA scheme activates *three*
 read word lines at once and a shared-port 6T cell would suffer read disturb
 under multi-row activation (§4.2 of the paper).  The cell classes here carry
 the structural facts the rest of the model needs: transistor count, port
-structure, how many rows may be activated together without corrupting data,
-and the full-custom layout area used by the area model.
+structure, and how many rows may be activated together without corrupting
+data.  The cell's layout area is a parameter of the area model
+(:class:`repro.modsram.area.AreaParameters`).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
-__all__ = ["SramCell", "SixTransistorCell", "EightTransistorCell", "make_cell"]
+__all__ = ["SramCell", "SixTransistorCell", "EightTransistorCell"]
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,6 @@ class SramCell:
     max_simultaneous_reads:
         How many rows sharing a bitline may be activated for a read without
         risking data corruption.
-    area_um2:
-        Full-custom layout area of one cell in the reference 65 nm process.
     """
 
     name: str
@@ -47,7 +46,6 @@ class SramCell:
     write_ports: int
     shared_read_write_port: bool
     max_simultaneous_reads: int
-    area_um2: float
 
     def disturb_risk(self, activated_rows: int) -> bool:
         """Whether activating ``activated_rows`` rows risks read disturb."""
@@ -56,14 +54,6 @@ class SramCell:
                 f"activated_rows must be at least 1, got {activated_rows}"
             )
         return activated_rows > self.max_simultaneous_reads
-
-    def area_for(self, rows: int, cols: int) -> float:
-        """Array area in µm² for a ``rows`` × ``cols`` tile of this cell."""
-        if rows <= 0 or cols <= 0:
-            raise ConfigurationError(
-                f"array dimensions must be positive, got {rows}x{cols}"
-            )
-        return self.area_um2 * rows * cols
 
 
 #: The classic single-port cell: compact, but reads and writes share the
@@ -76,7 +66,6 @@ SixTransistorCell = SramCell(
     write_ports=1,
     shared_read_write_port=True,
     max_simultaneous_reads=1,
-    area_um2=1.10,
 )
 
 #: ModSRAM's cell: a 6T storage core plus a decoupled read buffer, giving a
@@ -89,17 +78,4 @@ EightTransistorCell = SramCell(
     write_ports=1,
     shared_read_write_port=False,
     max_simultaneous_reads=3,
-    area_um2=2.165,
 )
-
-_CELLS = {"6T": SixTransistorCell, "8T": EightTransistorCell}
-
-
-def make_cell(name: str) -> SramCell:
-    """Return a cell model by name (``"6T"`` or ``"8T"``)."""
-    try:
-        return _CELLS[name.upper()]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown cell type {name!r}; available: {sorted(_CELLS)}"
-        ) from None

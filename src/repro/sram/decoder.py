@@ -63,17 +63,6 @@ class WordlineDecoder:
             onehot[address] = 1
         return tuple(onehot)
 
-    def transistor_estimate(self) -> int:
-        """Rough transistor count: predecoders plus a driver per word line.
-
-        Each word line needs an AND of the predecoded address (modelled as a
-        ``address_bits``-input gate, ~2 transistors per input) plus a driver
-        (4 transistors); multi-hot capability adds one enable transistor per
-        supported simultaneous activation.
-        """
-        gate = 2 * self.address_bits + 4
-        return self.rows * (gate + self.max_active)
-
 
 @dataclass
 class DecoderBank:
@@ -88,11 +77,4 @@ class DecoderBank:
         return cls(
             read_decoder=WordlineDecoder(rows, max_active=max_read_rows, name="rwl"),
             write_decoder=WordlineDecoder(rows, max_active=1, name="wwl"),
-        )
-
-    def transistor_estimate(self) -> int:
-        """Combined transistor estimate of both decoders."""
-        return (
-            self.read_decoder.transistor_estimate()
-            + self.write_decoder.transistor_estimate()
         )

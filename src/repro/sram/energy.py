@@ -110,16 +110,6 @@ class EnergyModel:
             near_memory_pj=near_memory * 1e-3,
         )
 
-    def energy_per_modmul_pj(
-        self, stats: ArrayStats, flipflop_writes: int, multiplications: int
-    ) -> float:
-        """Average energy of one modular multiplication, in picojoules."""
-        if multiplications <= 0:
-            raise ConfigurationError(
-                f"multiplications must be positive, got {multiplications}"
-            )
-        return self.from_stats(stats, flipflop_writes).total_pj / multiplications
-
 
 #: Default 65 nm energy model matching the 256-column ModSRAM macro.
 DEFAULT_65NM_ENERGY = EnergyModel()

@@ -9,10 +9,9 @@ and how many write-backs occur.  The energy model consumes these directly.
 simulation core: the behavioural array fills one in while simulating and
 the analytical tier synthesises one in closed form — so the energy model
 and the reports never need to know which fidelity tier produced the
-numbers.  The algebra helpers (:meth:`accumulate`, :meth:`merged_with`,
-:meth:`snapshot` / :meth:`delta_since`) support per-multiplication charging
-(``FastHost``), multi-macro aggregation (``Chip.stats()``) and
-per-operation attribution without coupling callers to the array.
+numbers.  :meth:`accumulate` supports per-multiplication charging
+(``FastHost``) and multi-macro aggregation (``Chip.stats()``) without
+coupling callers to the array.
 """
 
 from __future__ import annotations
@@ -48,43 +47,11 @@ class ArrayStats:
         self.rows_activated += activated_rows
         self.precharges += 1
 
-    def record_disturb(self) -> None:
-        """Account for a potential read-disturb event (6T multi-row read)."""
-        self.read_disturb_events += 1
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        for name in self.__dataclass_fields__:
-            setattr(self, name, 0)
-
     def as_dict(self) -> Dict[str, int]:
         """Counters as a plain dictionary (stable key order)."""
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
-    # ------------------------------------------------------------------ #
-    # algebra (multi-macro aggregation, per-operation attribution)
-    # ------------------------------------------------------------------ #
     def accumulate(self, other: "ArrayStats") -> None:
         """Add another profile's counters to these, in place."""
         for name in self.__dataclass_fields__:
             setattr(self, name, getattr(self, name) + getattr(other, name))
-
-    def merged_with(self, other: "ArrayStats") -> "ArrayStats":
-        """A new stats object with element-wise summed counters."""
-        merged = self.snapshot()
-        merged.accumulate(other)
-        return merged
-
-    def snapshot(self) -> "ArrayStats":
-        """An independent copy of the current counters."""
-        copy = ArrayStats()
-        for name in self.__dataclass_fields__:
-            setattr(copy, name, getattr(self, name))
-        return copy
-
-    def delta_since(self, earlier: "ArrayStats") -> "ArrayStats":
-        """Counters accumulated since an earlier :meth:`snapshot`."""
-        delta = ArrayStats()
-        for name in self.__dataclass_fields__:
-            setattr(delta, name, getattr(self, name) - getattr(earlier, name))
-        return delta

@@ -76,20 +76,6 @@ class TimingModel:
         """Clock frequency implied by the critical path."""
         return 1e3 / self.cycle_time_ns
 
-    def latency_us(self, cycles: int) -> float:
-        """Wall-clock latency of a ``cycles``-cycle operation, in microseconds."""
-        if cycles < 0:
-            raise ConfigurationError(f"cycles must be non-negative, got {cycles}")
-        return cycles * self.cycle_time_ns * 1e-3
-
-    def throughput_ops_per_second(self, cycles_per_op: int) -> float:
-        """Operations per second at one operation every ``cycles_per_op`` cycles."""
-        if cycles_per_op <= 0:
-            raise ConfigurationError(
-                f"cycles_per_op must be positive, got {cycles_per_op}"
-            )
-        return self.frequency_mhz * 1e6 / cycles_per_op
-
     # ------------------------------------------------------------------ #
     # scaling
     # ------------------------------------------------------------------ #

@@ -102,7 +102,7 @@ class TestHashRing:
         ring.add("a")
         ring.add("a")
         ring.remove("missing")
-        assert len(ring) == 1 and "a" in ring
+        assert ring.nodes == ["a"]
 
     def test_vnodes_validation(self):
         with pytest.raises(ConfigurationError):
@@ -123,7 +123,10 @@ class TestHashRing:
 class TestSloCatalog:
     def test_default_catalog_tiers(self):
         catalog = SloCatalog()
-        assert catalog.names == ["gold", "silver", "best-effort"]
+        assert [catalog.resolve(name).name for name in ("gold", "silver")] == [
+            "gold", "silver",
+        ]
+        assert catalog.default.name == "best-effort"
         gold = catalog.resolve("gold")
         assert gold.deadline_ms == 2000.0 and gold.priority == 2
 

@@ -30,14 +30,13 @@ class TestRadix4Lut:
     def test_row_order_matches_paper(self):
         lut = build_radix4_lut(5, 97)
         assert [digit for digit, _ in lut.rows()] == list(RADIX4_DIGIT_ORDER)
-        assert lut.digits == RADIX4_DIGIT_ORDER
 
     def test_only_three_entries_need_computation(self):
         lut = build_radix4_lut(5, 97)
         assert lut.computed_entry_count() == 3
 
-    def test_len_is_five(self):
-        assert len(build_radix4_lut(5, 97)) == 5
+    def test_five_entries(self):
+        assert len(build_radix4_lut(5, 97).entries) == 5
 
     @given(st.integers(3, 10**6))
     @settings(max_examples=60)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.core import available_multipliers
+from repro.cli import main
+from repro.core import available_multipliers, get_multiplier
 from repro.engine import (
     BackendInfo,
     EngineContext,
@@ -99,3 +102,33 @@ class TestContextCreation:
         assert product == (1234 * 4321) % ((1 << 16) - 15)
         # cycle reports stay reachable
         assert context.multiplier.last_report is not None
+
+
+@pytest.mark.parametrize("name", available_multipliers())
+class TestEveryRegisteredMultiplier:
+    """Each registered multiplier is one backend whose metadata it sets."""
+
+    MODULUS = 65521
+
+    def test_info_follows_the_multiplier(self, name):
+        probe = get_multiplier(name)()
+        tier = getattr(probe, "tier", None)
+        info = get_backend(name).info
+        assert info.name == name
+        assert info.kind == ("software" if tier is None else "accelerator")
+        assert info.fidelity == tier
+        assert info.macros == getattr(probe, "macros", None)
+        assert info.direct_form == probe.direct_form
+        assert info.has_cycle_model == (probe.cycles(256) is not None)
+
+    def test_context_resolves_the_cycle_model_once(self, name):
+        context = get_backend(name).create_context(self.MODULUS)
+        assert context.info is get_backend(name).info
+        assert context.bitwidth == 16
+        assert context.modeled_cycles_per_multiply == context.multiplier.cycles(16)
+
+    def test_backends_json_row_is_the_info(self, name, capsys):
+        assert main(["backends", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["backends"]
+        by_name = {row["name"]: row for row in rows}
+        assert by_name[name] == get_backend(name).info.as_dict()

@@ -31,6 +31,19 @@ class TestBackendParity:
             b = rng.randrange(modulus)
             assert int(engine.multiply(a, b)) == (a * b) % modulus
 
+    @pytest.mark.parametrize("bits", (32, 128, 254))
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_every_backend_agrees_at_width(self, backend, bits):
+        rng = random.Random(f"{backend}:{bits}")
+        modulus = (1 << (bits - 1)) | rng.getrandbits(bits - 1) | 1
+        engine = Engine(backend=backend, modulus=modulus)
+        pairs = [(modulus - 1, modulus - 1)] + [
+            (rng.randrange(modulus), rng.randrange(modulus)) for _ in range(2)
+        ]
+        assert [int(engine.multiply(a, b)) for a, b in pairs] == [
+            a * b % modulus for a, b in pairs
+        ]
+
     @pytest.mark.parametrize("backend", ("r4csa-lut", "montgomery", "barrett"))
     def test_256_bit_parity(self, backend, bn254_modulus, rng):
         engine = Engine(backend=backend, curve="bn254")
@@ -219,13 +232,6 @@ class TestApplicationSubstrates:
         with pytest.raises(ConfigurationError, match="no curve name"):
             Engine(backend="schoolbook").curve()
 
-    def test_measure_ntt_counts_is_idempotent_on_a_reused_engine(self):
-        from repro.analysis.figure7 import measure_ntt_counts
-
-        engine = Engine(backend="schoolbook", curve="bn254")
-        first = measure_ntt_counts(16, engine=engine)
-        second = measure_ntt_counts(16, engine=engine)
-        assert first == second  # cached context, counts must not accumulate
 
 
 class TestResultSerialization:

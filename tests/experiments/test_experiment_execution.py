@@ -26,7 +26,7 @@ from repro.experiments import ExperimentSpec, get_experiment
 class TestExperimentSpec:
     def test_single_point_without_sweep(self):
         spec = ExperimentSpec("figure6", {"bitwidth": 128})
-        assert not spec.is_sweep
+        assert not spec.sweep
         assert spec.points() == [{"bitwidth": 128}]
 
     def test_cartesian_grid_expansion(self):

@@ -94,13 +94,6 @@ class TestRegisterSemantics:
         sim.step()
         assert sim.peek("count") == 0
 
-    def test_event_wheel_pokes_at_cycle(self):
-        sim = EventSimulator(_counter())
-        sim.at(2, "enable", 1)
-        sim.at(6, "enable", 0)
-        sim.step(10)
-        assert sim.peek("count") == 4  # enabled for cycles 2..5
-
     def test_process_reads_pre_edge_values(self):
         # One step after enabling: the process saw the old count.
         sim = EventSimulator(_counter())
@@ -204,15 +197,8 @@ class TestMemory:
         sim.poke("wen", 0)
         sim.settle()
         assert sim.peek("out") == 0x7E
-        assert sim.peek_memory("mem", 2) == 0x7E
-        assert sim.peek_memory("mem", 1) == 0
-
-    def test_run_until(self):
-        sim = EventSimulator(_counter())
-        sim.poke("enable", 1)
-        cycles = sim.run_until(lambda s: s.peek("count") == 9, max_cycles=32)
-        assert cycles <= 32
-        assert sim.peek("count") == 9
+        assert sim.memories["mem"][2] == 0x7E
+        assert sim.memories["mem"][1] == 0
 
 
 def _memory_port(read_addr, write_addr) -> Module:
@@ -265,29 +251,12 @@ class TestErrors:
         sim.poke("waddr", 3)
         with pytest.raises(HdlError, match="write out of range"):
             sim.step()
-        assert [sim.peek_memory("mem", row) for row in range(3)] == [0, 0, 0]
+        assert sim.memories["mem"] == [0, 0, 0]
 
     def test_poke_of_a_non_input_is_rejected(self):
         sim = EventSimulator(_counter())
         with pytest.raises(HdlError, match="not an input port"):
             sim.poke("count", 3)
-
-    def test_at_of_a_non_input_is_rejected_when_scheduled(self):
-        # Rejected only when its cycle came, it would take the other pokes
-        # queued for that cycle down with it.
-        sim = EventSimulator(_counter())
-        sim.poke("enable", 1)
-        with pytest.raises(HdlError, match="not an input port"):
-            sim.at(3, "count", 9)
-        sim.at(3, "enable", 0)
-        sim.step(5)
-        assert sim.peek("count") == 3
-
-    def test_at_for_a_past_cycle_is_rejected(self):
-        sim = EventSimulator(_counter())
-        sim.step(4)
-        with pytest.raises(HdlError, match="cannot schedule"):
-            sim.at(3, "enable", 1)
 
     def test_peek_of_an_unknown_signal_is_rejected(self):
         sim = EventSimulator(_counter())

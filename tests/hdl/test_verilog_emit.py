@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from repro.hdl.elaborate import elaborate_macro
-from repro.hdl.verilog import design_file_names, emit_design, emit_module
+from repro.hdl.verilog import emit_design, emit_module
 from repro.modsram.config import ModSRAMConfig
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -42,7 +42,7 @@ class TestDeterminism:
 
     def test_file_names_are_the_module_names(self):
         design = elaborate_macro()
-        assert design_file_names(design) == [
+        assert list(emit_design(design)) == [
             "modsram_ctrl.v",
             "modsram_datapath.v",
             "modsram_macro.v",
@@ -59,7 +59,7 @@ class TestGolden:
 
     def test_golden_directory_is_complete(self):
         design = elaborate_macro()
-        for name in design_file_names(design):
+        for name in emit_design(design):
             assert (GOLDEN_DIR / name).is_file(), (
                 f"missing golden file {name}; regenerate with "
                 "'repro hdl emit'"

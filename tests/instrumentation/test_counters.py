@@ -22,6 +22,13 @@ class TestOperationCounter:
         with pytest.raises(ValueError):
             OperationCounter().add("x", -1)
 
+    def test_a_zero_amount_still_names_the_operation(self):
+        # Callers that charge precomputed counts skip zeros, because a
+        # zero add inserts the key (and moves the repr's key order).
+        counter = OperationCounter()
+        counter.add("modsub", 0)
+        assert counter.as_dict() == {"modsub": 0}
+
     def test_as_dict_is_sorted(self):
         counter = OperationCounter()
         counter.add("zeta", 1)

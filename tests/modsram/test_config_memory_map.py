@@ -30,7 +30,6 @@ class TestConfig:
     def test_lut_and_intermediate_rows(self):
         config = ModSRAMConfig()
         assert config.lut_rows == 13
-        assert config.intermediate_rows == 2
         assert config.operand_capacity == 49
         assert config.minimum_rows == 18
 
@@ -43,9 +42,6 @@ class TestConfig:
         assert config.bitwidth == 64
         assert config.columns == 64
         assert config.rows == 64
-
-    def test_paper_mode_helper(self):
-        assert not ModSRAMConfig().paper_mode().extend_for_full_range
 
     def test_columns_must_cover_bitwidth(self):
         with pytest.raises(ConfigurationError):
@@ -82,7 +78,6 @@ class TestMemoryMap:
     def test_lut_rows_count_matches_paper(self, memory_map):
         """The paper: radix-4 and overflow LUTs take 13 word lines in total."""
         assert len(memory_map.lut_rows) == 13
-        assert len(memory_map.radix4_rows) == 5
         assert len(memory_map.overflow_rows) == 8
 
     def test_all_regions_are_disjoint(self, memory_map):

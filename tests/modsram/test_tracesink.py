@@ -39,7 +39,7 @@ class TestDefaultRunAllocatesNothing:
         result = accelerator.multiply(0x2A, 0x51, 0xF1)
         assert factory.constructed == result.report.total_cycles
         assert len(result.trace) == result.report.total_cycles
-        assert [event.cycle for event in result.trace] == list(
+        assert [event.cycle for event in result.trace.events] == list(
             range(result.report.total_cycles)
         )
 

@@ -199,7 +199,7 @@ class TestPoolBehaviour:
                 ]
                 while server.executor.outstanding < 4:
                     await asyncio.sleep(0.002)
-                assert server.pending == 0  # all handed to the pool...
+                assert server._pending == 0  # all handed to the pool...
                 with pytest.raises(AdmissionError):  # ...and still counted
                     await server.multiply(3, 5)
                 responses = await asyncio.gather(*tasks)

@@ -198,7 +198,7 @@ class TestTenantStateCleanup:
                     await server.multiply(index + 1, 3, tenant=f"t{index}")
                 # Completed tenants leave no queue, rotation slot or
                 # pending counter behind.
-                assert server.pending == 0
+                assert server._pending == 0
                 assert not server._tenants
                 assert not server._rr
                 assert not server._pending_by_tenant

@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sram import EightTransistorCell, SixTransistorCell, make_cell
+from repro.modsram import PAPER_CONFIG
+from repro.modsram.area import AreaModel
+from repro.sram import EightTransistorCell, SixTransistorCell
 
 
 class TestCellStructure:
@@ -21,9 +23,6 @@ class TestCellStructure:
         """The logic-SA scheme needs three simultaneously activated rows."""
         assert EightTransistorCell.max_simultaneous_reads >= 3
         assert SixTransistorCell.max_simultaneous_reads == 1
-
-    def test_8t_is_larger_than_6t(self):
-        assert EightTransistorCell.area_um2 > SixTransistorCell.area_um2
 
 
 class TestDisturbRisk:
@@ -41,26 +40,10 @@ class TestDisturbRisk:
             EightTransistorCell.disturb_risk(0)
 
 
-class TestArea:
-    def test_array_area_scales_with_geometry(self):
-        single = EightTransistorCell.area_for(1, 1)
-        assert EightTransistorCell.area_for(64, 256) == pytest.approx(single * 64 * 256)
-
+class TestArrayArea:
     def test_paper_array_area_is_two_thirds_of_macro(self):
         """64 x 256 8T cells come to roughly 0.035 mm^2 (67% of 0.053)."""
-        area_mm2 = EightTransistorCell.area_for(64, 256) * 1e-6
+        model = AreaModel(PAPER_CONFIG)
+        area_mm2 = model.sram_array_area_um2() * 1e-6
+        assert area_mm2 == pytest.approx(model.parameters.cell_area_um2 * 64 * 256 * 1e-6)
         assert 0.032 < area_mm2 < 0.038
-
-    def test_invalid_geometry_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EightTransistorCell.area_for(0, 10)
-
-
-class TestFactory:
-    def test_make_cell_by_name(self):
-        assert make_cell("8T") is EightTransistorCell
-        assert make_cell("6t") is SixTransistorCell
-
-    def test_unknown_cell_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_cell("10T")

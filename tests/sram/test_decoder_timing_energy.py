@@ -54,11 +54,6 @@ class TestWordlineDecoder:
         assert WordlineDecoder(rows=64).address_bits == 6
         assert WordlineDecoder(rows=60).address_bits == 6
 
-    def test_transistor_estimate_scales_with_rows(self):
-        small = WordlineDecoder(rows=16).transistor_estimate()
-        large = WordlineDecoder(rows=64).transistor_estimate()
-        assert large > small
-
     def test_tiny_decoder_rejected(self):
         with pytest.raises(SramAccessError):
             WordlineDecoder(rows=1)
@@ -69,7 +64,6 @@ class TestDecoderBank:
         bank = DecoderBank.for_array(64)
         assert bank.read_decoder.max_active == 3
         assert bank.write_decoder.max_active == 1
-        assert bank.transistor_estimate() > 0
 
 
 class TestTimingModel:
@@ -80,13 +74,6 @@ class TestTimingModel:
         timing = TimingModel()
         assert timing.cycle_time_ns == pytest.approx(
             max(timing.read_compute_latency_ns, timing.write_latency_ns)
-        )
-
-    def test_latency_helpers(self):
-        timing = TimingModel()
-        assert timing.latency_us(767) == pytest.approx(767 * timing.cycle_time_ns / 1e3)
-        assert timing.throughput_ops_per_second(767) == pytest.approx(
-            timing.frequency_mhz * 1e6 / 767
         )
 
     def test_scaling_to_smaller_node_speeds_up(self):
@@ -103,10 +90,6 @@ class TestTimingModel:
             TimingModel(precharge_ns=0)
         with pytest.raises(ConfigurationError):
             TimingModel().scaled_to(0)
-        with pytest.raises(ConfigurationError):
-            TimingModel().latency_us(-1)
-        with pytest.raises(ConfigurationError):
-            TimingModel().throughput_ops_per_second(0)
 
 
 class TestEnergyModel:
@@ -126,7 +109,7 @@ class TestEnergyModel:
         model = EnergyModel(columns=16)
         plain = SramArray(rows=4, cols=16)
         plain.write_row(0, 1)
-        plain.read_row(0)
+        plain.activate_rows([0]).exact_value()
         compute = SramArray(rows=4, cols=16)
         compute.write_row(0, 1)
         compute.activate_rows([0, 1, 2])
@@ -134,13 +117,6 @@ class TestEnergyModel:
             model.from_stats(compute.stats).sensing_pj
             > model.from_stats(plain.stats).sensing_pj
         )
-
-    def test_energy_per_modmul(self):
-        array = SramArray(rows=4, cols=16)
-        array.write_row(0, 3)
-        model = EnergyModel(columns=16)
-        per_op = model.energy_per_modmul_pj(array.stats, flipflop_writes=0, multiplications=1)
-        assert per_op == pytest.approx(model.from_stats(array.stats).total_pj)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -151,5 +127,3 @@ class TestEnergyModel:
         array = SramArray(rows=4, cols=16)
         with pytest.raises(ConfigurationError):
             model.from_stats(array.stats, flipflop_writes=-1)
-        with pytest.raises(ConfigurationError):
-            model.energy_per_modmul_pj(array.stats, 0, 0)

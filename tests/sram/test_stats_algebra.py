@@ -7,29 +7,21 @@ from repro.sram.stats import ArrayStats
 
 
 class TestArrayStatsAlgebra:
-    def test_merged_with_sums_every_counter(self):
+    def test_accumulate_sums_every_counter(self):
         first = ArrayStats(row_writes=2, bits_written=512, precharges=1)
         second = ArrayStats(row_writes=3, row_reads=4, precharges=2)
-        merged = first.merged_with(second)
-        assert merged.row_writes == 5
-        assert merged.row_reads == 4
-        assert merged.bits_written == 512
-        assert merged.precharges == 3
-        # Inputs are untouched.
-        assert first.row_writes == 2 and second.row_writes == 3
-
-    def test_snapshot_and_delta_since(self):
-        stats = ArrayStats()
-        stats.record_write(256)
-        before = stats.snapshot()
-        stats.record_write(256)
-        stats.record_read(3, compute=True)
-        delta = stats.delta_since(before)
-        assert delta.row_writes == 1
-        assert delta.bits_written == 256
-        assert delta.compute_reads == 1
-        # The snapshot is independent of later mutation.
-        assert before.row_writes == 1
+        first.accumulate(second)
+        assert first.as_dict() == {
+            "row_writes": 5,
+            "row_reads": 4,
+            "compute_reads": 0,
+            "rows_activated": 0,
+            "precharges": 3,
+            "bits_written": 512,
+            "read_disturb_events": 0,
+        }
+        # The addend is untouched.
+        assert second.row_writes == 3
 
     def test_shared_stats_aggregate_across_arrays(self):
         shared = ArrayStats()
@@ -37,7 +29,7 @@ class TestArrayStatsAlgebra:
         right = SramArray(rows=4, cols=8, stats=shared)
         left.write_row(0, 0xAB)
         right.write_row(1, 0xCD)
-        right.read_row(1)
+        right.activate_rows([1]).exact_value()
         assert shared.row_writes == 2
         assert shared.row_reads == 1
         assert left.stats is right.stats is shared

@@ -208,6 +208,31 @@ def test_the_allow_list_groups_entries_under_reasons(tmp_path):
         reach.read_allowed(str(path))
 
 
+def test_each_reason_tallies_its_entries_and_never_run_lines(tmp_path):
+    reach = _load_reach()
+    source = TOY + "\n\ndef spare():\n    x = 3\n    return x\n"
+    package = _package(tmp_path, source)
+    kept = [("call one", ("-c", "import toy; toy.called()"))]
+    summary, outcomes = reach.measure(str(tmp_path), str(package), kept)
+    toy = os.path.join("toy", "__init__.py")
+    allowed = {
+        f"{toy}::uncalled": "unit tests only",
+        f"{toy}::spare": "unit tests only",
+        f"{toy}::called": "debug aids",
+    }
+
+    summary["reasons"] = reach.tally_reasons(summary, allowed)
+
+    assert summary["reasons"] == [
+        {"reason": "unit tests only", "entries": 2, "lines": 5},
+        {"reason": "debug aids", "entries": 1, "lines": 0},
+    ]
+    text = reach.render(summary, outcomes)
+    assert "Allow-list, per reason (entries, never-run lines)" in text
+    assert "     2      5  unit tests only" in text
+    assert "     1      0  debug aids" in text
+
+
 def test_every_allowed_function_exists_under_a_reason():
     """The committed list names functions of the package (the gate's cheap half)."""
     reach = _load_reach()

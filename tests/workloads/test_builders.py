@@ -76,19 +76,19 @@ PINS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINS))
-def test_jobs_are_pinned(name):
-    jobs, _, count, digest, _ = PINS[name]
-    assert jobs_digest(jobs()) == (count, digest)
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_jobs(self, name):
+        jobs, _, count, digest, _ = PINS[name]
+        assert jobs_digest(jobs()) == (count, digest)
 
-
-@pytest.mark.parametrize("name", ["ecdsa-sign", "ntt"])
-def test_graphs_are_pinned(name):
-    _, graph, count, digest, edges = PINS[name]
-    built = graph()
-    assert len(built) == count
-    assert graph_digest(built) == edges
-    assert jobs_digest(built.nodes) == (count, digest)
+    @pytest.mark.parametrize("name", ["ecdsa-sign", "ntt"])
+    def test_graph(self, name):
+        _, graph, count, digest, edges = PINS[name]
+        built = graph()
+        assert len(built) == count
+        assert graph_digest(built) == edges
+        assert jobs_digest(built.nodes) == (count, digest)
 
 
 @pytest.mark.slow

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -141,14 +142,16 @@ class TestMsm:
 class TestOperationCountModels:
     def test_ntt_model_matches_instrumented_run(self):
         """The closed-form NTT counts equal the instrumented implementation."""
-        from repro.analysis import measure_ntt_counts
-
+        engine = Engine(backend="schoolbook", curve="bn254")
         for size in (256, 512):
-            measured = measure_ntt_counts(size=size)
+            context = engine.ntt(size)
+            rng = random.Random(size)
+            context.forward([rng.randrange(context.modulus) for _ in range(size)])
+            counter = context.counter
             model = ntt_operation_counts(vector_size=size, bitwidth=254)
-            assert measured["modular_multiplication"] == model.modular_multiplications
-            assert measured["memory_access"] == model.memory_accesses
-            assert measured["register_writes"] == model.register_writes
+            assert counter.count("modmul") == model.modular_multiplications
+            assert counter.count("memory_access") == model.memory_accesses
+            assert counter.count("register_write") == model.register_writes
 
     def test_msm_model_brackets_instrumented_run(self, rng):
         """The closed-form MSM multiplication count tracks the measured count.

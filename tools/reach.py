@@ -16,7 +16,9 @@ examples run last and are counted on top of the kept paths.
 
 Usage::
 
-    python tools/reach.py           # unreached functions, per-file totals, both totals
+    python tools/reach.py           # unreached functions, per-file totals, both
+                                    # totals, and per allow-list reason its
+                                    # entries and their never-run lines
     python tools/reach.py --json    # the same as one JSON document
 
 A full run takes about two and a half minutes on a 2-vCPU machine.  It
@@ -87,6 +89,7 @@ CI_SMOKE: Tuple[Tuple[str, ...], ...] = (
     ("hdl", "cosim", "--quick", "--json"),
     ("dse", "run", "--quick", "--json"),
     ("dse", "run", "examples/dse_sweep.json", "--sample", "1"),
+    ("experiment", "run", "dse-point", "--set", "fidelity=cycle", "--quick", "--json"),
 )
 
 PERFBENCH_WORKLOADS = ("serve-pool", "fleet-rpc", "engine-bulk", "sim-paper")
@@ -375,6 +378,27 @@ def check(
     )
 
 
+def tally_reasons(
+    summary: Dict[str, object], allowed: Mapping[str, str]
+) -> List[Dict[str, object]]:
+    """Per allow-list reason, in list order: its entries and never-run lines.
+
+    A line counts when its function is run neither by the kept paths nor
+    by the examples; an entry that runs or is gone adds no line.
+    """
+    never_run = {
+        f"{entry['path']}::{entry['name']}": entry["lines"]
+        for entry in summary["unreached"]
+        if not entry["examples"]
+    }
+    reasons: Dict[str, Dict[str, object]] = {}
+    for key, reason in allowed.items():
+        tally = reasons.setdefault(reason, {"reason": reason, "entries": 0, "lines": 0})
+        tally["entries"] += 1
+        tally["lines"] += never_run.get(key, 0)
+    return list(reasons.values())
+
+
 def render(summary: Dict[str, object], outcomes: Sequence[Outcome]) -> str:
     """The summary as text: each unreached function, then the totals."""
     lines = ["Functions no kept path runs ('examples' marks those only examples run)"]
@@ -403,6 +427,11 @@ def render(summary: Dict[str, object], outcomes: Sequence[Outcome]) -> str:
             f"{label}: {total['unreached_lines']} of {total['lines']} lines never run "
             f"({total['unreached_functions']} of {total['functions']} functions)"
         )
+    if summary.get("reasons"):
+        lines.append("")
+        lines.append("Allow-list, per reason (entries, never-run lines)")
+        for tally in summary["reasons"]:
+            lines.append(f"  {tally['entries']:>4}  {tally['lines']:>5}  {tally['reason']}")
     failed = [o for o in outcomes if o.returncode != 0]
     for outcome in failed:
         lines.append(f"FAILED: {outcome.name} (exit {outcome.returncode})")
@@ -432,7 +461,9 @@ def main(argv: Sequence[str] = None) -> int:
         REPO_ROOT, package, kept_commands(REPO_ROOT), example_commands(REPO_ROOT),
         log=sys.stderr,
     )
-    summary["gate"] = check(package, summary, read_allowed(ALLOWED))
+    allowed = read_allowed(ALLOWED)
+    summary["gate"] = check(package, summary, allowed)
+    summary["reasons"] = tally_reasons(summary, allowed)
     if args.json:
         summary["commands"] = [asdict(outcome) for outcome in outcomes]
         print(json.dumps(summary, indent=2))
