@@ -2,7 +2,6 @@
 
 from repro.baselines.base import (
     PimDesignSpec,
-    available_designs,
     get_design,
     register_design,
 )
@@ -19,7 +18,6 @@ __all__ = [
     "PimDesignSpec",
     "RMNTT",
     "XPOLY",
-    "available_designs",
     "bpntt_cycles",
     "bpntt_rows",
     "bpntt_transform_cycles",

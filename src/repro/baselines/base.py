@@ -11,11 +11,11 @@ cycle model and a row-usage model implemented in the per-design module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, OperandRangeError
 
-__all__ = ["PimDesignSpec", "register_design", "get_design", "available_designs"]
+__all__ = ["PimDesignSpec", "register_design", "get_design"]
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,3 @@ def get_design(key: str) -> PimDesignSpec:
             f"unknown design {key!r}; available: {sorted(_REGISTRY)}"
         ) from None
 
-
-def available_designs() -> List[str]:
-    """Sorted keys of every registered design."""
-    return sorted(_REGISTRY)

@@ -142,9 +142,6 @@ class MultiplierBackend:
             modeled_cycles_per_multiply=multiplier.cycles(bitwidth),
         )
 
-    def __repr__(self) -> str:
-        return f"MultiplierBackend(name={self.info.name!r})"
-
 
 _BACKENDS: Dict[str, MultiplierBackend] = {}
 
