@@ -377,10 +377,10 @@ class EventSimulator:
     """Discrete-event simulator for one (flattened) IR module.
 
     The public surface is testbench-shaped: :meth:`poke` inputs,
-    :meth:`peek` any signal, :meth:`step` to advance whole clock cycles.  ``events`` counts
-    every signal-value change (combinational settling plus register and
-    memory commits) — the quantity ``benchmarks/bench_hdl.py`` reports as
-    events per second.
+    :meth:`peek` any signal, :meth:`step` to advance whole clock cycles.
+    ``events`` counts every signal-value change (combinational settling
+    plus register and memory commits) — the quantity
+    ``benchmarks/bench_hdl.py`` reports as events per second.
 
     Construction compiles the netlist to two generated Python functions:
     one settles the combinational network in a single pass over the

@@ -18,8 +18,8 @@ multiplication streams cannot express::
 and derives two views from that description: the lazy ``*_jobs``
 functions, which yield the flat job stream in O(1) memory without
 building a graph (what the ``chip-scaling`` experiment and the DSE
-schedule), and the ``ecdsa_sign_graph`` / ``ntt_graph`` builders.  Operand-carrying
-graphs are executed level-batched through the Engine by
+schedule), and the ``ecdsa_sign_graph`` / ``ntt_graph`` builders.
+Operand-carrying graphs are executed level-batched through the Engine by
 :func:`repro.workloads.execute.execute_graph` or on a multi-macro chip by
 :meth:`repro.modsram.chip.Chip.run_graph`.
 """
