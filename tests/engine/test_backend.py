@@ -19,7 +19,7 @@ from repro.errors import ConfigurationError, ModulusError
 
 
 class TestRegistry:
-    def test_the_backends_are_the_registered_multipliers(self):
+    def test_every_multiplier_is_a_backend(self):
         assert available_backends() == available_multipliers()
         assert len(available_backends()) == 11
 

@@ -42,7 +42,7 @@ class TestOperationCounter:
         assert counter.as_dict() == {}
         assert counter.count("x") == 0
 
-    def test_repr_keeps_first_count_order(self):
+    def test_repr(self):
         counter = OperationCounter("repr-test")
         counter.add("zeta", 1)
         counter.add("alpha", 2)

@@ -40,7 +40,7 @@ class TestDisturbRisk:
             EightTransistorCell.disturb_risk(0)
 
 
-class TestArrayArea:
+class TestArea:
     def test_paper_array_area_is_two_thirds_of_macro(self):
         """64 x 256 8T cells come to roughly 0.035 mm^2 (67% of 0.053)."""
         model = AreaModel(PAPER_CONFIG)

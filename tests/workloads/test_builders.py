@@ -125,7 +125,7 @@ class TestPointOperationStructure:
         assert by_product["rr"].index in by_product["t1"].deps
 
 
-class TestScalarMultiplicationJobs:
+class TestScalarMultiplicationStructure:
     def test_validation(self):
         with pytest.raises(OperandRangeError):
             list(scalar_multiplication_jobs(0))
@@ -185,7 +185,7 @@ class TestNttStructure:
             ntt_graph(0)
 
 
-class TestMsmJobs:
+class TestMsmStructure:
     def test_validation(self):
         with pytest.raises(OperandRangeError):
             list(msm_jobs(0))
