@@ -417,11 +417,12 @@ def product_tree_graph(
     level = 0
     while len(current) > 1:
         reduced: List[Operand] = []
+        level_tag = f"{tag}:l{level}"
         for pair in range(len(current) // 2):
             left, right = current[2 * pair], current[2 * pair + 1]
             index = graph.add(
                 multiplicand=f"{tag}.n[{level}][{pair}]",
-                tag=f"{tag}:l{level}",
+                tag=level_tag,
                 field_name=field_name,
                 a=left,
                 b=right,

@@ -78,35 +78,27 @@ def execute_graph(
             f"graph {graph.name!r} is structural (nodes without operands); "
             "only operand-carrying graphs can be executed"
         )
+    context = engine.context(modulus)
+    p = context.modulus
     nodes = graph.nodes
     values: List[Optional[int]] = [None] * len(nodes)
-
-    first_batch = None
-    batches = 0
     max_batch = 0
     modeled: Optional[int] = 0
-    backend = ""
-    resolved_modulus = 0
-    for level in graph.topological_levels():
+    # The graph's kept levels, read without the copy topological_levels()
+    # hands out.  A Ref names a node of an earlier level, already computed.
+    levels = graph._levels
+    for level in levels:
         pairs = []
         for index in level:
             node = nodes[index]
-            pairs.append(
-                (_resolve(node.a, values, resolved_modulus or None),
-                 _resolve(node.b, values, resolved_modulus or None))
-            )
-        if first_batch is None:
-            # Resolve the context once so constants of later levels can be
-            # range-reduced against the actual modulus.
-            context = engine.context(modulus)
-            resolved_modulus = context.modulus
-            backend = context.info.name
-            pairs = [(a % resolved_modulus, b % resolved_modulus) for a, b in pairs]
-            first_batch = True
-        batch = engine.multiply_batch(pairs, resolved_modulus)
+            a, b = node.a, node.b
+            pairs.append((
+                values[a.node] if isinstance(a, Ref) else int(a) % p,
+                values[b.node] if isinstance(b, Ref) else int(b) % p,
+            ))
+        batch = engine.multiply_batch(pairs, p)
         for index, value in zip(level, batch.values):
             values[index] = value
-        batches += 1
         max_batch = max(max_batch, len(pairs))
         if modeled is not None:
             modeled = (
@@ -116,23 +108,11 @@ def execute_graph(
             )
     return GraphExecution(
         graph_name=graph.name,
-        values=tuple(value for value in values),  # type: ignore[arg-type]
+        values=tuple(values),  # type: ignore[arg-type]
         sinks=tuple(graph.sinks()),
-        backend=backend,
-        modulus=resolved_modulus,
-        batches=batches,
+        backend=context.info.name,
+        modulus=p,
+        batches=len(levels),
         max_batch=max_batch,
         modeled_cycles=modeled,
     )
-
-
-def _resolve(operand, values: List[Optional[int]], modulus: Optional[int]) -> int:
-    if isinstance(operand, Ref):
-        value = values[operand.node]
-        if value is None:  # pragma: no cover - levels guarantee ordering
-            raise ConfigurationError(
-                f"operand references node {operand.node} before it executed"
-            )
-        return value
-    value = int(operand)
-    return value % modulus if modulus else value

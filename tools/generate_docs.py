@@ -28,6 +28,7 @@ import importlib
 import inspect
 import os
 import sys
+import typing
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src")
@@ -69,9 +70,17 @@ def _docstring(module_name: str, name: str, obj: object) -> str:
 
 def _signature(obj: object) -> str:
     try:
-        return str(inspect.signature(obj))
+        signature = inspect.signature(obj)
     except (TypeError, ValueError):
         return ""
+    # A NamedTuple's fields reach ``__new__`` as ForwardRefs; render them
+    # as the quoted strings every other postponed annotation shows as.
+    return str(signature.replace(parameters=[
+        parameter.replace(annotation=parameter.annotation.__forward_arg__)
+        if isinstance(parameter.annotation, typing.ForwardRef)
+        else parameter
+        for parameter in signature.parameters.values()
+    ]))
 
 
 def _first_paragraph(doc: str) -> str:
