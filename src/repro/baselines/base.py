@@ -10,8 +10,8 @@ cycle model and a row-usage model implemented in the per-design module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError, OperandRangeError
 

@@ -11,7 +11,7 @@ ModSRAM accelerator adapter, can be swapped in as the arithmetic backend.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Type
 
 from repro.errors import ConfigurationError, ModulusError, OperandRangeError

@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 from repro.ecc.curve import AffinePoint, EllipticCurve
 from repro.ecc.scalar import scalar_multiply

@@ -22,7 +22,7 @@ purpose so the Verilog emission is trivially faithful):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple, Union
 
 from repro.errors import ReproError

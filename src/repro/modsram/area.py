@@ -17,7 +17,7 @@ is what the design-space exploration sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from repro.errors import ConfigurationError

@@ -18,7 +18,7 @@ with the final iteration's last carry write-back elided, giving
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Optional
 

@@ -13,7 +13,7 @@ operation — the quantity the ECC examples project end-to-end latency from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import MemoryMapError

@@ -10,7 +10,7 @@ before the carry row, the last carry write-back is elided, and so on).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import random
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.engine import EngineSpec
 from repro.errors import ServiceError

@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import asyncio
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.engine import Engine, EngineSpec
 from repro.errors import (

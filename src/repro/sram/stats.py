@@ -16,7 +16,7 @@ coupling callers to the array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 __all__ = ["ArrayStats"]
