@@ -84,9 +84,8 @@ def execute_graph(
     values: List[Optional[int]] = [None] * len(nodes)
     max_batch = 0
     modeled: Optional[int] = 0
-    # The graph's kept levels, read without the copy topological_levels()
-    # hands out.  A Ref names a node of an earlier level, already computed.
-    levels = graph._levels
+    # A Ref names a node of an earlier level, so its product is known.
+    levels = graph.topological_levels()
     for level in levels:
         pairs = []
         for index in level:

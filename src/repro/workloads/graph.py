@@ -83,11 +83,6 @@ class MulNode(NamedTuple):
     a: Optional[Operand] = None
     b: Optional[Operand] = None
 
-    @property
-    def executable(self) -> bool:
-        """Whether both operands are known (directly or by reference)."""
-        return self.a is not None and self.b is not None
-
 
 class WorkloadGraph:
     """A DAG of modular-multiplication nodes with LUT-reuse metadata."""

@@ -92,11 +92,12 @@ class TestKeptState:
 
     @settings(max_examples=30, deadline=None)
     @given(nodes=NODES)
-    def test_executable_is_every_node_executable(self, view, nodes):
+    def test_executable_is_every_node_carrying_both_operands(self, view, nodes):
         graph = VIEWS[view](build(nodes))
         nodes = graph.nodes
         assert graph.executable == (
-            bool(nodes) and all(node.executable for node in nodes)
+            bool(nodes)
+            and all(node.a is not None and node.b is not None for node in nodes)
         )
 
     @settings(max_examples=30, deadline=None)
