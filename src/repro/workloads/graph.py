@@ -12,9 +12,8 @@ Two views matter to schedulers:
   depth — every node in a level is independent of every other, so a whole
   level can dispatch concurrently (the ready fronts the graph-aware chip
   scheduler and the serving layer batch on).  :meth:`WorkloadGraph.add`
-  already visits every dependency to range-check it, so it records the
-  node's level as it appends the node: the levels are kept, never
-  recomputed;
+  records each node's level as it appends the node, so the levels are
+  kept, never recomputed;
 * :meth:`WorkloadGraph.linearized` chains the same nodes serially — the
   dependency structure a flat stream implies, used as the honest baseline
   when measuring what graph awareness buys.
