@@ -24,8 +24,8 @@ OPERANDS = st.one_of(
 
 #: Up to 40 nodes, each a LUT key, up to three explicit dependencies, a
 #: priority and two operands (missing, a constant or a reference).
-#: Dependencies and references are drawn unbounded and folded onto the
-#: earlier nodes by ``build``.
+#: Dependencies and references are drawn from a wide range and folded
+#: onto the earlier nodes by ``build``.
 NODES = st.lists(
     st.tuples(
         st.integers(0, 5),
